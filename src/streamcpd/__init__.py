@@ -41,7 +41,6 @@ from .runlength import (
     PrunePolicy,
     RunLengthState,
     detect_changepoints,
-    hazard_prior,
     map_runlength,
     normalize_posterior,
     prune,
@@ -80,7 +79,6 @@ __all__ = [
     "fixed_k_run_predictive",
     "gaussian_gradients",
     "gen_piecewise_gaussian",
-    "hazard_prior",
     "m_step",
     "map_assignment",
     "map_runlength",

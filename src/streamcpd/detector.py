@@ -21,7 +21,7 @@ import numpy as np
 from scipy.special import gammaln
 from scipy.stats import norm as _norm
 
-from .crp import CrpState, LabelCounts, sample_class
+from .crp import CrpState, LabelCounts
 from .emission import (
     CandidatePolicy,
     EmissionParams,
@@ -174,13 +174,12 @@ class RunResult:
 class Detector:
     """Single-writer streaming detector; feed observations via :meth:`step`.
 
-    Deterministic given (config, seed, series): the only randomness is the
-    seeded per-step class draw in infinite mode.
+    Deterministic given (config, series): no step draws a random number,
+    so ``DetectorConfig.seed`` does not change the outputs.
     """
 
     def __init__(self, cfg: DetectorConfig):
         self.cfg = cfg
-        self.rng = np.random.default_rng(cfg.seed)
         self.rl = RunLengthState.initial()
         self.t = 0
         self._prev_r_star: int | None = None
@@ -208,11 +207,6 @@ class Detector:
             x, cfg.candidate, cfg.eta_init, born_at=self.t + 1, var_floor=cfg.var_floor
         )
         prior = crp.global_predictive()
-        # The per-step class draw: kept for control-flow and stream fidelity,
-        # but the candidate is instantiated regardless, so the outcome gates
-        # nothing downstream.
-        sample_class(prior, self.rng)
-
         params_all = list(self.params) + [cand]
         resp = e_step(x, prior, params_all)
         params_all = [

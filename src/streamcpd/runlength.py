@@ -1,10 +1,15 @@
-"""Run-length trellis: hazard prior, growth/reset recursion, posterior
-normalization, MAP extraction, pruning, and change-point readout.
+"""Run-length trellis: growth/reset recursion, posterior normalization, MAP
+extraction, pruning, and change-point readout.
 
 All weights live in log space. The joint weight of each live run-length
-hypothesis is kept unnormalized so the evidence (total mass) is always
-recoverable as the log-sum of the weights; with an expected run length of
-1e6 and thousands of steps, linear-domain arithmetic would underflow.
+hypothesis is kept unnormalized; with an expected run length of 1e6 and
+thousands of steps, linear-domain arithmetic would underflow.
+
+Every ``RunLengthState`` caches its evidence: ``evidence_log`` always equals
+the log-sum of ``log_weights``, the log probability of everything observed
+so far. ``recursion_step`` computes it once per step, as the only
+log-sum-exp of the step; the reset term, ``normalize_posterior`` and
+``prune`` read it instead of summing the weights again.
 """
 
 from __future__ import annotations
@@ -13,9 +18,22 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import logsumexp
 
 from .errors import ConfigError, ContractViolation, DegenerateStateError
+
+# Smallest normal float: a kept posterior mass below it has lost precision.
+_TINY = float(np.finfo(float).tiny)
+
+
+def logsumexp(a: np.ndarray) -> float:
+    """``log(sum(exp(a)))`` of a non-empty 1-D array, shifted by its maximum.
+
+    Returns -inf when every entry is -inf and NaN when any entry is NaN.
+    """
+    m = float(np.max(a))
+    if not math.isfinite(m):
+        return m
+    return m + math.log(float(np.sum(np.exp(a - m))))
 
 
 @dataclass(frozen=True)
@@ -36,30 +54,29 @@ class HazardConfig:
         return 1.0 / self.lam
 
 
-def hazard_prior(r_prev: int, cfg: HazardConfig) -> tuple[float, float]:
-    """Growth/reset split of the conditional run-length prior.
-
-    Constant hazard: independent of ``r_prev`` (the argument is kept for
-    interface completeness). Returns ``(p_growth, p_reset)``.
-    """
-    h = cfg.hazard
-    return 1.0 - h, h
-
-
 @dataclass
 class RunLengthState:
     """Live run-length hypotheses and their log joint weights.
 
     ``run_lengths[i]`` is the run-length value of hypothesis i (ascending,
     and 0 is always present after a step); ``log_weights[i]`` is the log of
-    its unnormalized joint weight. ``evidence_log`` caches the log total
-    mass, i.e. the log probability of everything observed so far.
+    its unnormalized joint weight. ``evidence_log`` is the log total mass,
+    i.e. the log probability of everything observed so far.
+
+    Invariant: ``evidence_log == logsumexp(log_weights)``. Every function
+    here that builds a state keeps it, and a state built without
+    ``evidence_log`` computes it once on construction. Treat the arrays as
+    read-only: writing to ``log_weights`` in place breaks the invariant.
     """
 
     run_lengths: np.ndarray
     log_weights: np.ndarray
     t: int = 0
-    evidence_log: float = 0.0
+    evidence_log: float | None = None
+
+    def __post_init__(self):
+        if self.evidence_log is None:
+            self.evidence_log = logsumexp(self.log_weights)
 
     @classmethod
     def initial(cls) -> "RunLengthState":
@@ -102,14 +119,14 @@ def recursion_step(
         log_growth = math.log1p(-h) if h < 1.0 else -math.inf
         log_reset_pred = math.log(psi_reset) if psi_reset > 0.0 else -math.inf
 
-    reset_lw = math.log(h) + log_reset_pred + float(logsumexp(state.log_weights))
+    reset_lw = math.log(h) + log_reset_pred + state.evidence_log
     grown_lw = log_growth + log_psi + state.log_weights
 
     new_runs = np.concatenate(([0], state.run_lengths + 1)).astype(np.int64)
     new_lw = np.concatenate(([reset_lw], grown_lw))
 
-    total = float(logsumexp(new_lw))
-    if not math.isfinite(total) or np.any(np.isnan(new_lw)):
+    total = logsumexp(new_lw)
+    if not math.isfinite(total):
         raise DegenerateStateError(
             f"all joint weights vanished at t={state.t + 1}; observation numerically impossible"
         )
@@ -117,11 +134,11 @@ def recursion_step(
 
 
 def normalize_posterior(state: RunLengthState) -> np.ndarray:
-    """Posterior over live run lengths; pure, leaves the state untouched."""
-    total = float(logsumexp(state.log_weights))
-    if not math.isfinite(total):
+    """Posterior over live run lengths, scaled by the cached evidence; pure,
+    leaves the state untouched."""
+    if not math.isfinite(state.evidence_log):
         raise DegenerateStateError("cannot normalize: all weights are zero")
-    return np.exp(state.log_weights - total)
+    return np.exp(state.log_weights - state.evidence_log)
 
 
 def map_runlength(posterior: np.ndarray) -> int:
@@ -185,9 +202,13 @@ def prune(state: RunLengthState, policy: PrunePolicy) -> RunLengthState:
     if not np.any(keep):
         raise ContractViolation("prune policy removed every hypothesis")
 
-    total = float(logsumexp(state.log_weights))
     kept_lw = state.log_weights[keep]
-    rescale = total - float(logsumexp(kept_lw))
+    kept_mass = float(posterior[keep].sum())
+    if kept_mass >= _TINY:
+        rescale = -math.log(kept_mass)
+    else:
+        # The survivors' posterior underflowed: rescale from their log weights.
+        rescale = state.evidence_log - logsumexp(kept_lw)
     return RunLengthState(
         state.run_lengths[keep].copy(), kept_lw + rescale, state.t, state.evidence_log
     )

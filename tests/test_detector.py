@@ -107,6 +107,14 @@ def test_same_seed_same_series_bit_identical():
         np.testing.assert_array_equal(sa.responsibilities, sb.responsibilities)
 
 
+def test_seed_does_not_change_outputs():
+    series, _, _ = _two_segment_series(seed=5)
+    a, b = run(series, DetectorConfig(seed=0)), run(series, DetectorConfig(seed=7))
+    assert [s.z_star for s in a.steps] == [s.z_star for s in b.steps]
+    assert [s.r_star for s in a.steps] == [s.r_star for s in b.steps]
+    assert a.change_points == b.change_points
+
+
 def test_class_count_is_monotone():
     rng = np.random.default_rng(0)
     series = np.concatenate([rng.normal(0, 1, 80), rng.normal(6, 1, 80), rng.normal(-5, 1, 80)])

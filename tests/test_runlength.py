@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
+from scipy.special import logsumexp as scipy_logsumexp
 
 from streamcpd import (
     ChangePointRule,
@@ -14,36 +15,48 @@ from streamcpd import (
     PrunePolicy,
     RunLengthState,
     detect_changepoints,
-    hazard_prior,
     map_runlength,
     normalize_posterior,
     prune,
     recursion_step,
 )
 
+from streamcpd.runlength import logsumexp
+
 from conftest import random_canonical_labels, trellis_joint
 
 
+# -- log-sum-exp ---------------------------------------------------------
+
+
+@given(
+    st.lists(
+        st.one_of(st.just(-math.inf), st.floats(min_value=-1e300, max_value=1e300)),
+        min_size=1,
+        max_size=40,
+    )
+)
+def test_logsumexp_matches_scipy(values):
+    a = np.array(values)
+    got, want = logsumexp(a), float(scipy_logsumexp(a))
+    if want == -math.inf:
+        assert got == -math.inf
+    else:
+        # The absolute floor covers results near zero, where rounding the
+        # shifted sum at 1 leaves an absolute error of a few ulps.
+        assert got == pytest.approx(want, rel=1e-14, abs=1e-14)
+
+
+def test_logsumexp_all_neg_inf_is_neg_inf():
+    assert logsumexp(np.full(3, -np.inf)) == -math.inf
+
+
+@pytest.mark.parametrize("values", [[np.nan], [0.0, np.nan], [-np.inf, np.nan, 5.0]])
+def test_logsumexp_propagates_nan(values):
+    assert math.isnan(logsumexp(np.array(values)))
+
+
 # -- hazard ------------------------------------------------------------
-
-
-def test_hazard_prior_large_lambda():
-    growth, reset = hazard_prior(7, HazardConfig(1e6))
-    assert reset == pytest.approx(1e-6, rel=0, abs=0)
-    assert growth == pytest.approx(0.999999)
-
-
-def test_hazard_prior_forced_reset():
-    assert hazard_prior(0, HazardConfig(1.0)) == (0.0, 1.0)
-
-
-def test_hazard_prior_even_split():
-    assert hazard_prior(3, HazardConfig(2.0)) == (0.5, 0.5)
-
-
-def test_hazard_prior_independent_of_r_prev():
-    cfg = HazardConfig(37.0)
-    assert hazard_prior(0, cfg) == hazard_prior(12345, cfg)
 
 
 @pytest.mark.parametrize("lam", [0.0, -1.0, 0.5, float("inf"), float("nan")])
@@ -240,6 +253,17 @@ def test_prune_top_m():
     assert 0 in out.run_lengths
 
 
+def test_prune_keeps_evidence_when_survivor_mass_underflows():
+    # 200 hypotheses at 1/200 each fall below the threshold, so only run 0
+    # survives, and its posterior exp(-1000) underflows to zero.
+    lw = np.concatenate(([-1000.0], np.zeros(200)))
+    state = RunLengthState(np.arange(201, dtype=np.int64), lw, t=200)
+    out = prune(state, PrunePolicy.threshold(0.01))
+    assert list(out.run_lengths) == [0]
+    assert out.evidence_log == state.evidence_log
+    assert out.log_weights[0] == pytest.approx(state.evidence_log, abs=1e-12)
+
+
 def test_prune_policy_validation():
     with pytest.raises(ContractViolation):
         PrunePolicy.top_m(0)
@@ -247,6 +271,50 @@ def test_prune_policy_validation():
         PrunePolicy.threshold(0.0)
     with pytest.raises(ConfigError):
         PrunePolicy(kind="banana")
+
+
+# -- cached evidence ----------------------------------------------------
+
+
+def _assert_evidence_consistent(state):
+    want = float(scipy_logsumexp(state.log_weights))
+    assert state.evidence_log == pytest.approx(want, rel=0, abs=1e-12)
+    assert normalize_posterior(state).sum() == pytest.approx(1.0, rel=0, abs=1e-12)
+
+
+def test_hand_built_state_computes_its_evidence():
+    lw = np.log(np.array([0.1, 0.2, 0.3]))
+    state = RunLengthState(np.arange(3, dtype=np.int64), lw, 2)
+    assert state.evidence_log == pytest.approx(math.log(0.6), abs=1e-15)
+    _assert_evidence_consistent(state)
+
+
+_PSI = st.one_of(st.just(0.0), st.floats(min_value=1e-3, max_value=5.0))
+_POLICIES = [
+    PrunePolicy.none(),
+    PrunePolicy.threshold(1e-3),
+    PrunePolicy.threshold(0.2),
+    PrunePolicy.top_m(1),
+    PrunePolicy.top_m(3),
+]
+
+
+@given(
+    lam=st.floats(min_value=1.0, max_value=1e6),
+    policies=st.lists(st.sampled_from(_POLICIES), min_size=1, max_size=30),
+    data=st.data(),
+)
+def test_evidence_log_tracks_weights_through_recursion_and_pruning(lam, policies, data):
+    cfg = HazardConfig(lam)
+    state = RunLengthState.initial()
+    for policy in policies:
+        n = state.log_weights.size
+        psi = np.array(data.draw(st.lists(_PSI, min_size=n, max_size=n)))
+        psi_reset = data.draw(st.floats(min_value=1e-3, max_value=5.0))
+        state = recursion_step(state, psi, cfg, psi_reset=psi_reset)
+        _assert_evidence_consistent(state)
+        state = prune(state, policy)
+        _assert_evidence_consistent(state)
 
 
 # -- change-point readout ----------------------------------------------
