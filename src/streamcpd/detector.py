@@ -1,7 +1,10 @@
 """End-to-end streaming detector.
 
 Three modes share one trellis code path and differ only in the predictive
-they feed it:
+they feed it. The two latent modes also share one emission step (E-step,
+M-step, MAP assignment and rate decay over one :class:`ClassTable`) and
+differ only in the class prior, whether a candidate column is spawned, and
+the window predictive:
 
 - ``infinite``: latent classes under a CRP; a candidate class is spawned
   every step and kept only if the MAP assignment picks it.
@@ -18,12 +21,12 @@ from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
-from scipy.special import gammaln
-from scipy.stats import norm as _norm
+from scipy.special import gammaln, ndtri
 
 from .crp import CrpState, LabelCounts
 from .emission import (
     CandidatePolicy,
+    ClassTable,
     EmissionParams,
     decay_rates,
     e_step,
@@ -183,13 +186,13 @@ class Detector:
         self.rl = RunLengthState.initial()
         self.t = 0
         self._prev_r_star: int | None = None
-        self.params: list[EmissionParams] | None = None
+        self._table: ClassTable | None = None
         self.crp: CrpState | None = None
         self.counts: LabelCounts | None = None
         self._nig: np.ndarray | None = None
         if cfg.mode == "infinite":
             self.crp = CrpState(cfg.alpha)
-            self.params = []
+            self._table = ClassTable()
         elif cfg.mode == "fixed-k":
             self.counts = LabelCounts(cfg.k_fixed)
         else:
@@ -197,45 +200,61 @@ class Detector:
             self._prior_row = np.array([p.mu, p.kappa, p.a, p.b])
             self._nig = self._prior_row[None, :].copy()
 
+    @property
+    def params(self) -> list[EmissionParams] | None:
+        """The live classes' parameters (a fresh list of records), or None
+        in baseline mode and before the first fixed-k step."""
+        return None if self._table is None else self._table.params()
+
     # -- mode bodies --------------------------------------------------
 
-    def _step_infinite(self, x: float) -> StepOutput:
+    def _emission_step(self, x: float, prior, candidate: bool) -> tuple[np.ndarray, int]:
+        """E-step, M-step, MAP assignment and winner's rate decay over the
+        class table; with ``candidate`` a fresh class is spawned into the
+        last column first and kept only if the MAP assignment picks it.
+        Returns the responsibilities and the 1-based MAP class. An
+        observation that overflows the arithmetic raises ``InputError`` and
+        leaves the table as it was."""
         cfg = self.cfg
+        table = self._table
+        k_prev = table.n
+        saved = table.live().copy()
+        if candidate:
+            spawn_candidate(
+                table, x, cfg.candidate, cfg.eta_init, born_at=self.t + 1, var_floor=cfg.var_floor
+            )
+        try:
+            with np.errstate(over="raise", invalid="raise"):
+                resp = e_step(x, prior, table)
+                m_step(table, x, resp, var_floor=cfg.var_floor, log_space=cfg.log_var_update)
+                z_star = map_assignment(e_step(x, prior, table))
+        except FloatingPointError:
+            table.n = k_prev
+            table.live()[:] = saved
+            raise InputError(
+                f"observation at t={self.t + 1} overflows the emission model: {x!r}"
+            ) from None
+        if z_star <= k_prev:
+            table.n = k_prev
+        decay_rates(table, z_star, cfg.decay)
+        return resp, z_star
+
+    def _step_infinite(self, x: float) -> StepOutput:
         crp = self.crp
-        k_prev = crp.k_current
-        cand = spawn_candidate(
-            x, cfg.candidate, cfg.eta_init, born_at=self.t + 1, var_floor=cfg.var_floor
-        )
-        prior = crp.global_predictive()
-        params_all = list(self.params) + [cand]
-        resp = e_step(x, prior, params_all)
-        params_all = [
-            m_step(p, x, float(g), var_floor=cfg.var_floor, log_space=cfg.log_var_update)
-            for p, g in zip(params_all, resp)
-        ]
-        z_star = map_assignment(e_step(x, prior, params_all))
-
-        if z_star == k_prev + 1:
-            self.params = params_all
-            k_t = k_prev + 1
-        else:
-            self.params = params_all[:-1]
-            k_t = k_prev
-        self.params = decay_rates(self.params, z_star, cfg.decay)
-
+        resp, z_star = self._emission_step(x, crp.global_predictive(), candidate=True)
         psi = crp.run_predictive_many(self.rl.run_lengths, z_star)
-        out = self._finish(psi, 1.0, z_star, k_t, resp)
+        out = self._finish(psi, 1.0, z_star, self._table.n, resp)
         crp.record_assignment(z_star)
         return out
 
-    def _init_fixed_classes(self, x: float) -> list[EmissionParams]:
+    def _init_fixed_classes(self, x: float) -> ClassTable:
         # Class means fan out around the first observation at normal
         # quantiles; deterministic, and breaks the symmetry that would
         # otherwise keep all K classes identical forever.
         cfg = self.cfg
         var0 = max(cfg.var_floor, cfg.candidate.var_init)
-        offsets = _norm.ppf(np.arange(1, cfg.k_fixed + 1) / (cfg.k_fixed + 1.0))
-        return [
+        offsets = ndtri(np.arange(1, cfg.k_fixed + 1) / (cfg.k_fixed + 1.0))
+        return ClassTable.from_params(
             EmissionParams(
                 mu=float(x + math.sqrt(var0) * o),
                 var=var0,
@@ -244,23 +263,17 @@ class Detector:
                 born_at=1,
             )
             for o in offsets
-        ]
+        )
 
     def _step_fixed_k(self, x: float) -> StepOutput:
         cfg = self.cfg
         lc = self.counts
         kf, beta = cfg.k_fixed, cfg.dirichlet_beta
-        if self.params is None:
-            self.params = self._init_fixed_classes(x)
+        if self._table is None:
+            self._table = self._init_fixed_classes(x)
 
         prior = (lc.totals(kf).astype(float) + beta) / (lc.t + kf * beta)
-        resp = e_step(x, prior, self.params)
-        self.params = [
-            m_step(p, x, float(g), var_floor=cfg.var_floor, log_space=cfg.log_var_update)
-            for p, g in zip(self.params, resp)
-        ]
-        z_star = map_assignment(e_step(x, prior, self.params))
-        self.params = decay_rates(self.params, z_star, cfg.decay)
+        resp, z_star = self._emission_step(x, prior, candidate=False)
 
         w = lc.window_counts(z_star, self.rl.run_lengths)
         psi = fixed_k_run_predictive(w, self.rl.run_lengths, z_star, kf, beta)

@@ -1,11 +1,28 @@
 """Per-class Gaussian emission model and the streaming EM pieces: E-step
 responsibilities, one-sample stochastic gradient M-step, per-class adaptive
-learning-rate decay, and candidate spawning."""
+learning-rate decay, and candidate spawning.
+
+Classes live in one struct-of-arrays :class:`ClassTable`: a ``(4, capacity)``
+float array whose rows are ``mu``, ``var``, ``eta_mu`` and ``eta_var``, plus
+an integer ``born_at`` row. Columns ``0..n-1`` are the live classes, in class
+id order (column ``j`` is class ``j + 1``). Capacity doubles when full, so
+spawning a candidate writes column ``n`` and makes it live, and dropping it
+again is setting ``n`` back; no step reallocates. Each EM operation is one
+vectorized expression over the live columns and updates the table in place. Invariants of every live
+column: ``var >= var_floor > 0`` (the M-step clamps at the floor) and both
+learning rates are positive and only ever shrink (decay multiplies them by
+``1 - decay``).
+
+The scalar :func:`emission_loglik` and :func:`gaussian_gradients` are the
+reference formulas; the table operations keep their arithmetic order.
+:class:`EmissionParams` is the per-class record the table is built from and
+read back into, off the hot path.
+"""
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -33,6 +50,50 @@ class EmissionParams:
             raise ContractViolation("learning rates must be positive")
 
 
+class ClassTable:
+    """Struct-of-arrays parameters of the live classes (see the module
+    docstring for the layout)."""
+
+    def __init__(self, capacity: int = 8):
+        self._data = np.empty((4, max(1, capacity)))
+        self._born = np.empty(max(1, capacity), dtype=np.int64)
+        self.n = 0
+
+    @classmethod
+    def from_params(cls, params) -> ClassTable:
+        params = list(params)
+        table = cls(len(params))
+        for p in params:
+            table.push(p.mu, p.var, p.eta_mu, p.eta_var, p.born_at)
+        return table
+
+    def live(self) -> np.ndarray:
+        """View of the live columns: rows mu, var, eta_mu, eta_var."""
+        return self._data[:, : self.n]
+
+    def push(self, mu: float, var: float, eta_mu: float, eta_var: float, born_at: int) -> None:
+        """Write one class into column ``n`` and make it live."""
+        n, cap = self.n, self._born.size
+        if n == cap:
+            data = np.empty((4, 2 * cap))
+            data[:, :cap] = self._data
+            born = np.empty(2 * cap, dtype=np.int64)
+            born[:cap] = self._born
+            self._data, self._born = data, born
+        data = self._data
+        data[0, n], data[1, n], data[2, n], data[3, n] = mu, var, eta_mu, eta_var
+        self._born[n] = born_at
+        self.n = n + 1
+
+    def params(self) -> list[EmissionParams]:
+        """The live classes as records, in class id order."""
+        rows = self.live().tolist()
+        return [
+            EmissionParams(*col, born_at=int(b))
+            for *col, b in zip(*rows, self._born[: self.n])
+        ]
+
+
 @dataclass(frozen=True)
 class CandidatePolicy:
     """How a freshly spawned class is initialized: mean at the triggering
@@ -51,92 +112,97 @@ def emission_loglik(x: float, p: EmissionParams) -> float:
     return -0.5 * (LOG_2PI + math.log(p.var)) - (x - p.mu) ** 2 / (2.0 * p.var)
 
 
-def e_step(x: float, class_prior, params) -> np.ndarray:
+def e_step(x: float, class_prior, table: ClassTable) -> np.ndarray:
     """Responsibilities: prior times Gaussian likelihood, normalized.
 
     Computed in log domain, so arbitrarily small likelihoods cannot zero
     out the whole vector.
     """
     prior = np.asarray(class_prior, dtype=float)
-    if prior.size != len(params):
-        raise ContractViolation(
-            f"{prior.size} prior entries for {len(params)} classes"
-        )
-    loglik = np.array([emission_loglik(x, p) for p in params])
+    if prior.size != table.n:
+        raise ContractViolation(f"{prior.size} prior entries for {table.n} classes")
+    live = table.live()
+    mu, var = live[0], live[1]
+    loglik = -0.5 * (LOG_2PI + np.log(var)) - (x - mu) ** 2 / (2.0 * var)
     with np.errstate(divide="ignore"):
         score = loglik + np.log(prior)
-    m = float(np.max(score))
+    m = float(score.max())
     if not math.isfinite(m):
         raise ContractViolation("class prior has no positive entry")
     w = np.exp(score - m)
-    return w / w.sum()
+    w /= w.sum()
+    return w
 
 
-def gaussian_gradients(x: float, mu: float, var: float, gamma: float) -> tuple[float, float]:
-    """Gradient of gamma * log N(x; mu, var) w.r.t. (mu, var)."""
+def gaussian_gradients(x: float, mu, var, gamma):
+    """Gradient of gamma * log N(x; mu, var) w.r.t. (mu, var); elementwise
+    over arrays of classes."""
     d = x - mu
+    two_var = 2.0 * var
     g_mu = gamma * d / var
-    g_var = gamma * (d * d / (2.0 * var * var) - 1.0 / (2.0 * var))
+    g_var = gamma * (d * d / (two_var * var) - 1.0 / two_var)
     return g_mu, g_var
 
 
 def m_step(
-    p: EmissionParams,
+    table: ClassTable,
     x: float,
-    gamma: float,
+    resp,
     var_floor: float = DEFAULT_VAR_FLOOR,
     log_space: bool = False,
-) -> EmissionParams:
+) -> None:
     """One stochastic gradient ascent step on this observation's term of the
-    expected complete-data log likelihood.
+    expected complete-data log likelihood, for every live class at once
+    (class j weighted by ``resp[j]``), in place.
 
     The variance moves in its natural parameterization by default, clamped
     at ``var_floor``; with ``log_space=True`` it moves in log variance
     instead (the chain-rule gradient is the natural one times var).
     Learning rates are untouched; decay is a separate operation.
     """
-    g_mu, g_var = gaussian_gradients(x, p.mu, p.var, gamma)
-    mu = p.mu + p.eta_mu * g_mu
+    live = table.live()
+    mu, var, eta_mu, eta_var = live[0], live[1], live[2], live[3]
+    gamma = np.asarray(resp, dtype=float)
+    if gamma.size != table.n:
+        raise ContractViolation(f"{gamma.size} responsibilities for {table.n} classes")
+    g_mu, g_var = gaussian_gradients(x, mu, var, gamma)
     if log_space:
         # clamp keeps a wildly mis-scaled step finite instead of overflowing
-        logv = min(math.log(p.var) + p.eta_var * g_var * p.var, 700.0)
-        var = math.exp(logv)
+        new_var = np.exp(np.minimum(np.log(var) + eta_var * g_var * var, 700.0))
     else:
-        var = p.var + p.eta_var * g_var
-    return replace(p, mu=mu, var=max(var_floor, var))
+        new_var = var + eta_var * g_var
+    mu += eta_mu * g_mu
+    np.maximum(var_floor, new_var, out=var)
+    if table.n and not (live[1:].min() > 0.0):
+        raise ContractViolation("class variances and learning rates must be positive")
 
 
-def decay_rates(params, k_star: int, decay: float):
-    """Shrink both learning rates of the winning class by ``decay``;
-    every other class keeps its rates."""
+def decay_rates(table: ClassTable, k_star: int, decay: float) -> None:
+    """Shrink both learning rates of the winning class by ``decay``, in
+    place; every other class keeps its rates."""
     if not (0.0 < decay < 1.0):
         raise ContractViolation(f"decay must lie in (0, 1), got {decay!r}")
-    if not (1 <= k_star <= len(params)):
-        raise ContractViolation(f"winning class {k_star} out of range 1..{len(params)}")
-    out = list(params)
-    p = out[k_star - 1]
-    out[k_star - 1] = replace(
-        p, eta_mu=(1.0 - decay) * p.eta_mu, eta_var=(1.0 - decay) * p.eta_var
-    )
-    return out
+    if not (1 <= k_star <= table.n):
+        raise ContractViolation(f"winning class {k_star} out of range 1..{table.n}")
+    data, j = table._data, k_star - 1
+    data[2, j] *= 1.0 - decay
+    data[3, j] *= 1.0 - decay
+    if not (data[2, j] > 0.0 and data[3, j] > 0.0):
+        raise ContractViolation("learning rates must be positive")
 
 
 def spawn_candidate(
+    table: ClassTable,
     x: float,
     policy: CandidatePolicy,
     eta_init: tuple[float, float],
     born_at: int = 0,
     var_floor: float = DEFAULT_VAR_FLOOR,
-) -> EmissionParams:
-    """Fresh candidate class with policy-controlled mean and fresh rates."""
+) -> None:
+    """Append a fresh candidate class with policy-controlled mean and fresh
+    rates as the table's last live column."""
     mu = x if policy.mu0 is None else policy.mu0
-    return EmissionParams(
-        mu=float(mu),
-        var=max(var_floor, policy.var_init),
-        eta_mu=eta_init[0],
-        eta_var=eta_init[1],
-        born_at=born_at,
-    )
+    table.push(float(mu), max(var_floor, policy.var_init), eta_init[0], eta_init[1], born_at)
 
 
 def map_assignment(responsibilities) -> int:
@@ -145,4 +211,4 @@ def map_assignment(responsibilities) -> int:
     r = np.asarray(responsibilities, dtype=float)
     if r.size == 0:
         raise ContractViolation("empty responsibility vector")
-    return int(np.argmax(r)) + 1
+    return int(r.argmax()) + 1

@@ -1,3 +1,6 @@
+import os
+import subprocess
+import sys
 import xml.etree.ElementTree as ET
 
 import numpy as np
@@ -15,6 +18,20 @@ from streamcpd.cli import (
     score_changepoints,
     write_series_csv,
 )
+
+
+def test_import_does_not_load_scipy_stats():
+    # scipy.stats alone takes about a second to import; the CLI starts
+    # without it
+    code = (
+        "import sys, streamcpd, streamcpd.cli; "
+        "print(sorted(m for m in sys.modules if m.startswith('scipy.stats')))"
+    )
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+    out = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, check=True, env=env
+    ).stdout
+    assert out.strip() == "[]"
 
 
 # -- ingestion -----------------------------------------------------------
@@ -239,6 +256,16 @@ def test_cli_pipeline_and_exit_codes(tmp_path, capsys):
 
 def test_cli_input_error_exit_code(tmp_path):
     assert main(["run", "--input", str(tmp_path / "missing.csv"), "--out", str(tmp_path / "o")]) == 1
+
+
+@pytest.mark.parametrize("mode", ["infinite", "fixed-k"])
+@pytest.mark.parametrize("values", [[0.0, 1e200], [1e200, 0.0]])
+def test_cli_overflowing_observation_exit_code(tmp_path, capsys, mode, values):
+    series = tmp_path / "s.csv"
+    write_series_csv(values, series)
+    rc = main(["run", "--input", str(series), "--mode", mode, "--out", str(tmp_path / "o")])
+    assert rc == 1
+    assert "t=2 overflows the emission model" in capsys.readouterr().err
 
 
 def test_cli_config_error_exit_code(tmp_path):

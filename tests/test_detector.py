@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -140,6 +141,40 @@ def test_rejects_non_finite_observation():
         det.step(float("inf"))
 
 
+@pytest.mark.parametrize("mode", ["infinite", "fixed-k"])
+@pytest.mark.parametrize("series", [[0.0, 1e200], [1e200, 0.0]])
+def test_overflowing_observation_is_input_error(mode, series):
+    with pytest.raises(InputError, match=r"observation at t=2 overflows the emission model"):
+        run(series, DetectorConfig(mode=mode))
+
+
+@pytest.mark.parametrize("mode", ["infinite", "fixed-k"])
+@pytest.mark.parametrize(
+    "warm, bad, kw",
+    [
+        # overflows in the first E-step, before the table is written
+        (50, 1e200, {}),
+        # a huge mean step overflows the E-step after the M-step wrote
+        (1, 1e150, {"eta_init": (1e6, 0.02), "candidate": CandidatePolicy(mu0=0.0)}),
+    ],
+)
+def test_overflow_leaves_detector_state_unchanged(mode, warm, bad, kw):
+    series, _, _ = _two_segment_series(seed=3, n=40)
+    cfg = DetectorConfig(mode=mode, **kw)
+    det = Detector(cfg)
+    for x in series[:warm]:
+        det.step(x)
+    params = det.params
+    with pytest.raises(InputError):
+        det.step(bad)
+    assert det.params == params
+    resumed = [det.step(x) for x in series[warm:]]
+    ref = run(series, cfg).steps[warm:]
+    assert [(s.z_star, s.k_t, s.r_star) for s in resumed] == [
+        (s.z_star, s.k_t, s.r_star) for s in ref
+    ]
+
+
 def test_empty_series_rejected():
     with pytest.raises(ContractViolation):
         run([], DetectorConfig())
@@ -178,6 +213,47 @@ def test_pruned_and_unpruned_map_traces_agree():
     ra, rb = run(series, base), run(series, pruned)
     assert [s.r_star for s in ra.steps] == [s.r_star for s in rb.steps]
     assert [s.z_star for s in ra.steps] == [s.z_star for s in rb.steps]
+
+
+def _shuffled_regimes(seed, n_regimes, seg, n_segments, spacing):
+    # Unit-variance segments whose means cycle through n_regimes levels
+    # `spacing` apart, in a seeded shuffled order.
+    rng = np.random.default_rng(seed)
+    order = rng.permutation(np.resize(np.arange(n_regimes), n_segments))
+    return np.repeat(spacing * order, seg) + rng.standard_normal(seg * n_segments)
+
+
+def _trace_sha256(res):
+    rows = "".join(
+        f"{s.t},{s.z_star},{s.k_t},{s.r_star},{int(s.cp_flag)}\n" for s in res.steps
+    )
+    return hashlib.sha256(rows.encode()).hexdigest()
+
+
+# Golden traces: the discrete outputs of two seeded runs, pinned so that a
+# speed-up which changes any label, class count, MAP run length or
+# change-point flag fails here.
+
+
+def test_golden_trace_infinite_many_classes():
+    series = _shuffled_regimes(2024, n_regimes=12, seg=40, n_segments=30, spacing=6.0)
+    res = run(series, DetectorConfig(prune=PrunePolicy.top_m(100)))
+    assert res.final_k > 20
+    assert _trace_sha256(res) == (
+        "08170ac2d76f538ebc2dabaf1be67a526ddec121bf451eb745df79ef14f7e051"
+    )
+
+
+def test_golden_trace_fixed_k():
+    series = _shuffled_regimes(7, n_regimes=4, seg=60, n_segments=20, spacing=3.0)
+    res = run(
+        series,
+        DetectorConfig(mode="fixed-k", k_fixed=10, prune=PrunePolicy.threshold(1e-10)),
+    )
+    assert len(res.change_points) > 5
+    assert _trace_sha256(res) == (
+        "2e3a3c13268212370a2fa14d234831d61deb638a3a65ea1332ed1448838ee4de"
+    )
 
 
 def test_config_validation():

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from streamcpd import (
     CandidatePolicy,
+    ClassTable,
     ContractViolation,
     EmissionParams,
     decay_rates,
@@ -18,10 +19,22 @@ from streamcpd import (
     map_assignment,
     spawn_candidate,
 )
+from streamcpd.emission import DEFAULT_VAR_FLOOR
 
 
 def _p(mu=0.0, var=1.0, eta_mu=1.0, eta_var=0.02):
     return EmissionParams(mu=mu, var=var, eta_mu=eta_mu, eta_var=eta_var)
+
+
+def _table(*params):
+    return ClassTable.from_params(params)
+
+
+def _m(p, x, gamma, **kw):
+    """M-step of one class through a one-column table."""
+    table = _table(p)
+    m_step(table, x, [gamma], **kw)
+    return table.params()[0]
 
 
 # -- likelihood -----------------------------------------------------------
@@ -48,26 +61,26 @@ def test_loglik_symmetry(d, var):
 
 
 def test_e_step_single_class():
-    np.testing.assert_allclose(e_step(0.3, [1.0], [_p()]), [1.0])
+    np.testing.assert_allclose(e_step(0.3, [1.0], _table(_p())), [1.0])
 
 
 def test_e_step_symmetric_classes():
     np.testing.assert_allclose(
-        e_step(0.7, [0.5, 0.5], [_p(), _p()]), [0.5, 0.5], rtol=1e-15
+        e_step(0.7, [0.5, 0.5], _table(_p(), _p())), [0.5, 0.5], rtol=1e-15
     )
 
 
 def test_e_step_well_separated_classes():
     # Bayes rule at x=0 with N(0,1) vs N(10,1), equal priors: the loser gets
     # exp(-50) = 1.9287498479639178e-22 (checked with mpmath at 50 digits).
-    resp = e_step(0.0, [0.5, 0.5], [_p(mu=0.0), _p(mu=10.0)])
+    resp = e_step(0.0, [0.5, 0.5], _table(_p(mu=0.0), _p(mu=10.0)))
     assert resp[1] == pytest.approx(1.9287498479639178e-22, rel=1e-12)
     assert resp[0] == pytest.approx(1.0)
 
 
 def test_e_step_length_mismatch():
     with pytest.raises(ContractViolation):
-        e_step(0.0, [0.5, 0.5], [_p()])
+        e_step(0.0, [0.5, 0.5], _table(_p()))
 
 
 @given(
@@ -76,8 +89,8 @@ def test_e_step_length_mismatch():
 )
 def test_e_step_normalized(x, weights):
     prior = np.array(weights) / sum(weights)
-    params = [_p(mu=i * 1.5, var=0.5 + i) for i in range(len(weights))]
-    resp = e_step(x, prior, params)
+    table = _table(*(_p(mu=i * 1.5, var=0.5 + i) for i in range(len(weights))))
+    resp = e_step(x, prior, table)
     assert resp.sum() == pytest.approx(1.0, abs=1e-12)
     assert np.all(resp >= 0)
 
@@ -87,13 +100,13 @@ def test_e_step_normalized(x, weights):
 
 def test_m_step_zero_responsibility_is_identity():
     p = _p(mu=1.0, var=2.0)
-    q = m_step(p, x=5.0, gamma=0.0)
+    q = _m(p, x=5.0, gamma=0.0)
     assert (q.mu, q.var) == (p.mu, p.var)
     assert (q.eta_mu, q.eta_var) == (p.eta_mu, p.eta_var)
 
 
 def test_m_step_unit_gradient_example():
-    q = m_step(_p(mu=0.0, var=1.0, eta_mu=1.0), x=1.0, gamma=1.0)
+    q = _m(_p(mu=0.0, var=1.0, eta_mu=1.0), x=1.0, gamma=1.0)
     assert q.mu == pytest.approx(1.0)
 
 
@@ -135,22 +148,22 @@ def test_m_step_var_gradient_vanishes_when_matched():
 def test_m_step_variance_never_below_floor(x, gamma, var, eta_var):
     p = _p(var=var, eta_var=eta_var)
     for _ in range(3):
-        p = m_step(p, x, gamma)
+        p = _m(p, x, gamma)
         assert p.var >= 1e-6
 
 
 def test_m_step_log_space_variant():
     p = _p(var=2.0)
-    q_nat = m_step(p, x=0.5, gamma=1.0)
-    q_log = m_step(p, x=0.5, gamma=1.0, log_space=True)
+    q_nat = _m(p, x=0.5, gamma=1.0)
+    q_log = _m(p, x=0.5, gamma=1.0, log_space=True)
     # same gradient sign, variance stays positive without relying on the floor
     assert (q_nat.var - p.var) * (q_log.var - p.var) > 0
-    tiny = m_step(_p(var=1e-5, eta_var=5.0), x=100.0, gamma=1.0, log_space=True)
+    tiny = _m(_p(var=1e-5, eta_var=5.0), x=100.0, gamma=1.0, log_space=True)
     assert tiny.var > 0
 
 
 def test_m_step_preserves_learning_rates():
-    q = m_step(_p(eta_mu=0.5, eta_var=0.01), x=2.0, gamma=0.7)
+    q = _m(_p(eta_mu=0.5, eta_var=0.01), x=2.0, gamma=0.7)
     assert (q.eta_mu, q.eta_var) == (0.5, 0.01)
 
 
@@ -158,39 +171,43 @@ def test_m_step_preserves_learning_rates():
 
 
 def test_decay_single_win():
-    out = decay_rates([_p(eta_mu=1.0, eta_var=0.02)], k_star=1, decay=0.02)
+    table = _table(_p(eta_mu=1.0, eta_var=0.02))
+    decay_rates(table, k_star=1, decay=0.02)
+    out = table.params()
     assert out[0].eta_mu == pytest.approx(0.98)
     assert out[0].eta_var == pytest.approx(0.0196)
 
 
 def test_decay_leaves_losers_alone():
     params = [_p(), _p(eta_mu=0.7)]
-    out = decay_rates(params, k_star=1, decay=0.02)
-    assert out[1] is params[1]
+    table = _table(*params)
+    decay_rates(table, k_star=1, decay=0.02)
+    assert table.params()[1] == params[1]
 
 
 def test_decay_is_geometric():
-    params = [_p(eta_mu=1.0)]
+    table = _table(_p(eta_mu=1.0))
     for _ in range(10):
-        params = decay_rates(params, 1, 0.02)
-    assert params[0].eta_mu == pytest.approx(0.98**10)
+        decay_rates(table, 1, 0.02)
+    assert table.params()[0].eta_mu == pytest.approx(0.98**10)
 
 
 def test_decay_rejects_bad_winner():
     with pytest.raises(ContractViolation):
-        decay_rates([_p()], k_star=2, decay=0.02)
+        decay_rates(_table(_p()), k_star=2, decay=0.02)
     with pytest.raises(ContractViolation):
-        decay_rates([_p()], k_star=1, decay=1.0)
+        decay_rates(_table(_p()), k_star=1, decay=1.0)
 
 
 def test_rates_never_increase_under_mixed_updates():
     rng = np.random.default_rng(8)
-    params = [_p(), _p(mu=4.0)]
-    prev = [(p.eta_mu, p.eta_var) for p in params]
+    table = _table(_p(), _p(mu=4.0))
+    prev = [(p.eta_mu, p.eta_var) for p in table.params()]
     for _ in range(200):
         x = float(rng.normal())
-        params = [m_step(p, x, 0.5) for p in params]
-        params = decay_rates(params, int(rng.integers(1, 3)), 0.02)
+        m_step(table, x, [0.5, 0.5])
+        decay_rates(table, int(rng.integers(1, 3)), 0.02)
+        params = table.params()
         for p, (em, ev) in zip(params, prev):
             assert p.eta_mu <= em and p.eta_var <= ev
         prev = [(p.eta_mu, p.eta_var) for p in params]
@@ -199,19 +216,162 @@ def test_rates_never_increase_under_mixed_updates():
 # -- candidate spawning ------------------------------------------------------
 
 
+def _spawn(x, policy, **kw):
+    """Spawn into a table that already holds one class; return the candidate."""
+    table = _table(_p())
+    spawn_candidate(table, x, policy, **kw)
+    assert table.n == 2
+    return table.params()[1]
+
+
 def test_spawn_at_observation():
-    p = spawn_candidate(3.2, CandidatePolicy(), eta_init=(1.0, 0.02), born_at=7)
+    p = _spawn(3.2, CandidatePolicy(), eta_init=(1.0, 0.02), born_at=7)
     assert (p.mu, p.var, p.eta_mu, p.eta_var, p.born_at) == (3.2, 1.0, 1.0, 0.02, 7)
 
 
 def test_spawn_fixed_mean_policy():
-    p = spawn_candidate(3.2, CandidatePolicy(mu0=0.0), eta_init=(1.0, 0.02))
+    p = _spawn(3.2, CandidatePolicy(mu0=0.0), eta_init=(1.0, 0.02))
     assert p.mu == 0.0
 
 
 def test_spawn_clamps_variance_to_floor():
-    p = spawn_candidate(0.0, CandidatePolicy(var_init=1e-9), eta_init=(1.0, 0.02), var_floor=1e-6)
+    p = _spawn(0.0, CandidatePolicy(var_init=1e-9), eta_init=(1.0, 0.02), var_floor=1e-6)
     assert p.var == 1e-6
+
+
+# -- class table ----------------------------------------------------------------
+
+
+def test_table_grows_past_capacity_and_round_trips():
+    params = [_p(mu=float(i), var=1.0 + i, eta_mu=0.5, eta_var=0.01) for i in range(11)]
+    table = ClassTable(capacity=2)
+    for i, p in enumerate(params):
+        table.push(p.mu, p.var, p.eta_mu, p.eta_var, born_at=i)
+    assert table.n == 11
+    assert table.params() == [
+        EmissionParams(p.mu, p.var, p.eta_mu, p.eta_var, born_at=i) for i, p in enumerate(params)
+    ]
+
+
+def test_dropped_candidate_column_is_overwritten_by_next_spawn():
+    table = _table(_p(mu=1.0))
+    spawn_candidate(table, 5.0, CandidatePolicy(), eta_init=(1.0, 0.02), born_at=2)
+    table.n = 1
+    spawn_candidate(table, 7.0, CandidatePolicy(), eta_init=(1.0, 0.02), born_at=3)
+    assert [(p.mu, p.born_at) for p in table.params()] == [(1.0, 0), (7.0, 3)]
+
+
+def test_m_step_rejects_nan_variance_and_zero_rates():
+    nan_var = ClassTable()
+    nan_var.push(0.0, float("nan"), 1.0, 0.02, 0)
+    with pytest.raises(ContractViolation):
+        m_step(nan_var, 0.5, [1.0])
+    zero_rate = ClassTable()
+    zero_rate.push(0.0, 1.0, 1.0, 0.0, 0)
+    with pytest.raises(ContractViolation):
+        m_step(zero_rate, 0.5, [1.0])
+
+
+def test_decay_rejects_rates_that_underflow_to_zero():
+    table = _table(_p(eta_mu=5e-324, eta_var=5e-324))
+    with pytest.raises(ContractViolation):
+        decay_rates(table, 1, 0.5)
+
+
+def test_m_step_length_mismatch():
+    with pytest.raises(ContractViolation):
+        m_step(_table(_p(), _p()), 0.0, [1.0])
+
+
+# -- table operations against the scalar reference formulas -------------------
+
+_FLOOR = DEFAULT_VAR_FLOOR
+_EPS = np.finfo(float).eps
+
+_class = st.builds(
+    EmissionParams,
+    mu=st.floats(min_value=-5, max_value=5),
+    var=st.one_of(
+        st.just(_FLOOR),
+        st.floats(min_value=_FLOOR, max_value=2 * _FLOOR),
+        st.floats(min_value=_FLOOR, max_value=10.0),
+    ),
+    eta_mu=st.floats(min_value=1e-3, max_value=1.0),
+    eta_var=st.floats(min_value=1e-3, max_value=1.0),
+)
+
+
+def _ref_e_step(x, prior, params):
+    # the per-class loop the table replaced
+    loglik = np.array([emission_loglik(x, p) for p in params])
+    score = loglik + np.log(prior)
+    w = np.exp(score - np.max(score))
+    return w / w.sum(), score
+
+
+def _ref_m_step(p, x, gamma, log_space):
+    g_mu, g_var = gaussian_gradients(x, p.mu, p.var, gamma)
+    mu = p.mu + p.eta_mu * g_mu
+    if log_space:
+        logv = min(math.log(p.var) + p.eta_var * g_var * p.var, 700.0)
+        var = math.exp(logv)
+    else:
+        logv, var = None, p.var + p.eta_var * g_var
+    return mu, max(_FLOOR, var), logv
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.lists(_class, min_size=1, max_size=8),
+    st.floats(min_value=-5, max_value=5),
+    st.booleans(),
+    st.data(),
+)
+def test_table_matches_scalar_formulas(params, x, log_space, data):
+    k = len(params)
+    weights = data.draw(st.lists(st.floats(0.01, 1.0), min_size=k, max_size=k))
+    prior = np.array(weights) / sum(weights)
+    table = _table(*params)
+
+    # E-step: same arithmetic order, but np.log and numpy's square may each
+    # differ by one ulp from math.log and Python's `d ** 2` (libm pow; e.g.
+    # d = 0x1.a976ccc4caf8ep+2), so each score may move by a few ulps of
+    # the magnitudes it is built from: the score, log var and log prior.
+    resp = e_step(x, prior, table)
+    ref, score = _ref_e_step(x, prior, params)
+    scale = (
+        1.0
+        + np.abs(score).max()
+        + np.abs(np.log([p.var for p in params])).max()
+        + np.abs(np.log(prior)).max()
+    )
+    np.testing.assert_allclose(resp, ref, rtol=16 * _EPS * scale, atol=1e-300)
+
+    # M-step from the same responsibilities: the mean and the natural
+    # variance update are bit-equal; the log-space variance goes through
+    # np.log/np.exp, so it may differ by a few ulps of the log variance.
+    m_step(table, x, resp, var_floor=_FLOOR, log_space=log_space)
+    for q, p, g in zip(table.params(), params, resp):
+        mu, var, logv = _ref_m_step(p, x, float(g), log_space)
+        assert q.mu == mu
+        if log_space:
+            rel = 1e-15 * (1.0 + abs(math.log(p.var)) + abs(logv))
+            assert q.var == pytest.approx(var, rel=rel, abs=0)
+        else:
+            assert q.var == var
+        assert q.var >= _FLOOR
+        assert (q.eta_mu, q.eta_var) == (p.eta_mu, p.eta_var)
+
+    # decay touches only the winner's rates, as (1 - decay) * eta
+    k_star = data.draw(st.integers(1, k))
+    before = table.params()
+    decay_rates(table, k_star, 0.02)
+    for j, (q, p) in enumerate(zip(table.params(), before), start=1):
+        assert (q.mu, q.var, q.born_at) == (p.mu, p.var, p.born_at)
+        if j == k_star:
+            assert (q.eta_mu, q.eta_var) == ((1.0 - 0.02) * p.eta_mu, (1.0 - 0.02) * p.eta_var)
+        else:
+            assert q == p
 
 
 # -- MAP assignment -----------------------------------------------------------
