@@ -12,16 +12,29 @@ the window predictive:
   the class probabilities (posterior predictive with additive smoothing).
 - ``baseline``: no latent layer; the trellis runs on raw observations with
   a Normal-Inverse-Gamma conjugate model (Student-t predictive).
+
+The baseline keeps one row per live run-length hypothesis in an ``(n, 5)``
+table, aligned with ``RunLengthState.run_lengths``: the NIG posterior
+``mu, kappa, a, b`` of the hypothesis's window and ``D = lgamma(a + 1/2) -
+lgamma(a)``, the normalizing-constant term of its Student-t predictive. Row
+0 is always the prior (run length 0, an empty window), so its predictive is
+also the reset predictive. Conditioning a row on one observation adds 1/2 to
+``a``, and ``D`` follows by the exact recurrence ``D(a + 1/2) = log(a) -
+D(a)``: one log per row and step, seeded once with ``math.lgamma`` for the
+prior. That is also more accurate than the difference of two large log
+gammas.
+
+The runtime needs only numpy and the standard library.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from statistics import NormalDist
 from typing import NamedTuple
 
 import numpy as np
-from scipy.special import gammaln, ndtri
 
 from .crp import CrpState, LabelCounts
 from .emission import (
@@ -77,14 +90,35 @@ def nig_update(p: NigParams, x: float) -> NigParams:
     )
 
 
-def _student_t_logpdf(x, mu, kappa, a, b):
-    """Posterior-predictive Student-t of the NIG model (vectorized)."""
+def _nig_row(p: NigParams) -> np.ndarray:
+    """The baseline table row of a NIG state: mu, kappa, a, b and
+    D = lgamma(a + 1/2) - lgamma(a)."""
+    return np.array([p.mu, p.kappa, p.a, p.b, math.lgamma(p.a + 0.5) - math.lgamma(p.a)])
+
+
+def _student_t_logpdf(x: float, nig: np.ndarray) -> np.ndarray:
+    """Posterior-predictive Student-t log density of x under every row of a
+    baseline table (vectorized over rows)."""
+    mu, kappa, a, b, d = nig.T
     df = 2.0 * a
     scale2 = b * (kappa + 1.0) / (a * kappa)
-    logc = gammaln(0.5 * (df + 1.0)) - gammaln(0.5 * df) - 0.5 * (
-        np.log(df) + np.log(np.pi) + np.log(scale2)
-    )
+    logc = d - 0.5 * (np.log(df) + np.log(np.pi) + np.log(scale2))
     return logc - 0.5 * (df + 1.0) * np.log1p((x - mu) ** 2 / (df * scale2))
+
+
+def _nig_grow(nig: np.ndarray, x: float, prior_row: np.ndarray) -> np.ndarray:
+    """The baseline table after observing x: the prior row for the newborn
+    run length 0, then every row conditioned on x (run length r -> r + 1)."""
+    mu, kappa, a, b, d = nig.T
+    out = np.empty((nig.shape[0] + 1, 5))
+    out[0] = prior_row
+    kappa1 = kappa + 1.0
+    out[1:, 0] = (kappa * mu + x) / kappa1
+    out[1:, 1] = kappa1
+    out[1:, 2] = a + 0.5
+    out[1:, 3] = b + kappa * (x - mu) ** 2 / (2.0 * kappa1)
+    out[1:, 4] = np.log(a) - d
+    return out
 
 
 def baseline_predictive(x: float, p: NigParams) -> float:
@@ -93,7 +127,15 @@ def baseline_predictive(x: float, p: NigParams) -> float:
     With an empty window this is the prior predictive: a Student-t with
     2*a degrees of freedom.
     """
-    return float(np.exp(_student_t_logpdf(x, p.mu, p.kappa, p.a, p.b)))
+    return float(np.exp(_student_t_logpdf(x, _nig_row(p)[None, :])[0]))
+
+
+def _fixed_k_offsets(k_fixed: int) -> list[float]:
+    """Standard normal quantiles at i / (k_fixed + 1), i = 1..k_fixed: where
+    the fixed-k class means start, in prior standard deviations from the
+    first observation."""
+    std = NormalDist()
+    return [std.inv_cdf(i / (k_fixed + 1.0)) for i in range(1, k_fixed + 1)]
 
 
 def fixed_k_run_predictive(window_count, r, k, k_fixed: int, beta: float):
@@ -196,8 +238,7 @@ class Detector:
         elif cfg.mode == "fixed-k":
             self.counts = LabelCounts(cfg.k_fixed)
         else:
-            p = cfg.baseline
-            self._prior_row = np.array([p.mu, p.kappa, p.a, p.b])
+            self._prior_row = _nig_row(cfg.baseline)
             self._nig = self._prior_row[None, :].copy()
 
     @property
@@ -253,7 +294,6 @@ class Detector:
         # otherwise keep all K classes identical forever.
         cfg = self.cfg
         var0 = max(cfg.var_floor, cfg.candidate.var_init)
-        offsets = ndtri(np.arange(1, cfg.k_fixed + 1) / (cfg.k_fixed + 1.0))
         return ClassTable.from_params(
             EmissionParams(
                 mu=float(x + math.sqrt(var0) * o),
@@ -262,7 +302,7 @@ class Detector:
                 eta_var=cfg.eta_init[1],
                 born_at=1,
             )
-            for o in offsets
+            for o in _fixed_k_offsets(cfg.k_fixed)
         )
 
     def _step_fixed_k(self, x: float) -> StepOutput:
@@ -282,20 +322,10 @@ class Detector:
         return out
 
     def _step_baseline(self, x: float) -> StepOutput:
-        nig = self._nig
-        logpdf = _student_t_logpdf(x, nig[:, 0], nig[:, 1], nig[:, 2], nig[:, 3])
-        psi = np.exp(logpdf)
-        psi_reset = baseline_predictive(x, self.cfg.baseline)
-        out = self._finish(psi, psi_reset, 1, 1, np.ones(1))
-
-        kappa = nig[:, 1] + 1.0
-        updated = np.column_stack([
-            (nig[:, 1] * nig[:, 0] + x) / kappa,
-            kappa,
-            nig[:, 2] + 0.5,
-            nig[:, 3] + nig[:, 1] * (x - nig[:, 0]) ** 2 / (2.0 * kappa),
-        ])
-        self._nig = np.vstack([self._prior_row, updated])
+        psi = np.exp(_student_t_logpdf(x, self._nig))
+        # Row 0 is the prior, so psi[0] is the empty-window (reset) predictive.
+        out = self._finish(psi, float(psi[0]), 1, 1, np.ones(1))
+        self._nig = _nig_grow(self._nig, x, self._prior_row)
         return out
 
     # -- shared trellis tail -------------------------------------------
@@ -312,9 +342,7 @@ class Detector:
             k_t=k_t,
             r_star=r_star,
             responsibilities=resp,
-            rl_posterior=SparsePosterior(
-                self.rl.run_lengths[keep].copy(), posterior[keep].copy()
-            ),
+            rl_posterior=SparsePosterior(self.rl.run_lengths[keep], posterior[keep]),
             cp_flag=cp,
         )
         self._prev_r_star = r_star

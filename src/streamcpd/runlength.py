@@ -9,13 +9,15 @@ Every ``RunLengthState`` caches its evidence: ``evidence_log`` always equals
 the log-sum of ``log_weights``, the log probability of everything observed
 so far. ``recursion_step`` computes it once per step, as the only
 log-sum-exp of the step; the reset term, ``normalize_posterior`` and
-``prune`` read it instead of summing the weights again.
+``prune`` read it instead of summing the weights again. A state also keeps
+the posterior once computed, so the readout and ``prune`` of one step share
+one ``exp``.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -66,13 +68,15 @@ class RunLengthState:
     Invariant: ``evidence_log == logsumexp(log_weights)``. Every function
     here that builds a state keeps it, and a state built without
     ``evidence_log`` computes it once on construction. Treat the arrays as
-    read-only: writing to ``log_weights`` in place breaks the invariant.
+    read-only: writing to ``log_weights`` in place breaks the invariant and
+    the memoized posterior.
     """
 
     run_lengths: np.ndarray
     log_weights: np.ndarray
     t: int = 0
     evidence_log: float | None = None
+    _posterior: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.evidence_log is None:
@@ -134,11 +138,18 @@ def recursion_step(
 
 
 def normalize_posterior(state: RunLengthState) -> np.ndarray:
-    """Posterior over live run lengths, scaled by the cached evidence; pure,
-    leaves the state untouched."""
-    if not math.isfinite(state.evidence_log):
-        raise DegenerateStateError("cannot normalize: all weights are zero")
-    return np.exp(state.log_weights - state.evidence_log)
+    """Posterior over live run lengths, scaled by the cached evidence.
+
+    Computed once per state and memoized; the returned array is read-only
+    and the state's weights are left untouched.
+    """
+    if state._posterior is None:
+        if not math.isfinite(state.evidence_log):
+            raise DegenerateStateError("cannot normalize: all weights are zero")
+        posterior = np.exp(state.log_weights - state.evidence_log)
+        posterior.flags.writeable = False
+        state._posterior = posterior
+    return state._posterior
 
 
 def map_runlength(posterior: np.ndarray) -> int:
@@ -210,7 +221,7 @@ def prune(state: RunLengthState, policy: PrunePolicy) -> RunLengthState:
         # The survivors' posterior underflowed: rescale from their log weights.
         rescale = state.evidence_log - logsumexp(kept_lw)
     return RunLengthState(
-        state.run_lengths[keep].copy(), kept_lw + rescale, state.t, state.evidence_log
+        state.run_lengths[keep], kept_lw + rescale, state.t, state.evidence_log
     )
 
 

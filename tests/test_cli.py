@@ -20,18 +20,56 @@ from streamcpd.cli import (
 )
 
 
-def test_import_does_not_load_scipy_stats():
-    # scipy.stats alone takes about a second to import; the CLI starts
-    # without it
-    code = (
-        "import sys, streamcpd, streamcpd.cli; "
-        "print(sorted(m for m in sys.modules if m.startswith('scipy.stats')))"
-    )
+def _run_python(code):
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
-    out = subprocess.run(
+    return subprocess.run(
         [sys.executable, "-c", code], capture_output=True, text=True, check=True, env=env
     ).stdout
+
+
+def test_import_does_not_load_scipy_stats():
+    # The runtime needs only numpy: importing the package and the CLI loads
+    # no scipy module at all (scipy.special alone costs about 300 ms).
+    out = _run_python(
+        "import sys, streamcpd, streamcpd.cli; "
+        "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))"
+    )
     assert out.strip() == "[]"
+
+
+_BLOCK_SCIPY = """
+import sys
+
+class BlockScipy:
+    def find_spec(self, name, path=None, target=None):
+        if name == "scipy" or name.startswith("scipy."):
+            raise ImportError(f"{name} is blocked")
+
+sys.meta_path.insert(0, BlockScipy())
+"""
+
+
+def test_runs_without_scipy(tmp_path):
+    # Every mode and the CLI run end to end with scipy made unimportable.
+    code = _BLOCK_SCIPY + f"""
+import numpy as np
+from streamcpd import DetectorConfig, PrunePolicy, run
+from streamcpd.cli import main
+
+series = np.concatenate([np.zeros(30), np.full(30, 6.0)])
+series += np.random.default_rng(0).standard_normal(60)
+for mode in ("infinite", "fixed-k", "baseline"):
+    res = run(series, DetectorConfig(mode=mode, prune=PrunePolicy.threshold(1e-10)))
+    assert len(res.steps) == 60, mode
+out = {str(tmp_path)!r}
+assert main(["synth", "--segments", "40:0:1,40:6:1", "--out", out + "/s.csv"]) == 0
+for mode in ("infinite", "fixed-k", "baseline"):
+    assert main(["run", "--input", out + "/s.csv", "--mode", mode, "--out", out + "/" + mode, "--svg"]) == 0
+print(sorted(m for m in sys.modules if m.startswith("scipy")))
+"""
+    assert _run_python(code).splitlines()[-1] == "[]"
+    for mode in ("infinite", "fixed-k", "baseline"):
+        assert (tmp_path / mode / "trace.svg").is_file()
 
 
 # -- ingestion -----------------------------------------------------------

@@ -165,6 +165,41 @@ def test_record_long_random_stream_invariants(seed):
         assert pref[-1] == s.labels.count(k)
 
 
+@settings(max_examples=60, deadline=None)
+@given(
+    st.lists(st.integers(min_value=1, max_value=5), min_size=1, max_size=120),
+    st.lists(st.tuples(st.integers(1, 6), st.integers(0, 4)), min_size=1, max_size=40),
+)
+def test_label_counts_window_queries_match_brute_force(labels, queries):
+    # Queries interleave with records; sparse run sets take the binary
+    # search, dense ones the kept prefix counts of the queried class.
+    lc = LabelCounts()
+    qi = 0
+    for i, z in enumerate(labels):
+        lc.record(z)
+        k, spread = queries[qi % len(queries)]
+        qi += 1
+        t = i + 1
+        runs = np.arange(0, t + 1, spread + 1) if spread < 4 else np.array([0, t])
+        want = [labels[t - r : t].count(k) for r in runs]
+        np.testing.assert_array_equal(lc.window_counts(k, runs), want)
+        assert lc.total(k) == labels[:t].count(k)
+    for k in range(1, 7):
+        want = [labels[:tau].count(k) for tau in range(len(labels) + 1)]
+        np.testing.assert_array_equal(lc.prefix(k), want)
+    np.testing.assert_array_equal(lc.totals(6), [labels.count(k) for k in range(1, 7)])
+
+
+@given(st.lists(st.integers(min_value=0, max_value=3), min_size=0, max_size=60),
+       st.sampled_from([0.5, 1.0, 2.0]))
+def test_global_predictive_is_counts_over_t_plus_alpha(choices, alpha):
+    s = CrpState(alpha)
+    for c in choices:
+        s.record_assignment(min(c + 1, s.k_current + 1))
+    want = np.array([*s.counts().astype(float), alpha]) / (s.t + alpha)
+    np.testing.assert_array_equal(s.global_predictive(), want)
+
+
 def test_label_counts_window_queries():
     lc = LabelCounts(3)
     for z in [1, 2, 2, 3, 2]:

@@ -1,9 +1,11 @@
 import hashlib
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from scipy.integrate import quad
+from scipy.special import ndtri
 from scipy.stats import t as student_t
 
 from streamcpd import (
@@ -25,6 +27,7 @@ from streamcpd import (
     nig_update,
     run,
 )
+from streamcpd.detector import _fixed_k_offsets, _nig_grow, _nig_row, _student_t_logpdf
 
 
 def _two_segment_series(seed=0, sigma=1.0, jump=8.0, n=200):
@@ -364,6 +367,49 @@ def test_baseline_with_pruning_matches_unpruned_map_trace():
         DetectorConfig(mode="baseline", seed=13, prune=PrunePolicy.threshold(1e-10)),
     )
     assert [s.r_star for s in a.steps] == [s.r_star for s in b.steps]
+
+
+@pytest.mark.parametrize("a0", [0.3, 1.0, 2.5])
+def test_lgamma_term_recurrence_matches_mpmath(a0):
+    # D = lgamma(a + 1/2) - lgamma(a) is carried by D(a + 1/2) = log(a) - D(a)
+    # from the prior's math.lgamma seed; checked at 50 digits up to r = 1e4.
+    mpmath.mp.dps = 50
+    prior = _nig_row(NigParams(a=a0))
+    row = prior[None, :]
+    checked = set(range(300)) | set(range(300, 10_001, 37)) | {10_000}
+    for r in range(10_001):
+        if r in checked:
+            a, d = mpmath.mpf(row[0, 2]), row[0, 4]
+            want = mpmath.loggamma(a + mpmath.mpf(0.5)) - mpmath.loggamma(a)
+            assert abs(d - float(want)) <= 1e-12, (r, d, want)
+        row = _nig_grow(row, 0.25, prior)[1:]
+    assert row[0, 2] == a0 + 10_001 / 2
+
+
+def test_baseline_hypothesis_predictive_matches_student_t():
+    # After 200 steps every live hypothesis's predictive equals the Student-t
+    # of the NIG posterior of its window, folded independently.
+    rng = np.random.default_rng(11)
+    series = rng.normal(0.5, 2.0, 200)
+    det = Detector(DetectorConfig(mode="baseline"))
+    for x in series:
+        det.step(x)
+    x_next = 1.3
+    psi = np.exp(_student_t_logpdf(x_next, det._nig))
+    for r, got in zip(det.rl.run_lengths, psi):
+        p = NigParams()
+        for x in series[len(series) - r :]:
+            p = nig_update(p, x)
+        scale = math.sqrt(p.b * (p.kappa + 1) / (p.a * p.kappa))
+        want = student_t.pdf(x_next, df=2 * p.a, loc=p.mu, scale=scale)
+        assert got == pytest.approx(want, rel=1e-12), r
+
+
+def test_fixed_k_offsets_match_ndtri():
+    for k in range(1, 200):
+        got = np.array(_fixed_k_offsets(k))
+        want = ndtri(np.arange(1, k + 1) / (k + 1.0))
+        np.testing.assert_allclose(got, want, rtol=1e-15, atol=0)
 
 
 def test_nig_validation():

@@ -151,6 +151,18 @@ def test_normalize_simple():
     np.testing.assert_allclose(state.log_weights, np.log([1.0, 1.0, 2.0]))
 
 
+def test_normalize_is_memoized_and_read_only():
+    state = RunLengthState(np.arange(3, dtype=np.int64), np.log([1.0, 1.0, 2.0]), t=2)
+    post = normalize_posterior(state)
+    assert normalize_posterior(state) is post
+    assert not post.flags.writeable
+    # prune reads the same posterior: memoized or not, the result is identical
+    fresh = RunLengthState(state.run_lengths, state.log_weights, state.t)
+    a, b = prune(state, PrunePolicy.top_m(2)), prune(fresh, PrunePolicy.top_m(2))
+    np.testing.assert_array_equal(a.run_lengths, b.run_lengths)
+    np.testing.assert_array_equal(a.log_weights, b.log_weights)
+
+
 def test_normalize_single_hypothesis():
     state = RunLengthState(np.zeros(1, dtype=np.int64), np.log([5.0]), t=0)
     np.testing.assert_allclose(normalize_posterior(state), [1.0])
