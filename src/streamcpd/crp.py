@@ -101,7 +101,6 @@ class CrpState:
         if not (isinstance(alpha, (int, float)) and math.isfinite(alpha) and alpha > 0):
             raise ConfigError(f"CRP concentration alpha must be positive, got {alpha!r}")
         self.alpha = float(alpha)
-        self.labels: list[int] = []
         self.k_current = 0
         self._counts = LabelCounts(0)
         # m_1..m_K as floats, then alpha in slot K; capacity doubles.
@@ -110,7 +109,7 @@ class CrpState:
 
     @property
     def t(self) -> int:
-        return len(self.labels)
+        return self._counts.t
 
     def global_predictive(self) -> np.ndarray:
         """Predictive over classes 1..K+1 given the full label history.
@@ -149,7 +148,6 @@ class CrpState:
             raise ContractViolation(
                 f"cannot record class {k}: next unused id is {self.k_current + 1}"
             )
-        self.labels.append(k)
         self._counts.record(k)
         if k == self.k_current + 1:
             if k == self._weights.size:

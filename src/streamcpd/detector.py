@@ -13,16 +13,18 @@ the window predictive:
 - ``baseline``: no latent layer; the trellis runs on raw observations with
   a Normal-Inverse-Gamma conjugate model (Student-t predictive).
 
-The baseline keeps one row per live run-length hypothesis in an ``(n, 5)``
-table, aligned with ``RunLengthState.run_lengths``: the NIG posterior
-``mu, kappa, a, b`` of the hypothesis's window and ``D = lgamma(a + 1/2) -
-lgamma(a)``, the normalizing-constant term of its Student-t predictive. Row
-0 is always the prior (run length 0, an empty window), so its predictive is
-also the reset predictive. Conditioning a row on one observation adds 1/2 to
-``a``, and ``D`` follows by the exact recurrence ``D(a + 1/2) = log(a) -
-D(a)``: one log per row and step, seeded once with ``math.lgamma`` for the
-prior. That is also more accurate than the difference of two large log
-gammas.
+The baseline keeps one column per live run-length hypothesis in a ``(5,
+n)`` struct-of-arrays table, aligned with ``RunLengthState.run_lengths``:
+rows ``mu, kappa, a, b`` hold the NIG posterior of each hypothesis's window
+and row ``D = lgamma(a + 1/2) - lgamma(a)`` the normalizing-constant term of
+its Student-t predictive, so every per-quantity operation runs over one
+contiguous row. Column 0 is always the prior (run length 0, an empty
+window), so its predictive is also the reset predictive. Conditioning a
+column on one observation adds 1/2 to ``a``, and ``D`` follows by the exact
+recurrence ``D(a + 1/2) = log(a) - D(a)``: one log per column and step,
+seeded once with ``math.lgamma`` for the prior. That is also more accurate
+than the difference of two large log gammas. The baseline feeds the trellis
+its Student-t log densities as they are, with no exp/log round trip.
 
 The runtime needs only numpy and the standard library.
 """
@@ -47,13 +49,12 @@ from .emission import (
     map_assignment,
     spawn_candidate,
 )
-from .errors import ConfigError, ContractViolation, InputError
+from .errors import ConfigError, ContractViolation, DegenerateStateError, InputError
 from .runlength import (
     ChangePointRule,
     HazardConfig,
     PrunePolicy,
     RunLengthState,
-    map_runlength,
     normalize_posterior,
     prune,
     recursion_step,
@@ -91,33 +92,43 @@ def nig_update(p: NigParams, x: float) -> NigParams:
 
 
 def _nig_row(p: NigParams) -> np.ndarray:
-    """The baseline table row of a NIG state: mu, kappa, a, b and
+    """The baseline table column of a NIG state: mu, kappa, a, b and
     D = lgamma(a + 1/2) - lgamma(a)."""
     return np.array([p.mu, p.kappa, p.a, p.b, math.lgamma(p.a + 0.5) - math.lgamma(p.a)])
 
 
 def _student_t_logpdf(x: float, nig: np.ndarray) -> np.ndarray:
-    """Posterior-predictive Student-t log density of x under every row of a
-    baseline table (vectorized over rows)."""
-    mu, kappa, a, b, d = nig.T
+    """Posterior-predictive Student-t log density of x under every column of
+    a baseline table (vectorized over columns)."""
+    mu, kappa, a, b, d = nig
     df = 2.0 * a
     scale2 = b * (kappa + 1.0) / (a * kappa)
     logc = d - 0.5 * (np.log(df) + np.log(np.pi) + np.log(scale2))
     return logc - 0.5 * (df + 1.0) * np.log1p((x - mu) ** 2 / (df * scale2))
 
 
-def _nig_grow(nig: np.ndarray, x: float, prior_row: np.ndarray) -> np.ndarray:
-    """The baseline table after observing x: the prior row for the newborn
-    run length 0, then every row conditioned on x (run length r -> r + 1)."""
-    mu, kappa, a, b, d = nig.T
-    out = np.empty((nig.shape[0] + 1, 5))
-    out[0] = prior_row
-    kappa1 = kappa + 1.0
-    out[1:, 0] = (kappa * mu + x) / kappa1
-    out[1:, 1] = kappa1
-    out[1:, 2] = a + 0.5
-    out[1:, 3] = b + kappa * (x - mu) ** 2 / (2.0 * kappa1)
-    out[1:, 4] = np.log(a) - d
+def _nig_grow(nig: np.ndarray, x: float, prior: np.ndarray) -> np.ndarray:
+    """The baseline table after observing x: the prior column for the
+    newborn run length 0, then every column conditioned on x (run length
+    r -> r + 1): kappa' = kappa + 1, mu' = (kappa mu + x) / kappa', a' = a +
+    1/2, b' = b + kappa (x - mu)^2 / (2 kappa') and D' = log(a) - D, each
+    written in place into its row of the new table."""
+    mu, kappa, a, b, d = nig
+    out = np.empty((5, nig.shape[1] + 1))
+    out[:, 0] = prior
+    mu1, kappa1, a1, b1, d1 = out[:, 1:]
+    np.add(kappa, 1.0, out=kappa1)
+    np.multiply(kappa, mu, out=mu1)
+    mu1 += x
+    mu1 /= kappa1
+    np.add(a, 0.5, out=a1)
+    np.subtract(x, mu, out=b1)
+    np.square(b1, out=b1)
+    b1 *= kappa
+    b1 /= 2.0 * kappa1
+    b1 += b
+    np.log(a, out=d1)
+    d1 -= d
     return out
 
 
@@ -127,7 +138,7 @@ def baseline_predictive(x: float, p: NigParams) -> float:
     With an empty window this is the prior predictive: a Student-t with
     2*a degrees of freedom.
     """
-    return float(np.exp(_student_t_logpdf(x, _nig_row(p)[None, :])[0]))
+    return float(np.exp(_student_t_logpdf(x, _nig_row(p)[:, None])[0]))
 
 
 def _fixed_k_offsets(k_fixed: int) -> list[float]:
@@ -238,8 +249,8 @@ class Detector:
         elif cfg.mode == "fixed-k":
             self.counts = LabelCounts(cfg.k_fixed)
         else:
-            self._prior_row = _nig_row(cfg.baseline)
-            self._nig = self._prior_row[None, :].copy()
+            self._prior = _nig_row(cfg.baseline)
+            self._nig = self._prior[:, None].copy()
 
     @property
     def params(self) -> list[EmissionParams] | None:
@@ -284,7 +295,7 @@ class Detector:
         crp = self.crp
         resp, z_star = self._emission_step(x, crp.global_predictive(), candidate=True)
         psi = crp.run_predictive_many(self.rl.run_lengths, z_star)
-        out = self._finish(psi, 1.0, z_star, self._table.n, resp)
+        out = self._finish(np.log(psi), 0.0, z_star, self._table.n, resp)
         crp.record_assignment(z_star)
         return out
 
@@ -317,23 +328,34 @@ class Detector:
 
         w = lc.window_counts(z_star, self.rl.run_lengths)
         psi = fixed_k_run_predictive(w, self.rl.run_lengths, z_star, kf, beta)
-        out = self._finish(psi, 1.0 / kf, z_star, kf, resp)
+        out = self._finish(np.log(psi), math.log(1.0 / kf), z_star, kf, resp)
         lc.record(z_star)
         return out
 
     def _step_baseline(self, x: float) -> StepOutput:
-        psi = np.exp(_student_t_logpdf(x, self._nig))
-        # Row 0 is the prior, so psi[0] is the empty-window (reset) predictive.
-        out = self._finish(psi, float(psi[0]), 1, 1, np.ones(1))
-        self._nig = _nig_grow(self._nig, x, self._prior_row)
+        # An observation that overflows the NIG arithmetic (|x - mu| near
+        # 1e154) would leave an inf or NaN column behind; it raises
+        # DegenerateStateError instead and leaves the detector as it was.
+        try:
+            with np.errstate(over="raise", invalid="raise"):
+                log_psi = _student_t_logpdf(x, self._nig)
+                nig = _nig_grow(self._nig, x, self._prior)
+        except FloatingPointError:
+            raise DegenerateStateError(
+                f"observation at t={self.t + 1} overflows the baseline model: {x!r}"
+            ) from None
+        # Column 0 is the prior, so log_psi[0] is the empty-window (reset)
+        # predictive.
+        out = self._finish(log_psi, float(log_psi[0]), 1, 1, np.ones(1))
+        self._nig = nig
         return out
 
     # -- shared trellis tail -------------------------------------------
 
-    def _finish(self, psi, psi_reset, z_star, k_t, resp) -> StepOutput:
-        self.rl = recursion_step(self.rl, psi, self.cfg.hazard, psi_reset=psi_reset)
+    def _finish(self, log_psi, log_psi_reset, z_star, k_t, resp) -> StepOutput:
+        self.rl = recursion_step(self.rl, log_psi, self.cfg.hazard, log_psi_reset)
         posterior = normalize_posterior(self.rl)
-        r_star = int(self.rl.run_lengths[map_runlength(posterior)])
+        r_star = int(self.rl.run_lengths[posterior.argmax()])
         cp = self._cp_fired(r_star, posterior)
         keep = posterior >= _POSTERIOR_KEEP
         out = StepOutput(
@@ -371,9 +393,9 @@ class Detector:
         if self.cfg.prune.kind != "none":
             before = self.rl.run_lengths
             self.rl = prune(self.rl, self.cfg.prune)
-            if self._nig is not None:
-                idx = np.searchsorted(before, self.rl.run_lengths)
-                self._nig = self._nig[idx]
+            kept = self.rl.run_lengths
+            if self._nig is not None and kept.size < before.size:
+                self._nig = self._nig.take(before.searchsorted(kept), axis=1)
         self.t += 1
         return out
 

@@ -1,17 +1,26 @@
 """Run-length trellis: growth/reset recursion, posterior normalization, MAP
 extraction, pruning, and change-point readout.
 
-All weights live in log space. The joint weight of each live run-length
-hypothesis is kept unnormalized; with an expected run length of 1e6 and
-thousands of steps, linear-domain arithmetic would underflow.
+All weights live in log space, and so do the predictives that feed them:
+``recursion_step`` takes the log predictive of the current observation under
+every live hypothesis. The joint weight of each live run-length hypothesis
+is kept unnormalized; with an expected run length of 1e6 and thousands of
+steps, linear-domain arithmetic would underflow.
 
 Every ``RunLengthState`` caches its evidence: ``evidence_log`` always equals
 the log-sum of ``log_weights``, the log probability of everything observed
 so far. ``recursion_step`` computes it once per step, as the only
-log-sum-exp of the step; the reset term, ``normalize_posterior`` and
-``prune`` read it instead of summing the weights again. A state also keeps
-the posterior once computed, so the readout and ``prune`` of one step share
-one ``exp``.
+log-sum-exp of the step, and keeps that pass's exponentials as the state's
+posterior: ``e = exp(lw - max)``, evidence ``max + log(sum(e))``, posterior
+``e / sum(e)``. So a step makes one ``exp`` pass over its weights, and the
+readout and ``prune`` share its posterior. The reset term reads the cached
+evidence instead of summing the weights again.
+
+A step validates its inputs only when it fails. A NaN or +inf log predictive
+always makes the step's total non-finite (NaN propagates, and +inf gives
++inf, or NaN where it meets a -inf weight), so the checks run on that path
+alone: a bad input raises ``ContractViolation`` and a valid one whose every
+weight vanished raises ``DegenerateStateError``.
 """
 
 from __future__ import annotations
@@ -27,15 +36,23 @@ from .errors import ConfigError, ContractViolation, DegenerateStateError
 _TINY = float(np.finfo(float).tiny)
 
 
-def logsumexp(a: np.ndarray) -> float:
+def logsumexp(a: np.ndarray, out: np.ndarray | None = None) -> float:
     """``log(sum(exp(a)))`` of a non-empty 1-D array, shifted by its maximum.
 
     Returns -inf when every entry is -inf and NaN when any entry is NaN.
+    With ``out`` (an array shaped like ``a``) and a finite result, the same
+    exponentials also fill ``out`` with the normalized weights
+    ``exp(a - max) / sum(exp(a - max))``; otherwise ``out`` is left as is.
     """
-    m = float(np.max(a))
+    m = float(a.max())
     if not math.isfinite(m):
         return m
-    return m + math.log(float(np.sum(np.exp(a - m))))
+    e = np.subtract(a, m, out=out)
+    np.exp(e, out=e)
+    total = float(e.sum())
+    if out is not None:
+        out /= total
+    return m + math.log(total)
 
 
 @dataclass(frozen=True)
@@ -61,9 +78,10 @@ class RunLengthState:
     """Live run-length hypotheses and their log joint weights.
 
     ``run_lengths[i]`` is the run-length value of hypothesis i (ascending,
-    and 0 is always present after a step); ``log_weights[i]`` is the log of
-    its unnormalized joint weight. ``evidence_log`` is the log total mass,
-    i.e. the log probability of everything observed so far.
+    and 0 is always present after a step, so it is entry 0);
+    ``log_weights[i]`` is the log of its unnormalized joint weight.
+    ``evidence_log`` is the log total mass, i.e. the log probability of
+    everything observed so far.
 
     Invariant: ``evidence_log == logsumexp(log_weights)``. Every function
     here that builds a state keeps it, and a state built without
@@ -93,52 +111,74 @@ class RunLengthState:
 
 def recursion_step(
     state: RunLengthState,
-    psi: np.ndarray,
+    log_psi: np.ndarray,
     cfg: HazardConfig,
-    psi_reset: float = 1.0,
+    log_psi_reset: float = 0.0,
 ) -> RunLengthState:
     """One growth/reset update of the trellis.
 
-    ``psi[i]`` is the predictive value of the current observation under
-    hypothesis i (a probability mass in the latent-class modes, a density
-    in the raw-observation baseline). Every hypothesis i grows to run
-    length ``run_lengths[i] + 1`` with weight ``(1-h) * psi[i] * w[i]``;
-    the newborn run length 0 collects ``h * psi_reset * sum(w)``, where
-    ``psi_reset`` is the empty-window predictive (1 for the latent-class
-    modes: with no within-run history the new-table event is certain).
+    ``log_psi[i]`` is the log predictive of the current observation under
+    hypothesis i (of a probability mass in the latent-class modes, of a
+    density in the raw-observation baseline); -inf (predictive 0) is
+    allowed, NaN and +inf are not. Every hypothesis i grows to run length
+    ``run_lengths[i] + 1`` with log weight ``log(1-h) + log_psi[i] +
+    lw[i]``; the newborn run length 0 collects ``log(h) + log_psi_reset +
+    evidence``, where ``log_psi_reset`` is the log empty-window predictive
+    (0 for the latent-class modes: with no within-run history the new-table
+    event is certain).
+
+    The returned state carries its posterior, from the exp pass that
+    computed its evidence. Inputs are checked only when the step's total is
+    not finite (see the module docstring).
     """
-    psi = np.asarray(psi, dtype=float)
-    if psi.shape != state.log_weights.shape:
+    lw = state.log_weights
+    log_psi = np.asarray(log_psi, dtype=float)
+    if log_psi.shape != lw.shape:
         raise ContractViolation(
-            f"psi has {psi.size} entries but state holds {state.log_weights.size} hypotheses"
+            f"log_psi has {log_psi.size} entries but state holds {lw.size} hypotheses"
         )
-    if not np.all(np.isfinite(psi)) or np.any(psi < 0.0):
-        raise ContractViolation("psi entries must be finite and non-negative")
-    if not (math.isfinite(psi_reset) and psi_reset >= 0.0):
-        raise ContractViolation("psi_reset must be finite and non-negative")
-
     h = cfg.hazard
-    with np.errstate(divide="ignore"):
-        log_psi = np.log(psi)
-        log_growth = math.log1p(-h) if h < 1.0 else -math.inf
-        log_reset_pred = math.log(psi_reset) if psi_reset > 0.0 else -math.inf
-
-    reset_lw = math.log(h) + log_reset_pred + state.evidence_log
-    grown_lw = log_growth + log_psi + state.log_weights
-
-    new_runs = np.concatenate(([0], state.run_lengths + 1)).astype(np.int64)
-    new_lw = np.concatenate(([reset_lw], grown_lw))
-
-    total = logsumexp(new_lw)
+    n = lw.size
+    new_lw = np.empty(n + 1)
+    posterior = np.empty(n + 1)
+    try:
+        new_lw[0] = math.log(h) + log_psi_reset + state.evidence_log
+        np.add(log_psi, math.log1p(-h) if h < 1.0 else -math.inf, out=new_lw[1:])
+        new_lw[1:] += lw
+        total = logsumexp(new_lw, out=posterior)
+    except RuntimeWarning:
+        # Only under an "error" warnings filter: a +inf log_psi (an invalid
+        # input) met a -inf weight. With the default filters numpy warns
+        # "invalid value" and the total is NaN; either way the step takes
+        # the one failure path below.
+        total = math.nan
     if not math.isfinite(total):
+        _check_log_psi(log_psi, log_psi_reset)
         raise DegenerateStateError(
             f"all joint weights vanished at t={state.t + 1}; observation numerically impossible"
         )
-    return RunLengthState(new_runs, new_lw, state.t + 1, total)
+
+    new_runs = np.empty(n + 1, dtype=np.int64)
+    new_runs[0] = 0
+    np.add(state.run_lengths, 1, out=new_runs[1:])
+    out = RunLengthState(new_runs, new_lw, state.t + 1, total)
+    posterior.flags.writeable = False
+    out._posterior = posterior
+    return out
+
+
+def _check_log_psi(log_psi: np.ndarray, log_psi_reset: float) -> None:
+    """The entry checks of ``recursion_step``, run once its total is not
+    finite: NaN and +inf are refused (``x < inf`` is false for both)."""
+    if not (log_psi < math.inf).all():
+        raise ContractViolation("log_psi entries must be below +inf and not NaN")
+    if not log_psi_reset < math.inf:
+        raise ContractViolation("log_psi_reset must be below +inf and not NaN")
 
 
 def normalize_posterior(state: RunLengthState) -> np.ndarray:
-    """Posterior over live run lengths, scaled by the cached evidence.
+    """Posterior over live run lengths: ``e / sum(e)`` with ``e = exp(lw -
+    max)``, the formula ``recursion_step`` also uses.
 
     Computed once per state and memoized; the returned array is read-only
     and the state's weights are left untouched.
@@ -146,7 +186,9 @@ def normalize_posterior(state: RunLengthState) -> np.ndarray:
     if state._posterior is None:
         if not math.isfinite(state.evidence_log):
             raise DegenerateStateError("cannot normalize: all weights are zero")
-        posterior = np.exp(state.log_weights - state.evidence_log)
+        posterior = np.empty(state.log_weights.shape)
+        if posterior.size:
+            logsumexp(state.log_weights, out=posterior)
         posterior.flags.writeable = False
         state._posterior = posterior
     return state._posterior
@@ -164,7 +206,8 @@ def map_runlength(posterior: np.ndarray) -> int:
 @dataclass(frozen=True)
 class PrunePolicy:
     """Hypothesis pruning: ``none``, drop below a posterior-mass threshold,
-    or keep the top-M. Run length 0 is never pruned."""
+    or keep the top-M. Run length 0 is never pruned (of a state whose run
+    lengths ascend, as every state ``recursion_step`` builds does)."""
 
     kind: str = "none"
     epsilon: float = 0.0
@@ -195,8 +238,9 @@ def prune(state: RunLengthState, policy: PrunePolicy) -> RunLengthState:
     """Drop hypotheses per the policy and fold their mass back into the
     survivors, so the total joint mass (and hence the evidence) is kept.
 
-    Surviving hypotheses keep their run-length values; the representation
-    is sparse, so subsequent recursion steps work unchanged.
+    Run length 0 is kept: the run lengths must ascend, so it is entry 0
+    when present. Surviving hypotheses keep their run-length values; the
+    representation is sparse, so subsequent recursion steps work unchanged.
     """
     if policy.kind == "none":
         return state
@@ -208,21 +252,19 @@ def prune(state: RunLengthState, policy: PrunePolicy) -> RunLengthState:
         order = np.argsort(-posterior, kind="stable")
         keep = np.zeros(posterior.size, dtype=bool)
         keep[order[: policy.max_live]] = True
-    keep |= state.run_lengths == 0
-
-    if not np.any(keep):
+    if keep.size and state.run_lengths[0] == 0:
+        keep[0] = True
+    elif not keep.any():
         raise ContractViolation("prune policy removed every hypothesis")
 
     kept_lw = state.log_weights[keep]
     kept_mass = float(posterior[keep].sum())
     if kept_mass >= _TINY:
-        rescale = -math.log(kept_mass)
+        kept_lw -= math.log(kept_mass)
     else:
         # The survivors' posterior underflowed: rescale from their log weights.
-        rescale = state.evidence_log - logsumexp(kept_lw)
-    return RunLengthState(
-        state.run_lengths[keep], kept_lw + rescale, state.t, state.evidence_log
-    )
+        kept_lw += state.evidence_log - logsumexp(kept_lw)
+    return RunLengthState(state.run_lengths[keep], kept_lw, state.t, state.evidence_log)
 
 
 @dataclass(frozen=True)

@@ -19,7 +19,7 @@ def trellis_joint(labels, alpha, lam):
     hz = HazardConfig(lam)
     for z in labels:
         psi = crp.run_predictive_many(st.run_lengths, z)
-        st = recursion_step(st, psi, hz)
+        st = recursion_step(st, np.log(psi), hz)
         crp.record_assignment(z)
     return np.exp(st.log_weights), st
 

@@ -131,7 +131,8 @@ def test_run_predictive_rejects_unknown_class():
 def test_record_first_assignment():
     s = CrpState(1.0)
     s.record_assignment(1)
-    assert s.labels == [1]
+    assert s.t == 1
+    np.testing.assert_array_equal(s._counts.prefix(1), [0, 1])
     assert s.k_current == 1
     np.testing.assert_array_equal(s.counts(), [1])
 
@@ -154,15 +155,17 @@ def test_record_rejects_gapped_class():
 def test_record_long_random_stream_invariants(seed):
     rng = np.random.default_rng(seed)
     s = CrpState(1.0)
+    labels = []
     for i in range(400):
-        s.record_assignment(int(rng.integers(1, s.k_current + 2)))
+        labels.append(int(rng.integers(1, s.k_current + 2)))
+        s.record_assignment(labels[-1])
         assert s.counts().sum() == i + 1
-        assert s.k_current == len(set(s.labels))
-    # prefix sequences are monotone and consistent
+        assert s.k_current == len(set(labels))
+    # prefix sequences are monotone and consistent with the counts
     for k in range(1, s.k_current + 1):
         pref = s._counts.prefix(k)
         assert np.all(np.diff(pref) >= 0)
-        assert pref[-1] == s.labels.count(k)
+        assert pref[-1] == labels.count(k) == s.counts()[k - 1]
 
 
 @settings(max_examples=60, deadline=None)

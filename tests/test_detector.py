@@ -13,6 +13,7 @@ from streamcpd import (
     ChangePointRule,
     ConfigError,
     ContractViolation,
+    DegenerateStateError,
     Detector,
     DetectorConfig,
     HazardConfig,
@@ -369,21 +370,55 @@ def test_baseline_with_pruning_matches_unpruned_map_trace():
     assert [s.r_star for s in a.steps] == [s.r_star for s in b.steps]
 
 
+@pytest.mark.parametrize(
+    "history, outlier",
+    [(np.random.default_rng(0).normal(0.0, 1.0, 500), 150.0), ([0.0], 1e120)],
+)
+def test_baseline_outlier_keeps_every_weight_finite(history, outlier):
+    # A 150-sigma outlier after 500 N(0, 1) samples, or 1e120 after one 0:
+    # its Student-t density under every run is far below the smallest float,
+    # but the trellis takes log densities, so no live weight underflows to
+    # -inf (and the second no longer ends in DegenerateStateError).
+    det = Detector(DetectorConfig(mode="baseline"))
+    for x in history:
+        det.step(x)
+    out = det.step(outlier)
+    assert np.all(np.isfinite(det.rl.log_weights))
+    assert out.r_star == 0
+
+
+@pytest.mark.parametrize(
+    "series", [[0.0, 1e154], [0.0, 1e154, -1.3e154], [0.0, 1.4e154], [0.0, 1e200]]
+)
+def test_baseline_overflowing_observation_is_degenerate(series):
+    # (x - mu)^2 or kappa (x - mu)^2 overflows at t=2. The detector raises
+    # DegenerateStateError there, as it did when every density underflowed,
+    # keeps its state, and writes no inf or NaN into its table.
+    det = Detector(DetectorConfig(mode="baseline"))
+    det.step(series[0])
+    rl, nig = det.rl, det._nig
+    with pytest.raises(DegenerateStateError, match="t=2"):
+        for x in series[1:]:
+            det.step(x)
+    assert det.t == 1 and det.rl is rl and det._nig is nig
+    assert np.all(np.isfinite(nig))
+
+
 @pytest.mark.parametrize("a0", [0.3, 1.0, 2.5])
 def test_lgamma_term_recurrence_matches_mpmath(a0):
     # D = lgamma(a + 1/2) - lgamma(a) is carried by D(a + 1/2) = log(a) - D(a)
     # from the prior's math.lgamma seed; checked at 50 digits up to r = 1e4.
     mpmath.mp.dps = 50
     prior = _nig_row(NigParams(a=a0))
-    row = prior[None, :]
+    col = prior[:, None]
     checked = set(range(300)) | set(range(300, 10_001, 37)) | {10_000}
     for r in range(10_001):
         if r in checked:
-            a, d = mpmath.mpf(row[0, 2]), row[0, 4]
+            a, d = mpmath.mpf(col[2, 0]), col[4, 0]
             want = mpmath.loggamma(a + mpmath.mpf(0.5)) - mpmath.loggamma(a)
             assert abs(d - float(want)) <= 1e-12, (r, d, want)
-        row = _nig_grow(row, 0.25, prior)[1:]
-    assert row[0, 2] == a0 + 10_001 / 2
+        col = _nig_grow(col, 0.25, prior)[:, 1:]
+    assert col[2, 0] == a0 + 10_001 / 2
 
 
 def test_baseline_hypothesis_predictive_matches_student_t():

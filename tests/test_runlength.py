@@ -26,6 +26,13 @@ from streamcpd.runlength import logsumexp
 from conftest import random_canonical_labels, trellis_joint
 
 
+def _log(psi):
+    """A predictive in the log domain ``recursion_step`` takes: log 0 is
+    -inf, and the log of a negative value is NaN."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.log(np.asarray(psi, dtype=float))
+
+
 # -- log-sum-exp ---------------------------------------------------------
 
 
@@ -70,7 +77,7 @@ def test_hazard_config_rejects_bad_lambda(lam):
 
 def test_recursion_single_step_hand_computed():
     # h=0.5, psi=[0.5], psi_reset=1: reset 0.5*1*1, growth 0.5*0.5*1
-    st_ = recursion_step(RunLengthState.initial(), np.array([0.5]), HazardConfig(2.0))
+    st_ = recursion_step(RunLengthState.initial(), _log([0.5]), HazardConfig(2.0))
     assert st_.t == 1
     assert list(st_.run_lengths) == [0, 1]
     np.testing.assert_allclose(np.exp(st_.log_weights), [0.5, 0.25], rtol=1e-14)
@@ -82,7 +89,7 @@ def test_recursion_no_hazard_limit_moves_mass_up():
     lw = np.full(6, -np.inf)
     lw[j] = 0.0
     state = RunLengthState(np.arange(6, dtype=np.int64), lw, t=5)
-    out = recursion_step(state, np.ones(6), HazardConfig(1e12))
+    out = recursion_step(state, _log(np.ones(6)), HazardConfig(1e12))
     post = normalize_posterior(out)
     assert out.run_lengths[np.argmax(post)] == j + 1
     assert post.max() == pytest.approx(1.0, abs=1e-11)
@@ -110,34 +117,62 @@ def test_recursion_constant_psi_scales_total_mass():
     state = RunLengthState(
         np.arange(3, dtype=np.int64), np.log(np.array([0.2, 0.3, 0.5])), t=2
     )
-    out = recursion_step(state, np.full(3, c), HazardConfig(lam))
+    out = recursion_step(state, _log(np.full(3, c)), HazardConfig(lam))
     total = np.exp(out.log_weights).sum()
     assert total == pytest.approx(c * (1 - h) + h, rel=1e-12)
 
 
 def test_recursion_length_mismatch():
     with pytest.raises(ContractViolation):
-        recursion_step(RunLengthState.initial(), np.array([0.5, 0.5]), HazardConfig(2.0))
+        recursion_step(RunLengthState.initial(), _log([0.5, 0.5]), HazardConfig(2.0))
 
 
 def test_recursion_rejects_bad_psi():
     with pytest.raises(ContractViolation):
-        recursion_step(RunLengthState.initial(), np.array([-0.1]), HazardConfig(2.0))
+        recursion_step(RunLengthState.initial(), _log([-0.1]), HazardConfig(2.0))
     with pytest.raises(ContractViolation):
-        recursion_step(RunLengthState.initial(), np.array([np.nan]), HazardConfig(2.0))
+        recursion_step(RunLengthState.initial(), _log([np.nan]), HazardConfig(2.0))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_recursion_rejects_bad_log_psi_on_a_vanished_hypothesis(bad):
+    # +inf meets the -inf weight (inf - inf); NaN propagates.
+    state = RunLengthState(np.arange(2, dtype=np.int64), np.array([0.0, -np.inf]), t=1)
+    with pytest.raises(ContractViolation):
+        recursion_step(state, np.array([0.0, bad]), HazardConfig(2.0))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_recursion_rejects_bad_log_psi_when_growth_is_impossible(bad):
+    # Hazard 1: the growth term is -inf, and +inf meets it (inf - inf).
+    with pytest.raises(ContractViolation):
+        recursion_step(RunLengthState.initial(), np.array([bad]), HazardConfig(1.0))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_recursion_rejects_bad_log_psi_reset(bad):
+    with pytest.raises(ContractViolation):
+        recursion_step(RunLengthState.initial(), np.array([0.0]), HazardConfig(2.0), bad)
+
+
+def test_recursion_accepts_zero_predictive():
+    # log_psi = -inf (predictive 0): that hypothesis's growth gets no mass.
+    out = recursion_step(RunLengthState.initial(), np.array([-np.inf]), HazardConfig(2.0))
+    assert list(out.run_lengths) == [0, 1]
+    assert out.log_weights[1] == -np.inf
+    assert out.evidence_log == pytest.approx(math.log(0.5), abs=1e-15)
+    np.testing.assert_array_equal(normalize_posterior(out), [1.0, 0.0])
 
 
 def test_recursion_all_zero_mass_degenerates():
     with pytest.raises(DegenerateStateError):
-        recursion_step(
-            RunLengthState.initial(), np.array([0.0]), HazardConfig(1.0), psi_reset=0.0
-        )
+        recursion_step(RunLengthState.initial(), _log([0.0]), HazardConfig(1.0), _log(0.0))
 
 
 def test_support_is_full_range_before_pruning():
     state = RunLengthState.initial()
     for t in range(1, 8):
-        state = recursion_step(state, np.full(t, 0.5), HazardConfig(3.0))
+        state = recursion_step(state, _log(np.full(t, 0.5)), HazardConfig(3.0))
         assert list(state.run_lengths) == list(range(t + 1))
 
 
@@ -203,7 +238,7 @@ def test_map_runlength_empty():
 def test_degenerate_hazard_one_forces_reset():
     state = RunLengthState.initial()
     for t in range(1, 6):
-        state = recursion_step(state, np.full(t, 0.5), HazardConfig(1.0))
+        state = recursion_step(state, _log(np.full(t, 0.5)), HazardConfig(1.0))
         post = normalize_posterior(state)
         assert state.run_lengths[map_runlength(post)] == 0
 
@@ -211,7 +246,7 @@ def test_degenerate_hazard_one_forces_reset():
 def test_huge_lambda_constant_psi_gives_full_run():
     state = RunLengthState.initial()
     for t in range(1, 51):
-        state = recursion_step(state, np.full(t, 0.7), HazardConfig(1e9))
+        state = recursion_step(state, _log(np.full(t, 0.7)), HazardConfig(1e9))
     post = normalize_posterior(state)
     assert state.run_lengths[map_runlength(post)] == 50
 
@@ -222,7 +257,7 @@ def test_log_domain_survives_long_runs():
     rng = np.random.default_rng(0)
     for t in range(1, 2001):
         psi = rng.uniform(0.05, 1.0, t)
-        state = recursion_step(state, psi, cfg)
+        state = recursion_step(state, _log(psi), cfg)
     assert np.all(np.isfinite(state.log_weights))
     assert math.isfinite(state.evidence_log)
 
@@ -276,6 +311,13 @@ def test_prune_keeps_evidence_when_survivor_mass_underflows():
     assert out.log_weights[0] == pytest.approx(state.evidence_log, abs=1e-12)
 
 
+@pytest.mark.parametrize("policy", [PrunePolicy.threshold(1e-3), PrunePolicy.top_m(2)])
+def test_prune_of_an_empty_state_is_a_contract_violation(policy):
+    state = RunLengthState(np.zeros(0, dtype=np.int64), np.zeros(0), t=0, evidence_log=0.0)
+    with pytest.raises(ContractViolation):
+        prune(state, policy)
+
+
 def test_prune_policy_validation():
     with pytest.raises(ContractViolation):
         PrunePolicy.top_m(0)
@@ -292,6 +334,9 @@ def _assert_evidence_consistent(state):
     want = float(scipy_logsumexp(state.log_weights))
     assert state.evidence_log == pytest.approx(want, rel=0, abs=1e-12)
     assert normalize_posterior(state).sum() == pytest.approx(1.0, rel=0, abs=1e-12)
+    np.testing.assert_allclose(
+        normalize_posterior(state), np.exp(state.log_weights - want), rtol=0, atol=1e-12
+    )
 
 
 def test_hand_built_state_computes_its_evidence():
@@ -323,7 +368,7 @@ def test_evidence_log_tracks_weights_through_recursion_and_pruning(lam, policies
         n = state.log_weights.size
         psi = np.array(data.draw(st.lists(_PSI, min_size=n, max_size=n)))
         psi_reset = data.draw(st.floats(min_value=1e-3, max_value=5.0))
-        state = recursion_step(state, psi, cfg, psi_reset=psi_reset)
+        state = recursion_step(state, _log(psi), cfg, _log(psi_reset))
         _assert_evidence_consistent(state)
         state = prune(state, policy)
         _assert_evidence_consistent(state)
