@@ -260,6 +260,31 @@ def test_golden_trace_fixed_k():
     )
 
 
+def test_golden_trace_baseline_threshold_pruned():
+    series = _shuffled_regimes(11, n_regimes=4, seg=60, n_segments=20, spacing=3.0)
+    res = run(series, DetectorConfig(mode="baseline", prune=PrunePolicy.threshold(1e-10)))
+    assert len(res.change_points) > 5
+    assert _trace_sha256(res) == (
+        "0d4190d44e1c2be50450d30fceb57de6479ea91aa261b47b974f58c5b17c6668"
+    )
+
+
+def test_golden_trace_infinite_unpruned():
+    # The c5 detection configuration, with no pruning: every run length
+    # stays live.
+    segs = [
+        SegmentSpec(200, 0.0, 1.0, 1),
+        SegmentSpec(200, 8.0, 1.0, 2),
+        SegmentSpec(200, 0.0, 1.0, 1),
+    ]
+    series, _, _ = gen_piecewise_gaussian(segs, 5)
+    res = run(series, DetectorConfig(alpha=0.5, candidate=CandidatePolicy(var_init=2.0)))
+    assert res.change_points == [203, 403]
+    assert _trace_sha256(res) == (
+        "641a2ae6bdd77bfbaee4c64ed52a176a608c4976a7930992a6cee492548f9aa2"
+    )
+
+
 def test_config_validation():
     with pytest.raises(ConfigError):
         DetectorConfig(mode="nope")
