@@ -1,10 +1,11 @@
 """End-to-end streaming detector.
 
 Three modes share one trellis code path and differ only in the predictive
-they feed it. The two latent modes also share one emission step (E-step,
-M-step, MAP assignment and rate decay over one :class:`ClassTable`) and
-differ only in the class prior, whether a candidate column is spawned, and
-the window predictive:
+they feed it. The two latent modes also share one emission step, a single
+SGD-EM pass over one :class:`ClassTable` (E-step, M-step and MAP assignment
+from shared intermediates, committed only on success) plus the winner's rate
+decay, and differ only in the class prior, whether a candidate column is
+spawned, and the window predictive:
 
 - ``infinite``: latent classes under a CRP; a candidate class is spawned
   every step and kept only if the MAP assignment picks it.
@@ -44,11 +45,13 @@ from .emission import (
     ClassTable,
     EmissionParams,
     decay_rates,
-    e_step,
-    m_step,
-    map_assignment,
+    em_step,
     spawn_candidate,
 )
+
+# Not called here; kept in this namespace because perfbench's tracer
+# self-test checks that tracing restores ``streamcpd.detector.m_step``.
+from .emission import m_step  # noqa: F401
 from .errors import ConfigError, ContractViolation, DegenerateStateError, InputError
 from .runlength import (
     ChangePointRule,
@@ -261,28 +264,25 @@ class Detector:
     # -- mode bodies --------------------------------------------------
 
     def _emission_step(self, x: float, prior, candidate: bool) -> tuple[np.ndarray, int]:
-        """E-step, M-step, MAP assignment and winner's rate decay over the
-        class table; with ``candidate`` a fresh class is spawned into the
-        last column first and kept only if the MAP assignment picks it.
-        Returns the responsibilities and the 1-based MAP class. An
-        observation that overflows the arithmetic raises ``InputError`` and
-        leaves the table as it was."""
+        """One SGD-EM step over the class table, then the winner's rate
+        decay; with ``candidate`` a fresh class is spawned into the last
+        column first and kept only if the MAP assignment picks it. Returns
+        the responsibilities and the 1-based MAP class. An observation that
+        overflows the arithmetic raises ``InputError`` and leaves the table
+        as it was."""
         cfg = self.cfg
         table = self._table
         k_prev = table.n
-        saved = table.live().copy()
         if candidate:
             spawn_candidate(
                 table, x, cfg.candidate, cfg.eta_init, born_at=self.t + 1, var_floor=cfg.var_floor
             )
         try:
-            with np.errstate(over="raise", invalid="raise"):
-                resp = e_step(x, prior, table)
-                m_step(table, x, resp, var_floor=cfg.var_floor, log_space=cfg.log_var_update)
-                z_star = map_assignment(e_step(x, prior, table))
+            resp, z_star = em_step(
+                table, x, prior, var_floor=cfg.var_floor, log_space=cfg.log_var_update
+            )
         except FloatingPointError:
             table.n = k_prev
-            table.live()[:] = saved
             raise InputError(
                 f"observation at t={self.t + 1} overflows the emission model: {x!r}"
             ) from None

@@ -1,20 +1,29 @@
-"""Per-class Gaussian emission model and the streaming EM pieces: E-step
-responsibilities, one-sample stochastic gradient M-step, per-class adaptive
-learning-rate decay, and candidate spawning.
+"""Per-class Gaussian emission model and the streaming EM step: E-step
+responsibilities, one-sample stochastic gradient M-step, MAP class,
+per-class adaptive learning-rate decay, and candidate spawning.
 
 Classes live in one struct-of-arrays :class:`ClassTable`: a ``(4, capacity)``
 float array whose rows are ``mu``, ``var``, ``eta_mu`` and ``eta_var``, plus
 an integer ``born_at`` row. Columns ``0..n-1`` are the live classes, in class
 id order (column ``j`` is class ``j + 1``). Capacity doubles when full, so
 spawning a candidate writes column ``n`` and makes it live, and dropping it
-again is setting ``n`` back; no step reallocates. Each EM operation is one
-vectorized expression over the live columns and updates the table in place. Invariants of every live
+again is setting ``n`` back; no step reallocates. Invariants of every live
 column: ``var >= var_floor > 0`` (the M-step clamps at the floor) and both
 learning rates are positive and only ever shrink (decay multiplies them by
 ``1 - decay``).
 
-The scalar :func:`emission_loglik` and :func:`gaussian_gradients` are the
-reference formulas; the table operations keep their arithmetic order.
+One observation is one fused pass over the live columns, :func:`em_step`:
+the log prior, ``d = x - mu``, ``d^2``, ``2 var`` and ``log var`` are
+computed once and shared by the E-step scores and the M-step gradients, the
+MAP class is the argmax of the post-update scores, and the new means and
+variances are written into the table only once the step has succeeded. Each
+formula lives in one private helper that the fused step runs;
+:func:`e_step`, :func:`m_step` and :func:`gaussian_gradients` are thin
+wrappers over the same helpers.
+
+The scalar :func:`emission_loglik` (``math.log`` on Python floats) is the
+reference the table arithmetic is tested against, and
+:func:`gaussian_gradients` is checked against finite differences.
 :class:`EmissionParams` is the per-class record the table is built from and
 read back into, off the hot path.
 """
@@ -112,20 +121,23 @@ def emission_loglik(x: float, p: EmissionParams) -> float:
     return -0.5 * (LOG_2PI + math.log(p.var)) - (x - p.mu) ** 2 / (2.0 * p.var)
 
 
-def e_step(x: float, class_prior, table: ClassTable) -> np.ndarray:
-    """Responsibilities: prior times Gaussian likelihood, normalized.
-
-    Computed in log domain, so arbitrarily small likelihoods cannot zero
-    out the whole vector.
-    """
+def _log_prior(class_prior, n: int) -> np.ndarray:
+    """Log of the class prior over ``n`` classes; a zero entry gives -inf,
+    so the caller ignores numpy's divide-by-zero flag."""
     prior = np.asarray(class_prior, dtype=float)
-    if prior.size != table.n:
-        raise ContractViolation(f"{prior.size} prior entries for {table.n} classes")
-    live = table.live()
-    mu, var = live[0], live[1]
-    loglik = -0.5 * (LOG_2PI + np.log(var)) - (x - mu) ** 2 / (2.0 * var)
-    with np.errstate(divide="ignore"):
-        score = loglik + np.log(prior)
+    if prior.size != n or n == 0:
+        raise ContractViolation(f"{prior.size} prior entries for {n} classes")
+    return np.log(prior)
+
+
+def _loglik(d2, two_var, log_var):
+    """log N(x; mu, var) from d2 = (x - mu)^2, 2 var and log var."""
+    return -0.5 * (LOG_2PI + log_var) - d2 / two_var
+
+
+def _normalize(score: np.ndarray) -> np.ndarray:
+    """Responsibilities from per-class log scores (log prior + log
+    likelihood): exp(score - max), normalized."""
     m = float(score.max())
     if not math.isfinite(m):
         raise ContractViolation("class prior has no positive entry")
@@ -134,14 +146,97 @@ def e_step(x: float, class_prior, table: ClassTable) -> np.ndarray:
     return w
 
 
+def _gradients(gamma, d, d2, two_var, var):
+    """Gradient of gamma * log N(x; mu, var) w.r.t. (mu, var), from d = x -
+    mu, d2 = d * d and two_var = 2 var."""
+    g_mu = gamma * d / var
+    g_var = gamma * (d2 / (two_var * var) - 1.0 / two_var)
+    return g_mu, g_var
+
+
+def _sgd_update(live, gamma, d, d2, two_var, log_var, var_floor, log_space):
+    """The means and variances after one gradient step weighted by
+    ``gamma``, as new arrays; the table is not written.
+
+    The variance moves in its natural parameterization by default, clamped
+    at ``var_floor``; with ``log_space`` it moves in log variance instead
+    (the chain-rule gradient is the natural one times var).
+    """
+    mu, var, eta_mu, eta_var = live
+    g_mu, g_var = _gradients(gamma, d, d2, two_var, var)
+    if log_space:
+        # clamp keeps a wildly mis-scaled step finite instead of overflowing
+        new_var = np.exp(np.minimum(log_var + eta_var * g_var * var, 700.0))
+    else:
+        new_var = var + eta_var * g_var
+    np.maximum(var_floor, new_var, out=new_var)
+    return mu + eta_mu * g_mu, new_var
+
+
+def em_step(
+    table: ClassTable,
+    x: float,
+    class_prior,
+    var_floor: float = DEFAULT_VAR_FLOOR,
+    log_space: bool = False,
+) -> tuple[np.ndarray, int]:
+    """One stochastic EM step on observation x over every live class: the
+    E-step responsibilities, one gradient M-step weighted by them, and the
+    MAP class under the updated parameters. With ``log_space`` the variance
+    moves in log variance (see :func:`_sgd_update`); either way it is
+    clamped at ``var_floor``.
+
+    ``d = x - mu``, ``d^2``, ``2 var`` and ``log var`` are computed once and
+    shared by the E-step scores and the M-step gradients, and the log prior
+    once for both scorings. The MAP class is the argmax of the post-update
+    scores (log prior + log N(x; mu', var')), ties going to the lowest class
+    id, so an existing class beats a candidate in the last column. It can
+    differ from the argmax of the normalized post-update responsibilities
+    only where two scores lie within about 1e-16 of each other.
+
+    Returns the responsibilities and the 1-based MAP class. An overflow or
+    invalid operation raises ``FloatingPointError``; the new means and
+    variances are written into the table only after the whole step has
+    succeeded, so a failed step leaves it unchanged. Learning rates are
+    untouched; decay is a separate operation.
+    """
+    live = table.live()
+    var = live[1]
+    with np.errstate(over="raise", invalid="raise", divide="ignore"):
+        log_prior = _log_prior(class_prior, table.n)
+        d = x - live[0]
+        d2 = d * d
+        two_var = 2.0 * var
+        log_var = np.log(var)
+        resp = _normalize(_loglik(d2, two_var, log_var) + log_prior)
+        new_mu, new_var = _sgd_update(live, resp, d, d2, two_var, log_var, var_floor, log_space)
+        d = x - new_mu
+        score = _loglik(d * d, 2.0 * new_var, np.log(new_var)) + log_prior
+    z_star = int(score.argmax()) + 1
+    live[0], live[1] = new_mu, new_var
+    return resp, z_star
+
+
+def e_step(x: float, class_prior, table: ClassTable) -> np.ndarray:
+    """Responsibilities alone: prior times Gaussian likelihood, normalized,
+    through the arithmetic of :func:`em_step`.
+
+    Computed in log domain, so arbitrarily small likelihoods cannot zero
+    out the whole vector.
+    """
+    live = table.live()
+    mu, var = live[0], live[1]
+    with np.errstate(divide="ignore"):
+        log_prior = _log_prior(class_prior, table.n)
+    d = x - mu
+    return _normalize(_loglik(d * d, 2.0 * var, np.log(var)) + log_prior)
+
+
 def gaussian_gradients(x: float, mu, var, gamma):
     """Gradient of gamma * log N(x; mu, var) w.r.t. (mu, var); elementwise
     over arrays of classes."""
     d = x - mu
-    two_var = 2.0 * var
-    g_mu = gamma * d / var
-    g_var = gamma * (d * d / (two_var * var) - 1.0 / two_var)
-    return g_mu, g_var
+    return _gradients(gamma, d, d * d, 2.0 * var, var)
 
 
 def m_step(
@@ -153,26 +248,17 @@ def m_step(
 ) -> None:
     """One stochastic gradient ascent step on this observation's term of the
     expected complete-data log likelihood, for every live class at once
-    (class j weighted by ``resp[j]``), in place.
-
-    The variance moves in its natural parameterization by default, clamped
-    at ``var_floor``; with ``log_space=True`` it moves in log variance
-    instead (the chain-rule gradient is the natural one times var).
-    Learning rates are untouched; decay is a separate operation.
+    (class j weighted by ``resp[j]``), in place, through the arithmetic and
+    with the options of :func:`em_step`.
     """
     live = table.live()
-    mu, var, eta_mu, eta_var = live[0], live[1], live[2], live[3]
     gamma = np.asarray(resp, dtype=float)
     if gamma.size != table.n:
         raise ContractViolation(f"{gamma.size} responsibilities for {table.n} classes")
-    g_mu, g_var = gaussian_gradients(x, mu, var, gamma)
-    if log_space:
-        # clamp keeps a wildly mis-scaled step finite instead of overflowing
-        new_var = np.exp(np.minimum(np.log(var) + eta_var * g_var * var, 700.0))
-    else:
-        new_var = var + eta_var * g_var
-    mu += eta_mu * g_mu
-    np.maximum(var_floor, new_var, out=var)
+    var = live[1]
+    d = x - live[0]
+    log_var = np.log(var) if log_space else None
+    live[0], live[1] = _sgd_update(live, gamma, d, d * d, 2.0 * var, log_var, var_floor, log_space)
     if table.n and not (live[1:].min() > 0.0):
         raise ContractViolation("class variances and learning rates must be positive")
 
@@ -203,12 +289,3 @@ def spawn_candidate(
     rates as the table's last live column."""
     mu = x if policy.mu0 is None else policy.mu0
     table.push(float(mu), max(var_floor, policy.var_init), eta_init[0], eta_init[1], born_at)
-
-
-def map_assignment(responsibilities) -> int:
-    """1-based argmax; ties break toward the lowest class id, so an existing
-    class beats the candidate on an exact tie."""
-    r = np.asarray(responsibilities, dtype=float)
-    if r.size == 0:
-        raise ContractViolation("empty responsibility vector")
-    return int(r.argmax()) + 1

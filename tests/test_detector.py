@@ -158,7 +158,7 @@ def test_overflowing_observation_is_input_error(mode, series):
     [
         # overflows in the first E-step, before the table is written
         (50, 1e200, {}),
-        # a huge mean step overflows the E-step after the M-step wrote
+        # a huge mean step overflows the MAP scoring after the M-step
         (1, 1e150, {"eta_init": (1e6, 0.02), "candidate": CandidatePolicy(mu0=0.0)}),
     ],
 )

@@ -12,11 +12,11 @@ from streamcpd import (
     EmissionParams,
     decay_rates,
     e_step,
+    em_step,
     emission_loglik,
     finite_difference,
     gaussian_gradients,
     m_step,
-    map_assignment,
     spawn_candidate,
 )
 from streamcpd.emission import DEFAULT_VAR_FLOOR
@@ -374,22 +374,135 @@ def test_table_matches_scalar_formulas(params, x, log_space, data):
             assert q == p
 
 
-# -- MAP assignment -----------------------------------------------------------
+# -- the fused SGD-EM step ----------------------------------------------------
 
 
-def test_map_assignment_examples():
-    assert map_assignment([0.2, 0.7, 0.1]) == 2
-    assert map_assignment([0.5, 0.5]) == 1
-    assert map_assignment([1.0]) == 1
+def _unfused_e_step(x, class_prior, table):
+    prior = np.asarray(class_prior, dtype=float)
+    live = table.live()
+    mu, var = live[0], live[1]
+    loglik = -0.5 * (math.log(2.0 * math.pi) + np.log(var)) - (x - mu) ** 2 / (2.0 * var)
+    with np.errstate(divide="ignore"):
+        score = loglik + np.log(prior)
+    w = np.exp(score - float(score.max()))
+    w /= w.sum()
+    return w
 
 
-def test_map_assignment_scale_invariance():
+def _unfused_m_step(table, x, gamma, var_floor, log_space):
+    live = table.live()
+    mu, var, eta_mu, eta_var = live[0], live[1], live[2], live[3]
+    d = x - mu
+    two_var = 2.0 * var
+    g_mu = gamma * d / var
+    g_var = gamma * (d * d / (two_var * var) - 1.0 / two_var)
+    if log_space:
+        new_var = np.exp(np.minimum(np.log(var) + eta_var * g_var * var, 700.0))
+    else:
+        new_var = var + eta_var * g_var
+    mu += eta_mu * g_mu
+    np.maximum(var_floor, new_var, out=var)
+
+
+def _unfused_map_assignment(resp):
+    return int(np.asarray(resp, dtype=float).argmax()) + 1
+
+
+def _unfused_step(table, x, prior, var_floor=_FLOOR, log_space=False):
+    """Reference for em_step: the unfused sequence of an E-step, an M-step
+    and the MAP class of a second E-step, each written out on its own,
+    which em_step must reproduce bit for bit."""
+    with np.errstate(over="raise", invalid="raise"):
+        resp = _unfused_e_step(x, prior, table)
+        _unfused_m_step(table, x, resp, var_floor, log_space)
+        z_star = _unfused_map_assignment(_unfused_e_step(x, prior, table))
+    return resp, z_star
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.lists(_class, min_size=1, max_size=8),
+    st.floats(min_value=-5, max_value=5),
+    st.booleans(),
+    st.booleans(),
+    st.data(),
+)
+def test_em_step_equals_unfused_sequence(params, x, log_space, candidate, data):
+    k = len(params) + candidate
+    weights = data.draw(st.lists(st.floats(0.01, 1.0), min_size=k, max_size=k))
+    prior = np.array(weights) / sum(weights)
+    ref, fused = _table(*params), _table(*params)
+    if candidate:
+        policy = CandidatePolicy(var_init=data.draw(st.sampled_from([_FLOOR, 1.5 * _FLOOR, 1.0])))
+        for table in (ref, fused):
+            spawn_candidate(table, x, policy, eta_init=(1.0, 0.02), born_at=9)
+    before = fused.live().copy()
+    try:
+        ref_resp, ref_z = _unfused_step(ref, x, prior, log_space=log_space)
+    except FloatingPointError:
+        with pytest.raises(FloatingPointError):
+            em_step(fused, x, prior, var_floor=_FLOOR, log_space=log_space)
+        assert np.array_equal(fused.live(), before)
+        return
+    resp, z_star = em_step(fused, x, prior, var_floor=_FLOOR, log_space=log_space)
+    assert np.array_equal(resp, ref_resp)
+    assert np.array_equal(fused.live(), ref.live())
+    assert z_star == ref_z
+
+
+def test_em_step_exact_tie_goes_to_existing_class():
+    # The candidate is spawned as an exact copy of the one existing class
+    # and the prior splits evenly, so the two post-update scores are equal.
+    table = _table(_p(mu=0.25, var=1.0, eta_mu=1.0, eta_var=0.02))
+    spawn_candidate(table, 0.25, CandidatePolicy(), eta_init=(1.0, 0.02))
+    ref = _table(*table.params())
+    resp, z_star = em_step(table, 0.25, [0.5, 0.5])
+    assert resp.tolist() == [0.5, 0.5]
+    assert np.array_equal(table.live()[:, 0], table.live()[:, 1])
+    assert z_star == 1
+    assert _unfused_step(ref, 0.25, [0.5, 0.5])[1] == 1
+
+
+@pytest.mark.parametrize(
+    "x, eta_mu",
+    [
+        # overflows the first scoring, before any update is computed
+        (1e200, 1.0),
+        # a huge mean step overflows the post-update scoring
+        (1e150, 1e6),
+    ],
+)
+def test_em_step_overflow_leaves_table_unchanged(x, eta_mu):
+    table = _table(_p(eta_mu=eta_mu), _p(mu=3.0, var=2.0, eta_mu=eta_mu))
+    before = table.live().copy()
+    with pytest.raises(FloatingPointError):
+        em_step(table, x, [0.5, 0.5])
+    assert np.array_equal(table.live(), before)
+
+
+def test_em_step_map_examples():
+    # Identical classes at x differ only through the prior, and the larger
+    # responsibility shrinks its variance more, so the MAP class follows the
+    # prior; an exact tie goes to the lowest class id.
+    def z(prior):
+        return em_step(_table(*(_p(mu=0.4) for _ in prior)), 0.4, prior)[1]
+
+    assert z([0.2, 0.7, 0.1]) == 2
+    assert z([0.5, 0.5]) == 1
+    assert z([1.0]) == 1
+
+
+def test_em_step_map_scale_invariance():
     rng = np.random.default_rng(1)
     for _ in range(20):
         r = rng.uniform(0.01, 1.0, 5)
-        assert map_assignment(r / r.sum()) == map_assignment(3.7 * r / r.sum())
+        mus, variances = rng.normal(0, 2, 5), rng.uniform(0.5, 2, 5)
+        params = [_p(mu=float(m), var=float(v)) for m, v in zip(mus, variances)]
+        x = float(rng.normal())
+        z_unit = em_step(_table(*params), x, r / r.sum())[1]
+        assert em_step(_table(*params), x, 3.7 * r / r.sum())[1] == z_unit
 
 
-def test_map_assignment_empty():
+def test_em_step_empty_table():
     with pytest.raises(ContractViolation):
-        map_assignment([])
+        em_step(ClassTable(), 0.0, [])
