@@ -3,7 +3,7 @@ hierarchy, with fixed-K and raw-observation baselines."""
 
 __version__ = "0.1.0"
 
-from .crp import CrpState, LabelCounts, sample_class, sequence_probability
+from .crp import CrpState, LabelCounts, sequence_probability
 from .detector import (
     Detector,
     DetectorConfig,
@@ -11,9 +11,7 @@ from .detector import (
     RunResult,
     SparsePosterior,
     StepOutput,
-    baseline_predictive,
     fixed_k_run_predictive,
-    nig_update,
     run,
 )
 from .emission import (
@@ -35,6 +33,7 @@ from .oracles import (
     brute_force_joint_by_segments,
     finite_difference,
     gen_piecewise_gaussian,
+    nig_update,
 )
 from .runlength import (
     ChangePointRule,
@@ -42,7 +41,6 @@ from .runlength import (
     PrunePolicy,
     RunLengthState,
     detect_changepoints,
-    map_runlength,
     normalize_posterior,
     prune,
     recursion_step,
@@ -70,7 +68,6 @@ __all__ = [
     "SegmentSpec",
     "SparsePosterior",
     "StepOutput",
-    "baseline_predictive",
     "brute_force_joint",
     "brute_force_joint_by_segments",
     "decay_rates",
@@ -83,13 +80,11 @@ __all__ = [
     "gaussian_gradients",
     "gen_piecewise_gaussian",
     "m_step",
-    "map_runlength",
     "nig_update",
     "normalize_posterior",
     "prune",
     "recursion_step",
     "run",
-    "sample_class",
     "sequence_probability",
     "spawn_candidate",
 ]

@@ -13,20 +13,12 @@ import sys
 import time
 from dataclasses import dataclass
 from pathlib import Path
+from typing import Callable, NamedTuple
 
 import numpy as np
 
 from . import __version__
-from .detector import (
-    CandidatePolicy,
-    ChangePointRule,
-    DetectorConfig,
-    HazardConfig,
-    NigParams,
-    PrunePolicy,
-    RunResult,
-    run,
-)
+from .detector import DetectorConfig, RunResult, run
 from .errors import ConfigError, ContractViolation, InputError
 from .oracles import SegmentSpec, gen_piecewise_gaussian
 
@@ -58,61 +50,56 @@ def _parse_candidate_mu(s: str):
     return float(s)
 
 
-_CONFIG_PARSERS = {
-    "mode": str,
-    "alpha": float,
-    "lambda": float,
-    "k_fixed": int,
-    "beta": float,
-    "eta_mu": float,
-    "eta_sigma": float,
-    "decay": float,
-    "var_floor": float,
-    "log_var_update": _parse_bool,
-    "candidate_mu": _parse_candidate_mu,
-    "candidate_var": float,
-    "prune_epsilon": float,
-    "prune_top_m": int,
-    "cp_mode": str,
-    "cp_drop_fraction": float,
-    "cp_mass_window": int,
-    "cp_mass_threshold": float,
-    "baseline_mu0": float,
-    "baseline_kappa0": float,
-    "baseline_a0": float,
-    "baseline_b0": float,
-    "seed": int,
+# How a parsed value is written back; a parser not listed here uses str.
+_FORMATS = {
+    float: _fmt,
+    _parse_bool: lambda v: "true" if v else "false",
+    _parse_candidate_mu: lambda v: "at-observation" if v is None else _fmt(v),
 }
+
+
+class _Key(NamedTuple):
+    """One config key: its parser, the ``DetectorConfig`` field it sets and,
+    for a nested field, the attribute (or tuple index) inside it."""
+
+    parse: Callable[[str], object]
+    field: str
+    part: str | int | None = None
+
+
+# In manifest order. Defaults are read from ``DetectorConfig()``, and the
+# ``run`` flags' argparse dests are these keys.
+_KEYS = {
+    "mode": _Key(str, "mode"),
+    "alpha": _Key(float, "alpha"),
+    "lambda": _Key(float, "hazard", "lam"),
+    "k_fixed": _Key(int, "k_fixed"),
+    "beta": _Key(float, "dirichlet_beta"),
+    "eta_mu": _Key(float, "eta_init", 0),
+    "eta_sigma": _Key(float, "eta_init", 1),
+    "decay": _Key(float, "decay"),
+    "var_floor": _Key(float, "var_floor"),
+    "log_var_update": _Key(_parse_bool, "log_var_update"),
+    "candidate_mu": _Key(_parse_candidate_mu, "candidate", "mu0"),
+    "candidate_var": _Key(float, "candidate", "var_init"),
+    "prune_epsilon": _Key(float, "prune", "epsilon"),
+    "prune_top_m": _Key(int, "prune", "max_live"),
+    "cp_mode": _Key(str, "cp_rule", "mode"),
+    "cp_drop_fraction": _Key(float, "cp_rule", "drop_fraction"),
+    "cp_mass_window": _Key(int, "cp_rule", "mass_window"),
+    "cp_mass_threshold": _Key(float, "cp_rule", "mass_threshold"),
+    "baseline_mu0": _Key(float, "baseline", "mu"),
+    "baseline_kappa0": _Key(float, "baseline", "kappa"),
+    "baseline_a0": _Key(float, "baseline", "a"),
+    "baseline_b0": _Key(float, "baseline", "b"),
+    "seed": _Key(int, "seed"),
+}
+
+_PRUNE_KEYS = {k for k, key in _KEYS.items() if key.field == "prune"}
 
 # Keys a manifest may carry beyond the config snapshot; recognized so a
 # manifest can be fed back as a config file unchanged.
 _INFO_KEYS = ("input", "output_dir", "tool_version", "duration_seconds")
-
-_DEFAULTS = {
-    "mode": "infinite",
-    "alpha": 1.0,
-    "lambda": 1e6,
-    "k_fixed": 10,
-    "beta": 1.0,
-    "eta_mu": 1.0,
-    "eta_sigma": 0.02,
-    "decay": 0.02,
-    "var_floor": 1e-6,
-    "log_var_update": False,
-    "candidate_mu": None,
-    "candidate_var": 1.0,
-    "prune_epsilon": 0.0,
-    "prune_top_m": 0,
-    "cp_mode": "map-drop",
-    "cp_drop_fraction": 0.5,
-    "cp_mass_window": 0,
-    "cp_mass_threshold": 0.5,
-    "baseline_mu0": 0.0,
-    "baseline_kappa0": 1.0,
-    "baseline_a0": 1.0,
-    "baseline_b0": 1.0,
-    "seed": 0,
-}
 
 
 def _read_kv_file(path) -> dict:
@@ -132,9 +119,9 @@ def _read_kv_file(path) -> dict:
         key, val = key.strip(), val.strip()
         if key in _INFO_KEYS:
             info[key] = val
-        elif key in _CONFIG_PARSERS:
+        elif key in _KEYS:
             try:
-                values[key] = _CONFIG_PARSERS[key](val)
+                values[key] = _KEYS[key].parse(val)
             except ConfigError:
                 raise
             except ValueError as exc:
@@ -144,75 +131,48 @@ def _read_kv_file(path) -> dict:
     return values | {f"@{k}": v for k, v in info.items()}
 
 
+def _config_values(cfg: DetectorConfig) -> dict:
+    """Every key's value in a config."""
+    values = {}
+    for key, (_, field, part) in _KEYS.items():
+        v = getattr(cfg, field)
+        if isinstance(part, int):
+            v = v[part]
+        elif part is not None:
+            v = getattr(v, part)
+        values[key] = v
+    return values
+
+
 def _build_config(values: dict) -> DetectorConfig:
     eps, top_m = values["prune_epsilon"], values["prune_top_m"]
-    if eps < 0 or top_m < 0:
+    if not (eps >= 0 and top_m >= 0):
         raise ConfigError("prune settings must be non-negative (0 disables)")
     if eps > 0 and top_m > 0:
         raise ConfigError("prune_epsilon and prune_top_m are mutually exclusive")
-    if eps > 0:
-        prune = PrunePolicy.threshold(eps)
-    elif top_m > 0:
-        prune = PrunePolicy.top_m(top_m)
-    else:
-        prune = PrunePolicy.none()
-    return DetectorConfig(
-        mode=values["mode"],
-        alpha=values["alpha"],
-        k_fixed=values["k_fixed"],
-        dirichlet_beta=values["beta"],
-        hazard=HazardConfig(values["lambda"]),
-        candidate=CandidatePolicy(mu0=values["candidate_mu"], var_init=values["candidate_var"]),
-        eta_init=(values["eta_mu"], values["eta_sigma"]),
-        decay=values["decay"],
-        var_floor=values["var_floor"],
-        log_var_update=values["log_var_update"],
-        prune=prune,
-        cp_rule=ChangePointRule(
-            mode=values["cp_mode"],
-            drop_fraction=values["cp_drop_fraction"],
-            mass_window=values["cp_mass_window"],
-            mass_threshold=values["cp_mass_threshold"],
-        ),
-        baseline=NigParams(
-            mu=values["baseline_mu0"],
-            kappa=values["baseline_kappa0"],
-            a=values["baseline_a0"],
-            b=values["baseline_b0"],
-        ),
-        seed=values["seed"],
-    )
+    kind = "threshold" if eps > 0 else "top-m" if top_m > 0 else "none"
+
+    fields: dict = {"prune": {"kind": kind}}
+    for key, (_, field, part) in _KEYS.items():
+        if part is None:
+            fields[field] = values[key]
+        else:
+            fields.setdefault(field, {})[part] = values[key]
+    default = DetectorConfig()
+    for field, parts in fields.items():
+        if isinstance(parts, dict):
+            nested = getattr(default, field)
+            if isinstance(nested, tuple):
+                fields[field] = tuple(parts[i] for i in sorted(parts))
+            else:
+                fields[field] = type(nested)(**parts)
+    return DetectorConfig(**fields)
 
 
 def config_to_items(cfg: DetectorConfig) -> list[tuple[str, str]]:
     """Config snapshot as ordered key=value pairs (manifest/config format)."""
-    prune_eps = cfg.prune.epsilon if cfg.prune.kind == "threshold" else 0.0
-    prune_top = cfg.prune.max_live if cfg.prune.kind == "top-m" else 0
-    cand_mu = "at-observation" if cfg.candidate.mu0 is None else _fmt(cfg.candidate.mu0)
     return [
-        ("mode", cfg.mode),
-        ("alpha", _fmt(cfg.alpha)),
-        ("lambda", _fmt(cfg.hazard.lam)),
-        ("k_fixed", str(cfg.k_fixed)),
-        ("beta", _fmt(cfg.dirichlet_beta)),
-        ("eta_mu", _fmt(cfg.eta_init[0])),
-        ("eta_sigma", _fmt(cfg.eta_init[1])),
-        ("decay", _fmt(cfg.decay)),
-        ("var_floor", _fmt(cfg.var_floor)),
-        ("log_var_update", "true" if cfg.log_var_update else "false"),
-        ("candidate_mu", cand_mu),
-        ("candidate_var", _fmt(cfg.candidate.var_init)),
-        ("prune_epsilon", _fmt(prune_eps)),
-        ("prune_top_m", str(prune_top)),
-        ("cp_mode", cfg.cp_rule.mode),
-        ("cp_drop_fraction", _fmt(cfg.cp_rule.drop_fraction)),
-        ("cp_mass_window", str(cfg.cp_rule.mass_window)),
-        ("cp_mass_threshold", _fmt(cfg.cp_rule.mass_threshold)),
-        ("baseline_mu0", _fmt(cfg.baseline.mu)),
-        ("baseline_kappa0", _fmt(cfg.baseline.kappa)),
-        ("baseline_a0", _fmt(cfg.baseline.a)),
-        ("baseline_b0", _fmt(cfg.baseline.b)),
-        ("seed", str(cfg.seed)),
+        (key, _FORMATS.get(_KEYS[key].parse, str)(v)) for key, v in _config_values(cfg).items()
     ]
 
 
@@ -220,23 +180,28 @@ def parse_config(overrides: dict | None = None, config_file=None, cli_defaults: 
     """Resolve the effective configuration: flags override the file, the
     file overrides defaults. Unknown file keys are an error.
 
+    ``cli_defaults`` replace the ``DetectorConfig()`` defaults of the prune
+    keys, and apply only when neither prune key is set by the file or a
+    flag: the two keys choose one policy together.
+
     Returns ``(config, info)`` where ``info`` carries any informational
     keys found in the file (input path and the like).
     """
-    values = dict(_DEFAULTS)
-    if cli_defaults:
-        values.update(cli_defaults)
+    given = {}
     info = {}
     if config_file is not None:
         raw = _read_kv_file(config_file)
         info = {k[1:]: v for k, v in raw.items() if k.startswith("@")}
-        values.update({k: v for k, v in raw.items() if not k.startswith("@")})
+        given = {k: v for k, v in raw.items() if not k.startswith("@")}
     for key, val in (overrides or {}).items():
-        if key not in _CONFIG_PARSERS:
+        if key not in _KEYS:
             raise ConfigError(f"unknown configuration key {key!r}")
         if val is not None:
-            values[key] = val
-    return _build_config(values), info
+            given[key] = val
+    values = _config_values(DetectorConfig())
+    if cli_defaults and not _PRUNE_KEYS & given.keys():
+        values.update(cli_defaults)
+    return _build_config(values | given), info
 
 
 # ---------------------------------------------------------------------------
@@ -474,19 +439,7 @@ def render_svg(result: RunResult, outdir) -> Path:
 
 
 def _cmd_run(args) -> int:
-    overrides = {
-        "mode": args.mode,
-        "alpha": args.alpha,
-        "lambda": args.lam,
-        "k_fixed": args.k,
-        "beta": args.beta,
-        "eta_mu": args.eta_mu,
-        "eta_sigma": args.eta_sigma,
-        "decay": args.decay,
-        "var_floor": args.var_floor,
-        "prune_epsilon": args.prune,
-        "seed": args.seed,
-    }
+    overrides = {k: v for k, v in vars(args).items() if k in _KEYS}
     cfg, info = parse_config(
         overrides, args.config, cli_defaults={"prune_epsilon": CLI_DEFAULT_PRUNE_EPSILON}
     )
@@ -604,14 +557,21 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--config", help="key=value config file (a manifest also works)")
     p.add_argument("--mode", choices=["infinite", "fixed-k", "baseline"])
     p.add_argument("--alpha", type=float)
-    p.add_argument("--lambda", dest="lam", type=float, help="expected run length of the hazard prior")
-    p.add_argument("--k", type=int, help="class count in fixed-k mode")
+    p.add_argument(
+        "--lambda", dest="lambda", type=float, help="expected run length of the hazard prior"
+    )
+    p.add_argument("--k", dest="k_fixed", type=int, help="class count in fixed-k mode")
     p.add_argument("--beta", type=float, help="Dirichlet smoothing in fixed-k mode")
     p.add_argument("--eta-mu", dest="eta_mu", type=float)
     p.add_argument("--eta-sigma", dest="eta_sigma", type=float)
     p.add_argument("--decay", type=float)
     p.add_argument("--var-floor", dest="var_floor", type=float)
-    p.add_argument("--prune", type=float, help="posterior-mass pruning threshold (0 disables)")
+    p.add_argument(
+        "--prune",
+        dest="prune_epsilon",
+        type=float,
+        help="posterior-mass pruning threshold (0 disables)",
+    )
     p.add_argument("--seed", type=int)
     p.add_argument("--out", default="streamcpd_out", help="output directory")
     p.add_argument("--svg", action="store_true", help="also render trace.svg")

@@ -138,10 +138,6 @@ class CrpState:
         num = np.where(w > 0, w.astype(float), self.alpha)
         return num / (runs + self.alpha)
 
-    def run_predictive(self, r: int, k: int) -> float:
-        """Scalar form of :meth:`run_predictive_many`."""
-        return float(self.run_predictive_many(np.array([r]), k)[0])
-
     def record_assignment(self, k: int) -> None:
         """Record the MAP label for this step; opens class K+1 if k is new."""
         if not (1 <= k <= self.k_current + 1):
@@ -160,20 +156,6 @@ class CrpState:
     def counts(self) -> np.ndarray:
         """Current per-class totals m_1..m_K."""
         return self._counts.totals(self.k_current)
-
-
-def sample_class(predictive: np.ndarray, rng: np.random.Generator) -> int:
-    """Categorical draw from a predictive vector; 1-based class id.
-
-    Deterministic given the generator's seed and stream position.
-    """
-    p = np.asarray(predictive, dtype=float)
-    if p.size == 0 or np.any(p < 0) or abs(float(p.sum()) - 1.0) > 1e-12:
-        raise ContractViolation("predictive must be a probability vector (sum 1 within 1e-12)")
-    cdf = np.cumsum(p)
-    u = rng.random()
-    k = int(np.searchsorted(cdf, u, side="right")) + 1
-    return min(k, p.size)
 
 
 def sequence_probability(labels, alpha: float) -> float:

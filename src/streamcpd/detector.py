@@ -1,18 +1,29 @@
 """End-to-end streaming detector.
 
-Three modes share one trellis code path and differ only in the predictive
-they feed it. The two latent modes also share one emission step, a single
-SGD-EM pass over one :class:`ClassTable` (E-step, M-step and MAP assignment
-from shared intermediates, committed only on success) plus the winner's rate
-decay, and differ only in the class prior, whether a candidate column is
-spawned, and the window predictive:
+One run-length recursion, fed by a predictive model chosen once per mode
+(the "underlying predictive model" of Adams & MacKay, 2007):
 
-- ``infinite``: latent classes under a CRP; a candidate class is spawned
-  every step and kept only if the MAP assignment picks it.
-- ``fixed-k``: a fixed set of K classes with a symmetric Dirichlet prior on
-  the class probabilities (posterior predictive with additive smoothing).
-- ``baseline``: no latent layer; the trellis runs on raw observations with
-  a Normal-Inverse-Gamma conjugate model (Student-t predictive).
+- ``infinite`` (:class:`InfiniteModel`): latent classes under a CRP; a
+  candidate class is spawned every step and kept only if the MAP assignment
+  picks it. Predictive: the CRP window predictive of the MAP labels.
+- ``fixed-k`` (:class:`FixedKModel`): K fixed classes under a symmetric
+  Dirichlet prior. Predictive: the Dirichlet-categorical window predictive.
+- ``baseline`` (:class:`BaselineModel`): no latent layer. Predictive: the
+  Normal-Inverse-Gamma Student-t on the raw observations.
+
+A model has ``predict(x, t, run_lengths) -> (log_psi, log_psi_reset, z_star,
+k_t, resp)``, the log predictive of observation x at step t under every live
+hypothesis and under a reset; ``commit(z_star)``, called once the trellis
+step has succeeded; and ``keep``: None, or ``keep(before, kept)`` after
+pruning dropped hypotheses, for a model with one column per hypothesis (the
+baseline). So :meth:`Detector.step` is one body for every mode: predict,
+``recursion_step``, readout, commit, prune, keep.
+
+The two latent models share one emission step, a single SGD-EM pass over one
+:class:`ClassTable` (E-step, M-step and MAP assignment from shared
+intermediates, committed only on success) plus the winner's rate decay, and
+differ only in the class prior, whether a candidate column is spawned, and
+the window predictive.
 
 The baseline keeps one column per live run-length hypothesis in a ``(5,
 n)`` struct-of-arrays table, aligned with ``RunLengthState.run_lengths``:
@@ -79,19 +90,10 @@ class NigParams:
     b: float = 1.0
 
     def __post_init__(self):
-        if not (self.kappa > 0 and self.a > 0 and self.b > 0):
-            raise ConfigError("NIG kappa, a, b must all be positive")
-
-
-def nig_update(p: NigParams, x: float) -> NigParams:
-    """Conjugate update with one observation."""
-    kappa = p.kappa + 1.0
-    return NigParams(
-        mu=(p.kappa * p.mu + x) / kappa,
-        kappa=kappa,
-        a=p.a + 0.5,
-        b=p.b + p.kappa * (x - p.mu) ** 2 / (2.0 * kappa),
-    )
+        if not math.isfinite(self.mu):
+            raise ConfigError(f"NIG mu must be finite, got {self.mu!r}")
+        if not all(0.0 < v < math.inf for v in (self.kappa, self.a, self.b)):
+            raise ConfigError("NIG kappa, a, b must all be positive and finite")
 
 
 def _nig_row(p: NigParams) -> np.ndarray:
@@ -135,15 +137,6 @@ def _nig_grow(nig: np.ndarray, x: float, prior: np.ndarray) -> np.ndarray:
     return out
 
 
-def baseline_predictive(x: float, p: NigParams) -> float:
-    """Predictive density of x under a NIG state (prior or posterior).
-
-    With an empty window this is the prior predictive: a Student-t with
-    2*a degrees of freedom.
-    """
-    return float(np.exp(_student_t_logpdf(x, _nig_row(p)[:, None])[0]))
-
-
 def _fixed_k_offsets(k_fixed: int) -> list[float]:
     """Standard normal quantiles at i / (k_fixed + 1), i = 1..k_fixed: where
     the fixed-k class means start, in prior standard deviations from the
@@ -182,20 +175,24 @@ class DetectorConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.mode not in ("infinite", "fixed-k", "baseline"):
+        if self.mode not in _MODELS:
             raise ConfigError(f"unknown mode {self.mode!r}")
-        if not (self.alpha > 0):
-            raise ConfigError(f"alpha must be positive, got {self.alpha!r}")
+        if not (0.0 < self.alpha < math.inf):
+            raise ConfigError(f"alpha must be positive and finite, got {self.alpha!r}")
         if self.k_fixed < 1:
             raise ConfigError(f"k_fixed must be >= 1, got {self.k_fixed!r}")
-        if not (self.dirichlet_beta > 0):
-            raise ConfigError(f"dirichlet beta must be positive, got {self.dirichlet_beta!r}")
-        if not (self.eta_init[0] > 0 and self.eta_init[1] > 0):
-            raise ConfigError("initial learning rates must be positive")
+        if not (0.0 < self.dirichlet_beta < math.inf):
+            raise ConfigError(
+                f"dirichlet beta must be positive and finite, got {self.dirichlet_beta!r}"
+            )
+        if not all(0.0 < eta < math.inf for eta in self.eta_init):
+            raise ConfigError(
+                f"initial learning rates must be positive and finite, got {self.eta_init!r}"
+            )
         if not (0.0 < self.decay < 1.0):
             raise ConfigError(f"decay must lie in (0, 1), got {self.decay!r}")
-        if not (self.var_floor > 0):
-            raise ConfigError(f"var_floor must be positive, got {self.var_floor!r}")
+        if not (0.0 < self.var_floor < math.inf):
+            raise ConfigError(f"var_floor must be positive and finite, got {self.var_floor!r}")
         if not (isinstance(self.seed, int) and self.seed >= 0):
             raise ConfigError(f"seed must be a non-negative integer, got {self.seed!r}")
 
@@ -230,40 +227,18 @@ class RunResult:
     series: np.ndarray
 
 
-class Detector:
-    """Single-writer streaming detector; feed observations via :meth:`step`.
+class _LatentModel:
+    """What the two latent models share: the class table and its emission
+    step. They hold nothing per run-length hypothesis, so pruning needs no
+    hook."""
 
-    Deterministic given (config, series): no step draws a random number,
-    so ``DetectorConfig.seed`` does not change the outputs.
-    """
+    keep = None
 
-    def __init__(self, cfg: DetectorConfig):
+    def __init__(self, cfg: DetectorConfig, table: ClassTable | None):
         self.cfg = cfg
-        self.rl = RunLengthState.initial()
-        self.t = 0
-        self._prev_r_star: int | None = None
-        self._table: ClassTable | None = None
-        self.crp: CrpState | None = None
-        self.counts: LabelCounts | None = None
-        self._nig: np.ndarray | None = None
-        if cfg.mode == "infinite":
-            self.crp = CrpState(cfg.alpha)
-            self._table = ClassTable()
-        elif cfg.mode == "fixed-k":
-            self.counts = LabelCounts(cfg.k_fixed)
-        else:
-            self._prior = _nig_row(cfg.baseline)
-            self._nig = self._prior[:, None].copy()
+        self.table = table
 
-    @property
-    def params(self) -> list[EmissionParams] | None:
-        """The live classes' parameters (a fresh list of records), or None
-        in baseline mode and before the first fixed-k step."""
-        return None if self._table is None else self._table.params()
-
-    # -- mode bodies --------------------------------------------------
-
-    def _emission_step(self, x: float, prior, candidate: bool) -> tuple[np.ndarray, int]:
+    def _emission_step(self, x: float, t: int, prior, candidate: bool) -> tuple[np.ndarray, int]:
         """One SGD-EM step over the class table, then the winner's rate
         decay; with ``candidate`` a fresh class is spawned into the last
         column first and kept only if the MAP assignment picks it. Returns
@@ -271,11 +246,11 @@ class Detector:
         overflows the arithmetic raises ``InputError`` and leaves the table
         as it was."""
         cfg = self.cfg
-        table = self._table
+        table = self.table
         k_prev = table.n
         if candidate:
             spawn_candidate(
-                table, x, cfg.candidate, cfg.eta_init, born_at=self.t + 1, var_floor=cfg.var_floor
+                table, x, cfg.candidate, cfg.eta_init, born_at=t, var_floor=cfg.var_floor
             )
         try:
             resp, z_star = em_step(
@@ -284,119 +259,157 @@ class Detector:
         except FloatingPointError:
             table.n = k_prev
             raise InputError(
-                f"observation at t={self.t + 1} overflows the emission model: {x!r}"
+                f"observation at t={t} overflows the emission model: {x!r}"
             ) from None
         if z_star <= k_prev:
             table.n = k_prev
         decay_rates(table, z_star, cfg.decay)
         return resp, z_star
 
-    def _step_infinite(self, x: float) -> StepOutput:
+
+class InfiniteModel(_LatentModel):
+    """``infinite``: classes under a CRP, and the CRP window predictive of
+    the MAP labels; the reset predictive is 1."""
+
+    def __init__(self, cfg: DetectorConfig):
+        super().__init__(cfg, ClassTable())
+        self.crp = CrpState(cfg.alpha)
+
+    def predict(self, x: float, t: int, run_lengths: np.ndarray):
         crp = self.crp
-        resp, z_star = self._emission_step(x, crp.global_predictive(), candidate=True)
-        psi = crp.run_predictive_many(self.rl.run_lengths, z_star)
-        out = self._finish(np.log(psi), 0.0, z_star, self._table.n, resp)
-        crp.record_assignment(z_star)
-        return out
+        resp, z_star = self._emission_step(x, t, crp.global_predictive(), candidate=True)
+        log_psi = np.log(crp.run_predictive_many(run_lengths, z_star))
+        return log_psi, 0.0, z_star, self.table.n, resp
 
-    def _init_fixed_classes(self, x: float) -> ClassTable:
-        # Class means fan out around the first observation at normal
-        # quantiles; deterministic, and breaks the symmetry that would
-        # otherwise keep all K classes identical forever.
-        cfg = self.cfg
-        var0 = max(cfg.var_floor, cfg.candidate.var_init)
-        return ClassTable.from_params(
-            EmissionParams(
-                mu=float(x + math.sqrt(var0) * o),
-                var=var0,
-                eta_mu=cfg.eta_init[0],
-                eta_var=cfg.eta_init[1],
-                born_at=1,
-            )
-            for o in _fixed_k_offsets(cfg.k_fixed)
-        )
+    def commit(self, z_star: int) -> None:
+        self.crp.record_assignment(z_star)
 
-    def _step_fixed_k(self, x: float) -> StepOutput:
+
+class FixedKModel(_LatentModel):
+    """``fixed-k``: K classes under a symmetric Dirichlet prior, and the
+    Dirichlet-categorical window predictive of the MAP labels; the reset
+    predictive is 1/K. The table is built at the first observation."""
+
+    def __init__(self, cfg: DetectorConfig):
+        super().__init__(cfg, None)
+        self.counts = LabelCounts(cfg.k_fixed)
+
+    def predict(self, x: float, t: int, run_lengths: np.ndarray):
         cfg = self.cfg
         lc = self.counts
         kf, beta = cfg.k_fixed, cfg.dirichlet_beta
-        if self._table is None:
-            self._table = self._init_fixed_classes(x)
+        if self.table is None:
+            # Class means fan out around the first observation at normal
+            # quantiles; deterministic, and breaks the symmetry that would
+            # otherwise keep all K classes identical forever.
+            var0 = max(cfg.var_floor, cfg.candidate.var_init)
+            self.table = ClassTable(kf)
+            for o in _fixed_k_offsets(kf):
+                self.table.push(float(x + math.sqrt(var0) * o), var0, *cfg.eta_init, born_at=1)
 
         prior = (lc.totals(kf).astype(float) + beta) / (lc.t + kf * beta)
-        resp, z_star = self._emission_step(x, prior, candidate=False)
+        resp, z_star = self._emission_step(x, t, prior, candidate=False)
 
-        w = lc.window_counts(z_star, self.rl.run_lengths)
-        psi = fixed_k_run_predictive(w, self.rl.run_lengths, z_star, kf, beta)
-        out = self._finish(np.log(psi), math.log(1.0 / kf), z_star, kf, resp)
-        lc.record(z_star)
-        return out
+        w = lc.window_counts(z_star, run_lengths)
+        log_psi = np.log(fixed_k_run_predictive(w, run_lengths, z_star, kf, beta))
+        return log_psi, math.log(1.0 / kf), z_star, kf, resp
 
-    def _step_baseline(self, x: float) -> StepOutput:
+    def commit(self, z_star: int) -> None:
+        self.counts.record(z_star)
+
+
+class BaselineModel:
+    """``baseline``: the Student-t predictive of each live hypothesis's NIG
+    posterior, from the column table ``nig`` (layout in the module
+    docstring). ``predict`` builds the next table and ``commit`` installs
+    it; ``keep`` drops the columns of pruned hypotheses."""
+
+    table = None
+
+    def __init__(self, cfg: DetectorConfig):
+        self.prior = _nig_row(cfg.baseline)
+        self.nig = self.prior[:, None].copy()
+        self._grown = None
+
+    def predict(self, x: float, t: int, run_lengths: np.ndarray):
         # An observation that overflows the NIG arithmetic (|x - mu| near
         # 1e154) would leave an inf or NaN column behind; it raises
         # DegenerateStateError instead and leaves the detector as it was.
         try:
             with np.errstate(over="raise", invalid="raise"):
-                log_psi = _student_t_logpdf(x, self._nig)
-                nig = _nig_grow(self._nig, x, self._prior)
+                log_psi = _student_t_logpdf(x, self.nig)
+                self._grown = _nig_grow(self.nig, x, self.prior)
         except FloatingPointError:
             raise DegenerateStateError(
-                f"observation at t={self.t + 1} overflows the baseline model: {x!r}"
+                f"observation at t={t} overflows the baseline model: {x!r}"
             ) from None
         # Column 0 is the prior, so log_psi[0] is the empty-window (reset)
         # predictive.
-        out = self._finish(log_psi, float(log_psi[0]), 1, 1, np.ones(1))
-        self._nig = nig
-        return out
+        return log_psi, float(log_psi[0]), 1, 1, np.ones(1)
 
-    # -- shared trellis tail -------------------------------------------
+    def commit(self, z_star: int) -> None:
+        self.nig = self._grown
 
-    def _finish(self, log_psi, log_psi_reset, z_star, k_t, resp) -> StepOutput:
-        self.rl = recursion_step(self.rl, log_psi, self.cfg.hazard, log_psi_reset)
-        posterior = normalize_posterior(self.rl)
-        r_star = int(self.rl.run_lengths[posterior.argmax()])
-        cp = self._cp_fired(r_star, posterior)
-        keep = posterior >= _POSTERIOR_KEEP
-        out = StepOutput(
-            t=self.rl.t,
-            z_star=z_star,
-            k_t=k_t,
-            r_star=r_star,
-            responsibilities=resp,
-            rl_posterior=SparsePosterior(self.rl.run_lengths[keep], posterior[keep]),
-            cp_flag=cp,
-        )
-        self._prev_r_star = r_star
-        return out
+    def keep(self, before: np.ndarray, kept: np.ndarray) -> None:
+        self.nig = self.nig.take(before.searchsorted(kept), axis=1)
 
-    def _cp_fired(self, r_star: int, posterior: np.ndarray) -> bool:
-        rule = self.cfg.cp_rule
-        if rule.mode == "map-drop":
-            prev = self._prev_r_star
-            return prev is not None and r_star < rule.drop_fraction * prev
-        mass = float(posterior[self.rl.run_lengths <= rule.mass_window].sum())
-        return mass >= rule.mass_threshold
+
+_MODELS = {"infinite": InfiniteModel, "fixed-k": FixedKModel, "baseline": BaselineModel}
+
+
+class Detector:
+    """Single-writer streaming detector; feed observations via :meth:`step`.
+
+    ``model`` is the mode's predictive model (see the module docstring).
+    Deterministic given (config, series): no step draws a random number,
+    so ``DetectorConfig.seed`` does not change the outputs.
+    """
+
+    def __init__(self, cfg: DetectorConfig):
+        self.cfg = cfg
+        self.model = _MODELS[cfg.mode](cfg)
+        self.rl = RunLengthState.initial()
+        self.t = 0
+        self._prev_r_star: int | None = None
+
+    @property
+    def params(self) -> list[EmissionParams] | None:
+        """The live classes' parameters (a fresh list of records), or None
+        in baseline mode and before the first fixed-k step."""
+        table = self.model.table
+        return None if table is None else table.params()
 
     def step(self, x: float) -> StepOutput:
         """Consume one observation and return this step's outputs."""
         x = float(x)
+        t = self.t + 1
         if not math.isfinite(x):
-            raise InputError(f"observation at t={self.t + 1} is not finite: {x!r}")
-        if self.cfg.mode == "infinite":
-            out = self._step_infinite(x)
-        elif self.cfg.mode == "fixed-k":
-            out = self._step_fixed_k(x)
-        else:
-            out = self._step_baseline(x)
+            raise InputError(f"observation at t={t} is not finite: {x!r}")
+        cfg, model = self.cfg, self.model
+        log_psi, log_psi_reset, z_star, k_t, resp = model.predict(x, t, self.rl.run_lengths)
 
-        if self.cfg.prune.kind != "none":
-            before = self.rl.run_lengths
-            self.rl = prune(self.rl, self.cfg.prune)
-            kept = self.rl.run_lengths
-            if self._nig is not None and kept.size < before.size:
-                self._nig = self._nig.take(before.searchsorted(kept), axis=1)
-        self.t += 1
+        rl = self.rl = recursion_step(self.rl, log_psi, cfg.hazard, log_psi_reset)
+        runs = rl.run_lengths
+        posterior = normalize_posterior(rl)
+        r_star = int(runs[posterior.argmax()])
+        shown = posterior >= _POSTERIOR_KEEP
+        out = StepOutput(
+            t=t,
+            z_star=z_star,
+            k_t=k_t,
+            r_star=r_star,
+            responsibilities=resp,
+            rl_posterior=SparsePosterior(runs[shown], posterior[shown]),
+            cp_flag=cfg.cp_rule.fires(self._prev_r_star, r_star, runs, posterior),
+        )
+        model.commit(z_star)
+        self._prev_r_star = r_star
+
+        if cfg.prune.kind != "none":
+            self.rl = prune(rl, cfg.prune)
+            if model.keep is not None and self.rl.run_lengths.size < runs.size:
+                model.keep(runs, self.rl.run_lengths)
+        self.t = t
         return out
 
 

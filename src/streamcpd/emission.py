@@ -112,8 +112,12 @@ class CandidatePolicy:
     var_init: float = 1.0
 
     def __post_init__(self):
-        if not (self.var_init > 0.0):
-            raise ConfigError(f"candidate var_init must be positive, got {self.var_init!r}")
+        if self.mu0 is not None and not math.isfinite(self.mu0):
+            raise ConfigError(f"candidate mu0 must be finite, got {self.mu0!r}")
+        if not (0.0 < self.var_init < math.inf):
+            raise ConfigError(
+                f"candidate var_init must be positive and finite, got {self.var_init!r}"
+            )
 
 
 def emission_loglik(x: float, p: EmissionParams) -> float:

@@ -1,6 +1,7 @@
 """Test support: synthetic piecewise-stationary generators with ground
-truth, and brute-force enumerations that recompute what the recursions
-produce, independently of them."""
+truth, brute-force enumerations that recompute what the recursions produce,
+independently of them, and the scalar NIG update the baseline's column
+table is checked against."""
 
 from __future__ import annotations
 
@@ -12,6 +13,7 @@ from itertools import combinations
 
 import numpy as np
 
+from .detector import NigParams
 from .errors import ConfigError, ContractViolation
 
 _MAX_ENUM_T = 12
@@ -138,6 +140,17 @@ def brute_force_joint_by_segments(z_star_labels, alpha, lam) -> np.ndarray:
             r_final = T - (resets[-1] if resets else 0)
             buckets[r_final].append(p)
     return np.array([math.fsum(b) for b in buckets])
+
+
+def nig_update(p: NigParams, x: float) -> NigParams:
+    """Conjugate update of a NIG state with one observation."""
+    kappa = p.kappa + 1.0
+    return NigParams(
+        mu=(p.kappa * p.mu + x) / kappa,
+        kappa=kappa,
+        a=p.a + 0.5,
+        b=p.b + p.kappa * (x - p.mu) ** 2 / (2.0 * kappa),
+    )
 
 
 def finite_difference(f, point, step: float = 1e-5) -> np.ndarray:

@@ -1,5 +1,5 @@
-"""Run-length trellis: growth/reset recursion, posterior normalization, MAP
-extraction, pruning, and change-point readout.
+"""Run-length trellis: growth/reset recursion, posterior normalization,
+pruning, and the change-point rule.
 
 All weights live in log space, and so do the predictives that feed them:
 ``recursion_step`` takes the log predictive of the current observation under
@@ -194,20 +194,13 @@ def normalize_posterior(state: RunLengthState) -> np.ndarray:
     return state._posterior
 
 
-def map_runlength(posterior: np.ndarray) -> int:
-    """Index of the posterior maximum; ties break toward the smallest run
-    length (the change-sensitive choice)."""
-    posterior = np.asarray(posterior, dtype=float)
-    if posterior.size == 0:
-        raise ContractViolation("empty posterior")
-    return int(np.argmax(posterior))
-
-
 @dataclass(frozen=True)
 class PrunePolicy:
-    """Hypothesis pruning: ``none``, drop below a posterior-mass threshold,
-    or keep the top-M. Run length 0 is never pruned (of a state whose run
-    lengths ascend, as every state ``recursion_step`` builds does)."""
+    """Hypothesis pruning: ``none``, drop below a posterior-mass threshold
+    ``epsilon``, or keep the top ``max_live``. A field the kind does not use
+    must stay 0, so each policy has one form (and one manifest form). Run
+    length 0 is never pruned (of a state whose run lengths ascend, as every
+    state ``recursion_step`` builds does)."""
 
     kind: str = "none"
     epsilon: float = 0.0
@@ -220,6 +213,8 @@ class PrunePolicy:
             raise ConfigError(f"prune epsilon must lie in (0, 1), got {self.epsilon!r}")
         if self.kind == "top-m" and self.max_live < 1:
             raise ContractViolation("top-m pruning must keep at least one hypothesis")
+        if (self.kind != "threshold" and self.epsilon) or (self.kind != "top-m" and self.max_live):
+            raise ConfigError(f"{self.kind!r} pruning leaves the fields it does not use at 0")
 
     @classmethod
     def none(cls) -> "PrunePolicy":
@@ -292,9 +287,24 @@ class ChangePointRule:
         if not (0.0 < self.mass_threshold < 1.0):
             raise ConfigError(f"mass_threshold must lie in (0, 1), got {self.mass_threshold!r}")
 
+    def fires(self, prev_r_star: int | None, r_star: int, run_lengths, posterior) -> bool:
+        """Whether the rule declares a change at a step whose MAP run length
+        is ``r_star`` and whose run-length posterior is ``posterior`` over
+        ``run_lengths``; ``prev_r_star`` is the previous step's MAP run
+        length, None at the first step (where map-drop never fires).
+        map-drop reads only the two MAP run lengths, mass-near-zero only the
+        posterior.
+        """
+        if self.mode == "map-drop":
+            return prev_r_star is not None and r_star < self.drop_fraction * prev_r_star
+        mass = np.asarray(posterior)[np.asarray(run_lengths) <= self.mass_window].sum()
+        return float(mass) >= self.mass_threshold
+
 
 def detect_changepoints(r_star_trace, rule: ChangePointRule, posterior_trace=None) -> list[int]:
-    """Positions (0-based, into the given trace) where the rule fires.
+    """Positions (0-based, into the given trace) where the rule fires: the
+    offline loop of :meth:`ChangePointRule.fires`, which the detector calls
+    once per step.
 
     ``posterior_trace`` is required for mass-near-zero mode: a sequence of
     ``(run_lengths, probabilities)`` pairs, one per step.
@@ -302,19 +312,15 @@ def detect_changepoints(r_star_trace, rule: ChangePointRule, posterior_trace=Non
     trace = list(r_star_trace)
     if not trace:
         raise ContractViolation("empty run-length trace")
+    if posterior_trace is None:
+        if rule.mode == "mass-near-zero":
+            raise ContractViolation("mass-near-zero rule needs a posterior trace")
+        posterior_trace = [(None, None)] * len(trace)
 
     hits: list[int] = []
-    if rule.mode == "map-drop":
-        for i in range(1, len(trace)):
-            if trace[i] < rule.drop_fraction * trace[i - 1]:
-                hits.append(i)
-        return hits
-
-    if posterior_trace is None:
-        raise ContractViolation("mass-near-zero rule needs a posterior trace")
-    for i, (runs, probs) in enumerate(posterior_trace):
-        runs = np.asarray(runs)
-        mass = float(np.asarray(probs)[runs <= rule.mass_window].sum())
-        if mass >= rule.mass_threshold:
+    prev = None
+    for i, (r_star, (runs, probs)) in enumerate(zip(trace, posterior_trace, strict=True)):
+        if rule.fires(prev, r_star, runs, probs):
             hits.append(i)
+        prev = r_star
     return hits

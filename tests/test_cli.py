@@ -6,9 +6,21 @@ import xml.etree.ElementTree as ET
 import numpy as np
 import pytest
 
-from streamcpd import ConfigError, DetectorConfig, InputError, run
+from streamcpd import (
+    CandidatePolicy,
+    ChangePointRule,
+    ConfigError,
+    DetectorConfig,
+    HazardConfig,
+    InputError,
+    NigParams,
+    PrunePolicy,
+    run,
+)
+from streamcpd import cli
 from streamcpd.cli import (
     RunManifest,
+    config_to_items,
     emit_traces,
     ingest_csv,
     main,
@@ -168,6 +180,111 @@ def test_manifest_round_trips_as_config(tmp_path):
     cfg2, info = parse_config(config_file=path)
     assert cfg2 == cfg
     assert info["input"] == "x.csv"
+
+
+# Manifest/config bytes pinned as literals: a format change that the
+# round trip would not notice (the same drift on the writing and the reading
+# side) fails here.
+
+_DEFAULT_ITEMS = [
+    ("mode", "infinite"), ("alpha", "1"), ("lambda", "1000000"), ("k_fixed", "10"),
+    ("beta", "1"), ("eta_mu", "1"), ("eta_sigma", "0.02"), ("decay", "0.02"),
+    ("var_floor", "9.9999999999999995e-07"), ("log_var_update", "false"),
+    ("candidate_mu", "at-observation"), ("candidate_var", "1"), ("prune_epsilon", "0"),
+    ("prune_top_m", "0"), ("cp_mode", "map-drop"), ("cp_drop_fraction", "0.5"),
+    ("cp_mass_window", "0"), ("cp_mass_threshold", "0.5"), ("baseline_mu0", "0"),
+    ("baseline_kappa0", "1"), ("baseline_a0", "1"), ("baseline_b0", "1"), ("seed", "0"),
+]
+
+_EVERY_TYPE_CONFIG = DetectorConfig(
+    mode="fixed-k",
+    alpha=0.25,
+    k_fixed=4,
+    dirichlet_beta=0.5,
+    hazard=HazardConfig(250.0),
+    candidate=CandidatePolicy(mu0=-1.5, var_init=3.0),
+    eta_init=(0.5, 0.01),
+    decay=0.05,
+    var_floor=1e-4,
+    log_var_update=True,
+    prune=PrunePolicy.top_m(50),
+    cp_rule=ChangePointRule(
+        mode="mass-near-zero", drop_fraction=0.25, mass_window=3, mass_threshold=0.6
+    ),
+    baseline=NigParams(mu=0.1, kappa=2.0, a=3.0, b=0.7),
+    seed=9,
+)
+
+_EVERY_TYPE_ITEMS = [
+    ("mode", "fixed-k"), ("alpha", "0.25"), ("lambda", "250"), ("k_fixed", "4"),
+    ("beta", "0.5"), ("eta_mu", "0.5"), ("eta_sigma", "0.01"),
+    ("decay", "0.050000000000000003"), ("var_floor", "0.0001"), ("log_var_update", "true"),
+    ("candidate_mu", "-1.5"), ("candidate_var", "3"), ("prune_epsilon", "0"),
+    ("prune_top_m", "50"), ("cp_mode", "mass-near-zero"), ("cp_drop_fraction", "0.25"),
+    ("cp_mass_window", "3"), ("cp_mass_threshold", "0.59999999999999998"),
+    ("baseline_mu0", "0.10000000000000001"), ("baseline_kappa0", "2"), ("baseline_a0", "3"),
+    ("baseline_b0", "0.69999999999999996"), ("seed", "9"),
+]
+
+
+@pytest.mark.parametrize(
+    "cfg, items",
+    [(DetectorConfig(), _DEFAULT_ITEMS), (_EVERY_TYPE_CONFIG, _EVERY_TYPE_ITEMS)],
+    ids=["defaults", "every-type"],
+)
+def test_config_items_are_pinned(tmp_path, cfg, items):
+    assert config_to_items(cfg) == items
+    f = tmp_path / "cfg"
+    f.write_text("".join(f"{k}={v}\n" for k, v in items))
+    assert parse_config(config_file=f)[0] == cfg
+
+
+_FLOAT_KEYS = [k for k, key in cli._KEYS.items() if key.parse in (float, cli._parse_candidate_mu)]
+
+
+@pytest.mark.parametrize("value", ["inf", "-inf", "nan"])
+@pytest.mark.parametrize("key", _FLOAT_KEYS)
+def test_non_finite_config_value_is_config_error(tmp_path, key, value):
+    f = tmp_path / "cfg"
+    f.write_text(f"{key}={value}\n")
+    with pytest.raises(ConfigError):
+        parse_config(config_file=f)
+
+
+def test_cli_non_finite_flag_exit_code(tmp_path, capsys):
+    series = tmp_path / "s.csv"
+    write_series_csv([1.0, 2.0], series)
+    rc = main(["run", "--input", str(series), "--var-floor", "inf", "--out", str(tmp_path / "o")])
+    assert rc == 2
+    assert "var_floor" in capsys.readouterr().err
+
+
+def test_config_file_may_set_only_prune_top_m(tmp_path):
+    # The CLI's default threshold applies only when neither prune key is
+    # set, so a file asking for top-m pruning gets it.
+    f = tmp_path / "cfg"
+    f.write_text("prune_top_m=50\n")
+    cli_defaults = {"prune_epsilon": cli.CLI_DEFAULT_PRUNE_EPSILON}
+    cfg, _ = parse_config(config_file=f, cli_defaults=cli_defaults)
+    assert cfg.prune == PrunePolicy.top_m(50)
+    cfg, _ = parse_config(cli_defaults=cli_defaults)
+    assert cfg.prune == PrunePolicy.threshold(cli.CLI_DEFAULT_PRUNE_EPSILON)
+    f.write_text("prune_top_m=50\nprune_epsilon=1e-10\n")
+    with pytest.raises(ConfigError, match="mutually exclusive"):
+        parse_config(config_file=f, cli_defaults=cli_defaults)
+
+
+def test_cli_config_with_only_prune_top_m_runs(tmp_path):
+    series = tmp_path / "s.csv"
+    write_series_csv(np.sin(np.arange(40) / 5.0), series)
+    f = tmp_path / "cfg"
+    f.write_text(f"input={series}\nprune_top_m=50\n")
+    out = tmp_path / "o"
+    assert main(["run", "--config", str(f), "--out", str(out)]) == 0
+    manifest = (out / "manifest").read_text().splitlines()
+    assert "prune_top_m=50" in manifest and "prune_epsilon=0" in manifest
+    rc = main(["run", "--config", str(f), "--prune", "1e-10", "--out", str(tmp_path / "o2")])
+    assert rc == 2
 
 
 def test_parse_segments():

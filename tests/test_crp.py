@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from streamcpd import ContractViolation, CrpState, LabelCounts, sample_class, sequence_probability
+from streamcpd import ContractViolation, CrpState, LabelCounts, sequence_probability
 
 from conftest import all_canonical_sequences, random_canonical_labels
 
@@ -42,54 +42,22 @@ def test_global_predictive_is_a_distribution(choices, alpha):
     assert p.sum() == pytest.approx(1.0, abs=1e-12)
 
 
-# -- sampling -------------------------------------------------------------
-
-
-def test_sample_class_degenerate():
-    rng = np.random.default_rng(0)
-    assert all(sample_class(np.array([1.0]), rng) == 1 for _ in range(5))
-
-
-def test_sample_class_reproducible():
-    a = [sample_class(np.array([0.5, 0.5]), np.random.default_rng(42)) for _ in range(1)]
-    b = [sample_class(np.array([0.5, 0.5]), np.random.default_rng(42)) for _ in range(1)]
-    rng1, rng2 = np.random.default_rng(7), np.random.default_rng(7)
-    seq1 = [sample_class(np.array([0.3, 0.3, 0.4]), rng1) for _ in range(50)]
-    seq2 = [sample_class(np.array([0.3, 0.3, 0.4]), rng2) for _ in range(50)]
-    assert a == b and seq1 == seq2
-
-
-def test_sample_class_frequencies():
-    rng = np.random.default_rng(123)
-    p = np.array([0.25, 0.25, 0.5])
-    draws = np.array([sample_class(p, rng) for _ in range(100_000)])
-    freq = np.bincount(draws, minlength=4)[1:] / draws.size
-    np.testing.assert_allclose(freq, p, atol=0.01)
-
-
-def test_sample_class_rejects_bad_distribution():
-    rng = np.random.default_rng(0)
-    with pytest.raises(ContractViolation):
-        sample_class(np.array([0.5, 0.4]), rng)
-    with pytest.raises(ContractViolation):
-        sample_class(np.array([1.5, -0.5]), rng)
-
-
 # -- run-window predictive ------------------------------------------------
 
 
 def test_run_predictive_empty_window_is_one():
     s = _state_with_labels([1, 2, 1], alpha=0.5)
     for k in (1, 2, 3):
-        assert s.run_predictive(0, k) == 1.0
+        assert s.run_predictive_many(np.array([0]), k)[0] == 1.0
 
 
 def test_run_predictive_window_counts():
     # window of the last 3 labels: (1, 1, 2)
     s = _state_with_labels([1, 1, 1, 2], alpha=1.0)
-    assert s.run_predictive(3, 1) == pytest.approx(0.5)
-    assert s.run_predictive(3, 2) == pytest.approx(0.25)
-    assert s.run_predictive(3, 3) == pytest.approx(0.25)  # unseen: new-table mass
+    r = np.array([3])
+    assert s.run_predictive_many(r, 1)[0] == pytest.approx(0.5)
+    assert s.run_predictive_many(r, 2)[0] == pytest.approx(0.25)
+    assert s.run_predictive_many(r, 3)[0] == pytest.approx(0.25)  # unseen: new-table mass
 
 
 def test_run_predictive_window_equals_history_matches_global():
@@ -99,7 +67,8 @@ def test_run_predictive_window_equals_history_matches_global():
         s = _state_with_labels(labels, alpha)
         g = s.global_predictive()
         for k in range(1, s.k_current + 2):
-            assert s.run_predictive(s.t, k) == pytest.approx(g[k - 1], rel=1e-12)
+            got = s.run_predictive_many(np.array([s.t]), k)[0]
+            assert got == pytest.approx(g[k - 1], rel=1e-12)
 
 
 def test_run_predictive_additivity_over_window():
@@ -108,7 +77,7 @@ def test_run_predictive_additivity_over_window():
     s = _state_with_labels(labels, alpha=1.3)
     for r in range(0, 26):
         seen = set(labels[len(labels) - r :])
-        total = sum(s.run_predictive(r, k) for k in seen)
+        total = sum(s.run_predictive_many(np.array([r]), k)[0] for k in seen)
         total += s.alpha / (r + s.alpha)  # the shared new-table mass
         assert total == pytest.approx(1.0, rel=1e-12)
 
@@ -116,13 +85,13 @@ def test_run_predictive_additivity_over_window():
 def test_run_predictive_rejects_window_beyond_history():
     s = _state_with_labels([1, 1])
     with pytest.raises(ContractViolation):
-        s.run_predictive(3, 1)
+        s.run_predictive_many(np.array([3]), 1)
 
 
 def test_run_predictive_rejects_unknown_class():
     s = _state_with_labels([1, 1])
     with pytest.raises(ContractViolation):
-        s.run_predictive(1, 3)  # only class 2 may be new
+        s.run_predictive_many(np.array([1]), 3)  # only class 2 may be new
 
 
 # -- recording -------------------------------------------------------------

@@ -21,7 +21,6 @@ from streamcpd import (
     NigParams,
     PrunePolicy,
     SegmentSpec,
-    baseline_predictive,
     detect_changepoints,
     fixed_k_run_predictive,
     gen_piecewise_gaussian,
@@ -344,18 +343,23 @@ def test_fixed_k_deterministic():
 # -- baseline mode --------------------------------------------------------------
 
 
+def _nig_pdf(x, p):
+    # The baseline's Student-t predictive density of x under one NIG state.
+    return float(np.exp(_student_t_logpdf(x, _nig_row(p)[:, None])[0]))
+
+
 def test_baseline_empty_window_predictive_is_student_t():
     p = NigParams(mu=0.5, kappa=2.0, a=3.0, b=1.5)
     scale = math.sqrt(p.b * (p.kappa + 1) / (p.a * p.kappa))
     for x in (-2.0, 0.0, 1.7):
-        assert baseline_predictive(x, p) == pytest.approx(
+        assert _nig_pdf(x, p) == pytest.approx(
             student_t.pdf(x, df=2 * p.a, loc=p.mu, scale=scale), rel=1e-12
         )
 
 
 def test_baseline_predictive_integrates_to_one():
     p = NigParams()
-    total, _ = quad(lambda x: baseline_predictive(x, p), -60, 60, limit=200)
+    total, _ = quad(lambda x: _nig_pdf(x, p), -60, 60, limit=200)
     assert total == pytest.approx(1.0, abs=1e-3)
 
 
@@ -366,7 +370,7 @@ def test_baseline_predictive_mode_at_repeated_value():
     for _ in range(30):
         p = nig_update(p, 2.0)
     grid = np.linspace(-4, 8, 1201)
-    dens = [baseline_predictive(g, p) for g in grid]
+    dens = [_nig_pdf(g, p) for g in grid]
     assert abs(grid[int(np.argmax(dens))] - 2.0) < 0.1
 
 
@@ -421,11 +425,11 @@ def test_baseline_overflowing_observation_is_degenerate(series):
     # keeps its state, and writes no inf or NaN into its table.
     det = Detector(DetectorConfig(mode="baseline"))
     det.step(series[0])
-    rl, nig = det.rl, det._nig
+    rl, nig = det.rl, det.model.nig
     with pytest.raises(DegenerateStateError, match="t=2"):
         for x in series[1:]:
             det.step(x)
-    assert det.t == 1 and det.rl is rl and det._nig is nig
+    assert det.t == 1 and det.rl is rl and det.model.nig is nig
     assert np.all(np.isfinite(nig))
 
 
@@ -446,16 +450,16 @@ def test_lgamma_term_recurrence_matches_mpmath(a0):
     assert col[2, 0] == a0 + 10_001 / 2
 
 
-def test_baseline_hypothesis_predictive_matches_student_t():
+def _check_baseline_predictives(policy):
     # After 200 steps every live hypothesis's predictive equals the Student-t
     # of the NIG posterior of its window, folded independently.
     rng = np.random.default_rng(11)
     series = rng.normal(0.5, 2.0, 200)
-    det = Detector(DetectorConfig(mode="baseline"))
+    det = Detector(DetectorConfig(mode="baseline", prune=policy))
     for x in series:
         det.step(x)
     x_next = 1.3
-    psi = np.exp(_student_t_logpdf(x_next, det._nig))
+    psi = np.exp(_student_t_logpdf(x_next, det.model.nig))
     for r, got in zip(det.rl.run_lengths, psi):
         p = NigParams()
         for x in series[len(series) - r :]:
@@ -463,6 +467,20 @@ def test_baseline_hypothesis_predictive_matches_student_t():
         scale = math.sqrt(p.b * (p.kappa + 1) / (p.a * p.kappa))
         want = student_t.pdf(x_next, df=2 * p.a, loc=p.mu, scale=scale)
         assert got == pytest.approx(want, rel=1e-12), r
+
+
+def test_baseline_hypothesis_predictive_matches_student_t():
+    _check_baseline_predictives(PrunePolicy.none())
+
+
+@pytest.mark.parametrize(
+    "policy", [PrunePolicy.threshold(1e-10), PrunePolicy.top_m(20)], ids=["threshold", "top-m"]
+)
+def test_baseline_hypothesis_predictive_matches_student_t_pruned(policy):
+    # Top-m is the only policy that leaves survivors that are not
+    # contiguous, so a model keep hook that misaligns the NIG table with the
+    # trellis fails its case.
+    _check_baseline_predictives(policy)
 
 
 def test_fixed_k_offsets_match_ndtri():

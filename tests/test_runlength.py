@@ -15,7 +15,6 @@ from streamcpd import (
     PrunePolicy,
     RunLengthState,
     detect_changepoints,
-    map_runlength,
     normalize_posterior,
     prune,
     recursion_step,
@@ -224,23 +223,12 @@ def test_normalize_sums_to_one(logs):
     assert normalize_posterior(state).sum() == pytest.approx(1.0, abs=1e-9)
 
 
-def test_map_runlength_examples():
-    assert map_runlength(np.array([0.1, 0.7, 0.2])) == 1
-    assert map_runlength(np.array([0.5, 0.5])) == 0
-    assert map_runlength(np.array([1.0])) == 0
-
-
-def test_map_runlength_empty():
-    with pytest.raises(ContractViolation):
-        map_runlength(np.array([]))
-
-
 def test_degenerate_hazard_one_forces_reset():
     state = RunLengthState.initial()
     for t in range(1, 6):
         state = recursion_step(state, _log(np.full(t, 0.5)), HazardConfig(1.0))
         post = normalize_posterior(state)
-        assert state.run_lengths[map_runlength(post)] == 0
+        assert state.run_lengths[post.argmax()] == 0
 
 
 def test_huge_lambda_constant_psi_gives_full_run():
@@ -248,7 +236,7 @@ def test_huge_lambda_constant_psi_gives_full_run():
     for t in range(1, 51):
         state = recursion_step(state, _log(np.full(t, 0.7)), HazardConfig(1e9))
     post = normalize_posterior(state)
-    assert state.run_lengths[map_runlength(post)] == 50
+    assert state.run_lengths[post.argmax()] == 50
 
 
 def test_log_domain_survives_long_runs():
@@ -325,6 +313,13 @@ def test_prune_policy_validation():
         PrunePolicy.threshold(0.0)
     with pytest.raises(ConfigError):
         PrunePolicy(kind="banana")
+    for stray in ({"epsilon": 0.5}, {"max_live": 5}):
+        with pytest.raises(ConfigError):
+            PrunePolicy(**stray)
+    with pytest.raises(ConfigError):
+        PrunePolicy(kind="top-m", max_live=5, epsilon=0.5)
+    with pytest.raises(ConfigError):
+        PrunePolicy(kind="threshold", epsilon=0.5, max_live=5)
 
 
 # -- cached evidence ----------------------------------------------------
