@@ -3,7 +3,7 @@ hierarchy, with fixed-K and raw-observation baselines."""
 
 __version__ = "0.1.0"
 
-from .crp import CrpState, LabelCounts, sequence_probability
+from .crp import LabelCounts, crp_prior, crp_run_predictive, sequence_probability
 from .detector import (
     Detector,
     DetectorConfig,
@@ -53,7 +53,6 @@ __all__ = [
     "ClassTable",
     "ConfigError",
     "ContractViolation",
-    "CrpState",
     "DegenerateStateError",
     "Detector",
     "DetectorConfig",
@@ -70,6 +69,8 @@ __all__ = [
     "StepOutput",
     "brute_force_joint",
     "brute_force_joint_by_segments",
+    "crp_prior",
+    "crp_run_predictive",
     "decay_rates",
     "detect_changepoints",
     "e_step",

@@ -1,21 +1,24 @@
 """Chinese-restaurant-process bookkeeping over the MAP label history.
 
-The state never represents class probabilities explicitly: both the global
-predictive and the per-run-window predictive come straight from seating
-counts. Each class keeps the ascending times at which it was recorded, so
-memory is linear in the stream length whatever the number of classes. The
-count of class k inside the window of the last r labels is c_k(t) - c_k(t -
-r), where c_k is the prefix count: the number of k's occurrences at or
-before a time. That makes one step's predictive across all live run-length
-hypotheses a single vectorized query: a binary search of the occurrence
-times when the hypotheses are few against a long history, and otherwise a
-gather from the dense prefix counts of the queried class, which are kept
-up to date while that class stays the one queried.
+One ledger, :class:`LabelCounts`, holds the seating counts of the label
+history, and both latent models read their predictives from it: the CRP's
+through :func:`crp_prior` and :func:`crp_run_predictive`, the Dirichlet's
+through the fixed-K model in ``detector.py``. No state represents class
+probabilities explicitly.
+
+The ledger keeps the class totals m_1..m_K as one float array, and for each
+class the ascending times at which it was recorded, so memory is linear in
+the stream length whatever the number of classes. The count of class k
+inside the window of the last r labels is c_k(t) - c_k(t - r), where c_k is
+the prefix count: the number of k's occurrences at or before a time. That
+makes one step's predictive across all live run-length hypotheses a single
+vectorized query: a binary search of the occurrence times when the
+hypotheses are few against a long history, and otherwise a gather from the
+dense prefix counts of the queried class, which are kept up to date while
+that class stays the one queried.
 """
 
 from __future__ import annotations
-
-import math
 
 import numpy as np
 
@@ -23,30 +26,39 @@ from .errors import ConfigError, ContractViolation
 
 
 class LabelCounts:
-    """Per-class occurrence times with vectorized windowed queries."""
+    """Per-class totals and occurrence times, with vectorized windowed
+    queries. Class ids are 1-based and may be recorded in any order.
+
+    ``m[k - 1]`` is m_k, the occurrences of class k so far, as a float.
+    ``m`` always has a zero slot past the highest class id, and room for
+    classes 1..``n_classes`` from the start."""
 
     def __init__(self, n_classes: int = 0):
         self._occ: list[np.ndarray] = []  # class k: times 1..t it was recorded at
-        self._n: list[int] = []  # class k: occurrences so far (valid prefix of _occ)
         self._hot = 0  # class whose dense prefix counts are kept (0: none)
         self._hot_prefix = np.zeros(0, dtype=np.int64)  # c_hot(0..t), then spare room
-        self.n_classes = n_classes
+        self.m = np.zeros(max(16, n_classes + 1))
         self.t = 0
+
+    @property
+    def k(self) -> int:
+        """The highest class id recorded (0 before the first label)."""
+        return len(self._occ)
 
     def record(self, k: int) -> None:
         """Append one label at time t + 1."""
         if k < 1:
             raise ContractViolation(f"class ids are 1-based, got {k}")
+        if k >= self.m.size:
+            self.m = np.concatenate([self.m, np.zeros(k)])
         while len(self._occ) < k:
             self._occ.append(np.empty(16, dtype=np.int64))
-            self._n.append(0)
-        occ, n = self._occ[k - 1], self._n[k - 1]
+        occ, n = self._occ[k - 1], int(self.m[k - 1])
         if n == occ.size:
             occ = self._occ[k - 1] = np.concatenate([occ, np.empty_like(occ)])
         self.t += 1
         occ[n] = self.t
-        self._n[k - 1] = n + 1
-        self.n_classes = max(self.n_classes, k)
+        self.m[k - 1] = n + 1
         if self._hot:
             c = self._hot_prefix
             if self.t == c.size:
@@ -55,15 +67,7 @@ class LabelCounts:
 
     def total(self, k: int) -> int:
         """m_k: occurrences of class k over the whole history."""
-        return self._n[k - 1] if k <= len(self._n) else 0
-
-    def totals(self, n: int | None = None) -> np.ndarray:
-        """Occurrence counts for classes 1..n (default: all seen classes)."""
-        n = self.n_classes if n is None else n
-        out = np.zeros(n, dtype=np.int64)
-        seen = min(n, len(self._n))
-        out[:seen] = self._n[:seen]
-        return out
+        return int(self.m[k - 1]) if k <= len(self._occ) else 0
 
     def window_counts(self, k: int, runs: np.ndarray) -> np.ndarray:
         """Count of class k among the last r labels, vectorized over r."""
@@ -86,76 +90,39 @@ class LabelCounts:
 
     def prefix(self, k: int) -> np.ndarray:
         """The prefix-count sequence c_k(0..t) for one class."""
-        occ = self._occ[k - 1][: self._n[k - 1]] if k <= len(self._occ) else np.zeros(0, np.int64)
+        occ = self._occ[k - 1][: self.total(k)] if k <= len(self._occ) else np.zeros(0, np.int64)
         return np.cumsum(np.bincount(occ, minlength=self.t + 1))
 
 
-class CrpState:
-    """CRP seating over the MAP label history.
+def crp_prior(counts: LabelCounts, alpha: float) -> np.ndarray:
+    """CRP predictive over classes 1..K+1 given the full label history.
 
-    Labels are canonical: class ids are assigned in order of first
-    appearance, so ids are the contiguous range 1..k_current with no gaps.
+    Entry k <= K is m_k / (t + alpha); the last entry is the new-class mass
+    alpha / (t + alpha). Sums to 1 exactly up to rounding. The labels must
+    be canonical (numbered by first appearance), so K classes are 1..K.
     """
+    k = counts.k
+    p = counts.m[: k + 1].copy()
+    p[k] = alpha
+    p /= counts.t + alpha
+    return p
 
-    def __init__(self, alpha: float):
-        if not (isinstance(alpha, (int, float)) and math.isfinite(alpha) and alpha > 0):
-            raise ConfigError(f"CRP concentration alpha must be positive, got {alpha!r}")
-        self.alpha = float(alpha)
-        self.k_current = 0
-        self._counts = LabelCounts(0)
-        # m_1..m_K as floats, then alpha in slot K; capacity doubles.
-        self._weights = np.zeros(16)
-        self._weights[0] = self.alpha
 
-    @property
-    def t(self) -> int:
-        return self._counts.t
+def crp_run_predictive(counts: LabelCounts, runs: np.ndarray, k: int, alpha: float) -> np.ndarray:
+    """CRP predictive of label k restricted to the last-r-labels window, for
+    each window length in ``runs``.
 
-    def global_predictive(self) -> np.ndarray:
-        """Predictive over classes 1..K+1 given the full label history.
-
-        Entry k <= K is m_k / (t + alpha); the last entry is the new-class
-        mass alpha / (t + alpha). Sums to 1 exactly up to rounding.
-        """
-        return self._weights[: self.k_current + 1] / (self.t + self.alpha)
-
-    def run_predictive_many(self, runs: np.ndarray, k: int) -> np.ndarray:
-        """Predictive of label k restricted to the last-r-labels window, for
-        each window length in ``runs``.
-
-        With w = count of k in the window: w / (r + alpha) if w > 0, else
-        the new-table mass alpha / (r + alpha). An unseen-in-window class
-        gets the full new-table mass; under the CRP, "not in this window"
-        is exactly the new-table event. For r = 0 the window is empty and
-        the value is alpha / alpha = 1.
-        """
-        if not (1 <= k <= self.k_current + 1):
-            raise ContractViolation(
-                f"class id {k} out of range 1..{self.k_current + 1}"
-            )
-        runs = np.asarray(runs, dtype=np.int64)
-        w = self._counts.window_counts(k, runs)
-        num = np.where(w > 0, w.astype(float), self.alpha)
-        return num / (runs + self.alpha)
-
-    def record_assignment(self, k: int) -> None:
-        """Record the MAP label for this step; opens class K+1 if k is new."""
-        if not (1 <= k <= self.k_current + 1):
-            raise ContractViolation(
-                f"cannot record class {k}: next unused id is {self.k_current + 1}"
-            )
-        self._counts.record(k)
-        if k == self.k_current + 1:
-            if k == self._weights.size:
-                self._weights = np.concatenate([self._weights, np.zeros(k)])
-            self._weights[k - 1] = 0.0
-            self._weights[k] = self.alpha
-            self.k_current = k
-        self._weights[k - 1] += 1.0
-
-    def counts(self) -> np.ndarray:
-        """Current per-class totals m_1..m_K."""
-        return self._counts.totals(self.k_current)
+    With w = count of k in the window: w / (r + alpha) if w > 0, else the
+    new-table mass alpha / (r + alpha). An unseen-in-window class gets the
+    full new-table mass; under the CRP, "not in this window" is exactly the
+    new-table event. For r = 0 the window is empty and the value is alpha /
+    alpha = 1. Labels are canonical, so k may be at most K + 1.
+    """
+    if not 1 <= k <= counts.k + 1:
+        raise ContractViolation(f"class id {k} out of range 1..{counts.k + 1}")
+    w = counts.window_counts(k, runs)
+    num = np.where(w > 0, w.astype(float), alpha)
+    return num / (runs + alpha)
 
 
 def sequence_probability(labels, alpha: float) -> float:

@@ -21,9 +21,12 @@ baseline). So :meth:`Detector.step` is one body for every mode: predict,
 
 The two latent models share one emission step, a single SGD-EM pass over one
 :class:`ClassTable` (E-step, M-step and MAP assignment from shared
-intermediates, committed only on success) plus the winner's rate decay, and
-differ only in the class prior, whether a candidate column is spawned, and
-the window predictive.
+intermediates, committed only on success) plus the winner's rate decay. They
+also share one ledger of the MAP labels, a :class:`LabelCounts`, and one
+``commit`` that records the step's label in it. They differ only in whether a
+candidate column is spawned and in the two formulas they read from the
+ledger, the class prior and the window predictive: the CRP's from ``crp.py``,
+the Dirichlet's here.
 
 The baseline keeps one column per live run-length hypothesis in a ``(5,
 n)`` struct-of-arrays table, aligned with ``RunLengthState.run_lengths``:
@@ -50,7 +53,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .crp import CrpState, LabelCounts
+from .crp import LabelCounts, crp_prior, crp_run_predictive
 from .emission import (
     CandidatePolicy,
     ClassTable,
@@ -63,7 +66,7 @@ from .emission import (
 # Not called here; kept in this namespace because perfbench's tracer
 # self-test checks that tracing restores ``streamcpd.detector.m_step``.
 from .emission import m_step  # noqa: F401
-from .errors import ConfigError, ContractViolation, DegenerateStateError, InputError
+from .errors import ConfigError, ContractViolation, InputError
 from .runlength import (
     ChangePointRule,
     HazardConfig,
@@ -145,16 +148,14 @@ def _fixed_k_offsets(k_fixed: int) -> list[float]:
     return [std.inv_cdf(i / (k_fixed + 1.0)) for i in range(1, k_fixed + 1)]
 
 
-def fixed_k_run_predictive(window_count, r, k, k_fixed: int, beta: float):
+def fixed_k_run_predictive(window_count, r, k: int, k_fixed: int, beta: float):
     """Dirichlet-categorical posterior predictive of class k over a window
     of length r in which k occurred ``window_count`` times:
-    (w + beta) / (r + K * beta). Vectorized over window_count/r."""
-    k_arr = np.asarray(k)
-    if np.any(k_arr < 1) or np.any(k_arr > k_fixed):
+    (w + beta) / (r + K * beta). Vectorized over window_count/r (numbers or
+    numpy arrays)."""
+    if not 1 <= k <= k_fixed:
         raise ContractViolation(f"class id {k} out of range 1..{k_fixed}")
-    return (np.asarray(window_count, dtype=float) + beta) / (
-        np.asarray(r, dtype=float) + k_fixed * beta
-    )
+    return (window_count + beta) / (r + k_fixed * beta)
 
 
 @dataclass(frozen=True)
@@ -229,14 +230,18 @@ class RunResult:
 
 class _LatentModel:
     """What the two latent models share: the class table and its emission
-    step. They hold nothing per run-length hypothesis, so pruning needs no
-    hook."""
+    step, and the ledger of MAP labels, which ``commit`` appends to. They
+    hold nothing per run-length hypothesis, so pruning needs no hook."""
 
     keep = None
 
-    def __init__(self, cfg: DetectorConfig, table: ClassTable | None):
+    def __init__(self, cfg: DetectorConfig, table: ClassTable | None, n_classes: int = 0):
         self.cfg = cfg
         self.table = table
+        self.counts = LabelCounts(n_classes)
+
+    def commit(self, z_star: int) -> None:
+        self.counts.record(z_star)
 
     def _emission_step(self, x: float, t: int, prior, candidate: bool) -> tuple[np.ndarray, int]:
         """One SGD-EM step over the class table, then the winner's rate
@@ -273,16 +278,12 @@ class InfiniteModel(_LatentModel):
 
     def __init__(self, cfg: DetectorConfig):
         super().__init__(cfg, ClassTable())
-        self.crp = CrpState(cfg.alpha)
 
     def predict(self, x: float, t: int, run_lengths: np.ndarray):
-        crp = self.crp
-        resp, z_star = self._emission_step(x, t, crp.global_predictive(), candidate=True)
-        log_psi = np.log(crp.run_predictive_many(run_lengths, z_star))
+        counts, alpha = self.counts, self.cfg.alpha
+        resp, z_star = self._emission_step(x, t, crp_prior(counts, alpha), candidate=True)
+        log_psi = np.log(crp_run_predictive(counts, run_lengths, z_star, alpha))
         return log_psi, 0.0, z_star, self.table.n, resp
-
-    def commit(self, z_star: int) -> None:
-        self.crp.record_assignment(z_star)
 
 
 class FixedKModel(_LatentModel):
@@ -291,8 +292,7 @@ class FixedKModel(_LatentModel):
     predictive is 1/K. The table is built at the first observation."""
 
     def __init__(self, cfg: DetectorConfig):
-        super().__init__(cfg, None)
-        self.counts = LabelCounts(cfg.k_fixed)
+        super().__init__(cfg, None, cfg.k_fixed)
 
     def predict(self, x: float, t: int, run_lengths: np.ndarray):
         cfg = self.cfg
@@ -307,15 +307,12 @@ class FixedKModel(_LatentModel):
             for o in _fixed_k_offsets(kf):
                 self.table.push(float(x + math.sqrt(var0) * o), var0, *cfg.eta_init, born_at=1)
 
-        prior = (lc.totals(kf).astype(float) + beta) / (lc.t + kf * beta)
+        prior = (lc.m[:kf] + beta) / (lc.t + kf * beta)
         resp, z_star = self._emission_step(x, t, prior, candidate=False)
 
         w = lc.window_counts(z_star, run_lengths)
         log_psi = np.log(fixed_k_run_predictive(w, run_lengths, z_star, kf, beta))
         return log_psi, math.log(1.0 / kf), z_star, kf, resp
-
-    def commit(self, z_star: int) -> None:
-        self.counts.record(z_star)
 
 
 class BaselineModel:
@@ -334,13 +331,13 @@ class BaselineModel:
     def predict(self, x: float, t: int, run_lengths: np.ndarray):
         # An observation that overflows the NIG arithmetic (|x - mu| near
         # 1e154) would leave an inf or NaN column behind; it raises
-        # DegenerateStateError instead and leaves the detector as it was.
+        # InputError instead and leaves the detector as it was.
         try:
             with np.errstate(over="raise", invalid="raise"):
                 log_psi = _student_t_logpdf(x, self.nig)
                 self._grown = _nig_grow(self.nig, x, self.prior)
         except FloatingPointError:
-            raise DegenerateStateError(
+            raise InputError(
                 f"observation at t={t} overflows the baseline model: {x!r}"
             ) from None
         # Column 0 is the prior, so log_psi[0] is the empty-window (reset)

@@ -105,9 +105,6 @@ class RunLengthState:
         """State before any observation: all mass on run length 0."""
         return cls(np.zeros(1, dtype=np.int64), np.zeros(1, dtype=float), 0, 0.0)
 
-    def posterior(self) -> np.ndarray:
-        return normalize_posterior(self)
-
 
 def recursion_step(
     state: RunLengthState,

@@ -1,7 +1,7 @@
 import numpy as np
 from hypothesis import HealthCheck, settings
 
-from streamcpd import CrpState, HazardConfig, RunLengthState, recursion_step
+from streamcpd import HazardConfig, LabelCounts, RunLengthState, crp_run_predictive, recursion_step
 
 settings.register_profile(
     "default",
@@ -14,13 +14,13 @@ settings.load_profile("default")
 def trellis_joint(labels, alpha, lam):
     """Run the label sequence through the real recursion and return the
     dense joint over the final run length (linear domain)."""
-    crp = CrpState(alpha)
+    counts = LabelCounts()
     st = RunLengthState.initial()
     hz = HazardConfig(lam)
     for z in labels:
-        psi = crp.run_predictive_many(st.run_lengths, z)
+        psi = crp_run_predictive(counts, st.run_lengths, z, alpha)
         st = recursion_step(st, np.log(psi), hz)
-        crp.record_assignment(z)
+        counts.record(z)
     return np.exp(st.log_weights), st
 
 

@@ -413,14 +413,19 @@ def test_cli_input_error_exit_code(tmp_path):
     assert main(["run", "--input", str(tmp_path / "missing.csv"), "--out", str(tmp_path / "o")]) == 1
 
 
-@pytest.mark.parametrize("mode", ["infinite", "fixed-k"])
+@pytest.mark.parametrize("mode", ["infinite", "fixed-k", "baseline"])
 @pytest.mark.parametrize("values", [[0.0, 1e200], [1e200, 0.0]])
 def test_cli_overflowing_observation_exit_code(tmp_path, capsys, mode, values):
     series = tmp_path / "s.csv"
     write_series_csv(values, series)
     rc = main(["run", "--input", str(series), "--mode", mode, "--out", str(tmp_path / "o")])
     assert rc == 1
-    assert "t=2 overflows the emission model" in capsys.readouterr().err
+    if mode == "baseline":
+        # The baseline prior's mean is 0, so 1e200 overflows wherever it comes.
+        want = f"t={values.index(1e200) + 1} overflows the baseline model"
+    else:
+        want = "t=2 overflows the emission model"
+    assert want in capsys.readouterr().err
 
 
 def test_cli_config_error_exit_code(tmp_path):

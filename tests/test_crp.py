@@ -6,38 +6,43 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from streamcpd import ContractViolation, CrpState, LabelCounts, sequence_probability
+from streamcpd import (
+    ContractViolation,
+    LabelCounts,
+    crp_prior,
+    crp_run_predictive,
+    sequence_probability,
+)
 
 from conftest import all_canonical_sequences, random_canonical_labels
 
 
-def _state_with_labels(labels, alpha=1.0):
-    s = CrpState(alpha)
+def _counts_with_labels(labels):
+    lc = LabelCounts()
     for z in labels:
-        s.record_assignment(z)
-    return s
+        lc.record(z)
+    return lc
 
 
 # -- global predictive ---------------------------------------------------
 
 
 def test_first_customer_always_opens_a_table():
-    s = CrpState(3.7)
-    np.testing.assert_allclose(s.global_predictive(), [1.0])
+    np.testing.assert_allclose(crp_prior(LabelCounts(), 3.7), [1.0])
 
 
 def test_global_predictive_counts():
-    s = _state_with_labels([1, 1, 2], alpha=1.0)  # m = [2, 1], t = 3
-    np.testing.assert_allclose(s.global_predictive(), [0.5, 0.25, 0.25])
+    lc = _counts_with_labels([1, 1, 2])  # m = [2, 1], t = 3
+    np.testing.assert_allclose(crp_prior(lc, 1.0), [0.5, 0.25, 0.25])
 
 
 @given(st.lists(st.integers(min_value=0, max_value=3), min_size=0, max_size=60),
        st.sampled_from([0.5, 1.0, 2.0]))
 def test_global_predictive_is_a_distribution(choices, alpha):
-    s = CrpState(alpha)
+    lc = LabelCounts()
     for c in choices:
-        s.record_assignment(min(c + 1, s.k_current + 1))
-    p = s.global_predictive()
+        lc.record(min(c + 1, lc.k + 1))
+    p = crp_prior(lc, alpha)
     assert np.all(p >= 0) and np.all(p <= 1)
     assert p.sum() == pytest.approx(1.0, abs=1e-12)
 
@@ -46,95 +51,92 @@ def test_global_predictive_is_a_distribution(choices, alpha):
 
 
 def test_run_predictive_empty_window_is_one():
-    s = _state_with_labels([1, 2, 1], alpha=0.5)
+    lc = _counts_with_labels([1, 2, 1])
     for k in (1, 2, 3):
-        assert s.run_predictive_many(np.array([0]), k)[0] == 1.0
+        assert crp_run_predictive(lc, np.array([0]), k, 0.5)[0] == 1.0
 
 
 def test_run_predictive_window_counts():
     # window of the last 3 labels: (1, 1, 2)
-    s = _state_with_labels([1, 1, 1, 2], alpha=1.0)
+    lc = _counts_with_labels([1, 1, 1, 2])
     r = np.array([3])
-    assert s.run_predictive_many(r, 1)[0] == pytest.approx(0.5)
-    assert s.run_predictive_many(r, 2)[0] == pytest.approx(0.25)
-    assert s.run_predictive_many(r, 3)[0] == pytest.approx(0.25)  # unseen: new-table mass
+    assert crp_run_predictive(lc, r, 1, 1.0)[0] == pytest.approx(0.5)
+    assert crp_run_predictive(lc, r, 2, 1.0)[0] == pytest.approx(0.25)
+    assert crp_run_predictive(lc, r, 3, 1.0)[0] == pytest.approx(0.25)  # unseen: new-table mass
 
 
 def test_run_predictive_window_equals_history_matches_global():
     rng = np.random.default_rng(5)
     for alpha in (0.5, 1.0, 2.0):
         labels = random_canonical_labels(rng, 30)
-        s = _state_with_labels(labels, alpha)
-        g = s.global_predictive()
-        for k in range(1, s.k_current + 2):
-            got = s.run_predictive_many(np.array([s.t]), k)[0]
+        lc = _counts_with_labels(labels)
+        g = crp_prior(lc, alpha)
+        for k in range(1, lc.k + 2):
+            got = crp_run_predictive(lc, np.array([lc.t]), k, alpha)[0]
             assert got == pytest.approx(g[k - 1], rel=1e-12)
 
 
 def test_run_predictive_additivity_over_window():
     rng = np.random.default_rng(9)
     labels = random_canonical_labels(rng, 25)
-    s = _state_with_labels(labels, alpha=1.3)
+    alpha = 1.3
+    lc = _counts_with_labels(labels)
     for r in range(0, 26):
         seen = set(labels[len(labels) - r :])
-        total = sum(s.run_predictive_many(np.array([r]), k)[0] for k in seen)
-        total += s.alpha / (r + s.alpha)  # the shared new-table mass
+        total = sum(crp_run_predictive(lc, np.array([r]), k, alpha)[0] for k in seen)
+        total += alpha / (r + alpha)  # the shared new-table mass
         assert total == pytest.approx(1.0, rel=1e-12)
 
 
 def test_run_predictive_rejects_window_beyond_history():
-    s = _state_with_labels([1, 1])
+    lc = _counts_with_labels([1, 1])
     with pytest.raises(ContractViolation):
-        s.run_predictive_many(np.array([3]), 1)
+        crp_run_predictive(lc, np.array([3]), 1, 1.0)
 
 
 def test_run_predictive_rejects_unknown_class():
-    s = _state_with_labels([1, 1])
+    lc = _counts_with_labels([1, 1])
     with pytest.raises(ContractViolation):
-        s.run_predictive_many(np.array([1]), 3)  # only class 2 may be new
+        crp_run_predictive(lc, np.array([1]), 3, 1.0)  # only class 2 may be new
 
 
 # -- recording -------------------------------------------------------------
 
 
 def test_record_first_assignment():
-    s = CrpState(1.0)
-    s.record_assignment(1)
-    assert s.t == 1
-    np.testing.assert_array_equal(s._counts.prefix(1), [0, 1])
-    assert s.k_current == 1
-    np.testing.assert_array_equal(s.counts(), [1])
+    lc = LabelCounts()
+    lc.record(1)
+    assert lc.t == 1
+    np.testing.assert_array_equal(lc.prefix(1), [0, 1])
+    assert lc.k == 1
+    np.testing.assert_array_equal(lc.m[: lc.k], [1])
 
 
 def test_record_accumulates_counts():
-    s = _state_with_labels([1, 2])
-    s.record_assignment(2)
-    assert s.counts().sum() == 3
-    assert s.counts()[1] == 2
-
-
-def test_record_rejects_gapped_class():
-    s = _state_with_labels([1])
-    with pytest.raises(ContractViolation):
-        s.record_assignment(3)
+    lc = _counts_with_labels([1, 2])
+    lc.record(2)
+    assert lc.m[: lc.k].sum() == 3
+    assert lc.m[1] == 2
 
 
 @settings(max_examples=25)
 @given(st.integers(min_value=0, max_value=2**32 - 1))
 def test_record_long_random_stream_invariants(seed):
     rng = np.random.default_rng(seed)
-    s = CrpState(1.0)
+    lc = LabelCounts()
     labels = []
     for i in range(400):
-        labels.append(int(rng.integers(1, s.k_current + 2)))
-        s.record_assignment(labels[-1])
-        assert s.counts().sum() == i + 1
-        assert s.k_current == len(set(labels))
+        labels.append(int(rng.integers(1, lc.k + 2)))
+        lc.record(labels[-1])
+        assert lc.m[: lc.k].sum() == i + 1
+        assert lc.k == len(set(labels))
+        # the totals always end in a spare zero slot past the highest id
+        assert lc.m.size > lc.k and not lc.m[lc.k :].any()
     # prefix sequences are monotone and consistent with the counts
-    for k in range(1, s.k_current + 1):
-        pref = s._counts.prefix(k)
+    for k in range(1, lc.k + 1):
+        pref = lc.prefix(k)
         assert np.all(np.diff(pref) >= 0)
-        assert pref[-1] == labels.count(k) == s.counts()[k - 1]
+        assert pref[-1] == labels.count(k) == lc.m[k - 1]
 
 
 @settings(max_examples=60, deadline=None)
@@ -159,17 +161,17 @@ def test_label_counts_window_queries_match_brute_force(labels, queries):
     for k in range(1, 7):
         want = [labels[:tau].count(k) for tau in range(len(labels) + 1)]
         np.testing.assert_array_equal(lc.prefix(k), want)
-    np.testing.assert_array_equal(lc.totals(6), [labels.count(k) for k in range(1, 7)])
+    np.testing.assert_array_equal(lc.m[:6], [labels.count(k) for k in range(1, 7)])
 
 
 @given(st.lists(st.integers(min_value=0, max_value=3), min_size=0, max_size=60),
        st.sampled_from([0.5, 1.0, 2.0]))
 def test_global_predictive_is_counts_over_t_plus_alpha(choices, alpha):
-    s = CrpState(alpha)
+    lc = LabelCounts()
     for c in choices:
-        s.record_assignment(min(c + 1, s.k_current + 1))
-    want = np.array([*s.counts().astype(float), alpha]) / (s.t + alpha)
-    np.testing.assert_array_equal(s.global_predictive(), want)
+        lc.record(min(c + 1, lc.k + 1))
+    want = np.array([*lc.m[: lc.k], alpha]) / (lc.t + alpha)
+    np.testing.assert_array_equal(crp_prior(lc, alpha), want)
 
 
 def test_label_counts_window_queries():
@@ -177,7 +179,7 @@ def test_label_counts_window_queries():
     for z in [1, 2, 2, 3, 2]:
         lc.record(z)
     np.testing.assert_array_equal(lc.window_counts(2, np.array([0, 1, 2, 3, 5])), [0, 1, 1, 2, 3])
-    np.testing.assert_array_equal(lc.totals(3), [1, 3, 1])
+    np.testing.assert_array_equal(lc.m[:3], [1, 3, 1])
 
 
 # -- sequence probability / exchangeability --------------------------------

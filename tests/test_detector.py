@@ -1,5 +1,6 @@
 import hashlib
 import math
+from fractions import Fraction
 
 import mpmath
 import numpy as np
@@ -13,7 +14,6 @@ from streamcpd import (
     ChangePointRule,
     ConfigError,
     ContractViolation,
-    DegenerateStateError,
     Detector,
     DetectorConfig,
     HazardConfig,
@@ -21,6 +21,7 @@ from streamcpd import (
     NigParams,
     PrunePolicy,
     SegmentSpec,
+    brute_force_joint,
     detect_changepoints,
     fixed_k_run_predictive,
     gen_piecewise_gaussian,
@@ -238,6 +239,61 @@ def _trace_sha256(res):
 # change-point flag fails here.
 
 
+def _enumeration_cases(seed, n):
+    # n short series (T <= 10) whose values jump between three levels, so
+    # the MAP labels change within the series.
+    rng = np.random.default_rng(seed)
+    for _ in range(n):
+        T = int(rng.integers(1, 11))
+        series = rng.normal(0.0, 1.0, T) + 6.0 * rng.integers(0, 3, T)
+        yield series, float(rng.choice([0.5, 1.0, 2.0])), float(rng.choice([2.0, 10.0, 1e6]))
+
+
+def _assert_joint_matches(det, want):
+    got = np.exp(det.rl.log_weights)
+    np.testing.assert_allclose(got, want[det.rl.run_lengths], rtol=1e-12, atol=0)
+
+
+def test_infinite_detector_matches_enumeration_on_its_labels():
+    # The detector's own trellis, fed by its own CRP window predictives,
+    # against the exact enumeration over every reset/growth path of the
+    # label trace it produced.
+    for series, alpha, lam in _enumeration_cases(31, 50):
+        det = Detector(DetectorConfig(alpha=alpha, hazard=HazardConfig(lam)))
+        z_trace = [det.step(x).z_star for x in series]
+        _assert_joint_matches(det, brute_force_joint(z_trace, alpha, lam))
+
+
+def _fixed_k_joint(labels, k_fixed, beta, lam):
+    # Exact rational enumeration of the fixed-k trellis: a reset pays
+    # h * 1/K, a growth over a window of r labels holding w copies of this
+    # step's label pays (1 - h) (w + beta) / (r + K beta).
+    T = len(labels)
+    h, b = 1 / Fraction(lam), Fraction(beta)
+    out = [Fraction(0)] * (T + 1)
+    for mask in range(1 << T):
+        prob, last_reset = Fraction(1), 0
+        for t in range(1, T + 1):
+            if (mask >> (t - 1)) & 1:
+                prob *= h / k_fixed
+                last_reset = t
+            else:
+                window = labels[last_reset : t - 1]
+                w = window.count(labels[t - 1])
+                prob *= (1 - h) * (w + b) / (len(window) + k_fixed * b)
+        out[T - last_reset] += prob
+    return np.array([float(p) for p in out])
+
+
+def test_fixed_k_detector_matches_enumeration_on_its_labels():
+    for series, beta, lam in _enumeration_cases(32, 50):
+        det = Detector(
+            DetectorConfig(mode="fixed-k", k_fixed=3, dirichlet_beta=beta, hazard=HazardConfig(lam))
+        )
+        z_trace = [det.step(x).z_star for x in series]
+        _assert_joint_matches(det, _fixed_k_joint(z_trace, 3, beta, lam))
+
+
 def test_golden_trace_infinite_many_classes():
     series = _shuffled_regimes(2024, n_regimes=12, seg=40, n_segments=30, spacing=6.0)
     res = run(series, DetectorConfig(prune=PrunePolicy.top_m(100)))
@@ -421,12 +477,12 @@ def test_baseline_outlier_keeps_every_weight_finite(history, outlier):
 )
 def test_baseline_overflowing_observation_is_degenerate(series):
     # (x - mu)^2 or kappa (x - mu)^2 overflows at t=2. The detector raises
-    # DegenerateStateError there, as it did when every density underflowed,
-    # keeps its state, and writes no inf or NaN into its table.
+    # InputError there, as the latent modes do, keeps its state, and writes
+    # no inf or NaN into its table.
     det = Detector(DetectorConfig(mode="baseline"))
     det.step(series[0])
     rl, nig = det.rl, det.model.nig
-    with pytest.raises(DegenerateStateError, match="t=2"):
+    with pytest.raises(InputError, match="t=2"):
         for x in series[1:]:
             det.step(x)
     assert det.t == 1 and det.rl is rl and det.model.nig is nig
