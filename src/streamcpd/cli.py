@@ -238,11 +238,10 @@ class RunManifest:
 # CSV ingestion / trace emission
 
 
-def ingest_csv(path) -> np.ndarray:
-    """Read a single-column numeric series; first row may be a header.
-
-    Only the first column is used; row order is time order.
-    """
+def _read_column(path) -> list[float]:
+    """The numbers in the first column of a CSV file, in row order; the
+    first non-blank row may be a header. Empty if the file holds no data
+    rows."""
     path = Path(path)
     try:
         text = path.read_text(encoding="utf-8-sig")
@@ -250,7 +249,7 @@ def ingest_csv(path) -> np.ndarray:
         raise InputError(f"cannot read {path}: {exc}") from exc
 
     values: list[float] = []
-    saw_data = False
+    header = False
     for rownum, row in enumerate(csv.reader(text.splitlines()), 1):
         if not row or all(not c.strip() for c in row):
             continue
@@ -258,15 +257,24 @@ def ingest_csv(path) -> np.ndarray:
         try:
             v = float(cell)
         except ValueError:
-            if not saw_data and not values:
-                continue  # header row
+            if not (values or header):
+                header = True
+                continue
             raise InputError(f"{path}: row {rownum}: non-numeric value {cell!r}") from None
         if not math.isfinite(v):
             raise InputError(f"{path}: row {rownum}: non-finite value {cell!r}")
         values.append(v)
-        saw_data = True
+    return values
+
+
+def ingest_csv(path) -> np.ndarray:
+    """Read a single-column numeric series; first row may be a header.
+
+    Only the first column is used; row order is time order.
+    """
+    values = _read_column(path)
     if not values:
-        raise InputError(f"{path}: no numeric data rows")
+        raise InputError(f"{Path(path)}: no numeric data rows")
     return np.array(values)
 
 
@@ -502,7 +510,9 @@ def _cmd_synth(args) -> int:
 
 
 def _read_int_column(path) -> list[int]:
-    return [int(round(v)) for v in ingest_csv(path)]
+    """A change-point CSV's times; a header-only file (as ``run`` and
+    ``synth`` write when there are none) reads as no change points."""
+    return [int(round(v)) for v in _read_column(path)]
 
 
 def score_changepoints(predicted, truth, tolerance: int):

@@ -28,18 +28,34 @@ candidate column is spawned and in the two formulas they read from the
 ledger, the class prior and the window predictive: the CRP's from ``crp.py``,
 the Dirichlet's here.
 
-The baseline keeps one column per live run-length hypothesis in a ``(5,
-n)`` struct-of-arrays table, aligned with ``RunLengthState.run_lengths``:
-rows ``mu, kappa, a, b`` hold the NIG posterior of each hypothesis's window
-and row ``D = lgamma(a + 1/2) - lgamma(a)`` the normalizing-constant term of
-its Student-t predictive, so every per-quantity operation runs over one
-contiguous row. Column 0 is always the prior (run length 0, an empty
-window), so its predictive is also the reset predictive. Conditioning a
-column on one observation adds 1/2 to ``a``, and ``D`` follows by the exact
-recurrence ``D(a + 1/2) = log(a) - D(a)``: one log per column and step,
-seeded once with ``math.lgamma`` for the prior. That is also more accurate
-than the difference of two large log gammas. The baseline feeds the trellis
-its Student-t log densities as they are, with no exp/log round trip.
+The baseline's NIG posterior after a window of r observations has kappa_r =
+kappa0 + r and a_r = a0 + r/2, which depend on r alone, so it keeps two
+tables:
+
+- the hypothesis table, ``(2, n)`` and aligned with
+  ``RunLengthState.run_lengths``: row ``mu`` and row ``B = 2 b (kappa + 1) /
+  kappa``, the Student-t's degrees of freedom times its squared scale. Column
+  0 is always the prior (run length 0, an empty window), so its predictive
+  is also the reset predictive.
+- the run-length table, ``(4, capacity)`` and indexed by run length r: ``c_r
+  = D_r - log(pi)/2``, ``h_r = a_r + 1/2``, ``1/kappa_{r+1}`` and ``rho_r =
+  kappa_r (kappa_r + 2) / (kappa_r + 1)^2``, computed as ``1 -
+  (1/kappa_{r+1})^2``, which cannot overflow. ``D_r = lgamma(a_r + 1/2) -
+  lgamma(a_r)`` follows the exact recurrence ``D(a + 1/2) = log(a) - D(a)``
+  from a ``math.lgamma`` seed, which is also more accurate than the
+  difference of two large log gammas. The table is rebuilt at twice its
+  capacity when a live run length outgrows it, and a step reads it with one
+  gather at the live run lengths.
+
+One pass over the columns computes ``d = x - mu`` and ``d^2`` once and uses
+them both for the Student-t log predictive ``log p = c_r - log(B)/2 - h_r
+log1p(d^2 / B)`` and for the next table: ``mu' = mu + d / kappa_{r+1}`` and
+``B' = (B + d^2) rho_r``. The latter follows from the conjugate update
+``b' = b + kappa d^2 / (2 kappa')`` with ``kappa' = kappa + 1``: since ``b =
+kappa B / (2 (kappa + 1))``, ``b' = kappa (B + d^2) / (2 kappa')``, and so
+``B' = 2 b' (kappa' + 1) / kappa' = (B + d^2) kappa (kappa + 2) / (kappa +
+1)^2``. The baseline feeds the trellis its Student-t log densities as they
+are, with no exp/log round trip.
 
 The runtime needs only numpy and the standard library.
 """
@@ -48,6 +64,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from itertools import accumulate
+from numbers import Integral
 from statistics import NormalDist
 from typing import NamedTuple
 
@@ -99,44 +117,22 @@ class NigParams:
             raise ConfigError("NIG kappa, a, b must all be positive and finite")
 
 
-def _nig_row(p: NigParams) -> np.ndarray:
-    """The baseline table column of a NIG state: mu, kappa, a, b and
-    D = lgamma(a + 1/2) - lgamma(a)."""
-    return np.array([p.mu, p.kappa, p.a, p.b, math.lgamma(p.a + 0.5) - math.lgamma(p.a)])
-
-
-def _student_t_logpdf(x: float, nig: np.ndarray) -> np.ndarray:
-    """Posterior-predictive Student-t log density of x under every column of
-    a baseline table (vectorized over columns)."""
-    mu, kappa, a, b, d = nig
-    df = 2.0 * a
-    scale2 = b * (kappa + 1.0) / (a * kappa)
-    logc = d - 0.5 * (np.log(df) + np.log(np.pi) + np.log(scale2))
-    return logc - 0.5 * (df + 1.0) * np.log1p((x - mu) ** 2 / (df * scale2))
-
-
-def _nig_grow(nig: np.ndarray, x: float, prior: np.ndarray) -> np.ndarray:
-    """The baseline table after observing x: the prior column for the
-    newborn run length 0, then every column conditioned on x (run length
-    r -> r + 1): kappa' = kappa + 1, mu' = (kappa mu + x) / kappa', a' = a +
-    1/2, b' = b + kappa (x - mu)^2 / (2 kappa') and D' = log(a) - D, each
-    written in place into its row of the new table."""
-    mu, kappa, a, b, d = nig
-    out = np.empty((5, nig.shape[1] + 1))
-    out[:, 0] = prior
-    mu1, kappa1, a1, b1, d1 = out[:, 1:]
-    np.add(kappa, 1.0, out=kappa1)
-    np.multiply(kappa, mu, out=mu1)
-    mu1 += x
-    mu1 /= kappa1
-    np.add(a, 0.5, out=a1)
-    np.subtract(x, mu, out=b1)
-    np.square(b1, out=b1)
-    b1 *= kappa
-    b1 /= 2.0 * kappa1
-    b1 += b
-    np.log(a, out=d1)
-    d1 -= d
+def _run_length_table(p: NigParams, n: int) -> np.ndarray:
+    """The baseline's run-length table for run lengths r = 0..n-1 under the
+    prior ``p``: rows ``c_r``, ``h_r``, ``1/kappa_{r+1}`` and ``rho_r`` (see
+    the module docstring)."""
+    kappa = np.add.accumulate(np.r_[p.kappa, np.ones(n)])
+    a = np.add.accumulate(np.r_[p.a, np.full(n - 1, 0.5)])
+    d0 = math.lgamma(p.a + 0.5) - math.lgamma(p.a)
+    # D_{r+1} = log(a_r) - D_r.
+    d = accumulate(np.log(a[:-1]).tolist(), lambda d_r, log_a: log_a - d_r, initial=d0)
+    out = np.empty((4, n))
+    c, h, inv_k1, rho = out
+    np.subtract(np.fromiter(d, float, n), 0.5 * math.log(math.pi), out=c)
+    np.add(a, 0.5, out=h)
+    np.divide(1.0, kappa[1:], out=inv_k1)
+    np.square(inv_k1, out=rho)
+    np.subtract(1.0, rho, out=rho)
     return out
 
 
@@ -180,8 +176,8 @@ class DetectorConfig:
             raise ConfigError(f"unknown mode {self.mode!r}")
         if not (0.0 < self.alpha < math.inf):
             raise ConfigError(f"alpha must be positive and finite, got {self.alpha!r}")
-        if self.k_fixed < 1:
-            raise ConfigError(f"k_fixed must be >= 1, got {self.k_fixed!r}")
+        if not (isinstance(self.k_fixed, Integral) and self.k_fixed >= 1):
+            raise ConfigError(f"k_fixed must be an integer >= 1, got {self.k_fixed!r}")
         if not (0.0 < self.dirichlet_beta < math.inf):
             raise ConfigError(
                 f"dirichlet beta must be positive and finite, got {self.dirichlet_beta!r}"
@@ -317,38 +313,65 @@ class FixedKModel(_LatentModel):
 
 class BaselineModel:
     """``baseline``: the Student-t predictive of each live hypothesis's NIG
-    posterior, from the column table ``nig`` (layout in the module
-    docstring). ``predict`` builds the next table and ``commit`` installs
-    it; ``keep`` drops the columns of pruned hypotheses."""
+    posterior, from the hypothesis table ``live`` (rows mu and B) and the
+    run-length table ``consts`` (layout in the module docstring).
+    ``predict`` builds the next hypothesis table and ``commit`` installs it;
+    ``keep`` drops the columns of pruned hypotheses."""
 
     table = None
 
     def __init__(self, cfg: DetectorConfig):
-        self.prior = _nig_row(cfg.baseline)
-        self.nig = self.prior[:, None].copy()
+        self.prior = p = cfg.baseline
+        self.prior_col = np.array([p.mu, 2.0 * p.b * (p.kappa + 1.0) / p.kappa])
+        if not math.isfinite(self.prior_col[1]):
+            raise ConfigError(
+                f"baseline prior scale 2 b0 (kappa0 + 1) / kappa0 overflows: {p!r}"
+            )
+        self.live = self.prior_col[:, None].copy()
+        self.consts = _run_length_table(p, 64)
         self._grown = None
 
     def predict(self, x: float, t: int, run_lengths: np.ndarray):
-        # An observation that overflows the NIG arithmetic (|x - mu| near
-        # 1e154) would leave an inf or NaN column behind; it raises
-        # InputError instead and leaves the detector as it was.
+        if run_lengths[-1] >= self.consts.shape[1]:
+            self.consts = _run_length_table(self.prior, 2 * self.consts.shape[1])
+        c, h, inv_k1, rho = self.consts.take(run_lengths, axis=1)
+        mu, big_b = self.live
+        grown = np.empty((2, run_lengths.size + 1))
+        grown[:, 0] = self.prior_col
+        mu1, big_b1 = grown[:, 1:]
+        # An observation whose squared distance to a column's mean overflows
+        # (|x - mu| near 1.3e154) would leave an inf or NaN column behind; it
+        # raises InputError instead and leaves the detector as it was.
         try:
             with np.errstate(over="raise", invalid="raise"):
-                log_psi = _student_t_logpdf(x, self.nig)
-                self._grown = _nig_grow(self.nig, x, self.prior)
+                # mu1 holds d until the last lines turn it into mu'.
+                d = np.subtract(x, mu, out=mu1)
+                d2 = np.square(d)
+                np.add(big_b, d2, out=big_b1)
+                log_psi = np.log(big_b)
+                log_psi *= -0.5
+                log_psi += c
+                d2 /= big_b
+                np.log1p(d2, out=d2)
+                d2 *= h
+                log_psi -= d2
+                d *= inv_k1
+                mu1 += mu
+                big_b1 *= rho
         except FloatingPointError:
             raise InputError(
                 f"observation at t={t} overflows the baseline model: {x!r}"
             ) from None
+        self._grown = grown
         # Column 0 is the prior, so log_psi[0] is the empty-window (reset)
         # predictive.
         return log_psi, float(log_psi[0]), 1, 1, np.ones(1)
 
     def commit(self, z_star: int) -> None:
-        self.nig = self._grown
+        self.live = self._grown
 
     def keep(self, before: np.ndarray, kept: np.ndarray) -> None:
-        self.nig = self.nig.take(before.searchsorted(kept), axis=1)
+        self.live = self.live.take(before.searchsorted(kept), axis=1)
 
 
 _MODELS = {"infinite": InfiniteModel, "fixed-k": FixedKModel, "baseline": BaselineModel}

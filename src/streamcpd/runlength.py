@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from numbers import Integral
 
 import numpy as np
 
@@ -208,6 +209,8 @@ class PrunePolicy:
             raise ConfigError(f"unknown prune kind {self.kind!r}")
         if self.kind == "threshold" and not (0.0 < self.epsilon < 1.0):
             raise ConfigError(f"prune epsilon must lie in (0, 1), got {self.epsilon!r}")
+        if not isinstance(self.max_live, Integral):
+            raise ConfigError(f"prune max_live must be an integer, got {self.max_live!r}")
         if self.kind == "top-m" and self.max_live < 1:
             raise ContractViolation("top-m pruning must keep at least one hypothesis")
         if (self.kind != "threshold" and self.epsilon) or (self.kind != "top-m" and self.max_live):

@@ -119,6 +119,13 @@ def test_ingest_empty_file(tmp_path):
         ingest_csv(p)
 
 
+def test_ingest_allows_one_header_row(tmp_path):
+    p = tmp_path / "a.csv"
+    p.write_text("t\nvalue\n1.0\n")
+    with pytest.raises(InputError, match="row 2"):
+        ingest_csv(p)
+
+
 def test_ingest_missing_file(tmp_path):
     with pytest.raises(InputError):
         ingest_csv(tmp_path / "nope.csv")
@@ -407,6 +414,39 @@ def test_cli_pipeline_and_exit_codes(tmp_path, capsys):
     ]) == 0
     captured = capsys.readouterr().out
     assert "recall=1" in captured
+
+
+def test_cli_score_reads_header_only_changepoint_files(tmp_path, capsys):
+    # A single segment: synth writes a header-only truth file and run flags
+    # nothing, so it writes a header-only changepoints.csv.
+    series, truth, out = tmp_path / "series.csv", tmp_path / "truth.csv", tmp_path / "o"
+    assert main([
+        "synth", "--segments", "200:0:1", "--seed", "0", "--out", str(series),
+        "--truth", str(truth),
+    ]) == 0
+    assert main(["run", "--input", str(series), "--mode", "baseline", "--out", str(out)]) == 0
+    pred = out / "changepoints.csv"
+    assert truth.read_text() == pred.read_text() == "t\n"
+    other = tmp_path / "other.csv"
+    other.write_text("t\n120\n")
+    for p, t, counts in [(pred, truth, (0, 0)), (pred, other, (1, 0)), (other, truth, (0, 1))]:
+        capsys.readouterr()
+        assert main(["score", "--pred", str(p), "--truth", str(t)]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert f"true_count={counts[0]}" in lines and f"pred_count={counts[1]}" in lines
+        assert "matched=0" in lines
+
+
+@pytest.mark.parametrize("text", ["t\n100\nabc\n", "t\nabc\n", "t\ninf\n", None])
+def test_cli_score_bad_changepoint_file_is_input_error(tmp_path, capsys, text):
+    bad = tmp_path / "bad.csv"
+    if text is not None:
+        bad.write_text(text)
+    good = tmp_path / "good.csv"
+    good.write_text("t\n100\n")
+    assert main(["score", "--pred", str(bad), "--truth", str(good)]) == 1
+    assert main(["score", "--pred", str(good), "--truth", str(bad)]) == 1
+    assert "error:" in capsys.readouterr().err
 
 
 def test_cli_input_error_exit_code(tmp_path):

@@ -28,7 +28,7 @@ from streamcpd import (
     nig_update,
     run,
 )
-from streamcpd.detector import _fixed_k_offsets, _nig_grow, _nig_row, _student_t_logpdf
+from streamcpd.detector import _fixed_k_offsets, _run_length_table
 
 
 def _two_segment_series(seed=0, sigma=1.0, jump=8.0, n=200):
@@ -349,6 +349,25 @@ def test_config_validation():
         DetectorConfig(decay=0.0)
     with pytest.raises(ConfigError):
         DetectorConfig(seed=-1)
+    # A class count that is not an integer failed only at the first step,
+    # with a raw TypeError.
+    for k in (2.5, 2.0, "3", 0, np.int64(0)):
+        with pytest.raises(ConfigError):
+            DetectorConfig(mode="fixed-k", k_fixed=k)
+    # An overflowing baseline prior scale 2 b0 (kappa0 + 1) / kappa0.
+    for p in (NigParams(b=1e308), NigParams(kappa=5e-324)):
+        with pytest.raises(ConfigError):
+            Detector(DetectorConfig(mode="baseline", baseline=p))
+
+
+@pytest.mark.parametrize("k", [np.int64(3), np.int32(3), np.uint8(3), 3])
+def test_numpy_integer_counts_are_accepted(k):
+    series = np.random.default_rng(1).normal(0.0, 1.0, 30)
+    cfg = DetectorConfig(mode="fixed-k", k_fixed=k, prune=PrunePolicy.top_m(k))
+    res = run(series, cfg)
+    want = run(series, DetectorConfig(mode="fixed-k", k_fixed=3, prune=PrunePolicy.top_m(3)))
+    assert res.final_k == 3
+    assert _trace_sha256(res) == _trace_sha256(want)
 
 
 # -- fixed-k mode -------------------------------------------------------------
@@ -399,9 +418,16 @@ def test_fixed_k_deterministic():
 # -- baseline mode --------------------------------------------------------------
 
 
+def _baseline_log_predictives(det, x):
+    # The baseline model's log predictive of x under every live hypothesis,
+    # read without committing.
+    return det.model.predict(x, det.t + 1, det.rl.run_lengths)[0]
+
+
 def _nig_pdf(x, p):
     # The baseline's Student-t predictive density of x under one NIG state.
-    return float(np.exp(_student_t_logpdf(x, _nig_row(p)[:, None])[0]))
+    det = Detector(DetectorConfig(mode="baseline", baseline=p))
+    return float(np.exp(_baseline_log_predictives(det, x)[0]))
 
 
 def test_baseline_empty_window_predictive_is_student_t():
@@ -473,37 +499,105 @@ def test_baseline_outlier_keeps_every_weight_finite(history, outlier):
 
 
 @pytest.mark.parametrize(
-    "series", [[0.0, 1e154], [0.0, 1e154, -1.3e154], [0.0, 1.4e154], [0.0, 1e200]]
+    "series", [[0.0, 1e154, -1.3e154], [0.0, 1.4e154], [0.0, 1e200]]
 )
 def test_baseline_overflowing_observation_is_degenerate(series):
-    # (x - mu)^2 or kappa (x - mu)^2 overflows at t=2. The detector raises
-    # InputError there, as the latent modes do, keeps its state, and writes
-    # no inf or NaN into its table.
+    # (x - mu)^2 overflows for some live column at the last step: at t=2
+    # under the prior, at t=3 under the column whose mean 1e154 moved to
+    # 5e153. The detector raises InputError there, as the latent modes do,
+    # keeps its state, and writes no inf or NaN into its table.
     det = Detector(DetectorConfig(mode="baseline"))
-    det.step(series[0])
-    rl, nig = det.rl, det.model.nig
-    with pytest.raises(InputError, match="t=2"):
-        for x in series[1:]:
-            det.step(x)
-    assert det.t == 1 and det.rl is rl and det.model.nig is nig
-    assert np.all(np.isfinite(nig))
+    for x in series[:-1]:
+        det.step(x)
+    rl, live = det.rl, det.model.live
+    with pytest.raises(InputError, match=f"t={len(series)}"):
+        det.step(series[-1])
+    assert det.t == len(series) - 1 and det.rl is rl and det.model.live is live
+    assert np.all(np.isfinite(live))
+
+
+@pytest.mark.parametrize("series", [[0.0, 1e154], [0.0] * 100 + [2e153]])
+def test_baseline_far_observation_is_accepted(series):
+    # Only d^2, d^2 / B and B + d^2 can overflow, so an observation whose
+    # square still fits is accepted whatever the run lengths, as in the
+    # latent modes, and ordinary observations after it step normally.
+    det = Detector(DetectorConfig(mode="baseline"))
+    for x in series:
+        det.step(x)
+    for x in np.random.default_rng(5).normal(0.0, 1.0, 20):
+        out = det.step(x)
+        assert out.rl_posterior.probs.sum() == pytest.approx(1.0, abs=1e-9)
+    assert det.t == len(series) + 20
+    assert np.all(np.isfinite(det.rl.log_weights))
+    assert np.all(np.isfinite(det.model.live))
 
 
 @pytest.mark.parametrize("a0", [0.3, 1.0, 2.5])
 def test_lgamma_term_recurrence_matches_mpmath(a0):
-    # D = lgamma(a + 1/2) - lgamma(a) is carried by D(a + 1/2) = log(a) - D(a)
-    # from the prior's math.lgamma seed; checked at 50 digits up to r = 1e4.
+    # c_r = D_r - log(pi)/2 with D_r = lgamma(a_r + 1/2) - lgamma(a_r) is
+    # carried by D(a + 1/2) = log(a) - D(a) from the prior's math.lgamma
+    # seed; checked at 50 digits up to r = 1e4.
     mpmath.mp.dps = 50
-    prior = _nig_row(NigParams(a=a0))
-    col = prior[:, None]
+    table = _run_length_table(NigParams(a=a0), 10_001)
+    a = a0
     checked = set(range(300)) | set(range(300, 10_001, 37)) | {10_000}
     for r in range(10_001):
         if r in checked:
-            a, d = mpmath.mpf(col[2, 0]), col[4, 0]
-            want = mpmath.loggamma(a + mpmath.mpf(0.5)) - mpmath.loggamma(a)
-            assert abs(d - float(want)) <= 1e-12, (r, d, want)
-        col = _nig_grow(col, 0.25, prior)[:, 1:]
-    assert col[2, 0] == a0 + 10_001 / 2
+            am = mpmath.mpf(a)
+            want = mpmath.loggamma(am + mpmath.mpf(0.5)) - mpmath.loggamma(am)
+            want -= mpmath.log(mpmath.pi) / 2
+            assert abs(table[0, r] - float(want)) <= 1e-12, (r, table[0, r], want)
+        a += 0.5
+    assert table[1, 10_000] == a
+
+
+@pytest.mark.parametrize("kappa0, a0", [(1.0, 1.0), (0.3, 2.5), (2.5, 0.3), (0.05, 1.0)])
+def test_run_length_table_rows_match_nig_folds(kappa0, a0):
+    # Row r holds h_r = a_r + 1/2, 1/kappa_{r+1} and rho_r = kappa_r
+    # (kappa_r + 2) / (kappa_r + 1)^2 for the kappa_r and a_r that r
+    # conjugate updates reach (they do not depend on the observations).
+    table = _run_length_table(NigParams(kappa=kappa0, a=a0), 400)
+    p = NigParams(kappa=kappa0, a=a0)
+    for r, x in enumerate(np.random.default_rng(2).normal(0.0, 3.0, 400)):
+        assert table[1, r] == p.a + 0.5
+        assert table[2, r] == 1.0 / (p.kappa + 1.0)
+        want_rho = p.kappa * (p.kappa + 2.0) / (p.kappa + 1.0) ** 2
+        assert table[3, r] == pytest.approx(want_rho, rel=1e-15, abs=0)
+        want_c = math.lgamma(p.a + 0.5) - math.lgamma(p.a) - 0.5 * math.log(math.pi)
+        assert table[0, r] == pytest.approx(want_c, abs=1e-12)
+        p = nig_update(p, x)
+
+
+def test_baseline_log_predictive_matches_mpmath_long_run():
+    # Unpruned, T = 4000: every hypothesis's log predictive against the NIG
+    # posterior of its window folded at 40 digits. The posterior does not
+    # depend on the order of the window, so one fold backwards from the end
+    # reaches every window.
+    mpmath.mp.dps = 40
+    series = np.random.default_rng(4000).normal(0.5, 2.0, 4000)
+    det = Detector(DetectorConfig(mode="baseline"))
+    for x in series:
+        det.step(x)
+    x_next = mpmath.mpf(1.3)
+    got = _baseline_log_predictives(det, 1.3)
+    assert list(det.rl.run_lengths) == list(range(4001))
+    mu, kappa, a, b = mpmath.mpf(0), mpmath.mpf(1), mpmath.mpf(1), mpmath.mpf(1)
+    half = mpmath.mpf(0.5)
+    worst = 0.0
+    for r in range(4001):
+        if r:
+            x = mpmath.mpf(float(series[-r]))
+            kappa1 = kappa + 1
+            mu, b = (kappa * mu + x) / kappa1, b + kappa * (x - mu) ** 2 / (2 * kappa1)
+            kappa, a = kappa1, a + half
+        big_b = 2 * b * (kappa + 1) / kappa
+        want = (
+            mpmath.loggamma(a + half) - mpmath.loggamma(a)
+            - mpmath.log(mpmath.pi * big_b) / 2
+            - (a + half) * mpmath.log1p((x_next - mu) ** 2 / big_b)
+        )
+        worst = max(worst, abs(got[r] - float(want)))
+    assert worst <= 1e-12
 
 
 def _check_baseline_predictives(policy):
@@ -515,7 +609,7 @@ def _check_baseline_predictives(policy):
     for x in series:
         det.step(x)
     x_next = 1.3
-    psi = np.exp(_student_t_logpdf(x_next, det.model.nig))
+    psi = np.exp(_baseline_log_predictives(det, x_next))
     for r, got in zip(det.rl.run_lengths, psi):
         p = NigParams()
         for x in series[len(series) - r :]:
@@ -534,8 +628,8 @@ def test_baseline_hypothesis_predictive_matches_student_t():
 )
 def test_baseline_hypothesis_predictive_matches_student_t_pruned(policy):
     # Top-m is the only policy that leaves survivors that are not
-    # contiguous, so a model keep hook that misaligns the NIG table with the
-    # trellis fails its case.
+    # contiguous, so a model keep hook that misaligns the hypothesis table
+    # with the trellis fails its case.
     _check_baseline_predictives(policy)
 
 

@@ -309,6 +309,14 @@ def test_prune_of_an_empty_state_is_a_contract_violation(policy):
 def test_prune_policy_validation():
     with pytest.raises(ContractViolation):
         PrunePolicy.top_m(0)
+    # A count that is not an integer failed only at the first prune, with a
+    # raw TypeError.
+    for m in (2.5, 2.0, "3"):
+        with pytest.raises(ConfigError):
+            PrunePolicy.top_m(m)
+    with pytest.raises(ConfigError):
+        PrunePolicy(kind="none", max_live=0.5)
+    assert PrunePolicy.top_m(np.int64(3)).max_live == 3
     with pytest.raises(ConfigError):
         PrunePolicy.threshold(0.0)
     with pytest.raises(ConfigError):
