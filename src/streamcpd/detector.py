@@ -37,15 +37,20 @@ tables:
   kappa``, the Student-t's degrees of freedom times its squared scale. Column
   0 is always the prior (run length 0, an empty window), so its predictive
   is also the reset predictive.
-- the run-length table, ``(4, capacity)`` and indexed by run length r: ``c_r
-  = D_r - log(pi)/2``, ``h_r = a_r + 1/2``, ``1/kappa_{r+1}`` and ``rho_r =
-  kappa_r (kappa_r + 2) / (kappa_r + 1)^2``, computed as ``1 -
-  (1/kappa_{r+1})^2``, which cannot overflow. ``D_r = lgamma(a_r + 1/2) -
-  lgamma(a_r)`` follows the exact recurrence ``D(a + 1/2) = log(a) - D(a)``
-  from a ``math.lgamma`` seed, which is also more accurate than the
+- the run-length table, ``(4, n)`` and indexed by run length r: ``c_r =
+  D_r - log(pi)/2``, ``h_r = a_r + 1/2``, ``1/kappa_{r+1}`` and ``rho_r =
+  kappa_r (kappa_r + 2) / (kappa_r + 1)^2``, computed as ``(kappa_r /
+  kappa_{r+1}) ((kappa_r + 2) / kappa_{r+1})``: each factor is accurate to
+  an ulp for any kappa_r (``1 - (1/kappa_{r+1})^2`` would cancel to 0 for
+  kappa0 below 1e-16) and neither can overflow. ``D_r = lgamma(a_r + 1/2)
+  - lgamma(a_r)`` follows the exact recurrence ``D(a + 1/2) = log(a) -
+  D(a)`` from a ``math.lgamma`` seed, which is also more accurate than the
   difference of two large log gammas. The table is rebuilt at twice its
-  capacity when a live run length outgrows it, and a step reads it with one
-  gather at the live run lengths.
+  size when a live run length outgrows it, up to ``_TABLE_CAP`` rows; the
+  rows of the few hypotheses older than that are computed at each step
+  from kappa0 + r, a0 + r/2 and the asymptotic series of D(a), so the
+  model's memory stays bounded by the live hypotheses on an unbounded
+  stream. A step reads the table with one gather at the live run lengths.
 
 One pass over the columns computes ``d = x - mu`` and ``d^2`` once and uses
 them both for the Student-t log predictive ``log p = c_r - log(B)/2 - h_r
@@ -117,23 +122,47 @@ class NigParams:
             raise ConfigError("NIG kappa, a, b must all be positive and finite")
 
 
+# The run-length table stops growing at this many rows (2 MB). Past it a_r
+# >= 2^15, where the series of D(a) in _run_length_rows_past_cap is off by
+# less than 1e-25.
+_TABLE_CAP = 1 << 16
+
+
+def _run_length_rows(kappa: np.ndarray, a: np.ndarray, d: np.ndarray) -> np.ndarray:
+    """Rows ``c``, ``h``, ``1/kappa'`` and ``rho`` of the run-length table
+    (see the module docstring) at run lengths whose posterior has ``kappa``
+    and ``a``, with ``d = lgamma(a + 1/2) - lgamma(a)``."""
+    out = np.empty((4, kappa.size))
+    c, h, inv_k1, rho = out
+    np.subtract(d, 0.5 * math.log(math.pi), out=c)
+    np.add(a, 0.5, out=h)
+    np.add(kappa, 1.0, out=inv_k1)
+    np.divide(1.0, inv_k1, out=inv_k1)
+    np.multiply(kappa, inv_k1, out=rho)
+    rho *= (kappa + 2.0) * inv_k1
+    return out
+
+
 def _run_length_table(p: NigParams, n: int) -> np.ndarray:
     """The baseline's run-length table for run lengths r = 0..n-1 under the
-    prior ``p``: rows ``c_r``, ``h_r``, ``1/kappa_{r+1}`` and ``rho_r`` (see
-    the module docstring)."""
-    kappa = np.add.accumulate(np.r_[p.kappa, np.ones(n)])
+    prior ``p``. kappa_r and a_r are summed one step at a time, as the
+    conjugate fold does."""
+    kappa = np.add.accumulate(np.r_[p.kappa, np.ones(n - 1)])
     a = np.add.accumulate(np.r_[p.a, np.full(n - 1, 0.5)])
     d0 = math.lgamma(p.a + 0.5) - math.lgamma(p.a)
     # D_{r+1} = log(a_r) - D_r.
     d = accumulate(np.log(a[:-1]).tolist(), lambda d_r, log_a: log_a - d_r, initial=d0)
-    out = np.empty((4, n))
-    c, h, inv_k1, rho = out
-    np.subtract(np.fromiter(d, float, n), 0.5 * math.log(math.pi), out=c)
-    np.add(a, 0.5, out=h)
-    np.divide(1.0, kappa[1:], out=inv_k1)
-    np.square(inv_k1, out=rho)
-    np.subtract(1.0, rho, out=rho)
-    return out
+    return _run_length_rows(kappa, a, np.fromiter(d, float, n))
+
+
+def _run_length_rows_past_cap(p: NigParams, r: np.ndarray) -> np.ndarray:
+    """The run-length table's rows at run lengths ``r >= _TABLE_CAP`` under
+    the prior ``p``, from closed forms: D(a) = log(a)/2 - 1/(8a) + 1/(192
+    a^3) + O(a^-5)."""
+    kappa = p.kappa + r
+    a = p.a + 0.5 * r
+    series = (1.0 / 192.0) / np.square(a) - 0.125
+    return _run_length_rows(kappa, a, 0.5 * np.log(a) + series / a)
 
 
 def _fixed_k_offsets(k_fixed: int) -> list[float]:
@@ -332,9 +361,10 @@ class BaselineModel:
         self._grown = None
 
     def predict(self, x: float, t: int, run_lengths: np.ndarray):
-        if run_lengths[-1] >= self.consts.shape[1]:
-            self.consts = _run_length_table(self.prior, 2 * self.consts.shape[1])
-        c, h, inv_k1, rho = self.consts.take(run_lengths, axis=1)
+        if run_lengths[-1] < self.consts.shape[1]:
+            c, h, inv_k1, rho = self.consts.take(run_lengths, axis=1)
+        else:
+            c, h, inv_k1, rho = self._rows(run_lengths)
         mu, big_b = self.live
         grown = np.empty((2, run_lengths.size + 1))
         grown[:, 0] = self.prior_col
@@ -366,6 +396,23 @@ class BaselineModel:
         # Column 0 is the prior, so log_psi[0] is the empty-window (reset)
         # predictive.
         return log_psi, float(log_psi[0]), 1, 1, np.ones(1)
+
+    def _rows(self, run_lengths: np.ndarray) -> np.ndarray:
+        """The run-length table's columns at ``run_lengths`` (ascending) once
+        the largest outgrows the table: the table doubles, up to
+        ``_TABLE_CAP`` rows, and the rows past it are computed."""
+        n = self.consts.shape[1]
+        if n < _TABLE_CAP:
+            n = min(2 * n, _TABLE_CAP)
+            self.consts = _run_length_table(self.prior, n)
+        split = run_lengths.searchsorted(n)
+        return np.concatenate(
+            (
+                self.consts.take(run_lengths[:split], axis=1),
+                _run_length_rows_past_cap(self.prior, run_lengths[split:]),
+            ),
+            axis=1,
+        )
 
     def commit(self, z_star: int) -> None:
         self.live = self._grown

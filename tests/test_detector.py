@@ -28,7 +28,13 @@ from streamcpd import (
     nig_update,
     run,
 )
-from streamcpd.detector import _fixed_k_offsets, _run_length_table
+from streamcpd import detector
+from streamcpd.detector import (
+    _TABLE_CAP,
+    _fixed_k_offsets,
+    _run_length_rows_past_cap,
+    _run_length_table,
+)
 
 
 def _two_segment_series(seed=0, sigma=1.0, jump=8.0, n=200):
@@ -520,7 +526,8 @@ def test_baseline_overflowing_observation_is_degenerate(series):
 def test_baseline_far_observation_is_accepted(series):
     # Only d^2, d^2 / B and B + d^2 can overflow, so an observation whose
     # square still fits is accepted whatever the run lengths, as in the
-    # latent modes, and ordinary observations after it step normally.
+    # latent modes, and ordinary observations after one such value step
+    # normally.
     det = Detector(DetectorConfig(mode="baseline"))
     for x in series:
         det.step(x)
@@ -530,6 +537,22 @@ def test_baseline_far_observation_is_accepted(series):
     assert det.t == len(series) + 20
     assert np.all(np.isfinite(det.rl.log_weights))
     assert np.all(np.isfinite(det.model.live))
+
+
+def test_baseline_column_near_overflow_refuses_later_observations():
+    # Known limit, pinned until overflow-safe residuals land: unpruned, the
+    # column that absorbed 1e154 three times keeps B near 1e308, so B + d^2
+    # overflows there for every later ordinary value, which is refused with
+    # the detector left as it was.
+    det = Detector(DetectorConfig(mode="baseline"))
+    for x in [0.0, 1e154, 1e154, 1e154]:
+        det.step(x)
+    rl, live = det.rl, det.model.live
+    for x in np.random.default_rng(0).normal(0.0, 1.0, 5):
+        with pytest.raises(InputError, match="t=5"):
+            det.step(x)
+        assert det.t == 4 and det.rl is rl and det.model.live is live
+    assert np.all(np.isfinite(live))
 
 
 @pytest.mark.parametrize("a0", [0.3, 1.0, 2.5])
@@ -551,7 +574,9 @@ def test_lgamma_term_recurrence_matches_mpmath(a0):
     assert table[1, 10_000] == a
 
 
-@pytest.mark.parametrize("kappa0, a0", [(1.0, 1.0), (0.3, 2.5), (2.5, 0.3), (0.05, 1.0)])
+@pytest.mark.parametrize(
+    "kappa0, a0", [(1.0, 1.0), (0.3, 2.5), (2.5, 0.3), (0.05, 1.0), (1e-10, 1.0), (1e-17, 0.3)]
+)
 def test_run_length_table_rows_match_nig_folds(kappa0, a0):
     # Row r holds h_r = a_r + 1/2, 1/kappa_{r+1} and rho_r = kappa_r
     # (kappa_r + 2) / (kappa_r + 1)^2 for the kappa_r and a_r that r
@@ -568,50 +593,91 @@ def test_run_length_table_rows_match_nig_folds(kappa0, a0):
         p = nig_update(p, x)
 
 
-def test_baseline_log_predictive_matches_mpmath_long_run():
-    # Unpruned, T = 4000: every hypothesis's log predictive against the NIG
-    # posterior of its window folded at 40 digits. The posterior does not
-    # depend on the order of the window, so one fold backwards from the end
-    # reaches every window.
-    mpmath.mp.dps = 40
-    series = np.random.default_rng(4000).normal(0.5, 2.0, 4000)
-    det = Detector(DetectorConfig(mode="baseline"))
-    for x in series:
-        det.step(x)
-    x_next = mpmath.mpf(1.3)
-    got = _baseline_log_predictives(det, 1.3)
-    assert list(det.rl.run_lengths) == list(range(4001))
-    mu, kappa, a, b = mpmath.mpf(0), mpmath.mpf(1), mpmath.mpf(1), mpmath.mpf(1)
+@pytest.mark.parametrize("a0", [0.3, 1.0, 2.5])
+def test_run_length_rows_past_cap_match_recurrence(a0):
+    # Past the cap, kappa_r and a_r are computed directly and D(a) from its
+    # asymptotic series: against the recurrence table continued past the
+    # cap, and against mpmath far beyond it.
+    p = NigParams(kappa=0.3, a=a0)
+    r = np.arange(_TABLE_CAP, _TABLE_CAP + 2000)
+    got = _run_length_rows_past_cap(p, r)
+    want = _run_length_table(p, _TABLE_CAP + 2000)[:, _TABLE_CAP:]
+    np.testing.assert_allclose(got[0], want[0], rtol=0, atol=1e-12)
+    np.testing.assert_allclose(got[1:], want[1:], rtol=1e-15, atol=0)
+    mpmath.mp.dps = 50
+    far = np.array([_TABLE_CAP, 10**6, 10**9, 10**12])
+    for r_i, c in zip(far, _run_length_rows_past_cap(p, far)[0]):
+        am = mpmath.mpf(a0) + mpmath.mpf(int(r_i)) / 2
+        want_c = mpmath.loggamma(am + 0.5) - mpmath.loggamma(am) - mpmath.log(mpmath.pi) / 2
+        assert abs(c - float(want_c)) <= 1e-12, r_i
+
+
+def _nig_log_predictives_mpmath(series, kappa0, a0, x_next):
+    # Log predictive of x_next under the NIG posterior of every window
+    # series[-r:], r = 0..len(series), folded at the current mpmath
+    # precision. The posterior does not depend on the order of the window,
+    # so one fold backwards from the end reaches every window.
+    x_next = mpmath.mpf(x_next)
+    mu, kappa, a, b = mpmath.mpf(0), mpmath.mpf(kappa0), mpmath.mpf(a0), mpmath.mpf(1)
     half = mpmath.mpf(0.5)
-    worst = 0.0
-    for r in range(4001):
+    out = []
+    for r in range(len(series) + 1):
         if r:
             x = mpmath.mpf(float(series[-r]))
             kappa1 = kappa + 1
             mu, b = (kappa * mu + x) / kappa1, b + kappa * (x - mu) ** 2 / (2 * kappa1)
             kappa, a = kappa1, a + half
         big_b = 2 * b * (kappa + 1) / kappa
-        want = (
+        out.append(
             mpmath.loggamma(a + half) - mpmath.loggamma(a)
             - mpmath.log(mpmath.pi * big_b) / 2
             - (a + half) * mpmath.log1p((x_next - mu) ** 2 / big_b)
         )
-        worst = max(worst, abs(got[r] - float(want)))
-    assert worst <= 1e-12
+    return out
 
 
-def _check_baseline_predictives(policy):
+def test_baseline_run_length_table_stops_at_cap(monkeypatch):
+    # With the cap lowered to 256, an unpruned run of 700 steps keeps a
+    # 256-row table, and the hypotheses past it still get log predictives
+    # within 1e-12 of a 40-digit fold.
+    monkeypatch.setattr(detector, "_TABLE_CAP", 256)
+    mpmath.mp.dps = 40
+    series = np.random.default_rng(256).normal(0.5, 2.0, 700)
+    det = Detector(DetectorConfig(mode="baseline", baseline=NigParams(kappa=0.3, a=0.3)))
+    for x in series:
+        det.step(x)
+    assert det.model.consts.shape == (4, 256)
+    got = _baseline_log_predictives(det, 1.3)
+    want = _nig_log_predictives_mpmath(series, 0.3, 0.3, 1.3)
+    assert max(abs(g - float(w)) for g, w in zip(got, want)) <= 1e-12
+
+
+def test_baseline_log_predictive_matches_mpmath_long_run():
+    # Unpruned, T = 4000: every hypothesis's log predictive against the NIG
+    # posterior of its window folded at 40 digits.
+    mpmath.mp.dps = 40
+    series = np.random.default_rng(4000).normal(0.5, 2.0, 4000)
+    det = Detector(DetectorConfig(mode="baseline"))
+    for x in series:
+        det.step(x)
+    got = _baseline_log_predictives(det, 1.3)
+    assert list(det.rl.run_lengths) == list(range(4001))
+    want = _nig_log_predictives_mpmath(series, 1.0, 1.0, 1.3)
+    assert max(abs(g - float(w)) for g, w in zip(got, want)) <= 1e-12
+
+
+def _check_baseline_predictives(policy, prior=NigParams()):
     # After 200 steps every live hypothesis's predictive equals the Student-t
     # of the NIG posterior of its window, folded independently.
     rng = np.random.default_rng(11)
     series = rng.normal(0.5, 2.0, 200)
-    det = Detector(DetectorConfig(mode="baseline", prune=policy))
+    det = Detector(DetectorConfig(mode="baseline", prune=policy, baseline=prior))
     for x in series:
         det.step(x)
     x_next = 1.3
     psi = np.exp(_baseline_log_predictives(det, x_next))
     for r, got in zip(det.rl.run_lengths, psi):
-        p = NigParams()
+        p = prior
         for x in series[len(series) - r :]:
             p = nig_update(p, x)
         scale = math.sqrt(p.b * (p.kappa + 1) / (p.a * p.kappa))
@@ -631,6 +697,13 @@ def test_baseline_hypothesis_predictive_matches_student_t_pruned(policy):
     # contiguous, so a model keep hook that misaligns the hypothesis table
     # with the trellis fails its case.
     _check_baseline_predictives(policy)
+
+
+@pytest.mark.parametrize("kappa0", [1e-10, 1e-17])
+def test_baseline_hypothesis_predictive_matches_student_t_tiny_kappa0(kappa0):
+    # rho_0 is about 2 kappa0 here: a form that loses its digits to
+    # cancellation (or rounds it to 0, so that B = 0 at t = 2) fails.
+    _check_baseline_predictives(PrunePolicy.none(), NigParams(kappa=kappa0))
 
 
 def test_fixed_k_offsets_match_ndtri():
