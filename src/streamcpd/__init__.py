@@ -3,7 +3,13 @@ hierarchy, with fixed-K and raw-observation baselines."""
 
 __version__ = "0.1.0"
 
-from .crp import LabelCounts, crp_prior, crp_run_predictive, sequence_probability
+from .crp import (
+    LabelCounts,
+    crp_numerators,
+    crp_prior,
+    crp_run_predictive,
+    sequence_probability,
+)
 from .detector import (
     Detector,
     DetectorConfig,
@@ -69,6 +75,7 @@ __all__ = [
     "StepOutput",
     "brute_force_joint",
     "brute_force_joint_by_segments",
+    "crp_numerators",
     "crp_prior",
     "crp_run_predictive",
     "decay_rates",

@@ -16,6 +16,12 @@ vectorized query: a binary search of the occurrence times when the
 hypotheses are few against a long history, and otherwise a gather from the
 dense prefix counts of the queried class, which are kept up to date while
 that class stays the one queried.
+
+The CRP window predictive divides a numerator by r + alpha: the count w of
+the label in the window, or alpha when w = 0. Its caller keeps these
+numerators as one table ``[alpha, 1, 2, ...]`` (:func:`crp_numerators`),
+read with one gather at the window counts; since w <= r, a table longer
+than the largest live run length covers every step.
 """
 
 from __future__ import annotations
@@ -71,22 +77,24 @@ class LabelCounts:
 
     def window_counts(self, k: int, runs: np.ndarray) -> np.ndarray:
         """Count of class k among the last r labels, vectorized over r."""
-        runs = np.asarray(runs, dtype=np.int64)
-        if runs.size and (runs.min() < 0 or runs.max() > self.t):
+        start = self.t - np.asarray(runs, dtype=np.int64)
+        # r < 0 puts the start past t, and r > t puts it below 0, which as
+        # an unsigned integer is also past t: one reduction checks both.
+        if start.size and start.view(np.uint64).max() > self.t:
             raise ContractViolation(f"window lengths must lie in [0, {self.t}]")
         n = self.total(k)
         if n == 0:
-            return np.zeros(runs.shape, dtype=np.int64)
+            return np.zeros(start.shape, dtype=np.int64)
         if k != self._hot:
-            if runs.size * n.bit_length() < self.t:
+            if start.size * n.bit_length() < self.t:
                 # m binary searches cost about m * log2(n), less than
                 # building c_k(0..t) in t steps.
-                return n - np.searchsorted(self._occ[k - 1][:n], self.t - runs, side="right")
+                return n - np.searchsorted(self._occ[k - 1][:n], start, side="right")
             self._hot = k
             self._hot_prefix = np.empty(2 * (self.t + 1), dtype=np.int64)
             self._hot_prefix[: self.t + 1] = self.prefix(k)
         c = self._hot_prefix
-        return c[self.t] - c[self.t - runs]
+        return c[self.t] - c[start]
 
     def prefix(self, k: int) -> np.ndarray:
         """The prefix-count sequence c_k(0..t) for one class."""
@@ -108,21 +116,41 @@ def crp_prior(counts: LabelCounts, alpha: float) -> np.ndarray:
     return p
 
 
-def crp_run_predictive(counts: LabelCounts, runs: np.ndarray, k: int, alpha: float) -> np.ndarray:
+def crp_numerators(alpha: float, n: int) -> np.ndarray:
+    """The numerators of :func:`crp_run_predictive` for window counts w =
+    0..n-1: the new-table mass alpha at w = 0, and w itself above."""
+    num = np.arange(n, dtype=float)
+    num[0] = alpha
+    return num
+
+
+def crp_run_predictive(
+    counts: LabelCounts, runs: np.ndarray, k: int, numerators: np.ndarray
+) -> np.ndarray:
     """CRP predictive of label k restricted to the last-r-labels window, for
-    each window length in ``runs``.
+    each window length in ``runs``, at the concentration alpha =
+    ``numerators[0]``.
 
     With w = count of k in the window: w / (r + alpha) if w > 0, else the
     new-table mass alpha / (r + alpha). An unseen-in-window class gets the
     full new-table mass; under the CRP, "not in this window" is exactly the
     new-table event. For r = 0 the window is empty and the value is alpha /
     alpha = 1. Labels are canonical, so k may be at most K + 1.
+
+    The numerators are gathered at w from ``numerators`` =
+    ``crp_numerators(alpha, n)``, which must cover every window count: an n
+    above the largest r does, since w <= r.
     """
     if not 1 <= k <= counts.k + 1:
         raise ContractViolation(f"class id {k} out of range 1..{counts.k + 1}")
     w = counts.window_counts(k, runs)
-    num = np.where(w > 0, w.astype(float), alpha)
-    return num / (runs + alpha)
+    try:
+        num = numerators.take(w)
+    except IndexError:
+        raise ContractViolation(
+            f"the numerator table covers window counts below {numerators.size} only"
+        ) from None
+    return num / (runs + numerators[0])
 
 
 def sequence_probability(labels, alpha: float) -> float:

@@ -76,7 +76,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .crp import LabelCounts, crp_prior, crp_run_predictive
+from .crp import LabelCounts, crp_numerators, crp_prior, crp_run_predictive
 from .emission import (
     CandidatePolicy,
     ClassTable,
@@ -299,15 +299,20 @@ class _LatentModel:
 
 class InfiniteModel(_LatentModel):
     """``infinite``: classes under a CRP, and the CRP window predictive of
-    the MAP labels; the reset predictive is 1."""
+    the MAP labels; the reset predictive is 1. ``numerators`` is the window
+    predictive's numerator table at alpha, doubled whenever the largest live
+    run length reaches its end."""
 
     def __init__(self, cfg: DetectorConfig):
         super().__init__(cfg, ClassTable())
+        self.numerators = crp_numerators(cfg.alpha, 64)
 
     def predict(self, x: float, t: int, run_lengths: np.ndarray):
         counts, alpha = self.counts, self.cfg.alpha
         resp, z_star = self._emission_step(x, t, crp_prior(counts, alpha), candidate=True)
-        log_psi = np.log(crp_run_predictive(counts, run_lengths, z_star, alpha))
+        if run_lengths[-1] >= self.numerators.size:
+            self.numerators = crp_numerators(alpha, 2 * self.numerators.size)
+        log_psi = np.log(crp_run_predictive(counts, run_lengths, z_star, self.numerators))
         return log_psi, 0.0, z_star, self.table.n, resp
 
 

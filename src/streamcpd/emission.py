@@ -142,7 +142,7 @@ def _loglik(d2, two_var, log_var):
 def _normalize(score: np.ndarray) -> np.ndarray:
     """Responsibilities from per-class log scores (log prior + log
     likelihood): exp(score - max), normalized."""
-    m = float(score.max())
+    m = float(score[score.argmax()])  # score.max(), read as in runlength.logsumexp
     if not math.isfinite(m):
         raise ContractViolation("class prior has no positive entry")
     w = np.exp(score - m)

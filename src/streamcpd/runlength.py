@@ -16,6 +16,14 @@ posterior: ``e = exp(lw - max)``, evidence ``max + log(sum(e))``, posterior
 readout and ``prune`` share its posterior. The reset term reads the cached
 evidence instead of summing the weights again.
 
+That pass skips the weights more than 708.4 (``-log(tiny)``) below the
+largest: their ``e`` would be subnormal or 0, numpy's ``exp`` computes such
+lanes on a slow path, and on an unpruned trellis most old hypotheses fall
+that far (over half of them by t = 2400 on a two-regime stream). They are
+set to exactly 0 instead. The evidence and the posterior entries are as if
+they had been exponentiated, except that an entry whose ``e`` would have
+been below ``tiny`` (2.2e-308) reads exactly 0.
+
 A step validates its inputs only when it fails. A NaN or +inf log predictive
 always makes the step's total non-finite (NaN propagates, and +inf gives
 +inf, or NaN where it meets a -inf weight), so the checks run on that path
@@ -35,6 +43,8 @@ from .errors import ConfigError, ContractViolation, DegenerateStateError
 
 # Smallest normal float: a kept posterior mass below it has lost precision.
 _TINY = float(np.finfo(float).tiny)
+# exp(x) is subnormal or 0 exactly when x is below this.
+_LOG_TINY = math.log(_TINY)
 
 
 def logsumexp(a: np.ndarray, out: np.ndarray | None = None) -> float:
@@ -44,13 +54,28 @@ def logsumexp(a: np.ndarray, out: np.ndarray | None = None) -> float:
     With ``out`` (an array shaped like ``a``) and a finite result, the same
     exponentials also fill ``out`` with the normalized weights
     ``exp(a - max) / sum(exp(a - max))``; otherwise ``out`` is left as is.
+
+    Entries more than ``-log(tiny)`` (708.4) below the maximum, whose
+    exponential would be subnormal or 0, are set to exactly 0 instead of
+    being exponentiated, because numpy's ``exp`` takes a slow path on such
+    lanes. Together they would add less than ``a.size * tiny`` to a sum of
+    at least exp(0) = 1, far below its rounding, so the result and every
+    other weight are as if they had been exponentiated. The branch is taken
+    only when the smallest shifted entry is below the cut.
     """
-    m = float(a.max())
+    # The same value as a.max(), NaN included, and cheaper to read.
+    m = float(a[a.argmax()])
     if not math.isfinite(m):
         return m
     e = np.subtract(a, m, out=out)
-    np.exp(e, out=e)
-    total = float(e.sum())
+    if e[e.argmin()] < _LOG_TINY:
+        low = e < _LOG_TINY
+        np.putmask(e, low, 0.0)
+        np.exp(e, out=e)
+        np.putmask(e, low, 0.0)
+    else:
+        np.exp(e, out=e)
+    total = float(np.add.reduce(e))
     if out is not None:
         out /= total
     return m + math.log(total)
@@ -198,7 +223,13 @@ class PrunePolicy:
     ``epsilon``, or keep the top ``max_live``. A field the kind does not use
     must stay 0, so each policy has one form (and one manifest form). Run
     length 0 is never pruned (of a state whose run lengths ascend, as every
-    state ``recursion_step`` builds does)."""
+    state ``recursion_step`` builds does).
+
+    The policies read the posterior of ``normalize_posterior``, in which an
+    entry whose weight ``exp(lw - max)`` is below ``tiny`` (2.2e-308) is
+    exactly 0 (see ``logsumexp``). So a threshold ``epsilon`` at or below
+    2.2e-308 drops those entries too, and top-m, choosing among them, keeps
+    the lower indices (its sort is stable)."""
 
     kind: str = "none"
     epsilon: float = 0.0

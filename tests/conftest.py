@@ -1,7 +1,14 @@
 import numpy as np
 from hypothesis import HealthCheck, settings
 
-from streamcpd import HazardConfig, LabelCounts, RunLengthState, crp_run_predictive, recursion_step
+from streamcpd import (
+    HazardConfig,
+    LabelCounts,
+    RunLengthState,
+    crp_numerators,
+    crp_run_predictive,
+    recursion_step,
+)
 
 settings.register_profile(
     "default",
@@ -17,8 +24,9 @@ def trellis_joint(labels, alpha, lam):
     counts = LabelCounts()
     st = RunLengthState.initial()
     hz = HazardConfig(lam)
+    numerators = crp_numerators(alpha, len(labels))
     for z in labels:
-        psi = crp_run_predictive(counts, st.run_lengths, z, alpha)
+        psi = crp_run_predictive(counts, st.run_lengths, z, numerators)
         st = recursion_step(st, np.log(psi), hz)
         counts.record(z)
     return np.exp(st.log_weights), st

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from streamcpd import (
     ContractViolation,
     LabelCounts,
+    crp_numerators,
     crp_prior,
     crp_run_predictive,
     sequence_probability,
@@ -52,17 +53,18 @@ def test_global_predictive_is_a_distribution(choices, alpha):
 
 def test_run_predictive_empty_window_is_one():
     lc = _counts_with_labels([1, 2, 1])
+    num = crp_numerators(0.5, lc.t + 1)
     for k in (1, 2, 3):
-        assert crp_run_predictive(lc, np.array([0]), k, 0.5)[0] == 1.0
+        assert crp_run_predictive(lc, np.array([0]), k, num)[0] == 1.0
 
 
 def test_run_predictive_window_counts():
     # window of the last 3 labels: (1, 1, 2)
     lc = _counts_with_labels([1, 1, 1, 2])
-    r = np.array([3])
-    assert crp_run_predictive(lc, r, 1, 1.0)[0] == pytest.approx(0.5)
-    assert crp_run_predictive(lc, r, 2, 1.0)[0] == pytest.approx(0.25)
-    assert crp_run_predictive(lc, r, 3, 1.0)[0] == pytest.approx(0.25)  # unseen: new-table mass
+    r, num = np.array([3]), crp_numerators(1.0, lc.t + 1)
+    assert crp_run_predictive(lc, r, 1, num)[0] == pytest.approx(0.5)
+    assert crp_run_predictive(lc, r, 2, num)[0] == pytest.approx(0.25)
+    assert crp_run_predictive(lc, r, 3, num)[0] == pytest.approx(0.25)  # unseen: new-table mass
 
 
 def test_run_predictive_window_equals_history_matches_global():
@@ -71,8 +73,9 @@ def test_run_predictive_window_equals_history_matches_global():
         labels = random_canonical_labels(rng, 30)
         lc = _counts_with_labels(labels)
         g = crp_prior(lc, alpha)
+        num = crp_numerators(alpha, lc.t + 1)
         for k in range(1, lc.k + 2):
-            got = crp_run_predictive(lc, np.array([lc.t]), k, alpha)[0]
+            got = crp_run_predictive(lc, np.array([lc.t]), k, num)[0]
             assert got == pytest.approx(g[k - 1], rel=1e-12)
 
 
@@ -81,23 +84,44 @@ def test_run_predictive_additivity_over_window():
     labels = random_canonical_labels(rng, 25)
     alpha = 1.3
     lc = _counts_with_labels(labels)
+    num = crp_numerators(alpha, lc.t + 1)
     for r in range(0, 26):
         seen = set(labels[len(labels) - r :])
-        total = sum(crp_run_predictive(lc, np.array([r]), k, alpha)[0] for k in seen)
+        total = sum(crp_run_predictive(lc, np.array([r]), k, num)[0] for k in seen)
         total += alpha / (r + alpha)  # the shared new-table mass
         assert total == pytest.approx(1.0, rel=1e-12)
+
+
+@pytest.mark.parametrize("alpha", [0.5, 1.0, 3.0])
+def test_run_predictive_gathers_the_new_table_numerator(alpha):
+    # A long label history queried at a sparse (pruned) set of run lengths,
+    # against the formula written out.
+    rng = np.random.default_rng(17)
+    lc = _counts_with_labels(random_canonical_labels(rng, 40) + [1, 2, 3] * 120)
+    runs = np.unique(np.r_[0, rng.choice(lc.t + 1, 60, replace=False), lc.t])
+    num = crp_numerators(alpha, lc.t + 1)
+    for k in range(1, lc.k + 2):
+        w = lc.window_counts(k, runs)
+        want = np.where(w > 0, w, alpha) / (runs + alpha)
+        np.testing.assert_array_equal(crp_run_predictive(lc, runs, k, num), want)
+
+
+def test_run_predictive_rejects_a_short_numerator_table():
+    lc = _counts_with_labels([1, 1, 1])
+    with pytest.raises(ContractViolation):
+        crp_run_predictive(lc, np.array([0, 3]), 1, crp_numerators(1.0, 3))
 
 
 def test_run_predictive_rejects_window_beyond_history():
     lc = _counts_with_labels([1, 1])
     with pytest.raises(ContractViolation):
-        crp_run_predictive(lc, np.array([3]), 1, 1.0)
+        crp_run_predictive(lc, np.array([3]), 1, crp_numerators(1.0, 4))
 
 
 def test_run_predictive_rejects_unknown_class():
     lc = _counts_with_labels([1, 1])
     with pytest.raises(ContractViolation):
-        crp_run_predictive(lc, np.array([1]), 3, 1.0)  # only class 2 may be new
+        crp_run_predictive(lc, np.array([1]), 3, crp_numerators(1.0, 3))  # only class 2 may be new
 
 
 # -- recording -------------------------------------------------------------
@@ -172,6 +196,15 @@ def test_global_predictive_is_counts_over_t_plus_alpha(choices, alpha):
         lc.record(min(c + 1, lc.k + 1))
     want = np.array([*lc.m[: lc.k], alpha]) / (lc.t + alpha)
     np.testing.assert_array_equal(crp_prior(lc, alpha), want)
+
+
+@pytest.mark.parametrize("runs", [[-1], [5], [0, -1], [5, 0], [2, 4, 5]])
+@pytest.mark.parametrize("k", [1, 2])  # class 1 is queried by binary search, 2 from its prefix
+def test_label_counts_reject_windows_outside_the_history(runs, k):
+    lc = _counts_with_labels([1, 2, 2, 2])
+    lc.window_counts(2, np.arange(5))
+    with pytest.raises(ContractViolation):
+        lc.window_counts(k, np.array(runs))
 
 
 def test_label_counts_window_queries():

@@ -22,6 +22,7 @@ from streamcpd import (
     PrunePolicy,
     SegmentSpec,
     brute_force_joint,
+    crp_run_predictive,
     detect_changepoints,
     fixed_k_run_predictive,
     gen_piecewise_gaussian,
@@ -346,6 +347,51 @@ def test_golden_trace_infinite_unpruned():
     )
 
 
+def _posterior_sha256(res):
+    h = hashlib.sha256()
+    for s in res.steps:
+        h.update(s.rl_posterior.runs.tobytes())
+        h.update(s.rl_posterior.probs.tobytes())
+    return h.hexdigest()
+
+
+# Unpruned runs long enough that some joint weights fall more than
+# log(tiny) below the largest, so logsumexp takes its masked branch: on 405
+# of the 900 steps of the baseline run and 122 of the 1200 of the infinite
+# one. The stored posterior slices are pinned bit for bit along with the
+# discrete trace.
+
+
+def test_golden_trace_baseline_unpruned():
+    segs = [
+        SegmentSpec(300, 0.0, 1.0, 1),
+        SegmentSpec(300, 8.0, 1.0, 2),
+        SegmentSpec(300, 0.0, 1.0, 1),
+    ]
+    series, _, _ = gen_piecewise_gaussian(segs, 1)
+    res = run(series, DetectorConfig(mode="baseline"))
+    assert res.change_points == [301, 601]
+    assert _trace_sha256(res) == (
+        "ac3dbd8adb2f057946838123501b0b9689fc1af135e5c00b8b293bd05f013eda"
+    )
+    assert _posterior_sha256(res) == (
+        "1f06ada6c7fe5e52bc027244465a881262f43f88054fe3b7dc36faa93b32e294"
+    )
+
+
+def test_golden_trace_infinite_unpruned_four_segments():
+    segs = [SegmentSpec(300, 8.0 * (i % 2), 1.0, 1 + i % 2) for i in range(4)]
+    series, _, _ = gen_piecewise_gaussian(segs, 1)
+    res = run(series, DetectorConfig(alpha=0.5, candidate=CandidatePolicy(var_init=2.0)))
+    assert res.change_points == [303, 603, 903]
+    assert _trace_sha256(res) == (
+        "656625fd56f1175113bb6fb888535552194362e99fe5fca6c738948e058b556f"
+    )
+    assert _posterior_sha256(res) == (
+        "dcc7413bc8aa0b7b820f4d86b8c77e27d1f4e0abe14daf506ce56c61adb9bff8"
+    )
+
+
 def test_config_validation():
     with pytest.raises(ConfigError):
         DetectorConfig(mode="nope")
@@ -374,6 +420,29 @@ def test_numpy_integer_counts_are_accepted(k):
     want = run(series, DetectorConfig(mode="fixed-k", k_fixed=3, prune=PrunePolicy.top_m(3)))
     assert res.final_k == 3
     assert _trace_sha256(res) == _trace_sha256(want)
+
+
+@pytest.mark.parametrize("alpha", [0.5, 1.0, 3.0])
+@pytest.mark.parametrize("prune", [PrunePolicy.none(), PrunePolicy.top_m(20)])
+def test_infinite_window_predictive_while_numerator_table_grows(alpha, prune, monkeypatch):
+    # The model's numerator table starts shorter than the run and doubles;
+    # every step's window predictive equals the formula written out, over
+    # every run length (unpruned) and over a sparse set of them (top-m).
+    sizes = []
+
+    def checked(counts, runs, k, numerators):
+        got = crp_run_predictive(counts, runs, k, numerators)
+        w = counts.window_counts(k, runs)
+        np.testing.assert_array_equal(got, np.where(w > 0, w, alpha) / (runs + alpha))
+        sizes.append(numerators.size)
+        return got
+
+    monkeypatch.setattr(detector, "crp_run_predictive", checked)
+    series, _, _ = _two_segment_series(seed=3, jump=6.0, n=150)
+    run(series, DetectorConfig(alpha=alpha, prune=prune))
+    assert len(sizes) == 300
+    if prune.kind == "none":  # run lengths reach 299
+        assert sizes[0] < 300 <= sizes[-1]
 
 
 # -- fixed-k mode -------------------------------------------------------------

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 from scipy.special import logsumexp as scipy_logsumexp
 
@@ -20,7 +20,7 @@ from streamcpd import (
     recursion_step,
 )
 
-from streamcpd.runlength import logsumexp
+from streamcpd.runlength import _TINY, logsumexp
 
 from conftest import random_canonical_labels, trellis_joint
 
@@ -37,11 +37,18 @@ def _log(psi):
 
 @given(
     st.lists(
-        st.one_of(st.just(-math.inf), st.floats(min_value=-1e300, max_value=1e300)),
+        st.one_of(
+            st.just(-math.inf),
+            st.floats(min_value=-1e300, max_value=1e300),
+            # Close enough to 0 that both sides of the -708.4 cut are drawn.
+            st.floats(min_value=-1500.0, max_value=10.0),
+        ),
         min_size=1,
         max_size=40,
     )
 )
+@example([0.0, -1.0, -700.0])  # no entry below the cut
+@example([0.0, -720.0, -1e4, -math.inf])  # entries in and below the subnormal band
 def test_logsumexp_matches_scipy(values):
     a = np.array(values)
     got, want = logsumexp(a), float(scipy_logsumexp(a))
@@ -51,6 +58,53 @@ def test_logsumexp_matches_scipy(values):
         # The absolute floor covers results near zero, where rounding the
         # shifted sum at 1 leaves an absolute error of a few ulps.
         assert got == pytest.approx(want, rel=1e-14, abs=1e-14)
+
+
+def test_logsumexp_cut_is_where_exp_leaves_the_normal_range():
+    # Entries are masked when x - max < log(tiny): exp of the cut itself is
+    # normal, exp of the next float below it is not.
+    cut = math.log(_TINY)
+    below = math.nextafter(cut, -math.inf)
+    assert math.exp(cut) >= _TINY > math.exp(below)
+    out = np.empty(2)
+    logsumexp(np.array([0.0, cut]), out=out)
+    assert out[1] == np.exp(cut) / (1.0 + np.exp(cut))
+    logsumexp(np.array([0.0, below]), out=out)
+    assert out[1] == 0.0
+
+
+@pytest.mark.parametrize("seed", range(4))
+@pytest.mark.parametrize("far_tail", [True, False])
+def test_logsumexp_masks_only_underflowing_weights(seed, far_tail):
+    # Weights on both sides of the cut, in the subnormal band (-745, -708.4)
+    # and, with far_tail, below it where exp is 0; with seed 0 the maximum
+    # is exactly 0 and the cut itself and the float below it are drawn.
+    rng = np.random.default_rng(seed)
+    cut = math.log(_TINY)
+    a = np.concatenate(
+        [
+            rng.uniform(-700.0, 0.0, 100),
+            rng.uniform(-712.0, -705.0, 200),
+            rng.uniform(-745.0, -708.4, 100),
+            rng.uniform(-2000.0, -745.0, 100) if far_tail else [],
+            [0.0, cut, math.nextafter(cut, -math.inf)],
+            [-math.inf] if far_tail else [],
+        ]
+    )
+    a = rng.permutation(a)
+    if seed:
+        a += rng.uniform(-50.0, 50.0)
+    m = a.max()
+    want_e = np.exp(a - m)
+    want_total = want_e.sum()
+    want = m + math.log(want_total)
+    out = np.empty_like(a)
+    assert logsumexp(a) == want
+    assert logsumexp(a, out=out) == want
+    normal = want_e >= _TINY
+    assert normal.sum() >= 150 and (~normal).sum() >= 150
+    np.testing.assert_array_equal(out[normal], want_e[normal] / want_total)
+    assert (out[~normal] == 0.0).all()
 
 
 def test_logsumexp_all_neg_inf_is_neg_inf():
