@@ -295,9 +295,13 @@ def emit_traces(result: RunResult, outdir, manifest: RunManifest | None = None) 
 
     written = []
 
+    # "%.17g" is _fmt's format. Formatting the Python numbers of tolist()
+    # takes about a quarter less time than formatting numpy scalars.
     rows = ["t,x,z_star,k_t"]
-    for s, x in zip(result.steps, result.series):
-        rows.append(f"{s.t},{_fmt(x)},{s.z_star},{s.k_t}")
+    rows += [
+        "%d,%.17g,%d,%d" % (s.t, x, s.z_star, s.k_t)
+        for s, x in zip(result.steps, result.series.tolist())
+    ]
     p = outdir / "assignments.csv"
     p.write_text("\n".join(rows) + "\n", encoding="utf-8")
     written.append(p)
@@ -311,9 +315,12 @@ def emit_traces(result: RunResult, outdir, manifest: RunManifest | None = None) 
 
     rows = ["t,r,mass"]
     for s in result.steps:
-        for r, mass in zip(s.rl_posterior.runs, s.rl_posterior.probs):
-            if mass >= POSTERIOR_FILE_FLOOR:
-                rows.append(f"{s.t},{int(r)},{_fmt(mass)}")
+        runs, probs = s.rl_posterior
+        rows += [
+            "%d,%d,%.17g" % (s.t, r, mass)
+            for r, mass in zip(runs.tolist(), probs.tolist())
+            if mass >= POSTERIOR_FILE_FLOOR
+        ]
     p = outdir / "posterior.csv"
     p.write_text("\n".join(rows) + "\n", encoding="utf-8")
     written.append(p)

@@ -71,7 +71,6 @@ import math
 from dataclasses import dataclass, field
 from itertools import accumulate
 from numbers import Integral
-from statistics import NormalDist
 from typing import NamedTuple
 
 import numpy as np
@@ -104,6 +103,10 @@ from .runlength import (
 # only; keeps the stored slice summing to 1 within 1e-9 for runs well past
 # 10^4 steps).
 _POSTERIOR_KEEP = 1e-14
+
+# The baseline's responsibilities: one class, shared by every step.
+_ONE = np.ones(1)
+_ONE.setflags(False)
 
 
 @dataclass(frozen=True)
@@ -169,6 +172,10 @@ def _fixed_k_offsets(k_fixed: int) -> list[float]:
     """Standard normal quantiles at i / (k_fixed + 1), i = 1..k_fixed: where
     the fixed-k class means start, in prior standard deviations from the
     first observation."""
+    # Imported here, its only use: statistics also loads fractions and
+    # decimal, several ms of every interpreter that imports the package.
+    from statistics import NormalDist
+
     std = NormalDist()
     return [std.inv_cdf(i / (k_fixed + 1.0)) for i in range(1, k_fixed + 1)]
 
@@ -224,15 +231,22 @@ class DetectorConfig:
 
 
 class SparsePosterior(NamedTuple):
+    """The run-length posterior entries of one step that are at least
+    ``_POSTERIOR_KEEP`` (1e-14), with their run lengths, ascending. Both
+    arrays are read-only; when no entry falls below the cut they are the
+    step's own run lengths and posterior, not copies."""
+
     runs: np.ndarray
     probs: np.ndarray
 
 
-@dataclass
+@dataclass(slots=True)
 class StepOutput:
     """Everything one step produced: label, class count, MAP run length,
     the E-step responsibilities, the (sparse) run-length posterior slice,
-    and the change-point flag."""
+    and the change-point flag. Its arrays are read-only and may be shared
+    with the detector's state (the baseline's responsibilities are one
+    array for every step), so copy one before changing it."""
 
     t: int
     z_star: int
@@ -294,6 +308,7 @@ class _LatentModel:
         if z_star <= k_prev:
             table.n = k_prev
         decay_rates(table, z_star, cfg.decay)
+        resp.setflags(False)
         return resp, z_star
 
 
@@ -367,13 +382,15 @@ class BaselineModel:
 
     def predict(self, x: float, t: int, run_lengths: np.ndarray):
         if run_lengths[-1] < self.consts.shape[1]:
-            c, h, inv_k1, rho = self.consts.take(run_lengths, axis=1)
+            rows = self.consts.take(run_lengths, axis=1)
         else:
-            c, h, inv_k1, rho = self._rows(run_lengths)
-        mu, big_b = self.live
+            rows = self._rows(run_lengths)
+        c, h, inv_k1, rho = rows[0], rows[1], rows[2], rows[3]
+        live = self.live
+        mu, big_b = live[0], live[1]
         grown = np.empty((2, run_lengths.size + 1))
         grown[:, 0] = self.prior_col
-        mu1, big_b1 = grown[:, 1:]
+        mu1, big_b1 = grown[0, 1:], grown[1, 1:]
         # An observation whose squared distance to a column's mean overflows
         # (|x - mu| near 1.3e154) would leave an inf or NaN column behind; it
         # raises InputError instead and leaves the detector as it was.
@@ -400,7 +417,7 @@ class BaselineModel:
         self._grown = grown
         # Column 0 is the prior, so log_psi[0] is the empty-window (reset)
         # predictive.
-        return log_psi, float(log_psi[0]), 1, 1, np.ones(1)
+        return log_psi, float(log_psi[0]), 1, 1, _ONE
 
     def _rows(self, run_lengths: np.ndarray) -> np.ndarray:
         """The run-length table's columns at ``run_lengths`` (ascending) once
@@ -464,14 +481,23 @@ class Detector:
         runs = rl.run_lengths
         posterior = normalize_posterior(rl)
         r_star = int(runs[posterior.argmax()])
-        shown = posterior >= _POSTERIOR_KEEP
+        # Both arrays are read-only, so a step that shows every entry hands
+        # out its own; otherwise the slice is copied. (setflags(False) makes
+        # an array read-only.)
+        if posterior[rl.posterior_argmin] >= _POSTERIOR_KEEP:
+            shown = SparsePosterior(runs, posterior)
+        else:
+            mask = posterior >= _POSTERIOR_KEEP
+            shown = SparsePosterior(runs[mask], posterior[mask])
+            shown.runs.setflags(False)
+            shown.probs.setflags(False)
         out = StepOutput(
             t=t,
             z_star=z_star,
             k_t=k_t,
             r_star=r_star,
             responsibilities=resp,
-            rl_posterior=SparsePosterior(runs[shown], posterior[shown]),
+            rl_posterior=shown,
             cp_flag=cfg.cp_rule.fires(self._prev_r_star, r_star, runs, posterior),
         )
         model.commit(z_star)

@@ -8,7 +8,6 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import combinations
 
 import numpy as np
@@ -73,6 +72,10 @@ def brute_force_joint(z_star_labels, alpha, lam) -> np.ndarray:
 
     Returns a dense vector indexed by r_T in 0..T.
     """
+    # Imported here, its only use: fractions also loads decimal, a few ms
+    # of every interpreter that imports the package.
+    from fractions import Fraction
+
     labels = list(z_star_labels)
     T = len(labels)
     _check_enum_inputs(labels, T)

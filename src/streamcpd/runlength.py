@@ -47,7 +47,9 @@ _TINY = float(np.finfo(float).tiny)
 _LOG_TINY = math.log(_TINY)
 
 
-def logsumexp(a: np.ndarray, out: np.ndarray | None = None) -> float:
+def logsumexp(
+    a: np.ndarray, out: np.ndarray | None = None, i_min: int | None = None
+) -> float:
     """``log(sum(exp(a)))`` of a non-empty 1-D array, shifted by its maximum.
 
     Returns -inf when every entry is -inf and NaN when any entry is NaN.
@@ -61,14 +63,16 @@ def logsumexp(a: np.ndarray, out: np.ndarray | None = None) -> float:
     lanes. Together they would add less than ``a.size * tiny`` to a sum of
     at least exp(0) = 1, far below its rounding, so the result and every
     other weight are as if they had been exponentiated. The branch is taken
-    only when the smallest shifted entry is below the cut.
+    only when the smallest shifted entry is below the cut. A caller that
+    already knows an index of the smallest entry of ``a`` passes it as
+    ``i_min``, which spares the scan for it.
     """
     # The same value as a.max(), NaN included, and cheaper to read.
     m = float(a[a.argmax()])
     if not math.isfinite(m):
         return m
     e = np.subtract(a, m, out=out)
-    if e[e.argmin()] < _LOG_TINY:
+    if e[e.argmin() if i_min is None else i_min] < _LOG_TINY:
         low = e < _LOG_TINY
         np.putmask(e, low, 0.0)
         np.exp(e, out=e)
@@ -114,6 +118,10 @@ class RunLengthState:
     ``evidence_log`` computes it once on construction. Treat the arrays as
     read-only: writing to ``log_weights`` in place breaks the invariant and
     the memoized posterior.
+
+    ``posterior_argmin`` is an index of the posterior's smallest entry on a
+    state built by ``recursion_step``, which finds it anyway, and None on
+    any other state.
     """
 
     run_lengths: np.ndarray
@@ -121,6 +129,7 @@ class RunLengthState:
     t: int = 0
     evidence_log: float | None = None
     _posterior: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
+    posterior_argmin: int | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.evidence_log is None:
@@ -151,8 +160,9 @@ def recursion_step(
     event is certain).
 
     The returned state carries its posterior, from the exp pass that
-    computed its evidence. Inputs are checked only when the step's total is
-    not finite (see the module docstring).
+    computed its evidence; its run lengths and posterior are read-only, so
+    they can be handed out without a copy. Inputs are checked only when the
+    step's total is not finite (see the module docstring).
     """
     lw = state.log_weights
     log_psi = np.asarray(log_psi, dtype=float)
@@ -168,7 +178,10 @@ def recursion_step(
         new_lw[0] = math.log(h) + log_psi_reset + state.evidence_log
         np.add(log_psi, math.log1p(-h) if h < 1.0 else -math.inf, out=new_lw[1:])
         new_lw[1:] += lw
-        total = logsumexp(new_lw, out=posterior)
+        # exp and the division by the total keep the order of the entries,
+        # so this is also where the posterior is smallest.
+        i_min = new_lw.argmin()
+        total = logsumexp(new_lw, out=posterior, i_min=i_min)
     except RuntimeWarning:
         # Only under an "error" warnings filter: a +inf log_psi (an invalid
         # input) met a -inf weight. With the default filters numpy warns
@@ -185,8 +198,12 @@ def recursion_step(
     new_runs[0] = 0
     np.add(state.run_lengths, 1, out=new_runs[1:])
     out = RunLengthState(new_runs, new_lw, state.t + 1, total)
-    posterior.flags.writeable = False
+    # setflags(False) clears the writeable flag at a third of the cost of
+    # the flags.writeable setter.
+    new_runs.setflags(False)
+    posterior.setflags(False)
     out._posterior = posterior
+    out.posterior_argmin = i_min
     return out
 
 
@@ -267,6 +284,12 @@ def prune(state: RunLengthState, policy: PrunePolicy) -> RunLengthState:
     Run length 0 is kept: the run lengths must ascend, so it is entry 0
     when present. Surviving hypotheses keep their run-length values; the
     representation is sparse, so subsequent recursion steps work unchanged.
+
+    Top-m keeps the ``max_live`` largest entries, ties going to the lower
+    index (a stable sort). In its steady state, one hypothesis over the cap
+    after each growth step, that drops exactly the last of the smallest
+    entries, which is found with one ``argmin`` instead of a sort; when that
+    entry is run length 0, nothing is dropped.
     """
     if policy.kind == "none":
         return state
@@ -274,6 +297,10 @@ def prune(state: RunLengthState, policy: PrunePolicy) -> RunLengthState:
     posterior = normalize_posterior(state)
     if policy.kind == "threshold":
         keep = posterior >= policy.epsilon
+    elif posterior.size == policy.max_live + 1:
+        # The stable sort below would drop exactly the last of the minima.
+        keep = np.ones(posterior.size, dtype=bool)
+        keep[posterior.size - 1 - posterior[::-1].argmin()] = False
     else:
         order = np.argsort(-posterior, kind="stable")
         keep = np.zeros(posterior.size, dtype=bool)

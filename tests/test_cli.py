@@ -49,6 +49,16 @@ def test_import_does_not_load_scipy_stats():
     assert out.strip() == "[]"
 
 
+def test_import_does_not_load_statistics():
+    # statistics (and the fractions and decimal it loads) cost several ms
+    # of every fresh interpreter; the package loads them only when used.
+    out = _run_python(
+        "import sys, streamcpd; "
+        "print([m for m in ('statistics', 'fractions', 'decimal') if m in sys.modules])"
+    )
+    assert out.strip() == "[]"
+
+
 _BLOCK_SCIPY = """
 import sys
 
@@ -336,6 +346,31 @@ def test_emit_is_deterministic(tmp_path):
     emit_traces(_small_result(30, seed=3), b)
     for name in ("assignments.csv", "runlength_map.csv", "posterior.csv", "changepoints.csv"):
         assert (a / name).read_bytes() == (b / name).read_bytes()
+
+
+def test_emit_rows_match_a_per_value_loop(tmp_path):
+    # The trace rows written from each value through _fmt, one at a time;
+    # on this run some stored posterior entries lie between the readout cut
+    # (1e-14) and the file floor (1e-12), so the floor filters them out.
+    rng = np.random.default_rng(5)
+    series = np.concatenate([rng.normal(0.0, 1.0, 80), rng.normal(-7.0, 2.0, 80)])
+    result = run(series, DetectorConfig(mode="baseline"))
+    probs = np.concatenate([s.rl_posterior.probs for s in result.steps])
+    assert ((probs >= 1e-14) & (probs < cli.POSTERIOR_FILE_FLOOR)).any()
+
+    fmt = cli._fmt
+    want_assignments = ["t,x,z_star,k_t"]
+    for s, x in zip(result.steps, result.series):
+        want_assignments.append(f"{s.t},{fmt(x)},{s.z_star},{s.k_t}")
+    want_posterior = ["t,r,mass"]
+    for s in result.steps:
+        for r, mass in zip(s.rl_posterior.runs, s.rl_posterior.probs):
+            if mass >= cli.POSTERIOR_FILE_FLOOR:
+                want_posterior.append(f"{s.t},{int(r)},{fmt(mass)}")
+
+    emit_traces(result, tmp_path)
+    assert (tmp_path / "assignments.csv").read_text() == "\n".join(want_assignments) + "\n"
+    assert (tmp_path / "posterior.csv").read_text() == "\n".join(want_posterior) + "\n"
 
 
 # -- svg --------------------------------------------------------------------

@@ -301,12 +301,40 @@ def test_fixed_k_detector_matches_enumeration_on_its_labels():
         _assert_joint_matches(det, _fixed_k_joint(z_trace, 3, beta, lam))
 
 
+def _posterior_sha256(res):
+    h = hashlib.sha256()
+    for s in res.steps:
+        h.update(s.rl_posterior.runs.tobytes())
+        h.update(s.rl_posterior.probs.tobytes())
+    return h.hexdigest()
+
+
+def _responsibilities_sha256(res):
+    h = hashlib.sha256()
+    for s in res.steps:
+        h.update(s.responsibilities.tobytes())
+    return h.hexdigest()
+
+
+# The next three goldens also pin the stored posterior slices and the
+# responsibilities bit for bit. On 90 of the 1200 steps of the many-classes
+# run, on every step of the fixed-k run and on 1198 of the 1200 of the
+# baseline run, every posterior entry is shown; the many-classes run also
+# reaches top-m's steady state (one hypothesis over the cap) 1101 times.
+
+
 def test_golden_trace_infinite_many_classes():
     series = _shuffled_regimes(2024, n_regimes=12, seg=40, n_segments=30, spacing=6.0)
     res = run(series, DetectorConfig(prune=PrunePolicy.top_m(100)))
     assert res.final_k > 20
     assert _trace_sha256(res) == (
         "08170ac2d76f538ebc2dabaf1be67a526ddec121bf451eb745df79ef14f7e051"
+    )
+    assert _posterior_sha256(res) == (
+        "acb902efbcea3cf4cbb9508e438828fad045fbe7952e5e766b639b900994a424"
+    )
+    assert _responsibilities_sha256(res) == (
+        "077cedd6e620d27d85d019aac3dda5983bce5dfac14db2a6ad9ffca73644f197"
     )
 
 
@@ -320,6 +348,12 @@ def test_golden_trace_fixed_k():
     assert _trace_sha256(res) == (
         "2e3a3c13268212370a2fa14d234831d61deb638a3a65ea1332ed1448838ee4de"
     )
+    assert _posterior_sha256(res) == (
+        "4ba767fc96fd89e8c647fc9dcd3be675f55f02ef93f74faa0db05b869c8e8da0"
+    )
+    assert _responsibilities_sha256(res) == (
+        "210a8678cfa6a23dfb07f047e2e92ceb2c85ceb8e84a47b340249017c378206b"
+    )
 
 
 def test_golden_trace_baseline_threshold_pruned():
@@ -328,6 +362,12 @@ def test_golden_trace_baseline_threshold_pruned():
     assert len(res.change_points) > 5
     assert _trace_sha256(res) == (
         "0d4190d44e1c2be50450d30fceb57de6479ea91aa261b47b974f58c5b17c6668"
+    )
+    assert _posterior_sha256(res) == (
+        "9a5bd62bcbbe8787c3cc413bf89c4c14594e3e7b88d1472ad5d8919ad2194ae3"
+    )
+    assert _responsibilities_sha256(res) == (
+        "5485c6b2a1b42da3ca8362b2086b4c03a071e70583b8c1462d45c433c2a64638"
     )
 
 
@@ -345,14 +385,6 @@ def test_golden_trace_infinite_unpruned():
     assert _trace_sha256(res) == (
         "641a2ae6bdd77bfbaee4c64ed52a176a608c4976a7930992a6cee492548f9aa2"
     )
-
-
-def _posterior_sha256(res):
-    h = hashlib.sha256()
-    for s in res.steps:
-        h.update(s.rl_posterior.runs.tobytes())
-        h.update(s.rl_posterior.probs.tobytes())
-    return h.hexdigest()
 
 
 # Unpruned runs long enough that some joint weights fall more than
@@ -390,6 +422,62 @@ def test_golden_trace_infinite_unpruned_four_segments():
     assert _posterior_sha256(res) == (
         "dcc7413bc8aa0b7b820f4d86b8c77e27d1f4e0abe14daf506ce56c61adb9bff8"
     )
+
+
+# Four regimes 3 apart: unpruned, every mode has steps whose posterior has
+# entries below the 1e-14 readout cut and steps where it has none.
+_READOUT_SERIES = _shuffled_regimes(7, n_regimes=4, seg=40, n_segments=6, spacing=3.0)
+
+
+@pytest.mark.parametrize("mode", ["infinite", "fixed-k", "baseline"])
+def test_posterior_slice_is_the_shown_part_of_the_full_posterior(mode, monkeypatch):
+    full = []
+    normalize = detector.normalize_posterior
+
+    def capture(state):
+        posterior = normalize(state)
+        assert posterior[state.posterior_argmin] == posterior.min()
+        full.append((state.run_lengths, posterior))
+        return posterior
+
+    monkeypatch.setattr(detector, "normalize_posterior", capture)
+    every_entry_shown = []
+    for policy in (PrunePolicy.none(), PrunePolicy.threshold(1e-10), PrunePolicy.top_m(20)):
+        full.clear()
+        res = run(_READOUT_SERIES, DetectorConfig(mode=mode, prune=policy))
+        assert len(full) == len(res.steps)
+        for s, (runs, posterior) in zip(res.steps, full):
+            shown = posterior >= 1e-14
+            every_entry_shown.append(bool(shown.all()))
+            assert s.rl_posterior.runs.tobytes() == runs[shown].tobytes()
+            assert s.rl_posterior.probs.tobytes() == posterior[shown].tobytes()
+    # Both readout branches ran.
+    assert any(every_entry_shown) and not all(every_entry_shown)
+
+
+@pytest.mark.parametrize("mode", ["infinite", "fixed-k", "baseline"])
+def test_step_outputs_are_read_only(mode):
+    # Writing into a step's arrays raises, whether the slice is the step's
+    # own posterior or a copy, and leaves the next steps as they would be.
+    cfg = DetectorConfig(mode=mode)
+    det, ref = Detector(cfg), Detector(cfg)
+    branches = set()
+    for x in _READOUT_SERIES:
+        out, want = det.step(x), ref.step(x)
+        assert out.rl_posterior.runs.tobytes() == want.rl_posterior.runs.tobytes()
+        assert out.rl_posterior.probs.tobytes() == want.rl_posterior.probs.tobytes()
+        assert out.responsibilities.tobytes() == want.responsibilities.tobytes()
+        assert (out.z_star, out.k_t, out.r_star, out.cp_flag) == (
+            want.z_star,
+            want.k_t,
+            want.r_star,
+            want.cp_flag,
+        )
+        branches.add(out.rl_posterior.runs.size == det.rl.run_lengths.size)
+        for arr in (out.rl_posterior.runs, out.rl_posterior.probs, out.responsibilities):
+            with pytest.raises(ValueError):
+                arr[0] = 7
+    assert branches == {True, False}
 
 
 def test_config_validation():

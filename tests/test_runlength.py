@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import example, given
+from hypothesis import assume, example, given
 from hypothesis import strategies as st
 from scipy.special import logsumexp as scipy_logsumexp
 
@@ -100,6 +100,7 @@ def test_logsumexp_masks_only_underflowing_weights(seed, far_tail):
     want = m + math.log(want_total)
     out = np.empty_like(a)
     assert logsumexp(a) == want
+    assert logsumexp(a, i_min=a.argmin()) == want
     assert logsumexp(a, out=out) == want
     normal = want_e >= _TINY
     assert normal.sum() >= 150 and (~normal).sum() >= 150
@@ -340,6 +341,52 @@ def test_prune_top_m():
     out = prune(state, PrunePolicy.top_m(3))
     assert len(out.run_lengths) <= 4  # top 3 plus possibly run 0
     assert 0 in out.run_lengths
+
+
+def _top_m_by_sort(posterior, run_lengths, m):
+    # The top-m keep mask by a stable sort: the m largest entries, ties to
+    # the lower index, plus run length 0 at entry 0.
+    keep = np.zeros(posterior.size, dtype=bool)
+    keep[np.argsort(-posterior, kind="stable")[:m]] = True
+    if run_lengths[0] == 0:
+        keep[0] = True
+    return keep
+
+
+@given(
+    st.lists(
+        st.one_of(
+            # Few distinct values, so ties are common; -inf and -800 give
+            # posterior entries of exactly 0.
+            st.sampled_from([-math.inf, -800.0, -3.0, -1.0, 0.0]),
+            st.floats(min_value=-40.0, max_value=0.0),
+        ),
+        min_size=1,
+        max_size=12,
+    ),
+    st.sampled_from([0, 0, 0, -1, 1, 3]),
+    st.sampled_from([0, 5]),
+)
+@example([-1.0, 0.0, 0.0], 0, 0)  # the minimum at index 0 is run length 0
+@example([-1.0, 0.0, 0.0], 0, 5)  # the minimum at index 0 is not
+@example([0.0, -2.0, -2.0, 0.0, -2.0], 0, 0)  # tied minima
+@example([0.0, -math.inf, -math.inf, -800.0], 0, 0)  # exact zeros
+@example([0.0, -2.0, -2.0, 0.0, -2.0], 1, 0)  # n = max_live + 2
+def test_prune_top_m_matches_a_stable_sort(log_weights, extra, first_run):
+    # ``extra`` is n - (max_live + 1): 0 is top-m's steady state, which
+    # prune handles without a sort.
+    lw = np.array(log_weights)
+    assume(np.isfinite(lw).any())
+    m = max(1, lw.size - 1 - extra)
+    runs = np.arange(first_run, first_run + lw.size, dtype=np.int64)
+    state = RunLengthState(runs, lw)
+    posterior = normalize_posterior(state)
+    keep = _top_m_by_sort(posterior, runs, m)
+    out = prune(state, PrunePolicy.top_m(m))
+    assert out.run_lengths.tolist() == runs[keep].tolist()
+    want_lw = lw[keep] - math.log(float(posterior[keep].sum()))
+    assert out.log_weights.tobytes() == want_lw.tobytes()
+    assert out.evidence_log == state.evidence_log
 
 
 def test_prune_keeps_evidence_when_survivor_mass_underflows():
