@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import ConfigError, ContractViolation
+from .errors import ContractViolation
 
 
 class LabelCounts:
@@ -152,29 +152,3 @@ def crp_run_predictive(
         ) from None
     return num / (runs + numerators[0])
 
-
-def sequence_probability(labels, alpha: float) -> float:
-    """Chain-rule probability of a canonical label sequence under the CRP.
-
-    Canonical means classes are numbered by first appearance (1, then 2,
-    ...). Intended for tests: exchangeability says the value depends only
-    on the sizes of the induced blocks.
-    """
-    labels = list(labels)
-    if not (isinstance(alpha, (int, float)) and alpha > 0):
-        raise ConfigError(f"alpha must be positive, got {alpha!r}")
-    seen = 0
-    counts: dict[int, int] = {}
-    prob = 1.0
-    for i, z in enumerate(labels):
-        if not (1 <= z <= seen + 1):
-            raise ContractViolation(
-                f"labels must be canonically numbered; position {i} has {z}, expected <= {seen + 1}"
-            )
-        if z == seen + 1:
-            prob *= alpha / (i + alpha)
-            seen += 1
-        else:
-            prob *= counts[z] / (i + alpha)
-        counts[z] = counts.get(z, 0) + 1
-    return prob

@@ -1,7 +1,19 @@
 """Test support: synthetic piecewise-stationary generators with ground
-truth, brute-force enumerations that recompute what the recursions produce,
-independently of them, and the scalar NIG update the baseline's column
-table is checked against."""
+truth, and the exact references the runtime is checked against, none of
+which the detector calls:
+
+- :func:`brute_force_joint` and :func:`brute_force_joint_by_segments`, two
+  enumerations of the trellis's joint over the final run length, computed
+  independently of the recursion;
+- :func:`sequence_probability`, the chain-rule CRP partition law;
+- :func:`emission_loglik`, the scalar Gaussian log likelihood the emission
+  table's arithmetic is checked against;
+- :func:`nig_update`, the scalar NIG update the baseline's column table is
+  checked against;
+- :func:`finite_difference`, central differences for gradient checks.
+
+The generator is also what ``streamcpd synth`` writes.
+"""
 
 from __future__ import annotations
 
@@ -9,10 +21,12 @@ import math
 from collections import Counter
 from dataclasses import dataclass
 from itertools import combinations
+from numbers import Integral
 
 import numpy as np
 
 from .detector import NigParams
+from .emission import LOG_2PI, EmissionParams
 from .errors import ConfigError, ContractViolation
 
 _MAX_ENUM_T = 12
@@ -28,10 +42,14 @@ class SegmentSpec:
     class_id: int = 1
 
     def __post_init__(self):
-        if self.length < 1:
-            raise ConfigError(f"segment length must be >= 1, got {self.length!r}")
-        if not (self.var > 0):
-            raise ConfigError(f"segment variance must be positive, got {self.var!r}")
+        if not (isinstance(self.length, Integral) and self.length >= 1):
+            raise ConfigError(f"segment length must be an integer >= 1, got {self.length!r}")
+        if not math.isfinite(self.mu):
+            raise ConfigError(f"segment mean must be finite, got {self.mu!r}")
+        if not (0.0 < self.var < math.inf):
+            raise ConfigError(f"segment variance must be positive and finite, got {self.var!r}")
+        if not (isinstance(self.class_id, Integral) and self.class_id >= 1):
+            raise ConfigError(f"segment class id must be an integer >= 1, got {self.class_id!r}")
 
 
 def gen_piecewise_gaussian(segments, rng):
@@ -143,6 +161,38 @@ def brute_force_joint_by_segments(z_star_labels, alpha, lam) -> np.ndarray:
             r_final = T - (resets[-1] if resets else 0)
             buckets[r_final].append(p)
     return np.array([math.fsum(b) for b in buckets])
+
+
+def emission_loglik(x: float, p: EmissionParams) -> float:
+    """log N(x; mu, var), with ``math.log`` on Python floats."""
+    return -0.5 * (LOG_2PI + math.log(p.var)) - (x - p.mu) ** 2 / (2.0 * p.var)
+
+
+def sequence_probability(labels, alpha: float) -> float:
+    """Chain-rule probability of a canonical label sequence under the CRP.
+
+    Canonical means classes are numbered by first appearance (1, then 2,
+    ...). Intended for tests: exchangeability says the value depends only
+    on the sizes of the induced blocks.
+    """
+    labels = list(labels)
+    if not (isinstance(alpha, (int, float)) and alpha > 0):
+        raise ConfigError(f"alpha must be positive, got {alpha!r}")
+    seen = 0
+    counts: dict[int, int] = {}
+    prob = 1.0
+    for i, z in enumerate(labels):
+        if not (1 <= z <= seen + 1):
+            raise ContractViolation(
+                f"labels must be canonically numbered; position {i} has {z}, expected <= {seen + 1}"
+            )
+        if z == seen + 1:
+            prob *= alpha / (i + alpha)
+            seen += 1
+        else:
+            prob *= counts[z] / (i + alpha)
+        counts[z] = counts.get(z, 0) + 1
+    return prob
 
 
 def nig_update(p: NigParams, x: float) -> NigParams:

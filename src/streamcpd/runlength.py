@@ -358,27 +358,3 @@ class ChangePointRule:
         mass = np.asarray(posterior)[np.asarray(run_lengths) <= self.mass_window].sum()
         return float(mass) >= self.mass_threshold
 
-
-def detect_changepoints(r_star_trace, rule: ChangePointRule, posterior_trace=None) -> list[int]:
-    """Positions (0-based, into the given trace) where the rule fires: the
-    offline loop of :meth:`ChangePointRule.fires`, which the detector calls
-    once per step.
-
-    ``posterior_trace`` is required for mass-near-zero mode: a sequence of
-    ``(run_lengths, probabilities)`` pairs, one per step.
-    """
-    trace = list(r_star_trace)
-    if not trace:
-        raise ContractViolation("empty run-length trace")
-    if posterior_trace is None:
-        if rule.mode == "mass-near-zero":
-            raise ContractViolation("mass-near-zero rule needs a posterior trace")
-        posterior_trace = [(None, None)] * len(trace)
-
-    hits: list[int] = []
-    prev = None
-    for i, (r_star, (runs, probs)) in enumerate(zip(trace, posterior_trace, strict=True)):
-        if rule.fires(prev, r_star, runs, probs):
-            hits.append(i)
-        prev = r_star
-    return hits

@@ -9,6 +9,7 @@ from streamcpd import (
     crp_run_predictive,
     recursion_step,
 )
+from streamcpd.emission import _gradients
 
 settings.register_profile(
     "default",
@@ -30,6 +31,13 @@ def trellis_joint(labels, alpha, lam):
         st = recursion_step(st, np.log(psi), hz)
         counts.record(z)
     return np.exp(st.log_weights), st
+
+
+def gaussian_gradients(x, mu, var, gamma):
+    """Gradient of gamma * log N(x; mu, var) w.r.t. (mu, var), from the
+    helper em_step's M-step runs."""
+    d = x - mu
+    return _gradients(gamma, d, d * d, 2.0 * var, var)
 
 
 def random_canonical_labels(rng, length):

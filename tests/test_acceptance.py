@@ -18,17 +18,19 @@ from streamcpd import (
     Detector,
     DetectorConfig,
     SegmentSpec,
-    brute_force_joint,
-    finite_difference,
-    gaussian_gradients,
     gen_piecewise_gaussian,
     run,
-    sequence_probability,
 )
 from streamcpd.cli import main as cli_main
 from streamcpd.cli import write_series_csv
+from streamcpd.oracles import brute_force_joint, finite_difference, sequence_probability
 
-from conftest import all_canonical_sequences, random_canonical_labels, trellis_joint
+from conftest import (
+    all_canonical_sequences,
+    gaussian_gradients,
+    random_canonical_labels,
+    trellis_joint,
+)
 
 
 def _gate(num, name, ok, detail=""):

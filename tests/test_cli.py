@@ -451,6 +451,22 @@ def test_cli_pipeline_and_exit_codes(tmp_path, capsys):
     assert "recall=1" in captured
 
 
+@pytest.mark.parametrize("segments", ["5:nan:1", "5:0:inf", "5:0:1:0"])
+def test_cli_synth_refuses_what_run_would_refuse(tmp_path, capsys, segments):
+    out = tmp_path / "s.csv"
+    assert main(["synth", "--segments", segments, "--out", str(out)]) == 2
+    assert "config error" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_cli_large_decay_runs_to_the_end(tmp_path):
+    series, out = tmp_path / "s.csv", tmp_path / "o"
+    assert main(["synth", "--segments", "1000:0:1", "--out", str(series)]) == 0
+    argv = ["run", "--input", str(series), "--mode", "fixed-k", "--k", "1", "--decay", "0.9"]
+    assert main(argv + ["--out", str(out)]) == 0
+    assert len((out / "assignments.csv").read_text().splitlines()) == 1001
+
+
 def test_cli_score_reads_header_only_changepoint_files(tmp_path, capsys):
     # A single segment: synth writes a header-only truth file and run flags
     # nothing, so it writes a header-only changepoints.csv.

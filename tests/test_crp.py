@@ -12,8 +12,8 @@ from streamcpd import (
     crp_numerators,
     crp_prior,
     crp_run_predictive,
-    sequence_probability,
 )
+from streamcpd.oracles import sequence_probability
 
 from conftest import all_canonical_sequences, random_canonical_labels
 

@@ -11,15 +11,13 @@ from streamcpd import (
     ContractViolation,
     EmissionParams,
     decay_rates,
-    e_step,
     em_step,
-    emission_loglik,
-    finite_difference,
-    gaussian_gradients,
-    m_step,
     spawn_candidate,
 )
-from streamcpd.emission import DEFAULT_VAR_FLOOR
+from streamcpd.emission import DEFAULT_VAR_FLOOR, m_step
+from streamcpd.oracles import emission_loglik, finite_difference
+
+from conftest import gaussian_gradients
 
 
 def _p(mu=0.0, var=1.0, eta_mu=1.0, eta_var=0.02):
@@ -27,7 +25,15 @@ def _p(mu=0.0, var=1.0, eta_mu=1.0, eta_var=0.02):
 
 
 def _table(*params):
-    return ClassTable.from_params(params)
+    table = ClassTable(len(params))
+    for p in params:
+        table.push(p.mu, p.var, p.eta_mu, p.eta_var, p.born_at)
+    return table
+
+
+def _resp(x, prior, table):
+    """The E-step responsibilities that em_step returns."""
+    return em_step(table, x, prior)[0]
 
 
 def _m(p, x, gamma, **kw):
@@ -61,26 +67,26 @@ def test_loglik_symmetry(d, var):
 
 
 def test_e_step_single_class():
-    np.testing.assert_allclose(e_step(0.3, [1.0], _table(_p())), [1.0])
+    np.testing.assert_allclose(_resp(0.3, [1.0], _table(_p())), [1.0])
 
 
 def test_e_step_symmetric_classes():
     np.testing.assert_allclose(
-        e_step(0.7, [0.5, 0.5], _table(_p(), _p())), [0.5, 0.5], rtol=1e-15
+        _resp(0.7, [0.5, 0.5], _table(_p(), _p())), [0.5, 0.5], rtol=1e-15
     )
 
 
 def test_e_step_well_separated_classes():
     # Bayes rule at x=0 with N(0,1) vs N(10,1), equal priors: the loser gets
     # exp(-50) = 1.9287498479639178e-22 (checked with mpmath at 50 digits).
-    resp = e_step(0.0, [0.5, 0.5], _table(_p(mu=0.0), _p(mu=10.0)))
+    resp = _resp(0.0, [0.5, 0.5], _table(_p(mu=0.0), _p(mu=10.0)))
     assert resp[1] == pytest.approx(1.9287498479639178e-22, rel=1e-12)
     assert resp[0] == pytest.approx(1.0)
 
 
 def test_e_step_length_mismatch():
     with pytest.raises(ContractViolation):
-        e_step(0.0, [0.5, 0.5], _table(_p()))
+        _resp(0.0, [0.5, 0.5], _table(_p()))
 
 
 @given(
@@ -90,7 +96,7 @@ def test_e_step_length_mismatch():
 def test_e_step_normalized(x, weights):
     prior = np.array(weights) / sum(weights)
     table = _table(*(_p(mu=i * 1.5, var=0.5 + i) for i in range(len(weights))))
-    resp = e_step(x, prior, table)
+    resp = _resp(x, prior, table)
     assert resp.sum() == pytest.approx(1.0, abs=1e-12)
     assert np.all(resp >= 0)
 
@@ -272,10 +278,15 @@ def test_m_step_rejects_nan_variance_and_zero_rates():
         m_step(zero_rate, 0.5, [1.0])
 
 
-def test_decay_rejects_rates_that_underflow_to_zero():
+def test_decay_floors_rates_that_underflow_to_zero():
+    # 5e-324 * 0.5 rounds to 0; the rates stay at the smallest positive double.
     table = _table(_p(eta_mu=5e-324, eta_var=5e-324))
-    with pytest.raises(ContractViolation):
-        decay_rates(table, 1, 0.5)
+    decay_rates(table, 1, 0.5)
+    assert table.live()[2:, 0].tolist() == [5e-324, 5e-324]
+    # Only a rate that would round to 0 is floored.
+    table = _table(_p(eta_mu=1.0, eta_var=5e-324))
+    decay_rates(table, 1, 0.5)
+    assert table.live()[2:, 0].tolist() == [0.5, 5e-324]
 
 
 def test_m_step_length_mismatch():
@@ -310,7 +321,9 @@ def _ref_e_step(x, prior, params):
 
 
 def _ref_m_step(p, x, gamma, log_space):
-    g_mu, g_var = gaussian_gradients(x, p.mu, p.var, gamma)
+    d = x - p.mu
+    g_mu = gamma * d / p.var
+    g_var = gamma * (d * d / (2.0 * p.var * p.var) - 1.0 / (2.0 * p.var))
     mu = p.mu + p.eta_mu * g_mu
     if log_space:
         logv = min(math.log(p.var) + p.eta_var * g_var * p.var, 700.0)
@@ -337,7 +350,8 @@ def test_table_matches_scalar_formulas(params, x, log_space, data):
     # differ by one ulp from math.log and Python's `d ** 2` (libm pow; e.g.
     # d = 0x1.a976ccc4caf8ep+2), so each score may move by a few ulps of
     # the magnitudes it is built from: the score, log var and log prior.
-    resp = e_step(x, prior, table)
+    # em_step also updates its table, so it runs on a copy.
+    resp = _resp(x, prior, _table(*params))
     ref, score = _ref_e_step(x, prior, params)
     scale = (
         1.0

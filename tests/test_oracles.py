@@ -3,17 +3,10 @@ import math
 import numpy as np
 import pytest
 
-from streamcpd import (
-    ConfigError,
-    ContractViolation,
-    SegmentSpec,
-    brute_force_joint,
-    brute_force_joint_by_segments,
-    finite_difference,
-    gen_piecewise_gaussian,
-)
+from streamcpd import ConfigError, ContractViolation, SegmentSpec, gen_piecewise_gaussian
+from streamcpd.oracles import brute_force_joint, brute_force_joint_by_segments, finite_difference
 
-from conftest import random_canonical_labels, trellis_joint
+from conftest import gaussian_gradients, random_canonical_labels, trellis_joint
 
 
 # -- generator ------------------------------------------------------------
@@ -49,6 +42,15 @@ def test_segment_validation():
         SegmentSpec(0, 0.0, 1.0)
     with pytest.raises(ConfigError):
         SegmentSpec(5, 0.0, 0.0)
+    # Every value synth would write must be one run accepts.
+    for mu, var in ((math.nan, 1.0), (math.inf, 1.0), (0.0, math.inf), (0.0, math.nan)):
+        with pytest.raises(ConfigError):
+            SegmentSpec(5, mu, var)
+    with pytest.raises(ConfigError):
+        SegmentSpec(5, 0.0, 1.0, class_id=0)
+    with pytest.raises(ConfigError):
+        SegmentSpec(2.5, 0.0, 1.0)
+    assert SegmentSpec(np.int64(5), 0, 1, class_id=np.int64(2)).length == 5
 
 
 # -- brute-force enumeration ------------------------------------------------
@@ -111,8 +113,6 @@ def test_finite_difference_constant():
 
 
 def test_finite_difference_gaussian_loglik():
-    from streamcpd import gaussian_gradients
-
     x, mu, var, gamma = 1.3, 0.2, 0.9, 0.6
 
     def f(theta):

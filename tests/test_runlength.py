@@ -14,12 +14,12 @@ from streamcpd import (
     HazardConfig,
     PrunePolicy,
     RunLengthState,
-    detect_changepoints,
     normalize_posterior,
     prune,
     recursion_step,
 )
 
+from streamcpd.oracles import brute_force_joint
 from streamcpd.runlength import _TINY, logsumexp
 
 from conftest import random_canonical_labels, trellis_joint
@@ -150,8 +150,6 @@ def test_recursion_no_hazard_limit_moves_mass_up():
 
 
 def test_recursion_matches_brute_force_small_cases():
-    from streamcpd import brute_force_joint
-
     rng = np.random.default_rng(11)
     for _ in range(25):
         T = int(rng.integers(1, 9))
@@ -481,28 +479,27 @@ def test_evidence_log_tracks_weights_through_recursion_and_pruning(lam, policies
 # -- change-point readout ----------------------------------------------
 
 
+def _fired(rule, r_star_trace, posterior_trace=None):
+    """The steps (0-based) at which the rule fires over a trace, called as
+    Detector.step calls it: with the previous MAP run length, None at the
+    first step."""
+    posterior_trace = posterior_trace or [(None, None)] * len(r_star_trace)
+    prev = [None] + r_star_trace[:-1]
+    steps = zip(prev, r_star_trace, posterior_trace)
+    return [i for i, (p, r, (runs, probs)) in enumerate(steps) if rule.fires(p, r, runs, probs)]
+
+
 def test_detect_map_drop_single_reset():
     rule = ChangePointRule()
-    assert detect_changepoints([0, 1, 2, 3, 0, 1, 2], rule) == [4]
+    assert _fired(rule, [0, 1, 2, 3, 0, 1, 2]) == [4]
 
 
 def test_detect_monotone_growth_is_quiet():
-    assert detect_changepoints([0, 1, 2, 3, 4, 5], ChangePointRule()) == []
+    assert _fired(ChangePointRule(), [0, 1, 2, 3, 4, 5]) == []
 
 
 def test_detect_jump_up_is_not_a_cp():
-    assert detect_changepoints([0, 1, 2, 10, 11], ChangePointRule()) == []
-
-
-def test_detect_empty_trace():
-    with pytest.raises(ContractViolation):
-        detect_changepoints([], ChangePointRule())
-
-
-def test_detect_mass_mode_needs_posterior():
-    rule = ChangePointRule(mode="mass-near-zero", mass_window=1, mass_threshold=0.6)
-    with pytest.raises(ContractViolation):
-        detect_changepoints([0, 1, 2], rule)
+    assert _fired(ChangePointRule(), [0, 1, 2, 10, 11]) == []
 
 
 def test_detect_mass_mode():
@@ -512,7 +509,7 @@ def test_detect_mass_mode():
         (np.array([0, 1, 5]), np.array([0.7, 0.1, 0.2])),
         (np.array([0, 1, 2, 6]), np.array([0.3, 0.35, 0.2, 0.15])),
     ]
-    assert detect_changepoints([4, 0, 1], rule, posteriors) == [1, 2]
+    assert _fired(rule, [4, 0, 1], posteriors) == [1, 2]
 
 
 def test_change_point_rule_validation():

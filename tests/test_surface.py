@@ -1,0 +1,45 @@
+import streamcpd
+
+# What the detector and the CLI run, and nothing only a test calls; the
+# exact references import from streamcpd.oracles.
+RUNTIME_NAMES = {
+    "__version__",
+    "CandidatePolicy",
+    "ChangePointRule",
+    "ClassTable",
+    "ConfigError",
+    "ContractViolation",
+    "DegenerateStateError",
+    "Detector",
+    "DetectorConfig",
+    "EmissionParams",
+    "HazardConfig",
+    "InputError",
+    "LabelCounts",
+    "NigParams",
+    "PrunePolicy",
+    "RunLengthState",
+    "RunResult",
+    "SegmentSpec",
+    "SparsePosterior",
+    "StepOutput",
+    "crp_numerators",
+    "crp_prior",
+    "crp_run_predictive",
+    "decay_rates",
+    "em_step",
+    "fixed_k_run_predictive",
+    "gen_piecewise_gaussian",
+    "normalize_posterior",
+    "prune",
+    "recursion_step",
+    "run",
+    "spawn_candidate",
+}
+
+
+def test_public_surface_is_the_runtime():
+    assert len(streamcpd.__all__) == len(RUNTIME_NAMES) == 32
+    assert set(streamcpd.__all__) == RUNTIME_NAMES
+    for name in streamcpd.__all__:
+        assert getattr(streamcpd, name) is not None
