@@ -238,10 +238,10 @@ class RunManifest:
 # CSV ingestion / trace emission
 
 
-def _read_column(path) -> list[float]:
+def _read_column(path, integer: bool = False) -> list[float]:
     """The numbers in the first column of a CSV file, in row order; the
     first non-blank row may be a header. Empty if the file holds no data
-    rows."""
+    rows. With ``integer`` a value with a fraction is an ``InputError``."""
     path = Path(path)
     try:
         text = path.read_text(encoding="utf-8-sig")
@@ -263,6 +263,8 @@ def _read_column(path) -> list[float]:
             raise InputError(f"{path}: row {rownum}: non-numeric value {cell!r}") from None
         if not math.isfinite(v):
             raise InputError(f"{path}: row {rownum}: non-finite value {cell!r}")
+        if integer and not v.is_integer():
+            raise InputError(f"{path}: row {rownum}: non-integer value {cell!r}")
         values.append(v)
     return values
 
@@ -519,7 +521,7 @@ def _cmd_synth(args) -> int:
 def _read_int_column(path) -> list[int]:
     """A change-point CSV's times; a header-only file (as ``run`` and
     ``synth`` write when there are none) reads as no change points."""
-    return [int(round(v)) for v in _read_column(path)]
+    return [int(v) for v in _read_column(path, integer=True)]
 
 
 def score_changepoints(predicted, truth, tolerance: int):

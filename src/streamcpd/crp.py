@@ -15,13 +15,19 @@ makes one step's predictive across all live run-length hypotheses a single
 vectorized query: a binary search of the occurrence times when the
 hypotheses are few against a long history, and otherwise a gather from the
 dense prefix counts of the queried class, which are kept up to date while
-that class stays the one queried.
+that class stays the one queried. When the caller states that the window
+lengths are dense, ``0..n-1`` (as an unpruned trellis's run lengths are),
+the starts t - r are t, t-1, ..., t-n+1, and the counts are c_k(t) minus a
+reversed slice of the prefix counts: no index array, range scan or gather.
 
 The CRP window predictive divides a numerator by r + alpha: the count w of
 the label in the window, or alpha when w = 0. Its caller keeps these
 numerators as one table ``[alpha, 1, 2, ...]`` (:func:`crp_numerators`),
 read with one gather at the window counts; since w <= r, a table longer
-than the largest live run length covers every step.
+than the largest live run length covers every step. For dense window
+lengths the caller also passes the denominators as a table ``r + alpha``
+over r = 0, 1, 2, ..., read as its prefix slice; it holds the same floats
+as ``runs + alpha``, since every r below 2^53 converts to float exactly.
 """
 
 from __future__ import annotations
@@ -75,26 +81,46 @@ class LabelCounts:
         """m_k: occurrences of class k over the whole history."""
         return int(self.m[k - 1]) if k <= len(self._occ) else 0
 
-    def window_counts(self, k: int, runs: np.ndarray) -> np.ndarray:
-        """Count of class k among the last r labels, vectorized over r."""
-        start = self.t - np.asarray(runs, dtype=np.int64)
-        # r < 0 puts the start past t, and r > t puts it below 0, which as
-        # an unsigned integer is also past t: one reduction checks both.
-        if start.size and start.view(np.uint64).max() > self.t:
-            raise ContractViolation(f"window lengths must lie in [0, {self.t}]")
+    def window_counts(self, k: int, runs: np.ndarray, dense: bool = False) -> np.ndarray:
+        """Count of class k among the last r labels, vectorized over r.
+
+        With ``dense`` the caller states that ``runs`` is ``0..n-1``, as
+        trellis run lengths ending in n - 1 are (only n - 1 <= t is
+        checked): the counts are then read without building the window
+        starts. It is not inferred from ``runs[-1] == n - 1``, which an
+        unsorted ``[2, 0, 2]`` passes too."""
+        t = self.t
+        if dense:
+            size = len(runs)
+            if size > t + 1:
+                raise ContractViolation(f"window lengths must lie in [0, {t}]")
+            start = None
+        else:
+            start = t - np.asarray(runs, dtype=np.int64)
+            # r < 0 puts the start past t, and r > t puts it below 0, which
+            # as an unsigned integer is also past t: one reduction checks
+            # both.
+            if start.size and start.view(np.uint64).max() > t:
+                raise ContractViolation(f"window lengths must lie in [0, {t}]")
+            size = start.size
         n = self.total(k)
         if n == 0:
-            return np.zeros(start.shape, dtype=np.int64)
+            return np.zeros(size if start is None else start.shape, dtype=np.int64)
         if k != self._hot:
-            if start.size * n.bit_length() < self.t:
+            if size * n.bit_length() < t:
                 # m binary searches cost about m * log2(n), less than
                 # building c_k(0..t) in t steps.
+                if start is None:
+                    start = t - np.asarray(runs, dtype=np.int64)
                 return n - np.searchsorted(self._occ[k - 1][:n], start, side="right")
             self._hot = k
-            self._hot_prefix = np.empty(2 * (self.t + 1), dtype=np.int64)
-            self._hot_prefix[: self.t + 1] = self.prefix(k)
+            self._hot_prefix = np.empty(2 * (t + 1), dtype=np.int64)
+            self._hot_prefix[: t + 1] = self.prefix(k)
         c = self._hot_prefix
-        return c[self.t] - c[start]
+        if start is None:
+            # c[t - r] for r = 0..size-1.
+            return c[t] - c[t + 1 - size : t + 1][::-1]
+        return c[t] - c[start]
 
     def prefix(self, k: int) -> np.ndarray:
         """The prefix-count sequence c_k(0..t) for one class."""
@@ -125,7 +151,11 @@ def crp_numerators(alpha: float, n: int) -> np.ndarray:
 
 
 def crp_run_predictive(
-    counts: LabelCounts, runs: np.ndarray, k: int, numerators: np.ndarray
+    counts: LabelCounts,
+    runs: np.ndarray,
+    k: int,
+    numerators: np.ndarray,
+    denominators: np.ndarray | None = None,
 ) -> np.ndarray:
     """CRP predictive of label k restricted to the last-r-labels window, for
     each window length in ``runs``, at the concentration alpha =
@@ -140,15 +170,26 @@ def crp_run_predictive(
     The numerators are gathered at w from ``numerators`` =
     ``crp_numerators(alpha, n)``, which must cover every window count: an n
     above the largest r does, since w <= r.
+
+    Passing ``denominators``, the table ``r + alpha`` for r = 0, 1, 2, ...
+    (at least as long as ``runs``), states that ``runs`` is ``0..n-1``: the
+    window counts are then read as one reversed slice (see
+    :meth:`LabelCounts.window_counts`) and the denominators as the table's
+    first n entries, with the same values as without it.
     """
     if not 1 <= k <= counts.k + 1:
         raise ContractViolation(f"class id {k} out of range 1..{counts.k + 1}")
-    w = counts.window_counts(k, runs)
+    dense = denominators is not None
+    if dense and len(runs) > denominators.size:
+        raise ContractViolation(
+            f"the denominator table covers run lengths below {denominators.size} only"
+        )
+    w = counts.window_counts(k, runs, dense)
     try:
         num = numerators.take(w)
     except IndexError:
         raise ContractViolation(
             f"the numerator table covers window counts below {numerators.size} only"
         ) from None
-    return num / (runs + numerators[0])
+    return num / (denominators[: w.size] if dense else runs + numerators[0])
 

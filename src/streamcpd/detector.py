@@ -11,12 +11,14 @@ One run-length recursion, fed by a predictive model chosen once per mode
 - ``baseline`` (:class:`BaselineModel`): no latent layer. Predictive: the
   Normal-Inverse-Gamma Student-t on the raw observations.
 
-A model has ``predict(x, t, run_lengths) -> (log_psi, log_psi_reset, z_star,
-k_t, resp)``, the log predictive of observation x at step t under every live
-hypothesis and under a reset; ``commit(z_star)``, called once the trellis
-step has succeeded; and ``keep``: None, or ``keep(before, kept)`` after
-pruning dropped hypotheses, for a model with one column per hypothesis (the
-baseline). So :meth:`Detector.step` is one body for every mode: predict,
+A model has ``predict(x, t, run_lengths, dense) -> (log_psi, log_psi_reset,
+z_star, k_t, resp)``, the log predictive of observation x at step t under
+every live hypothesis and under a reset; ``commit(z_star)``, called once the
+trellis step has succeeded; and ``keep``: None, or ``keep(before, kept)``
+after pruning dropped hypotheses, for a model with one column per hypothesis
+(the baseline). When the run lengths are dense, ``0..n-1``
+(``RunLengthState.dense``), ``predict`` reads its per-run-length tables by
+prefix slices instead of gathers. So :meth:`Detector.step` is one body for every mode: predict,
 ``recursion_step``, readout, commit, prune, keep.
 
 The two latent models share one emission step, a single SGD-EM pass over one
@@ -26,7 +28,11 @@ also share one ledger of the MAP labels, a :class:`LabelCounts`, and one
 ``commit`` that records the step's label in it. They differ only in whether a
 candidate column is spawned and in the two formulas they read from the
 ledger, the class prior and the window predictive: the CRP's from ``crp.py``,
-the Dirichlet's here.
+the Dirichlet's here. The CRP window predictive reads a numerator table at
+the window counts and divides by r + alpha, which on dense run lengths is a
+prefix slice of a second table ``arange(N) + alpha``, the same size as the
+first and grown with it; the window counts themselves are then a reversed
+slice of the kept prefix counts (see ``crp.py``).
 
 The baseline's NIG posterior after a window of r observations has kappa_r =
 kappa0 + r and a_r = a0 + r/2, which depend on r alone, so it keeps two
@@ -50,7 +56,8 @@ tables:
   rows of the few hypotheses older than that are computed at each step
   from kappa0 + r, a0 + r/2 and the asymptotic series of D(a), so the
   model's memory stays bounded by the live hypotheses on an unbounded
-  stream. A step reads the table with one gather at the live run lengths.
+  stream. A step reads the table with one gather at the live run lengths,
+  or as its first n columns when they are dense.
 
 One pass over the columns computes ``d = x - mu`` and ``d^2`` once and uses
 them both for the Student-t log predictive ``log p = c_r - log(B)/2 - h_r
@@ -226,7 +233,7 @@ class DetectorConfig:
             raise ConfigError(f"decay must lie in (0, 1), got {self.decay!r}")
         if not (0.0 < self.var_floor < math.inf):
             raise ConfigError(f"var_floor must be positive and finite, got {self.var_floor!r}")
-        if not (isinstance(self.seed, int) and self.seed >= 0):
+        if not (isinstance(self.seed, Integral) and self.seed >= 0):
             raise ConfigError(f"seed must be a non-negative integer, got {self.seed!r}")
 
 
@@ -315,19 +322,25 @@ class _LatentModel:
 class InfiniteModel(_LatentModel):
     """``infinite``: classes under a CRP, and the CRP window predictive of
     the MAP labels; the reset predictive is 1. ``numerators`` is the window
-    predictive's numerator table at alpha, doubled whenever the largest live
-    run length reaches its end."""
+    predictive's numerator table at alpha and ``denominators`` its table of
+    r + alpha, read on dense run lengths; both are doubled whenever the
+    largest live run length reaches their end."""
 
     def __init__(self, cfg: DetectorConfig):
         super().__init__(cfg, ClassTable())
-        self.numerators = crp_numerators(cfg.alpha, 64)
+        self._grow(64)
 
-    def predict(self, x: float, t: int, run_lengths: np.ndarray):
+    def _grow(self, n: int) -> None:
+        self.numerators = crp_numerators(self.cfg.alpha, n)
+        self.denominators = np.arange(n, dtype=float) + self.cfg.alpha
+
+    def predict(self, x: float, t: int, run_lengths: np.ndarray, dense: bool):
         counts, alpha = self.counts, self.cfg.alpha
         resp, z_star = self._emission_step(x, t, crp_prior(counts, alpha), candidate=True)
         if run_lengths[-1] >= self.numerators.size:
-            self.numerators = crp_numerators(alpha, 2 * self.numerators.size)
-        log_psi = np.log(crp_run_predictive(counts, run_lengths, z_star, self.numerators))
+            self._grow(2 * self.numerators.size)
+        den = self.denominators if dense else None
+        log_psi = np.log(crp_run_predictive(counts, run_lengths, z_star, self.numerators, den))
         return log_psi, 0.0, z_star, self.table.n, resp
 
 
@@ -339,7 +352,7 @@ class FixedKModel(_LatentModel):
     def __init__(self, cfg: DetectorConfig):
         super().__init__(cfg, None, cfg.k_fixed)
 
-    def predict(self, x: float, t: int, run_lengths: np.ndarray):
+    def predict(self, x: float, t: int, run_lengths: np.ndarray, dense: bool):
         cfg = self.cfg
         lc = self.counts
         kf, beta = cfg.k_fixed, cfg.dirichlet_beta
@@ -355,7 +368,7 @@ class FixedKModel(_LatentModel):
         prior = (lc.m[:kf] + beta) / (lc.t + kf * beta)
         resp, z_star = self._emission_step(x, t, prior, candidate=False)
 
-        w = lc.window_counts(z_star, run_lengths)
+        w = lc.window_counts(z_star, run_lengths, dense)
         log_psi = np.log(fixed_k_run_predictive(w, run_lengths, z_star, kf, beta))
         return log_psi, math.log(1.0 / kf), z_star, kf, resp
 
@@ -380,15 +393,16 @@ class BaselineModel:
         self.consts = _run_length_table(p, 64)
         self._grown = None
 
-    def predict(self, x: float, t: int, run_lengths: np.ndarray):
+    def predict(self, x: float, t: int, run_lengths: np.ndarray, dense: bool):
+        n = run_lengths.size
         if run_lengths[-1] < self.consts.shape[1]:
-            rows = self.consts.take(run_lengths, axis=1)
+            rows = self.consts[:, :n] if dense else self.consts.take(run_lengths, axis=1)
         else:
             rows = self._rows(run_lengths)
         c, h, inv_k1, rho = rows[0], rows[1], rows[2], rows[3]
         live = self.live
         mu, big_b = live[0], live[1]
-        grown = np.empty((2, run_lengths.size + 1))
+        grown = np.empty((2, n + 1))
         grown[:, 0] = self.prior_col
         mu1, big_b1 = grown[0, 1:], grown[1, 1:]
         # An observation whose squared distance to a column's mean overflows
@@ -475,9 +489,12 @@ class Detector:
         if not math.isfinite(x):
             raise InputError(f"observation at t={t} is not finite: {x!r}")
         cfg, model = self.cfg, self.model
-        log_psi, log_psi_reset, z_star, k_t, resp = model.predict(x, t, self.rl.run_lengths)
+        rl = self.rl
+        log_psi, log_psi_reset, z_star, k_t, resp = model.predict(
+            x, t, rl.run_lengths, rl.dense
+        )
 
-        rl = self.rl = recursion_step(self.rl, log_psi, cfg.hazard, log_psi_reset)
+        rl = self.rl = recursion_step(rl, log_psi, cfg.hazard, log_psi_reset)
         runs = rl.run_lengths
         posterior = normalize_posterior(rl)
         r_star = int(runs[posterior.argmax()])

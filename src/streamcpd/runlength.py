@@ -24,6 +24,16 @@ set to exactly 0 instead. The evidence and the posterior entries are as if
 they had been exponentiated, except that an entry whose ``e`` would have
 been below ``tiny`` (2.2e-308) reads exactly 0.
 
+Run lengths strictly ascend from 0, so a state whose last run length is
+``n - 1`` holds exactly ``0..n-1``: on an unpruned trellis every state, and
+on a pruned one each state whose pruning dropped nothing. Such dense run
+lengths are prefix views of one shared, read-only ``int64`` table
+``0, 1, 2, ...``, rebuilt at twice its size when a state outgrows it (a
+view of an earlier table keeps that table alive, unchanged); so
+``recursion_step`` grows a dense state by taking a longer view instead of
+computing ``run_lengths + 1``, and the predictive models read their
+per-run-length tables by slices instead of gathers.
+
 A step validates its inputs only when it fails. A NaN or +inf log predictive
 always makes the step's total non-finite (NaN propagates, and +inf gives
 +inf, or NaN where it meets a -inf weight), so the checks run on that path
@@ -45,6 +55,22 @@ from .errors import ConfigError, ContractViolation, DegenerateStateError
 _TINY = float(np.finfo(float).tiny)
 # exp(x) is subnormal or 0 exactly when x is below this.
 _LOG_TINY = math.log(_TINY)
+
+
+# The shared table of dense run lengths (see the module docstring).
+_DENSE = np.arange(64, dtype=np.int64)
+_DENSE.setflags(False)
+
+
+def _dense_run_lengths(n: int) -> np.ndarray:
+    """The run lengths ``0..n-1``: a read-only view of the shared table."""
+    global _DENSE
+    table = _DENSE
+    if n > table.size:
+        table = np.arange(max(n, 2 * table.size), dtype=np.int64)
+        table.setflags(False)
+        _DENSE = table
+    return table[:n]
 
 
 def logsumexp(
@@ -107,8 +133,8 @@ class HazardConfig:
 class RunLengthState:
     """Live run-length hypotheses and their log joint weights.
 
-    ``run_lengths[i]`` is the run-length value of hypothesis i (ascending,
-    and 0 is always present after a step, so it is entry 0);
+    ``run_lengths[i]`` is the run-length value of hypothesis i (strictly
+    ascending, and 0 is always present after a step, so it is entry 0);
     ``log_weights[i]`` is the log of its unnormalized joint weight.
     ``evidence_log`` is the log total mass, i.e. the log probability of
     everything observed so far.
@@ -117,7 +143,9 @@ class RunLengthState:
     here that builds a state keeps it, and a state built without
     ``evidence_log`` computes it once on construction. Treat the arrays as
     read-only: writing to ``log_weights`` in place breaks the invariant and
-    the memoized posterior.
+    the memoized posterior. Dense run lengths ``0..n-1`` built here are
+    views of one table shared by every state and detector (see the module
+    docstring).
 
     ``posterior_argmin`` is an index of the posterior's smallest entry on a
     state built by ``recursion_step``, which finds it anyway, and None on
@@ -135,10 +163,17 @@ class RunLengthState:
         if self.evidence_log is None:
             self.evidence_log = logsumexp(self.log_weights)
 
+    @property
+    def dense(self) -> bool:
+        """Whether the run lengths are exactly ``0..n-1``: since they
+        strictly ascend from 0, whether the last is n - 1 (an O(1) test)."""
+        runs = self.run_lengths
+        return runs[-1] == runs.size - 1
+
     @classmethod
     def initial(cls) -> "RunLengthState":
         """State before any observation: all mass on run length 0."""
-        return cls(np.zeros(1, dtype=np.int64), np.zeros(1, dtype=float), 0, 0.0)
+        return cls(_dense_run_lengths(1), np.zeros(1, dtype=float), 0, 0.0)
 
 
 def recursion_step(
@@ -161,8 +196,10 @@ def recursion_step(
 
     The returned state carries its posterior, from the exp pass that
     computed its evidence; its run lengths and posterior are read-only, so
-    they can be handed out without a copy. Inputs are checked only when the
-    step's total is not finite (see the module docstring).
+    they can be handed out without a copy. When the run lengths are dense
+    (``0..n-1``), the new ones are a view of the shared table. Inputs are
+    checked only when the step's total is not finite (see the module
+    docstring).
     """
     lw = state.log_weights
     log_psi = np.asarray(log_psi, dtype=float)
@@ -194,13 +231,16 @@ def recursion_step(
             f"all joint weights vanished at t={state.t + 1}; observation numerically impossible"
         )
 
-    new_runs = np.empty(n + 1, dtype=np.int64)
-    new_runs[0] = 0
-    np.add(state.run_lengths, 1, out=new_runs[1:])
+    if state.dense:
+        new_runs = _dense_run_lengths(n + 1)
+    else:
+        new_runs = np.empty(n + 1, dtype=np.int64)
+        new_runs[0] = 0
+        np.add(state.run_lengths, 1, out=new_runs[1:])
+        # setflags(False) clears the writeable flag at a third of the cost
+        # of the flags.writeable setter.
+        new_runs.setflags(False)
     out = RunLengthState(new_runs, new_lw, state.t + 1, total)
-    # setflags(False) clears the writeable flag at a third of the cost of
-    # the flags.writeable setter.
-    new_runs.setflags(False)
     posterior.setflags(False)
     out._posterior = posterior
     out.posterior_argmin = i_min
@@ -340,8 +380,8 @@ class ChangePointRule:
             raise ConfigError(f"unknown change-point rule {self.mode!r}")
         if not (0.0 < self.drop_fraction <= 1.0):
             raise ConfigError(f"drop_fraction must lie in (0, 1], got {self.drop_fraction!r}")
-        if self.mass_window < 0:
-            raise ConfigError("mass_window must be non-negative")
+        if not (isinstance(self.mass_window, Integral) and self.mass_window >= 0):
+            raise ConfigError(f"mass_window must be an integer >= 0, got {self.mass_window!r}")
         if not (0.0 < self.mass_threshold < 1.0):
             raise ConfigError(f"mass_threshold must lie in (0, 1), got {self.mass_threshold!r}")
 

@@ -500,6 +500,34 @@ def test_cli_score_bad_changepoint_file_is_input_error(tmp_path, capsys, text):
     assert "error:" in capsys.readouterr().err
 
 
+def test_cli_score_refuses_fractional_changepoint_times(tmp_path, capsys):
+    # 3.7 is not rounded to 4, which would match truth 4 at tolerance 0.
+    pred, truth = tmp_path / "pred.csv", tmp_path / "truth.csv"
+    pred.write_text("t\n2\n3.7\n")
+    truth.write_text("t\n4\n")
+    assert main(["score", "--pred", str(pred), "--truth", str(truth), "--tolerance", "0"]) == 1
+    assert "row 3" in capsys.readouterr().err
+
+
+def test_cli_score_reads_integral_and_header_only_files(tmp_path, capsys):
+    pred, truth, empty = tmp_path / "pred.csv", tmp_path / "truth.csv", tmp_path / "empty.csv"
+    pred.write_text("t\n4.0\n")
+    truth.write_text("t\n4\n")
+    empty.write_text("t\n")
+    assert main(["score", "--pred", str(pred), "--truth", str(truth), "--tolerance", "0"]) == 0
+    assert "matched=1" in capsys.readouterr().out.splitlines()
+    assert main(["score", "--pred", str(empty), "--truth", str(truth)]) == 0
+    assert "pred_count=0" in capsys.readouterr().out.splitlines()
+
+
+def test_cli_manifest_writes_the_seed_as_given(tmp_path):
+    series, out = tmp_path / "s.csv", tmp_path / "o"
+    series.write_text("x\n0\n1\n2\n")
+    assert main(["run", "--input", str(series), "--seed", "3", "--out", str(out)]) == 0
+    assert "seed=3\n" in (out / "manifest").read_text().splitlines(keepends=True)
+    assert ("seed", "3") in config_to_items(DetectorConfig(seed=np.int64(3)))
+
+
 def test_cli_input_error_exit_code(tmp_path):
     assert main(["run", "--input", str(tmp_path / "missing.csv"), "--out", str(tmp_path / "o")]) == 1
 

@@ -207,6 +207,38 @@ def test_label_counts_reject_windows_outside_the_history(runs, k):
         lc.window_counts(k, np.array(runs))
 
 
+@pytest.mark.parametrize("k", [1, 2])
+def test_unsorted_window_query_is_not_read_as_dense(k):
+    # [2, 0, 2] ends in its size minus 1, as 0..n-1 does; only a caller
+    # holding trellis run lengths may say a query is dense.
+    labels = [1, 2, 2, 2]
+    lc = _counts_with_labels(labels)
+    lc.window_counts(2, np.arange(5))
+    runs = np.array([2, 0, 2])
+    want = [labels[4 - r :].count(k) for r in runs]
+    np.testing.assert_array_equal(lc.window_counts(k, runs), want)
+    num = crp_numerators(1.0, 5)
+    np.testing.assert_array_equal(
+        crp_run_predictive(lc, runs, k, num), np.where(want, want, 1.0) / (runs + 1.0)
+    )
+
+
+@pytest.mark.parametrize("k", [1, 2])
+def test_dense_window_query_longer_than_the_history_is_refused(k):
+    lc = _counts_with_labels([1, 2, 2, 2])
+    lc.window_counts(2, np.arange(5))
+    num = crp_numerators(1.0, 8)
+    den = np.arange(8.0) + 1.0
+    np.testing.assert_array_equal(lc.window_counts(k, np.arange(5), dense=True),
+                                  lc.window_counts(k, np.arange(5)))
+    with pytest.raises(ContractViolation):
+        lc.window_counts(k, np.arange(6), dense=True)
+    with pytest.raises(ContractViolation):
+        crp_run_predictive(lc, np.arange(6), k, num, den)
+    with pytest.raises(ContractViolation):  # the denominators must cover every r
+        crp_run_predictive(lc, np.arange(5), k, num, den[:4])
+
+
 def test_label_counts_window_queries():
     lc = LabelCounts(3)
     for z in [1, 2, 2, 3, 2]:

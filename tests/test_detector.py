@@ -5,6 +5,8 @@ from fractions import Fraction
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.integrate import quad
 from scipy.special import ndtri
 from scipy.stats import t as student_t
@@ -18,17 +20,22 @@ from streamcpd import (
     DetectorConfig,
     HazardConfig,
     InputError,
+    LabelCounts,
     NigParams,
     PrunePolicy,
+    RunLengthState,
     SegmentSpec,
+    crp_numerators,
     crp_run_predictive,
     fixed_k_run_predictive,
     gen_piecewise_gaussian,
+    recursion_step,
     run,
 )
-from streamcpd import detector
+from streamcpd import detector, runlength
 from streamcpd.detector import (
     _TABLE_CAP,
+    BaselineModel,
     _fixed_k_offsets,
     _run_length_rows_past_cap,
     _run_length_table,
@@ -123,6 +130,17 @@ def test_seed_does_not_change_outputs():
     assert [s.z_star for s in a.steps] == [s.z_star for s in b.steps]
     assert [s.r_star for s in a.steps] == [s.r_star for s in b.steps]
     assert a.change_points == b.change_points
+
+
+@pytest.mark.parametrize("seed", [np.int64(3), np.int32(3), np.uint8(3)])
+def test_numpy_integer_seed_is_accepted(seed):
+    assert DetectorConfig(seed=seed).seed == 3
+
+
+@pytest.mark.parametrize("seed", [np.int64(-1), -1, 3.0, "3"])
+def test_seed_must_be_a_non_negative_integer(seed):
+    with pytest.raises(ConfigError):
+        DetectorConfig(seed=seed)
 
 
 def test_class_count_is_monotone():
@@ -532,16 +550,22 @@ def test_numpy_integer_counts_are_accepted(k):
 @pytest.mark.parametrize("alpha", [0.5, 1.0, 3.0])
 @pytest.mark.parametrize("prune", [PrunePolicy.none(), PrunePolicy.top_m(20)])
 def test_infinite_window_predictive_while_numerator_table_grows(alpha, prune, monkeypatch):
-    # The model's numerator table starts shorter than the run and doubles;
-    # every step's window predictive equals the formula written out, over
-    # every run length (unpruned) and over a sparse set of them (top-m).
-    sizes = []
+    # The model's numerator and denominator tables start shorter than the
+    # run and double together; every step's window predictive equals the
+    # formula written out, over every run length (unpruned, read by slices)
+    # and over a sparse set of them (top-m, read by gathers once pruning
+    # starts).
+    sizes, dense = [], []
 
-    def checked(counts, runs, k, numerators):
-        got = crp_run_predictive(counts, runs, k, numerators)
+    def checked(counts, runs, k, numerators, denominators=None):
+        got = crp_run_predictive(counts, runs, k, numerators, denominators)
         w = counts.window_counts(k, runs)
         np.testing.assert_array_equal(got, np.where(w > 0, w, alpha) / (runs + alpha))
+        if denominators is not None:
+            np.testing.assert_array_equal(runs, np.arange(runs.size))
+            assert denominators.size == numerators.size
         sizes.append(numerators.size)
+        dense.append(denominators is not None)
         return got
 
     monkeypatch.setattr(detector, "crp_run_predictive", checked)
@@ -550,6 +574,85 @@ def test_infinite_window_predictive_while_numerator_table_grows(alpha, prune, mo
     assert len(sizes) == 300
     if prune.kind == "none":  # run lengths reach 299
         assert sizes[0] < 300 <= sizes[-1]
+        assert all(dense)
+    else:
+        assert any(dense) and not all(dense)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    labels=st.lists(st.integers(min_value=1, max_value=4), min_size=2, max_size=60),
+    alpha=st.sampled_from([0.5, 1.0, 3.0]),
+    data=st.data(),
+)
+def test_dense_run_lengths_read_by_slices_as_by_gathers(labels, alpha, data):
+    # Run lengths 0..n-1 (dense: slices of the per-run-length tables) and a
+    # pruned subset of them with the last kept (sparse: gathers) give the
+    # same window counts, CRP window predictives, baseline predictives and
+    # next-state run lengths, bit for bit, on the hypotheses they share.
+    t = len(labels)
+    n = data.draw(st.integers(min_value=3, max_value=t + 1))
+    keep = np.array(data.draw(st.lists(st.booleans(), min_size=n, max_size=n)))
+    keep[[0, -1]] = True
+    keep[data.draw(st.integers(min_value=1, max_value=n - 2))] = False
+    dense = np.arange(n)
+    sparse = dense[keep]
+    rng = np.random.default_rng(t)
+    lw = rng.normal(0.0, 1.0, n)
+    full, pruned = RunLengthState(dense, lw), RunLengthState(sparse, lw[keep])
+    assert full.dense and not pruned.dense
+
+    num, den = crp_numerators(alpha, n), np.arange(n, dtype=float) + alpha
+    for k in range(1, max(labels) + 2):
+        want = [labels[t - r :].count(k) for r in dense]
+        for hot in (False, True):  # binary search, or k's kept prefix counts
+            lc = LabelCounts()
+            for z in labels:
+                lc.record(z)
+            if hot:
+                lc.window_counts(k, np.arange(t + 1))
+            w = lc.window_counts(k, dense, dense=True)
+            np.testing.assert_array_equal(w, want)
+            np.testing.assert_array_equal(lc.window_counts(k, sparse), w[keep])
+            p = crp_run_predictive(lc, dense, k, num, den)
+            np.testing.assert_array_equal(crp_run_predictive(lc, dense, k, num), p)
+            np.testing.assert_array_equal(crp_run_predictive(lc, sparse, k, num), p[keep])
+
+    live = np.vstack([rng.normal(0.0, 3.0, n), rng.uniform(0.5, 4.0, n)])
+    x = data.draw(st.floats(min_value=-10.0, max_value=10.0))
+    a = BaselineModel(DetectorConfig(mode="baseline"))
+    b = BaselineModel(DetectorConfig(mode="baseline"))
+    a.live, b.live = live, live[:, keep]
+    log_psi = a.predict(x, t, dense, full.dense)[0]
+    np.testing.assert_array_equal(b.predict(x, t, sparse, pruned.dense)[0], log_psi[keep])
+    np.testing.assert_array_equal(b._grown, a._grown[:, np.r_[True, keep]])
+
+    hazard = HazardConfig(50.0)
+    grown = recursion_step(full, log_psi, hazard).run_lengths
+    regrown = recursion_step(pruned, log_psi[keep], hazard).run_lengths
+    np.testing.assert_array_equal(grown, np.r_[0, dense + 1])
+    np.testing.assert_array_equal(regrown, np.r_[0, sparse + 1])
+    assert not grown.flags.writeable and not regrown.flags.writeable
+
+
+def test_run_lengths_kept_by_steps_outlive_the_shared_table(monkeypatch):
+    # Dense run lengths are views of one shared table that is rebuilt when
+    # a state outgrows it; the views a run's steps kept stay read-only and
+    # read the same as a run that never saw the table grow.
+    small = np.arange(8, dtype=np.int64)
+    small.setflags(False)
+    monkeypatch.setattr(runlength, "_DENSE", small)
+    series, _, _ = _two_segment_series(seed=2, n=60)
+    res = run(series, DetectorConfig(mode="baseline"))
+    assert runlength._DENSE.size > series.size
+    assert np.shares_memory(res.steps[0].rl_posterior.runs, small)
+    again = run(series, DetectorConfig(mode="baseline"))
+    for s, want in zip(res.steps, again.steps):
+        assert not s.rl_posterior.runs.flags.writeable
+        np.testing.assert_array_equal(s.rl_posterior.runs, want.rl_posterior.runs)
+    with pytest.raises(ValueError):
+        res.steps[0].rl_posterior.runs[0] = 1
+    np.testing.assert_array_equal(small, np.arange(8))
 
 
 # -- fixed-k mode -------------------------------------------------------------
@@ -603,7 +706,7 @@ def test_fixed_k_deterministic():
 def _baseline_log_predictives(det, x):
     # The baseline model's log predictive of x under every live hypothesis,
     # read without committing.
-    return det.model.predict(x, det.t + 1, det.rl.run_lengths)[0]
+    return det.model.predict(x, det.t + 1, det.rl.run_lengths, det.rl.dense)[0]
 
 
 def _nig_pdf(x, p):

@@ -519,3 +519,11 @@ def test_change_point_rule_validation():
         ChangePointRule(mode="mass-near-zero", mass_threshold=1.0)
     with pytest.raises(ConfigError):
         ChangePointRule(mode="nope")
+
+
+@pytest.mark.parametrize("window", [math.nan, math.inf, 2.5, -1])
+def test_mass_window_must_be_a_non_negative_integer(window):
+    # A NaN window would make the mass-near-zero rule never fire.
+    with pytest.raises(ConfigError):
+        ChangePointRule(mode="mass-near-zero", mass_window=window)
+    assert ChangePointRule(mode="mass-near-zero", mass_window=np.int64(2)).mass_window == 2
