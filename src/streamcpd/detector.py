@@ -21,6 +21,14 @@ after pruning dropped hypotheses, for a model with one column per hypothesis
 prefix slices instead of gathers. So :meth:`Detector.step` is one body for every mode: predict,
 ``recursion_step``, readout, commit, prune, keep.
 
+The readout hands out the posterior entries at or above 1e-14 with their
+run lengths, in one of three forms: the step's own arrays when nothing is
+hidden; a copy of the first k probabilities with a view of the shared dense
+table as run lengths when the shown entries are the first k and their run
+lengths are ``0..k-1``; otherwise copies by two boolean gathers. A stored
+slice that hides entries thus never keeps the step's full posterior, and
+with it the hidden tail, alive.
+
 The two latent models share one emission step, a single SGD-EM pass over one
 :class:`ClassTable` (E-step, M-step and MAP assignment from shared
 intermediates, committed only on success) plus the winner's rate decay. They
@@ -77,7 +85,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from itertools import accumulate
-from numbers import Integral
 from typing import NamedTuple
 
 import numpy as np
@@ -96,11 +103,16 @@ from .emission import (
 # self-test checks that tracing restores ``streamcpd.detector.m_step``.
 from .emission import m_step  # noqa: F401
 from .errors import ConfigError, ContractViolation, InputError
+# The readout reaches the shared dense table through the module: perfbench's
+# tracer times every function imported into this namespace as a span of its
+# own, which added about 10 us of traced time per step to a 0.2 us call.
+from . import runlength
 from .runlength import (
     ChangePointRule,
     HazardConfig,
     PrunePolicy,
     RunLengthState,
+    _is_integer,
     normalize_posterior,
     prune,
     recursion_step,
@@ -219,7 +231,7 @@ class DetectorConfig:
             raise ConfigError(f"unknown mode {self.mode!r}")
         if not (0.0 < self.alpha < math.inf):
             raise ConfigError(f"alpha must be positive and finite, got {self.alpha!r}")
-        if not (isinstance(self.k_fixed, Integral) and self.k_fixed >= 1):
+        if not (_is_integer(self.k_fixed) and self.k_fixed >= 1):
             raise ConfigError(f"k_fixed must be an integer >= 1, got {self.k_fixed!r}")
         if not (0.0 < self.dirichlet_beta < math.inf):
             raise ConfigError(
@@ -233,15 +245,19 @@ class DetectorConfig:
             raise ConfigError(f"decay must lie in (0, 1), got {self.decay!r}")
         if not (0.0 < self.var_floor < math.inf):
             raise ConfigError(f"var_floor must be positive and finite, got {self.var_floor!r}")
-        if not (isinstance(self.seed, Integral) and self.seed >= 0):
+        if not (_is_integer(self.seed) and self.seed >= 0):
             raise ConfigError(f"seed must be a non-negative integer, got {self.seed!r}")
 
 
 class SparsePosterior(NamedTuple):
     """The run-length posterior entries of one step that are at least
     ``_POSTERIOR_KEEP`` (1e-14), with their run lengths, ascending. Both
-    arrays are read-only; when no entry falls below the cut they are the
-    step's own run lengths and posterior, not copies."""
+    arrays are read-only. When no entry falls below the cut they are the
+    step's own run lengths and posterior, not copies. When the shown
+    entries are the first k, with run lengths ``0..k-1``, ``probs`` is a
+    copy and ``runs`` a view of the shared dense run-length table (see
+    ``runlength.py``). Otherwise both are copies. So a slice that hides
+    entries never keeps the step's full posterior alive."""
 
     runs: np.ndarray
     probs: np.ndarray
@@ -253,7 +269,9 @@ class StepOutput:
     the E-step responsibilities, the (sparse) run-length posterior slice,
     and the change-point flag. Its arrays are read-only and may be shared
     with the detector's state (the baseline's responsibilities are one
-    array for every step), so copy one before changing it."""
+    array for every step, and ``rl_posterior`` takes one of the three
+    forms :class:`SparsePosterior` lists), so copy one before changing
+    it. None keeps a hidden posterior tail alive."""
 
     t: int
     z_star: int
@@ -498,15 +516,21 @@ class Detector:
         runs = rl.run_lengths
         posterior = normalize_posterior(rl)
         r_star = int(runs[posterior.argmax()])
-        # Both arrays are read-only, so a step that shows every entry hands
-        # out its own; otherwise the slice is copied. (setflags(False) makes
-        # an array read-only.)
+        # The readout's three forms are in the module docstring. Both arrays
+        # are read-only, so a step that shows every entry hands out its own.
+        # Run lengths ascend from 0, so runs[k-1] == k-1 says that the first
+        # k are 0..k-1; count_nonzero is cheaper here than mask.all().
+        # (setflags(False) makes an array read-only.)
         if posterior[rl.posterior_argmin] >= _POSTERIOR_KEEP:
             shown = SparsePosterior(runs, posterior)
         else:
             mask = posterior >= _POSTERIOR_KEEP
-            shown = SparsePosterior(runs[mask], posterior[mask])
-            shown.runs.setflags(False)
+            k = np.count_nonzero(mask)
+            if runs[k - 1] == k - 1 and np.count_nonzero(mask[:k]) == k:
+                shown = SparsePosterior(runlength._dense_run_lengths(k), posterior[:k].copy())
+            else:
+                shown = SparsePosterior(runs[mask], posterior[mask])
+                shown.runs.setflags(False)
             shown.probs.setflags(False)
         out = StepOutput(
             t=t,

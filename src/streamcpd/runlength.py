@@ -31,8 +31,10 @@ lengths are prefix views of one shared, read-only ``int64`` table
 ``0, 1, 2, ...``, rebuilt at twice its size when a state outgrows it (a
 view of an earlier table keeps that table alive, unchanged); so
 ``recursion_step`` grows a dense state by taking a longer view instead of
-computing ``run_lengths + 1``, and the predictive models read their
-per-run-length tables by slices instead of gathers.
+computing ``run_lengths + 1``, the predictive models read their
+per-run-length tables by slices instead of gathers, and a detector step
+that shows only the first k posterior entries hands out ``0..k-1`` as a
+view instead of a copy.
 
 A step validates its inputs only when it fails. A NaN or +inf log predictive
 always makes the step's total non-finite (NaN propagates, and +inf gives
@@ -45,7 +47,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from numbers import Integral
+from numbers import Integral, Real
 
 import numpy as np
 
@@ -60,6 +62,12 @@ _LOG_TINY = math.log(_TINY)
 # The shared table of dense run lengths (see the module docstring).
 _DENSE = np.arange(64, dtype=np.int64)
 _DENSE.setflags(False)
+
+
+def _is_integer(value) -> bool:
+    """Whether a config value is an integer: a Python or numpy integer, but
+    not a bool, which is an ``Integral`` that would read as 0 or 1."""
+    return isinstance(value, Integral) and not isinstance(value, bool)
 
 
 def _dense_run_lengths(n: int) -> np.ndarray:
@@ -119,14 +127,16 @@ class HazardConfig:
     lam: float = 1e6
 
     def __post_init__(self):
-        if not (isinstance(self.lam, (int, float)) and math.isfinite(self.lam)):
-            raise ConfigError(f"hazard lam must be a finite number, got {self.lam!r}")
-        if self.lam < 1.0:
-            raise ConfigError(f"hazard lam must be >= 1 so that 0 < 1/lam <= 1, got {self.lam!r}")
+        lam = self.lam
+        if not (isinstance(lam, Real) and not isinstance(lam, bool) and math.isfinite(lam)):
+            raise ConfigError(f"hazard lam must be a finite number, got {lam!r}")
+        if lam < 1.0:
+            raise ConfigError(f"hazard lam must be >= 1 so that 0 < 1/lam <= 1, got {lam!r}")
 
     @property
     def hazard(self) -> float:
-        return 1.0 / self.lam
+        # float() so that a numpy lam (say float32) gives a double hazard.
+        return 1.0 / float(self.lam)
 
 
 @dataclass
@@ -297,7 +307,7 @@ class PrunePolicy:
             raise ConfigError(f"unknown prune kind {self.kind!r}")
         if self.kind == "threshold" and not (0.0 < self.epsilon < 1.0):
             raise ConfigError(f"prune epsilon must lie in (0, 1), got {self.epsilon!r}")
-        if not isinstance(self.max_live, Integral):
+        if not _is_integer(self.max_live):
             raise ConfigError(f"prune max_live must be an integer, got {self.max_live!r}")
         if self.kind == "top-m" and self.max_live < 1:
             raise ContractViolation("top-m pruning must keep at least one hypothesis")
@@ -380,7 +390,7 @@ class ChangePointRule:
             raise ConfigError(f"unknown change-point rule {self.mode!r}")
         if not (0.0 < self.drop_fraction <= 1.0):
             raise ConfigError(f"drop_fraction must lie in (0, 1], got {self.drop_fraction!r}")
-        if not (isinstance(self.mass_window, Integral) and self.mass_window >= 0):
+        if not (_is_integer(self.mass_window) and self.mass_window >= 0):
             raise ConfigError(f"mass_window must be an integer >= 0, got {self.mass_window!r}")
         if not (0.0 < self.mass_threshold < 1.0):
             raise ConfigError(f"mass_threshold must lie in (0, 1), got {self.mass_threshold!r}")

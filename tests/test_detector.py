@@ -137,7 +137,7 @@ def test_numpy_integer_seed_is_accepted(seed):
     assert DetectorConfig(seed=seed).seed == 3
 
 
-@pytest.mark.parametrize("seed", [np.int64(-1), -1, 3.0, "3"])
+@pytest.mark.parametrize("seed", [np.int64(-1), -1, 3.0, "3", True, False])
 def test_seed_must_be_a_non_negative_integer(seed):
     with pytest.raises(ConfigError):
         DetectorConfig(seed=seed)
@@ -478,18 +478,37 @@ def test_posterior_slice_is_the_shown_part_of_the_full_posterior(mode, monkeypat
         return posterior
 
     monkeypatch.setattr(detector, "normalize_posterior", capture)
-    every_entry_shown = []
+    # A shared dense table longer than the series, so it is not rebuilt
+    # during the runs.
+    table = np.arange(4 * _READOUT_SERIES.size, dtype=np.int64)
+    table.setflags(False)
+    monkeypatch.setattr(runlength, "_DENSE", table)
+    branches = set()
     for policy in (PrunePolicy.none(), PrunePolicy.threshold(1e-10), PrunePolicy.top_m(20)):
         full.clear()
         res = run(_READOUT_SERIES, DetectorConfig(mode=mode, prune=policy))
         assert len(full) == len(res.steps)
         for s, (runs, posterior) in zip(res.steps, full):
             shown = posterior >= 1e-14
-            every_entry_shown.append(bool(shown.all()))
-            assert s.rl_posterior.runs.tobytes() == runs[shown].tobytes()
-            assert s.rl_posterior.probs.tobytes() == posterior[shown].tobytes()
-    # Both readout branches ran.
-    assert any(every_entry_shown) and not all(every_entry_shown)
+            got = s.rl_posterior
+            assert got.runs.tobytes() == runs[shown].tobytes()
+            assert got.probs.tobytes() == posterior[shown].tobytes()
+            assert got.runs.dtype == np.int64 and got.probs.dtype == np.float64
+            k = int(shown.sum())
+            if k == shown.size:
+                branches.add("nothing hidden")
+                assert got.runs is runs and got.probs is posterior
+                continue
+            # A slice shorter than its state never keeps the full posterior
+            # (and with it the hidden tail) alive.
+            assert not np.shares_memory(got.probs, posterior)
+            if shown[:k].all() and runs[k - 1] == k - 1:
+                branches.add("first k")
+                assert np.shares_memory(got.runs, table)
+            else:
+                branches.add("gathered")
+                assert not np.shares_memory(got.runs, table)
+    assert branches == {"nothing hidden", "first k", "gathered"}
 
 
 @pytest.mark.parametrize("mode", ["infinite", "fixed-k", "baseline"])
@@ -527,8 +546,8 @@ def test_config_validation():
     with pytest.raises(ConfigError):
         DetectorConfig(seed=-1)
     # A class count that is not an integer failed only at the first step,
-    # with a raw TypeError.
-    for k in (2.5, 2.0, "3", 0, np.int64(0)):
+    # with a raw TypeError; True is an integer to Python but not a count.
+    for k in (2.5, 2.0, "3", 0, np.int64(0), True):
         with pytest.raises(ConfigError):
             DetectorConfig(mode="fixed-k", k_fixed=k)
     # An overflowing baseline prior scale 2 b0 (kappa0 + 1) / kappa0.
@@ -636,22 +655,37 @@ def test_dense_run_lengths_read_by_slices_as_by_gathers(labels, alpha, data):
 
 
 def test_run_lengths_kept_by_steps_outlive_the_shared_table(monkeypatch):
-    # Dense run lengths are views of one shared table that is rebuilt when
-    # a state outgrows it; the views a run's steps kept stay read-only and
-    # read the same as a run that never saw the table grow.
+    # Dense run lengths, a state's own and the first k shown by a step
+    # that hides the rest, are views of one shared table that is rebuilt
+    # when a state outgrows it; the views a run's steps kept stay read-only
+    # and read the same as a run that never saw the table grow.
     small = np.arange(8, dtype=np.int64)
     small.setflags(False)
     monkeypatch.setattr(runlength, "_DENSE", small)
     series, _, _ = _two_segment_series(seed=2, n=60)
-    res = run(series, DetectorConfig(mode="baseline"))
+    kept = {mode: run(series, DetectorConfig(mode=mode)) for mode in ("baseline", "infinite")}
     assert runlength._DENSE.size > series.size
-    assert np.shares_memory(res.steps[0].rl_posterior.runs, small)
-    again = run(series, DetectorConfig(mode="baseline"))
-    for s, want in zip(res.steps, again.steps):
-        assert not s.rl_posterior.runs.flags.writeable
-        np.testing.assert_array_equal(s.rl_posterior.runs, want.rl_posterior.runs)
+    assert np.shares_memory(kept["baseline"].steps[0].rl_posterior.runs, small)
+    # Unpruned, a step holds run lengths 0..t; one that shows fewer and
+    # keeps a view shows the first k.
+    first_k = [
+        s.rl_posterior.runs
+        for s in kept["infinite"].steps
+        if s.rl_posterior.runs.size <= s.t and s.rl_posterior.runs.base is not None
+    ]
+    assert first_k
+    runlength._dense_run_lengths(2 * runlength._DENSE.size)
+    for mode, res in kept.items():
+        again = run(series, DetectorConfig(mode=mode))
+        for s, want in zip(res.steps, again.steps):
+            assert not s.rl_posterior.runs.flags.writeable
+            np.testing.assert_array_equal(s.rl_posterior.runs, want.rl_posterior.runs)
+    for runs in first_k:
+        np.testing.assert_array_equal(runs, np.arange(runs.size))
+        with pytest.raises(ValueError):
+            runs[0] = 1
     with pytest.raises(ValueError):
-        res.steps[0].rl_posterior.runs[0] = 1
+        kept["baseline"].steps[0].rl_posterior.runs[0] = 1
     np.testing.assert_array_equal(small, np.arange(8))
 
 

@@ -120,10 +120,17 @@ def test_logsumexp_propagates_nan(values):
 # -- hazard ------------------------------------------------------------
 
 
-@pytest.mark.parametrize("lam", [0.0, -1.0, 0.5, float("inf"), float("nan")])
+@pytest.mark.parametrize("lam", [0.0, -1.0, 0.5, float("inf"), float("nan"), True, "100"])
 def test_hazard_config_rejects_bad_lambda(lam):
+    # True would read as lam = 1: a change at every step.
     with pytest.raises(ConfigError):
         HazardConfig(lam)
+
+
+@pytest.mark.parametrize("lam", [100, 100.0, np.int64(100), np.float32(100.0), np.uint16(100)])
+def test_hazard_config_accepts_real_numbers(lam):
+    hazard = HazardConfig(lam).hazard
+    assert type(hazard) is float and hazard == 0.01
 
 
 # -- recursion ---------------------------------------------------------
@@ -410,7 +417,7 @@ def test_prune_policy_validation():
         PrunePolicy.top_m(0)
     # A count that is not an integer failed only at the first prune, with a
     # raw TypeError.
-    for m in (2.5, 2.0, "3"):
+    for m in (2.5, 2.0, "3", True):
         with pytest.raises(ConfigError):
             PrunePolicy.top_m(m)
     with pytest.raises(ConfigError):
@@ -521,7 +528,7 @@ def test_change_point_rule_validation():
         ChangePointRule(mode="nope")
 
 
-@pytest.mark.parametrize("window", [math.nan, math.inf, 2.5, -1])
+@pytest.mark.parametrize("window", [math.nan, math.inf, 2.5, -1, True])
 def test_mass_window_must_be_a_non_negative_integer(window):
     # A NaN window would make the mass-near-zero rule never fire.
     with pytest.raises(ConfigError):
