@@ -6,7 +6,7 @@ The exact references the tests check the runtime against live in
 
 __version__ = "0.1.0"
 
-from .crp import LabelCounts, crp_numerators, crp_prior, crp_run_predictive
+from .crp import LabelCounts, crp_prior, window_predictive
 from .detector import (
     Detector,
     DetectorConfig,
@@ -14,7 +14,6 @@ from .detector import (
     RunResult,
     SparsePosterior,
     StepOutput,
-    fixed_k_run_predictive,
     run,
 )
 from .emission import (
@@ -58,16 +57,14 @@ __all__ = [
     "SegmentSpec",
     "SparsePosterior",
     "StepOutput",
-    "crp_numerators",
     "crp_prior",
-    "crp_run_predictive",
     "decay_rates",
     "em_step",
-    "fixed_k_run_predictive",
     "gen_piecewise_gaussian",
     "normalize_posterior",
     "prune",
     "recursion_step",
     "run",
     "spawn_candidate",
+    "window_predictive",
 ]

@@ -31,6 +31,27 @@ def _fmt(v: float) -> str:
     return format(float(v), ".17g")
 
 
+def _outdir(outdir) -> Path:
+    """Create an output directory; a failure is an ``InputError``."""
+    outdir = Path(outdir)
+    try:
+        outdir.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise InputError(f"cannot create output directory {outdir}: {exc}") from exc
+    return outdir
+
+
+def _write_lines(path, lines) -> Path:
+    """Write one output file, a line per item; a failure is an
+    ``InputError`` naming the path."""
+    path = Path(path)
+    try:
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    except OSError as exc:
+        raise InputError(f"cannot write {path}: {exc}") from exc
+    return path
+
+
 # ---------------------------------------------------------------------------
 # configuration keys: single source of truth for config files and manifests
 
@@ -122,9 +143,7 @@ def _read_kv_file(path) -> dict:
         elif key in _KEYS:
             try:
                 values[key] = _KEYS[key].parse(val)
-            except ConfigError:
-                raise
-            except ValueError as exc:
+            except (ConfigError, ValueError) as exc:
                 raise ConfigError(f"{path}:{lineno}: bad value for {key}: {val!r}") from exc
         else:
             raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
@@ -229,9 +248,7 @@ class RunManifest:
         return [f"{k}={v}" for k, v in head + config_to_items(self.config)]
 
     def write(self, path) -> Path:
-        path = Path(path)
-        path.write_text("\n".join(self.lines()) + "\n", encoding="utf-8")
-        return path
+        return _write_lines(path, self.lines())
 
 
 # ---------------------------------------------------------------------------
@@ -281,20 +298,12 @@ def ingest_csv(path) -> np.ndarray:
 
 
 def write_series_csv(series, path) -> Path:
-    path = Path(path)
-    lines = ["x"] + [_fmt(v) for v in np.asarray(series, dtype=float)]
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
-    return path
+    return _write_lines(path, ["x"] + [_fmt(v) for v in np.asarray(series, dtype=float)])
 
 
 def emit_traces(result: RunResult, outdir, manifest: RunManifest | None = None) -> list[Path]:
     """Write the machine-readable trace files for a completed run."""
-    outdir = Path(outdir)
-    try:
-        outdir.mkdir(parents=True, exist_ok=True)
-    except OSError as exc:
-        raise InputError(f"cannot create output directory {outdir}: {exc}") from exc
-
+    outdir = _outdir(outdir)
     written = []
 
     # "%.17g" is _fmt's format. Formatting the Python numbers of tolist()
@@ -304,16 +313,12 @@ def emit_traces(result: RunResult, outdir, manifest: RunManifest | None = None) 
         "%d,%.17g,%d,%d" % (s.t, x, s.z_star, s.k_t)
         for s, x in zip(result.steps, result.series.tolist())
     ]
-    p = outdir / "assignments.csv"
-    p.write_text("\n".join(rows) + "\n", encoding="utf-8")
-    written.append(p)
+    written.append(_write_lines(outdir / "assignments.csv", rows))
 
     rows = ["t,r_star,cp_flag"]
     for s in result.steps:
         rows.append(f"{s.t},{s.r_star},{1 if s.cp_flag else 0}")
-    p = outdir / "runlength_map.csv"
-    p.write_text("\n".join(rows) + "\n", encoding="utf-8")
-    written.append(p)
+    written.append(_write_lines(outdir / "runlength_map.csv", rows))
 
     rows = ["t,r,mass"]
     for s in result.steps:
@@ -323,14 +328,10 @@ def emit_traces(result: RunResult, outdir, manifest: RunManifest | None = None) 
             for r, mass in zip(runs.tolist(), probs.tolist())
             if mass >= POSTERIOR_FILE_FLOOR
         ]
-    p = outdir / "posterior.csv"
-    p.write_text("\n".join(rows) + "\n", encoding="utf-8")
-    written.append(p)
+    written.append(_write_lines(outdir / "posterior.csv", rows))
 
     rows = ["t"] + [str(t) for t in result.change_points]
-    p = outdir / "changepoints.csv"
-    p.write_text("\n".join(rows) + "\n", encoding="utf-8")
-    written.append(p)
+    written.append(_write_lines(outdir / "changepoints.csv", rows))
 
     if manifest is not None:
         written.append(manifest.write(outdir / "manifest"))
@@ -363,8 +364,7 @@ def render_svg(result: RunResult, outdir) -> Path:
     steps = result.steps
     if not steps:
         raise ContractViolation("cannot render an empty trace")
-    outdir = Path(outdir)
-    outdir.mkdir(parents=True, exist_ok=True)
+    outdir = _outdir(outdir)
 
     T = len(steps)
     xs = np.asarray(result.series, dtype=float)
@@ -446,9 +446,7 @@ def render_svg(result: RunResult, outdir) -> Path:
             )
     e.append("</svg>")
 
-    path = outdir / "trace.svg"
-    path.write_text("\n".join(e) + "\n", encoding="utf-8")
-    return path
+    return _write_lines(outdir / "trace.svg", e)
 
 
 # ---------------------------------------------------------------------------
@@ -512,7 +510,7 @@ def _cmd_synth(args) -> int:
     series, cps, _ = gen_piecewise_gaussian(segments, np.random.default_rng(args.seed))
     write_series_csv(series, args.out)
     if args.truth:
-        Path(args.truth).write_text("\n".join(["t"] + [str(c) for c in cps]) + "\n", "utf-8")
+        _write_lines(args.truth, ["t"] + [str(c) for c in cps])
     print(f"samples={len(series)}")
     print(f"changepoints={','.join(str(c) for c in cps) if cps else ''}")
     return 0

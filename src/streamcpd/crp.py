@@ -1,10 +1,11 @@
 """Chinese-restaurant-process bookkeeping over the MAP label history.
 
 One ledger, :class:`LabelCounts`, holds the seating counts of the label
-history, and both latent models read their predictives from it: the CRP's
-through :func:`crp_prior` and :func:`crp_run_predictive`, the Dirichlet's
-through the fixed-K model in ``detector.py``. No state represents class
-probabilities explicitly.
+history, and both latent models read their predictives from it: the class
+prior (the CRP's is :func:`crp_prior`) and the window counts, which
+:func:`window_predictive` turns into the predictive of the step's label
+under every live run length. No state represents class probabilities
+explicitly.
 
 The ledger keeps the class totals m_1..m_K as one float array, and for each
 class the ascending times at which it was recorded, so memory is linear in
@@ -20,14 +21,16 @@ lengths are dense, ``0..n-1`` (as an unpruned trellis's run lengths are),
 the starts t - r are t, t-1, ..., t-n+1, and the counts are c_k(t) minus a
 reversed slice of the prefix counts: no index array, range scan or gather.
 
-The CRP window predictive divides a numerator by r + alpha: the count w of
-the label in the window, or alpha when w = 0. Its caller keeps these
-numerators as one table ``[alpha, 1, 2, ...]`` (:func:`crp_numerators`),
-read with one gather at the window counts; since w <= r, a table longer
-than the largest live run length covers every step. For dense window
-lengths the caller also passes the denominators as a table ``r + alpha``
-over r = 0, 1, 2, ..., read as its prefix slice; it holds the same floats
-as ``runs + alpha``, since every r below 2^53 converts to float exactly.
+Both latent models' window predictives have the form num(w) / (r + c), for
+a label seen w times among the last r labels. The CRP's has num = w, or the
+new-table mass alpha at w = 0, and c = alpha: a label absent from the window
+is a new table in it, so an empty window gives 1. The symmetric Dirichlet over
+K classes, which tends to the CRP as K grows with K beta held at alpha, has
+num = w + beta and c = K beta. So each model keeps one pair of tables: the
+numerators, indexed by w, and the denominators r + c over r = 0, 1, 2, ....
+:func:`window_predictive` gathers the first at the window counts and, on
+dense window lengths, reads the second by a prefix slice. Since w <= r,
+tables longer than the largest live run length cover every step.
 """
 
 from __future__ import annotations
@@ -142,54 +145,34 @@ def crp_prior(counts: LabelCounts, alpha: float) -> np.ndarray:
     return p
 
 
-def crp_numerators(alpha: float, n: int) -> np.ndarray:
-    """The numerators of :func:`crp_run_predictive` for window counts w =
-    0..n-1: the new-table mass alpha at w = 0, and w itself above."""
-    num = np.arange(n, dtype=float)
-    num[0] = alpha
-    return num
-
-
-def crp_run_predictive(
-    counts: LabelCounts,
+def window_predictive(
+    w: np.ndarray,
     runs: np.ndarray,
-    k: int,
     numerators: np.ndarray,
-    denominators: np.ndarray | None = None,
+    denominators: np.ndarray,
+    dense: bool,
 ) -> np.ndarray:
-    """CRP predictive of label k restricted to the last-r-labels window, for
-    each window length in ``runs``, at the concentration alpha =
-    ``numerators[0]``.
+    """A latent model's window predictive of one label at each run length
+    r in ``runs``, where the label occurred ``w`` times among the last r
+    labels (:meth:`LabelCounts.window_counts`): ``numerators[w] / (r +
+    denominators[0])``.
 
-    With w = count of k in the window: w / (r + alpha) if w > 0, else the
-    new-table mass alpha / (r + alpha). An unseen-in-window class gets the
-    full new-table mass; under the CRP, "not in this window" is exactly the
-    new-table event. For r = 0 the window is empty and the value is alpha /
-    alpha = 1. Labels are canonical, so k may be at most K + 1.
-
-    The numerators are gathered at w from ``numerators`` =
-    ``crp_numerators(alpha, n)``, which must cover every window count: an n
-    above the largest r does, since w <= r.
-
-    Passing ``denominators``, the table ``r + alpha`` for r = 0, 1, 2, ...
-    (at least as long as ``runs``), states that ``runs`` is ``0..n-1``: the
-    window counts are then read as one reversed slice (see
-    :meth:`LabelCounts.window_counts`) and the denominators as the table's
-    first n entries, with the same values as without it.
+    ``numerators`` is indexed by window count and must cover every one of
+    them; since w <= r, a table longer than the largest run length does.
+    ``denominators`` is ``r + c`` over r = 0, 1, 2, ...; with ``dense`` the
+    caller states that ``runs`` is ``0..n-1``, and the denominators are read
+    as the table's first n entries, which must exist, instead of computed
+    as ``runs + c``. Both give the same floats, since every r below 2^53
+    converts to float exactly.
     """
-    if not 1 <= k <= counts.k + 1:
-        raise ContractViolation(f"class id {k} out of range 1..{counts.k + 1}")
-    dense = denominators is not None
-    if dense and len(runs) > denominators.size:
+    if dense and w.size > denominators.size:
         raise ContractViolation(
             f"the denominator table covers run lengths below {denominators.size} only"
         )
-    w = counts.window_counts(k, runs, dense)
     try:
         num = numerators.take(w)
     except IndexError:
         raise ContractViolation(
             f"the numerator table covers window counts below {numerators.size} only"
         ) from None
-    return num / (denominators[: w.size] if dense else runs + numerators[0])
-
+    return num / (denominators[: w.size] if dense else runs + denominators[0])

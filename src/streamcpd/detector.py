@@ -32,15 +32,15 @@ with it the hidden tail, alive.
 The two latent models share one emission step, a single SGD-EM pass over one
 :class:`ClassTable` (E-step, M-step and MAP assignment from shared
 intermediates, committed only on success) plus the winner's rate decay. They
-also share one ledger of the MAP labels, a :class:`LabelCounts`, and one
-``commit`` that records the step's label in it. They differ only in whether a
-candidate column is spawned and in the two formulas they read from the
-ledger, the class prior and the window predictive: the CRP's from ``crp.py``,
-the Dirichlet's here. The CRP window predictive reads a numerator table at
-the window counts and divides by r + alpha, which on dense run lengths is a
-prefix slice of a second table ``arange(N) + alpha``, the same size as the
-first and grown with it; the window counts themselves are then a reversed
-slice of the kept prefix counts (see ``crp.py``).
+also share one ledger of the MAP labels, a :class:`LabelCounts`, one
+``commit`` that records the step's label in it, and one ``predict``. They
+differ only in whether a candidate column is spawned, in the class prior, in
+the reset predictive, and in the constants of the window predictive ``num(w)
+/ (r + c)`` (see ``crp.py``). Each model keeps that predictive as one pair
+of tables, numerators over window counts and denominators ``r + c`` over run
+lengths, doubled together; on dense run lengths the denominators are a
+prefix slice and the window counts a reversed slice of the kept prefix
+counts.
 
 The baseline's NIG posterior after a window of r observations has kappa_r =
 kappa0 + r and a_r = a0 + r/2, which depend on r alone, so it keeps two
@@ -89,7 +89,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .crp import LabelCounts, crp_numerators, crp_prior, crp_run_predictive
+from .crp import LabelCounts, crp_prior, window_predictive
 from .emission import (
     CandidatePolicy,
     ClassTable,
@@ -199,16 +199,6 @@ def _fixed_k_offsets(k_fixed: int) -> list[float]:
     return [std.inv_cdf(i / (k_fixed + 1.0)) for i in range(1, k_fixed + 1)]
 
 
-def fixed_k_run_predictive(window_count, r, k: int, k_fixed: int, beta: float):
-    """Dirichlet-categorical posterior predictive of class k over a window
-    of length r in which k occurred ``window_count`` times:
-    (w + beta) / (r + K * beta). Vectorized over window_count/r (numbers or
-    numpy arrays)."""
-    if not 1 <= k <= k_fixed:
-        raise ContractViolation(f"class id {k} out of range 1..{k_fixed}")
-    return (window_count + beta) / (r + k_fixed * beta)
-
-
 @dataclass(frozen=True)
 class DetectorConfig:
     mode: str = "infinite"
@@ -237,10 +227,11 @@ class DetectorConfig:
             raise ConfigError(
                 f"dirichlet beta must be positive and finite, got {self.dirichlet_beta!r}"
             )
-        if not all(0.0 < eta < math.inf for eta in self.eta_init):
-            raise ConfigError(
-                f"initial learning rates must be positive and finite, got {self.eta_init!r}"
-            )
+        eta = self.eta_init
+        if not (isinstance(eta, tuple) and len(eta) == 2 and all(0.0 < e < math.inf for e in eta)):
+            raise ConfigError(f"eta_init must be a tuple of two positive finite rates, got {eta!r}")
+        if not isinstance(self.log_var_update, (bool, np.bool_)):
+            raise ConfigError(f"log_var_update must be a bool, got {self.log_var_update!r}")
         if not (0.0 < self.decay < 1.0):
             raise ConfigError(f"decay must lie in (0, 1), got {self.decay!r}")
         if not (0.0 < self.var_floor < math.inf):
@@ -294,30 +285,57 @@ class RunResult:
 
 class _LatentModel:
     """What the two latent models share: the class table and its emission
-    step, and the ledger of MAP labels, which ``commit`` appends to. They
-    hold nothing per run-length hypothesis, so pruning needs no hook."""
+    step, the ledger of MAP labels, which ``commit`` appends to, and one
+    ``predict``. They hold nothing per run-length hypothesis, so pruning
+    needs no hook.
+
+    A subclass sets ``spawn``, whether a candidate class is spawned every
+    step; ``log_reset``, the log reset predictive; the class prior
+    ``_class_prior(x)``; and the constants of its window predictive
+    ``num(w) / (r + c)`` (see ``crp.py``): ``num(w) = w + smoothing`` above
+    ``num(0) = unseen``, and ``c``. ``numerators`` and ``denominators`` hold
+    it as tables over w and r; both are doubled whenever the largest live
+    run length reaches their end."""
 
     keep = None
+    log_reset = 0.0
 
-    def __init__(self, cfg: DetectorConfig, table: ClassTable | None, n_classes: int = 0):
+    def __init__(
+        self,
+        cfg: DetectorConfig,
+        table: ClassTable | None,
+        smoothing: float,
+        unseen: float,
+        c: float,
+        n_classes: int = 0,
+    ):
         self.cfg = cfg
         self.table = table
         self.counts = LabelCounts(n_classes)
+        self._consts = smoothing, unseen, c
+        self._grow(64)
+
+    def _grow(self, n: int) -> None:
+        smoothing, unseen, c = self._consts
+        r = np.arange(n, dtype=float)
+        self.numerators = r + smoothing
+        self.numerators[0] = unseen
+        self.denominators = r + c
 
     def commit(self, z_star: int) -> None:
         self.counts.record(z_star)
 
-    def _emission_step(self, x: float, t: int, prior, candidate: bool) -> tuple[np.ndarray, int]:
-        """One SGD-EM step over the class table, then the winner's rate
-        decay; with ``candidate`` a fresh class is spawned into the last
-        column first and kept only if the MAP assignment picks it. Returns
-        the responsibilities and the 1-based MAP class. An observation that
-        overflows the arithmetic raises ``InputError`` and leaves the table
-        as it was."""
+    def predict(self, x: float, t: int, run_lengths: np.ndarray, dense: bool):
+        """One SGD-EM step over the class table under the class prior, then
+        the winner's rate decay, and the window predictive of the MAP label.
+        A spawned candidate takes the last column and is kept only if the
+        MAP assignment picks it. An observation that overflows the
+        arithmetic raises ``InputError`` and leaves the table as it was."""
         cfg = self.cfg
+        prior = self._class_prior(x)
         table = self.table
         k_prev = table.n
-        if candidate:
+        if self.spawn:
             spawn_candidate(
                 table, x, cfg.candidate, cfg.eta_init, born_at=t, var_floor=cfg.var_floor
             )
@@ -334,45 +352,45 @@ class _LatentModel:
             table.n = k_prev
         decay_rates(table, z_star, cfg.decay)
         resp.setflags(False)
-        return resp, z_star
+
+        if run_lengths[-1] >= self.numerators.size:
+            self._grow(2 * self.numerators.size)
+        w = self.counts.window_counts(z_star, run_lengths, dense)
+        psi = window_predictive(w, run_lengths, self.numerators, self.denominators, dense)
+        return np.log(psi), self.log_reset, z_star, table.n, resp
 
 
 class InfiniteModel(_LatentModel):
-    """``infinite``: classes under a CRP, and the CRP window predictive of
-    the MAP labels; the reset predictive is 1. ``numerators`` is the window
-    predictive's numerator table at alpha and ``denominators`` its table of
-    r + alpha, read on dense run lengths; both are doubled whenever the
-    largest live run length reaches their end."""
+    """``infinite``: classes under a CRP, a candidate spawned every step,
+    and the CRP window predictive of the MAP labels, ``w / (r + alpha)``
+    with the new-table mass alpha at w = 0; the reset predictive is 1."""
+
+    spawn = True
 
     def __init__(self, cfg: DetectorConfig):
-        super().__init__(cfg, ClassTable())
-        self._grow(64)
+        super().__init__(cfg, ClassTable(), smoothing=0.0, unseen=cfg.alpha, c=cfg.alpha)
 
-    def _grow(self, n: int) -> None:
-        self.numerators = crp_numerators(self.cfg.alpha, n)
-        self.denominators = np.arange(n, dtype=float) + self.cfg.alpha
-
-    def predict(self, x: float, t: int, run_lengths: np.ndarray, dense: bool):
-        counts, alpha = self.counts, self.cfg.alpha
-        resp, z_star = self._emission_step(x, t, crp_prior(counts, alpha), candidate=True)
-        if run_lengths[-1] >= self.numerators.size:
-            self._grow(2 * self.numerators.size)
-        den = self.denominators if dense else None
-        log_psi = np.log(crp_run_predictive(counts, run_lengths, z_star, self.numerators, den))
-        return log_psi, 0.0, z_star, self.table.n, resp
+    def _class_prior(self, x: float) -> np.ndarray:
+        return crp_prior(self.counts, self.cfg.alpha)
 
 
 class FixedKModel(_LatentModel):
     """``fixed-k``: K classes under a symmetric Dirichlet prior, and the
-    Dirichlet-categorical window predictive of the MAP labels; the reset
-    predictive is 1/K. The table is built at the first observation."""
+    Dirichlet-categorical window predictive of the MAP labels, ``(w + beta)
+    / (r + K beta)``; the reset predictive is 1/K. The table is built at the
+    first observation."""
+
+    spawn = False
 
     def __init__(self, cfg: DetectorConfig):
-        super().__init__(cfg, None, cfg.k_fixed)
+        kf, beta = cfg.k_fixed, cfg.dirichlet_beta
+        super().__init__(cfg, None, smoothing=beta, unseen=beta, c=kf * beta, n_classes=kf)
+        self.log_reset = math.log(1.0 / kf)
 
-    def predict(self, x: float, t: int, run_lengths: np.ndarray, dense: bool):
-        cfg = self.cfg
-        lc = self.counts
+    def _class_prior(self, x: float) -> np.ndarray:
+        """(m_k + beta) / (t + K beta); the first call also builds the
+        table around x."""
+        cfg, lc = self.cfg, self.counts
         kf, beta = cfg.k_fixed, cfg.dirichlet_beta
         if self.table is None:
             # Class means fan out around the first observation at normal
@@ -382,13 +400,7 @@ class FixedKModel(_LatentModel):
             self.table = ClassTable(kf)
             for o in _fixed_k_offsets(kf):
                 self.table.push(float(x + math.sqrt(var0) * o), var0, *cfg.eta_init, born_at=1)
-
-        prior = (lc.m[:kf] + beta) / (lc.t + kf * beta)
-        resp, z_star = self._emission_step(x, t, prior, candidate=False)
-
-        w = lc.window_counts(z_star, run_lengths, dense)
-        log_psi = np.log(fixed_k_run_predictive(w, run_lengths, z_star, kf, beta))
-        return log_psi, math.log(1.0 / kf), z_star, kf, resp
+        return (lc.m[:kf] + beta) / (lc.t + kf * beta)
 
 
 class BaselineModel:

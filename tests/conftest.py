@@ -5,9 +5,8 @@ from streamcpd import (
     HazardConfig,
     LabelCounts,
     RunLengthState,
-    crp_numerators,
-    crp_run_predictive,
     recursion_step,
+    window_predictive,
 )
 from streamcpd.emission import _gradients
 
@@ -19,15 +18,31 @@ settings.register_profile(
 settings.load_profile("default")
 
 
+def crp_tables(alpha, n):
+    """The CRP window predictive's tables for window counts and run lengths
+    below n: numerators alpha, 1, 2, ... and denominators r + alpha."""
+    num = np.arange(n, dtype=float)
+    num[0] = alpha
+    return num, np.arange(n, dtype=float) + alpha
+
+
+def dirichlet_tables(k_fixed, beta, n):
+    """The symmetric Dirichlet's: numerators w + beta, denominators
+    r + K beta."""
+    r = np.arange(n, dtype=float)
+    return r + beta, r + k_fixed * beta
+
+
 def trellis_joint(labels, alpha, lam):
     """Run the label sequence through the real recursion and return the
     dense joint over the final run length (linear domain)."""
     counts = LabelCounts()
     st = RunLengthState.initial()
     hz = HazardConfig(lam)
-    numerators = crp_numerators(alpha, len(labels))
+    num, den = crp_tables(alpha, len(labels))
     for z in labels:
-        psi = crp_run_predictive(counts, st.run_lengths, z, numerators)
+        w = counts.window_counts(z, st.run_lengths)
+        psi = window_predictive(w, st.run_lengths, num, den, dense=False)
         st = recursion_step(st, np.log(psi), hz)
         counts.record(z)
     return np.exp(st.log_weights), st

@@ -190,6 +190,14 @@ def test_parse_config_rejects_bad_value(tmp_path):
         parse_config(config_file=f)
 
 
+def test_parse_config_bad_boolean_names_its_line(tmp_path):
+    f = tmp_path / "cfg"
+    f.write_text("alpha=2.5\nlog_var_update=maybe\n")
+    with pytest.raises(ConfigError) as err:
+        parse_config(config_file=f)
+    assert f"{f}:2: bad value for log_var_update" in str(err.value)
+
+
 def test_manifest_round_trips_as_config(tmp_path):
     cfg = DetectorConfig(mode="fixed-k", alpha=0.25, k_fixed=4, seed=9)
     m = RunManifest(input="x.csv", output_dir="o", duration_seconds=1.2, config=cfg)
@@ -545,6 +553,26 @@ def test_cli_overflowing_observation_exit_code(tmp_path, capsys, mode, values):
     else:
         want = "t=2 overflows the emission model"
     assert want in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("blocked", ["assignments.csv", "manifest", "trace.svg"])
+def test_cli_unwritable_output_file_is_input_error(tmp_path, capsys, blocked):
+    # A directory where an output file goes: the write fails, exit code 1.
+    series, out = tmp_path / "s.csv", tmp_path / "o"
+    write_series_csv([1.0, 2.0, 3.0], series)
+    (out / blocked).mkdir(parents=True)
+    rc = main(["run", "--input", str(series), "--out", str(out), "--svg"])
+    assert rc == 1
+    assert f"cannot write {out / blocked}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flag", ["--out", "--truth"])
+def test_cli_synth_into_missing_directory_is_input_error(tmp_path, capsys, flag):
+    paths = {"--out": str(tmp_path / "s.csv"), "--truth": str(tmp_path / "t.csv")}
+    paths[flag] = str(tmp_path / "nodir" / "x.csv")
+    argv = ["synth", "--segments", "20:0:1,20:5:1"]
+    assert main(argv + [arg for kv in paths.items() for arg in kv]) == 1
+    assert f"cannot write {paths[flag]}" in capsys.readouterr().err
 
 
 def test_cli_config_error_exit_code(tmp_path):

@@ -6,16 +6,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from streamcpd import (
-    ContractViolation,
-    LabelCounts,
-    crp_numerators,
-    crp_prior,
-    crp_run_predictive,
-)
+from streamcpd import ContractViolation, LabelCounts, crp_prior, window_predictive
 from streamcpd.oracles import sequence_probability
 
-from conftest import all_canonical_sequences, random_canonical_labels
+from conftest import all_canonical_sequences, crp_tables, random_canonical_labels
 
 
 def _counts_with_labels(labels):
@@ -23,6 +17,11 @@ def _counts_with_labels(labels):
     for z in labels:
         lc.record(z)
     return lc
+
+
+def _predictive(lc, runs, k, tables, dense=False):
+    """The window predictive of label k at run lengths ``runs``."""
+    return window_predictive(lc.window_counts(k, runs, dense), runs, *tables, dense)
 
 
 # -- global predictive ---------------------------------------------------
@@ -53,18 +52,18 @@ def test_global_predictive_is_a_distribution(choices, alpha):
 
 def test_run_predictive_empty_window_is_one():
     lc = _counts_with_labels([1, 2, 1])
-    num = crp_numerators(0.5, lc.t + 1)
+    tables = crp_tables(0.5, lc.t + 1)
     for k in (1, 2, 3):
-        assert crp_run_predictive(lc, np.array([0]), k, num)[0] == 1.0
+        assert _predictive(lc, np.array([0]), k, tables)[0] == 1.0
 
 
 def test_run_predictive_window_counts():
     # window of the last 3 labels: (1, 1, 2)
     lc = _counts_with_labels([1, 1, 1, 2])
-    r, num = np.array([3]), crp_numerators(1.0, lc.t + 1)
-    assert crp_run_predictive(lc, r, 1, num)[0] == pytest.approx(0.5)
-    assert crp_run_predictive(lc, r, 2, num)[0] == pytest.approx(0.25)
-    assert crp_run_predictive(lc, r, 3, num)[0] == pytest.approx(0.25)  # unseen: new-table mass
+    r, tables = np.array([3]), crp_tables(1.0, lc.t + 1)
+    assert _predictive(lc, r, 1, tables)[0] == pytest.approx(0.5)
+    assert _predictive(lc, r, 2, tables)[0] == pytest.approx(0.25)
+    assert _predictive(lc, r, 3, tables)[0] == pytest.approx(0.25)  # unseen: new-table mass
 
 
 def test_run_predictive_window_equals_history_matches_global():
@@ -73,9 +72,9 @@ def test_run_predictive_window_equals_history_matches_global():
         labels = random_canonical_labels(rng, 30)
         lc = _counts_with_labels(labels)
         g = crp_prior(lc, alpha)
-        num = crp_numerators(alpha, lc.t + 1)
+        tables = crp_tables(alpha, lc.t + 1)
         for k in range(1, lc.k + 2):
-            got = crp_run_predictive(lc, np.array([lc.t]), k, num)[0]
+            got = _predictive(lc, np.array([lc.t]), k, tables)[0]
             assert got == pytest.approx(g[k - 1], rel=1e-12)
 
 
@@ -84,10 +83,10 @@ def test_run_predictive_additivity_over_window():
     labels = random_canonical_labels(rng, 25)
     alpha = 1.3
     lc = _counts_with_labels(labels)
-    num = crp_numerators(alpha, lc.t + 1)
+    tables = crp_tables(alpha, lc.t + 1)
     for r in range(0, 26):
         seen = set(labels[len(labels) - r :])
-        total = sum(crp_run_predictive(lc, np.array([r]), k, num)[0] for k in seen)
+        total = sum(_predictive(lc, np.array([r]), k, tables)[0] for k in seen)
         total += alpha / (r + alpha)  # the shared new-table mass
         assert total == pytest.approx(1.0, rel=1e-12)
 
@@ -99,29 +98,23 @@ def test_run_predictive_gathers_the_new_table_numerator(alpha):
     rng = np.random.default_rng(17)
     lc = _counts_with_labels(random_canonical_labels(rng, 40) + [1, 2, 3] * 120)
     runs = np.unique(np.r_[0, rng.choice(lc.t + 1, 60, replace=False), lc.t])
-    num = crp_numerators(alpha, lc.t + 1)
+    tables = crp_tables(alpha, lc.t + 1)
     for k in range(1, lc.k + 2):
         w = lc.window_counts(k, runs)
         want = np.where(w > 0, w, alpha) / (runs + alpha)
-        np.testing.assert_array_equal(crp_run_predictive(lc, runs, k, num), want)
+        np.testing.assert_array_equal(_predictive(lc, runs, k, tables), want)
 
 
 def test_run_predictive_rejects_a_short_numerator_table():
     lc = _counts_with_labels([1, 1, 1])
     with pytest.raises(ContractViolation):
-        crp_run_predictive(lc, np.array([0, 3]), 1, crp_numerators(1.0, 3))
+        _predictive(lc, np.array([0, 3]), 1, crp_tables(1.0, 3))
 
 
 def test_run_predictive_rejects_window_beyond_history():
     lc = _counts_with_labels([1, 1])
     with pytest.raises(ContractViolation):
-        crp_run_predictive(lc, np.array([3]), 1, crp_numerators(1.0, 4))
-
-
-def test_run_predictive_rejects_unknown_class():
-    lc = _counts_with_labels([1, 1])
-    with pytest.raises(ContractViolation):
-        crp_run_predictive(lc, np.array([1]), 3, crp_numerators(1.0, 3))  # only class 2 may be new
+        _predictive(lc, np.array([3]), 1, crp_tables(1.0, 4))
 
 
 # -- recording -------------------------------------------------------------
@@ -217,9 +210,8 @@ def test_unsorted_window_query_is_not_read_as_dense(k):
     runs = np.array([2, 0, 2])
     want = [labels[4 - r :].count(k) for r in runs]
     np.testing.assert_array_equal(lc.window_counts(k, runs), want)
-    num = crp_numerators(1.0, 5)
     np.testing.assert_array_equal(
-        crp_run_predictive(lc, runs, k, num), np.where(want, want, 1.0) / (runs + 1.0)
+        _predictive(lc, runs, k, crp_tables(1.0, 5)), np.where(want, want, 1.0) / (runs + 1.0)
     )
 
 
@@ -227,16 +219,15 @@ def test_unsorted_window_query_is_not_read_as_dense(k):
 def test_dense_window_query_longer_than_the_history_is_refused(k):
     lc = _counts_with_labels([1, 2, 2, 2])
     lc.window_counts(2, np.arange(5))
-    num = crp_numerators(1.0, 8)
-    den = np.arange(8.0) + 1.0
+    num, den = crp_tables(1.0, 8)
     np.testing.assert_array_equal(lc.window_counts(k, np.arange(5), dense=True),
                                   lc.window_counts(k, np.arange(5)))
     with pytest.raises(ContractViolation):
         lc.window_counts(k, np.arange(6), dense=True)
     with pytest.raises(ContractViolation):
-        crp_run_predictive(lc, np.arange(6), k, num, den)
+        _predictive(lc, np.arange(6), k, (num, den), dense=True)
     with pytest.raises(ContractViolation):  # the denominators must cover every r
-        crp_run_predictive(lc, np.arange(5), k, num, den[:4])
+        _predictive(lc, np.arange(5), k, (num, den[:4]), dense=True)
 
 
 def test_label_counts_window_queries():

@@ -25,12 +25,10 @@ from streamcpd import (
     PrunePolicy,
     RunLengthState,
     SegmentSpec,
-    crp_numerators,
-    crp_run_predictive,
-    fixed_k_run_predictive,
     gen_piecewise_gaussian,
     recursion_step,
     run,
+    window_predictive,
 )
 from streamcpd import detector, runlength
 from streamcpd.detector import (
@@ -41,6 +39,8 @@ from streamcpd.detector import (
     _run_length_table,
 )
 from streamcpd.oracles import brute_force_joint, nig_update
+
+from conftest import crp_tables, dirichlet_tables
 
 
 def _two_segment_series(seed=0, sigma=1.0, jump=8.0, n=200):
@@ -550,6 +550,16 @@ def test_config_validation():
     for k in (2.5, 2.0, "3", 0, np.int64(0), True):
         with pytest.raises(ConfigError):
             DetectorConfig(mode="fixed-k", k_fixed=k)
+    # A learning-rate pair of another length failed only at the first step
+    # (IndexError; TypeError in fixed-k) or had its extra rates ignored, and
+    # a string such as "no" turned the log-space update on.
+    for eta in ((1.0,), (1.0, 0.02, 3.0), [1.0, 0.02], 1.0):
+        with pytest.raises(ConfigError):
+            DetectorConfig(eta_init=eta)
+    for flag in ("no", "false", 1, None):
+        with pytest.raises(ConfigError):
+            DetectorConfig(log_var_update=flag)
+    assert DetectorConfig(log_var_update=np.bool_(True)).log_var_update
     # An overflowing baseline prior scale 2 b0 (kappa0 + 1) / kappa0.
     for p in (NigParams(b=1e308), NigParams(kappa=5e-324)):
         with pytest.raises(ConfigError):
@@ -566,30 +576,48 @@ def test_numpy_integer_counts_are_accepted(k):
     assert _trace_sha256(res) == _trace_sha256(want)
 
 
-@pytest.mark.parametrize("alpha", [0.5, 1.0, 3.0])
+@pytest.mark.parametrize(
+    "mode, conc",
+    [pytest.param("infinite", a, id=str(a)) for a in (0.5, 1.0, 3.0)]
+    + [pytest.param("fixed-k", b, id=f"fixed-k-{b}") for b in (0.5, 1.0, 3.0)],
+)
 @pytest.mark.parametrize("prune", [PrunePolicy.none(), PrunePolicy.top_m(20)])
-def test_infinite_window_predictive_while_numerator_table_grows(alpha, prune, monkeypatch):
-    # The model's numerator and denominator tables start shorter than the
-    # run and double together; every step's window predictive equals the
-    # formula written out, over every run length (unpruned, read by slices)
-    # and over a sparse set of them (top-m, read by gathers once pruning
-    # starts).
-    sizes, dense = [], []
+def test_infinite_window_predictive_while_numerator_table_grows(mode, conc, prune, monkeypatch):
+    # Each latent model's numerator and denominator tables start shorter
+    # than the run and double together; every step's window predictive
+    # equals the formula written out, over every run length (unpruned, read
+    # by slices) and over a sparse set of them (top-m, read by gathers once
+    # pruning starts). The window counts are checked against a ledger the
+    # test keeps and queries without the dense path.
+    k_fixed = 4
+    if mode == "infinite":
+        cfg = DetectorConfig(alpha=conc, prune=prune)
+    else:
+        cfg = DetectorConfig(mode=mode, k_fixed=k_fixed, dirichlet_beta=conc, prune=prune)
+    calls = []
 
-    def checked(counts, runs, k, numerators, denominators=None):
-        got = crp_run_predictive(counts, runs, k, numerators, denominators)
-        w = counts.window_counts(k, runs)
-        np.testing.assert_array_equal(got, np.where(w > 0, w, alpha) / (runs + alpha))
-        if denominators is not None:
+    def checked(w, runs, numerators, denominators, dense):
+        got = window_predictive(w, runs, numerators, denominators, dense)
+        if mode == "infinite":
+            want = np.where(w > 0, w, conc) / (runs + conc)
+        else:
+            want = (w + conc) / (runs + k_fixed * conc)
+        np.testing.assert_array_equal(got, want)
+        if dense:
             np.testing.assert_array_equal(runs, np.arange(runs.size))
-            assert denominators.size == numerators.size
-        sizes.append(numerators.size)
-        dense.append(denominators is not None)
+        assert denominators.size == numerators.size
+        calls.append((w, runs.copy(), numerators.size, dense))
         return got
 
-    monkeypatch.setattr(detector, "crp_run_predictive", checked)
+    monkeypatch.setattr(detector, "window_predictive", checked)
     series, _, _ = _two_segment_series(seed=3, jump=6.0, n=150)
-    run(series, DetectorConfig(alpha=alpha, prune=prune))
+    det, ledger = Detector(cfg), LabelCounts()
+    for x in series:
+        z = det.step(x).z_star
+        w, runs = calls[-1][:2]
+        np.testing.assert_array_equal(w, ledger.window_counts(z, runs))
+        ledger.record(z)
+    sizes, dense = [c[2] for c in calls], [c[3] for c in calls]
     assert len(sizes) == 300
     if prune.kind == "none":  # run lengths reach 299
         assert sizes[0] < 300 <= sizes[-1]
@@ -607,8 +635,9 @@ def test_infinite_window_predictive_while_numerator_table_grows(alpha, prune, mo
 def test_dense_run_lengths_read_by_slices_as_by_gathers(labels, alpha, data):
     # Run lengths 0..n-1 (dense: slices of the per-run-length tables) and a
     # pruned subset of them with the last kept (sparse: gathers) give the
-    # same window counts, CRP window predictives, baseline predictives and
-    # next-state run lengths, bit for bit, on the hypotheses they share.
+    # same window counts, CRP and Dirichlet window predictives, baseline
+    # predictives and next-state run lengths, bit for bit, on the hypotheses
+    # they share.
     t = len(labels)
     n = data.draw(st.integers(min_value=3, max_value=t + 1))
     keep = np.array(data.draw(st.lists(st.booleans(), min_size=n, max_size=n)))
@@ -621,8 +650,9 @@ def test_dense_run_lengths_read_by_slices_as_by_gathers(labels, alpha, data):
     full, pruned = RunLengthState(dense, lw), RunLengthState(sparse, lw[keep])
     assert full.dense and not pruned.dense
 
-    num, den = crp_numerators(alpha, n), np.arange(n, dtype=float) + alpha
-    for k in range(1, max(labels) + 2):
+    k_max = max(labels) + 1
+    crp, dirichlet = crp_tables(alpha, n), dirichlet_tables(k_max, alpha, n)
+    for k in range(1, k_max + 1):
         want = [labels[t - r :].count(k) for r in dense]
         for hot in (False, True):  # binary search, or k's kept prefix counts
             lc = LabelCounts()
@@ -632,10 +662,14 @@ def test_dense_run_lengths_read_by_slices_as_by_gathers(labels, alpha, data):
                 lc.window_counts(k, np.arange(t + 1))
             w = lc.window_counts(k, dense, dense=True)
             np.testing.assert_array_equal(w, want)
-            np.testing.assert_array_equal(lc.window_counts(k, sparse), w[keep])
-            p = crp_run_predictive(lc, dense, k, num, den)
-            np.testing.assert_array_equal(crp_run_predictive(lc, dense, k, num), p)
-            np.testing.assert_array_equal(crp_run_predictive(lc, sparse, k, num), p[keep])
+            w_sparse = lc.window_counts(k, sparse)
+            np.testing.assert_array_equal(w_sparse, w[keep])
+            for num, den in (crp, dirichlet):
+                p = window_predictive(w, dense, num, den, dense=True)
+                np.testing.assert_array_equal(window_predictive(w, dense, num, den, False), p)
+                np.testing.assert_array_equal(
+                    window_predictive(w_sparse, sparse, num, den, False), p[keep]
+                )
 
     live = np.vstack([rng.normal(0.0, 3.0, n), rng.uniform(0.5, 4.0, n)])
     x = data.draw(st.floats(min_value=-10.0, max_value=10.0))
@@ -692,13 +726,19 @@ def test_run_lengths_kept_by_steps_outlive_the_shared_table(monkeypatch):
 # -- fixed-k mode -------------------------------------------------------------
 
 
+def _dirichlet_predictive(w, r, k_fixed, beta):
+    """The Dirichlet window predictive at window count w over r labels."""
+    w, r = np.atleast_1d(w), np.atleast_1d(r)
+    tables = dirichlet_tables(k_fixed, beta, int(r.max()) + 1)
+    return window_predictive(w, r, *tables, dense=False)[0]
+
+
 def test_fixed_k_run_predictive_uniform_at_empty_window():
-    for k in (1, 2, 3):
-        assert fixed_k_run_predictive(0, 0, k, 3, 1.0) == pytest.approx(1 / 3)
+    assert _dirichlet_predictive(0, 0, 3, 1.0) == pytest.approx(1 / 3)
 
 
 def test_fixed_k_run_predictive_window_counts():
-    got = [fixed_k_run_predictive(w, 3, k, 3, 1.0) for k, w in enumerate([2, 1, 0], start=1)]
+    got = [_dirichlet_predictive(w, 3, 3, 1.0) for w in [2, 1, 0]]
     np.testing.assert_allclose(got, [3 / 6, 2 / 6, 1 / 6])
 
 
@@ -709,13 +749,8 @@ def test_fixed_k_run_predictive_normalizes():
         counts = rng.integers(0, 10, kf)
         r = int(counts.sum())
         beta = float(rng.uniform(0.1, 3.0))
-        total = sum(fixed_k_run_predictive(int(w), r, k + 1, kf, beta) for k, w in enumerate(counts))
+        total = sum(_dirichlet_predictive(int(w), r, kf, beta) for w in counts)
         assert total == pytest.approx(1.0, rel=1e-12)
-
-
-def test_fixed_k_run_predictive_range_check():
-    with pytest.raises(ContractViolation):
-        fixed_k_run_predictive(0, 0, 4, 3, 1.0)
 
 
 def test_fixed_k_mode_detects_changepoint_and_keeps_k():

@@ -23,23 +23,21 @@ RUNTIME_NAMES = {
     "SegmentSpec",
     "SparsePosterior",
     "StepOutput",
-    "crp_numerators",
     "crp_prior",
-    "crp_run_predictive",
     "decay_rates",
     "em_step",
-    "fixed_k_run_predictive",
     "gen_piecewise_gaussian",
     "normalize_posterior",
     "prune",
     "recursion_step",
     "run",
     "spawn_candidate",
+    "window_predictive",
 }
 
 
 def test_public_surface_is_the_runtime():
-    assert len(streamcpd.__all__) == len(RUNTIME_NAMES) == 32
+    assert len(streamcpd.__all__) == len(RUNTIME_NAMES) == 30
     assert set(streamcpd.__all__) == RUNTIME_NAMES
     for name in streamcpd.__all__:
         assert getattr(streamcpd, name) is not None
