@@ -7,8 +7,11 @@ Exit codes: 0 success, 1 input error, 2 config error, 3 internal error.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
+import itertools
 import math
+import os
 import sys
 import time
 from dataclasses import dataclass
@@ -18,7 +21,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from . import __version__
-from .detector import DetectorConfig, RunResult, run
+from .detector import Detector, DetectorConfig, RunResult, StepOutput
 from .errors import ConfigError, ContractViolation, InputError
 from .oracles import SegmentSpec, gen_piecewise_gaussian
 
@@ -31,25 +34,99 @@ def _fmt(v: float) -> str:
     return format(float(v), ".17g")
 
 
-def _outdir(outdir) -> Path:
-    """Create an output directory; a failure is an ``InputError``."""
-    outdir = Path(outdir)
-    try:
-        outdir.mkdir(parents=True, exist_ok=True)
-    except OSError as exc:
-        raise InputError(f"cannot create output directory {outdir}: {exc}") from exc
-    return outdir
+class _PartFile:
+    """One output file, written as ``NAME.part`` and renamed to NAME by
+    :meth:`commit`. Any ``OSError`` is an ``InputError`` naming NAME, and
+    not the part file."""
+
+    def __init__(self, path):
+        self.path = Path(path)
+        self.part = self.path.with_name(self.path.name + ".part")
+        try:
+            self._fh = open(self.part, "w", encoding="utf-8")
+        except OSError as exc:
+            raise self._error(exc) from exc
+
+    def _error(self, exc: OSError) -> InputError:
+        return InputError(f"cannot write {self.path}: {exc.strerror or exc}")
+
+    def write(self, text: str) -> None:
+        try:
+            self._fh.write(text)
+        except OSError as exc:
+            raise self._error(exc) from exc
+
+    def commit(self) -> Path:
+        try:
+            self._fh.close()
+            os.replace(self.part, self.path)
+        except OSError as exc:
+            raise self._error(exc) from exc
+        return self.path
+
+    def discard(self) -> None:
+        with contextlib.suppress(OSError):
+            self._fh.close()
+        with contextlib.suppress(OSError):
+            self.part.unlink(missing_ok=True)
+
+
+class _Outputs:
+    """The files one command writes, renamed from ``NAME.part`` to NAME
+    together by :meth:`commit`. Leaving the ``with`` block before the
+    commit, by an error or an interrupt, removes every part file and each
+    directory the group made that is then empty, so files already in place
+    are untouched.
+
+    With ``outdir``, file names are taken inside it, and it is made (with
+    its parents) if missing; otherwise names are paths."""
+
+    def __init__(self, outdir=None):
+        self._files: list[_PartFile] = []
+        self._made: list[Path] = []  # deepest first
+        self.dir = None if outdir is None else Path(outdir)
+        if self.dir is not None:
+            self._made = [d for d in (self.dir, *self.dir.parents) if not d.exists()]
+            try:
+                self.dir.mkdir(parents=True, exist_ok=True)
+            except OSError as exc:
+                raise InputError(f"cannot create output directory {self.dir}: {exc}") from exc
+
+    def __enter__(self) -> "_Outputs":
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        for f in self._files:
+            f.discard()
+        for d in self._made:
+            try:
+                d.rmdir()
+            except OSError:
+                break
+
+    def open(self, name) -> _PartFile:
+        f = _PartFile(name if self.dir is None else self.dir / name)
+        self._files.append(f)
+        return f
+
+    def write(self, name, lines) -> None:
+        """A file of one line per item, written as the items arrive."""
+        f = self.open(name)
+        for line in lines:
+            f.write(line + "\n")
+
+    def commit(self) -> list[Path]:
+        """Rename every file into place, in the order they were opened."""
+        paths = [f.commit() for f in self._files]
+        self._files, self._made = [], []
+        return paths
 
 
 def _write_lines(path, lines) -> Path:
-    """Write one output file, a line per item; a failure is an
-    ``InputError`` naming the path."""
-    path = Path(path)
-    try:
-        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
-    except OSError as exc:
-        raise InputError(f"cannot write {path}: {exc}") from exc
-    return path
+    """Write one output file, a line per item."""
+    with _Outputs() as out:
+        out.write(path, lines)
+        return out.commit()[0]
 
 
 # ---------------------------------------------------------------------------
@@ -297,45 +374,99 @@ def ingest_csv(path) -> np.ndarray:
     return np.array(values)
 
 
+def _series_lines(series):
+    yield "x"
+    for v in np.asarray(series, dtype=float).tolist():
+        yield _fmt(v)
+
+
 def write_series_csv(series, path) -> Path:
-    return _write_lines(path, ["x"] + [_fmt(v) for v in np.asarray(series, dtype=float)])
+    return _write_lines(path, _series_lines(series))
+
+
+def _changepoint_lines(change_points):
+    yield "t"
+    for t in change_points:
+        yield str(t)
+
+
+# The trace writer formats its rows a block of steps at a time: formatting
+# each step's rows between two detector steps made the cli-fixed-k run
+# about 8% slower. A block ends at this many steps or posterior entries,
+# so what it holds stays bounded on an unpruned stream too.
+_BLOCK_STEPS = 64
+_BLOCK_ENTRIES = 8192
+
+
+class _TraceWriter:
+    """Writes ``assignments.csv``, ``runlength_map.csv`` and
+    ``posterior.csv`` as steps arrive, a block at a time (:meth:`flush`
+    writes the last one). Of each step it keeps only what the later
+    outputs read: its ``z_star`` and ``r_star`` (in arrays of the run's
+    length ``n``), whether it flagged a change point, and the last class
+    count."""
+
+    def __init__(self, out: _Outputs, n: int):
+        self._assignments = out.open("assignments.csv")
+        self._assignments.write("t,x,z_star,k_t\n")
+        self._runlength_map = out.open("runlength_map.csv")
+        self._runlength_map.write("t,r_star,cp_flag\n")
+        self._posterior = out.open("posterior.csv")
+        self._posterior.write("t,r,mass\n")
+        self._block: list[tuple] = []
+        self._block_entries = 0
+        self.z_star = np.zeros(n, dtype=np.int64)
+        self.r_star = np.zeros(n, dtype=np.int64)
+        self.change_points: list[int] = []
+        self.final_k = 0
+        self.steps = 0
+
+    def step(self, s: StepOutput, x: float) -> None:
+        runs, probs = s.rl_posterior
+        self._block.append((s.t, x, s.z_star, s.k_t, s.r_star, s.cp_flag, runs, probs))
+        self._block_entries += len(probs)
+        self.z_star[self.steps] = s.z_star
+        self.r_star[self.steps] = s.r_star
+        self.steps += 1
+        if s.cp_flag:
+            self.change_points.append(s.t)
+        self.final_k = s.k_t
+        if len(self._block) >= _BLOCK_STEPS or self._block_entries >= _BLOCK_ENTRIES:
+            self.flush()
+
+    def flush(self) -> None:
+        """Write the rows of the steps held since the last flush."""
+        # "%.17g" is _fmt's format. Formatting the Python numbers of tolist()
+        # takes about a quarter less time than formatting numpy scalars.
+        block = self._block
+        self._assignments.write("".join([
+            "%d,%.17g,%d,%d\n" % (t, x, z_star, k_t) for t, x, z_star, k_t, *_ in block
+        ]))
+        self._runlength_map.write("".join([
+            f"{t},{r_star},{1 if cp_flag else 0}\n"
+            for t, _, _, _, r_star, cp_flag, _, _ in block
+        ]))
+        self._posterior.write("".join([
+            "%d,%d,%.17g\n" % (t, r, mass)
+            for t, *_, runs, probs in block
+            for r, mass in zip(runs.tolist(), probs.tolist())
+            if mass >= POSTERIOR_FILE_FLOOR
+        ]))
+        block.clear()
+        self._block_entries = 0
 
 
 def emit_traces(result: RunResult, outdir, manifest: RunManifest | None = None) -> list[Path]:
     """Write the machine-readable trace files for a completed run."""
-    outdir = _outdir(outdir)
-    written = []
-
-    # "%.17g" is _fmt's format. Formatting the Python numbers of tolist()
-    # takes about a quarter less time than formatting numpy scalars.
-    rows = ["t,x,z_star,k_t"]
-    rows += [
-        "%d,%.17g,%d,%d" % (s.t, x, s.z_star, s.k_t)
-        for s, x in zip(result.steps, result.series.tolist())
-    ]
-    written.append(_write_lines(outdir / "assignments.csv", rows))
-
-    rows = ["t,r_star,cp_flag"]
-    for s in result.steps:
-        rows.append(f"{s.t},{s.r_star},{1 if s.cp_flag else 0}")
-    written.append(_write_lines(outdir / "runlength_map.csv", rows))
-
-    rows = ["t,r,mass"]
-    for s in result.steps:
-        runs, probs = s.rl_posterior
-        rows += [
-            "%d,%d,%.17g" % (s.t, r, mass)
-            for r, mass in zip(runs.tolist(), probs.tolist())
-            if mass >= POSTERIOR_FILE_FLOOR
-        ]
-    written.append(_write_lines(outdir / "posterior.csv", rows))
-
-    rows = ["t"] + [str(t) for t in result.change_points]
-    written.append(_write_lines(outdir / "changepoints.csv", rows))
-
-    if manifest is not None:
-        written.append(manifest.write(outdir / "manifest"))
-    return written
+    with _Outputs(outdir) as out:
+        trace = _TraceWriter(out, len(result.steps))
+        for s, x in zip(result.steps, result.series.tolist()):
+            trace.step(s, x)
+        trace.flush()
+        out.write("changepoints.csv", _changepoint_lines(result.change_points))
+        if manifest is not None:
+            out.write("manifest", manifest.lines())
+        return out.commit()
 
 
 # ---------------------------------------------------------------------------
@@ -358,17 +489,38 @@ def _ticks(lo, hi, n=5):
     return [lo + i * (hi - lo) / (n - 1) for i in range(n)]
 
 
-def render_svg(result: RunResult, outdir) -> Path:
-    """Two-panel SVG: the signal colored by class assignment on top, the
-    MAP run length with change-point markers below."""
-    steps = result.steps
-    if not steps:
+def render_svg(series, z_star, r_star, change_points, outdir) -> Path:
+    """Two-panel SVG of a run: the signal colored by each step's class
+    ``z_star`` on top, the MAP run length ``r_star`` with markers at the
+    change points below."""
+    xs = np.asarray(series, dtype=float)
+    z_star, r_star = np.asarray(z_star), np.asarray(r_star)
+    if not len(z_star):
         raise ContractViolation("cannot render an empty trace")
-    outdir = _outdir(outdir)
+    if not len(xs) == len(z_star) == len(r_star):
+        raise ContractViolation("series, z_star and r_star differ in length")
+    pieces = _svg_text(xs, z_star, r_star, change_points)
+    with _Outputs(outdir) as out:
+        f = out.open("trace.svg")
+        # Written 1024 pieces a call: a call per polyline point would make
+        # three calls a step through _PartFile.write and the text layer.
+        while chunk := list(itertools.islice(pieces, 1024)):
+            f.write("".join(chunk))
+        return out.commit()[0]
 
-    T = len(steps)
-    xs = np.asarray(result.series, dtype=float)
-    rstars = np.array([s.r_star for s in steps], dtype=float)
+
+def _polyline(points, stroke: str, width: str):
+    yield '<polyline points="'
+    sep = ""
+    for x, y in points:
+        yield f"{sep}{x:.2f},{y:.2f}"
+        sep = " "
+    yield f'" fill="none" stroke="{stroke}" stroke-width="{width}"/>\n'
+
+
+def _svg_text(xs, z_star, r_star, change_points):
+    """The SVG markup in pieces, an element (or a polyline point) each."""
+    T = len(xs)
     W, H = 960.0, 680.0
     L, R = 62.0, 944.0
     panels = ((28.0, 310.0), (376.0, 658.0))
@@ -377,7 +529,7 @@ def render_svg(result: RunResult, outdir) -> Path:
     y1_lo, y1_hi = float(xs.min()), float(xs.max())
     pad = 0.05 * (y1_hi - y1_lo) or 1.0
     y1_lo, y1_hi = y1_lo - pad, y1_hi + pad
-    y2_lo, y2_hi = 0.0, float(rstars.max()) * 1.05 + 1.0
+    y2_lo, y2_hi = 0.0, float(r_star.max()) * 1.05 + 1.0
 
     def px(t):
         return _scale(t, x_lo, x_hi, L, R)
@@ -388,65 +540,57 @@ def render_svg(result: RunResult, outdir) -> Path:
     def py2(v):
         return _scale(v, y2_lo, y2_hi, panels[1][1], panels[1][0])
 
-    e = []
-    e.append(
+    yield (
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{W:.0f}" height="{H:.0f}" '
-        f'viewBox="0 0 {W:.0f} {H:.0f}">'
+        f'viewBox="0 0 {W:.0f} {H:.0f}">\n'
     )
-    e.append(f'<rect x="0" y="0" width="{W:.0f}" height="{H:.0f}" fill="white"/>')
+    yield f'<rect x="0" y="0" width="{W:.0f}" height="{H:.0f}" fill="white"/>\n'
 
     for (top, bot), (lo, hi, py, fmt) in zip(
         panels,
         ((y1_lo, y1_hi, py1, "%.4g"), (y2_lo, y2_hi, py2, "%.4g")),
     ):
-        e.append(
+        yield (
             f'<rect x="{L:.2f}" y="{top:.2f}" width="{R - L:.2f}" height="{bot - top:.2f}" '
-            'fill="none" stroke="#222" stroke-width="1"/>'
+            'fill="none" stroke="#222" stroke-width="1"/>\n'
         )
         for tv in _ticks(lo, hi, 4):
             y = py(tv)
-            e.append(
-                f'<line x1="{L - 4:.2f}" y1="{y:.2f}" x2="{L:.2f}" y2="{y:.2f}" stroke="#222"/>'
-            )
-            e.append(
+            yield f'<line x1="{L - 4:.2f}" y1="{y:.2f}" x2="{L:.2f}" y2="{y:.2f}" stroke="#222"/>\n'
+            yield (
                 f'<text x="{L - 7:.2f}" y="{y + 4:.2f}" font-size="11" text-anchor="end" '
-                f'font-family="monospace">{fmt % tv}</text>'
+                f'font-family="monospace">{fmt % tv}</text>\n'
             )
         for tv in _ticks(x_lo, float(T), 5):
             x = px(tv)
-            e.append(
-                f'<line x1="{x:.2f}" y1="{bot:.2f}" x2="{x:.2f}" y2="{bot + 4:.2f}" stroke="#222"/>'
+            yield (
+                f'<line x1="{x:.2f}" y1="{bot:.2f}" x2="{x:.2f}" y2="{bot + 4:.2f}" '
+                'stroke="#222"/>\n'
             )
-            e.append(
+            yield (
                 f'<text x="{x:.2f}" y="{bot + 16:.2f}" font-size="11" text-anchor="middle" '
-                f'font-family="monospace">{tv:.0f}</text>'
+                f'font-family="monospace">{tv:.0f}</text>\n'
             )
-    e.append(
-        f'<text x="{L:.2f}" y="18" font-size="12" font-family="monospace">signal, colored by class</text>'
-    )
-    e.append(
-        f'<text x="{L:.2f}" y="366" font-size="12" font-family="monospace">MAP run length</text>'
-    )
-
-    pts = " ".join(f"{px(i + 1):.2f},{py1(v):.2f}" for i, v in enumerate(xs))
-    e.append(f'<polyline points="{pts}" fill="none" stroke="#bbb" stroke-width="1"/>')
-    for i, (s, v) in enumerate(zip(steps, xs)):
-        e.append(
-            f'<circle cx="{px(i + 1):.2f}" cy="{py1(v):.2f}" r="2" fill="{_class_color(s.z_star)}"/>'
+    for y, title in ((18, "signal, colored by class"), (366, "MAP run length")):
+        yield (
+            f'<text x="{L:.2f}" y="{y}" font-size="12" font-family="monospace">{title}</text>\n'
         )
 
-    pts = " ".join(f"{px(i + 1):.2f},{py2(v):.2f}" for i, v in enumerate(rstars))
-    e.append(f'<polyline points="{pts}" fill="none" stroke="#336" stroke-width="1.2"/>')
-    for t in result.change_points:
+    signal = ((px(t), py1(v)) for t, v in enumerate(map(float, xs), 1))
+    yield from _polyline(signal, "#bbb", "1")
+    for t, (k, v) in enumerate(zip(map(int, z_star), map(float, xs)), 1):
+        yield f'<circle cx="{px(t):.2f}" cy="{py1(v):.2f}" r="2" fill="{_class_color(k)}"/>\n'
+
+    run_lengths = ((px(t), py2(r)) for t, r in enumerate(map(int, r_star), 1))
+    yield from _polyline(run_lengths, "#336", "1.2")
+    for t in change_points:
         x = px(t)
         for top, bot in panels:
-            e.append(
+            yield (
                 f'<line x1="{x:.2f}" y1="{top:.2f}" x2="{x:.2f}" y2="{bot:.2f}" '
-                'stroke="#c22" stroke-width="1" stroke-dasharray="4,3"/>'
+                'stroke="#c22" stroke-width="1" stroke-dasharray="4,3"/>\n'
             )
-    e.append("</svg>")
-
-    return _write_lines(outdir / "trace.svg", e)
+    yield "</svg>\n"
 
 
 # ---------------------------------------------------------------------------
@@ -463,24 +607,30 @@ def _cmd_run(args) -> int:
         raise ConfigError("no input: pass --input or a config file with an input= line")
 
     series = ingest_csv(input_path)
-    start = time.perf_counter()
-    result = run(series, cfg)
-    duration = time.perf_counter() - start
-
     outdir = Path(args.out)
-    manifest = RunManifest(
-        input=str(input_path),
-        output_dir=str(outdir),
-        duration_seconds=duration,
-        config=cfg,
-    )
-    emit_traces(result, outdir, manifest)
+    with _Outputs(outdir) as out:
+        start = time.perf_counter()
+        trace = _TraceWriter(out, len(series))
+        det = Detector(cfg)
+        for x in map(float, series):
+            trace.step(det.step(x), x)
+        trace.flush()
+        duration = time.perf_counter() - start
+        out.write("changepoints.csv", _changepoint_lines(trace.change_points))
+        manifest = RunManifest(
+            input=str(input_path),
+            output_dir=str(outdir),
+            duration_seconds=duration,
+            config=cfg,
+        )
+        out.write("manifest", manifest.lines())
+        out.commit()
     if args.svg:
-        render_svg(result, outdir)
+        render_svg(series, trace.z_star, trace.r_star, trace.change_points, outdir)
 
-    print(f"steps={len(result.steps)}")
-    print(f"changepoints={len(result.change_points)}")
-    print(f"final_k={result.final_k}")
+    print(f"steps={trace.steps}")
+    print(f"changepoints={len(trace.change_points)}")
+    print(f"final_k={trace.final_k}")
     print(f"outdir={outdir}")
     return 0
 
@@ -508,9 +658,11 @@ def parse_segments(spec: str) -> list[SegmentSpec]:
 def _cmd_synth(args) -> int:
     segments = parse_segments(args.segments)
     series, cps, _ = gen_piecewise_gaussian(segments, np.random.default_rng(args.seed))
-    write_series_csv(series, args.out)
-    if args.truth:
-        _write_lines(args.truth, ["t"] + [str(c) for c in cps])
+    with _Outputs() as out:
+        out.write(args.out, _series_lines(series))
+        if args.truth:
+            out.write(args.truth, _changepoint_lines(cps))
+        out.commit()
     print(f"samples={len(series)}")
     print(f"changepoints={','.join(str(c) for c in cps) if cps else ''}")
     return 0

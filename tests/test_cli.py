@@ -384,13 +384,17 @@ def test_emit_rows_match_a_per_value_loop(tmp_path):
 # -- svg --------------------------------------------------------------------
 
 
+def _svg_inputs(result):
+    z_star = [s.z_star for s in result.steps]
+    r_star = [s.r_star for s in result.steps]
+    return result.series, z_star, r_star, result.change_points
+
+
 def test_render_svg_empty_trace_writes_nothing(tmp_path):
-    result = _small_result(2)
-    result.steps = []
     from streamcpd import ContractViolation
 
     with pytest.raises(ContractViolation):
-        render_svg(result, tmp_path)
+        render_svg(np.array([]), [], [], [], tmp_path)
     assert not (tmp_path / "trace.svg").exists()
 
 
@@ -402,14 +406,14 @@ def test_render_svg_distinct_class_hues(tmp_path):
     cfg = DetectorConfig(alpha=0.25, candidate=CandidatePolicy(var_init=2.0), seed=1)
     result = run(series, cfg)
     assert result.final_k == 3
-    path = render_svg(result, tmp_path)
+    path = render_svg(*_svg_inputs(result), tmp_path)
     root = ET.parse(path).getroot()
     hues = {c.get("fill") for c in root.iter("{http://www.w3.org/2000/svg}circle")}
     assert len(hues) == 3
 
 
 def test_render_svg_is_well_formed_xml(tmp_path):
-    path = render_svg(_small_result(10), tmp_path)
+    path = render_svg(*_svg_inputs(_small_result(10)), tmp_path)
     ET.parse(path)  # raises on malformed markup
 
 
@@ -597,3 +601,99 @@ def test_cli_manifest_reproduces_run_byte_identical(tmp_path):
     for name in ("assignments.csv", "runlength_map.csv", "posterior.csv",
                  "changepoints.csv", "trace.svg"):
         assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
+
+
+@pytest.mark.parametrize("prune", ["none", "threshold", "top-m"])
+@pytest.mark.parametrize("mode", ["infinite", "fixed-k", "baseline"])
+def test_cli_files_equal_emit_traces_of_run(tmp_path, mode, prune):
+    # The CLI writes its rows as it steps; emit_traces writes a stored run
+    # through the same writer, so the files are equal byte for byte.
+    rng = np.random.default_rng(7)
+    series = np.concatenate([rng.normal(0, 1, 60), rng.normal(5, 1, 60), rng.normal(-2, 2, 60)])
+    path = tmp_path / "s.csv"
+    write_series_csv(series, path)
+    settings = {"none": "prune_epsilon=0\n", "threshold": "prune_epsilon=1e-10\n",
+                "top-m": "prune_top_m=20\n"}
+    f = tmp_path / "cfg"
+    f.write_text(f"input={path}\nmode={mode}\n" + settings[prune])
+    out = tmp_path / "cli"
+    assert main(["run", "--config", str(f), "--out", str(out), "--svg"]) == 0
+
+    cfg, _ = parse_config(config_file=f)
+    result = run(ingest_csv(path), cfg)
+    lib = tmp_path / "lib"
+    emit_traces(result, lib)
+    render_svg(*_svg_inputs(result), lib)
+    for name in ("assignments.csv", "runlength_map.csv", "posterior.csv",
+                 "changepoints.csv", "trace.svg"):
+        assert (out / name).read_bytes() == (lib / name).read_bytes(), name
+
+
+def test_cli_memory_does_not_grow_with_the_trace(tmp_path):
+    # Rows are written as the steps arrive, so the CLI keeps no StepOutput:
+    # storing this run's trace peaked at about 41 MB.
+    import tracemalloc
+
+    rng = np.random.default_rng(0)
+    series = np.concatenate([rng.normal(m, 1, 500) for m in (0, 8, 0)])
+    path = tmp_path / "s.csv"
+    write_series_csv(series, path)
+    argv = ["run", "--input", str(path), "--mode", "baseline", "--out", str(tmp_path / "o")]
+    tracemalloc.start()
+    try:
+        assert main(argv) == 0
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2**20
+
+
+def _snapshot(d):
+    return {p.name: p.read_bytes() for p in d.iterdir()}
+
+
+@pytest.mark.parametrize("refused_at", [4, 100])
+@pytest.mark.parametrize("mode", ["infinite", "fixed-k", "baseline"])
+def test_cli_mid_stream_failure_leaves_the_outdir_as_it_was(tmp_path, capsys, mode, refused_at):
+    # 1e200 is refused at t = 4, before any block of rows was written, or
+    # at t = 100, after the first.
+    bad = tmp_path / "bad.csv"
+    if refused_at == 4:
+        bad.write_text("x\n0\n1\n2\n1e200\n3\n")
+    else:
+        write_series_csv(list(np.sin(np.arange(99) / 3.0)) + [1e200, 0.0], bad)
+    fresh = tmp_path / "fresh" / "o"
+    argv = ["run", "--input", str(bad), "--mode", mode, "--svg", "--out"]
+    assert main(argv + [str(fresh)]) == 1
+    kind = "baseline" if mode == "baseline" else "emission"
+    want = f"error: observation at t={refused_at} overflows the {kind} model"
+    assert want in capsys.readouterr().err
+    assert not (tmp_path / "fresh").exists()
+
+    good = tmp_path / "good.csv"
+    write_series_csv(np.sin(np.arange(30) / 3.0), good)
+    earlier = tmp_path / "earlier"
+    assert main(["run", "--input", str(good), "--mode", mode, "--svg", "--out", str(earlier)]) == 0
+    before = _snapshot(earlier)
+    assert main(argv + [str(earlier)]) == 1
+    assert _snapshot(earlier) == before
+    assert not list(tmp_path.rglob("*.part"))
+
+
+def test_cli_interrupt_leaves_no_part_file(tmp_path, monkeypatch):
+    from streamcpd.detector import Detector
+
+    step = Detector.step
+
+    def interrupted(self, x):
+        if self.t == 80:  # after the first block of rows was written
+            raise KeyboardInterrupt
+        return step(self, x)
+
+    monkeypatch.setattr(Detector, "step", interrupted)
+    series, out = tmp_path / "s.csv", tmp_path / "o"
+    write_series_csv(np.zeros(100), series)
+    with pytest.raises(KeyboardInterrupt):
+        main(["run", "--input", str(series), "--out", str(out)])
+    assert not out.exists()
+    assert not list(tmp_path.rglob("*.part"))
