@@ -9,6 +9,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import csv
+import errno
 import itertools
 import math
 import os
@@ -56,9 +57,16 @@ class _PartFile:
         except OSError as exc:
             raise self._error(exc) from exc
 
-    def commit(self) -> Path:
+    def close(self) -> None:
+        """Flush and close the part file; its name stays ``NAME.part``."""
         try:
             self._fh.close()
+        except OSError as exc:
+            raise self._error(exc) from exc
+
+    def commit(self) -> Path:
+        self.close()
+        try:
             os.replace(self.part, self.path)
         except OSError as exc:
             raise self._error(exc) from exc
@@ -116,7 +124,16 @@ class _Outputs:
             f.write(line + "\n")
 
     def commit(self) -> list[Path]:
-        """Rename every file into place, in the order they were opened."""
+        """Rename every file into place, in the order they were opened.
+
+        Every file is closed, and every target checked not to be a
+        directory, before the first rename, so a write that fails there or
+        a directory in the way leaves every target as it was."""
+        for f in self._files:
+            f.close()
+        for f in self._files:
+            if f.path.is_dir():
+                raise f._error(IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR)))
         paths = [f.commit() for f in self._files]
         self._files, self._made = [], []
         return paths

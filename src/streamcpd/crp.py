@@ -103,7 +103,7 @@ class LabelCounts:
             # r < 0 puts the start past t, and r > t puts it below 0, which
             # as an unsigned integer is also past t: one reduction checks
             # both.
-            if start.size and start.view(np.uint64).max() > t:
+            if start.size and np.maximum.reduce(start.view(np.uint64)) > t:
                 raise ContractViolation(f"window lengths must lie in [0, {t}]")
             size = start.size
         n = self.total(k)

@@ -34,7 +34,11 @@ view of an earlier table keeps that table alive, unchanged); so
 computing ``run_lengths + 1``, the predictive models read their
 per-run-length tables by slices instead of gathers, and a detector step
 that shows only the first k posterior entries hands out ``0..k-1`` as a
-view instead of a copy.
+view instead of a copy. A prune that drops nothing keeps its parent's
+run-length array (see ``prune``), so a dense state stays such a view.
+
+A trellis step takes no log of the hazard: ``HazardConfig`` computes
+``log h`` and ``log(1 - h)`` once and caches them.
 
 A step validates its inputs only when it fails. A NaN or +inf log predictive
 always makes the step's total non-finite (NaN propagates, and +inf gives
@@ -47,6 +51,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from numbers import Integral, Real
 
 import numpy as np
@@ -122,7 +127,11 @@ def logsumexp(
 @dataclass(frozen=True)
 class HazardConfig:
     """Constant (memoryless) hazard: a change occurs each step with
-    probability 1/lam, so lam is the expected run length under the prior."""
+    probability 1/lam, so lam is the expected run length under the prior.
+
+    ``log_hazard`` and ``log_survival`` (``log h`` and ``log(1 - h)``, -inf
+    at h = 1) are computed on first use and cached on the config, so a
+    trellis step reads them instead of taking two logs."""
 
     lam: float = 1e6
 
@@ -137,6 +146,18 @@ class HazardConfig:
     def hazard(self) -> float:
         # float() so that a numpy lam (say float32) gives a double hazard.
         return 1.0 / float(self.lam)
+
+    # cached_property stores into the instance dict directly, which a
+    # frozen dataclass allows; the cache is not a field, so equality, the
+    # hash and dataclasses.replace are as before.
+    @cached_property
+    def log_hazard(self) -> float:
+        return math.log(self.hazard)
+
+    @cached_property
+    def log_survival(self) -> float:
+        h = self.hazard
+        return math.log1p(-h) if h < 1.0 else -math.inf
 
 
 @dataclass
@@ -217,13 +238,12 @@ def recursion_step(
         raise ContractViolation(
             f"log_psi has {log_psi.size} entries but state holds {lw.size} hypotheses"
         )
-    h = cfg.hazard
     n = lw.size
     new_lw = np.empty(n + 1)
     posterior = np.empty(n + 1)
     try:
-        new_lw[0] = math.log(h) + log_psi_reset + state.evidence_log
-        np.add(log_psi, math.log1p(-h) if h < 1.0 else -math.inf, out=new_lw[1:])
+        new_lw[0] = cfg.log_hazard + log_psi_reset + state.evidence_log
+        np.add(log_psi, cfg.log_survival, out=new_lw[1:])
         new_lw[1:] += lw
         # exp and the division by the total keep the order of the entries,
         # so this is also where the posterior is smallest.
@@ -340,20 +360,43 @@ def prune(state: RunLengthState, policy: PrunePolicy) -> RunLengthState:
     after each growth step, that drops exactly the last of the smallest
     entries, which is found with one ``argmin`` instead of a sort; when that
     entry is run length 0, nothing is dropped.
+
+    A prune that would drop nothing builds no mask: under a threshold, when
+    the posterior's smallest entry (at ``posterior_argmin``, which
+    ``recursion_step`` found) reaches ``epsilon``; under top-m, when the
+    state holds at most ``max_live`` hypotheses. It returns the parent's
+    weights less the log of the posterior's sum, as the all-True mask
+    would, on the parent's run-length array. A state with no
+    ``posterior_argmin`` takes the mask path, as does an empty one, which
+    is refused there. So is a prune whose only survivor, run length 0, has
+    weight 0: there is no mass to fold the rest into.
     """
     if policy.kind == "none":
         return state
 
     posterior = normalize_posterior(state)
+    n = posterior.size
+    if policy.kind == "threshold":
+        i_min = state.posterior_argmin
+        keep_all = i_min is not None and posterior[i_min] >= policy.epsilon
+    else:
+        keep_all = 0 < n <= policy.max_live
+    if keep_all:
+        # Bitwise what an all-True mask gives: the weights less the log of
+        # the whole posterior's sum (1 up to rounding), on the parent's
+        # run-length array, so a dense one stays a view of the shared table.
+        kept_lw = state.log_weights - math.log(float(np.add.reduce(posterior)))
+        return RunLengthState(state.run_lengths, kept_lw, state.t, state.evidence_log)
+
     if policy.kind == "threshold":
         keep = posterior >= policy.epsilon
-    elif posterior.size == policy.max_live + 1:
+    elif n == policy.max_live + 1:
         # The stable sort below would drop exactly the last of the minima.
-        keep = np.ones(posterior.size, dtype=bool)
-        keep[posterior.size - 1 - posterior[::-1].argmin()] = False
+        keep = np.ones(n, dtype=bool)
+        keep[n - 1 - posterior[::-1].argmin()] = False
     else:
         order = np.argsort(-posterior, kind="stable")
-        keep = np.zeros(posterior.size, dtype=bool)
+        keep = np.zeros(n, dtype=bool)
         keep[order[: policy.max_live]] = True
     if keep.size and state.run_lengths[0] == 0:
         keep[0] = True
@@ -361,12 +404,17 @@ def prune(state: RunLengthState, policy: PrunePolicy) -> RunLengthState:
         raise ContractViolation("prune policy removed every hypothesis")
 
     kept_lw = state.log_weights[keep]
-    kept_mass = float(posterior[keep].sum())
+    kept_mass = float(np.add.reduce(posterior[keep]))
     if kept_mass >= _TINY:
         kept_lw -= math.log(kept_mass)
     else:
         # The survivors' posterior underflowed: rescale from their log weights.
-        kept_lw += state.evidence_log - logsumexp(kept_lw)
+        kept_log = logsumexp(kept_lw)
+        if kept_log == -math.inf:
+            # Only run length 0 survived, and its weight is 0: no mass to
+            # fold the rest into (the rescale would give -inf + inf = NaN).
+            raise ContractViolation("prune policy kept only hypotheses of zero mass")
+        kept_lw += state.evidence_log - kept_log
     return RunLengthState(state.run_lengths[keep], kept_lw, state.t, state.evidence_log)
 
 

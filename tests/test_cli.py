@@ -680,6 +680,30 @@ def test_cli_mid_stream_failure_leaves_the_outdir_as_it_was(tmp_path, capsys, mo
     assert not list(tmp_path.rglob("*.part"))
 
 
+def test_cli_directory_in_the_way_renames_nothing(tmp_path, capsys):
+    # An earlier run's files, with a directory where the manifest goes: the
+    # manifest is the last of the group, so a rename-as-you-go commit would
+    # have put the four new trace files in place before failing on it.
+    series = tmp_path / "s.csv"
+    write_series_csv(np.sin(np.arange(30) / 3.0), series)
+    out = tmp_path / "o"
+    assert main(["run", "--input", str(series), "--out", str(out)]) == 0
+    (out / "manifest").unlink()
+    (out / "manifest").mkdir()
+    (out / "manifest" / "note").write_text("kept\n")
+    before = {p.name: p.read_bytes() for p in out.iterdir() if p.is_file()}
+    assert sorted(before) == sorted(
+        ["assignments.csv", "runlength_map.csv", "posterior.csv", "changepoints.csv"]
+    )
+
+    write_series_csv(np.cos(np.arange(40) / 3.0), series)
+    assert main(["run", "--input", str(series), "--out", str(out)]) == 1
+    assert f"cannot write {out / 'manifest'}: " in capsys.readouterr().err
+    assert {p.name: p.read_bytes() for p in out.iterdir() if p.is_file()} == before
+    assert (out / "manifest" / "note").read_text() == "kept\n"
+    assert not list(tmp_path.rglob("*.part"))
+
+
 def test_cli_interrupt_leaves_no_part_file(tmp_path, monkeypatch):
     from streamcpd.detector import Detector
 

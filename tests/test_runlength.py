@@ -11,6 +11,8 @@ from streamcpd import (
     ConfigError,
     ContractViolation,
     DegenerateStateError,
+    Detector,
+    DetectorConfig,
     HazardConfig,
     PrunePolicy,
     RunLengthState,
@@ -19,6 +21,7 @@ from streamcpd import (
     recursion_step,
 )
 
+from streamcpd import detector, runlength
 from streamcpd.oracles import brute_force_joint
 from streamcpd.runlength import _TINY, logsumexp
 
@@ -131,6 +134,17 @@ def test_hazard_config_rejects_bad_lambda(lam):
 def test_hazard_config_accepts_real_numbers(lam):
     hazard = HazardConfig(lam).hazard
     assert type(hazard) is float and hazard == 0.01
+
+
+@pytest.mark.parametrize("lam", [1, 1.0, 2.5, 1e6, np.float32(300.0)])
+def test_hazard_config_caches_its_logs(lam):
+    cfg = HazardConfig(lam)
+    h = 1.0 / float(lam)
+    assert cfg.log_hazard == math.log(h)
+    assert cfg.log_survival == (math.log1p(-h) if h < 1.0 else -math.inf)
+    assert cfg.log_hazard is cfg.log_hazard
+    # The cache is not a field: equality and the hash ignore it.
+    assert cfg == HazardConfig(lam) and hash(cfg) == hash(HazardConfig(lam))
 
 
 # -- recursion ---------------------------------------------------------
@@ -358,6 +372,26 @@ def _top_m_by_sort(posterior, run_lengths, m):
     return keep
 
 
+def _prune_by_mask(state, policy):
+    # prune's result built from an explicit keep mask: the entries at or
+    # above the threshold, or the top m by a stable sort, plus run length 0.
+    # None when the survivors carry no mass, which prune refuses.
+    posterior = normalize_posterior(state)
+    if policy.kind == "threshold":
+        keep = posterior >= policy.epsilon
+    else:
+        keep = _top_m_by_sort(posterior, state.run_lengths, policy.max_live)
+    keep[0] |= state.run_lengths[0] == 0
+    runs, kept_lw = state.run_lengths[keep], state.log_weights[keep]
+    mass = float(posterior[keep].sum())
+    if mass >= _TINY:
+        return runs, kept_lw - math.log(mass)
+    kept_log = logsumexp(kept_lw)
+    if kept_log == -math.inf:
+        return None
+    return runs, kept_lw + (state.evidence_log - kept_log)
+
+
 @given(
     st.lists(
         st.one_of(
@@ -385,13 +419,87 @@ def test_prune_top_m_matches_a_stable_sort(log_weights, extra, first_run):
     m = max(1, lw.size - 1 - extra)
     runs = np.arange(first_run, first_run + lw.size, dtype=np.int64)
     state = RunLengthState(runs, lw)
-    posterior = normalize_posterior(state)
-    keep = _top_m_by_sort(posterior, runs, m)
+    want_runs, want_lw = _prune_by_mask(state, PrunePolicy.top_m(m))
     out = prune(state, PrunePolicy.top_m(m))
-    assert out.run_lengths.tolist() == runs[keep].tolist()
-    want_lw = lw[keep] - math.log(float(posterior[keep].sum()))
+    assert out.run_lengths.tolist() == want_runs.tolist()
     assert out.log_weights.tobytes() == want_lw.tobytes()
     assert out.evidence_log == state.evidence_log
+
+
+# Few distinct values, so ties are common; -inf and -800 give posterior
+# entries of exactly 0.
+_LOG_VALUE = st.one_of(
+    st.sampled_from([-math.inf, -800.0, -3.0, -1.0, 0.0]),
+    st.floats(min_value=-40.0, max_value=5.0),
+)
+
+
+_THRESHOLD = st.tuples(
+    st.just("threshold"),
+    st.one_of(
+        st.sampled_from([1e-300, 1e-10, 1e-4, 0.5]),
+        st.floats(min_value=1e-300, max_value=0.5),
+        # None: the posterior's smallest entry, kept since the test is >=.
+        st.none(),
+    ),
+)
+
+
+@given(
+    pairs=st.lists(st.tuples(_LOG_VALUE, _LOG_VALUE), min_size=1, max_size=10),
+    gaps=st.lists(st.sampled_from([1, 1, 2, 5]), min_size=9, max_size=9),
+    log_psi_reset=_LOG_VALUE,
+    hand_built=st.booleans(),
+    pick=st.one_of(_THRESHOLD, st.tuples(st.just("top-m"), st.integers(1, 13))),
+)
+# Tied exact zeros at the minimum; top-m drops the last of them, by one
+# argmin at n = M + 1 and by the sort at n = M + 2.
+@example([(0.0, -math.inf), (0.0, 0.0), (0.0, -math.inf)], [1] * 9, 0.0, False, ("top-m", 3))
+@example([(0.0, -math.inf), (0.0, 0.0), (0.0, -math.inf)], [1] * 9, 0.0, False, ("top-m", 2))
+# Run length 0 is the minimum: kept by the threshold at it, and top-m at
+# n = M + 1 then drops nothing.
+@example([(0.0, 0.0), (0.0, 0.0)], [1] * 9, -3.0, False, ("threshold", None))
+@example([(0.0, 0.0), (0.0, 0.0)], [1] * 9, -3.0, False, ("top-m", 2))
+@example([(0.0, 0.0), (0.0, 0.0)], [1] * 9, -math.inf, False, ("top-m", 2))
+# No posterior_argmin: the threshold takes the mask path.
+@example([(0.0, 0.0), (-1.0, 0.0)], [2] * 9, 0.0, True, ("threshold", 1e-300))
+# Only run length 0 survives, and its weight is 0: refused.
+@example(
+    [(-800.0, -3.0), (-800.0, -1.0), (-800.0, -1.0)], [1] * 9, -math.inf, False, ("threshold", 0.5)
+)
+def test_prune_equals_a_mask_reference(pairs, gaps, log_psi_reset, hand_built, pick):
+    # prune, keep-all path or not, gives bitwise what the explicit mask
+    # gives, on states from recursion_step and on hand-built ones, whose
+    # posterior_argmin is None.
+    lw, log_psi = (np.array(column) for column in zip(*pairs))
+    assume(np.isfinite(lw).any())
+    runs = np.concatenate(([0], np.cumsum(gaps[: lw.size - 1]))).astype(np.int64)
+    try:
+        state = recursion_step(RunLengthState(runs, lw), log_psi, HazardConfig(5.0), log_psi_reset)
+    except DegenerateStateError:
+        assume(False)
+    if hand_built:
+        state = RunLengthState(state.run_lengths, state.log_weights, state.t, state.evidence_log)
+        assert state.posterior_argmin is None
+    n = state.run_lengths.size
+    kind, value = pick
+    if kind == "threshold":
+        if value is None:
+            smallest = float(normalize_posterior(state).min())
+            value = smallest if 0.0 < smallest <= 0.5 else 0.5
+        policy = PrunePolicy.threshold(value)
+    else:
+        policy = PrunePolicy.top_m(min(value, n + 2))
+    want = _prune_by_mask(state, policy)
+    if want is None:
+        with pytest.raises(ContractViolation):
+            prune(state, policy)
+        return
+    out = prune(state, policy)
+    assert out.run_lengths.tolist() == want[0].tolist()
+    assert out.log_weights.tobytes() == want[1].tobytes()
+    assert out.evidence_log == state.evidence_log
+    assert out.t == state.t
 
 
 def test_prune_keeps_evidence_when_survivor_mass_underflows():
@@ -405,11 +513,47 @@ def test_prune_keeps_evidence_when_survivor_mass_underflows():
     assert out.log_weights[0] == pytest.approx(state.evidence_log, abs=1e-12)
 
 
-@pytest.mark.parametrize("policy", [PrunePolicy.threshold(1e-3), PrunePolicy.top_m(2)])
+@pytest.mark.parametrize(
+    "policy", [PrunePolicy.threshold(1e-3), PrunePolicy.top_m(1), PrunePolicy.top_m(2)]
+)
 def test_prune_of_an_empty_state_is_a_contract_violation(policy):
     state = RunLengthState(np.zeros(0, dtype=np.int64), np.zeros(0), t=0, evidence_log=0.0)
     with pytest.raises(ContractViolation):
         prune(state, policy)
+
+
+def test_prune_that_drops_nothing_keeps_the_parent_run_lengths(monkeypatch):
+    # A threshold no entry falls below, on a dense state: the pruned state
+    # holds the parent's run-length array, still a view of the shared
+    # table; so does top-m with room for every hypothesis.
+    state = RunLengthState.initial()
+    for _ in range(5):
+        state = recursion_step(state, np.zeros(state.run_lengths.size), HazardConfig(10.0))
+    table = runlength._dense_run_lengths(state.run_lengths.size)
+    for policy in (PrunePolicy.threshold(1e-300), PrunePolicy.top_m(6), PrunePolicy.top_m(9)):
+        out = prune(state, policy)
+        assert out.run_lengths is state.run_lengths
+        assert np.shares_memory(out.run_lengths, table)
+    assert prune(state, PrunePolicy.none()) is state
+
+    # In the detector, such a step leaves the baseline model's run-length
+    # columns alone: its keep hook is called only when a prune drops some.
+    calls = []
+    keep = detector.BaselineModel.keep
+    monkeypatch.setattr(
+        detector.BaselineModel, "keep", lambda self, *a: calls.append(a) or keep(self, *a)
+    )
+    series = np.sin(np.arange(20) / 3.0)
+    det = Detector(DetectorConfig(mode="baseline", prune=PrunePolicy.threshold(1e-300)))
+    for t, x in enumerate(series, 1):
+        det.step(x)
+        assert det.rl.run_lengths.size == t + 1
+        assert np.shares_memory(det.rl.run_lengths, runlength._DENSE)
+    assert calls == []
+    det = Detector(DetectorConfig(mode="baseline", prune=PrunePolicy.threshold(0.2)))
+    for x in series:
+        det.step(x)
+    assert calls
 
 
 def test_prune_policy_validation():
