@@ -9,15 +9,14 @@ from __future__ import annotations
 import argparse
 import contextlib
 import csv
+import dataclasses
 import errno
 import itertools
 import math
 import os
 import sys
 import time
-from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -25,14 +24,10 @@ from . import __version__
 from .detector import Detector, DetectorConfig, RunResult, StepOutput
 from .errors import ConfigError, ContractViolation, InputError
 from .oracles import SegmentSpec, gen_piecewise_gaussian
+from .schema import _fmt, field_spec
 
 POSTERIOR_FILE_FLOOR = 1e-12
 CLI_DEFAULT_PRUNE_EPSILON = 1e-10
-
-
-def _fmt(v: float) -> str:
-    # 17 significant digits: enough to round-trip any float64 exactly.
-    return format(float(v), ".17g")
 
 
 class _PartFile:
@@ -147,79 +142,46 @@ def _write_lines(path, lines) -> Path:
 
 
 # ---------------------------------------------------------------------------
-# configuration keys: single source of truth for config files and manifests
+# configuration keys: parsed, checked and formatted by their fields' specs
 
 
-def _parse_bool(s: str) -> bool:
-    v = s.strip().lower()
-    if v in ("1", "true", "yes"):
-        return True
-    if v in ("0", "false", "no"):
-        return False
-    raise ConfigError(f"expected a boolean, got {s!r}")
-
-
-def _parse_candidate_mu(s: str):
-    if s.strip() == "at-observation":
-        return None
-    return float(s)
-
-
-# How a parsed value is written back; a parser not listed here uses str.
-_FORMATS = {
-    float: _fmt,
-    _parse_bool: lambda v: "true" if v else "false",
-    _parse_candidate_mu: lambda v: "at-observation" if v is None else _fmt(v),
-}
-
-
-class _Key(NamedTuple):
-    """One config key: its parser, the ``DetectorConfig`` field it sets and,
-    for a nested field, the attribute (or tuple index) inside it."""
-
-    parse: Callable[[str], object]
-    field: str
-    part: str | int | None = None
-
-
-# In manifest order. Defaults are read from ``DetectorConfig()``, and the
-# ``run`` flags' argparse dests are these keys.
+# Each key's ``DetectorConfig`` field and, for a nested field, the attribute
+# (or tuple index) inside it. In manifest order. Defaults are read from
+# ``DetectorConfig()``, and the ``run`` flags' argparse dests are these keys.
 _KEYS = {
-    "mode": _Key(str, "mode"),
-    "alpha": _Key(float, "alpha"),
-    "lambda": _Key(float, "hazard", "lam"),
-    "k_fixed": _Key(int, "k_fixed"),
-    "beta": _Key(float, "dirichlet_beta"),
-    "eta_mu": _Key(float, "eta_init", 0),
-    "eta_sigma": _Key(float, "eta_init", 1),
-    "decay": _Key(float, "decay"),
-    "var_floor": _Key(float, "var_floor"),
-    "log_var_update": _Key(_parse_bool, "log_var_update"),
-    "candidate_mu": _Key(_parse_candidate_mu, "candidate", "mu0"),
-    "candidate_var": _Key(float, "candidate", "var_init"),
-    "prune_epsilon": _Key(float, "prune", "epsilon"),
-    "prune_top_m": _Key(int, "prune", "max_live"),
-    "cp_mode": _Key(str, "cp_rule", "mode"),
-    "cp_drop_fraction": _Key(float, "cp_rule", "drop_fraction"),
-    "cp_mass_window": _Key(int, "cp_rule", "mass_window"),
-    "cp_mass_threshold": _Key(float, "cp_rule", "mass_threshold"),
-    "baseline_mu0": _Key(float, "baseline", "mu"),
-    "baseline_kappa0": _Key(float, "baseline", "kappa"),
-    "baseline_a0": _Key(float, "baseline", "a"),
-    "baseline_b0": _Key(float, "baseline", "b"),
-    "seed": _Key(int, "seed"),
+    "mode": ("mode", None),
+    "alpha": ("alpha", None),
+    "lambda": ("hazard", "lam"),
+    "k_fixed": ("k_fixed", None),
+    "beta": ("dirichlet_beta", None),
+    "eta_mu": ("eta_init", 0),
+    "eta_sigma": ("eta_init", 1),
+    "decay": ("decay", None),
+    "var_floor": ("var_floor", None),
+    "log_var_update": ("log_var_update", None),
+    "candidate_mu": ("candidate", "mu0"),
+    "candidate_var": ("candidate", "var_init"),
+    "prune_epsilon": ("prune", "epsilon"),
+    "prune_top_m": ("prune", "max_live"),
+    "cp_mode": ("cp_rule", "mode"),
+    "cp_drop_fraction": ("cp_rule", "drop_fraction"),
+    "cp_mass_window": ("cp_rule", "mass_window"),
+    "cp_mass_threshold": ("cp_rule", "mass_threshold"),
+    "baseline_mu0": ("baseline", "mu"),
+    "baseline_kappa0": ("baseline", "kappa"),
+    "baseline_a0": ("baseline", "a"),
+    "baseline_b0": ("baseline", "b"),
+    "seed": ("seed", None),
 }
-
-_PRUNE_KEYS = {k for k, key in _KEYS.items() if key.field == "prune"}
+_SPECS = {key: field_spec(DetectorConfig, *where) for key, where in _KEYS.items()}
 
 # Keys a manifest may carry beyond the config snapshot; recognized so a
 # manifest can be fed back as a config file unchanged.
 _INFO_KEYS = ("input", "output_dir", "tool_version", "duration_seconds")
 
 
-def _read_kv_file(path) -> dict:
-    values = {}
-    info = {}
+def _read_kv_file(path) -> tuple[dict, dict]:
+    values, info = {}, {}
     try:
         lines = Path(path).read_text(encoding="utf-8").splitlines()
     except OSError as exc:
@@ -235,58 +197,45 @@ def _read_kv_file(path) -> dict:
         if key in _INFO_KEYS:
             info[key] = val
         elif key in _KEYS:
+            spec = _SPECS[key]
             try:
-                values[key] = _KEYS[key].parse(val)
-            except (ConfigError, ValueError) as exc:
-                raise ConfigError(f"{path}:{lineno}: bad value for {key}: {val!r}") from exc
+                values[key] = spec.check(key, spec.parse(val))
+            except ValueError as exc:
+                msg = f"{path}:{lineno}: bad value for {key}: {val!r}, expected {spec.domain}"
+                raise ConfigError(msg) from exc
         else:
             raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
-    return values | {f"@{k}": v for k, v in info.items()}
+    return values, info
 
 
 def _config_values(cfg: DetectorConfig) -> dict:
     """Every key's value in a config."""
-    values = {}
-    for key, (_, field, part) in _KEYS.items():
-        v = getattr(cfg, field)
-        if isinstance(part, int):
-            v = v[part]
-        elif part is not None:
-            v = getattr(v, part)
-        values[key] = v
-    return values
+    fields = dataclasses.asdict(cfg)
+    return {key: fields[f] if p is None else fields[f][p] for key, (f, p) in _KEYS.items()}
 
 
 def _build_config(values: dict) -> DetectorConfig:
     eps, top_m = values["prune_epsilon"], values["prune_top_m"]
-    if not (eps >= 0 and top_m >= 0):
-        raise ConfigError("prune settings must be non-negative (0 disables)")
     if eps > 0 and top_m > 0:
         raise ConfigError("prune_epsilon and prune_top_m are mutually exclusive")
     kind = "threshold" if eps > 0 else "top-m" if top_m > 0 else "none"
 
     fields: dict = {"prune": {"kind": kind}}
-    for key, (_, field, part) in _KEYS.items():
+    for key, (field, part) in _KEYS.items():
         if part is None:
             fields[field] = values[key]
         else:
             fields.setdefault(field, {})[part] = values[key]
-    default = DetectorConfig()
     for field, parts in fields.items():
         if isinstance(parts, dict):
-            nested = getattr(default, field)
-            if isinstance(nested, tuple):
-                fields[field] = tuple(parts[i] for i in sorted(parts))
-            else:
-                fields[field] = type(nested)(**parts)
+            item = field_spec(DetectorConfig, field).item  # a config class, or a pair's spec
+            fields[field] = item(**parts) if isinstance(item, type) else tuple(parts.values())
     return DetectorConfig(**fields)
 
 
 def config_to_items(cfg: DetectorConfig) -> list[tuple[str, str]]:
     """Config snapshot as ordered key=value pairs (manifest/config format)."""
-    return [
-        (key, _FORMATS.get(_KEYS[key].parse, str)(v)) for key, v in _config_values(cfg).items()
-    ]
+    return [(key, _SPECS[key].format(v)) for key, v in _config_values(cfg).items()]
 
 
 def parse_config(overrides: dict | None = None, config_file=None, cli_defaults: dict | None = None):
@@ -300,19 +249,14 @@ def parse_config(overrides: dict | None = None, config_file=None, cli_defaults: 
     Returns ``(config, info)`` where ``info`` carries any informational
     keys found in the file (input path and the like).
     """
-    given = {}
-    info = {}
-    if config_file is not None:
-        raw = _read_kv_file(config_file)
-        info = {k[1:]: v for k, v in raw.items() if k.startswith("@")}
-        given = {k: v for k, v in raw.items() if not k.startswith("@")}
+    given, info = ({}, {}) if config_file is None else _read_kv_file(config_file)
     for key, val in (overrides or {}).items():
         if key not in _KEYS:
             raise ConfigError(f"unknown configuration key {key!r}")
         if val is not None:
-            given[key] = val
+            given[key] = _SPECS[key].check(key, val)
     values = _config_values(DetectorConfig())
-    if cli_defaults and not _PRUNE_KEYS & given.keys():
+    if cli_defaults and not {"prune_epsilon", "prune_top_m"} & given.keys():
         values.update(cli_defaults)
     return _build_config(values | given), info
 
@@ -321,7 +265,7 @@ def parse_config(overrides: dict | None = None, config_file=None, cli_defaults: 
 # manifest
 
 
-@dataclass
+@dataclasses.dataclass
 class RunManifest:
     """Reproducibility record for one run: everything needed to repeat it
     plus bookkeeping (tool version, wall-clock duration)."""
@@ -509,7 +453,8 @@ def _ticks(lo, hi, n=5):
 def render_svg(series, z_star, r_star, change_points, outdir) -> Path:
     """Two-panel SVG of a run: the signal colored by each step's class
     ``z_star`` on top, the MAP run length ``r_star`` with markers at the
-    change points below."""
+    change points below. ``trace.svg`` in ``outdir``, or in an open
+    :class:`_Outputs` group, whose commit renames it into place."""
     xs = np.asarray(series, dtype=float)
     z_star, r_star = np.asarray(z_star), np.asarray(r_star)
     if not len(z_star):
@@ -517,13 +462,14 @@ def render_svg(series, z_star, r_star, change_points, outdir) -> Path:
     if not len(xs) == len(z_star) == len(r_star):
         raise ContractViolation("series, z_star and r_star differ in length")
     pieces = _svg_text(xs, z_star, r_star, change_points)
-    with _Outputs(outdir) as out:
+    own = not isinstance(outdir, _Outputs)
+    with _Outputs(outdir) if own else contextlib.nullcontext(outdir) as out:
         f = out.open("trace.svg")
         # Written 1024 pieces a call: a call per polyline point would make
         # three calls a step through _PartFile.write and the text layer.
         while chunk := list(itertools.islice(pieces, 1024)):
             f.write("".join(chunk))
-        return out.commit()[0]
+        return out.commit()[0] if own else f.path
 
 
 def _polyline(points, stroke: str, width: str):
@@ -641,9 +587,9 @@ def _cmd_run(args) -> int:
             config=cfg,
         )
         out.write("manifest", manifest.lines())
+        if args.svg:
+            render_svg(series, trace.z_star, trace.r_star, trace.change_points, out)
         out.commit()
-    if args.svg:
-        render_svg(series, trace.z_star, trace.r_star, trace.change_points, outdir)
 
     print(f"steps={trace.steps}")
     print(f"changepoints={len(trace.change_points)}")
@@ -661,14 +607,12 @@ def parse_segments(spec: str) -> list[SegmentSpec]:
             raise ConfigError(
                 f"segment {i}: expected LENGTH:MU:VAR[:CLASS], got {part.strip()!r}"
             )
+        names = ("length", "mu", "var", "class_id")
         try:
-            length = int(fields[0])
-            mu = float(fields[1])
-            var = float(fields[2])
-            class_id = int(fields[3]) if len(fields) == 4 else i
+            values = {n: field_spec(SegmentSpec, n).parse(v) for n, v in zip(names, fields)}
         except ValueError as exc:
             raise ConfigError(f"segment {i}: bad number in {part.strip()!r}") from exc
-        segments.append(SegmentSpec(length=length, mu=mu, var=var, class_id=class_id))
+        segments.append(SegmentSpec(**({"class_id": i} | values)))
     return segments
 
 
@@ -730,6 +674,21 @@ def _cmd_score(args) -> int:
     return 0
 
 
+# The run flags that set a config key, each parsed by the key's spec.
+_RUN_FLAGS = [
+    ("--alpha", "alpha", None),
+    ("--lambda", "lambda", "expected run length of the hazard prior"),
+    ("--k", "k_fixed", "class count in fixed-k mode"),
+    ("--beta", "beta", "Dirichlet smoothing in fixed-k mode"),
+    ("--eta-mu", "eta_mu", None),
+    ("--eta-sigma", "eta_sigma", None),
+    ("--decay", "decay", None),
+    ("--var-floor", "var_floor", None),
+    ("--prune", "prune_epsilon", "posterior-mass pruning threshold (0 disables)"),
+    ("--seed", "seed", None),
+]
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="streamcpd",
@@ -742,23 +701,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--input", help="single-column CSV of observations")
     p.add_argument("--config", help="key=value config file (a manifest also works)")
     p.add_argument("--mode", choices=["infinite", "fixed-k", "baseline"])
-    p.add_argument("--alpha", type=float)
-    p.add_argument(
-        "--lambda", dest="lambda", type=float, help="expected run length of the hazard prior"
-    )
-    p.add_argument("--k", dest="k_fixed", type=int, help="class count in fixed-k mode")
-    p.add_argument("--beta", type=float, help="Dirichlet smoothing in fixed-k mode")
-    p.add_argument("--eta-mu", dest="eta_mu", type=float)
-    p.add_argument("--eta-sigma", dest="eta_sigma", type=float)
-    p.add_argument("--decay", type=float)
-    p.add_argument("--var-floor", dest="var_floor", type=float)
-    p.add_argument(
-        "--prune",
-        dest="prune_epsilon",
-        type=float,
-        help="posterior-mass pruning threshold (0 disables)",
-    )
-    p.add_argument("--seed", type=int)
+    for flag, key, text in _RUN_FLAGS:
+        p.add_argument(flag, dest=key, type=_SPECS[key].parse, help=text)
     p.add_argument("--out", default="streamcpd_out", help="output directory")
     p.add_argument("--svg", action="store_true", help="also render trace.svg")
     p.set_defaults(func=_cmd_run)

@@ -83,7 +83,7 @@ The runtime needs only numpy and the standard library.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import accumulate
 from typing import NamedTuple
 
@@ -112,11 +112,11 @@ from .runlength import (
     HazardConfig,
     PrunePolicy,
     RunLengthState,
-    _is_integer,
     normalize_posterior,
     prune,
     recursion_step,
 )
+from .schema import check_fields, choice, flag, integer, nested, pair, real
 
 # Posterior entries below this are dropped from StepOutput (memory plumbing
 # only; keeps the stored slice summing to 1 within 1e-9 for runs well past
@@ -132,16 +132,12 @@ _ONE.setflags(False)
 class NigParams:
     """Normal-Inverse-Gamma parameters (used both as prior and posterior)."""
 
-    mu: float = 0.0
-    kappa: float = 1.0
-    a: float = 1.0
-    b: float = 1.0
+    mu: float = real("(-inf, inf)", 0.0)
+    kappa: float = real("(0, inf)", 1.0)
+    a: float = real("(0, 1e305)", 1.0)  # lgamma(a) overflows past 2.5e305
+    b: float = real("(0, inf)", 1.0)
 
-    def __post_init__(self):
-        if not math.isfinite(self.mu):
-            raise ConfigError(f"NIG mu must be finite, got {self.mu!r}")
-        if not all(0.0 < v < math.inf for v in (self.kappa, self.a, self.b)):
-            raise ConfigError("NIG kappa, a, b must all be positive and finite")
+    __post_init__ = check_fields
 
 
 # The run-length table stops growing at this many rows (2 MB). Past it a_r
@@ -201,43 +197,22 @@ def _fixed_k_offsets(k_fixed: int) -> list[float]:
 
 @dataclass(frozen=True)
 class DetectorConfig:
-    mode: str = "infinite"
-    alpha: float = 1.0
-    k_fixed: int = 10
-    dirichlet_beta: float = 1.0
-    hazard: HazardConfig = field(default_factory=HazardConfig)
-    candidate: CandidatePolicy = field(default_factory=CandidatePolicy)
-    eta_init: tuple[float, float] = (1.0, 0.02)
-    decay: float = 0.02
-    var_floor: float = 1e-6
-    log_var_update: bool = False
-    prune: PrunePolicy = field(default_factory=PrunePolicy)
-    cp_rule: ChangePointRule = field(default_factory=ChangePointRule)
-    baseline: NigParams = field(default_factory=NigParams)
-    seed: int = 0
+    mode: str = choice("infinite", "fixed-k", "baseline")
+    alpha: float = real("(0, inf)", 1.0)
+    k_fixed: int = integer("[1, inf)", 10)
+    dirichlet_beta: float = real("(0, inf)", 1.0)
+    hazard: HazardConfig = nested(HazardConfig)
+    candidate: CandidatePolicy = nested(CandidatePolicy)
+    eta_init: tuple[float, float] = pair("(0, inf)", (1.0, 0.02))
+    decay: float = real("(0, 1)", 0.02)
+    var_floor: float = real("[1e-150, inf)", 1e-6)  # 2 var^2, an M-step divisor, stays normal
+    log_var_update: bool = flag(False)
+    prune: PrunePolicy = nested(PrunePolicy)
+    cp_rule: ChangePointRule = nested(ChangePointRule)
+    baseline: NigParams = nested(NigParams)
+    seed: int = integer("[0, inf)", 0)
 
-    def __post_init__(self):
-        if self.mode not in _MODELS:
-            raise ConfigError(f"unknown mode {self.mode!r}")
-        if not (0.0 < self.alpha < math.inf):
-            raise ConfigError(f"alpha must be positive and finite, got {self.alpha!r}")
-        if not (_is_integer(self.k_fixed) and self.k_fixed >= 1):
-            raise ConfigError(f"k_fixed must be an integer >= 1, got {self.k_fixed!r}")
-        if not (0.0 < self.dirichlet_beta < math.inf):
-            raise ConfigError(
-                f"dirichlet beta must be positive and finite, got {self.dirichlet_beta!r}"
-            )
-        eta = self.eta_init
-        if not (isinstance(eta, tuple) and len(eta) == 2 and all(0.0 < e < math.inf for e in eta)):
-            raise ConfigError(f"eta_init must be a tuple of two positive finite rates, got {eta!r}")
-        if not isinstance(self.log_var_update, (bool, np.bool_)):
-            raise ConfigError(f"log_var_update must be a bool, got {self.log_var_update!r}")
-        if not (0.0 < self.decay < 1.0):
-            raise ConfigError(f"decay must lie in (0, 1), got {self.decay!r}")
-        if not (0.0 < self.var_floor < math.inf):
-            raise ConfigError(f"var_floor must be positive and finite, got {self.var_floor!r}")
-        if not (_is_integer(self.seed) and self.seed >= 0):
-            raise ConfigError(f"seed must be a non-negative integer, got {self.seed!r}")
+    __post_init__ = check_fields
 
 
 class SparsePosterior(NamedTuple):
@@ -384,6 +359,8 @@ class FixedKModel(_LatentModel):
 
     def __init__(self, cfg: DetectorConfig):
         kf, beta = cfg.k_fixed, cfg.dirichlet_beta
+        if not math.isfinite(kf * beta):  # the class prior would be 0
+            raise ConfigError(f"k_fixed * dirichlet_beta overflows: {kf} * {beta!r}")
         super().__init__(cfg, None, smoothing=beta, unseen=beta, c=kf * beta, n_classes=kf)
         self.log_reset = math.log(1.0 / kf)
 

@@ -34,7 +34,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, ContractViolation
+from .errors import ContractViolation
+from .schema import check_fields, real
 
 LOG_2PI = math.log(2.0 * math.pi)
 
@@ -103,16 +104,10 @@ class CandidatePolicy:
     """How a freshly spawned class is initialized: mean at the triggering
     observation (``mu0=None``) or at a fixed value, variance ``var_init``."""
 
-    mu0: float | None = None
-    var_init: float = 1.0
+    mu0: float | None = real("(-inf, inf)", None, "at-observation")
+    var_init: float = real("(0, inf)", 1.0)
 
-    def __post_init__(self):
-        if self.mu0 is not None and not math.isfinite(self.mu0):
-            raise ConfigError(f"candidate mu0 must be finite, got {self.mu0!r}")
-        if not (0.0 < self.var_init < math.inf):
-            raise ConfigError(
-                f"candidate var_init must be positive and finite, got {self.var_init!r}"
-            )
+    __post_init__ = check_fields
 
 
 def _log_prior(class_prior, n: int) -> np.ndarray:

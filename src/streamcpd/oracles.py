@@ -21,13 +21,13 @@ import math
 from collections import Counter
 from dataclasses import dataclass
 from itertools import combinations
-from numbers import Integral
 
 import numpy as np
 
-from .detector import NigParams
+from .detector import DetectorConfig, NigParams
 from .emission import LOG_2PI, EmissionParams
-from .errors import ConfigError, ContractViolation
+from .errors import ContractViolation
+from .schema import check_fields, field_spec, integer, real
 
 _MAX_ENUM_T = 12
 
@@ -36,20 +36,12 @@ _MAX_ENUM_T = 12
 class SegmentSpec:
     """One stationary stretch: Gaussian with the given mean and variance."""
 
-    length: int
-    mu: float
-    var: float
-    class_id: int = 1
+    length: int = integer("[1, inf)")
+    mu: float = real("(-inf, inf)")
+    var: float = real("(0, inf)")
+    class_id: int = integer("[1, inf)", 1)
 
-    def __post_init__(self):
-        if not (isinstance(self.length, Integral) and self.length >= 1):
-            raise ConfigError(f"segment length must be an integer >= 1, got {self.length!r}")
-        if not math.isfinite(self.mu):
-            raise ConfigError(f"segment mean must be finite, got {self.mu!r}")
-        if not (0.0 < self.var < math.inf):
-            raise ConfigError(f"segment variance must be positive and finite, got {self.var!r}")
-        if not (isinstance(self.class_id, Integral) and self.class_id >= 1):
-            raise ConfigError(f"segment class id must be an integer >= 1, got {self.class_id!r}")
+    __post_init__ = check_fields
 
 
 def gen_piecewise_gaussian(segments, rng):
@@ -176,8 +168,7 @@ def sequence_probability(labels, alpha: float) -> float:
     on the sizes of the induced blocks.
     """
     labels = list(labels)
-    if not (isinstance(alpha, (int, float)) and alpha > 0):
-        raise ConfigError(f"alpha must be positive, got {alpha!r}")
+    field_spec(DetectorConfig, "alpha").check("alpha", alpha)
     seen = 0
     counts: dict[int, int] = {}
     prob = 1.0

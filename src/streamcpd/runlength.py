@@ -52,11 +52,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
-from numbers import Integral, Real
 
 import numpy as np
 
 from .errors import ConfigError, ContractViolation, DegenerateStateError
+from .schema import check_fields, choice, integer, real
 
 # Smallest normal float: a kept posterior mass below it has lost precision.
 _TINY = float(np.finfo(float).tiny)
@@ -67,12 +67,6 @@ _LOG_TINY = math.log(_TINY)
 # The shared table of dense run lengths (see the module docstring).
 _DENSE = np.arange(64, dtype=np.int64)
 _DENSE.setflags(False)
-
-
-def _is_integer(value) -> bool:
-    """Whether a config value is an integer: a Python or numpy integer, but
-    not a bool, which is an ``Integral`` that would read as 0 or 1."""
-    return isinstance(value, Integral) and not isinstance(value, bool)
 
 
 def _dense_run_lengths(n: int) -> np.ndarray:
@@ -133,14 +127,9 @@ class HazardConfig:
     at h = 1) are computed on first use and cached on the config, so a
     trellis step reads them instead of taking two logs."""
 
-    lam: float = 1e6
+    lam: float = real("[1, inf)", 1e6)
 
-    def __post_init__(self):
-        lam = self.lam
-        if not (isinstance(lam, Real) and not isinstance(lam, bool) and math.isfinite(lam)):
-            raise ConfigError(f"hazard lam must be a finite number, got {lam!r}")
-        if lam < 1.0:
-            raise ConfigError(f"hazard lam must be >= 1 so that 0 < 1/lam <= 1, got {lam!r}")
+    __post_init__ = check_fields
 
     @property
     def hazard(self) -> float:
@@ -318,21 +307,17 @@ class PrunePolicy:
     2.2e-308 drops those entries too, and top-m, choosing among them, keeps
     the lower indices (its sort is stable)."""
 
-    kind: str = "none"
-    epsilon: float = 0.0
-    max_live: int = 0
+    kind: str = choice("none", "threshold", "top-m")
+    epsilon: float = real("[0, 1)", 0.0)
+    max_live: int = integer("[0, inf)", 0)
 
     def __post_init__(self):
-        if self.kind not in ("none", "threshold", "top-m"):
-            raise ConfigError(f"unknown prune kind {self.kind!r}")
-        if self.kind == "threshold" and not (0.0 < self.epsilon < 1.0):
-            raise ConfigError(f"prune epsilon must lie in (0, 1), got {self.epsilon!r}")
-        if not _is_integer(self.max_live):
-            raise ConfigError(f"prune max_live must be an integer, got {self.max_live!r}")
-        if self.kind == "top-m" and self.max_live < 1:
+        check_fields(self)
+        kind = self.kind
+        if kind == "top-m" and self.max_live < 1:
             raise ContractViolation("top-m pruning must keep at least one hypothesis")
-        if (self.kind != "threshold" and self.epsilon) or (self.kind != "top-m" and self.max_live):
-            raise ConfigError(f"{self.kind!r} pruning leaves the fields it does not use at 0")
+        if (self.epsilon > 0) != (kind == "threshold") or (self.max_live and kind != "top-m"):
+            raise ConfigError(f"{kind!r} pruning sets the fields it uses and no other: {self}")
 
     @classmethod
     def none(cls) -> "PrunePolicy":
@@ -428,20 +413,12 @@ class ChangePointRule:
     ``mass_threshold``.
     """
 
-    mode: str = "map-drop"
-    drop_fraction: float = 0.5
-    mass_window: int = 0
-    mass_threshold: float = 0.5
+    mode: str = choice("map-drop", "mass-near-zero")
+    drop_fraction: float = real("(0, 1]", 0.5)
+    mass_window: int = integer("[0, inf)", 0)
+    mass_threshold: float = real("(0, 1)", 0.5)
 
-    def __post_init__(self):
-        if self.mode not in ("map-drop", "mass-near-zero"):
-            raise ConfigError(f"unknown change-point rule {self.mode!r}")
-        if not (0.0 < self.drop_fraction <= 1.0):
-            raise ConfigError(f"drop_fraction must lie in (0, 1], got {self.drop_fraction!r}")
-        if not (_is_integer(self.mass_window) and self.mass_window >= 0):
-            raise ConfigError(f"mass_window must be an integer >= 0, got {self.mass_window!r}")
-        if not (0.0 < self.mass_threshold < 1.0):
-            raise ConfigError(f"mass_threshold must lie in (0, 1), got {self.mass_threshold!r}")
+    __post_init__ = check_fields
 
     def fires(self, prev_r_star: int | None, r_star: int, run_lengths, posterior) -> bool:
         """Whether the rule declares a change at a step whose MAP run length

@@ -264,7 +264,7 @@ def test_config_items_are_pinned(tmp_path, cfg, items):
     assert parse_config(config_file=f)[0] == cfg
 
 
-_FLOAT_KEYS = [k for k, key in cli._KEYS.items() if key.parse in (float, cli._parse_candidate_mu)]
+_FLOAT_KEYS = [k for k, spec in cli._SPECS.items() if spec.domain.startswith("a real number")]
 
 
 @pytest.mark.parametrize("value", ["inf", "-inf", "nan"])
@@ -702,6 +702,37 @@ def test_cli_directory_in_the_way_renames_nothing(tmp_path, capsys):
     assert {p.name: p.read_bytes() for p in out.iterdir() if p.is_file()} == before
     assert (out / "manifest" / "note").read_text() == "kept\n"
     assert not list(tmp_path.rglob("*.part"))
+
+
+def test_cli_svg_in_the_way_renames_nothing(tmp_path, capsys):
+    # trace.svg joins the group of the trace files and the manifest, so a
+    # directory in its way fails the run before any of them is renamed.
+    series = tmp_path / "s.csv"
+    write_series_csv(np.sin(np.arange(30) / 3.0), series)
+    out = tmp_path / "o"
+    assert main(["run", "--input", str(series), "--out", str(out)]) == 0
+    (out / "trace.svg").mkdir()
+    before = {p.name: p.read_bytes() for p in out.iterdir() if p.is_file()}
+    assert len(before) == 5
+
+    write_series_csv(np.cos(np.arange(40) / 3.0), series)
+    assert main(["run", "--input", str(series), "--svg", "--out", str(out)]) == 1
+    assert f"cannot write {out / 'trace.svg'}: " in capsys.readouterr().err
+    assert {p.name: p.read_bytes() for p in out.iterdir() if p.is_file()} == before
+    assert not list(tmp_path.rglob("*.part"))
+
+
+@pytest.mark.parametrize("line", ["alpha=-1", "mode=nope", "lambda=0.5", "prune_top_m=-1"])
+def test_cli_config_file_refusal_names_its_line(tmp_path, capsys, line):
+    # A value that parses but lies outside its key's domain named no line.
+    series = tmp_path / "s.csv"
+    write_series_csv([0.0, 1.0], series)
+    f = tmp_path / "cfg"
+    f.write_text(f"input={series}\n{line}\n")
+    assert main(["run", "--config", str(f), "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert f"{f}:2: bad value for {line.partition('=')[0]}: " in err
+    assert not (tmp_path / "o").exists()
 
 
 def test_cli_interrupt_leaves_no_part_file(tmp_path, monkeypatch):

@@ -1,0 +1,202 @@
+"""The config classes' field specs: every field refuses a value outside its
+spec with ``ConfigError``, whatever its type, and the manifest form of every
+valid config reads back as the same config."""
+
+import dataclasses
+import re
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from streamcpd import (
+    CandidatePolicy,
+    ChangePointRule,
+    ConfigError,
+    ContractViolation,
+    Detector,
+    DetectorConfig,
+    HazardConfig,
+    InputError,
+    NigParams,
+    PrunePolicy,
+    SegmentSpec,
+)
+from streamcpd.cli import config_to_items, parse_config
+from streamcpd.schema import field_spec
+
+CONFIG_CLASSES = [
+    DetectorConfig,
+    NigParams,
+    CandidatePolicy,
+    HazardConfig,
+    PrunePolicy,
+    ChangePointRule,
+    SegmentSpec,
+]
+
+
+def _specs(cls):
+    return {f.name: field_spec(cls, f.name) for f in dataclasses.fields(cls)}
+
+
+_INTERVAL = re.compile(r" in ([\[(])(\S+), (\S+)([\])])")
+
+
+def _interval(spec):
+    """Numbers in the interval a numeric spec declares; integers from its
+    lower bound up, a few dozen at most, so a drawn class count stays small."""
+    lo_bracket, lo, hi, hi_bracket = _INTERVAL.search(spec.domain).groups()
+    lo, hi = float(lo), float(hi)
+    if spec.domain.startswith("an integer"):
+        start = int(lo) + (lo_bracket == "(")
+        return st.integers(start, start + 30)
+    bounds = {}
+    if lo > -np.inf:
+        bounds.update(min_value=lo, exclude_min=lo_bracket == "(")
+    if hi < np.inf:
+        bounds.update(max_value=hi, exclude_max=hi_bracket == ")")
+    return st.floats(allow_nan=False, allow_infinity=False, **bounds)
+
+
+def _valid(spec):
+    """Values in a spec's domain, of the types the manifest reads back."""
+    if spec.domain == "a bool":
+        return st.booleans()
+    if spec.domain.startswith("one of "):  # a choice
+        return st.sampled_from(spec.domain[len("one of "):].split(", "))
+    if isinstance(spec.item, type):  # a nested config
+        return valid_configs(spec.item)
+    if spec.item is not None:  # a pair
+        return st.tuples(_valid(spec.item), _valid(spec.item))
+    values = _interval(spec)
+    return st.none() | values if spec.domain.endswith("or None") else values
+
+
+@st.composite
+def valid_configs(draw, cls):
+    """A config of ``cls`` from its fields' domains; a prune policy sets
+    the fields of its kind only, as its cross-field rule asks."""
+    if cls is PrunePolicy:
+        kind = draw(st.sampled_from(["none", "threshold", "top-m"]))
+        if kind == "threshold":
+            return PrunePolicy.threshold(draw(st.floats(0, 1, exclude_min=True, exclude_max=True)))
+        return PrunePolicy.top_m(draw(st.integers(1, 30))) if kind == "top-m" else PrunePolicy()
+    return cls(**{name: draw(_valid(spec)) for name, spec in _specs(cls).items()})
+
+
+# Values of every type a caller might pass by mistake, or a numpy scalar in
+# place of a Python number.
+_MIXED = st.one_of(
+    st.text(max_size=6),
+    st.none(),
+    st.booleans(),
+    st.floats(),
+    st.sampled_from([np.nan, np.inf, -np.inf, 0, 1, -1, 0.0, 1.0, 2**64, 10**400]),
+    st.integers(-3, 30),
+    st.builds(np.float32, st.floats(width=32)),
+    st.builds(np.int64, st.integers(-3, 30)),
+    st.builds(np.bool_, st.booleans()),
+    st.tuples(st.floats(), st.floats()),
+    st.tuples(st.floats(0.1, 2), st.text(max_size=2)),
+    st.lists(st.floats(0.1, 2), max_size=2),
+    st.lists(st.sampled_from(["infinite", "none", "map-drop"]), max_size=1),
+    st.just({}),
+    st.sampled_from([cls() for cls in CONFIG_CLASSES if cls is not SegmentSpec]),
+)
+
+
+@pytest.mark.parametrize("cls", CONFIG_CLASSES, ids=lambda cls: cls.__name__)
+@settings(max_examples=300)
+@given(data=st.data())
+def test_any_field_value_is_valid_or_a_config_error(cls, data):
+    specs = _specs(cls)
+    mixed = data.draw(st.sets(st.sampled_from(sorted(specs)), max_size=2), label="mixed")
+    kwargs = {}
+    for name, spec in specs.items():
+        if name in mixed:
+            kwargs[name] = data.draw(_MIXED, label=name)
+        elif name == "mode" or cls is SegmentSpec or data.draw(st.booleans()):
+            kwargs[name] = data.draw(_valid(spec), label=name)
+    try:
+        cfg = cls(**kwargs)
+    except ConfigError:
+        return
+    except ContractViolation:
+        # The one pinned exception: top-m pruning that keeps nothing.
+        assert cls is PrunePolicy and kwargs.get("kind") == "top-m"
+        assert kwargs.get("max_live", 0) == 0
+        return
+    for name, value in kwargs.items():
+        assert getattr(cfg, name) is value  # stored as given
+    if cls is DetectorConfig:
+        xs = data.draw(st.lists(st.floats(-10, 10), min_size=3, max_size=3), label="xs")
+        # The property is about exceptions. A float32 value next to a float64
+        # one beyond float32's range makes numpy warn in the cast (say in
+        # max(var_floor, var_init)), which this suite's filter would raise.
+        with np.errstate(over="ignore"):
+            _build_and_step(cfg, xs)
+
+
+def _build_and_step(cfg, xs):
+    try:
+        det = Detector(cfg)
+    except ConfigError:  # a baseline or fixed-k prior that overflows
+        assert cfg.mode in ("baseline", "fixed-k")
+        return
+    for x in xs:
+        try:
+            det.step(x)
+        except InputError as exc:
+            # Rates, variances or a prior near either end of the floats
+            # overflow the model's arithmetic on ordinary observations: the
+            # step is refused, with the detector's own error.
+            assert "overflows the" in str(exc)
+            return
+
+
+@pytest.mark.parametrize(
+    "kwargs",
+    [
+        {"alpha": "1"},
+        {"alpha": True},
+        {"decay": "0.1"},
+        {"var_floor": None},
+        {"eta_init": (1.0, "x")},
+        {"mode": ["infinite"]},
+        {"hazard": 5},
+        {"mode": "baseline", "baseline": {}},
+        {"candidate": NigParams()},
+    ],
+    ids=repr,
+)
+def test_mixed_type_detector_config_is_config_error(kwargs):
+    # Each raised a raw TypeError or AttributeError, at construction, at
+    # Detector(...) or at the first step, or was accepted.
+    with pytest.raises(ConfigError):
+        Detector(DetectorConfig(**kwargs)).step(0.0)
+
+
+@pytest.mark.parametrize("kwargs", [{"length": True}, {"mu": None}, {"var": "1"}], ids=repr)
+def test_mixed_type_segment_is_config_error(kwargs):
+    with pytest.raises(ConfigError):
+        SegmentSpec(**({"length": 5, "mu": 0.0, "var": 1.0} | kwargs))
+
+
+def test_refusal_names_the_class_and_field():
+    with pytest.raises(ConfigError, match=r"HazardConfig\.lam must be a real number in \[1, inf\)"):
+        HazardConfig("100")
+
+
+@pytest.fixture(scope="module")
+def config_file(tmp_path_factory):
+    return tmp_path_factory.mktemp("cfg") / "manifest"
+
+
+@settings(max_examples=200)
+@given(cfg=valid_configs(DetectorConfig))
+def test_manifest_items_read_back_as_the_same_config(config_file, cfg):
+    # Every key's spec formats its value and parses it back unchanged.
+    config_file.write_text("".join(f"{k}={v}\n" for k, v in config_to_items(cfg)))
+    assert parse_config(config_file=config_file)[0] == cfg
