@@ -11,7 +11,7 @@ import contextlib
 import csv
 import dataclasses
 import errno
-import itertools
+import functools
 import math
 import os
 import sys
@@ -112,11 +112,12 @@ class _Outputs:
         self._files.append(f)
         return f
 
-    def write(self, name, lines) -> None:
-        """A file of one line per item, written as the items arrive."""
+    def write(self, name, blocks) -> _PartFile:
+        """A file of the text ``blocks``, written as they arrive."""
         f = self.open(name)
-        for line in lines:
-            f.write(line + "\n")
+        for block in blocks:
+            f.write(block)
+        return f
 
     def commit(self) -> list[Path]:
         """Rename every file into place, in the order they were opened.
@@ -134,11 +135,22 @@ class _Outputs:
         return paths
 
 
-def _write_lines(path, lines) -> Path:
-    """Write one output file, a line per item."""
+def _write(path, blocks) -> Path:
+    """Write one output file of the text ``blocks``."""
     with _Outputs() as out:
-        out.write(path, lines)
+        out.write(path, blocks)
         return out.commit()[0]
+
+
+def _rows(fmt: str, *columns) -> str:
+    """One ``fmt`` row per index of the equal-length ``columns``, filled in
+    by a single ``%`` over the interleaved values. Columns of Python numbers
+    (``tolist()``) format faster than numpy scalars, to the same text."""
+    width = len(columns)
+    values = [None] * (width * len(columns[0]))
+    for i, column in enumerate(columns):
+        values[i::width] = column
+    return (fmt * len(columns[0])) % tuple(values)
 
 
 # ---------------------------------------------------------------------------
@@ -276,17 +288,17 @@ class RunManifest:
     config: DetectorConfig
     tool_version: str = __version__
 
-    def lines(self) -> list[str]:
+    def text(self) -> str:
         head = [
             ("input", self.input),
             ("output_dir", self.output_dir),
             ("tool_version", self.tool_version),
             ("duration_seconds", _fmt(self.duration_seconds)),
         ]
-        return [f"{k}={v}" for k, v in head + config_to_items(self.config)]
+        return _rows("%s=%s\n", *zip(*head, *config_to_items(self.config)))
 
     def write(self, path) -> Path:
-        return _write_lines(path, self.lines())
+        return _write(path, [self.text()])
 
 
 # ---------------------------------------------------------------------------
@@ -335,20 +347,15 @@ def ingest_csv(path) -> np.ndarray:
     return np.array(values)
 
 
-def _series_lines(series):
-    yield "x"
-    for v in np.asarray(series, dtype=float).tolist():
-        yield _fmt(v)
+def _column_blocks(header: str, fmt: str, values: list):
+    """A one-column CSV file's text: its header, then blocks of rows."""
+    yield header
+    for i in range(0, len(values), _BLOCK_ENTRIES):
+        yield _rows(fmt, values[i:i + _BLOCK_ENTRIES])
 
 
 def write_series_csv(series, path) -> Path:
-    return _write_lines(path, _series_lines(series))
-
-
-def _changepoint_lines(change_points):
-    yield "t"
-    for t in change_points:
-        yield str(t)
+    return _write(path, _column_blocks("x\n", "%.17g\n", np.asarray(series, dtype=float).tolist()))
 
 
 # The trace writer formats its rows a block of steps at a time: formatting
@@ -368,12 +375,9 @@ class _TraceWriter:
     count."""
 
     def __init__(self, out: _Outputs, n: int):
-        self._assignments = out.open("assignments.csv")
-        self._assignments.write("t,x,z_star,k_t\n")
-        self._runlength_map = out.open("runlength_map.csv")
-        self._runlength_map.write("t,r_star,cp_flag\n")
-        self._posterior = out.open("posterior.csv")
-        self._posterior.write("t,r,mass\n")
+        self._assignments = out.write("assignments.csv", ["t,x,z_star,k_t\n"])
+        self._runlength_map = out.write("runlength_map.csv", ["t,r_star,cp_flag\n"])
+        self._posterior = out.write("posterior.csv", ["t,r,mass\n"])
         self._block: list[tuple] = []
         self._block_entries = 0
         self.z_star = np.zeros(n, dtype=np.int64)
@@ -397,23 +401,18 @@ class _TraceWriter:
 
     def flush(self) -> None:
         """Write the rows of the steps held since the last flush."""
-        # "%.17g" is _fmt's format. Formatting the Python numbers of tolist()
-        # takes about a quarter less time than formatting numpy scalars.
-        block = self._block
-        self._assignments.write("".join([
-            "%d,%.17g,%d,%d\n" % (t, x, z_star, k_t) for t, x, z_star, k_t, *_ in block
-        ]))
-        self._runlength_map.write("".join([
-            f"{t},{r_star},{1 if cp_flag else 0}\n"
-            for t, _, _, _, r_star, cp_flag, _, _ in block
-        ]))
-        self._posterior.write("".join([
-            "%d,%d,%.17g\n" % (t, r, mass)
-            for t, *_, runs, probs in block
-            for r, mass in zip(runs.tolist(), probs.tolist())
-            if mass >= POSTERIOR_FILE_FLOOR
-        ]))
-        block.clear()
+        if not self._block:
+            return
+        t, x, z_star, k_t, r_star, cp_flag, runs, probs = zip(*self._block)
+        self._assignments.write(_rows("%d,%.17g,%d,%d\n", t, x, z_star, k_t))
+        self._runlength_map.write(_rows("%d,%d,%d\n", t, r_star, cp_flag))
+        t = np.repeat(t, [p.size for p in probs])
+        runs, probs = np.concatenate(runs), np.concatenate(probs)
+        shown = probs >= POSTERIOR_FILE_FLOOR
+        self._posterior.write(
+            _rows("%d,%d,%.17g\n", t[shown].tolist(), runs[shown].tolist(), probs[shown].tolist())
+        )
+        self._block.clear()
         self._block_entries = 0
 
 
@@ -424,9 +423,9 @@ def emit_traces(result: RunResult, outdir, manifest: RunManifest | None = None) 
         for s, x in zip(result.steps, result.series.tolist()):
             trace.step(s, x)
         trace.flush()
-        out.write("changepoints.csv", _changepoint_lines(result.change_points))
+        out.write("changepoints.csv", _column_blocks("t\n", "%d\n", result.change_points))
         if manifest is not None:
-            out.write("manifest", manifest.lines())
+            out.write("manifest", [manifest.text()])
         return out.commit()
 
 
@@ -450,6 +449,11 @@ def _ticks(lo, hi, n=5):
     return [lo + i * (hi - lo) / (n - 1) for i in range(n)]
 
 
+# The SVG is written this many steps' elements at a time, so the text held
+# stays bounded on a long run.
+_SVG_STEPS = 1024
+
+
 def render_svg(series, z_star, r_star, change_points, outdir) -> Path:
     """Two-panel SVG of a run: the signal colored by each step's class
     ``z_star`` on top, the MAP run length ``r_star`` with markers at the
@@ -461,28 +465,16 @@ def render_svg(series, z_star, r_star, change_points, outdir) -> Path:
         raise ContractViolation("cannot render an empty trace")
     if not len(xs) == len(z_star) == len(r_star):
         raise ContractViolation("series, z_star and r_star differ in length")
-    pieces = _svg_text(xs, z_star, r_star, change_points)
     own = not isinstance(outdir, _Outputs)
     with _Outputs(outdir) if own else contextlib.nullcontext(outdir) as out:
-        f = out.open("trace.svg")
-        # Written 1024 pieces a call: a call per polyline point would make
-        # three calls a step through _PartFile.write and the text layer.
-        while chunk := list(itertools.islice(pieces, 1024)):
-            f.write("".join(chunk))
+        f = out.write("trace.svg", _svg_text(xs, z_star, r_star, change_points))
         return out.commit()[0] if own else f.path
 
 
-def _polyline(points, stroke: str, width: str):
-    yield '<polyline points="'
-    sep = ""
-    for x, y in points:
-        yield f"{sep}{x:.2f},{y:.2f}"
-        sep = " "
-    yield f'" fill="none" stroke="{stroke}" stroke-width="{width}"/>\n'
-
-
 def _svg_text(xs, z_star, r_star, change_points):
-    """The SVG markup in pieces, an element (or a polyline point) each."""
+    """The SVG markup in blocks, each of at most ``_SVG_STEPS`` steps'
+    elements. Coordinates are scaled as arrays, elementwise, which gives
+    the doubles the same arithmetic gives one value at a time."""
     T = len(xs)
     W, H = 960.0, 680.0
     L, R = 62.0, 944.0
@@ -494,65 +486,72 @@ def _svg_text(xs, z_star, r_star, change_points):
     y1_lo, y1_hi = y1_lo - pad, y1_hi + pad
     y2_lo, y2_hi = 0.0, float(r_star.max()) * 1.05 + 1.0
 
-    def px(t):
-        return _scale(t, x_lo, x_hi, L, R)
+    px = functools.partial(_scale, lo=x_lo, hi=x_hi, out_lo=L, out_hi=R)
+    py1 = functools.partial(_scale, lo=y1_lo, hi=y1_hi, out_lo=panels[0][1], out_hi=panels[0][0])
+    py2 = functools.partial(_scale, lo=y2_lo, hi=y2_hi, out_lo=panels[1][1], out_hi=panels[1][0])
 
-    def py1(v):
-        return _scale(v, y1_lo, y1_hi, panels[0][1], panels[0][0])
+    def columns(ys, py):
+        """Each block's first step index and its x and y pixel columns."""
+        for i in range(0, T, _SVG_STEPS):
+            y = ys[i:i + _SVG_STEPS]
+            yield i, px(np.arange(i + 1.0, i + 1.0 + y.size)).tolist(), py(y).tolist()
 
-    def py2(v):
-        return _scale(v, y2_lo, y2_hi, panels[1][1], panels[1][0])
+    def polyline(ys, py, stroke: str, width: str):
+        # Points are separated by a space, so the first block drops its first.
+        points = (_rows(" %.2f,%.2f", x, y) for _, x, y in columns(ys, py))
+        yield '<polyline points="' + next(points)[1:]
+        yield from points
+        yield f'" fill="none" stroke="{stroke}" stroke-width="{width}"/>\n'
 
     yield (
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{W:.0f}" height="{H:.0f}" '
         f'viewBox="0 0 {W:.0f} {H:.0f}">\n'
+        f'<rect x="0" y="0" width="{W:.0f}" height="{H:.0f}" fill="white"/>\n'
     )
-    yield f'<rect x="0" y="0" width="{W:.0f}" height="{H:.0f}" fill="white"/>\n'
 
-    for (top, bot), (lo, hi, py, fmt) in zip(
-        panels,
-        ((y1_lo, y1_hi, py1, "%.4g"), (y2_lo, y2_hi, py2, "%.4g")),
-    ):
+    for (top, bot), (lo, hi, py) in zip(panels, ((y1_lo, y1_hi, py1), (y2_lo, y2_hi, py2))):
         yield (
             f'<rect x="{L:.2f}" y="{top:.2f}" width="{R - L:.2f}" height="{bot - top:.2f}" '
             'fill="none" stroke="#222" stroke-width="1"/>\n'
         )
-        for tv in _ticks(lo, hi, 4):
-            y = py(tv)
-            yield f'<line x1="{L - 4:.2f}" y1="{y:.2f}" x2="{L:.2f}" y2="{y:.2f}" stroke="#222"/>\n'
-            yield (
-                f'<text x="{L - 7:.2f}" y="{y + 4:.2f}" font-size="11" text-anchor="end" '
-                f'font-family="monospace">{fmt % tv}</text>\n'
-            )
-        for tv in _ticks(x_lo, float(T), 5):
-            x = px(tv)
-            yield (
-                f'<line x1="{x:.2f}" y1="{bot:.2f}" x2="{x:.2f}" y2="{bot + 4:.2f}" '
-                'stroke="#222"/>\n'
-            )
-            yield (
-                f'<text x="{x:.2f}" y="{bot + 16:.2f}" font-size="11" text-anchor="middle" '
-                f'font-family="monospace">{tv:.0f}</text>\n'
-            )
-    for y, title in ((18, "signal, colored by class"), (366, "MAP run length")):
-        yield (
-            f'<text x="{L:.2f}" y="{y}" font-size="12" font-family="monospace">{title}</text>\n'
+        ticks = _ticks(lo, hi, 4)
+        y = py(np.array(ticks))
+        yield _rows(
+            f'<line x1="{L - 4:.2f}" y1="%.2f" x2="{L:.2f}" y2="%.2f" stroke="#222"/>\n'
+            f'<text x="{L - 7:.2f}" y="%.2f" font-size="11" text-anchor="end" '
+            'font-family="monospace">%.4g</text>\n',
+            y.tolist(), y.tolist(), (y + 4).tolist(), ticks,
         )
+        ticks = _ticks(x_lo, float(T), 5)
+        x = px(np.array(ticks)).tolist()
+        yield _rows(
+            f'<line x1="%.2f" y1="{bot:.2f}" x2="%.2f" y2="{bot + 4:.2f}" stroke="#222"/>\n'
+            f'<text x="%.2f" y="{bot + 16:.2f}" font-size="11" text-anchor="middle" '
+            'font-family="monospace">%.0f</text>\n',
+            x, x, x, ticks,
+        )
+    yield _rows(
+        f'<text x="{L:.2f}" y="%d" font-size="12" font-family="monospace">%s</text>\n',
+        (18, 366), ("signal, colored by class", "MAP run length"),
+    )
 
-    signal = ((px(t), py1(v)) for t, v in enumerate(map(float, xs), 1))
-    yield from _polyline(signal, "#bbb", "1")
-    for t, (k, v) in enumerate(zip(map(int, z_star), map(float, xs)), 1):
-        yield f'<circle cx="{px(t):.2f}" cy="{py1(v):.2f}" r="2" fill="{_class_color(k)}"/>\n'
+    yield from polyline(xs, py1, "#bbb", "1")
+    colors: dict[int, str] = {}
+    for i, x, y in columns(xs, py1):
+        k = z_star[i:i + _SVG_STEPS].tolist()
+        colors.update((c, _class_color(c)) for c in set(k).difference(colors))
+        yield _rows('<circle cx="%.2f" cy="%.2f" r="2" fill="%s"/>\n', x, y, [*map(colors.get, k)])
 
-    run_lengths = ((px(t), py2(r)) for t, r in enumerate(map(int, r_star), 1))
-    yield from _polyline(run_lengths, "#336", "1.2")
-    for t in change_points:
-        x = px(t)
-        for top, bot in panels:
-            yield (
-                f'<line x1="{x:.2f}" y1="{top:.2f}" x2="{x:.2f}" y2="{bot:.2f}" '
-                'stroke="#c22" stroke-width="1" stroke-dasharray="4,3"/>\n'
-            )
+    yield from polyline(r_star, py2, "#336", "1.2")
+    marker = "".join(
+        f'<line x1="%.2f" y1="{top:.2f}" x2="%.2f" y2="{bot:.2f}" '
+        'stroke="#c22" stroke-width="1" stroke-dasharray="4,3"/>\n'
+        for top, bot in panels
+    )
+    change_points = np.fromiter(change_points, float)
+    for i in range(0, change_points.size, _SVG_STEPS):
+        x = px(change_points[i:i + _SVG_STEPS]).tolist()
+        yield _rows(marker, x, x, x, x)
     yield "</svg>\n"
 
 
@@ -579,14 +578,14 @@ def _cmd_run(args) -> int:
             trace.step(det.step(x), x)
         trace.flush()
         duration = time.perf_counter() - start
-        out.write("changepoints.csv", _changepoint_lines(trace.change_points))
+        out.write("changepoints.csv", _column_blocks("t\n", "%d\n", trace.change_points))
         manifest = RunManifest(
             input=str(input_path),
             output_dir=str(outdir),
             duration_seconds=duration,
             config=cfg,
         )
-        out.write("manifest", manifest.lines())
+        out.write("manifest", [manifest.text()])
         if args.svg:
             render_svg(series, trace.z_star, trace.r_star, trace.change_points, out)
         out.commit()
@@ -620,9 +619,9 @@ def _cmd_synth(args) -> int:
     segments = parse_segments(args.segments)
     series, cps, _ = gen_piecewise_gaussian(segments, np.random.default_rng(args.seed))
     with _Outputs() as out:
-        out.write(args.out, _series_lines(series))
+        out.write(args.out, _column_blocks("x\n", "%.17g\n", series.tolist()))
         if args.truth:
-            out.write(args.truth, _changepoint_lines(cps))
+            out.write(args.truth, _column_blocks("t\n", "%d\n", cps))
         out.commit()
     print(f"samples={len(series)}")
     print(f"changepoints={','.join(str(c) for c in cps) if cps else ''}")

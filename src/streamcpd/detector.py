@@ -58,13 +58,13 @@ tables:
   an ulp for any kappa_r (``1 - (1/kappa_{r+1})^2`` would cancel to 0 for
   kappa0 below 1e-16) and neither can overflow. ``D_r = lgamma(a_r + 1/2)
   - lgamma(a_r)`` follows the exact recurrence ``D(a + 1/2) = log(a) -
-  D(a)`` from a ``math.lgamma`` seed, which is also more accurate than the
-  difference of two large log gammas. The table is rebuilt at twice its
-  size when a live run length outgrows it, up to ``_TABLE_CAP`` rows; the
-  rows of the few hypotheses older than that are computed at each step
-  from kappa0 + r, a0 + r/2 and the asymptotic series of D(a), so the
-  model's memory stays bounded by the live hypotheses on an unbounded
-  stream. A step reads the table with one gather at the live run lengths,
+  D(a)`` from a ``math.lgamma`` seed (the asymptotic series of D(a) from a0
+  = 256 up), which is also more accurate than the difference of two large
+  log gammas. The table is rebuilt at twice its size when a live run
+  length outgrows it, up to ``_TABLE_CAP`` rows; the rows of the few
+  hypotheses older than that are computed at each step from kappa0 + r,
+  a0 + r/2 and the asymptotic series of D(a), so the model's memory stays
+  bounded by the live hypotheses on an unbounded stream. A step reads the table with one gather at the live run lengths,
   or as its first n columns when they are dense.
 
 One pass over the columns computes ``d = x - mu`` and ``d^2`` once and uses
@@ -116,7 +116,7 @@ from .runlength import (
     prune,
     recursion_step,
 )
-from .schema import check_fields, choice, flag, integer, nested, pair, real
+from .schema import check_fields, choice, flag, integer, nested, pair, plain, real
 
 # Posterior entries below this are dropped from StepOutput (memory plumbing
 # only; keeps the stored slice summing to 1 within 1e-9 for runs well past
@@ -141,9 +141,24 @@ class NigParams:
 
 
 # The run-length table stops growing at this many rows (2 MB). Past it a_r
-# >= 2^15, where the series of D(a) in _run_length_rows_past_cap is off by
-# less than 1e-25.
+# >= 2^15, where the series of D(a) (_lgamma_half_diff) is off by less than
+# 1e-25.
 _TABLE_CAP = 1 << 16
+
+# From this a0 up, the table's D_0 is the series of D(a), not a difference
+# of two log gammas. Both are within 1e-12 of D(a) from a = 70 to about
+# 1200: the series' next term is about 1/(640 a^5), 1.4e-15 here, and the
+# difference loses about 1.1e-16 a log(a) to cancellation, 1.6e-13 here
+# (0.03 at a0 = 1e13, and all of D from 1e16 up).
+_D_SERIES_FROM = 256.0
+
+
+def _lgamma_half_diff(a):
+    """D(a) = lgamma(a + 1/2) - lgamma(a) of a large ``a`` (a number or an
+    array), by the series log(a)/2 - 1/(8a) + 1/(192 a^3) + O(a^-5)."""
+    with np.errstate(over="ignore"):  # a^2 overflows past 1.3e154; its term is 0 there
+        series = (1.0 / 192.0) / np.square(a) - 0.125
+    return 0.5 * np.log(a) + series / a
 
 
 def _run_length_rows(kappa: np.ndarray, a: np.ndarray, d: np.ndarray) -> np.ndarray:
@@ -167,7 +182,10 @@ def _run_length_table(p: NigParams, n: int) -> np.ndarray:
     conjugate fold does."""
     kappa = np.add.accumulate(np.r_[p.kappa, np.ones(n - 1)])
     a = np.add.accumulate(np.r_[p.a, np.full(n - 1, 0.5)])
-    d0 = math.lgamma(p.a + 0.5) - math.lgamma(p.a)
+    if p.a < _D_SERIES_FROM:
+        d0 = math.lgamma(p.a + 0.5) - math.lgamma(p.a)
+    else:
+        d0 = float(_lgamma_half_diff(a[0]))
     # D_{r+1} = log(a_r) - D_r.
     d = accumulate(np.log(a[:-1]).tolist(), lambda d_r, log_a: log_a - d_r, initial=d0)
     return _run_length_rows(kappa, a, np.fromiter(d, float, n))
@@ -175,12 +193,10 @@ def _run_length_table(p: NigParams, n: int) -> np.ndarray:
 
 def _run_length_rows_past_cap(p: NigParams, r: np.ndarray) -> np.ndarray:
     """The run-length table's rows at run lengths ``r >= _TABLE_CAP`` under
-    the prior ``p``, from closed forms: D(a) = log(a)/2 - 1/(8a) + 1/(192
-    a^3) + O(a^-5)."""
+    the prior ``p``, from closed forms and the series of D(a)."""
     kappa = p.kappa + r
     a = p.a + 0.5 * r
-    series = (1.0 / 192.0) / np.square(a) - 0.125
-    return _run_length_rows(kappa, a, 0.5 * np.log(a) + series / a)
+    return _run_length_rows(kappa, a, _lgamma_half_diff(a))
 
 
 def _fixed_k_offsets(k_fixed: int) -> list[float]:
@@ -471,12 +487,15 @@ class Detector:
     """Single-writer streaming detector; feed observations via :meth:`step`.
 
     ``model`` is the mode's predictive model (see the module docstring).
-    Deterministic given (config, series): no step draws a random number,
-    so ``DetectorConfig.seed`` does not change the outputs.
+    ``cfg`` is the config with its values as Python numbers
+    (:func:`~streamcpd.schema.plain`), so a numpy value gives the outputs
+    of the same Python number. Deterministic given (config, series): no
+    step draws a random number, so ``DetectorConfig.seed`` does not change
+    the outputs.
     """
 
     def __init__(self, cfg: DetectorConfig):
-        self.cfg = cfg
+        self.cfg = cfg = plain(cfg)
         self.model = _MODELS[cfg.mode](cfg)
         self.rl = RunLengthState.initial()
         self.t = 0

@@ -2,7 +2,9 @@
 its manifest parser and its manifest format.
 
 A config dataclass declares each field with a constructor below and runs
-:func:`check_fields` in ``__post_init__``. Values are stored as given.
+:func:`check_fields` in ``__post_init__``. Values are stored as given;
+:func:`plain` gives the copy a detector computes with, whose values are
+Python numbers.
 Numeric kinds take Python and numpy numbers but not ``bool``, in an interval
 such as ``"(0, inf)"``; no bound at inf is closed, and NaN lies in none.
 """
@@ -27,13 +29,15 @@ class Spec(NamedTuple):
     """A config value's test ``ok``, the ``domain`` it accepts, and its
     manifest form, ``parse`` (bad text: ``ValueError``, or a value ``ok``
     refuses) and ``format``. ``item`` is a pair's spec of each value, or a
-    nested field's config class."""
+    nested field's config class. ``plain`` turns a value ``ok`` accepts into
+    the same value as a Python ``float``, ``int`` or ``bool``."""
 
     ok: Callable[[object], bool]
     domain: str
     parse: Callable[[str], object] = str
     format: Callable[[object], str] = str
     item: object = None
+    plain: Callable[[object], object] = lambda v: v
 
     def check(self, name: str, v):
         if not self.ok(v):
@@ -57,12 +61,13 @@ def _number(interval: str, kind: type = Real, none: str | None = None) -> Spec:
         return (lo <= x if lo_closed else lo < x) and (x <= hi if hi_closed else x < hi)
 
     if kind is Integral:
-        return Spec(ok, f"an integer in {interval}", int)
+        return Spec(ok, f"an integer in {interval}", int, plain=int)
     if none is None:
-        return Spec(ok, f"a real number in {interval}", float, _fmt)
+        return Spec(ok, f"a real number in {interval}", float, _fmt, plain=float)
     parse = lambda s: None if s == none else float(s)  # noqa: E731
     fmt = lambda v: none if v is None else _fmt(v)  # noqa: E731
-    return Spec(ok, f"a real number in {interval}, or None", parse, fmt)
+    plain = lambda v: None if v is None else float(v)  # noqa: E731
+    return Spec(ok, f"a real number in {interval}, or None", parse, fmt, plain=plain)
 
 
 def _field(spec: Spec, default=dataclasses.MISSING, factory=dataclasses.MISSING):
@@ -81,7 +86,7 @@ def flag(default: bool):
     words = {"1": True, "true": True, "yes": True, "0": False, "false": False, "no": False}
     ok = lambda v: isinstance(v, (bool, np.bool_))  # noqa: E731
     fmt = lambda v: "true" if v else "false"  # noqa: E731
-    return _field(Spec(ok, "a bool", lambda s: words.get(s.lower()), fmt), default)
+    return _field(Spec(ok, "a bool", lambda s: words.get(s.lower()), fmt, plain=bool), default)
 
 
 def choice(*options: str):
@@ -93,11 +98,14 @@ def choice(*options: str):
 def pair(interval: str, default: tuple):
     item = _number(interval)
     ok = lambda v: isinstance(v, tuple) and len(v) == 2 and all(map(item.ok, v))  # noqa: E731
-    return _field(Spec(ok, f"a tuple of two values, each {item.domain}", item=item), default)
+    plain = lambda v: tuple(map(item.plain, v))  # noqa: E731
+    spec = Spec(ok, f"a tuple of two values, each {item.domain}", item=item, plain=plain)
+    return _field(spec, default)
 
 
 def nested(cls: type):
-    return _field(Spec(lambda v: isinstance(v, cls), f"a {cls.__name__}", item=cls), factory=cls)
+    ok = lambda v: isinstance(v, cls)  # noqa: E731
+    return _field(Spec(ok, f"a {cls.__name__}", item=cls, plain=plain), factory=cls)
 
 
 def field_spec(cls: type, name: str, part: str | int | None = None) -> Spec:
@@ -112,3 +120,14 @@ def check_fields(obj) -> None:
     """A ``ConfigError`` naming ``Class.field`` for a field outside its spec."""
     for f in dataclasses.fields(obj):
         f.metadata["spec"].check(f"{type(obj).__name__}.{f.name}", getattr(obj, f.name))
+
+
+def plain(obj):
+    """A copy of the valid config ``obj`` whose numbers are Python ``float``
+    and ``int`` and whose flags are ``bool``, through its nested configs and
+    pairs. A numpy value, stored as given, would carry its own type into the
+    arithmetic it meets: a float32 makes ``t + alpha`` round to float32."""
+    values = {}
+    for f in dataclasses.fields(obj):
+        values[f.name] = f.metadata["spec"].plain(getattr(obj, f.name))
+    return dataclasses.replace(obj, **values)

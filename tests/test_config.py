@@ -22,6 +22,7 @@ from streamcpd import (
     NigParams,
     PrunePolicy,
     SegmentSpec,
+    run,
 )
 from streamcpd.cli import config_to_items, parse_config
 from streamcpd.schema import field_spec
@@ -132,11 +133,7 @@ def test_any_field_value_is_valid_or_a_config_error(cls, data):
         assert getattr(cfg, name) is value  # stored as given
     if cls is DetectorConfig:
         xs = data.draw(st.lists(st.floats(-10, 10), min_size=3, max_size=3), label="xs")
-        # The property is about exceptions. A float32 value next to a float64
-        # one beyond float32's range makes numpy warn in the cast (say in
-        # max(var_floor, var_init)), which this suite's filter would raise.
-        with np.errstate(over="ignore"):
-            _build_and_step(cfg, xs)
+        _build_and_step(cfg, xs)
 
 
 def _build_and_step(cfg, xs):
@@ -200,3 +197,58 @@ def test_manifest_items_read_back_as_the_same_config(config_file, cfg):
     # Every key's spec formats its value and parses it back unchanged.
     config_file.write_text("".join(f"{k}={v}\n" for k, v in config_to_items(cfg)))
     assert parse_config(config_file=config_file)[0] == cfg
+
+
+def _python(v):
+    """``v`` with every numpy scalar, also inside nested configs and
+    tuples, replaced by the Python number it equals."""
+    if dataclasses.is_dataclass(v):
+        fields = dataclasses.fields(v)
+        return dataclasses.replace(v, **{f.name: _python(getattr(v, f.name)) for f in fields})
+    if isinstance(v, tuple):
+        return tuple(map(_python, v))
+    return v.item() if isinstance(v, np.generic) else v
+
+
+def _outputs(result):
+    return [
+        (s.t, s.z_star, s.k_t, s.r_star, s.cp_flag, s.responsibilities.tobytes(),
+         s.rl_posterior.runs.tobytes(), s.rl_posterior.probs.tobytes())
+        for s in result.steps
+    ]
+
+
+_HUGE_CANDIDATE = {
+    "var_floor": np.float32(1.0),
+    "candidate": CandidatePolicy(var_init=3.4028235677973366e38),
+}
+
+
+@pytest.mark.parametrize(
+    "mode, kwargs",
+    [
+        # float32 values: t + alpha and its kin ran in float32, and a float32
+        # var_floor next to a var_init beyond float32's range warned in the
+        # cast at the first step.
+        ("infinite", {"alpha": np.float32(0.7)}),
+        ("fixed-k", {"dirichlet_beta": np.float32(0.3)}),
+        ("infinite", {"decay": np.float32(0.05)}),
+        ("baseline", {"baseline": NigParams(kappa=np.float32(0.3))}),
+        ("infinite", _HUGE_CANDIDATE),
+        ("fixed-k", _HUGE_CANDIDATE),
+        # float64 and int64 values, in every kind of field.
+        ("infinite", {"alpha": np.float64(0.7), "hazard": HazardConfig(np.float64(50.0)),
+                      "eta_init": (np.float64(0.5), np.float64(0.01))}),
+        ("fixed-k", {"k_fixed": np.int64(4), "prune": PrunePolicy.top_m(np.int64(20)),
+                     "log_var_update": np.bool_(True)}),
+        ("baseline", {"baseline": NigParams(mu=np.float64(0.5), a=np.float64(2.5)),
+                      "cp_rule": ChangePointRule("mass-near-zero", mass_window=np.int64(5)),
+                      "prune": PrunePolicy.threshold(np.float64(1e-10))}),
+    ],
+    ids=lambda v: v if isinstance(v, str) else ",".join(v),
+)
+def test_numpy_config_values_give_the_outputs_of_python_numbers(mode, kwargs):
+    rng = np.random.default_rng(4)
+    series = np.concatenate([rng.normal(0.0, 1.0, 150), rng.normal(5.0, 2.0, 150)])
+    cfg = DetectorConfig(mode=mode, **kwargs)
+    assert _outputs(run(series, cfg)) == _outputs(run(series, _python(cfg)))

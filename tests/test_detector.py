@@ -903,12 +903,13 @@ def test_baseline_column_near_overflow_refuses_later_observations():
     assert np.all(np.isfinite(live))
 
 
-@pytest.mark.parametrize("a0", [0.3, 1.0, 2.5])
+@pytest.mark.parametrize("a0", [0.3, 1.0, 2.5, 300.0, 1e4, 1e13, 1e16, 1e300])
 def test_lgamma_term_recurrence_matches_mpmath(a0):
     # c_r = D_r - log(pi)/2 with D_r = lgamma(a_r + 1/2) - lgamma(a_r) is
-    # carried by D(a + 1/2) = log(a) - D(a) from the prior's math.lgamma
-    # seed; checked at 50 digits up to r = 1e4.
-    mpmath.mp.dps = 50
+    # carried by D(a + 1/2) = log(a) - D(a) from the prior's seed; checked
+    # up to r = 1e4 at 50 digits more than a0 has before its point, so that
+    # a_r + 1/2 is exact.
+    mpmath.mp.dps = 50 + max(0, math.ceil(math.log10(a0)))
     table = _run_length_table(NigParams(a=a0), 10_001)
     a = a0
     checked = set(range(300)) | set(range(300, 10_001, 37)) | {10_000}
