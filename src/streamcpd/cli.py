@@ -21,7 +21,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .detector import Detector, DetectorConfig, RunResult, StepOutput
+from .detector import Detector, DetectorConfig, StepOutput
 from .errors import ConfigError, ContractViolation, InputError
 from .oracles import SegmentSpec, gen_piecewise_gaussian
 from .schema import _fmt, field_spec
@@ -135,13 +135,6 @@ class _Outputs:
         return paths
 
 
-def _write(path, blocks) -> Path:
-    """Write one output file of the text ``blocks``."""
-    with _Outputs() as out:
-        out.write(path, blocks)
-        return out.commit()[0]
-
-
 def _rows(fmt: str, *columns) -> str:
     """One ``fmt`` row per index of the equal-length ``columns``, filled in
     by a single ``%`` over the interleaved values. Columns of Python numbers
@@ -157,38 +150,43 @@ def _rows(fmt: str, *columns) -> str:
 # configuration keys: parsed, checked and formatted by their fields' specs
 
 
-# Each key's ``DetectorConfig`` field and, for a nested field, the attribute
-# (or tuple index) inside it. In manifest order. Defaults are read from
-# ``DetectorConfig()``, and the ``run`` flags' argparse dests are these keys.
+# The config keys, in manifest order. Each row gives the key's
+# ``DetectorConfig`` field and, for a nested field, the attribute (or tuple
+# index) inside it; then the ``run`` flag that sets the key (None: only a
+# config file does) and the flag's help, which ends with the key's domain.
+# Defaults are read from ``DetectorConfig()``; the flags' argparse dests are
+# the keys.
 _KEYS = {
-    "mode": ("mode", None),
-    "alpha": ("alpha", None),
-    "lambda": ("hazard", "lam"),
-    "k_fixed": ("k_fixed", None),
-    "beta": ("dirichlet_beta", None),
-    "eta_mu": ("eta_init", 0),
-    "eta_sigma": ("eta_init", 1),
-    "decay": ("decay", None),
-    "var_floor": ("var_floor", None),
-    "log_var_update": ("log_var_update", None),
-    "candidate_mu": ("candidate", "mu0"),
-    "candidate_var": ("candidate", "var_init"),
-    "prune_epsilon": ("prune", "epsilon"),
-    "prune_top_m": ("prune", "max_live"),
-    "cp_mode": ("cp_rule", "mode"),
-    "cp_drop_fraction": ("cp_rule", "drop_fraction"),
-    "cp_mass_window": ("cp_rule", "mass_window"),
-    "cp_mass_threshold": ("cp_rule", "mass_threshold"),
-    "baseline_mu0": ("baseline", "mu"),
-    "baseline_kappa0": ("baseline", "kappa"),
-    "baseline_a0": ("baseline", "a"),
-    "baseline_b0": ("baseline", "b"),
-    "seed": ("seed", None),
+    "mode": ("mode", None, "--mode", None),
+    "alpha": ("alpha", None, "--alpha", None),
+    "lambda": ("hazard", "lam", "--lambda", "expected run length of the hazard prior"),
+    "k_fixed": ("k_fixed", None, "--k", "class count in fixed-k mode"),
+    "beta": ("dirichlet_beta", None, "--beta", "Dirichlet smoothing in fixed-k mode"),
+    "eta_mu": ("eta_init", 0, "--eta-mu", None),
+    "eta_sigma": ("eta_init", 1, "--eta-sigma", None),
+    "decay": ("decay", None, "--decay", None),
+    "var_floor": ("var_floor", None, "--var-floor", None),
+    "log_var_update": ("log_var_update", None, None, None),
+    "candidate_mu": ("candidate", "mu0", None, None),
+    "candidate_var": ("candidate", "var_init", None, None),
+    "prune_epsilon": (
+        "prune", "epsilon", "--prune", "posterior-mass pruning threshold (0 disables)"
+    ),
+    "prune_top_m": ("prune", "max_live", None, None),
+    "cp_mode": ("cp_rule", "mode", None, None),
+    "cp_drop_fraction": ("cp_rule", "drop_fraction", None, None),
+    "cp_mass_window": ("cp_rule", "mass_window", None, None),
+    "cp_mass_threshold": ("cp_rule", "mass_threshold", None, None),
+    "baseline_mu0": ("baseline", "mu", None, None),
+    "baseline_kappa0": ("baseline", "kappa", None, None),
+    "baseline_a0": ("baseline", "a", None, None),
+    "baseline_b0": ("baseline", "b", None, None),
+    "seed": ("seed", None, "--seed", None),
 }
-_SPECS = {key: field_spec(DetectorConfig, *where) for key, where in _KEYS.items()}
+_SPECS = {key: field_spec(DetectorConfig, f, p) for key, (f, p, *_) in _KEYS.items()}
 
-# Keys a manifest may carry beyond the config snapshot; recognized so a
-# manifest can be fed back as a config file unchanged.
+# The keys a manifest carries before the config snapshot, in its order; a
+# config file may carry them too, so a manifest can be fed back unchanged.
 _INFO_KEYS = ("input", "output_dir", "tool_version", "duration_seconds")
 
 
@@ -196,7 +194,7 @@ def _read_kv_file(path) -> tuple[dict, dict]:
     values, info = {}, {}
     try:
         lines = Path(path).read_text(encoding="utf-8").splitlines()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise InputError(f"cannot read config file {path}: {exc}") from exc
     for lineno, raw in enumerate(lines, 1):
         line = raw.strip()
@@ -223,7 +221,7 @@ def _read_kv_file(path) -> tuple[dict, dict]:
 def _config_values(cfg: DetectorConfig) -> dict:
     """Every key's value in a config."""
     fields = dataclasses.asdict(cfg)
-    return {key: fields[f] if p is None else fields[f][p] for key, (f, p) in _KEYS.items()}
+    return {key: fields[f] if p is None else fields[f][p] for key, (f, p, *_) in _KEYS.items()}
 
 
 def _build_config(values: dict) -> DetectorConfig:
@@ -233,7 +231,7 @@ def _build_config(values: dict) -> DetectorConfig:
     kind = "threshold" if eps > 0 else "top-m" if top_m > 0 else "none"
 
     fields: dict = {"prune": {"kind": kind}}
-    for key, (field, part) in _KEYS.items():
+    for key, (field, part, *_) in _KEYS.items():
         if part is None:
             fields[field] = values[key]
         else:
@@ -277,28 +275,11 @@ def parse_config(overrides: dict | None = None, config_file=None, cli_defaults: 
 # manifest
 
 
-@dataclasses.dataclass
-class RunManifest:
-    """Reproducibility record for one run: everything needed to repeat it
-    plus bookkeeping (tool version, wall-clock duration)."""
-
-    input: str
-    output_dir: str
-    duration_seconds: float
-    config: DetectorConfig
-    tool_version: str = __version__
-
-    def text(self) -> str:
-        head = [
-            ("input", self.input),
-            ("output_dir", self.output_dir),
-            ("tool_version", self.tool_version),
-            ("duration_seconds", _fmt(self.duration_seconds)),
-        ]
-        return _rows("%s=%s\n", *zip(*head, *config_to_items(self.config)))
-
-    def write(self, path) -> Path:
-        return _write(path, [self.text()])
+def _manifest(input_path, outdir, duration: float, cfg: DetectorConfig) -> str:
+    """Reproducibility record for one run: what it read and where it wrote,
+    the tool version and the wall-clock duration, then the config snapshot."""
+    info = zip(_INFO_KEYS, (str(input_path), str(outdir), __version__, _fmt(duration)))
+    return _rows("%s=%s\n", *zip(*info, *config_to_items(cfg)))
 
 
 # ---------------------------------------------------------------------------
@@ -310,29 +291,30 @@ def _read_column(path, integer: bool = False) -> list[float]:
     first non-blank row may be a header. Empty if the file holds no data
     rows. With ``integer`` a value with a fraction is an ``InputError``."""
     path = Path(path)
-    try:
-        text = path.read_text(encoding="utf-8-sig")
-    except OSError as exc:
-        raise InputError(f"cannot read {path}: {exc}") from exc
-
     values: list[float] = []
     header = False
-    for rownum, row in enumerate(csv.reader(text.splitlines()), 1):
-        if not row or all(not c.strip() for c in row):
-            continue
-        cell = row[0].strip()
-        try:
-            v = float(cell)
-        except ValueError:
-            if not (values or header):
-                header = True
+    try:
+        # Rows are parsed as they are read: a list of them would about
+        # double the memory a large series takes to ingest.
+        rows = csv.reader(path.read_text(encoding="utf-8-sig").splitlines())
+        for rownum, row in enumerate(rows, 1):
+            if not row or all(not c.strip() for c in row):
                 continue
-            raise InputError(f"{path}: row {rownum}: non-numeric value {cell!r}") from None
-        if not math.isfinite(v):
-            raise InputError(f"{path}: row {rownum}: non-finite value {cell!r}")
-        if integer and not v.is_integer():
-            raise InputError(f"{path}: row {rownum}: non-integer value {cell!r}")
-        values.append(v)
+            cell = row[0].strip()
+            try:
+                v = float(cell)
+            except ValueError:
+                if not (values or header):
+                    header = True
+                    continue
+                raise InputError(f"{path}: row {rownum}: non-numeric value {cell!r}") from None
+            if not math.isfinite(v):
+                raise InputError(f"{path}: row {rownum}: non-finite value {cell!r}")
+            if integer and not v.is_integer():
+                raise InputError(f"{path}: row {rownum}: non-integer value {cell!r}")
+            values.append(v)
+    except (OSError, UnicodeDecodeError, csv.Error) as exc:
+        raise InputError(f"cannot read {path}: {exc}") from exc
     return values
 
 
@@ -352,10 +334,6 @@ def _column_blocks(header: str, fmt: str, values: list):
     yield header
     for i in range(0, len(values), _BLOCK_ENTRIES):
         yield _rows(fmt, values[i:i + _BLOCK_ENTRIES])
-
-
-def write_series_csv(series, path) -> Path:
-    return _write(path, _column_blocks("x\n", "%.17g\n", np.asarray(series, dtype=float).tolist()))
 
 
 # The trace writer formats its rows a block of steps at a time: formatting
@@ -416,19 +394,6 @@ class _TraceWriter:
         self._block_entries = 0
 
 
-def emit_traces(result: RunResult, outdir, manifest: RunManifest | None = None) -> list[Path]:
-    """Write the machine-readable trace files for a completed run."""
-    with _Outputs(outdir) as out:
-        trace = _TraceWriter(out, len(result.steps))
-        for s, x in zip(result.steps, result.series.tolist()):
-            trace.step(s, x)
-        trace.flush()
-        out.write("changepoints.csv", _column_blocks("t\n", "%d\n", result.change_points))
-        if manifest is not None:
-            out.write("manifest", [manifest.text()])
-        return out.commit()
-
-
 # ---------------------------------------------------------------------------
 # SVG rendering (hand-rolled: deterministic markup, no external assets)
 
@@ -454,21 +419,18 @@ def _ticks(lo, hi, n=5):
 _SVG_STEPS = 1024
 
 
-def render_svg(series, z_star, r_star, change_points, outdir) -> Path:
+def render_svg(series, z_star, r_star, change_points, out: _Outputs) -> Path:
     """Two-panel SVG of a run: the signal colored by each step's class
     ``z_star`` on top, the MAP run length ``r_star`` with markers at the
-    change points below. ``trace.svg`` in ``outdir``, or in an open
-    :class:`_Outputs` group, whose commit renames it into place."""
+    change points below. Writes ``trace.svg`` into the open group ``out``,
+    whose commit renames it into place; returns that path."""
     xs = np.asarray(series, dtype=float)
     z_star, r_star = np.asarray(z_star), np.asarray(r_star)
     if not len(z_star):
         raise ContractViolation("cannot render an empty trace")
     if not len(xs) == len(z_star) == len(r_star):
         raise ContractViolation("series, z_star and r_star differ in length")
-    own = not isinstance(outdir, _Outputs)
-    with _Outputs(outdir) if own else contextlib.nullcontext(outdir) as out:
-        f = out.write("trace.svg", _svg_text(xs, z_star, r_star, change_points))
-        return out.commit()[0] if own else f.path
+    return out.write("trace.svg", _svg_text(xs, z_star, r_star, change_points)).path
 
 
 def _svg_text(xs, z_star, r_star, change_points):
@@ -579,13 +541,7 @@ def _cmd_run(args) -> int:
         trace.flush()
         duration = time.perf_counter() - start
         out.write("changepoints.csv", _column_blocks("t\n", "%d\n", trace.change_points))
-        manifest = RunManifest(
-            input=str(input_path),
-            output_dir=str(outdir),
-            duration_seconds=duration,
-            config=cfg,
-        )
-        out.write("manifest", [manifest.text()])
+        out.write("manifest", [_manifest(input_path, outdir, duration, cfg)])
         if args.svg:
             render_svg(series, trace.z_star, trace.r_star, trace.change_points, out)
         out.commit()
@@ -617,7 +573,8 @@ def parse_segments(spec: str) -> list[SegmentSpec]:
 
 def _cmd_synth(args) -> int:
     segments = parse_segments(args.segments)
-    series, cps, _ = gen_piecewise_gaussian(segments, np.random.default_rng(args.seed))
+    seed = _SPECS["seed"].check("seed", args.seed)
+    series, cps, _ = gen_piecewise_gaussian(segments, np.random.default_rng(seed))
     with _Outputs() as out:
         out.write(args.out, _column_blocks("x\n", "%.17g\n", series.tolist()))
         if args.truth:
@@ -673,21 +630,6 @@ def _cmd_score(args) -> int:
     return 0
 
 
-# The run flags that set a config key, each parsed by the key's spec.
-_RUN_FLAGS = [
-    ("--alpha", "alpha", None),
-    ("--lambda", "lambda", "expected run length of the hazard prior"),
-    ("--k", "k_fixed", "class count in fixed-k mode"),
-    ("--beta", "beta", "Dirichlet smoothing in fixed-k mode"),
-    ("--eta-mu", "eta_mu", None),
-    ("--eta-sigma", "eta_sigma", None),
-    ("--decay", "decay", None),
-    ("--var-floor", "var_floor", None),
-    ("--prune", "prune_epsilon", "posterior-mass pruning threshold (0 disables)"),
-    ("--seed", "seed", None),
-]
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="streamcpd",
@@ -699,16 +641,18 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("run", help="run a detector over a CSV series")
     p.add_argument("--input", help="single-column CSV of observations")
     p.add_argument("--config", help="key=value config file (a manifest also works)")
-    p.add_argument("--mode", choices=["infinite", "fixed-k", "baseline"])
-    for flag, key, text in _RUN_FLAGS:
-        p.add_argument(flag, dest=key, type=_SPECS[key].parse, help=text)
+    for key, (*_, flag, text) in _KEYS.items():
+        if flag is not None:
+            spec = _SPECS[key]
+            help_text = spec.domain if text is None else f"{text}: {spec.domain}"
+            p.add_argument(flag, dest=key, type=spec.parse, help=help_text)
     p.add_argument("--out", default="streamcpd_out", help="output directory")
     p.add_argument("--svg", action="store_true", help="also render trace.svg")
     p.set_defaults(func=_cmd_run)
 
     p = sub.add_parser("synth", help="generate a piecewise-Gaussian series")
     p.add_argument("--segments", required=True, help="LENGTH:MU:VAR[:CLASS],...")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_SPECS["seed"].parse, default=0, help=_SPECS["seed"].domain)
     p.add_argument("--out", required=True, help="output CSV path")
     p.add_argument("--truth", help="also write true change points to this CSV")
     p.set_defaults(func=_cmd_synth)

@@ -76,3 +76,10 @@ def all_canonical_sequences(length):
                 nxt.append(s + [z])
         seqs = nxt
     return seqs
+
+
+def write_series(values, path):
+    """A one-column CSV of ``values`` under an ``x`` header, each to 17
+    significant digits, so the CLI reads back exactly these doubles."""
+    rows = "".join("%.17g\n" % v for v in np.asarray(values, dtype=float).tolist())
+    path.write_text("x\n" + rows, encoding="utf-8")

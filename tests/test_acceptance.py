@@ -22,7 +22,6 @@ from streamcpd import (
     run,
 )
 from streamcpd.cli import main as cli_main
-from streamcpd.cli import write_series_csv
 from streamcpd.oracles import brute_force_joint, finite_difference, sequence_probability
 
 from conftest import (
@@ -30,6 +29,7 @@ from conftest import (
     gaussian_gradients,
     random_canonical_labels,
     trellis_joint,
+    write_series,
 )
 
 
@@ -234,7 +234,7 @@ def test_c8_determinism(tmp_path):
     series = tmp_path / "series.csv"
     rng = np.random.default_rng(12)
     data = np.concatenate([rng.normal(0, 0.5, 60), rng.normal(4, 0.5, 60)])
-    write_series_csv(data, series)
+    write_series(data, series)
     out1, out2 = tmp_path / "o1", tmp_path / "o2"
     rc1 = cli_main(["run", "--input", str(series), "--seed", "3", "--out", str(out1), "--svg"])
     rc2 = cli_main(["run", "--config", str(out1 / "manifest"), "--out", str(out2), "--svg"])

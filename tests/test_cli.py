@@ -19,17 +19,16 @@ from streamcpd import (
 )
 from streamcpd import cli
 from streamcpd.cli import (
-    RunManifest,
     config_to_items,
-    emit_traces,
     ingest_csv,
     main,
     parse_config,
     parse_segments,
     render_svg,
     score_changepoints,
-    write_series_csv,
 )
+
+from conftest import write_series
 
 
 def _run_python(code):
@@ -144,8 +143,11 @@ def test_ingest_missing_file(tmp_path):
 def test_series_round_trip_exact(tmp_path):
     rng = np.random.default_rng(0)
     series = np.concatenate([rng.normal(0, 1e-7, 5), rng.normal(0, 1e9, 5), [np.pi]])
+    # Written as synth writes its series.
     p = tmp_path / "s.csv"
-    write_series_csv(series, p)
+    with cli._Outputs() as out:
+        out.write(p, cli._column_blocks("x\n", "%.17g\n", series.tolist()))
+        out.commit()
     np.testing.assert_array_equal(ingest_csv(p), series)
 
 
@@ -200,8 +202,8 @@ def test_parse_config_bad_boolean_names_its_line(tmp_path):
 
 def test_manifest_round_trips_as_config(tmp_path):
     cfg = DetectorConfig(mode="fixed-k", alpha=0.25, k_fixed=4, seed=9)
-    m = RunManifest(input="x.csv", output_dir="o", duration_seconds=1.2, config=cfg)
-    path = m.write(tmp_path / "manifest")
+    path = tmp_path / "manifest"
+    path.write_text(cli._manifest("x.csv", "o", 1.2, cfg))
     cfg2, info = parse_config(config_file=path)
     assert cfg2 == cfg
     assert info["input"] == "x.csv"
@@ -278,7 +280,7 @@ def test_non_finite_config_value_is_config_error(tmp_path, key, value):
 
 def test_cli_non_finite_flag_exit_code(tmp_path, capsys):
     series = tmp_path / "s.csv"
-    write_series_csv([1.0, 2.0], series)
+    write_series([1.0, 2.0], series)
     rc = main(["run", "--input", str(series), "--var-floor", "inf", "--out", str(tmp_path / "o")])
     assert rc == 2
     assert "var_floor" in capsys.readouterr().err
@@ -301,7 +303,7 @@ def test_config_file_may_set_only_prune_top_m(tmp_path):
 
 def test_cli_config_with_only_prune_top_m_runs(tmp_path):
     series = tmp_path / "s.csv"
-    write_series_csv(np.sin(np.arange(40) / 5.0), series)
+    write_series(np.sin(np.arange(40) / 5.0), series)
     f = tmp_path / "cfg"
     f.write_text(f"input={series}\nprune_top_m=50\n")
     out = tmp_path / "o"
@@ -320,44 +322,66 @@ def test_parse_segments():
         parse_segments("10:0")
 
 
-# -- emission -------------------------------------------------------------
+# -- trace files ----------------------------------------------------------
 
 
-def _small_result(n=2, seed=0):
-    rng = np.random.default_rng(seed)
-    return run(rng.normal(0, 1, n), DetectorConfig(seed=seed))
+def _cli_run(tmp_path, values, *flags, out="o"):
+    """The outdir of ``streamcpd run`` over ``values`` with ``flags``."""
+    series, out = tmp_path / "s.csv", tmp_path / out
+    write_series(values, series)
+    assert main(["run", "--input", str(series), *flags, "--out", str(out)]) == 0
+    return out
+
+
+def _trace_files(result) -> dict:
+    """The trace files of a library run, each row formatted on its own
+    from the step's values (``cli._fmt`` gives 17 significant digits)."""
+    fmt = cli._fmt
+    files = {
+        "assignments.csv": ["t,x,z_star,k_t\n"],
+        "runlength_map.csv": ["t,r_star,cp_flag\n"],
+        "posterior.csv": ["t,r,mass\n"],
+        "changepoints.csv": ["t\n"] + [f"{t}\n" for t in result.change_points],
+    }
+    for s, x in zip(result.steps, result.series):
+        files["assignments.csv"].append(f"{s.t},{fmt(x)},{s.z_star},{s.k_t}\n")
+        files["runlength_map.csv"].append(f"{s.t},{s.r_star},{int(s.cp_flag)}\n")
+        for r, mass in zip(s.rl_posterior.runs, s.rl_posterior.probs):
+            if mass >= cli.POSTERIOR_FILE_FLOOR:
+                files["posterior.csv"].append(f"{s.t},{int(r)},{fmt(mass)}\n")
+    return {name: "".join(rows) for name, rows in files.items()}
 
 
 def test_emit_row_counts(tmp_path):
-    result = _small_result(2)
-    emit_traces(result, tmp_path)
-    lines = (tmp_path / "runlength_map.csv").read_text().splitlines()
+    out = _cli_run(tmp_path, np.random.default_rng(0).normal(0, 1, 2))
+    lines = (out / "runlength_map.csv").read_text().splitlines()
     assert lines[0] == "t,r_star,cp_flag"
     assert len(lines) == 3
 
 
 def test_emit_posterior_support_bound(tmp_path):
-    result = _small_result(6)
-    emit_traces(result, tmp_path)
-    rows = (tmp_path / "posterior.csv").read_text().splitlines()[1:]
+    out = _cli_run(tmp_path, np.random.default_rng(0).normal(0, 1, 6), "--prune", "0")
+    rows = (out / "posterior.csv").read_text().splitlines()[1:]
     per_t = {}
     for row in rows:
         t = int(row.split(",")[0])
         per_t[t] = per_t.get(t, 0) + 1
+    assert sorted(per_t) == [1, 2, 3, 4, 5, 6]
     for t, count in per_t.items():
         assert count <= t + 1
 
 
 def test_emit_is_deterministic(tmp_path):
-    a, b = tmp_path / "a", tmp_path / "b"
-    emit_traces(_small_result(30, seed=3), a)
-    emit_traces(_small_result(30, seed=3), b)
-    for name in ("assignments.csv", "runlength_map.csv", "posterior.csv", "changepoints.csv"):
+    values = np.random.default_rng(3).normal(0, 1, 30)
+    a = _cli_run(tmp_path, values, "--seed", "3", "--svg", out="a")
+    b = _cli_run(tmp_path, values, "--seed", "3", "--svg", out="b")
+    for name in ("assignments.csv", "runlength_map.csv", "posterior.csv", "changepoints.csv",
+                 "trace.svg"):
         assert (a / name).read_bytes() == (b / name).read_bytes()
 
 
 def test_emit_rows_match_a_per_value_loop(tmp_path):
-    # The trace rows written from each value through _fmt, one at a time;
+    # The CLI's trace rows against the rows formatted one value at a time;
     # on this run some stored posterior entries lie between the readout cut
     # (1e-14) and the file floor (1e-12), so the floor filters them out.
     rng = np.random.default_rng(5)
@@ -366,19 +390,9 @@ def test_emit_rows_match_a_per_value_loop(tmp_path):
     probs = np.concatenate([s.rl_posterior.probs for s in result.steps])
     assert ((probs >= 1e-14) & (probs < cli.POSTERIOR_FILE_FLOOR)).any()
 
-    fmt = cli._fmt
-    want_assignments = ["t,x,z_star,k_t"]
-    for s, x in zip(result.steps, result.series):
-        want_assignments.append(f"{s.t},{fmt(x)},{s.z_star},{s.k_t}")
-    want_posterior = ["t,r,mass"]
-    for s in result.steps:
-        for r, mass in zip(s.rl_posterior.runs, s.rl_posterior.probs):
-            if mass >= cli.POSTERIOR_FILE_FLOOR:
-                want_posterior.append(f"{s.t},{int(r)},{fmt(mass)}")
-
-    emit_traces(result, tmp_path)
-    assert (tmp_path / "assignments.csv").read_text() == "\n".join(want_assignments) + "\n"
-    assert (tmp_path / "posterior.csv").read_text() == "\n".join(want_posterior) + "\n"
+    out = _cli_run(tmp_path, series, "--mode", "baseline", "--prune", "0")
+    for name, text in _trace_files(result).items():
+        assert (out / name).read_text() == text, name
 
 
 # -- svg --------------------------------------------------------------------
@@ -390,12 +404,21 @@ def _svg_inputs(result):
     return result.series, z_star, r_star, result.change_points
 
 
+def _render(result, outdir):
+    """``trace.svg`` of a library run, rendered into a group in ``outdir``."""
+    with cli._Outputs(outdir) as out:
+        path = render_svg(*_svg_inputs(result), out)
+        out.commit()
+    return path
+
+
 def test_render_svg_empty_trace_writes_nothing(tmp_path):
     from streamcpd import ContractViolation
 
-    with pytest.raises(ContractViolation):
-        render_svg(np.array([]), [], [], [], tmp_path)
-    assert not (tmp_path / "trace.svg").exists()
+    with cli._Outputs(tmp_path / "o") as out:
+        with pytest.raises(ContractViolation):
+            render_svg(np.array([]), [], [], [], out)
+    assert not (tmp_path / "o").exists()
 
 
 def test_render_svg_distinct_class_hues(tmp_path):
@@ -406,15 +429,14 @@ def test_render_svg_distinct_class_hues(tmp_path):
     cfg = DetectorConfig(alpha=0.25, candidate=CandidatePolicy(var_init=2.0), seed=1)
     result = run(series, cfg)
     assert result.final_k == 3
-    path = render_svg(*_svg_inputs(result), tmp_path)
-    root = ET.parse(path).getroot()
+    root = ET.parse(_render(result, tmp_path)).getroot()
     hues = {c.get("fill") for c in root.iter("{http://www.w3.org/2000/svg}circle")}
     assert len(hues) == 3
 
 
 def test_render_svg_is_well_formed_xml(tmp_path):
-    path = render_svg(*_svg_inputs(_small_result(10)), tmp_path)
-    ET.parse(path)  # raises on malformed markup
+    result = run(np.random.default_rng(0).normal(0, 1, 10), DetectorConfig())
+    ET.parse(_render(result, tmp_path))  # raises on malformed markup
 
 
 # -- scoring ------------------------------------------------------------------
@@ -435,6 +457,57 @@ def test_score_misses_and_false_alarms():
 def test_score_empty_predictions():
     pairs, precision, recall, delay = score_changepoints([], [100], 10)
     assert pairs == [] and precision == 0.0 and recall == 0.0
+
+
+# -- the key table ----------------------------------------------------------
+
+_FLAGS = {key: flag for key, (*_, flag, _) in cli._KEYS.items() if flag is not None}
+
+# For the key of each run flag, a value other than its default and the
+# CLI's default threshold.
+_FLAG_VALUES = {
+    "mode": "fixed-k", "alpha": "0.5", "lambda": "250", "k_fixed": "3", "beta": "0.5",
+    "eta_mu": "0.5", "eta_sigma": "0.01", "decay": "0.05", "var_floor": "1e-4",
+    "prune_epsilon": "1e-8", "seed": "7",
+}
+
+
+@pytest.mark.parametrize("key", list(_FLAGS))
+def test_run_flag_sets_its_key(tmp_path, key):
+    # The manifest of a run with the flag differs from one without it in
+    # that key's line alone (and in the run-specific lines).
+    series = tmp_path / "s.csv"
+    write_series(np.sin(np.arange(20) / 3.0), series)
+    manifests = []
+    for flag in ([], [_FLAGS[key], _FLAG_VALUES[key]]):
+        out = tmp_path / f"o{len(manifests)}"
+        assert main(["run", "--input", str(series), *flag, "--out", str(out)]) == 0
+        lines = (out / "manifest").read_text().splitlines()
+        manifests.append({x for x in lines if not x.startswith(("output_dir=", "duration"))})
+    spec = cli._SPECS[key]
+    line = f"{key}={spec.format(spec.parse(_FLAG_VALUES[key]))}"
+    assert manifests[1] - manifests[0] == {line}
+    assert len(manifests[0] - manifests[1]) == 1
+
+
+def test_cli_bad_mode_is_config_error(tmp_path, capsys):
+    series, out = tmp_path / "s.csv", tmp_path / "o"
+    write_series([0.0, 1.0], series)
+    assert main(["run", "--input", str(series), "--mode", "banana", "--out", str(out)]) == 2
+    assert "config error: mode must be one of" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_run_help_names_every_flag_and_mode(capsys, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "100")  # argparse wraps help to the terminal
+    with pytest.raises(SystemExit) as stop:
+        main(["run", "--help"])
+    assert stop.value.code == 0
+    text = capsys.readouterr().out
+    for flag in _FLAGS.values():
+        assert f"  {flag} " in text, flag
+    for mode in ("infinite", "fixed-k", "baseline"):
+        assert mode in text
 
 
 # -- whole commands ------------------------------------------------------------
@@ -469,6 +542,14 @@ def test_cli_synth_refuses_what_run_would_refuse(tmp_path, capsys, segments):
     assert main(["synth", "--segments", segments, "--out", str(out)]) == 2
     assert "config error" in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_cli_synth_negative_seed_is_config_error(tmp_path, capsys):
+    out, truth = tmp_path / "s.csv", tmp_path / "t.csv"
+    argv = ["synth", "--segments", "5:0:1", "--seed", "-1", "--out", str(out), "--truth", str(truth)]
+    assert main(argv) == 2
+    assert "config error: seed must be an integer" in capsys.readouterr().err
+    assert not out.exists() and not truth.exists()
 
 
 def test_cli_large_decay_runs_to_the_end(tmp_path):
@@ -544,11 +625,33 @@ def test_cli_input_error_exit_code(tmp_path):
     assert main(["run", "--input", str(tmp_path / "missing.csv"), "--out", str(tmp_path / "o")]) == 1
 
 
+@pytest.mark.parametrize("command, data", [
+    ("run --input", b"\xff\xfex\n1\n"),
+    ("run --input", b"x\n" + b"1" * 200_000 + b"\n"),  # beyond the csv field limit
+    ("run --config", b"alpha=1\n\xff\n"),
+    ("score --pred", b"t\n\xff\n"),
+], ids=["undecodable-input", "huge-cell", "undecodable-config", "undecodable-pred"])
+def test_cli_unreadable_input_file_is_input_error(tmp_path, capsys, command, data):
+    good, bad, out = tmp_path / "good.csv", tmp_path / "bad", tmp_path / "o"
+    write_series([0.0, 1.0], good)
+    bad.write_bytes(data)
+    argv = {
+        "run --input": ["run", "--input", str(bad), "--out", str(out)],
+        "run --config": ["run", "--input", str(good), "--config", str(bad), "--out", str(out)],
+        "score --pred": ["score", "--pred", str(bad), "--truth", str(good)],
+    }[command]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and str(bad) in err
+    assert not out.exists()
+    assert not list(tmp_path.rglob("*.part"))
+
+
 @pytest.mark.parametrize("mode", ["infinite", "fixed-k", "baseline"])
 @pytest.mark.parametrize("values", [[0.0, 1e200], [1e200, 0.0]])
 def test_cli_overflowing_observation_exit_code(tmp_path, capsys, mode, values):
     series = tmp_path / "s.csv"
-    write_series_csv(values, series)
+    write_series(values, series)
     rc = main(["run", "--input", str(series), "--mode", mode, "--out", str(tmp_path / "o")])
     assert rc == 1
     if mode == "baseline":
@@ -563,7 +666,7 @@ def test_cli_overflowing_observation_exit_code(tmp_path, capsys, mode, values):
 def test_cli_unwritable_output_file_is_input_error(tmp_path, capsys, blocked):
     # A directory where an output file goes: the write fails, exit code 1.
     series, out = tmp_path / "s.csv", tmp_path / "o"
-    write_series_csv([1.0, 2.0, 3.0], series)
+    write_series([1.0, 2.0, 3.0], series)
     (out / blocked).mkdir(parents=True)
     rc = main(["run", "--input", str(series), "--out", str(out), "--svg"])
     assert rc == 1
@@ -581,7 +684,7 @@ def test_cli_synth_into_missing_directory_is_input_error(tmp_path, capsys, flag)
 
 def test_cli_config_error_exit_code(tmp_path):
     series = tmp_path / "s.csv"
-    write_series_csv([1.0, 2.0], series)
+    write_series([1.0, 2.0], series)
     bad = tmp_path / "cfg"
     bad.write_text("whatnot=1\n")
     rc = main(["run", "--input", str(series), "--config", str(bad), "--out", str(tmp_path / "o")])
@@ -594,7 +697,7 @@ def test_cli_run_without_input_is_config_error(tmp_path):
 
 def test_cli_manifest_reproduces_run_byte_identical(tmp_path):
     series = tmp_path / "series.csv"
-    write_series_csv(np.sin(np.arange(80) / 5.0), series)
+    write_series(np.sin(np.arange(80) / 5.0), series)
     out1, out2 = tmp_path / "o1", tmp_path / "o2"
     assert main(["run", "--input", str(series), "--seed", "5", "--out", str(out1), "--svg"]) == 0
     assert main(["run", "--config", str(out1 / "manifest"), "--out", str(out2), "--svg"]) == 0
@@ -606,12 +709,13 @@ def test_cli_manifest_reproduces_run_byte_identical(tmp_path):
 @pytest.mark.parametrize("prune", ["none", "threshold", "top-m"])
 @pytest.mark.parametrize("mode", ["infinite", "fixed-k", "baseline"])
 def test_cli_files_equal_emit_traces_of_run(tmp_path, mode, prune):
-    # The CLI writes its rows as it steps; emit_traces writes a stored run
-    # through the same writer, so the files are equal byte for byte.
+    # The CLI writes its rows as it steps; they equal the rows of the
+    # library run of the same config, formatted one at a time, and its SVG
+    # equals the one rendered from that run.
     rng = np.random.default_rng(7)
     series = np.concatenate([rng.normal(0, 1, 60), rng.normal(5, 1, 60), rng.normal(-2, 2, 60)])
     path = tmp_path / "s.csv"
-    write_series_csv(series, path)
+    write_series(series, path)
     settings = {"none": "prune_epsilon=0\n", "threshold": "prune_epsilon=1e-10\n",
                 "top-m": "prune_top_m=20\n"}
     f = tmp_path / "cfg"
@@ -621,12 +725,10 @@ def test_cli_files_equal_emit_traces_of_run(tmp_path, mode, prune):
 
     cfg, _ = parse_config(config_file=f)
     result = run(ingest_csv(path), cfg)
-    lib = tmp_path / "lib"
-    emit_traces(result, lib)
-    render_svg(*_svg_inputs(result), lib)
-    for name in ("assignments.csv", "runlength_map.csv", "posterior.csv",
-                 "changepoints.csv", "trace.svg"):
-        assert (out / name).read_bytes() == (lib / name).read_bytes(), name
+    for name, text in _trace_files(result).items():
+        assert (out / name).read_text() == text, name
+    svg = _render(result, tmp_path / "lib")
+    assert (out / "trace.svg").read_bytes() == svg.read_bytes()
 
 
 def test_cli_memory_does_not_grow_with_the_trace(tmp_path):
@@ -637,7 +739,7 @@ def test_cli_memory_does_not_grow_with_the_trace(tmp_path):
     rng = np.random.default_rng(0)
     series = np.concatenate([rng.normal(m, 1, 500) for m in (0, 8, 0)])
     path = tmp_path / "s.csv"
-    write_series_csv(series, path)
+    write_series(series, path)
     argv = ["run", "--input", str(path), "--mode", "baseline", "--out", str(tmp_path / "o")]
     tracemalloc.start()
     try:
@@ -661,7 +763,7 @@ def test_cli_mid_stream_failure_leaves_the_outdir_as_it_was(tmp_path, capsys, mo
     if refused_at == 4:
         bad.write_text("x\n0\n1\n2\n1e200\n3\n")
     else:
-        write_series_csv(list(np.sin(np.arange(99) / 3.0)) + [1e200, 0.0], bad)
+        write_series(list(np.sin(np.arange(99) / 3.0)) + [1e200, 0.0], bad)
     fresh = tmp_path / "fresh" / "o"
     argv = ["run", "--input", str(bad), "--mode", mode, "--svg", "--out"]
     assert main(argv + [str(fresh)]) == 1
@@ -671,7 +773,7 @@ def test_cli_mid_stream_failure_leaves_the_outdir_as_it_was(tmp_path, capsys, mo
     assert not (tmp_path / "fresh").exists()
 
     good = tmp_path / "good.csv"
-    write_series_csv(np.sin(np.arange(30) / 3.0), good)
+    write_series(np.sin(np.arange(30) / 3.0), good)
     earlier = tmp_path / "earlier"
     assert main(["run", "--input", str(good), "--mode", mode, "--svg", "--out", str(earlier)]) == 0
     before = _snapshot(earlier)
@@ -685,7 +787,7 @@ def test_cli_directory_in_the_way_renames_nothing(tmp_path, capsys):
     # manifest is the last of the group, so a rename-as-you-go commit would
     # have put the four new trace files in place before failing on it.
     series = tmp_path / "s.csv"
-    write_series_csv(np.sin(np.arange(30) / 3.0), series)
+    write_series(np.sin(np.arange(30) / 3.0), series)
     out = tmp_path / "o"
     assert main(["run", "--input", str(series), "--out", str(out)]) == 0
     (out / "manifest").unlink()
@@ -696,7 +798,7 @@ def test_cli_directory_in_the_way_renames_nothing(tmp_path, capsys):
         ["assignments.csv", "runlength_map.csv", "posterior.csv", "changepoints.csv"]
     )
 
-    write_series_csv(np.cos(np.arange(40) / 3.0), series)
+    write_series(np.cos(np.arange(40) / 3.0), series)
     assert main(["run", "--input", str(series), "--out", str(out)]) == 1
     assert f"cannot write {out / 'manifest'}: " in capsys.readouterr().err
     assert {p.name: p.read_bytes() for p in out.iterdir() if p.is_file()} == before
@@ -708,14 +810,14 @@ def test_cli_svg_in_the_way_renames_nothing(tmp_path, capsys):
     # trace.svg joins the group of the trace files and the manifest, so a
     # directory in its way fails the run before any of them is renamed.
     series = tmp_path / "s.csv"
-    write_series_csv(np.sin(np.arange(30) / 3.0), series)
+    write_series(np.sin(np.arange(30) / 3.0), series)
     out = tmp_path / "o"
     assert main(["run", "--input", str(series), "--out", str(out)]) == 0
     (out / "trace.svg").mkdir()
     before = {p.name: p.read_bytes() for p in out.iterdir() if p.is_file()}
     assert len(before) == 5
 
-    write_series_csv(np.cos(np.arange(40) / 3.0), series)
+    write_series(np.cos(np.arange(40) / 3.0), series)
     assert main(["run", "--input", str(series), "--svg", "--out", str(out)]) == 1
     assert f"cannot write {out / 'trace.svg'}: " in capsys.readouterr().err
     assert {p.name: p.read_bytes() for p in out.iterdir() if p.is_file()} == before
@@ -726,7 +828,7 @@ def test_cli_svg_in_the_way_renames_nothing(tmp_path, capsys):
 def test_cli_config_file_refusal_names_its_line(tmp_path, capsys, line):
     # A value that parses but lies outside its key's domain named no line.
     series = tmp_path / "s.csv"
-    write_series_csv([0.0, 1.0], series)
+    write_series([0.0, 1.0], series)
     f = tmp_path / "cfg"
     f.write_text(f"input={series}\n{line}\n")
     assert main(["run", "--config", str(f), "--out", str(tmp_path / "o")]) == 2
@@ -747,7 +849,7 @@ def test_cli_interrupt_leaves_no_part_file(tmp_path, monkeypatch):
 
     monkeypatch.setattr(Detector, "step", interrupted)
     series, out = tmp_path / "s.csv", tmp_path / "o"
-    write_series_csv(np.zeros(100), series)
+    write_series(np.zeros(100), series)
     with pytest.raises(KeyboardInterrupt):
         main(["run", "--input", str(series), "--out", str(out)])
     assert not out.exists()

@@ -197,7 +197,9 @@ def test_render_svg_memory_is_bounded(tmp_path):
     change_points = list(range(500, T, 500))
     tracemalloc.start()
     try:
-        render_svg(series, z_star, r_star, change_points, tmp_path)
+        with cli._Outputs(tmp_path) as out:
+            render_svg(series, z_star, r_star, change_points, out)
+            out.commit()
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
