@@ -295,8 +295,11 @@ def _read_column(path, integer: bool = False) -> list[float]:
     header = False
     try:
         # Rows are parsed as they are read: a list of them would about
-        # double the memory a large series takes to ingest.
-        rows = csv.reader(path.read_text(encoding="utf-8-sig").splitlines())
+        # double the memory a large series takes to ingest. The lines keep
+        # their ends, so a quoted field that runs over several lines keeps
+        # its line breaks and is refused as non-numeric, not read as the
+        # digits of those lines run together.
+        rows = csv.reader(path.read_text(encoding="utf-8-sig").splitlines(keepends=True))
         for rownum, row in enumerate(rows, 1):
             if not row or all(not c.strip() for c in row):
                 continue

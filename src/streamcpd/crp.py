@@ -115,7 +115,7 @@ class LabelCounts:
                 # building c_k(0..t) in t steps.
                 if start is None:
                     start = t - np.asarray(runs, dtype=np.int64)
-                return n - np.searchsorted(self._occ[k - 1][:n], start, side="right")
+                return n - self._occ[k - 1][:n].searchsorted(start, side="right")
             self._hot = k
             self._hot_prefix = np.empty(2 * (t + 1), dtype=np.int64)
             self._hot_prefix[: t + 1] = self.prefix(k)

@@ -304,6 +304,9 @@ class _LatentModel:
         self.table = table
         self.counts = LabelCounts(n_classes)
         self._consts = smoothing, unseen, c
+        # em_step's clamp takes the floor as a 0-d array operand (see
+        # emission.py).
+        self._var_floor = np.array(cfg.var_floor, dtype=float)
         self._grow(64)
 
     def _grow(self, n: int) -> None:
@@ -332,7 +335,7 @@ class _LatentModel:
             )
         try:
             resp, z_star = em_step(
-                table, x, prior, var_floor=cfg.var_floor, log_space=cfg.log_var_update
+                table, x, prior, var_floor=self._var_floor, log_space=cfg.log_var_update
             )
         except FloatingPointError:
             table.n = k_prev

@@ -16,10 +16,21 @@ One observation is one fused pass over the live columns, :func:`em_step`:
 the log prior, ``d = x - mu``, ``d^2``, ``2 var`` and ``log var`` are
 computed once and shared by the E-step scores and the M-step gradients, the
 MAP class is the argmax of the post-update scores, and the new means and
-variances are written into the table only once the step has succeeded. Each
-formula lives in one private helper that the fused step runs. The M-step
-alone, :func:`m_step`, is a thin wrapper over the same helpers, kept only
-because the benchmark's tracer self-test checks that tracing restores it.
+variances are written into the table only once the step has succeeded.
+
+The step is a few dozen numpy calls on arrays of a few elements, so numpy's
+per-call dispatch, not the arithmetic, sets its cost. A Python float
+operand adds to that cost: numpy converts it anew at every call. So every
+operand on the step path is an ndarray: the constants are read-only 0-d
+arrays built once here, the observation is converted once per step, and the
+detector passes ``var_floor`` as a 0-d array (a Python float gives the same
+values). The scores and responsibilities are written out in
+:func:`em_step` itself. The gradient and the SGD update stay in their own
+helpers, :func:`_gradients` and :func:`_sgd_update`, because the M-step
+alone, :func:`m_step`, runs them too, and the finite-difference gradient
+check calls :func:`_gradients`; so that check tests the arithmetic the
+fused step runs. :func:`m_step` is kept only because the benchmark's tracer
+self-test checks that tracing restores it.
 
 The scalar reference the table arithmetic is tested against, and the finite
 differences the gradient helper is checked with, are in ``oracles.py``.
@@ -44,6 +55,19 @@ DEFAULT_VAR_FLOOR = 1e-6
 # The smallest positive double: where decay leaves a learning rate that
 # would round to 0.
 _MIN_RATE = 5e-324
+
+
+def _const(value: float) -> np.ndarray:
+    """A read-only 0-d float array: an operand numpy does not convert."""
+    a = np.array(value, dtype=float)
+    a.setflags(False)
+    return a
+
+
+_NEG_HALF = _const(-0.5)
+_ONE = _const(1.0)
+_TWO = _const(2.0)
+_LOG_2PI = _const(LOG_2PI)
 
 
 @dataclass(frozen=True)
@@ -85,8 +109,7 @@ class ClassTable:
             born = np.empty(2 * cap, dtype=np.int64)
             born[:cap] = self._born
             self._data, self._born = data, born
-        data = self._data
-        data[0, n], data[1, n], data[2, n], data[3, n] = mu, var, eta_mu, eta_var
+        self._data[:, n] = mu, var, eta_mu, eta_var
         self._born[n] = born_at
         self.n = n + 1
 
@@ -119,27 +142,11 @@ def _log_prior(class_prior, n: int) -> np.ndarray:
     return np.log(prior)
 
 
-def _loglik(d2, two_var, log_var):
-    """log N(x; mu, var) from d2 = (x - mu)^2, 2 var and log var."""
-    return -0.5 * (LOG_2PI + log_var) - d2 / two_var
-
-
-def _normalize(score: np.ndarray) -> np.ndarray:
-    """Responsibilities from per-class log scores (log prior + log
-    likelihood): exp(score - max), normalized."""
-    m = float(score[score.argmax()])  # score.max(), read as in runlength.logsumexp
-    if not math.isfinite(m):
-        raise ContractViolation("class prior has no positive entry")
-    w = np.exp(score - m)
-    w /= np.add.reduce(w)  # w.sum() without the method wrapper
-    return w
-
-
 def _gradients(gamma, d, d2, two_var, var):
     """Gradient of gamma * log N(x; mu, var) w.r.t. (mu, var), from d = x -
     mu, d2 = d * d and two_var = 2 var."""
     g_mu = gamma * d / var
-    g_var = gamma * (d2 / (two_var * var) - 1.0 / two_var)
+    g_var = gamma * (d2 / (two_var * var) - _ONE / two_var)
     return g_mu, g_var
 
 
@@ -173,7 +180,7 @@ def em_step(
     E-step responsibilities, one gradient M-step weighted by them, and the
     MAP class under the updated parameters. With ``log_space`` the variance
     moves in log variance (see :func:`_sgd_update`); either way it is
-    clamped at ``var_floor``.
+    clamped at ``var_floor``, which may be a float or a 0-d array.
 
     ``d = x - mu``, ``d^2``, ``2 var`` and ``log var`` are computed once and
     shared by the E-step scores and the M-step gradients, and the log prior
@@ -191,16 +198,27 @@ def em_step(
     """
     live = table.live()
     var = live[1]
+    x = np.array(x, dtype=float)
     with np.errstate(over="raise", invalid="raise", divide="ignore"):
         log_prior = _log_prior(class_prior, table.n)
         d = x - live[0]
         d2 = d * d
-        two_var = 2.0 * var
+        two_var = _TWO * var
         log_var = np.log(var)
-        resp = _normalize(_loglik(d2, two_var, log_var) + log_prior)
+        # log N(x; mu, var) + log prior, then exp(score - max), normalized:
+        # the responsibilities, computed in the score's own array.
+        resp = _NEG_HALF * (_LOG_2PI + log_var) - d2 / two_var
+        resp += log_prior
+        m = resp[resp.argmax()]  # resp.max(), read as in runlength.logsumexp
+        if not math.isfinite(m):
+            raise ContractViolation("class prior has no positive entry")
+        resp -= m
+        np.exp(resp, out=resp)
+        resp /= np.add.reduce(resp)  # resp.sum() without the method wrapper
         new_mu, new_var = _sgd_update(live, resp, d, d2, two_var, log_var, var_floor, log_space)
         d = x - new_mu
-        score = _loglik(d * d, 2.0 * new_var, np.log(new_var)) + log_prior
+        score = _NEG_HALF * (_LOG_2PI + np.log(new_var)) - d * d / (_TWO * new_var)
+        score += log_prior
     z_star = int(score.argmax()) + 1
     live[0], live[1] = new_mu, new_var
     return resp, z_star

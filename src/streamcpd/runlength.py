@@ -35,7 +35,8 @@ computing ``run_lengths + 1``, the predictive models read their
 per-run-length tables by slices instead of gathers, and a detector step
 that shows only the first k posterior entries hands out ``0..k-1`` as a
 view instead of a copy. A prune that drops nothing keeps its parent's
-run-length array (see ``prune``), so a dense state stays such a view.
+run-length array, and a top-m prune that drops only the last entry a prefix
+view of it (see ``prune``), so a dense state stays such a view.
 
 A trellis step takes no log of the hazard: ``HazardConfig`` computes
 ``log h`` and ``log(1 - h)`` once and caches them.
@@ -125,7 +126,8 @@ class HazardConfig:
 
     ``log_hazard`` and ``log_survival`` (``log h`` and ``log(1 - h)``, -inf
     at h = 1) are computed on first use and cached on the config, so a
-    trellis step reads them instead of taking two logs."""
+    trellis step reads them instead of taking two logs; so is
+    ``log_survival`` as a read-only 0-d array, the step's array operand."""
 
     lam: float = real("[1, inf)", 1e6)
 
@@ -147,6 +149,13 @@ class HazardConfig:
     def log_survival(self) -> float:
         h = self.hazard
         return math.log1p(-h) if h < 1.0 else -math.inf
+
+    @cached_property
+    def _log_survival_array(self) -> np.ndarray:
+        # numpy converts a float operand anew at every call, a 0-d array not.
+        a = np.array(self.log_survival)
+        a.setflags(False)
+        return a
 
 
 @dataclass
@@ -232,8 +241,9 @@ def recursion_step(
     posterior = np.empty(n + 1)
     try:
         new_lw[0] = cfg.log_hazard + log_psi_reset + state.evidence_log
-        np.add(log_psi, cfg.log_survival, out=new_lw[1:])
-        new_lw[1:] += lw
+        grown = new_lw[1:]
+        np.add(log_psi, cfg._log_survival_array, out=grown)
+        grown += lw
         # exp and the division by the total keep the order of the entries,
         # so this is also where the posterior is smallest.
         i_min = new_lw.argmin()
@@ -344,7 +354,13 @@ def prune(state: RunLengthState, policy: PrunePolicy) -> RunLengthState:
     index (a stable sort). In its steady state, one hypothesis over the cap
     after each growth step, that drops exactly the last of the smallest
     entries, which is found with one ``argmin`` instead of a sort; when that
-    entry is run length 0, nothing is dropped.
+    entry is run length 0, nothing is dropped. When it is the last entry,
+    as it is in over half the steady-state steps of a stream of many
+    classes, the survivors are the first ``n - 1`` entries: they are taken
+    by slices, with no mask and no gathers, and the survivors' run lengths
+    are a read-only view of the parent's array (so a dense one stays a view
+    of the shared table). The weights and the kept mass are bitwise what
+    the mask would give. Every other drop takes the mask path.
 
     A prune that would drop nothing builds no mask: under a threshold, when
     the posterior's smallest entry (at ``posterior_argmin``, which
@@ -377,8 +393,18 @@ def prune(state: RunLengthState, policy: PrunePolicy) -> RunLengthState:
         keep = posterior >= policy.epsilon
     elif n == policy.max_live + 1:
         # The stable sort below would drop exactly the last of the minima.
+        drop = n - 1 - posterior[::-1].argmin()
+        if drop == n - 1:
+            # The survivors are a prefix: the same entries, in the same
+            # order, as the mask below would gather, so the same sum. It
+            # holds all but the smallest entry, so its mass is at least
+            # about 1 - 1/n and needs no rescale from the log weights.
+            kept_lw = state.log_weights[:drop] - math.log(float(np.add.reduce(posterior[:drop])))
+            runs = state.run_lengths[:drop]
+            runs.setflags(False)
+            return RunLengthState(runs, kept_lw, state.t, state.evidence_log)
         keep = np.ones(n, dtype=bool)
-        keep[n - 1 - posterior[::-1].argmin()] = False
+        keep[drop] = False
     else:
         order = np.argsort(-posterior, kind="stable")
         keep = np.zeros(n, dtype=bool)

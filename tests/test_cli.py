@@ -114,6 +114,14 @@ def test_ingest_uses_first_column(tmp_path):
     np.testing.assert_array_equal(ingest_csv(p), [3.5, 4.5])
 
 
+def test_ingest_crlf_and_quoted_cells(tmp_path):
+    # Line ends are kept for the csv reader, so CRLF, blank rows and a
+    # quoted cell on one line read as before.
+    p = tmp_path / "a.csv"
+    p.write_bytes(b'x,y\r\n1.5,a\r\n\r\n"2.5",b\r\n3\r\n')
+    np.testing.assert_array_equal(ingest_csv(p), [1.5, 2.5, 3.0])
+
+
 def test_ingest_reports_row_number(tmp_path):
     p = tmp_path / "a.csv"
     p.write_text("1.0\n2.0\noops\n")
@@ -643,6 +651,18 @@ def test_cli_unreadable_input_file_is_input_error(tmp_path, capsys, command, dat
     assert main(argv) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ") and str(bad) in err
+    assert not out.exists()
+    assert not list(tmp_path.rglob("*.part"))
+
+
+def test_cli_unmatched_quote_is_input_error(tmp_path, capsys):
+    # The quoted field runs to the end of the file and keeps its line
+    # breaks, so it is refused, not read as the one value 123.
+    series, out = tmp_path / "quote.csv", tmp_path / "o"
+    series.write_text('x\n"1\n2\n3\n')
+    assert main(["run", "--input", str(series), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert f"{series}: row 2: non-numeric value '1\\n2\\n3'" in err
     assert not out.exists()
     assert not list(tmp_path.rglob("*.part"))
 

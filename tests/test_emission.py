@@ -517,6 +517,41 @@ def test_em_step_map_scale_invariance():
         assert em_step(_table(*params), x, 3.7 * r / r.sum())[1] == z_unit
 
 
+# Every form an observation may take. em_step converts it once to a 0-d
+# float64 array; a bare np.array(x) would keep an integer dtype (uint64 at
+# 2**63) or an object one (above 2**64).
+_OBSERVATION = st.one_of(
+    st.floats(min_value=-5, max_value=5),
+    st.integers(-5, 5),
+    st.integers(2**63, 2**70),
+    st.integers(-(2**70), -(2**63)),
+    st.floats(min_value=-5, max_value=5).map(np.float64),
+    st.floats(min_value=-5, max_value=5, width=32).map(np.float32),
+    st.floats(min_value=-5, max_value=5).map(np.array),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(_class, min_size=1, max_size=6), _OBSERVATION, st.data())
+def test_em_step_takes_every_form_of_the_observation(params, x, data):
+    # em_step(x) is bitwise em_step(float(x)): responsibilities, MAP class
+    # and the updated table.
+    k = len(params)
+    weights = data.draw(st.lists(st.floats(0.01, 1.0), min_size=k, max_size=k))
+    prior = np.array(weights) / sum(weights)
+    ref, got = _table(*params), _table(*params)
+    try:
+        want_resp, want_z = em_step(ref, float(x), prior)
+    except FloatingPointError:
+        with pytest.raises(FloatingPointError):
+            em_step(got, x, prior)
+        return
+    resp, z_star = em_step(got, x, prior)
+    assert resp.dtype == want_resp.dtype and resp.tobytes() == want_resp.tobytes()
+    assert z_star == want_z
+    assert got.live().tobytes() == ref.live().tobytes()
+
+
 def test_em_step_empty_table():
     with pytest.raises(ContractViolation):
         em_step(ClassTable(), 0.0, [])

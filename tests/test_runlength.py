@@ -411,6 +411,13 @@ def _prune_by_mask(state, policy):
 @example([0.0, -2.0, -2.0, 0.0, -2.0], 0, 0)  # tied minima
 @example([0.0, -math.inf, -math.inf, -800.0], 0, 0)  # exact zeros
 @example([0.0, -2.0, -2.0, 0.0, -2.0], 1, 0)  # n = max_live + 2
+# The steady-state minimum is the last entry, which prune drops by slicing:
+# strictly decreasing weights, and tied minima that include the last entry.
+@example([0.0, -1.0, -2.0, -3.0], 0, 0)
+@example([0.0, -1.0, -2.0, -3.0], 0, 5)
+@example([0.0, -2.0, -1.0, -2.0], 0, 0)
+@example([-1.0, 0.0, -1.0, -1.0], 0, 5)
+@example([0.0, -math.inf, 0.0, -math.inf], 0, 0)
 def test_prune_top_m_matches_a_stable_sort(log_weights, extra, first_run):
     # ``extra`` is n - (max_live + 1): 0 is top-m's steady state, which
     # prune handles without a sort.
@@ -456,6 +463,13 @@ _THRESHOLD = st.tuples(
 # argmin at n = M + 1 and by the sort at n = M + 2.
 @example([(0.0, -math.inf), (0.0, 0.0), (0.0, -math.inf)], [1] * 9, 0.0, False, ("top-m", 3))
 @example([(0.0, -math.inf), (0.0, 0.0), (0.0, -math.inf)], [1] * 9, 0.0, False, ("top-m", 2))
+# The last entry is the minimum at n = M + 1, so top-m drops it by slicing:
+# strictly decreasing weights (after run length 0), and tied minima that
+# include the last entry; on dense and on sparse run lengths.
+@example([(0.0, 0.0), (-1.0, 0.0), (-2.0, 0.0)], [1] * 9, 0.0, False, ("top-m", 3))
+@example([(0.0, 0.0), (-1.0, 0.0), (-2.0, 0.0)], [2] * 9, 0.0, True, ("top-m", 3))
+@example([(0.0, 0.0), (-3.0, 0.0), (-3.0, 0.0)], [1] * 9, 0.0, False, ("top-m", 3))
+@example([(0.0, -3.0), (0.0, 0.0), (0.0, -3.0)], [5] * 9, -3.0, True, ("top-m", 3))
 # Run length 0 is the minimum: kept by the threshold at it, and top-m at
 # n = M + 1 then drops nothing.
 @example([(0.0, 0.0), (0.0, 0.0)], [1] * 9, -3.0, False, ("threshold", None))
@@ -520,6 +534,34 @@ def test_prune_of_an_empty_state_is_a_contract_violation(policy):
     state = RunLengthState(np.zeros(0, dtype=np.int64), np.zeros(0), t=0, evidence_log=0.0)
     with pytest.raises(ContractViolation):
         prune(state, policy)
+
+
+def test_prune_that_drops_the_last_entry_keeps_a_view_of_the_parent_run_lengths():
+    # Top-m at n = M + 1 whose last entry is the smallest keeps the first
+    # n - 1 run lengths as a read-only view of the parent's array: on a
+    # dense state (still a view of the shared table) and on a sparse one.
+    # Where the smallest entry is elsewhere, the survivors are gathered.
+    # At hazard 2/3 the oldest run length, (1/3)^t, is the smallest.
+    dense = RunLengthState.initial()
+    for _ in range(5):
+        dense = recursion_step(dense, np.zeros(dense.run_lengths.size), HazardConfig(1.5))
+    assert normalize_posterior(dense).argmin() == 5
+    sparse = RunLengthState(
+        np.array([0, 2, 3, 7], dtype=np.int64), np.array([0.0, -1.0, -2.0, -3.0])
+    )
+    for state in (dense, sparse):
+        n = state.run_lengths.size
+        out = prune(state, PrunePolicy.top_m(n - 1))
+        assert out.run_lengths.tolist() == state.run_lengths[: n - 1].tolist()
+        assert np.shares_memory(out.run_lengths, state.run_lengths)
+        assert not out.run_lengths.flags.writeable
+    assert np.shares_memory(prune(dense, PrunePolicy.top_m(5)).run_lengths, runlength._DENSE)
+    assert sparse.run_lengths.flags.writeable
+
+    middle = RunLengthState(np.arange(4, dtype=np.int64), np.array([0.0, -3.0, -1.0, -2.0]))
+    out = prune(middle, PrunePolicy.top_m(3))
+    assert out.run_lengths.tolist() == [0, 2, 3]
+    assert not np.shares_memory(out.run_lengths, middle.run_lengths)
 
 
 def test_prune_that_drops_nothing_keeps_the_parent_run_lengths(monkeypatch):
