@@ -225,12 +225,7 @@ def _config_values(cfg: DetectorConfig) -> dict:
 
 
 def _build_config(values: dict) -> DetectorConfig:
-    eps, top_m = values["prune_epsilon"], values["prune_top_m"]
-    if eps > 0 and top_m > 0:
-        raise ConfigError("prune_epsilon and prune_top_m are mutually exclusive")
-    kind = "threshold" if eps > 0 else "top-m" if top_m > 0 else "none"
-
-    fields: dict = {"prune": {"kind": kind}}
+    fields: dict = {}
     for key, (field, part, *_) in _KEYS.items():
         if part is None:
             fields[field] = values[key]
@@ -311,6 +306,11 @@ def _read_column(path, integer: bool = False) -> list[float]:
                     header = True
                     continue
                 raise InputError(f"{path}: row {rownum}: non-numeric value {cell!r}") from None
+            # Only a quoted field holds a line break: one left open on the
+            # last data line runs to the end of the file, where the reader
+            # closes it, and float() would strip the break.
+            if "\n" in row[0] or "\r" in row[0]:
+                raise InputError(f"{path}: row {rownum}: line break in value {row[0]!r}")
             if not math.isfinite(v):
                 raise InputError(f"{path}: row {rownum}: non-finite value {cell!r}")
             if integer and not v.is_integer():

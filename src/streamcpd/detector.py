@@ -116,7 +116,7 @@ from .runlength import (
     prune,
     recursion_step,
 )
-from .schema import check_fields, choice, flag, integer, nested, pair, plain, real
+from .schema import check_fields, choice, flag, integer, nested, pair, real
 
 # Posterior entries below this are dropped from StepOutput (memory plumbing
 # only; keeps the stored slice summing to 1 within 1e-9 for runs well past
@@ -490,15 +490,15 @@ class Detector:
     """Single-writer streaming detector; feed observations via :meth:`step`.
 
     ``model`` is the mode's predictive model (see the module docstring).
-    ``cfg`` is the config with its values as Python numbers
-    (:func:`~streamcpd.schema.plain`), so a numpy value gives the outputs
-    of the same Python number. Deterministic given (config, series): no
-    step draws a random number, so ``DetectorConfig.seed`` does not change
-    the outputs.
+    ``cfg`` is the config as given: a config stores its values as Python
+    numbers (see ``schema.py``), so a numpy value gives the outputs of the
+    same Python number. Deterministic given (config, series): no step draws
+    a random number, so ``DetectorConfig.seed`` does not change the
+    outputs.
     """
 
     def __init__(self, cfg: DetectorConfig):
-        self.cfg = cfg = plain(cfg)
+        self.cfg = cfg
         self.model = _MODELS[cfg.mode](cfg)
         self.rl = RunLengthState.initial()
         self.t = 0
@@ -512,9 +512,17 @@ class Detector:
         return None if table is None else table.params()
 
     def step(self, x: float) -> StepOutput:
-        """Consume one observation and return this step's outputs."""
-        x = float(x)
+        """Consume one observation and return this step's outputs. An
+        observation that is not a finite real number (one ``float()``
+        refuses, or NaN, or an infinity) raises ``InputError`` naming its
+        step and leaves the detector as it was."""
         t = self.t + 1
+        try:
+            x = float(x)
+        except (TypeError, ValueError, OverflowError) as exc:
+            # The message, not a repr of x: a repr of an int past 4300
+            # digits raises ValueError.
+            raise InputError(f"observation at t={t} is not a real number: {exc}") from None
         if not math.isfinite(x):
             raise InputError(f"observation at t={t} is not finite: {x!r}")
         cfg, model = self.cfg, self.model
@@ -555,8 +563,9 @@ class Detector:
         model.commit(z_star)
         self._prev_r_star = r_star
 
-        if cfg.prune.kind != "none":
-            self.rl = prune(rl, cfg.prune)
+        policy = cfg.prune
+        if policy.epsilon or policy.max_live:
+            self.rl = prune(rl, policy)
             if model.keep is not None and self.rl.run_lengths.size < runs.size:
                 model.keep(runs, self.rl.run_lengths)
         self.t = t
@@ -564,8 +573,16 @@ class Detector:
 
 
 def run(series, cfg: DetectorConfig) -> RunResult:
-    """Fold a detector over a whole series and collect the trace."""
-    arr = np.asarray(series, dtype=float).ravel()
+    """Fold a detector over a whole series and collect the trace. The
+    series is one axis of real numbers: a shape ``(T,)``, ``(T, 1)`` or
+    ``(1, T)``. Values numpy cannot read as floats raise ``InputError``."""
+    try:
+        arr = np.asarray(series, dtype=float)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise InputError(f"series is not an array of real numbers: {exc}") from None
+    if sum(d > 1 for d in arr.shape) > 1:
+        raise ContractViolation(f"series must have one axis longer than 1, got shape {arr.shape}")
+    arr = arr.ravel()
     if arr.size == 0:
         raise ContractViolation("series must be non-empty")
     det = Detector(cfg)

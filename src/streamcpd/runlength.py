@@ -135,8 +135,7 @@ class HazardConfig:
 
     @property
     def hazard(self) -> float:
-        # float() so that a numpy lam (say float32) gives a double hazard.
-        return 1.0 / float(self.lam)
+        return 1.0 / self.lam
 
     # cached_property stores into the instance dict directly, which a
     # frozen dataclass allows; the cache is not a field, so equality, the
@@ -305,9 +304,10 @@ def normalize_posterior(state: RunLengthState) -> np.ndarray:
 
 @dataclass(frozen=True)
 class PrunePolicy:
-    """Hypothesis pruning: ``none``, drop below a posterior-mass threshold
-    ``epsilon``, or keep the top ``max_live``. A field the kind does not use
-    must stay 0, so each policy has one form (and one manifest form). Run
+    """Hypothesis pruning: drop below a posterior-mass threshold
+    ``epsilon``, or keep the top ``max_live``. 0 turns either off, and
+    setting both is refused, so each policy has one form (and one manifest
+    form); ``kind`` names it: ``none``, ``threshold`` or ``top-m``. Run
     length 0 is never pruned (of a state whose run lengths ascend, as every
     state ``recursion_step`` builds does).
 
@@ -317,17 +317,17 @@ class PrunePolicy:
     2.2e-308 drops those entries too, and top-m, choosing among them, keeps
     the lower indices (its sort is stable)."""
 
-    kind: str = choice("none", "threshold", "top-m")
     epsilon: float = real("[0, 1)", 0.0)
     max_live: int = integer("[0, inf)", 0)
 
     def __post_init__(self):
         check_fields(self)
-        kind = self.kind
-        if kind == "top-m" and self.max_live < 1:
-            raise ContractViolation("top-m pruning must keep at least one hypothesis")
-        if (self.epsilon > 0) != (kind == "threshold") or (self.max_live and kind != "top-m"):
-            raise ConfigError(f"{kind!r} pruning sets the fields it uses and no other: {self}")
+        if self.epsilon and self.max_live:
+            raise ConfigError(f"PrunePolicy.epsilon and .max_live are mutually exclusive: {self}")
+
+    @property
+    def kind(self) -> str:
+        return "threshold" if self.epsilon else "top-m" if self.max_live else "none"
 
     @classmethod
     def none(cls) -> "PrunePolicy":
@@ -335,11 +335,17 @@ class PrunePolicy:
 
     @classmethod
     def threshold(cls, epsilon: float) -> "PrunePolicy":
-        return cls(kind="threshold", epsilon=epsilon)
+        policy = cls(epsilon=epsilon)
+        if not policy.epsilon:
+            raise ConfigError("threshold pruning needs an epsilon above 0")
+        return policy
 
     @classmethod
     def top_m(cls, m: int) -> "PrunePolicy":
-        return cls(kind="top-m", max_live=m)
+        policy = cls(max_live=m)
+        if not policy.max_live:
+            raise ContractViolation("top-m pruning must keep at least one hypothesis")
+        return policy
 
 
 def prune(state: RunLengthState, policy: PrunePolicy) -> RunLengthState:
@@ -354,61 +360,53 @@ def prune(state: RunLengthState, policy: PrunePolicy) -> RunLengthState:
     index (a stable sort). In its steady state, one hypothesis over the cap
     after each growth step, that drops exactly the last of the smallest
     entries, which is found with one ``argmin`` instead of a sort; when that
-    entry is run length 0, nothing is dropped. When it is the last entry,
-    as it is in over half the steady-state steps of a stream of many
-    classes, the survivors are the first ``n - 1`` entries: they are taken
-    by slices, with no mask and no gathers, and the survivors' run lengths
-    are a read-only view of the parent's array (so a dense one stays a view
-    of the shared table). The weights and the kept mass are bitwise what
-    the mask would give. Every other drop takes the mask path.
+    entry is run length 0, nothing is dropped.
 
-    A prune that would drop nothing builds no mask: under a threshold, when
-    the posterior's smallest entry (at ``posterior_argmin``, which
-    ``recursion_step`` found) reaches ``epsilon``; under top-m, when the
-    state holds at most ``max_live`` hypotheses. It returns the parent's
-    weights less the log of the posterior's sum, as the all-True mask
-    would, on the parent's run-length array. A state with no
-    ``posterior_argmin`` takes the mask path, as does an empty one, which
-    is refused there. So is a prune whose only survivor, run length 0, has
-    weight 0: there is no mass to fold the rest into.
+    Survivors that are the first k entries are taken by slices, with no
+    mask and no gathers, bitwise as the mask would give them: k = n when
+    nothing is dropped (under a threshold, when the posterior's smallest
+    entry, at ``posterior_argmin``, reaches ``epsilon``; under top-m, when
+    at most ``max_live`` hypotheses are live), on the parent's run-length
+    array; and k = n - 1 when top-m's steady state drops the last entry (in
+    over half its steps on a stream of many classes), on a read-only prefix
+    view of it. So a dense state stays a view of the shared table. The
+    prefix holds all but the smallest entry, so its mass is at least about
+    1 - 1/n and needs no rescale from the log weights.
+
+    Every other prune takes the mask path, as does a threshold prune of a
+    state with no ``posterior_argmin`` and an empty state, which is refused
+    there. So is a prune whose only survivor, run length 0, has weight 0:
+    there is no mass to fold the rest into.
     """
-    if policy.kind == "none":
+    epsilon, max_live = policy.epsilon, policy.max_live
+    if not (epsilon or max_live):
         return state
 
     posterior = normalize_posterior(state)
-    n = posterior.size
-    if policy.kind == "threshold":
+    n = k = posterior.size
+    keep = None  # no mask: the survivors are the first k entries
+    if epsilon:
         i_min = state.posterior_argmin
-        keep_all = i_min is not None and posterior[i_min] >= policy.epsilon
-    else:
-        keep_all = 0 < n <= policy.max_live
-    if keep_all:
-        # Bitwise what an all-True mask gives: the weights less the log of
-        # the whole posterior's sum (1 up to rounding), on the parent's
-        # run-length array, so a dense one stays a view of the shared table.
-        kept_lw = state.log_weights - math.log(float(np.add.reduce(posterior)))
-        return RunLengthState(state.run_lengths, kept_lw, state.t, state.evidence_log)
-
-    if policy.kind == "threshold":
-        keep = posterior >= policy.epsilon
-    elif n == policy.max_live + 1:
+        if i_min is None or posterior[i_min] < epsilon:
+            keep = posterior >= epsilon
+    elif n == max_live + 1:
         # The stable sort below would drop exactly the last of the minima.
-        drop = n - 1 - posterior[::-1].argmin()
-        if drop == n - 1:
-            # The survivors are a prefix: the same entries, in the same
-            # order, as the mask below would gather, so the same sum. It
-            # holds all but the smallest entry, so its mass is at least
-            # about 1 - 1/n and needs no rescale from the log weights.
-            kept_lw = state.log_weights[:drop] - math.log(float(np.add.reduce(posterior[:drop])))
-            runs = state.run_lengths[:drop]
-            runs.setflags(False)
-            return RunLengthState(runs, kept_lw, state.t, state.evidence_log)
-        keep = np.ones(n, dtype=bool)
-        keep[drop] = False
-    else:
+        k = n - 1 - posterior[::-1].argmin()
+        if k < n - 1:
+            keep = np.ones(n, dtype=bool)
+            keep[k] = False
+    elif not 0 < n <= max_live:
         order = np.argsort(-posterior, kind="stable")
         keep = np.zeros(n, dtype=bool)
-        keep[order[: policy.max_live]] = True
+        keep[order[:max_live]] = True
+    if keep is None:
+        runs = state.run_lengths
+        if k < n:
+            runs = runs[:k]
+            runs.setflags(False)
+        kept_lw = state.log_weights[:k] - math.log(float(np.add.reduce(posterior[:k])))
+        return RunLengthState(runs, kept_lw, state.t, state.evidence_log)
+
     if keep.size and state.run_lengths[0] == 0:
         keep[0] = True
     elif not keep.any():

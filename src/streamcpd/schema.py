@@ -2,9 +2,9 @@
 its manifest parser and its manifest format.
 
 A config dataclass declares each field with a constructor below and runs
-:func:`check_fields` in ``__post_init__``. Values are stored as given;
-:func:`plain` gives the copy a detector computes with, whose values are
-Python numbers.
+:func:`check_fields` in ``__post_init__``, which stores each value as the
+Python ``float``, ``int`` or ``bool`` it equals: a config holds what its
+manifest writes, and a detector computes with the config as it is.
 Numeric kinds take Python and numpy numbers but not ``bool``, in an interval
 such as ``"(0, inf)"``; no bound at inf is closed, and NaN lies in none.
 """
@@ -30,7 +30,9 @@ class Spec(NamedTuple):
     manifest form, ``parse`` (bad text: ``ValueError``, or a value ``ok``
     refuses) and ``format``. ``item`` is a pair's spec of each value, or a
     nested field's config class. ``plain`` turns a value ``ok`` accepts into
-    the same value as a Python ``float``, ``int`` or ``bool``."""
+    the same value as a Python ``float``, ``int`` or ``bool``: a numpy value
+    would carry its own type into the arithmetic it meets (a float32 makes
+    ``t + alpha`` round to float32)."""
 
     ok: Callable[[object], bool]
     domain: str
@@ -105,7 +107,7 @@ def pair(interval: str, default: tuple):
 
 def nested(cls: type):
     ok = lambda v: isinstance(v, cls)  # noqa: E731
-    return _field(Spec(ok, f"a {cls.__name__}", item=cls, plain=plain), factory=cls)
+    return _field(Spec(ok, f"a {cls.__name__}", item=cls), factory=cls)
 
 
 def field_spec(cls: type, name: str, part: str | int | None = None) -> Spec:
@@ -117,17 +119,12 @@ def field_spec(cls: type, name: str, part: str | int | None = None) -> Spec:
 
 
 def check_fields(obj) -> None:
-    """A ``ConfigError`` naming ``Class.field`` for a field outside its spec."""
+    """A ``ConfigError`` naming ``Class.field`` for a field outside its spec;
+    each valid value is stored in its spec's ``plain`` form. A nested
+    config checked its own fields when it was built."""
     for f in dataclasses.fields(obj):
-        f.metadata["spec"].check(f"{type(obj).__name__}.{f.name}", getattr(obj, f.name))
+        spec = f.metadata["spec"]
+        value = spec.check(f"{type(obj).__name__}.{f.name}", getattr(obj, f.name))
+        # A frozen dataclass's own __init__ sets its fields this way.
+        object.__setattr__(obj, f.name, spec.plain(value))
 
-
-def plain(obj):
-    """A copy of the valid config ``obj`` whose numbers are Python ``float``
-    and ``int`` and whose flags are ``bool``, through its nested configs and
-    pairs. A numpy value, stored as given, would carry its own type into the
-    arithmetic it meets: a float32 makes ``t + alpha`` round to float32."""
-    values = {}
-    for f in dataclasses.fields(obj):
-        values[f.name] = f.metadata["spec"].plain(getattr(obj, f.name))
-    return dataclasses.replace(obj, **values)

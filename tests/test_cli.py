@@ -667,6 +667,19 @@ def test_cli_unmatched_quote_is_input_error(tmp_path, capsys):
     assert not list(tmp_path.rglob("*.part"))
 
 
+@pytest.mark.parametrize("text", ['x\n1\n"2\n', 'x\r\n1\r\n"2\r\n', 'x\n1\n"2\r'], ids=repr)
+def test_cli_unmatched_quote_on_the_last_line_is_input_error(tmp_path, capsys, text):
+    # The reader closes the open field at the end of the data, and float()
+    # stripped its line break: the file read as [1.0, 2.0].
+    series, out = tmp_path / "quote.csv", tmp_path / "o"
+    series.write_bytes(text.encode())
+    with pytest.raises(InputError, match=r"row 3: line break in value '2(\\r)?(\\n)?'"):
+        ingest_csv(series)
+    assert main(["run", "--input", str(series), "--out", str(out)]) == 1
+    assert f"{series}: row 3: line break" in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("mode", ["infinite", "fixed-k", "baseline"])
 @pytest.mark.parametrize("values", [[0.0, 1e200], [1e200, 0.0]])
 def test_cli_overflowing_observation_exit_code(tmp_path, capsys, mode, values):

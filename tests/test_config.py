@@ -4,6 +4,7 @@ valid config reads back as the same config."""
 
 import dataclasses
 import re
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -14,7 +15,6 @@ from streamcpd import (
     CandidatePolicy,
     ChangePointRule,
     ConfigError,
-    ContractViolation,
     Detector,
     DetectorConfig,
     HazardConfig,
@@ -24,6 +24,7 @@ from streamcpd import (
     SegmentSpec,
     run,
 )
+from streamcpd import cli
 from streamcpd.cli import config_to_items, parse_config
 from streamcpd.schema import field_spec
 
@@ -75,16 +76,42 @@ def _valid(spec):
     return st.none() | values if spec.domain.endswith("or None") else values
 
 
-@st.composite
-def valid_configs(draw, cls):
-    """A config of ``cls`` from its fields' domains; a prune policy sets
-    the fields of its kind only, as its cross-field rule asks."""
-    if cls is PrunePolicy:
-        kind = draw(st.sampled_from(["none", "threshold", "top-m"]))
-        if kind == "threshold":
-            return PrunePolicy.threshold(draw(st.floats(0, 1, exclude_min=True, exclude_max=True)))
-        return PrunePolicy.top_m(draw(st.integers(1, 30))) if kind == "top-m" else PrunePolicy()
-    return cls(**{name: draw(_valid(spec)) for name, spec in _specs(cls).items()})
+def _build_or_none(cls, kwargs):
+    try:
+        return cls(**kwargs)
+    except ConfigError:  # a rule across fields: both prune fields set
+        return None
+
+
+def valid_configs(cls):
+    """Configs of ``cls``: each field at its default or a value from its
+    domain, less those that break a rule across fields."""
+    values = {}
+    for f in dataclasses.fields(cls):
+        values[f.name] = _valid(field_spec(cls, f.name))
+        if f.default is not dataclasses.MISSING:
+            values[f.name] |= st.just(f.default)
+    built = st.fixed_dictionaries(values).map(lambda kwargs: _build_or_none(cls, kwargs))
+    return built.filter(lambda cfg: cfg is not None)
+
+
+def _stored(spec, value):
+    """What a field of ``spec`` stores for the valid ``value``: the Python
+    value it equals, of the spec's type."""
+    if spec.domain.startswith("a real"):
+        return value if value is None else float(value)
+    if spec.domain.startswith("an integer"):
+        return int(value)
+    if spec.domain == "a bool":
+        return bool(value)
+    if spec.item is not None and not isinstance(spec.item, type):  # a pair
+        return tuple(_stored(spec.item, v) for v in value)
+    return value
+
+
+def _typed(value):
+    """``value`` as ``(type, value)``, item by item in a tuple."""
+    return tuple(map(_typed, value)) if isinstance(value, tuple) else (type(value), value)
 
 
 # Values of every type a caller might pass by mistake, or a numpy scalar in
@@ -124,13 +151,9 @@ def test_any_field_value_is_valid_or_a_config_error(cls, data):
         cfg = cls(**kwargs)
     except ConfigError:
         return
-    except ContractViolation:
-        # The one pinned exception: top-m pruning that keeps nothing.
-        assert cls is PrunePolicy and kwargs.get("kind") == "top-m"
-        assert kwargs.get("max_live", 0) == 0
-        return
     for name, value in kwargs.items():
-        assert getattr(cfg, name) is value  # stored as given
+        # Stored as the Python value it equals, of its spec's type.
+        assert _typed(getattr(cfg, name)) == _typed(_stored(specs[name], value))
     if cls is DetectorConfig:
         xs = data.draw(st.lists(st.floats(-10, 10), min_size=3, max_size=3), label="xs")
         _build_and_step(cfg, xs)
@@ -197,6 +220,29 @@ def test_manifest_items_read_back_as_the_same_config(config_file, cfg):
     # Every key's spec formats its value and parses it back unchanged.
     config_file.write_text("".join(f"{k}={v}\n" for k, v in config_to_items(cfg)))
     assert parse_config(config_file=config_file)[0] == cfg
+
+
+def test_config_leaves_and_manifest_keys_match_one_to_one():
+    # Every settable value has a manifest key and every key sets one value:
+    # PrunePolicy.kind, derived from its two numbers, had no key.
+    leaves = []
+    for f in dataclasses.fields(DetectorConfig):
+        item = field_spec(DetectorConfig, f.name).item
+        if isinstance(item, type):  # a nested config
+            leaves += [(f.name, g.name) for g in dataclasses.fields(item)]
+        elif item is not None:  # a pair
+            leaves += [(f.name, 0), (f.name, 1)]
+        else:
+            leaves.append((f.name, None))
+    keyed = [(field, part) for field, part, *_ in cli._KEYS.values()]
+    assert Counter(leaves) == Counter(keyed)
+    assert len(set(keyed)) == len(keyed) == 23
+
+
+def test_detector_computes_with_its_config_as_given():
+    cfg = DetectorConfig(alpha=np.float32(0.7), prune=PrunePolicy.top_m(np.int64(20)))
+    assert type(cfg.alpha) is float and type(cfg.prune.max_live) is int
+    assert Detector(cfg).cfg is cfg
 
 
 def _python(v):

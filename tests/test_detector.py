@@ -231,9 +231,47 @@ def test_large_decay_keeps_stepping(mode, k_fixed, n, digest):
     assert _steps_sha256(res.steps[:n]) == digest
 
 
+_NOT_REAL = {"10**400": 10**400, "None": None, "[1.0]": [1.0], "array": np.array([1.0, 2.0]), "'x'": "x"}
+
+
+@pytest.mark.parametrize("x", _NOT_REAL.values(), ids=_NOT_REAL.keys())
+def test_observation_that_is_not_a_real_number_is_input_error(x):
+    # Each raised a raw OverflowError, TypeError or ValueError.
+    det = Detector(DetectorConfig())
+    det.step(0.5)
+    with pytest.raises(InputError, match="observation at t=2 is not a real number"):
+        det.step(x)
+    assert det.t == 1
+    assert det.step(0.5).t == 2
+
+
+@pytest.mark.parametrize(
+    "series", [[1.0, 10**400], ["1", "x"], [[1.0], [2.0, 3.0]]], ids=["10**400", "'x'", "ragged"]
+)
+def test_series_that_is_not_real_numbers_is_input_error(series):
+    with pytest.raises(InputError, match="series is not an array of real numbers"):
+        run(series, DetectorConfig())
+
+
 def test_empty_series_rejected():
     with pytest.raises(ContractViolation):
         run([], DetectorConfig())
+
+
+@pytest.mark.parametrize("shape", [(2, 2), (2, 3), (3, 1, 2)])
+def test_series_of_more_than_one_axis_is_refused(shape):
+    # run([[0, 5], [0.1, 5.1]]) read its values in row order, as 4 steps.
+    series = np.arange(math.prod(shape), dtype=float).reshape(shape)
+    with pytest.raises(ContractViolation, match=rf"shape \({shape[0]}, "):
+        run(series, DetectorConfig())
+
+
+def test_series_of_one_axis_reads_in_any_of_its_shapes():
+    x = np.array([0.0, 0.3, 5.0, 5.2, 0.1])
+    want = [(s.z_star, s.r_star) for s in run(x, DetectorConfig()).steps]
+    for shape in [(5, 1), (1, 5), (1, 5, 1)]:
+        got = run(x.reshape(shape), DetectorConfig()).steps
+        assert [(s.z_star, s.r_star) for s in got] == want
 
 
 def test_length_one_series():

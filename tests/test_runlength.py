@@ -607,19 +607,14 @@ def test_prune_policy_validation():
         with pytest.raises(ConfigError):
             PrunePolicy.top_m(m)
     with pytest.raises(ConfigError):
-        PrunePolicy(kind="none", max_live=0.5)
+        PrunePolicy(max_live=0.5)
     assert PrunePolicy.top_m(np.int64(3)).max_live == 3
     with pytest.raises(ConfigError):
         PrunePolicy.threshold(0.0)
-    with pytest.raises(ConfigError):
-        PrunePolicy(kind="banana")
-    for stray in ({"epsilon": 0.5}, {"max_live": 5}):
-        with pytest.raises(ConfigError):
-            PrunePolicy(**stray)
-    with pytest.raises(ConfigError):
-        PrunePolicy(kind="top-m", max_live=5, epsilon=0.5)
-    with pytest.raises(ConfigError):
-        PrunePolicy(kind="threshold", epsilon=0.5, max_live=5)
+    with pytest.raises(ConfigError, match="mutually exclusive"):
+        PrunePolicy(epsilon=0.5, max_live=5)
+    with pytest.raises(ConfigError, match="mutually exclusive"):
+        PrunePolicy(epsilon=1e-10, max_live=5)
 
 
 # -- cached evidence ----------------------------------------------------
