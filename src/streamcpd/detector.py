@@ -16,9 +16,12 @@ z_star, k_t, resp)``, the log predictive of observation x at step t under
 every live hypothesis and under a reset; ``commit(z_star)``, called once the
 trellis step has succeeded; and ``keep``: None, or ``keep(before, kept)``
 after pruning dropped hypotheses, for a model with one column per hypothesis
-(the baseline). When the run lengths are dense, ``0..n-1``
-(``RunLengthState.dense``), ``predict`` reads its per-run-length tables by
-prefix slices instead of gathers. So :meth:`Detector.step` is one body for every mode: predict,
+(the baseline). On an observation that overflows its arithmetic,
+``predict`` raises ``FloatingPointError`` with the model as it was, which
+:meth:`Detector.step` alone turns into ``InputError``. When the run lengths
+are dense, ``0..n-1`` (``RunLengthState.dense``), ``predict`` reads its
+per-run-length tables by prefix slices instead of gathers. So
+:meth:`Detector.step` is one body for every mode: predict,
 ``recursion_step``, readout, commit, prune, keep.
 
 The readout hands out the posterior entries at or above 1e-14 with their
@@ -102,7 +105,7 @@ from .emission import (
 # Not called here; kept in this namespace because perfbench's tracer
 # self-test checks that tracing restores ``streamcpd.detector.m_step``.
 from .emission import m_step  # noqa: F401
-from .errors import ConfigError, ContractViolation, InputError
+from .errors import ContractViolation, InputError
 # The readout reaches the shared dense table through the module: perfbench's
 # tracer times every function imported into this namespace as a span of its
 # own, which added about 10 us of traced time per step to a 0.2 us call.
@@ -130,12 +133,15 @@ _ONE.setflags(False)
 
 @dataclass(frozen=True)
 class NigParams:
-    """Normal-Inverse-Gamma parameters (used both as prior and posterior)."""
+    """Normal-Inverse-Gamma parameters: the baseline's prior, and the
+    posterior ``oracles.nig_update`` folds from it. The bounds keep the
+    baseline's arithmetic finite on ordinary observations: (x - mu)^2 and
+    the prior scale 2 b (kappa + 1) / kappa stay below about 1e301."""
 
-    mu: float = real("(-inf, inf)", 0.0)
-    kappa: float = real("(0, inf)", 1.0)
+    mu: float = real("[-1e150, 1e150]", 0.0)
+    kappa: float = real("[1e-150, 1e150]", 1.0)
     a: float = real("(0, 1e305)", 1.0)  # lgamma(a) overflows past 2.5e305
-    b: float = real("(0, inf)", 1.0)
+    b: float = real("(0, 1e150]", 1.0)
 
     __post_init__ = check_fields
 
@@ -213,15 +219,22 @@ def _fixed_k_offsets(k_fixed: int) -> list[float]:
 
 @dataclass(frozen=True)
 class DetectorConfig:
+    """Every setting of a detector, one field per manifest key. The bounds
+    are the ranges the models need, so a config that passes its field
+    checks builds a detector: K beta stays finite, and so does 2 var^2 in
+    the emission gradients. Below a ``var_floor`` of about 2.6e-104, a
+    fixed-k class fanned out around the first observation took a mean step
+    of about 1/sqrt(var) that overflowed that gradient at the next step."""
+
     mode: str = choice("infinite", "fixed-k", "baseline")
     alpha: float = real("(0, inf)", 1.0)
-    k_fixed: int = integer("[1, inf)", 10)
-    dirichlet_beta: float = real("(0, inf)", 1.0)
+    k_fixed: int = integer("[1, 1e6]", 10)
+    dirichlet_beta: float = real("(0, 1e150]", 1.0)
     hazard: HazardConfig = nested(HazardConfig)
     candidate: CandidatePolicy = nested(CandidatePolicy)
     eta_init: tuple[float, float] = pair("(0, inf)", (1.0, 0.02))
     decay: float = real("(0, 1)", 0.02)
-    var_floor: float = real("[1e-150, inf)", 1e-6)  # 2 var^2, an M-step divisor, stays normal
+    var_floor: float = real("[1e-100, 1e150]", 1e-6)
     log_var_update: bool = flag(False)
     prune: PrunePolicy = nested(PrunePolicy)
     cp_rule: ChangePointRule = nested(ChangePointRule)
@@ -324,7 +337,8 @@ class _LatentModel:
         the winner's rate decay, and the window predictive of the MAP label.
         A spawned candidate takes the last column and is kept only if the
         MAP assignment picks it. An observation that overflows the
-        arithmetic raises ``InputError`` and leaves the table as it was."""
+        arithmetic raises ``FloatingPointError`` and leaves the table as it
+        was."""
         cfg = self.cfg
         prior = self._class_prior(x)
         table = self.table
@@ -339,9 +353,7 @@ class _LatentModel:
             )
         except FloatingPointError:
             table.n = k_prev
-            raise InputError(
-                f"observation at t={t} overflows the emission model: {x!r}"
-            ) from None
+            raise
         if z_star <= k_prev:
             table.n = k_prev
         decay_rates(table, z_star, cfg.decay)
@@ -378,8 +390,6 @@ class FixedKModel(_LatentModel):
 
     def __init__(self, cfg: DetectorConfig):
         kf, beta = cfg.k_fixed, cfg.dirichlet_beta
-        if not math.isfinite(kf * beta):  # the class prior would be 0
-            raise ConfigError(f"k_fixed * dirichlet_beta overflows: {kf} * {beta!r}")
         super().__init__(cfg, None, smoothing=beta, unseen=beta, c=kf * beta, n_classes=kf)
         self.log_reset = math.log(1.0 / kf)
 
@@ -404,17 +414,15 @@ class BaselineModel:
     posterior, from the hypothesis table ``live`` (rows mu and B) and the
     run-length table ``consts`` (layout in the module docstring).
     ``predict`` builds the next hypothesis table and ``commit`` installs it;
-    ``keep`` drops the columns of pruned hypotheses."""
+    ``keep`` drops the columns of pruned hypotheses. An observation whose
+    squared distance to a column's mean overflows (|x - mu| near 1.3e154)
+    raises ``FloatingPointError`` in ``predict``, before any table changes."""
 
     table = None
 
     def __init__(self, cfg: DetectorConfig):
         self.prior = p = cfg.baseline
         self.prior_col = np.array([p.mu, 2.0 * p.b * (p.kappa + 1.0) / p.kappa])
-        if not math.isfinite(self.prior_col[1]):
-            raise ConfigError(
-                f"baseline prior scale 2 b0 (kappa0 + 1) / kappa0 overflows: {p!r}"
-            )
         self.live = self.prior_col[:, None].copy()
         self.consts = _run_length_table(p, 64)
         self._grown = None
@@ -431,29 +439,21 @@ class BaselineModel:
         grown = np.empty((2, n + 1))
         grown[:, 0] = self.prior_col
         mu1, big_b1 = grown[0, 1:], grown[1, 1:]
-        # An observation whose squared distance to a column's mean overflows
-        # (|x - mu| near 1.3e154) would leave an inf or NaN column behind; it
-        # raises InputError instead and leaves the detector as it was.
-        try:
-            with np.errstate(over="raise", invalid="raise"):
-                # mu1 holds d until the last lines turn it into mu'.
-                d = np.subtract(x, mu, out=mu1)
-                d2 = np.square(d)
-                np.add(big_b, d2, out=big_b1)
-                log_psi = np.log(big_b)
-                log_psi *= -0.5
-                log_psi += c
-                d2 /= big_b
-                np.log1p(d2, out=d2)
-                d2 *= h
-                log_psi -= d2
-                d *= inv_k1
-                mu1 += mu
-                big_b1 *= rho
-        except FloatingPointError:
-            raise InputError(
-                f"observation at t={t} overflows the baseline model: {x!r}"
-            ) from None
+        with np.errstate(over="raise", invalid="raise"):
+            # mu1 holds d until the last lines turn it into mu'.
+            d = np.subtract(x, mu, out=mu1)
+            d2 = np.square(d)
+            np.add(big_b, d2, out=big_b1)
+            log_psi = np.log(big_b)
+            log_psi *= -0.5
+            log_psi += c
+            d2 /= big_b
+            np.log1p(d2, out=d2)
+            d2 *= h
+            log_psi -= d2
+            d *= inv_k1
+            mu1 += mu
+            big_b1 *= rho
         self._grown = grown
         # Column 0 is the prior, so log_psi[0] is the empty-window (reset)
         # predictive.
@@ -514,8 +514,9 @@ class Detector:
     def step(self, x: float) -> StepOutput:
         """Consume one observation and return this step's outputs. An
         observation that is not a finite real number (one ``float()``
-        refuses, or NaN, or an infinity) raises ``InputError`` naming its
-        step and leaves the detector as it was."""
+        refuses, or NaN, or an infinity), or that overflows the model's
+        arithmetic, raises ``InputError`` naming its step and leaves the
+        detector as it was."""
         t = self.t + 1
         try:
             x = float(x)
@@ -527,9 +528,11 @@ class Detector:
             raise InputError(f"observation at t={t} is not finite: {x!r}")
         cfg, model = self.cfg, self.model
         rl = self.rl
-        log_psi, log_psi_reset, z_star, k_t, resp = model.predict(
-            x, t, rl.run_lengths, rl.dense
-        )
+        try:
+            log_psi, log_psi_reset, z_star, k_t, resp = model.predict(x, t, rl.run_lengths, rl.dense)
+        except FloatingPointError:
+            name = "baseline" if cfg.mode == "baseline" else "emission"
+            raise InputError(f"observation at t={t} overflows the {name} model: {x!r}") from None
 
         rl = self.rl = recursion_step(rl, log_psi, cfg.hazard, log_psi_reset)
         runs = rl.run_lengths

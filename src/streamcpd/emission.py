@@ -125,10 +125,13 @@ class ClassTable:
 @dataclass(frozen=True)
 class CandidatePolicy:
     """How a freshly spawned class is initialized: mean at the triggering
-    observation (``mu0=None``) or at a fixed value, variance ``var_init``."""
+    observation (``mu0=None``) or at a fixed value, variance ``var_init``
+    (fixed-k's classes start at it too). The bounds keep a new class's
+    first step finite on ordinary observations: 2 var^2, a gradient's
+    divisor, and (x - mu0)^2 stay below about 1e300."""
 
-    mu0: float | None = real("(-inf, inf)", None, "at-observation")
-    var_init: float = real("(0, inf)", 1.0)
+    mu0: float | None = real("[-1e150, 1e150]", None, "at-observation")
+    var_init: float = real("(0, 1e150]", 1.0)
 
     __post_init__ = check_fields
 

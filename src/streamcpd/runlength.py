@@ -126,8 +126,9 @@ class HazardConfig:
 
     ``log_hazard`` and ``log_survival`` (``log h`` and ``log(1 - h)``, -inf
     at h = 1) are computed on first use and cached on the config, so a
-    trellis step reads them instead of taking two logs; so is
-    ``log_survival`` as a read-only 0-d array, the step's array operand."""
+    trellis step reads them instead of taking two logs. ``log_survival`` is
+    a read-only 0-d array, the step's array operand: numpy converts a float
+    operand anew at every call, a 0-d array not."""
 
     lam: float = real("[1, inf)", 1e6)
 
@@ -145,14 +146,9 @@ class HazardConfig:
         return math.log(self.hazard)
 
     @cached_property
-    def log_survival(self) -> float:
+    def log_survival(self) -> np.ndarray:
         h = self.hazard
-        return math.log1p(-h) if h < 1.0 else -math.inf
-
-    @cached_property
-    def _log_survival_array(self) -> np.ndarray:
-        # numpy converts a float operand anew at every call, a 0-d array not.
-        a = np.array(self.log_survival)
+        a = np.array(math.log1p(-h) if h < 1.0 else -math.inf)
         a.setflags(False)
         return a
 
@@ -241,7 +237,7 @@ def recursion_step(
     try:
         new_lw[0] = cfg.log_hazard + log_psi_reset + state.evidence_log
         grown = new_lw[1:]
-        np.add(log_psi, cfg._log_survival_array, out=grown)
+        np.add(log_psi, cfg.log_survival, out=grown)
         grown += lw
         # exp and the division by the total keep the order of the entries,
         # so this is also where the posterior is smallest.

@@ -870,6 +870,15 @@ def test_cli_config_file_refusal_names_its_line(tmp_path, capsys, line):
     assert not (tmp_path / "o").exists()
 
 
+@pytest.mark.parametrize("line", ["candidate_var=1e200", "baseline_b0=1e308", "var_floor=1e-150"])
+def test_cli_config_file_value_the_models_cannot_take_names_its_line(tmp_path, capsys, line):
+    # Each parsed into its key's old domain: candidate_var=1e200 was then
+    # refused as an overflowing observation at t=1 (exit code 1), and
+    # baseline_b0=1e308 by the baseline model, with no line number. Now a
+    # field's bounds are what the models need.
+    test_cli_config_file_refusal_names_its_line(tmp_path, capsys, line)
+
+
 def test_cli_interrupt_leaves_no_part_file(tmp_path, monkeypatch):
     from streamcpd.detector import Detector
 

@@ -598,10 +598,11 @@ def test_config_validation():
         with pytest.raises(ConfigError):
             DetectorConfig(log_var_update=flag)
     assert DetectorConfig(log_var_update=np.bool_(True)).log_var_update
-    # An overflowing baseline prior scale 2 b0 (kappa0 + 1) / kappa0.
-    for p in (NigParams(b=1e308), NigParams(kappa=5e-324)):
+    # A baseline prior scale 2 b0 (kappa0 + 1) / kappa0 that would overflow
+    # is outside the fields' bounds.
+    for kw in ({"b": 1e308}, {"kappa": 5e-324}):
         with pytest.raises(ConfigError):
-            Detector(DetectorConfig(mode="baseline", baseline=p))
+            Detector(DetectorConfig(mode="baseline", baseline=NigParams(**kw)))
 
 
 @pytest.mark.parametrize("k", [np.int64(3), np.int32(3), np.uint8(3), 3])
@@ -1103,3 +1104,105 @@ def test_fixed_k_offsets_match_ndtri():
 def test_nig_validation():
     with pytest.raises(ConfigError):
         NigParams(kappa=0.0)
+
+
+# -- config bounds ------------------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "cls, kw",
+    [
+        # Each was accepted and then refused every observation, or refused
+        # by Detector(cfg) with no field to name.
+        (CandidatePolicy, {"var_init": 9.5e153}),
+        (CandidatePolicy, {"mu0": 1e200}),
+        (NigParams, {"mu": 1.34e154}),
+        (NigParams, {"kappa": 9e307}),
+        (DetectorConfig, {"var_floor": 1e-150}),
+        (DetectorConfig, {"var_floor": 1e200}),
+        (DetectorConfig, {"mode": "fixed-k", "k_fixed": 10**7}),
+        (DetectorConfig, {"mode": "fixed-k", "dirichlet_beta": 1e300}),
+    ],
+    ids=lambda v: v.__name__ if isinstance(v, type) else ",".join(f"{k}={x}" for k, x in v.items()),
+)
+def test_values_the_models_cannot_take_are_refused_by_their_field(cls, kw):
+    field = list(kw)[-1]
+    with pytest.raises(ConfigError, match=rf"^{cls.__name__}\.{field} must be "):
+        cls(**kw)
+
+
+@pytest.mark.parametrize("mode", ["infinite", "fixed-k", "baseline"])
+def test_extreme_configs_in_range_step_ordinary_values(mode):
+    # Every field at the end of its range that the models find hardest.
+    # At var_floor = var_init = 1e-150 a fixed-k detector stepped 0.0 and
+    # then refused 0.0, 0.0, 1.0 and -1.0.
+    for kw in (
+        {"var_floor": 1e-100, "candidate": CandidatePolicy(var_init=1e-100)},
+        {"var_floor": 1e150, "candidate": CandidatePolicy(var_init=1e150)},
+        {"candidate": CandidatePolicy(var_init=1e150)},
+        {"k_fixed": 1, "dirichlet_beta": 1e150},
+        {"baseline": NigParams(mu=1e150, kappa=1e-150, b=1e150)},
+        {"baseline": NigParams(mu=-1e150, kappa=1e150, b=1e150)},
+    ):
+        det = Detector(DetectorConfig(mode=mode, **kw))
+        for x in (0.0, 0.0, 0.0, 1.0, -1.0):
+            det.step(x)
+        assert det.t == 5
+
+
+# -- known defects --------------------------------------------------------------
+# Each is a strict xfail: it fails on an assertion today, and the fix its
+# ROADMAP item names makes it pass, which the strict mark reports until the
+# mark is taken off.
+
+
+def _refused(det, xs) -> int:
+    n = 0
+    for x in xs:
+        try:
+            det.step(x)
+        except InputError:
+            n += 1
+    return n
+
+
+@pytest.mark.xfail(
+    strict=True,
+    raises=AssertionError,
+    reason="ROADMAP item 7: after 1e200 at t=1 every N(0, 1) value is refused",
+)
+@pytest.mark.parametrize("mode", ["infinite", "fixed-k"])
+def test_ordinary_values_step_after_a_huge_first_observation(mode):
+    det = Detector(DetectorConfig(mode=mode))
+    det.step(1e200)
+    # Today all 20 are refused.
+    assert _refused(det, np.random.default_rng(0).normal(0.0, 1.0, 20)) == 0
+
+
+@pytest.mark.xfail(
+    strict=True,
+    raises=AssertionError,
+    reason="ROADMAP item 7: a candidate at mu0=1e150 blows the class variance up to 1e298",
+)
+def test_candidate_at_the_largest_mu0_keeps_stepping():
+    # The first class starts at 1e150, so 0.0 moves its variance to about
+    # 1e298, where the gradient's 2 var^2 overflows: 1.0 and -1.0 are
+    # refused today.
+    det = Detector(DetectorConfig(candidate=CandidatePolicy(mu0=1e150)))
+    assert _refused(det, [0.0, 1.0, -1.0]) == 0
+
+
+@pytest.mark.xfail(
+    strict=True,
+    raises=AssertionError,
+    reason="ROADMAP item 3: at alpha > 1 infinite opens one class per sample",
+)
+@pytest.mark.parametrize("seed", [0, 3])
+def test_alpha_two_infers_few_classes_and_the_change(seed):
+    # At alpha = 1 the same series ends with K = 12 or 13 and a change
+    # flagged at t = 153; at alpha = 2 today, K = 300 and nothing is flagged.
+    rng = np.random.default_rng(seed)
+    series = np.concatenate([rng.normal(0.0, 1.0, 150), rng.normal(6.0, 1.0, 150)])
+    res = run(series, DetectorConfig(alpha=2.0))
+    assert res.final_k < 150
+    assert any(abs(t - 150) <= 10 for t in res.change_points)
