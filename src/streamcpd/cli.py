@@ -290,32 +290,34 @@ def _read_column(path, integer: bool = False) -> list[float]:
     header = False
     try:
         # Rows are parsed as they are read: a list of them would about
-        # double the memory a large series takes to ingest. The lines keep
-        # their ends, so a quoted field that runs over several lines keeps
-        # its line breaks and is refused as non-numeric, not read as the
-        # digits of those lines run together.
-        rows = csv.reader(path.read_text(encoding="utf-8-sig").splitlines(keepends=True))
-        for rownum, row in enumerate(rows, 1):
-            if not row or all(not c.strip() for c in row):
-                continue
-            cell = row[0].strip()
-            try:
-                v = float(cell)
-            except ValueError:
-                if not (values or header):
-                    header = True
+        # double the memory a large series takes to ingest. Only \n, \r and
+        # \r\n end a row (str.splitlines also breaks lines at \f, \x1c-\x1e,
+        # \x85, \u2028 and \u2029, which made two values of one cell), and a
+        # quoted field that runs over several lines keeps its line breaks
+        # and is refused, not read as the digits of those lines run together.
+        with open(path, encoding="utf-8-sig", newline="") as f:
+            for rownum, row in enumerate(csv.reader(f), 1):
+                if not row or all(not c.strip() for c in row):
                     continue
-                raise InputError(f"{path}: row {rownum}: non-numeric value {cell!r}") from None
-            # Only a quoted field holds a line break: one left open on the
-            # last data line runs to the end of the file, where the reader
-            # closes it, and float() would strip the break.
-            if "\n" in row[0] or "\r" in row[0]:
-                raise InputError(f"{path}: row {rownum}: line break in value {row[0]!r}")
-            if not math.isfinite(v):
-                raise InputError(f"{path}: row {rownum}: non-finite value {cell!r}")
-            if integer and not v.is_integer():
-                raise InputError(f"{path}: row {rownum}: non-integer value {cell!r}")
-            values.append(v)
+                cell = row[0].strip()
+                try:
+                    v = float(cell)
+                except ValueError:
+                    if not (values or header):
+                        header = True
+                        continue
+                    msg = f"{path}: row {rownum}: non-numeric value {cell!r}"
+                    raise InputError(msg) from None
+                # Only a quoted field holds a line break: one left open on
+                # the last data line runs to the end of the file, where the
+                # reader closes it, and float() would strip the break.
+                if "\n" in row[0] or "\r" in row[0]:
+                    raise InputError(f"{path}: row {rownum}: line break in value {row[0]!r}")
+                if not math.isfinite(v):
+                    raise InputError(f"{path}: row {rownum}: non-finite value {cell!r}")
+                if integer and not v.is_integer():
+                    raise InputError(f"{path}: row {rownum}: non-integer value {cell!r}")
+                values.append(v)
     except (OSError, UnicodeDecodeError, csv.Error) as exc:
         raise InputError(f"cannot read {path}: {exc}") from exc
     return values

@@ -7,19 +7,21 @@ prior (the CRP's is :func:`crp_prior`) and the window counts, which
 under every live run length. No state represents class probabilities
 explicitly.
 
-The ledger keeps the class totals m_1..m_K as one float array, and for each
-class the ascending times at which it was recorded, so memory is linear in
-the stream length whatever the number of classes. The count of class k
-inside the window of the last r labels is c_k(t) - c_k(t - r), where c_k is
-the prefix count: the number of k's occurrences at or before a time. That
-makes one step's predictive across all live run-length hypotheses a single
-vectorized query: a binary search of the occurrence times when the
-hypotheses are few against a long history, and otherwise a gather from the
-dense prefix counts of the queried class, which are kept up to date while
-that class stays the one queried. When the caller states that the window
-lengths are dense, ``0..n-1`` (as an unpruned trellis's run lengths are),
-the starts t - r are t, t-1, ..., t-n+1, and the counts are c_k(t) minus a
-reversed slice of the prefix counts: no index array, range scan or gather.
+The ledger keeps the class totals m_1..m_K as one float array and the labels
+themselves as one int64 history, so memory is linear in the stream length
+whatever the number of classes. The count of class k inside the window of
+the last r labels is c_k(t) - c_k(t - r), where c_k is the prefix count:
+the number of k's occurrences at or before a time. The ledger keeps those
+counts for the class last queried, from a kept start ``base`` on, and
+``record`` appends one entry to them. A query reaches back to ``lo = t -
+max(r)``; when it names another class, or reaches before ``base``, the
+counts are rebuilt from ``lo`` by one ``cumsum`` over the labels since
+then. So one step's predictive across all live run-length hypotheses is a
+single gather from those counts, and the rebuilds touch only the labels
+inside the longest live window, not the whole history. When the caller
+states that the window lengths are dense, ``0..n-1`` (as an unpruned
+trellis's run lengths are), the starts t - r are t, t-1, ..., t-n+1, and
+the counts are c_k(t) minus a reversed slice: no index array or gather.
 
 Both latent models' window predictives have the form num(w) / (r + c), for
 a label seen w times among the last r labels. The CRP's has num = w, or the
@@ -41,24 +43,22 @@ from .errors import ContractViolation
 
 
 class LabelCounts:
-    """Per-class totals and occurrence times, with vectorized windowed
+    """Per-class totals and the label history, with vectorized windowed
     queries. Class ids are 1-based and may be recorded in any order.
 
     ``m[k - 1]`` is m_k, the occurrences of class k so far, as a float.
     ``m`` always has a zero slot past the highest class id, and room for
-    classes 1..``n_classes`` from the start."""
+    classes 1..``n_classes`` from the start. ``k`` is the highest class id
+    recorded (0 before the first label)."""
 
     def __init__(self, n_classes: int = 0):
-        self._occ: list[np.ndarray] = []  # class k: times 1..t it was recorded at
-        self._hot = 0  # class whose dense prefix counts are kept (0: none)
-        self._hot_prefix = np.zeros(0, dtype=np.int64)  # c_hot(0..t), then spare room
+        self._labels = np.empty(64, dtype=np.int64)  # the labels at times 1..t
+        self._hot = 0  # the class whose counts are kept (0: none)
+        self._base = 0  # the counts' start: _counts[j] is c_hot(base + j) - c_hot(base)
+        self._counts = np.zeros(0, dtype=np.int64)  # for j = 0..t - base, then spare room
         self.m = np.zeros(max(16, n_classes + 1))
+        self.k = 0
         self.t = 0
-
-    @property
-    def k(self) -> int:
-        """The highest class id recorded (0 before the first label)."""
-        return len(self._occ)
 
     def record(self, k: int) -> None:
         """Append one label at time t + 1."""
@@ -66,23 +66,22 @@ class LabelCounts:
             raise ContractViolation(f"class ids are 1-based, got {k}")
         if k >= self.m.size:
             self.m = np.concatenate([self.m, np.zeros(k)])
-        while len(self._occ) < k:
-            self._occ.append(np.empty(16, dtype=np.int64))
-        occ, n = self._occ[k - 1], int(self.m[k - 1])
-        if n == occ.size:
-            occ = self._occ[k - 1] = np.concatenate([occ, np.empty_like(occ)])
-        self.t += 1
-        occ[n] = self.t
-        self.m[k - 1] = n + 1
+        t = self.t
+        if t == self._labels.size:
+            self._labels = np.concatenate([self._labels, np.empty_like(self._labels)])
+        self._labels[t] = k
+        self.t = t = t + 1
+        self.m[k - 1] += 1
+        self.k = max(self.k, k)
         if self._hot:
-            c = self._hot_prefix
-            if self.t == c.size:
-                c = self._hot_prefix = np.concatenate([c, np.empty_like(c)])
-            c[self.t] = c[self.t - 1] + (k == self._hot)
+            c, j = self._counts, t - self._base
+            if j == c.size:
+                c = self._counts = np.concatenate([c, np.empty_like(c)])
+            c[j] = c[j - 1] + (k == self._hot)
 
     def total(self, k: int) -> int:
         """m_k: occurrences of class k over the whole history."""
-        return int(self.m[k - 1]) if k <= len(self._occ) else 0
+        return int(self.m[k - 1]) if k <= self.k else 0
 
     def window_counts(self, k: int, runs: np.ndarray, dense: bool = False) -> np.ndarray:
         """Count of class k among the last r labels, vectorized over r.
@@ -94,41 +93,28 @@ class LabelCounts:
         unsorted ``[2, 0, 2]`` passes too."""
         t = self.t
         if dense:
-            size = len(runs)
-            if size > t + 1:
-                raise ContractViolation(f"window lengths must lie in [0, {t}]")
-            start = None
+            longest = len(runs) - 1
         else:
-            start = t - np.asarray(runs, dtype=np.int64)
-            # r < 0 puts the start past t, and r > t puts it below 0, which
-            # as an unsigned integer is also past t: one reduction checks
-            # both.
-            if start.size and np.maximum.reduce(start.view(np.uint64)) > t:
-                raise ContractViolation(f"window lengths must lie in [0, {t}]")
-            size = start.size
-        n = self.total(k)
-        if n == 0:
-            return np.zeros(size if start is None else start.shape, dtype=np.int64)
-        if k != self._hot:
-            if size * n.bit_length() < t:
-                # m binary searches cost about m * log2(n), less than
-                # building c_k(0..t) in t steps.
-                if start is None:
-                    start = t - np.asarray(runs, dtype=np.int64)
-                return n - self._occ[k - 1][:n].searchsorted(start, side="right")
-            self._hot = k
-            self._hot_prefix = np.empty(2 * (t + 1), dtype=np.int64)
-            self._hot_prefix[: t + 1] = self.prefix(k)
-        c = self._hot_prefix
-        if start is None:
-            # c[t - r] for r = 0..size-1.
-            return c[t] - c[t + 1 - size : t + 1][::-1]
-        return c[t] - c[start]
-
-    def prefix(self, k: int) -> np.ndarray:
-        """The prefix-count sequence c_k(0..t) for one class."""
-        occ = self._occ[k - 1][: self.total(k)] if k <= len(self._occ) else np.zeros(0, np.int64)
-        return np.cumsum(np.bincount(occ, minlength=self.t + 1))
+            runs = np.asarray(runs, dtype=np.int64)
+            # A negative r, read as an unsigned integer, lies past t too, so
+            # one reduction checks both ends and, when they hold, gives the
+            # longest window.
+            longest = int(np.maximum.reduce(runs.view(np.uint64))) if runs.size else -1
+        if longest > t:
+            raise ContractViolation(f"window lengths must lie in [0, {t}]")
+        if self.total(k) == 0:
+            return np.zeros(len(runs), dtype=np.int64)
+        lo = t - max(longest, 0)
+        if k != self._hot or lo < self._base:
+            c = self._counts = np.empty(2 * (t - lo + 1), dtype=np.int64)
+            c[0] = 0
+            np.cumsum(self._labels[lo:t] == k, out=c[1 : t - lo + 1])
+            self._hot, self._base = k, lo
+        c, end = self._counts, t - self._base
+        if dense:
+            # c at t - r for r = 0..longest.
+            return c[end] - c[end - longest : end + 1][::-1]
+        return c[end] - c[end - runs]
 
 
 def crp_prior(counts: LabelCounts, alpha: float) -> np.ndarray:

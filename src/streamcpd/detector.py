@@ -36,13 +36,15 @@ The two latent models share one emission step, a single SGD-EM pass over one
 :class:`ClassTable` (E-step, M-step and MAP assignment from shared
 intermediates, committed only on success) plus the winner's rate decay. They
 also share one ledger of the MAP labels, a :class:`LabelCounts`, one
-``commit`` that records the step's label in it, and one ``predict``. They
-differ only in whether a candidate column is spawned, in the class prior, in
+``commit`` that records the step's label in it, and one ``predict``, which
+makes new classes in one place, a ``_spawn`` hook inside the step's
+rollback. They differ only in what that hook pushes (the infinite mode's
+candidate, or the fixed-k fan-out at the first step), in the class prior, in
 the reset predictive, and in the constants of the window predictive ``num(w)
 / (r + c)`` (see ``crp.py``). Each model keeps that predictive as one pair
 of tables, numerators over window counts and denominators ``r + c`` over run
 lengths, doubled together; on dense run lengths the denominators are a
-prefix slice and the window counts a reversed slice of the kept prefix
+prefix slice and the window counts a reversed slice of the ledger's kept
 counts.
 
 The baseline's NIG posterior after a window of r observations has kappa_r =
@@ -135,12 +137,15 @@ _ONE.setflags(False)
 class NigParams:
     """Normal-Inverse-Gamma parameters: the baseline's prior, and the
     posterior ``oracles.nig_update`` folds from it. The bounds keep the
-    baseline's arithmetic finite on ordinary observations: (x - mu)^2 and
-    the prior scale 2 b (kappa + 1) / kappa stay below about 1e301."""
+    baseline's arithmetic finite on ordinary observations: (x - mu)^2, the
+    prior scale 2 b (kappa + 1) / kappa and a^2 stay below about 1e301.
+    The Student-t log density is about -a log1p((x - mu)^2 / B) per step:
+    at a = 9e304, mu = 10 and top-1 pruning, the trellis's sum of it
+    overflowed at the 614th zero."""
 
     mu: float = real("[-1e150, 1e150]", 0.0)
     kappa: float = real("[1e-150, 1e150]", 1.0)
-    a: float = real("(0, 1e305)", 1.0)  # lgamma(a) overflows past 2.5e305
+    a: float = real("(0, 1e150]", 1.0)
     b: float = real("(0, 1e150]", 1.0)
 
     __post_init__ = check_fields
@@ -162,9 +167,7 @@ _D_SERIES_FROM = 256.0
 def _lgamma_half_diff(a):
     """D(a) = lgamma(a + 1/2) - lgamma(a) of a large ``a`` (a number or an
     array), by the series log(a)/2 - 1/(8a) + 1/(192 a^3) + O(a^-5)."""
-    with np.errstate(over="ignore"):  # a^2 overflows past 1.3e154; its term is 0 there
-        series = (1.0 / 192.0) / np.square(a) - 0.125
-    return 0.5 * np.log(a) + series / a
+    return 0.5 * np.log(a) + ((1.0 / 192.0) / np.square(a) - 0.125) / a
 
 
 def _run_length_rows(kappa: np.ndarray, a: np.ndarray, d: np.ndarray) -> np.ndarray:
@@ -288,33 +291,27 @@ class RunResult:
 
 
 class _LatentModel:
-    """What the two latent models share: the class table and its emission
-    step, the ledger of MAP labels, which ``commit`` appends to, and one
-    ``predict``. They hold nothing per run-length hypothesis, so pruning
-    needs no hook.
+    """What the two latent models share: the class table, owned from
+    construction, and its emission step, the ledger of MAP labels, which
+    ``commit`` appends to, and one ``predict``. They hold nothing per
+    run-length hypothesis, so pruning needs no hook.
 
-    A subclass sets ``spawn``, whether a candidate class is spawned every
-    step; ``log_reset``, the log reset predictive; the class prior
-    ``_class_prior(x)``; and the constants of its window predictive
-    ``num(w) / (r + c)`` (see ``crp.py``): ``num(w) = w + smoothing`` above
-    ``num(0) = unseen``, and ``c``. ``numerators`` and ``denominators`` hold
-    it as tables over w and r; both are doubled whenever the largest live
-    run length reaches their end."""
+    A subclass sets ``_spawn(x, t)``, which pushes the step's new classes
+    onto the table inside ``predict``'s rollback; ``log_reset``, the log
+    reset predictive; the class prior ``_class_prior()``; and the constants
+    of its window predictive ``num(w) / (r + c)`` (see ``crp.py``): ``num(w)
+    = w + smoothing`` above ``num(0) = unseen``, and ``c``. ``numerators``
+    and ``denominators`` hold it as tables over w and r; both are doubled
+    whenever the largest live run length reaches their end."""
 
     keep = None
     log_reset = 0.0
 
     def __init__(
-        self,
-        cfg: DetectorConfig,
-        table: ClassTable | None,
-        smoothing: float,
-        unseen: float,
-        c: float,
-        n_classes: int = 0,
+        self, cfg: DetectorConfig, smoothing: float, unseen: float, c: float, n_classes: int = 0
     ):
         self.cfg = cfg
-        self.table = table
+        self.table = ClassTable(max(8, n_classes))
         self.counts = LabelCounts(n_classes)
         self._consts = smoothing, unseen, c
         # em_step's clamp takes the floor as a 0-d array operand (see
@@ -335,19 +332,15 @@ class _LatentModel:
     def predict(self, x: float, t: int, run_lengths: np.ndarray, dense: bool):
         """One SGD-EM step over the class table under the class prior, then
         the winner's rate decay, and the window predictive of the MAP label.
-        A spawned candidate takes the last column and is kept only if the
-        MAP assignment picks it. An observation that overflows the
-        arithmetic raises ``FloatingPointError`` and leaves the table as it
-        was."""
-        cfg = self.cfg
-        prior = self._class_prior(x)
-        table = self.table
+        The classes ``_spawn`` pushes take the last columns and are kept
+        only if the MAP assignment picks one of them. An observation that
+        overflows the arithmetic raises ``FloatingPointError`` and leaves
+        the table as it was."""
+        cfg, table = self.cfg, self.table
+        prior = self._class_prior()
         k_prev = table.n
-        if self.spawn:
-            spawn_candidate(
-                table, x, cfg.candidate, cfg.eta_init, born_at=t, var_floor=cfg.var_floor
-            )
         try:
+            self._spawn(x, t)
             resp, z_star = em_step(
                 table, x, prior, var_floor=self._var_floor, log_space=cfg.log_var_update
             )
@@ -371,41 +364,46 @@ class InfiniteModel(_LatentModel):
     and the CRP window predictive of the MAP labels, ``w / (r + alpha)``
     with the new-table mass alpha at w = 0; the reset predictive is 1."""
 
-    spawn = True
-
     def __init__(self, cfg: DetectorConfig):
-        super().__init__(cfg, ClassTable(), smoothing=0.0, unseen=cfg.alpha, c=cfg.alpha)
+        super().__init__(cfg, smoothing=0.0, unseen=cfg.alpha, c=cfg.alpha)
 
-    def _class_prior(self, x: float) -> np.ndarray:
+    def _spawn(self, x: float, t: int) -> None:
+        cfg = self.cfg
+        spawn_candidate(
+            self.table, x, cfg.candidate, cfg.eta_init, born_at=t, var_floor=cfg.var_floor
+        )
+
+    def _class_prior(self) -> np.ndarray:
         return crp_prior(self.counts, self.cfg.alpha)
 
 
 class FixedKModel(_LatentModel):
     """``fixed-k``: K classes under a symmetric Dirichlet prior, and the
     Dirichlet-categorical window predictive of the MAP labels, ``(w + beta)
-    / (r + K beta)``; the reset predictive is 1/K. The table is built at the
-    first observation."""
-
-    spawn = False
+    / (r + K beta)``; the reset predictive is 1/K. The table starts empty,
+    and the first step fans its K classes out around its observation, so
+    a refused first observation leaves it empty."""
 
     def __init__(self, cfg: DetectorConfig):
         kf, beta = cfg.k_fixed, cfg.dirichlet_beta
-        super().__init__(cfg, None, smoothing=beta, unseen=beta, c=kf * beta, n_classes=kf)
+        super().__init__(cfg, smoothing=beta, unseen=beta, c=kf * beta, n_classes=kf)
         self.log_reset = math.log(1.0 / kf)
 
-    def _class_prior(self, x: float) -> np.ndarray:
-        """(m_k + beta) / (t + K beta); the first call also builds the
-        table around x."""
+    def _spawn(self, x: float, t: int) -> None:
+        """At the first step, the K classes: their means fan out around x at
+        normal quantiles, which is deterministic and breaks the symmetry
+        that would otherwise keep all K classes identical forever."""
+        if self.table.n:
+            return
+        cfg = self.cfg
+        var0 = max(cfg.var_floor, cfg.candidate.var_init)
+        for o in _fixed_k_offsets(cfg.k_fixed):
+            self.table.push(float(x + math.sqrt(var0) * o), var0, *cfg.eta_init, born_at=t)
+
+    def _class_prior(self) -> np.ndarray:
+        """(m_k + beta) / (t + K beta)."""
         cfg, lc = self.cfg, self.counts
         kf, beta = cfg.k_fixed, cfg.dirichlet_beta
-        if self.table is None:
-            # Class means fan out around the first observation at normal
-            # quantiles; deterministic, and breaks the symmetry that would
-            # otherwise keep all K classes identical forever.
-            var0 = max(cfg.var_floor, cfg.candidate.var_init)
-            self.table = ClassTable(kf)
-            for o in _fixed_k_offsets(kf):
-                self.table.push(float(x + math.sqrt(var0) * o), var0, *cfg.eta_init, born_at=1)
         return (lc.m[:kf] + beta) / (lc.t + kf * beta)
 
 
@@ -506,8 +504,9 @@ class Detector:
 
     @property
     def params(self) -> list[EmissionParams] | None:
-        """The live classes' parameters (a fresh list of records), or None
-        in baseline mode and before the first fixed-k step."""
+        """The live classes' parameters (a fresh list of records; empty
+        before the first step), or None in baseline mode, which has no
+        classes."""
         table = self.model.table
         return None if table is None else table.params()
 

@@ -667,6 +667,19 @@ def test_cli_unmatched_quote_is_input_error(tmp_path, capsys):
     assert not list(tmp_path.rglob("*.part"))
 
 
+@pytest.mark.parametrize("sep", ["\f", "\x1e", "\x85"], ids=["form-feed", "record-sep", "nel"])
+def test_cli_rows_end_only_at_line_ends(tmp_path, capsys, sep):
+    # str.splitlines also breaks a line at these, which read the two data
+    # rows as the three values 1, 2 and 3.
+    series, out = tmp_path / "sep.csv", tmp_path / "o"
+    series.write_text(f"x\n1{sep}2\n3\n", encoding="utf-8")
+    with pytest.raises(InputError, match="row 2: non-numeric value"):
+        ingest_csv(series)
+    assert main(["run", "--input", str(series), "--out", str(out)]) == 1
+    assert f"{series}: row 2: non-numeric value {f'1{sep}2'!r}" in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("text", ['x\n1\n"2\n', 'x\r\n1\r\n"2\r\n', 'x\n1\n"2\r'], ids=repr)
 def test_cli_unmatched_quote_on_the_last_line_is_input_error(tmp_path, capsys, text):
     # The reader closes the open field at the end of the data, and float()
@@ -870,12 +883,15 @@ def test_cli_config_file_refusal_names_its_line(tmp_path, capsys, line):
     assert not (tmp_path / "o").exists()
 
 
-@pytest.mark.parametrize("line", ["candidate_var=1e200", "baseline_b0=1e308", "var_floor=1e-150"])
+@pytest.mark.parametrize(
+    "line", ["candidate_var=1e200", "baseline_b0=1e308", "var_floor=1e-150", "baseline_a0=1e200"]
+)
 def test_cli_config_file_value_the_models_cannot_take_names_its_line(tmp_path, capsys, line):
     # Each parsed into its key's old domain: candidate_var=1e200 was then
     # refused as an overflowing observation at t=1 (exit code 1), and
     # baseline_b0=1e308 by the baseline model, with no line number. Now a
-    # field's bounds are what the models need.
+    # field's bounds are what the models need (baseline_a0's keeps a0^2
+    # finite).
     test_cli_config_file_refusal_names_its_line(tmp_path, capsys, line)
 
 

@@ -124,7 +124,7 @@ def test_record_first_assignment():
     lc = LabelCounts()
     lc.record(1)
     assert lc.t == 1
-    np.testing.assert_array_equal(lc.prefix(1), [0, 1])
+    np.testing.assert_array_equal(lc.window_counts(1, np.arange(lc.t + 1)), [0, 1])
     assert lc.k == 1
     np.testing.assert_array_equal(lc.m[: lc.k], [1])
 
@@ -149,35 +149,65 @@ def test_record_long_random_stream_invariants(seed):
         assert lc.k == len(set(labels))
         # the totals always end in a spare zero slot past the highest id
         assert lc.m.size > lc.k and not lc.m[lc.k :].any()
-    # prefix sequences are monotone and consistent with the counts
+    # every window count against the labels, counted from the end; the
+    # whole history's agrees with the totals
+    ends = np.array(labels[::-1])
     for k in range(1, lc.k + 1):
-        pref = lc.prefix(k)
-        assert np.all(np.diff(pref) >= 0)
-        assert pref[-1] == labels.count(k) == lc.m[k - 1]
+        w = lc.window_counts(k, np.arange(lc.t + 1))
+        np.testing.assert_array_equal(w, np.r_[0, np.cumsum(ends == k)])
+        assert w[-1] == labels.count(k) == lc.m[k - 1]
+
+
+def _query(kind, t, seed):
+    """The window lengths of one query at time t, and whether the query
+    states that they are dense."""
+    rng = np.random.default_rng(seed)
+    if kind == "strided":
+        return np.arange(0, t + 1, seed % 4 + 1), False
+    if kind == "ends":
+        return np.array([0, t]), False
+    if kind == "unsorted":  # in any order, with repeats
+        return rng.integers(0, t + 1, rng.integers(1, 6)), False
+    if kind == "dense":
+        return np.arange(rng.integers(1, t + 2)), True
+    # "short": a window of at most 2 labels, so a rebuild for it keeps the
+    # counts from t - 2 on, and a longer query of the same class reaches
+    # before them.
+    return np.array([min(t, int(seed % 3))]), False
 
 
 @settings(max_examples=60, deadline=None)
 @given(
     st.lists(st.integers(min_value=1, max_value=5), min_size=1, max_size=120),
-    st.lists(st.tuples(st.integers(1, 6), st.integers(0, 4)), min_size=1, max_size=40),
+    st.lists(
+        st.tuples(
+            st.integers(1, 6),
+            st.sampled_from(["strided", "ends", "unsorted", "dense", "short"]),
+            st.integers(0, 2**32 - 1),
+        ),
+        min_size=1,
+        max_size=40,
+    ),
 )
 def test_label_counts_window_queries_match_brute_force(labels, queries):
-    # Queries interleave with records; sparse run sets take the binary
-    # search, dense ones the kept prefix counts of the queried class.
+    # Queries interleave with records: each class change, and each query
+    # that reaches before the queried class's kept counts, rebuilds them;
+    # the others read the counts that record kept up to date.
     lc = LabelCounts()
     qi = 0
     for i, z in enumerate(labels):
         lc.record(z)
-        k, spread = queries[qi % len(queries)]
+        k, kind, seed = queries[qi % len(queries)]
         qi += 1
         t = i + 1
-        runs = np.arange(0, t + 1, spread + 1) if spread < 4 else np.array([0, t])
+        runs, dense = _query(kind, t, seed)
         want = [labels[t - r : t].count(k) for r in runs]
-        np.testing.assert_array_equal(lc.window_counts(k, runs), want)
+        np.testing.assert_array_equal(lc.window_counts(k, runs, dense), want)
         assert lc.total(k) == labels[:t].count(k)
+    t = len(labels)
     for k in range(1, 7):
-        want = [labels[:tau].count(k) for tau in range(len(labels) + 1)]
-        np.testing.assert_array_equal(lc.prefix(k), want)
+        want = [labels[t - r :].count(k) for r in range(t + 1)]
+        np.testing.assert_array_equal(lc.window_counts(k, np.arange(t + 1)), want)
     np.testing.assert_array_equal(lc.m[:6], [labels.count(k) for k in range(1, 7)])
 
 
@@ -192,7 +222,7 @@ def test_global_predictive_is_counts_over_t_plus_alpha(choices, alpha):
 
 
 @pytest.mark.parametrize("runs", [[-1], [5], [0, -1], [5, 0], [2, 4, 5]])
-@pytest.mark.parametrize("k", [1, 2])  # class 1 is queried by binary search, 2 from its prefix
+@pytest.mark.parametrize("k", [1, 2])  # class 1's counts are rebuilt, 2's are kept
 def test_label_counts_reject_windows_outside_the_history(runs, k):
     lc = _counts_with_labels([1, 2, 2, 2])
     lc.window_counts(2, np.arange(5))

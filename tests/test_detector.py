@@ -202,6 +202,24 @@ def test_overflow_leaves_detector_state_unchanged(mode, warm, bad, kw):
     ]
 
 
+@pytest.mark.parametrize(
+    "mode, want", [("infinite", []), ("fixed-k", []), ("baseline", None)], ids=lambda v: str(v)
+)
+def test_params_before_the_first_step(mode, want):
+    assert Detector(DetectorConfig(mode=mode)).params == want
+
+
+def test_refused_first_fixed_k_observation_leaves_no_classes():
+    # The fan-out is made inside the step's rollback: learning rates this
+    # large overflow the first M-step, and the refused observation leaves
+    # the table empty, where it used to leave all 10 classes built.
+    det = Detector(DetectorConfig(mode="fixed-k", eta_init=(1e300, 0.02)))
+    with pytest.raises(InputError, match="t=1"):
+        det.step(0.0)
+    assert det.t == 0
+    assert det.params == []
+
+
 def _steps_sha256(steps):
     h = hashlib.sha256()
     for s in steps:
@@ -693,7 +711,7 @@ def test_dense_run_lengths_read_by_slices_as_by_gathers(labels, alpha, data):
     crp, dirichlet = crp_tables(alpha, n), dirichlet_tables(k_max, alpha, n)
     for k in range(1, k_max + 1):
         want = [labels[t - r :].count(k) for r in dense]
-        for hot in (False, True):  # binary search, or k's kept prefix counts
+        for hot in (False, True):  # counts rebuilt by this query, or kept from one before
             lc = LabelCounts()
             for z in labels:
                 lc.record(z)
@@ -942,7 +960,7 @@ def test_baseline_column_near_overflow_refuses_later_observations():
     assert np.all(np.isfinite(live))
 
 
-@pytest.mark.parametrize("a0", [0.3, 1.0, 2.5, 300.0, 1e4, 1e13, 1e16, 1e300])
+@pytest.mark.parametrize("a0", [0.3, 1.0, 2.5, 300.0, 1e4, 1e13, 1e16, 1e150])
 def test_lgamma_term_recurrence_matches_mpmath(a0):
     # c_r = D_r - log(pi)/2 with D_r = lgamma(a_r + 1/2) - lgamma(a_r) is
     # carried by D(a + 1/2) = log(a) - D(a) from the prior's seed; checked
@@ -1118,6 +1136,7 @@ def test_nig_validation():
         (CandidatePolicy, {"mu0": 1e200}),
         (NigParams, {"mu": 1.34e154}),
         (NigParams, {"kappa": 9e307}),
+        (NigParams, {"a": 1e200}),
         (DetectorConfig, {"var_floor": 1e-150}),
         (DetectorConfig, {"var_floor": 1e200}),
         (DetectorConfig, {"mode": "fixed-k", "k_fixed": 10**7}),
@@ -1129,6 +1148,17 @@ def test_values_the_models_cannot_take_are_refused_by_their_field(cls, kw):
     field = list(kw)[-1]
     with pytest.raises(ConfigError, match=rf"^{cls.__name__}\.{field} must be "):
         cls(**kw)
+
+
+@pytest.mark.parametrize("prior", [{"mu": 10.0}, {"mu": 2.2e98, "kappa": 9e15}])
+def test_largest_a0_steps_a_long_stream(prior):
+    # At a0 = 9e304 these priors made every joint weight vanish, at t = 614
+    # and t = 5, as the trellis summed log densities of about -a0 per step.
+    baseline = NigParams(a=1e150, **prior)
+    det = Detector(DetectorConfig(mode="baseline", baseline=baseline, prune=PrunePolicy.top_m(1)))
+    for _ in range(3000):
+        det.step(0.0)
+    assert det.t == 3000
 
 
 @pytest.mark.parametrize("mode", ["infinite", "fixed-k", "baseline"])
