@@ -6,7 +6,7 @@ The exact references the tests check the runtime against live in
 
 __version__ = "0.1.0"
 
-from .crp import LabelCounts, crp_prior, window_predictive
+from .crp import LabelCounts
 from .detector import (
     Detector,
     DetectorConfig,
@@ -57,7 +57,6 @@ __all__ = [
     "SegmentSpec",
     "SparsePosterior",
     "StepOutput",
-    "crp_prior",
     "decay_rates",
     "em_step",
     "gen_piecewise_gaussian",
@@ -66,5 +65,4 @@ __all__ = [
     "recursion_step",
     "run",
     "spawn_candidate",
-    "window_predictive",
 ]

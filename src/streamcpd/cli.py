@@ -30,6 +30,10 @@ POSTERIOR_FILE_FLOOR = 1e-12
 CLI_DEFAULT_PRUNE_EPSILON = 1e-10
 
 
+def _part_path(path: Path) -> Path:
+    return path.with_name(path.name + ".part")
+
+
 class _PartFile:
     """One output file, written as ``NAME.part`` and renamed to NAME by
     :meth:`commit`. Any ``OSError`` is an ``InputError`` naming NAME, and
@@ -37,7 +41,7 @@ class _PartFile:
 
     def __init__(self, path):
         self.path = Path(path)
-        self.part = self.path.with_name(self.path.name + ".part")
+        self.part = _part_path(self.path)
         try:
             self._fh = open(self.part, "w", encoding="utf-8")
         except OSError as exc:
@@ -86,6 +90,7 @@ class _Outputs:
 
     def __init__(self, outdir=None):
         self._files: list[_PartFile] = []
+        self._taken: dict[Path, str] = {}  # resolved target and part paths: their file's label
         self._made: list[Path] = []  # deepest first
         self.dir = None if outdir is None else Path(outdir)
         if self.dir is not None:
@@ -107,9 +112,19 @@ class _Outputs:
             except OSError:
                 break
 
-    def open(self, name) -> _PartFile:
-        f = _PartFile(name if self.dir is None else self.dir / name)
+    def open(self, name, label=None) -> _PartFile:
+        """A part file for ``name``. Sharing a target or part file with
+        another file of the group would tear it, so that is a ``ConfigError``
+        naming both by ``label`` (default: the path), before anything is made."""
+        path = Path(name if self.dir is None else self.dir / name)
+        label = label or str(path)
+        mine = [p.resolve() for p in (path, _part_path(path))]
+        for p in mine:
+            if p in self._taken:
+                raise ConfigError(f"{self._taken[p]} and {label} name the same file {path}")
+        f = _PartFile(path)
         self._files.append(f)
+        self._taken.update(dict.fromkeys(mine, label))
         return f
 
     def write(self, name, blocks) -> _PartFile:
@@ -131,7 +146,7 @@ class _Outputs:
             if f.path.is_dir():
                 raise f._error(IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR)))
         paths = [f.commit() for f in self._files]
-        self._files, self._made = [], []
+        self._files, self._made, self._taken = [], [], {}
         return paths
 
 
@@ -190,31 +205,42 @@ _SPECS = {key: field_spec(DetectorConfig, f, p) for key, (f, p, *_) in _KEYS.ite
 _INFO_KEYS = ("input", "output_dir", "tool_version", "duration_seconds")
 
 
+@contextlib.contextmanager
+def _reading(path, what: str = ""):
+    """A CLI input file: UTF-8 with or without a byte-order mark, with
+    lines ended by LF, CR and CRLF only (not the form feed, NEL and others
+    ``str.splitlines`` takes). A read, decode or CSV error inside the block
+    is an ``InputError`` naming ``what`` and the path."""
+    try:
+        with open(path, encoding="utf-8-sig", newline="") as f:
+            yield f
+    except (OSError, UnicodeDecodeError, csv.Error) as exc:
+        raise InputError(f"cannot read {what}{path}: {exc}") from exc
+
+
 def _read_kv_file(path) -> tuple[dict, dict]:
     values, info = {}, {}
-    try:
-        lines = Path(path).read_text(encoding="utf-8").splitlines()
-    except (OSError, UnicodeDecodeError) as exc:
-        raise InputError(f"cannot read config file {path}: {exc}") from exc
-    for lineno, raw in enumerate(lines, 1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        if "=" not in line:
-            raise ConfigError(f"{path}:{lineno}: expected key=value, got {raw!r}")
-        key, _, val = line.partition("=")
-        key, val = key.strip(), val.strip()
-        if key in _INFO_KEYS:
-            info[key] = val
-        elif key in _KEYS:
-            spec = _SPECS[key]
-            try:
-                values[key] = spec.check(key, spec.parse(val))
-            except ValueError as exc:
-                msg = f"{path}:{lineno}: bad value for {key}: {val!r}, expected {spec.domain}"
-                raise ConfigError(msg) from exc
-        else:
-            raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
+    with _reading(path, "config file ") as f:
+        for lineno, raw in enumerate(f, 1):
+            raw = raw.rstrip("\r\n")
+            line = raw.strip()
+            if not line or line.startswith("#"):
+                continue
+            if "=" not in line:
+                raise ConfigError(f"{path}:{lineno}: expected key=value, got {raw!r}")
+            key, _, val = line.partition("=")
+            key, val = key.strip(), val.strip()
+            if key in _INFO_KEYS:
+                info[key] = val
+            elif key in _KEYS:
+                spec = _SPECS[key]
+                try:
+                    values[key] = spec.check(key, spec.parse(val))
+                except ValueError as exc:
+                    msg = f"{path}:{lineno}: bad value for {key}: {val!r}, expected {spec.domain}"
+                    raise ConfigError(msg) from exc
+            else:
+                raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
     return values, info
 
 
@@ -288,38 +314,33 @@ def _read_column(path, integer: bool = False) -> list[float]:
     path = Path(path)
     values: list[float] = []
     header = False
-    try:
-        # Rows are parsed as they are read: a list of them would about
-        # double the memory a large series takes to ingest. Only \n, \r and
-        # \r\n end a row (str.splitlines also breaks lines at \f, \x1c-\x1e,
-        # \x85, \u2028 and \u2029, which made two values of one cell), and a
-        # quoted field that runs over several lines keeps its line breaks
-        # and is refused, not read as the digits of those lines run together.
-        with open(path, encoding="utf-8-sig", newline="") as f:
-            for rownum, row in enumerate(csv.reader(f), 1):
-                if not row or all(not c.strip() for c in row):
+    # Rows are parsed as they are read: a list of them would about double
+    # the memory a large series takes to ingest. A quoted field that runs
+    # over several lines keeps its line breaks and is refused, not read as
+    # the digits of those lines run together.
+    with _reading(path) as f:
+        for rownum, row in enumerate(csv.reader(f), 1):
+            if not row or all(not c.strip() for c in row):
+                continue
+            cell = row[0].strip()
+            try:
+                v = float(cell)
+            except ValueError:
+                if not (values or header):
+                    header = True
                     continue
-                cell = row[0].strip()
-                try:
-                    v = float(cell)
-                except ValueError:
-                    if not (values or header):
-                        header = True
-                        continue
-                    msg = f"{path}: row {rownum}: non-numeric value {cell!r}"
-                    raise InputError(msg) from None
-                # Only a quoted field holds a line break: one left open on
-                # the last data line runs to the end of the file, where the
-                # reader closes it, and float() would strip the break.
-                if "\n" in row[0] or "\r" in row[0]:
-                    raise InputError(f"{path}: row {rownum}: line break in value {row[0]!r}")
-                if not math.isfinite(v):
-                    raise InputError(f"{path}: row {rownum}: non-finite value {cell!r}")
-                if integer and not v.is_integer():
-                    raise InputError(f"{path}: row {rownum}: non-integer value {cell!r}")
-                values.append(v)
-    except (OSError, UnicodeDecodeError, csv.Error) as exc:
-        raise InputError(f"cannot read {path}: {exc}") from exc
+                msg = f"{path}: row {rownum}: non-numeric value {cell!r}"
+                raise InputError(msg) from None
+            # Only a quoted field holds a line break: one left open on
+            # the last data line runs to the end of the file, where the
+            # reader closes it, and float() would strip the break.
+            if "\n" in row[0] or "\r" in row[0]:
+                raise InputError(f"{path}: row {rownum}: line break in value {row[0]!r}")
+            if not math.isfinite(v):
+                raise InputError(f"{path}: row {rownum}: non-finite value {cell!r}")
+            if integer and not v.is_integer():
+                raise InputError(f"{path}: row {rownum}: non-integer value {cell!r}")
+            values.append(v)
     return values
 
 
@@ -581,9 +602,14 @@ def _cmd_synth(args) -> int:
     seed = _SPECS["seed"].check("seed", args.seed)
     series, cps, _ = gen_piecewise_gaussian(segments, np.random.default_rng(seed))
     with _Outputs() as out:
-        out.write(args.out, _column_blocks("x\n", "%.17g\n", series.tolist()))
+        # Both files are opened before either is written, so a pair that
+        # names one file is refused with nothing written.
+        files = {out.open(args.out, "--out"): _column_blocks("x\n", "%.17g\n", series.tolist())}
         if args.truth:
-            out.write(args.truth, _column_blocks("t\n", "%d\n", cps))
+            files[out.open(args.truth, "--truth")] = _column_blocks("t\n", "%d\n", cps)
+        for f, blocks in files.items():
+            for block in blocks:
+                f.write(block)
         out.commit()
     print(f"samples={len(series)}")
     print(f"changepoints={','.join(str(c) for c in cps) if cps else ''}")

@@ -1,11 +1,15 @@
 """Chinese-restaurant-process bookkeeping over the MAP label history.
 
-One ledger, :class:`LabelCounts`, holds the seating counts of the label
-history, and both latent models read their predictives from it: the class
-prior (the CRP's is :func:`crp_prior`) and the window counts, which
-:func:`window_predictive` turns into the predictive of the step's label
-under every live run length. No state represents class probabilities
-explicitly.
+One seating rule gives both predictives a latent model needs: a label seen
+w times among n gets num(w) / (n + c), with num(w) = w + smoothing above
+num(0) = unseen. Over the whole history (n = t, w = m_k) it is the class
+prior; over the last r labels it is the window predictive under run length
+r. The CRP's rule has smoothing 0 and unseen = c = alpha (an unseen class is
+a new table, so an empty window gives 1); the symmetric Dirichlet over K
+classes, which tends to the CRP as K grows with K beta held at alpha, has
+smoothing = unseen = beta and c = K beta. One ledger, :class:`LabelCounts`,
+holds the labels and the rule's constants and answers both. No state
+represents class probabilities explicitly.
 
 The ledger keeps the class totals m_1..m_K as one float array and the labels
 themselves as one int64 history, so memory is linear in the stream length
@@ -23,16 +27,10 @@ states that the window lengths are dense, ``0..n-1`` (as an unpruned
 trellis's run lengths are), the starts t - r are t, t-1, ..., t-n+1, and
 the counts are c_k(t) minus a reversed slice: no index array or gather.
 
-Both latent models' window predictives have the form num(w) / (r + c), for
-a label seen w times among the last r labels. The CRP's has num = w, or the
-new-table mass alpha at w = 0, and c = alpha: a label absent from the window
-is a new table in it, so an empty window gives 1. The symmetric Dirichlet over
-K classes, which tends to the CRP as K grows with K beta held at alpha, has
-num = w + beta and c = K beta. So each model keeps one pair of tables: the
-numerators, indexed by w, and the denominators r + c over r = 0, 1, 2, ....
-:func:`window_predictive` gathers the first at the window counts and, on
-dense window lengths, reads the second by a prefix slice. Since w <= r,
-tables longer than the largest live run length cover every step.
+The window predictive reads the rule from two tables the ledger caches,
+num(w) over w and r + c over r: a gather at the window counts and, on dense
+window lengths, a prefix slice. Since w <= r, tables past the longest window
+cover every query; they double when that window reaches their end.
 """
 
 from __future__ import annotations
@@ -43,19 +41,26 @@ from .errors import ContractViolation
 
 
 class LabelCounts:
-    """Per-class totals and the label history, with vectorized windowed
-    queries. Class ids are 1-based and may be recorded in any order.
+    """The label history and the seating rule ``num(w) / (n + c)`` over it:
+    per-class totals, vectorized windowed queries, and the class prior and
+    window predictive. Class ids are 1-based and may be recorded in any
+    order. ``smoothing``, ``unseen`` and ``c`` are the rule's constants (the
+    defaults are the CRP's at alpha = 1).
 
     ``m[k - 1]`` is m_k, the occurrences of class k so far, as a float.
     ``m`` always has a zero slot past the highest class id, and room for
     classes 1..``n_classes`` from the start. ``k`` is the highest class id
     recorded (0 before the first label)."""
 
-    def __init__(self, n_classes: int = 0):
+    def __init__(
+        self, n_classes: int = 0, *, smoothing: float = 0.0, unseen: float = 1.0, c: float = 1.0
+    ):
         self._labels = np.empty(64, dtype=np.int64)  # the labels at times 1..t
         self._hot = 0  # the class whose counts are kept (0: none)
         self._base = 0  # the counts' start: _counts[j] is c_hot(base + j) - c_hot(base)
         self._counts = np.zeros(0, dtype=np.int64)  # for j = 0..t - base, then spare room
+        self.smoothing, self.unseen, self.c = smoothing, unseen, c
+        self._num = self._den = np.zeros(0)  # num(w) over w, and r + c over r
         self.m = np.zeros(max(16, n_classes + 1))
         self.k = 0
         self.t = 0
@@ -83,6 +88,20 @@ class LabelCounts:
         """m_k: occurrences of class k over the whole history."""
         return int(self.m[k - 1]) if k <= self.k else 0
 
+    def class_prior(self, n: int) -> np.ndarray:
+        """The rule over the whole history for classes 1..n: ``num(m_k) /
+        (t + c)``, which is ``unseen / (t + c)`` past the highest class
+        recorded. ``n`` must cover every class recorded. The CRP's sums to
+        1 up to rounding at n = k + 1, the Dirichlet's at n = K."""
+        k = self.k
+        if n < k:
+            raise ContractViolation(f"the prior must cover the {k} classes recorded, got {n}")
+        p = np.empty(n)
+        np.add(self.m[:k], self.smoothing, out=p[:k])
+        p[k:] = self.unseen
+        p /= self.t + self.c
+        return p
+
     def window_counts(self, k: int, runs: np.ndarray, dense: bool = False) -> np.ndarray:
         """Count of class k among the last r labels, vectorized over r.
 
@@ -91,6 +110,26 @@ class LabelCounts:
         checked): the counts are then read without building the window
         starts. It is not inferred from ``runs[-1] == n - 1``, which an
         unsorted ``[2, 0, 2]`` passes too."""
+        return self._window_counts(k, runs, dense)[0]
+
+    def window_predictive(self, k: int, runs: np.ndarray, dense: bool = False) -> np.ndarray:
+        """``num(w) / (r + c)`` for class k at each run length r in
+        ``runs``, with w its :meth:`window_counts`. On ``dense`` run lengths
+        the denominators are a prefix of their table, not ``runs + c``: the
+        same floats, since every r below 2^53 is exact as a float."""
+        w, runs, longest = self._window_counts(k, runs, dense)
+        size = self._den.size
+        if max(longest, 0) >= size:  # an empty query reads den[0] too
+            r = np.arange(max(64, 2 * size, longest + 1), dtype=float)
+            self._num = r + self.smoothing
+            self._num[0] = self.unseen
+            self._den = r + self.c
+        num = self._num.take(w)
+        return num / (self._den[: w.size] if dense else runs + self._den[0])
+
+    def _window_counts(self, k: int, runs, dense: bool):
+        """The window counts, ``runs`` (int64 unless dense), and the longest
+        window (-1 if none)."""
         t = self.t
         if dense:
             longest = len(runs) - 1
@@ -103,7 +142,7 @@ class LabelCounts:
         if longest > t:
             raise ContractViolation(f"window lengths must lie in [0, {t}]")
         if self.total(k) == 0:
-            return np.zeros(len(runs), dtype=np.int64)
+            return np.zeros(len(runs), dtype=np.int64), runs, longest
         lo = t - max(longest, 0)
         if k != self._hot or lo < self._base:
             c = self._counts = np.empty(2 * (t - lo + 1), dtype=np.int64)
@@ -113,52 +152,5 @@ class LabelCounts:
         c, end = self._counts, t - self._base
         if dense:
             # c at t - r for r = 0..longest.
-            return c[end] - c[end - longest : end + 1][::-1]
-        return c[end] - c[end - runs]
-
-
-def crp_prior(counts: LabelCounts, alpha: float) -> np.ndarray:
-    """CRP predictive over classes 1..K+1 given the full label history.
-
-    Entry k <= K is m_k / (t + alpha); the last entry is the new-class mass
-    alpha / (t + alpha). Sums to 1 exactly up to rounding. The labels must
-    be canonical (numbered by first appearance), so K classes are 1..K.
-    """
-    k = counts.k
-    p = counts.m[: k + 1].copy()
-    p[k] = alpha
-    p /= counts.t + alpha
-    return p
-
-
-def window_predictive(
-    w: np.ndarray,
-    runs: np.ndarray,
-    numerators: np.ndarray,
-    denominators: np.ndarray,
-    dense: bool,
-) -> np.ndarray:
-    """A latent model's window predictive of one label at each run length
-    r in ``runs``, where the label occurred ``w`` times among the last r
-    labels (:meth:`LabelCounts.window_counts`): ``numerators[w] / (r +
-    denominators[0])``.
-
-    ``numerators`` is indexed by window count and must cover every one of
-    them; since w <= r, a table longer than the largest run length does.
-    ``denominators`` is ``r + c`` over r = 0, 1, 2, ...; with ``dense`` the
-    caller states that ``runs`` is ``0..n-1``, and the denominators are read
-    as the table's first n entries, which must exist, instead of computed
-    as ``runs + c``. Both give the same floats, since every r below 2^53
-    converts to float exactly.
-    """
-    if dense and w.size > denominators.size:
-        raise ContractViolation(
-            f"the denominator table covers run lengths below {denominators.size} only"
-        )
-    try:
-        num = numerators.take(w)
-    except IndexError:
-        raise ContractViolation(
-            f"the numerator table covers window counts below {numerators.size} only"
-        ) from None
-    return num / (denominators[: w.size] if dense else runs + denominators[0])
+            return c[end] - c[end - longest : end + 1][::-1], runs, longest
+        return c[end] - c[end - runs], runs, longest

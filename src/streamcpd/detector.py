@@ -38,14 +38,13 @@ intermediates, committed only on success) plus the winner's rate decay. They
 also share one ledger of the MAP labels, a :class:`LabelCounts`, one
 ``commit`` that records the step's label in it, and one ``predict``, which
 makes new classes in one place, a ``_spawn`` hook inside the step's
-rollback. They differ only in what that hook pushes (the infinite mode's
-candidate, or the fixed-k fan-out at the first step), in the class prior, in
-the reset predictive, and in the constants of the window predictive ``num(w)
-/ (r + c)`` (see ``crp.py``). Each model keeps that predictive as one pair
-of tables, numerators over window counts and denominators ``r + c`` over run
-lengths, doubled together; on dense run lengths the denominators are a
-prefix slice and the window counts a reversed slice of the ledger's kept
-counts.
+rollback. The ledger owns the seating rule ``num(w) / (n + c)`` (see
+``crp.py``) and answers both predictives from it: the class prior over the
+whole history, and the window predictive of the MAP label at every live run
+length, read by slices on dense run lengths. So the two models differ only
+in the rule's constants they give the ledger, in what the hook pushes (the
+infinite mode's candidate, or the fixed-k fan-out at the first step), and in
+the reset predictive.
 
 The baseline's NIG posterior after a window of r observations has kappa_r =
 kappa0 + r and a_r = a0 + r/2, which depend on r alone, so it keeps two
@@ -94,7 +93,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .crp import LabelCounts, crp_prior, window_predictive
+from .crp import LabelCounts
 from .emission import (
     CandidatePolicy,
     ClassTable,
@@ -296,13 +295,12 @@ class _LatentModel:
     ``commit`` appends to, and one ``predict``. They hold nothing per
     run-length hypothesis, so pruning needs no hook.
 
-    A subclass sets ``_spawn(x, t)``, which pushes the step's new classes
-    onto the table inside ``predict``'s rollback; ``log_reset``, the log
-    reset predictive; the class prior ``_class_prior()``; and the constants
-    of its window predictive ``num(w) / (r + c)`` (see ``crp.py``): ``num(w)
-    = w + smoothing`` above ``num(0) = unseen``, and ``c``. ``numerators``
-    and ``denominators`` hold it as tables over w and r; both are doubled
-    whenever the largest live run length reaches their end."""
+    A subclass gives the constants of the ledger's seating rule ``num(w) /
+    (n + c)`` (see ``crp.py``): ``num(w) = w + smoothing`` above ``num(0) =
+    unseen``, and ``c``. The ledger answers the class prior and the window
+    predictive from them. A subclass also sets ``_spawn(x, t)``, which
+    pushes the step's new classes onto the table inside ``predict``'s
+    rollback, and ``log_reset``, the log reset predictive."""
 
     keep = None
     log_reset = 0.0
@@ -312,19 +310,10 @@ class _LatentModel:
     ):
         self.cfg = cfg
         self.table = ClassTable(max(8, n_classes))
-        self.counts = LabelCounts(n_classes)
-        self._consts = smoothing, unseen, c
+        self.counts = LabelCounts(n_classes, smoothing=smoothing, unseen=unseen, c=c)
         # em_step's clamp takes the floor as a 0-d array operand (see
         # emission.py).
         self._var_floor = np.array(cfg.var_floor, dtype=float)
-        self._grow(64)
-
-    def _grow(self, n: int) -> None:
-        smoothing, unseen, c = self._consts
-        r = np.arange(n, dtype=float)
-        self.numerators = r + smoothing
-        self.numerators[0] = unseen
-        self.denominators = r + c
 
     def commit(self, z_star: int) -> None:
         self.counts.record(z_star)
@@ -333,14 +322,14 @@ class _LatentModel:
         """One SGD-EM step over the class table under the class prior, then
         the winner's rate decay, and the window predictive of the MAP label.
         The classes ``_spawn`` pushes take the last columns and are kept
-        only if the MAP assignment picks one of them. An observation that
-        overflows the arithmetic raises ``FloatingPointError`` and leaves
-        the table as it was."""
-        cfg, table = self.cfg, self.table
-        prior = self._class_prior()
+        only if the MAP assignment picks one of them; the prior covers every
+        column, seen or not. An observation that overflows the arithmetic
+        raises ``FloatingPointError`` and leaves the table as it was."""
+        cfg, table, counts = self.cfg, self.table, self.counts
         k_prev = table.n
         try:
             self._spawn(x, t)
+            prior = counts.class_prior(table.n)
             resp, z_star = em_step(
                 table, x, prior, var_floor=self._var_floor, log_space=cfg.log_var_update
             )
@@ -352,17 +341,16 @@ class _LatentModel:
         decay_rates(table, z_star, cfg.decay)
         resp.setflags(False)
 
-        if run_lengths[-1] >= self.numerators.size:
-            self._grow(2 * self.numerators.size)
-        w = self.counts.window_counts(z_star, run_lengths, dense)
-        psi = window_predictive(w, run_lengths, self.numerators, self.denominators, dense)
+        psi = counts.window_predictive(z_star, run_lengths, dense)
         return np.log(psi), self.log_reset, z_star, table.n, resp
 
 
 class InfiniteModel(_LatentModel):
-    """``infinite``: classes under a CRP, a candidate spawned every step,
-    and the CRP window predictive of the MAP labels, ``w / (r + alpha)``
-    with the new-table mass alpha at w = 0; the reset predictive is 1."""
+    """``infinite``: classes under a CRP and a candidate spawned every step.
+    The rule's constants are smoothing 0 and unseen = c = alpha: the class
+    prior is ``m_k / (t + alpha)`` with the new-table mass alpha at the
+    candidate, and the window predictive of the MAP labels is ``w / (r +
+    alpha)`` with alpha at w = 0. The reset predictive is 1."""
 
     def __init__(self, cfg: DetectorConfig):
         super().__init__(cfg, smoothing=0.0, unseen=cfg.alpha, c=cfg.alpha)
@@ -373,16 +361,15 @@ class InfiniteModel(_LatentModel):
             self.table, x, cfg.candidate, cfg.eta_init, born_at=t, var_floor=cfg.var_floor
         )
 
-    def _class_prior(self) -> np.ndarray:
-        return crp_prior(self.counts, self.cfg.alpha)
-
 
 class FixedKModel(_LatentModel):
-    """``fixed-k``: K classes under a symmetric Dirichlet prior, and the
-    Dirichlet-categorical window predictive of the MAP labels, ``(w + beta)
-    / (r + K beta)``; the reset predictive is 1/K. The table starts empty,
-    and the first step fans its K classes out around its observation, so
-    a refused first observation leaves it empty."""
+    """``fixed-k``: K classes under a symmetric Dirichlet prior. The rule's
+    constants are smoothing = unseen = beta and c = K beta: the class prior
+    is ``(m_k + beta) / (t + K beta)``, and the Dirichlet-categorical window
+    predictive of the MAP labels ``(w + beta) / (r + K beta)``. The reset
+    predictive is 1/K. The table starts empty, and the first step fans its
+    K classes out around its observation, so a refused first observation
+    leaves it empty."""
 
     def __init__(self, cfg: DetectorConfig):
         kf, beta = cfg.k_fixed, cfg.dirichlet_beta
@@ -399,12 +386,6 @@ class FixedKModel(_LatentModel):
         var0 = max(cfg.var_floor, cfg.candidate.var_init)
         for o in _fixed_k_offsets(cfg.k_fixed):
             self.table.push(float(x + math.sqrt(var0) * o), var0, *cfg.eta_init, born_at=t)
-
-    def _class_prior(self) -> np.ndarray:
-        """(m_k + beta) / (t + K beta)."""
-        cfg, lc = self.cfg, self.counts
-        kf, beta = cfg.k_fixed, cfg.dirichlet_beta
-        return (lc.m[:kf] + beta) / (lc.t + kf * beta)
 
 
 class BaselineModel:

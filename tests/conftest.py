@@ -1,13 +1,7 @@
 import numpy as np
 from hypothesis import HealthCheck, settings
 
-from streamcpd import (
-    HazardConfig,
-    LabelCounts,
-    RunLengthState,
-    recursion_step,
-    window_predictive,
-)
+from streamcpd import HazardConfig, LabelCounts, RunLengthState, recursion_step
 from streamcpd.emission import _gradients
 
 settings.register_profile(
@@ -18,31 +12,25 @@ settings.register_profile(
 settings.load_profile("default")
 
 
-def crp_tables(alpha, n):
-    """The CRP window predictive's tables for window counts and run lengths
-    below n: numerators alpha, 1, 2, ... and denominators r + alpha."""
-    num = np.arange(n, dtype=float)
-    num[0] = alpha
-    return num, np.arange(n, dtype=float) + alpha
+def crp_rule(alpha):
+    """The CRP's seating-rule constants, as LabelCounts takes them:
+    num(w) = w above num(0) = alpha, and c = alpha."""
+    return {"smoothing": 0.0, "unseen": alpha, "c": alpha}
 
 
-def dirichlet_tables(k_fixed, beta, n):
-    """The symmetric Dirichlet's: numerators w + beta, denominators
-    r + K beta."""
-    r = np.arange(n, dtype=float)
-    return r + beta, r + k_fixed * beta
+def dirichlet_rule(k_fixed, beta):
+    """The symmetric Dirichlet's: num(w) = w + beta, and c = K beta."""
+    return {"smoothing": beta, "unseen": beta, "c": k_fixed * beta}
 
 
 def trellis_joint(labels, alpha, lam):
     """Run the label sequence through the real recursion and return the
     dense joint over the final run length (linear domain)."""
-    counts = LabelCounts()
+    counts = LabelCounts(**crp_rule(alpha))
     st = RunLengthState.initial()
     hz = HazardConfig(lam)
-    num, den = crp_tables(alpha, len(labels))
     for z in labels:
-        w = counts.window_counts(z, st.run_lengths)
-        psi = window_predictive(w, st.run_lengths, num, den, dense=False)
+        psi = counts.window_predictive(z, st.run_lengths)
         st = recursion_step(st, np.log(psi), hz)
         counts.record(z)
     return np.exp(st.log_weights), st

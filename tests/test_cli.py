@@ -320,6 +320,11 @@ def test_cli_config_with_only_prune_top_m_runs(tmp_path):
     assert "prune_top_m=50" in manifest and "prune_epsilon=0" in manifest
     rc = main(["run", "--config", str(f), "--prune", "1e-10", "--out", str(tmp_path / "o2")])
     assert rc == 2
+    # --prune 0 sets a zero threshold beside the file's top-m, which stays.
+    out = tmp_path / "o3"
+    assert main(["run", "--config", str(f), "--prune", "0", "--out", str(out)]) == 0
+    manifest = (out / "manifest").read_text().splitlines()
+    assert "prune_top_m=50" in manifest and "prune_epsilon=0" in manifest
 
 
 def test_parse_segments():
@@ -550,6 +555,22 @@ def test_cli_synth_refuses_what_run_would_refuse(tmp_path, capsys, segments):
     assert main(["synth", "--segments", segments, "--out", str(out)]) == 2
     assert "config error" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("truth", ["s.csv", "./s.csv", "s.csv.part"])
+def test_cli_synth_refuses_out_and_truth_naming_one_file(tmp_path, capsys, monkeypatch, truth):
+    # Both were written to s.csv.part: the truth over the series' start,
+    # which the first rename put in place before the command exited 1. A
+    # truth named as the series' part file is refused too.
+    monkeypatch.chdir(tmp_path)
+    argv = ["synth", "--segments", "5:0:1,5:4:1", "--out", "s.csv", "--truth", truth]
+    assert main(argv) == 2
+    assert "--out and --truth name the same file" in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
+    (tmp_path / "s.csv").write_text("x\n1\n")
+    assert main(argv) == 2
+    assert [p.name for p in tmp_path.iterdir()] == ["s.csv"]
+    assert (tmp_path / "s.csv").read_text() == "x\n1\n"
 
 
 def test_cli_synth_negative_seed_is_config_error(tmp_path, capsys):
@@ -870,17 +891,37 @@ def test_cli_svg_in_the_way_renames_nothing(tmp_path, capsys):
     assert not list(tmp_path.rglob("*.part"))
 
 
-@pytest.mark.parametrize("line", ["alpha=-1", "mode=nope", "lambda=0.5", "prune_top_m=-1"])
+@pytest.mark.parametrize(
+    "line",
+    ["alpha=-1", "mode=nope", "lambda=0.5", "prune_top_m=-1"]
+    + [
+        pytest.param(f"alpha=0.5{brk}mode=baseline", id=name)
+        for brk, name in [("\f", "FF"), ("\x85", "NEL"), ("\x1e", "RS"), ("\u2028", "LS")]
+    ],
+)
 def test_cli_config_file_refusal_names_its_line(tmp_path, capsys, line):
     # A value that parses but lies outside its key's domain named no line.
+    # As in a CSV, only \n, \r and \r\n end a line: a form feed or a NEL
+    # split the last four in two, and the run went on as a baseline one.
     series = tmp_path / "s.csv"
     write_series([0.0, 1.0], series)
     f = tmp_path / "cfg"
-    f.write_text(f"input={series}\n{line}\n")
+    f.write_text(f"input={series}\n{line}\n", encoding="utf-8")
     assert main(["run", "--config", str(f), "--out", str(tmp_path / "o")]) == 2
     err = capsys.readouterr().err
     assert f"{f}:2: bad value for {line.partition('=')[0]}: " in err
     assert not (tmp_path / "o").exists()
+
+
+def test_cli_config_file_may_start_with_a_byte_order_mark(tmp_path):
+    # As a CSV may: the mark made the first key '\ufeffinput', an unknown key.
+    series = tmp_path / "s.csv"
+    write_series([0.0, 1.0, 2.0], series)
+    f = tmp_path / "cfg"
+    f.write_text(f"\ufeffinput={series}\r\nmode=baseline\r\n", encoding="utf-8")
+    out = tmp_path / "o"
+    assert main(["run", "--config", str(f), "--out", str(out)]) == 0
+    assert "mode=baseline" in (out / "manifest").read_text().splitlines()
 
 
 @pytest.mark.parametrize(

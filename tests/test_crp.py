@@ -6,43 +6,44 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from streamcpd import ContractViolation, LabelCounts, crp_prior, window_predictive
+from streamcpd import ContractViolation, LabelCounts
 from streamcpd.oracles import sequence_probability
 
-from conftest import all_canonical_sequences, crp_tables, random_canonical_labels
+from conftest import all_canonical_sequences, crp_rule, dirichlet_rule, random_canonical_labels
 
 
-def _counts_with_labels(labels):
-    lc = LabelCounts()
+def _counts_with_labels(labels, alpha=1.0):
+    """A CRP ledger at ``alpha`` that has recorded ``labels``."""
+    lc = LabelCounts(**crp_rule(alpha))
     for z in labels:
         lc.record(z)
     return lc
 
 
-def _predictive(lc, runs, k, tables, dense=False):
-    """The window predictive of label k at run lengths ``runs``."""
-    return window_predictive(lc.window_counts(k, runs, dense), runs, *tables, dense)
+def _crp_prior(lc):
+    """The CRP class prior over the seen classes and a new one."""
+    return lc.class_prior(lc.k + 1)
 
 
 # -- global predictive ---------------------------------------------------
 
 
 def test_first_customer_always_opens_a_table():
-    np.testing.assert_allclose(crp_prior(LabelCounts(), 3.7), [1.0])
+    np.testing.assert_allclose(_crp_prior(LabelCounts(**crp_rule(3.7))), [1.0])
 
 
 def test_global_predictive_counts():
     lc = _counts_with_labels([1, 1, 2])  # m = [2, 1], t = 3
-    np.testing.assert_allclose(crp_prior(lc, 1.0), [0.5, 0.25, 0.25])
+    np.testing.assert_allclose(_crp_prior(lc), [0.5, 0.25, 0.25])
 
 
 @given(st.lists(st.integers(min_value=0, max_value=3), min_size=0, max_size=60),
        st.sampled_from([0.5, 1.0, 2.0]))
 def test_global_predictive_is_a_distribution(choices, alpha):
-    lc = LabelCounts()
+    lc = LabelCounts(**crp_rule(alpha))
     for c in choices:
         lc.record(min(c + 1, lc.k + 1))
-    p = crp_prior(lc, alpha)
+    p = _crp_prior(lc)
     assert np.all(p >= 0) and np.all(p <= 1)
     assert p.sum() == pytest.approx(1.0, abs=1e-12)
 
@@ -51,30 +52,28 @@ def test_global_predictive_is_a_distribution(choices, alpha):
 
 
 def test_run_predictive_empty_window_is_one():
-    lc = _counts_with_labels([1, 2, 1])
-    tables = crp_tables(0.5, lc.t + 1)
+    lc = _counts_with_labels([1, 2, 1], alpha=0.5)
     for k in (1, 2, 3):
-        assert _predictive(lc, np.array([0]), k, tables)[0] == 1.0
+        assert lc.window_predictive(k, np.array([0]))[0] == 1.0
 
 
 def test_run_predictive_window_counts():
     # window of the last 3 labels: (1, 1, 2)
     lc = _counts_with_labels([1, 1, 1, 2])
-    r, tables = np.array([3]), crp_tables(1.0, lc.t + 1)
-    assert _predictive(lc, r, 1, tables)[0] == pytest.approx(0.5)
-    assert _predictive(lc, r, 2, tables)[0] == pytest.approx(0.25)
-    assert _predictive(lc, r, 3, tables)[0] == pytest.approx(0.25)  # unseen: new-table mass
+    r = np.array([3])
+    assert lc.window_predictive(1, r)[0] == pytest.approx(0.5)
+    assert lc.window_predictive(2, r)[0] == pytest.approx(0.25)
+    assert lc.window_predictive(3, r)[0] == pytest.approx(0.25)  # unseen: new-table mass
 
 
 def test_run_predictive_window_equals_history_matches_global():
     rng = np.random.default_rng(5)
     for alpha in (0.5, 1.0, 2.0):
         labels = random_canonical_labels(rng, 30)
-        lc = _counts_with_labels(labels)
-        g = crp_prior(lc, alpha)
-        tables = crp_tables(alpha, lc.t + 1)
+        lc = _counts_with_labels(labels, alpha)
+        g = _crp_prior(lc)
         for k in range(1, lc.k + 2):
-            got = _predictive(lc, np.array([lc.t]), k, tables)[0]
+            got = lc.window_predictive(k, np.array([lc.t]))[0]
             assert got == pytest.approx(g[k - 1], rel=1e-12)
 
 
@@ -82,11 +81,10 @@ def test_run_predictive_additivity_over_window():
     rng = np.random.default_rng(9)
     labels = random_canonical_labels(rng, 25)
     alpha = 1.3
-    lc = _counts_with_labels(labels)
-    tables = crp_tables(alpha, lc.t + 1)
+    lc = _counts_with_labels(labels, alpha)
     for r in range(0, 26):
         seen = set(labels[len(labels) - r :])
-        total = sum(_predictive(lc, np.array([r]), k, tables)[0] for k in seen)
+        total = sum(lc.window_predictive(k, np.array([r]))[0] for k in seen)
         total += alpha / (r + alpha)  # the shared new-table mass
         assert total == pytest.approx(1.0, rel=1e-12)
 
@@ -96,25 +94,32 @@ def test_run_predictive_gathers_the_new_table_numerator(alpha):
     # A long label history queried at a sparse (pruned) set of run lengths,
     # against the formula written out.
     rng = np.random.default_rng(17)
-    lc = _counts_with_labels(random_canonical_labels(rng, 40) + [1, 2, 3] * 120)
+    lc = _counts_with_labels(random_canonical_labels(rng, 40) + [1, 2, 3] * 120, alpha)
     runs = np.unique(np.r_[0, rng.choice(lc.t + 1, 60, replace=False), lc.t])
-    tables = crp_tables(alpha, lc.t + 1)
     for k in range(1, lc.k + 2):
         w = lc.window_counts(k, runs)
         want = np.where(w > 0, w, alpha) / (runs + alpha)
-        np.testing.assert_array_equal(_predictive(lc, runs, k, tables), want)
+        np.testing.assert_array_equal(lc.window_predictive(k, runs), want)
 
 
-def test_run_predictive_rejects_a_short_numerator_table():
-    lc = _counts_with_labels([1, 1, 1])
-    with pytest.raises(ContractViolation):
-        _predictive(lc, np.array([0, 3]), 1, crp_tables(1.0, 3))
+def test_run_predictive_grows_its_tables_past_the_longest_window():
+    # The ledger's tables start at 64 entries. An unsorted query whose
+    # longest window, not its last, lies past them grows them; so does a
+    # dense one. Each is answered, not refused for a short table.
+    labels = [1, 2, 2] * 70
+    lc = _counts_with_labels(labels, alpha=0.5)
+    t = lc.t
+    for runs, dense in (([200, 0, 5], False), (list(range(t + 1)), True), ([t, 3, 70], False)):
+        runs = np.array(runs)
+        w = np.array([labels[t - r :].count(1) for r in runs])
+        want = np.where(w > 0, w, 0.5) / (runs + 0.5)
+        np.testing.assert_array_equal(lc.window_predictive(1, runs, dense), want)
 
 
 def test_run_predictive_rejects_window_beyond_history():
     lc = _counts_with_labels([1, 1])
     with pytest.raises(ContractViolation):
-        _predictive(lc, np.array([3]), 1, crp_tables(1.0, 4))
+        lc.window_predictive(1, np.array([3]))
 
 
 # -- recording -------------------------------------------------------------
@@ -214,11 +219,60 @@ def test_label_counts_window_queries_match_brute_force(labels, queries):
 @given(st.lists(st.integers(min_value=0, max_value=3), min_size=0, max_size=60),
        st.sampled_from([0.5, 1.0, 2.0]))
 def test_global_predictive_is_counts_over_t_plus_alpha(choices, alpha):
-    lc = LabelCounts()
+    lc = LabelCounts(**crp_rule(alpha))
     for c in choices:
         lc.record(min(c + 1, lc.k + 1))
     want = np.array([*lc.m[: lc.k], alpha]) / (lc.t + alpha)
-    np.testing.assert_array_equal(crp_prior(lc, alpha), want)
+    np.testing.assert_array_equal(_crp_prior(lc), want)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    dirichlet=st.booleans(),
+    conc=st.sampled_from([0.3, 0.5, 2.0]),
+    classes=st.sampled_from([1, 5]),
+    length=st.integers(min_value=1, max_value=300),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_ledger_rule_equals_the_crp_and_dirichlet_formulas(dirichlet, conc, classes, length, seed):
+    # The class prior and the window predictive against the CRP's and the
+    # symmetric Dirichlet's formulas written out, bit for bit, after every
+    # record. Each step first queries the label just recorded at unsorted
+    # run lengths led by the longest window, t: so the tables double on an
+    # unsorted query whose largest entry is past them (at t = 64, 128 and
+    # 256), where a one-class stream's window count is t too. Then any
+    # class, seen or not, at unsorted sparse run lengths with repeats and
+    # at dense ones.
+    k_fixed = 7
+    rule = dirichlet_rule(k_fixed, conc) if dirichlet else crp_rule(conc)
+    lc = LabelCounts(k_fixed if dirichlet else 0, **rule)
+    rng = np.random.default_rng(seed)
+    labels = rng.integers(1, classes + 1, length)
+    m = np.zeros(k_fixed)
+    for t, z in enumerate(labels.tolist(), 1):
+        lc.record(z)
+        m[z - 1] += 1
+        if dirichlet:
+            want = (m + conc) / (t + k_fixed * conc)
+            np.testing.assert_array_equal(lc.class_prior(k_fixed), want)
+        else:
+            want = np.r_[m[: lc.k], conc] / (t + conc)
+            np.testing.assert_array_equal(lc.class_prior(lc.k + 1), want)
+        with pytest.raises(ContractViolation):  # the prior covers every class seen
+            lc.class_prior(lc.k - 1)
+        q = int(rng.integers(1, classes + 2))
+        queries = (
+            (z, np.r_[t, rng.integers(0, t + 1, 3)], False),
+            (q, rng.integers(0, t + 1, rng.integers(1, 8)), False),
+            (q, np.arange(rng.integers(1, t + 2)), True),
+        )
+        for k, runs, dense in queries:
+            w = np.r_[0, np.cumsum(labels[:t][::-1] == k)][runs]
+            if dirichlet:
+                want = (w + conc) / (runs + k_fixed * conc)
+            else:
+                want = np.where(w > 0, w, conc) / (runs + conc)
+            np.testing.assert_array_equal(lc.window_predictive(k, runs, dense), want)
 
 
 @pytest.mark.parametrize("runs", [[-1], [5], [0, -1], [5, 0], [2, 4, 5]])
@@ -241,7 +295,7 @@ def test_unsorted_window_query_is_not_read_as_dense(k):
     want = [labels[4 - r :].count(k) for r in runs]
     np.testing.assert_array_equal(lc.window_counts(k, runs), want)
     np.testing.assert_array_equal(
-        _predictive(lc, runs, k, crp_tables(1.0, 5)), np.where(want, want, 1.0) / (runs + 1.0)
+        lc.window_predictive(k, runs), np.where(want, want, 1.0) / (runs + 1.0)
     )
 
 
@@ -249,15 +303,14 @@ def test_unsorted_window_query_is_not_read_as_dense(k):
 def test_dense_window_query_longer_than_the_history_is_refused(k):
     lc = _counts_with_labels([1, 2, 2, 2])
     lc.window_counts(2, np.arange(5))
-    num, den = crp_tables(1.0, 8)
     np.testing.assert_array_equal(lc.window_counts(k, np.arange(5), dense=True),
                                   lc.window_counts(k, np.arange(5)))
+    np.testing.assert_array_equal(lc.window_predictive(k, np.arange(5), dense=True),
+                                  lc.window_predictive(k, np.arange(5)))
     with pytest.raises(ContractViolation):
         lc.window_counts(k, np.arange(6), dense=True)
     with pytest.raises(ContractViolation):
-        _predictive(lc, np.arange(6), k, (num, den), dense=True)
-    with pytest.raises(ContractViolation):  # the denominators must cover every r
-        _predictive(lc, np.arange(5), k, (num, den[:4]), dense=True)
+        lc.window_predictive(k, np.arange(6), dense=True)
 
 
 def test_label_counts_window_queries():

@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 import math
 from fractions import Fraction
 
@@ -28,7 +29,6 @@ from streamcpd import (
     gen_piecewise_gaussian,
     recursion_step,
     run,
-    window_predictive,
 )
 from streamcpd import detector, runlength
 from streamcpd.detector import (
@@ -40,7 +40,7 @@ from streamcpd.detector import (
 )
 from streamcpd.oracles import brute_force_joint, nig_update
 
-from conftest import crp_tables, dirichlet_tables
+from conftest import crp_rule, dirichlet_rule
 
 
 def _two_segment_series(seed=0, sigma=1.0, jump=8.0, n=200):
@@ -640,21 +640,24 @@ def test_numpy_integer_counts_are_accepted(k):
 )
 @pytest.mark.parametrize("prune", [PrunePolicy.none(), PrunePolicy.top_m(20)])
 def test_infinite_window_predictive_while_numerator_table_grows(mode, conc, prune, monkeypatch):
-    # Each latent model's numerator and denominator tables start shorter
-    # than the run and double together; every step's window predictive
-    # equals the formula written out, over every run length (unpruned, read
-    # by slices) and over a sparse set of them (top-m, read by gathers once
-    # pruning starts). The window counts are checked against a ledger the
-    # test keeps and queries without the dense path.
+    # Each latent model's ledger keeps its numerator and denominator tables
+    # shorter than the run at first and doubles them together; every
+    # step's window predictive equals the formula written out, over every
+    # run length (unpruned, read by slices) and over a sparse set of them
+    # (top-m, read by gathers once pruning starts). The window counts come
+    # from a ledger the test keeps and queries without the dense path.
     k_fixed = 4
     if mode == "infinite":
         cfg = DetectorConfig(alpha=conc, prune=prune)
     else:
         cfg = DetectorConfig(mode=mode, k_fixed=k_fixed, dirichlet_beta=conc, prune=prune)
     calls = []
+    ledger = LabelCounts()
+    window_predictive = LabelCounts.window_predictive
 
-    def checked(w, runs, numerators, denominators, dense):
-        got = window_predictive(w, runs, numerators, denominators, dense)
+    def checked(self, k, runs, dense=False):
+        got = window_predictive(self, k, runs, dense)
+        w = ledger.window_counts(k, runs)
         if mode == "infinite":
             want = np.where(w > 0, w, conc) / (runs + conc)
         else:
@@ -662,19 +665,18 @@ def test_infinite_window_predictive_while_numerator_table_grows(mode, conc, prun
         np.testing.assert_array_equal(got, want)
         if dense:
             np.testing.assert_array_equal(runs, np.arange(runs.size))
-        assert denominators.size == numerators.size
-        calls.append((w, runs.copy(), numerators.size, dense))
+        assert self._den.size == self._num.size
+        calls.append((k, self._num.size, dense))
         return got
 
-    monkeypatch.setattr(detector, "window_predictive", checked)
+    monkeypatch.setattr(LabelCounts, "window_predictive", checked)
     series, _, _ = _two_segment_series(seed=3, jump=6.0, n=150)
-    det, ledger = Detector(cfg), LabelCounts()
+    det = Detector(cfg)
     for x in series:
         z = det.step(x).z_star
-        w, runs = calls[-1][:2]
-        np.testing.assert_array_equal(w, ledger.window_counts(z, runs))
+        assert calls[-1][0] == z
         ledger.record(z)
-    sizes, dense = [c[2] for c in calls], [c[3] for c in calls]
+    sizes, dense = [c[1] for c in calls], [c[2] for c in calls]
     assert len(sizes) == 300
     if prune.kind == "none":  # run lengths reach 299
         assert sizes[0] < 300 <= sizes[-1]
@@ -708,25 +710,22 @@ def test_dense_run_lengths_read_by_slices_as_by_gathers(labels, alpha, data):
     assert full.dense and not pruned.dense
 
     k_max = max(labels) + 1
-    crp, dirichlet = crp_tables(alpha, n), dirichlet_tables(k_max, alpha, n)
+    rules = crp_rule(alpha), dirichlet_rule(k_max, alpha)
     for k in range(1, k_max + 1):
         want = [labels[t - r :].count(k) for r in dense]
-        for hot in (False, True):  # counts rebuilt by this query, or kept from one before
-            lc = LabelCounts()
+        # hot: counts rebuilt by this query, or kept from one before
+        for hot, rule in itertools.product((False, True), rules):
+            lc = LabelCounts(**rule)
             for z in labels:
                 lc.record(z)
             if hot:
                 lc.window_counts(k, np.arange(t + 1))
             w = lc.window_counts(k, dense, dense=True)
             np.testing.assert_array_equal(w, want)
-            w_sparse = lc.window_counts(k, sparse)
-            np.testing.assert_array_equal(w_sparse, w[keep])
-            for num, den in (crp, dirichlet):
-                p = window_predictive(w, dense, num, den, dense=True)
-                np.testing.assert_array_equal(window_predictive(w, dense, num, den, False), p)
-                np.testing.assert_array_equal(
-                    window_predictive(w_sparse, sparse, num, den, False), p[keep]
-                )
+            np.testing.assert_array_equal(lc.window_counts(k, sparse), w[keep])
+            p = lc.window_predictive(k, dense, dense=True)
+            np.testing.assert_array_equal(lc.window_predictive(k, dense), p)
+            np.testing.assert_array_equal(lc.window_predictive(k, sparse), p[keep])
 
     live = np.vstack([rng.normal(0.0, 3.0, n), rng.uniform(0.5, 4.0, n)])
     x = data.draw(st.floats(min_value=-10.0, max_value=10.0))
@@ -784,10 +783,12 @@ def test_run_lengths_kept_by_steps_outlive_the_shared_table(monkeypatch):
 
 
 def _dirichlet_predictive(w, r, k_fixed, beta):
-    """The Dirichlet window predictive at window count w over r labels."""
-    w, r = np.atleast_1d(w), np.atleast_1d(r)
-    tables = dirichlet_tables(k_fixed, beta, int(r.max()) + 1)
-    return window_predictive(w, r, *tables, dense=False)[0]
+    """The Dirichlet window predictive of class 1 seen w times among the
+    last r labels, the others class 2."""
+    lc = LabelCounts(k_fixed, **dirichlet_rule(k_fixed, beta))
+    for z in [2] * (r - w) + [1] * w:
+        lc.record(z)
+    return lc.window_predictive(1, np.array([r]))[0]
 
 
 def test_fixed_k_run_predictive_uniform_at_empty_window():

@@ -23,7 +23,6 @@ RUNTIME_NAMES = {
     "SegmentSpec",
     "SparsePosterior",
     "StepOutput",
-    "crp_prior",
     "decay_rates",
     "em_step",
     "gen_piecewise_gaussian",
@@ -32,12 +31,11 @@ RUNTIME_NAMES = {
     "recursion_step",
     "run",
     "spawn_candidate",
-    "window_predictive",
 }
 
 
 def test_public_surface_is_the_runtime():
-    assert len(streamcpd.__all__) == len(RUNTIME_NAMES) == 30
+    assert len(streamcpd.__all__) == len(RUNTIME_NAMES) == 28
     assert set(streamcpd.__all__) == RUNTIME_NAMES
     for name in streamcpd.__all__:
         assert getattr(streamcpd, name) is not None
