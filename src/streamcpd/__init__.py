@@ -31,8 +31,6 @@ from .runlength import (
     HazardConfig,
     PrunePolicy,
     RunLengthState,
-    normalize_posterior,
-    prune,
     recursion_step,
 )
 
@@ -60,8 +58,6 @@ __all__ = [
     "decay_rates",
     "em_step",
     "gen_piecewise_gaussian",
-    "normalize_posterior",
-    "prune",
     "recursion_step",
     "run",
     "spawn_candidate",

@@ -15,14 +15,17 @@ A model has ``predict(x, t, run_lengths, dense) -> (log_psi, log_psi_reset,
 z_star, k_t, resp)``, the log predictive of observation x at step t under
 every live hypothesis and under a reset; ``commit(z_star)``, called once the
 trellis step has succeeded; and ``keep``: None, or ``keep(before, kept)``
-after pruning dropped hypotheses, for a model with one column per hypothesis
-(the baseline). On an observation that overflows its arithmetic,
-``predict`` raises ``FloatingPointError`` with the model as it was, which
-:meth:`Detector.step` alone turns into ``InputError``. When the run lengths
-are dense, ``0..n-1`` (``RunLengthState.dense``), ``predict`` reads its
-per-run-length tables by prefix slices instead of gathers. So
-:meth:`Detector.step` is one body for every mode: predict,
-``recursion_step``, readout, commit, prune, keep.
+after the trellis step's prune dropped hypotheses, for a model with one
+column per hypothesis (the baseline). On an observation that overflows its
+arithmetic, ``predict`` raises ``FloatingPointError`` with the model as it
+was, which :meth:`Detector.step` alone turns into ``InputError``. When the
+run lengths are dense, ``0..n-1`` (``RunLengthState.dense``), ``predict``
+reads its per-run-length tables by prefix slices instead of gathers. So
+:meth:`Detector.step` is one body for every mode: predict; one
+``recursion_step``, which grows, normalizes and prunes the trellis; the
+readout of the grown posterior; commit; keep. Only then does the detector
+take the new trellis state, MAP run length and t, together, so a trellis
+step that fails (its prune included) leaves them as they were.
 
 The readout hands out the posterior entries at or above 1e-14 with their
 run lengths, in one of three forms: the step's own arrays when nothing is
@@ -116,8 +119,6 @@ from .runlength import (
     HazardConfig,
     PrunePolicy,
     RunLengthState,
-    normalize_posterior,
-    prune,
     recursion_step,
 )
 from .schema import check_fields, choice, flag, integer, nested, pair, real
@@ -514,16 +515,16 @@ class Detector:
             name = "baseline" if cfg.mode == "baseline" else "emission"
             raise InputError(f"observation at t={t} overflows the {name} model: {x!r}") from None
 
-        rl = self.rl = recursion_step(rl, log_psi, cfg.hazard, log_psi_reset)
-        runs = rl.run_lengths
-        posterior = normalize_posterior(rl)
+        rl, runs, posterior, i_min = recursion_step(
+            rl, log_psi, cfg.hazard, log_psi_reset, cfg.prune
+        )
         r_star = int(runs[posterior.argmax()])
         # The readout's three forms are in the module docstring. Both arrays
         # are read-only, so a step that shows every entry hands out its own.
         # Run lengths ascend from 0, so runs[k-1] == k-1 says that the first
         # k are 0..k-1; count_nonzero is cheaper here than mask.all().
         # (setflags(False) makes an array read-only.)
-        if posterior[rl.posterior_argmin] >= _POSTERIOR_KEEP:
+        if posterior[i_min] >= _POSTERIOR_KEEP:
             shown = SparsePosterior(runs, posterior)
         else:
             mask = posterior >= _POSTERIOR_KEEP
@@ -544,14 +545,9 @@ class Detector:
             cp_flag=cfg.cp_rule.fires(self._prev_r_star, r_star, runs, posterior),
         )
         model.commit(z_star)
-        self._prev_r_star = r_star
-
-        policy = cfg.prune
-        if policy.epsilon or policy.max_live:
-            self.rl = prune(rl, policy)
-            if model.keep is not None and self.rl.run_lengths.size < runs.size:
-                model.keep(runs, self.rl.run_lengths)
-        self.t = t
+        if model.keep is not None and rl.run_lengths.size < runs.size:
+            model.keep(runs, rl.run_lengths)
+        self.rl, self._prev_r_star, self.t = rl, r_star, t
         return out
 
 

@@ -1,5 +1,5 @@
-"""Run-length trellis: growth/reset recursion, posterior normalization,
-pruning, and the change-point rule.
+"""Run-length trellis: one call per step that grows, normalizes and prunes
+it, and the change-point rule.
 
 All weights live in log space, and so do the predictives that feed them:
 ``recursion_step`` takes the log predictive of the current observation under
@@ -7,14 +7,14 @@ every live hypothesis. The joint weight of each live run-length hypothesis
 is kept unnormalized; with an expected run length of 1e6 and thousands of
 steps, linear-domain arithmetic would underflow.
 
-Every ``RunLengthState`` caches its evidence: ``evidence_log`` always equals
-the log-sum of ``log_weights``, the log probability of everything observed
-so far. ``recursion_step`` computes it once per step, as the only
-log-sum-exp of the step, and keeps that pass's exponentials as the state's
-posterior: ``e = exp(lw - max)``, evidence ``max + log(sum(e))``, posterior
-``e / sum(e)``. So a step makes one ``exp`` pass over its weights, and the
-readout and ``prune`` share its posterior. The reset term reads the cached
-evidence instead of summing the weights again.
+``recursion_step`` is the trellis's one call per step, and it builds one
+``RunLengthState``. It grows the weights, then takes the step's only
+log-sum-exp over them and keeps that pass's exponentials as the posterior:
+``e = exp(lw - max)``, evidence ``max + log(sum(e))``, posterior ``e /
+sum(e)``. So a step makes one ``exp`` pass over its weights, and the prune,
+the readout and the change-point rule all read that one posterior. The
+state carries its evidence, ``evidence_log``, which pruning keeps; the next
+step's reset term reads it instead of summing the weights again.
 
 That pass skips the weights more than 708.4 (``-log(tiny)``) below the
 largest: their ``e`` would be subnormal or 0, numpy's ``exp`` computes such
@@ -34,9 +34,9 @@ view of an earlier table keeps that table alive, unchanged); so
 computing ``run_lengths + 1``, the predictive models read their
 per-run-length tables by slices instead of gathers, and a detector step
 that shows only the first k posterior entries hands out ``0..k-1`` as a
-view instead of a copy. A prune that drops nothing keeps its parent's
+view instead of a copy. A prune that drops nothing keeps the grown
 run-length array, and a top-m prune that drops only the last entry a prefix
-view of it (see ``prune``), so a dense state stays such a view.
+view of it, so a dense state stays such a view.
 
 A trellis step takes no log of the hazard: ``HazardConfig`` computes
 ``log h`` and ``log(1 - h)`` once and caches them.
@@ -51,7 +51,7 @@ weight vanished raises ``DegenerateStateError``.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -153,165 +153,19 @@ class HazardConfig:
         return a
 
 
-@dataclass
-class RunLengthState:
-    """Live run-length hypotheses and their log joint weights.
-
-    ``run_lengths[i]`` is the run-length value of hypothesis i (strictly
-    ascending, and 0 is always present after a step, so it is entry 0);
-    ``log_weights[i]`` is the log of its unnormalized joint weight.
-    ``evidence_log`` is the log total mass, i.e. the log probability of
-    everything observed so far.
-
-    Invariant: ``evidence_log == logsumexp(log_weights)``. Every function
-    here that builds a state keeps it, and a state built without
-    ``evidence_log`` computes it once on construction. Treat the arrays as
-    read-only: writing to ``log_weights`` in place breaks the invariant and
-    the memoized posterior. Dense run lengths ``0..n-1`` built here are
-    views of one table shared by every state and detector (see the module
-    docstring).
-
-    ``posterior_argmin`` is an index of the posterior's smallest entry on a
-    state built by ``recursion_step``, which finds it anyway, and None on
-    any other state.
-    """
-
-    run_lengths: np.ndarray
-    log_weights: np.ndarray
-    t: int = 0
-    evidence_log: float | None = None
-    _posterior: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
-    posterior_argmin: int | None = field(default=None, init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        if self.evidence_log is None:
-            self.evidence_log = logsumexp(self.log_weights)
-
-    @property
-    def dense(self) -> bool:
-        """Whether the run lengths are exactly ``0..n-1``: since they
-        strictly ascend from 0, whether the last is n - 1 (an O(1) test)."""
-        runs = self.run_lengths
-        return runs[-1] == runs.size - 1
-
-    @classmethod
-    def initial(cls) -> "RunLengthState":
-        """State before any observation: all mass on run length 0."""
-        return cls(_dense_run_lengths(1), np.zeros(1, dtype=float), 0, 0.0)
-
-
-def recursion_step(
-    state: RunLengthState,
-    log_psi: np.ndarray,
-    cfg: HazardConfig,
-    log_psi_reset: float = 0.0,
-) -> RunLengthState:
-    """One growth/reset update of the trellis.
-
-    ``log_psi[i]`` is the log predictive of the current observation under
-    hypothesis i (of a probability mass in the latent-class modes, of a
-    density in the raw-observation baseline); -inf (predictive 0) is
-    allowed, NaN and +inf are not. Every hypothesis i grows to run length
-    ``run_lengths[i] + 1`` with log weight ``log(1-h) + log_psi[i] +
-    lw[i]``; the newborn run length 0 collects ``log(h) + log_psi_reset +
-    evidence``, where ``log_psi_reset`` is the log empty-window predictive
-    (0 for the latent-class modes: with no within-run history the new-table
-    event is certain).
-
-    The returned state carries its posterior, from the exp pass that
-    computed its evidence; its run lengths and posterior are read-only, so
-    they can be handed out without a copy. When the run lengths are dense
-    (``0..n-1``), the new ones are a view of the shared table. Inputs are
-    checked only when the step's total is not finite (see the module
-    docstring).
-    """
-    lw = state.log_weights
-    log_psi = np.asarray(log_psi, dtype=float)
-    if log_psi.shape != lw.shape:
-        raise ContractViolation(
-            f"log_psi has {log_psi.size} entries but state holds {lw.size} hypotheses"
-        )
-    n = lw.size
-    new_lw = np.empty(n + 1)
-    posterior = np.empty(n + 1)
-    try:
-        new_lw[0] = cfg.log_hazard + log_psi_reset + state.evidence_log
-        grown = new_lw[1:]
-        np.add(log_psi, cfg.log_survival, out=grown)
-        grown += lw
-        # exp and the division by the total keep the order of the entries,
-        # so this is also where the posterior is smallest.
-        i_min = new_lw.argmin()
-        total = logsumexp(new_lw, out=posterior, i_min=i_min)
-    except RuntimeWarning:
-        # Only under an "error" warnings filter: a +inf log_psi (an invalid
-        # input) met a -inf weight. With the default filters numpy warns
-        # "invalid value" and the total is NaN; either way the step takes
-        # the one failure path below.
-        total = math.nan
-    if not math.isfinite(total):
-        _check_log_psi(log_psi, log_psi_reset)
-        raise DegenerateStateError(
-            f"all joint weights vanished at t={state.t + 1}; observation numerically impossible"
-        )
-
-    if state.dense:
-        new_runs = _dense_run_lengths(n + 1)
-    else:
-        new_runs = np.empty(n + 1, dtype=np.int64)
-        new_runs[0] = 0
-        np.add(state.run_lengths, 1, out=new_runs[1:])
-        # setflags(False) clears the writeable flag at a third of the cost
-        # of the flags.writeable setter.
-        new_runs.setflags(False)
-    out = RunLengthState(new_runs, new_lw, state.t + 1, total)
-    posterior.setflags(False)
-    out._posterior = posterior
-    out.posterior_argmin = i_min
-    return out
-
-
-def _check_log_psi(log_psi: np.ndarray, log_psi_reset: float) -> None:
-    """The entry checks of ``recursion_step``, run once its total is not
-    finite: NaN and +inf are refused (``x < inf`` is false for both)."""
-    if not (log_psi < math.inf).all():
-        raise ContractViolation("log_psi entries must be below +inf and not NaN")
-    if not log_psi_reset < math.inf:
-        raise ContractViolation("log_psi_reset must be below +inf and not NaN")
-
-
-def normalize_posterior(state: RunLengthState) -> np.ndarray:
-    """Posterior over live run lengths: ``e / sum(e)`` with ``e = exp(lw -
-    max)``, the formula ``recursion_step`` also uses.
-
-    Computed once per state and memoized; the returned array is read-only
-    and the state's weights are left untouched.
-    """
-    if state._posterior is None:
-        if not math.isfinite(state.evidence_log):
-            raise DegenerateStateError("cannot normalize: all weights are zero")
-        posterior = np.empty(state.log_weights.shape)
-        if posterior.size:
-            logsumexp(state.log_weights, out=posterior)
-        posterior.flags.writeable = False
-        state._posterior = posterior
-    return state._posterior
-
-
 @dataclass(frozen=True)
 class PrunePolicy:
     """Hypothesis pruning: drop below a posterior-mass threshold
     ``epsilon``, or keep the top ``max_live``. 0 turns either off, and
     setting both is refused, so each policy has one form (and one manifest
     form); ``kind`` names it: ``none``, ``threshold`` or ``top-m``. Run
-    length 0 is never pruned (of a state whose run lengths ascend, as every
-    state ``recursion_step`` builds does).
+    length 0 is never pruned.
 
-    The policies read the posterior of ``normalize_posterior``, in which an
-    entry whose weight ``exp(lw - max)`` is below ``tiny`` (2.2e-308) is
-    exactly 0 (see ``logsumexp``). So a threshold ``epsilon`` at or below
-    2.2e-308 drops those entries too, and top-m, choosing among them, keeps
-    the lower indices (its sort is stable)."""
+    The policies read the posterior ``recursion_step`` takes from the grown
+    weights, in which an entry whose weight ``exp(lw - max)`` is below
+    ``tiny`` (2.2e-308) is exactly 0 (see ``logsumexp``). So a threshold
+    ``epsilon`` at or below 2.2e-308 drops those entries too, and top-m,
+    choosing among them, keeps the lower indices (its sort is stable)."""
 
     epsilon: float = real("[0, 1)", 0.0)
     max_live: int = integer("[0, inf)", 0)
@@ -344,46 +198,142 @@ class PrunePolicy:
         return policy
 
 
-def prune(state: RunLengthState, policy: PrunePolicy) -> RunLengthState:
-    """Drop hypotheses per the policy and fold their mass back into the
-    survivors, so the total joint mass (and hence the evidence) is kept.
+class RunLengthState:
+    """Live run-length hypotheses and their log joint weights: the trellis
+    between two steps.
 
-    Run length 0 is kept: the run lengths must ascend, so it is entry 0
-    when present. Surviving hypotheses keep their run-length values; the
-    representation is sparse, so subsequent recursion steps work unchanged.
+    ``run_lengths[i]`` is the run-length value of hypothesis i, strictly
+    ascending from 0, so run length 0 is entry 0. ``log_weights[i]`` is the
+    log of its unnormalized joint weight. ``evidence_log`` is the log total
+    mass ``logsumexp(log_weights)``, the log probability of everything
+    observed so far.
 
-    Top-m keeps the ``max_live`` largest entries, ties going to the lower
-    index (a stable sort). In its steady state, one hypothesis over the cap
-    after each growth step, that drops exactly the last of the smallest
-    entries, which is found with one ``argmin`` instead of a sort; when that
-    entry is run length 0, nothing is dropped.
+    ``recursion_step`` builds every state after the first and keeps that
+    invariant; treat the arrays as read-only. Dense run lengths ``0..n-1``
+    are views of one table shared by every state and detector (see the
+    module docstring).
+    """
+
+    __slots__ = ("run_lengths", "log_weights", "t", "evidence_log")
+
+    def __init__(
+        self, run_lengths: np.ndarray, log_weights: np.ndarray, t: int, evidence_log: float
+    ):
+        self.run_lengths = run_lengths
+        self.log_weights = log_weights
+        self.t = t
+        self.evidence_log = evidence_log
+
+    @property
+    def dense(self) -> bool:
+        """Whether the run lengths are exactly ``0..n-1``: since they
+        strictly ascend from 0, whether the last is n - 1 (an O(1) test)."""
+        runs = self.run_lengths
+        return runs[-1] == runs.size - 1
+
+    @classmethod
+    def initial(cls) -> "RunLengthState":
+        """State before any observation: all mass on run length 0."""
+        return cls(_dense_run_lengths(1), np.zeros(1, dtype=float), 0, 0.0)
+
+
+def recursion_step(
+    state: RunLengthState,
+    log_psi: np.ndarray,
+    hazard: HazardConfig,
+    log_psi_reset: float = 0.0,
+    policy: PrunePolicy = PrunePolicy(),
+) -> tuple[RunLengthState, np.ndarray, np.ndarray, int]:
+    """One step of the trellis: grow it, normalize it and prune it.
+
+    ``log_psi[i]`` is the log predictive of the current observation under
+    hypothesis i (of a probability mass in the latent-class modes, of a
+    density in the raw-observation baseline); -inf (predictive 0) is
+    allowed, NaN and +inf are not. Every hypothesis i grows to run length
+    ``run_lengths[i] + 1`` with log weight ``log(1-h) + log_psi[i] +
+    lw[i]``; the newborn run length 0 collects ``log(h) + log_psi_reset +
+    evidence``, where ``log_psi_reset`` is the log empty-window predictive
+    (0 for the latent-class modes: with no within-run history the new-table
+    event is certain).
+
+    Returns ``(next_state, run_lengths, posterior, i_min)``: the state after
+    pruning by ``policy``, and the grown trellis before it, its run lengths,
+    posterior and an index of the posterior's smallest entry. Those arrays
+    are read-only, so they can be handed out without a copy. When the run
+    lengths are dense (``0..n-1``), the new ones are a view of the shared
+    table. Inputs are checked only when the step's total is not finite
+    (see the module docstring).
+
+    Pruning keeps the evidence: it folds the dropped mass back into the
+    survivors, which keep their run-length values. Top-m keeps the
+    ``max_live`` largest entries, ties going to the lower index (a stable
+    sort). In its steady state, one hypothesis over the cap, that drops
+    exactly the last of the smallest entries, which is found with one
+    ``argmin`` instead of a sort; when that entry is run length 0, nothing
+    is dropped.
 
     Survivors that are the first k entries are taken by slices, with no
     mask and no gathers, bitwise as the mask would give them: k = n when
     nothing is dropped (under a threshold, when the posterior's smallest
-    entry, at ``posterior_argmin``, reaches ``epsilon``; under top-m, when
-    at most ``max_live`` hypotheses are live), on the parent's run-length
-    array; and k = n - 1 when top-m's steady state drops the last entry (in
-    over half its steps on a stream of many classes), on a read-only prefix
-    view of it. So a dense state stays a view of the shared table. The
-    prefix holds all but the smallest entry, so its mass is at least about
-    1 - 1/n and needs no rescale from the log weights.
-
-    Every other prune takes the mask path, as does a threshold prune of a
-    state with no ``posterior_argmin`` and an empty state, which is refused
-    there. So is a prune whose only survivor, run length 0, has weight 0:
-    there is no mass to fold the rest into.
+    entry reaches ``epsilon``; under top-m, when at most ``max_live``
+    hypotheses are live), on the grown run-length array; and k = n - 1 when
+    top-m's steady state drops the last entry (in over half its steps on a
+    stream of many classes), on a read-only prefix view of it. So a dense
+    state stays a view of the shared table. The prefix holds all but the
+    smallest entry, so its mass is at least about 1 - 1/n and needs no
+    rescale from the log weights. Every other prune takes the mask path. A
+    threshold prune whose only survivor, run length 0, has weight 0 is
+    refused there: there is no mass to fold the rest into.
     """
+    lw = state.log_weights
+    log_psi = np.asarray(log_psi, dtype=float)
+    if log_psi.shape != lw.shape:
+        raise ContractViolation(
+            f"log_psi has {log_psi.size} entries but state holds {lw.size} hypotheses"
+        )
+    n = lw.size + 1
+    new_lw = np.empty(n)
+    posterior = np.empty(n)
+    try:
+        new_lw[0] = hazard.log_hazard + log_psi_reset + state.evidence_log
+        grown = new_lw[1:]
+        np.add(log_psi, hazard.log_survival, out=grown)
+        grown += lw
+        # exp and the division by the total keep the order of the entries,
+        # so this is also where the posterior is smallest.
+        i_min = new_lw.argmin()
+        total = logsumexp(new_lw, out=posterior, i_min=i_min)
+    except RuntimeWarning:
+        # Only under an "error" warnings filter: a +inf log_psi (an invalid
+        # input) met a -inf weight. With the default filters numpy warns
+        # "invalid value" and the total is NaN; either way the step takes
+        # the one failure path below.
+        total = math.nan
+    if not math.isfinite(total):
+        _check_log_psi(log_psi, log_psi_reset)
+        raise DegenerateStateError(
+            f"all joint weights vanished at t={state.t + 1}; observation numerically impossible"
+        )
+
+    if state.dense:
+        runs = _dense_run_lengths(n)
+    else:
+        runs = np.empty(n, dtype=np.int64)
+        runs[0] = 0
+        np.add(state.run_lengths, 1, out=runs[1:])
+        # setflags(False) clears the writeable flag at a third of the cost
+        # of the flags.writeable setter.
+        runs.setflags(False)
+    posterior.setflags(False)
+
     epsilon, max_live = policy.epsilon, policy.max_live
     if not (epsilon or max_live):
-        return state
+        return RunLengthState(runs, new_lw, state.t + 1, total), runs, posterior, i_min
 
-    posterior = normalize_posterior(state)
-    n = k = posterior.size
+    k = n
     keep = None  # no mask: the survivors are the first k entries
     if epsilon:
-        i_min = state.posterior_argmin
-        if i_min is None or posterior[i_min] < epsilon:
+        if posterior[i_min] < epsilon:
             keep = posterior >= epsilon
     elif n == max_live + 1:
         # The stable sort below would drop exactly the last of the minima.
@@ -391,36 +341,47 @@ def prune(state: RunLengthState, policy: PrunePolicy) -> RunLengthState:
         if k < n - 1:
             keep = np.ones(n, dtype=bool)
             keep[k] = False
-    elif not 0 < n <= max_live:
+    elif n > max_live:
         order = np.argsort(-posterior, kind="stable")
         keep = np.zeros(n, dtype=bool)
         keep[order[:max_live]] = True
+
     if keep is None:
-        runs = state.run_lengths
+        kept_runs = runs
         if k < n:
-            runs = runs[:k]
-            runs.setflags(False)
-        kept_lw = state.log_weights[:k] - math.log(float(np.add.reduce(posterior[:k])))
-        return RunLengthState(runs, kept_lw, state.t, state.evidence_log)
-
-    if keep.size and state.run_lengths[0] == 0:
-        keep[0] = True
-    elif not keep.any():
-        raise ContractViolation("prune policy removed every hypothesis")
-
-    kept_lw = state.log_weights[keep]
-    kept_mass = float(np.add.reduce(posterior[keep]))
-    if kept_mass >= _TINY:
-        kept_lw -= math.log(kept_mass)
+            kept_runs = runs[:k]
+            kept_runs.setflags(False)
+        # Rescaled even when nothing is dropped: the posterior's sum is 1
+        # only to rounding, so skipping this would move the last ulps of
+        # every later output (tests/corpus.json pins them).
+        kept_lw = new_lw[:k] - math.log(float(np.add.reduce(posterior[:k])))
     else:
-        # The survivors' posterior underflowed: rescale from their log weights.
-        kept_log = logsumexp(kept_lw)
-        if kept_log == -math.inf:
-            # Only run length 0 survived, and its weight is 0: no mass to
-            # fold the rest into (the rescale would give -inf + inf = NaN).
-            raise ContractViolation("prune policy kept only hypotheses of zero mass")
-        kept_lw += state.evidence_log - kept_log
-    return RunLengthState(state.run_lengths[keep], kept_lw, state.t, state.evidence_log)
+        keep[0] = True
+        kept_runs = runs[keep]
+        kept_lw = new_lw[keep]
+        kept_mass = float(np.add.reduce(posterior[keep]))
+        if kept_mass >= _TINY:
+            kept_lw -= math.log(kept_mass)
+        else:
+            # The survivors' posterior underflowed: rescale from their log
+            # weights.
+            kept_log = logsumexp(kept_lw)
+            if kept_log == -math.inf:
+                # Only run length 0 survived, and its weight is 0: no mass
+                # to fold the rest into (the rescale would give -inf + inf
+                # = NaN).
+                raise ContractViolation("prune policy kept only hypotheses of zero mass")
+            kept_lw += total - kept_log
+    return RunLengthState(kept_runs, kept_lw, state.t + 1, total), runs, posterior, i_min
+
+
+def _check_log_psi(log_psi: np.ndarray, log_psi_reset: float) -> None:
+    """The entry checks of ``recursion_step``, run once its total is not
+    finite: NaN and +inf are refused (``x < inf`` is false for both)."""
+    if not (log_psi < math.inf).all():
+        raise ContractViolation("log_psi entries must be below +inf and not NaN")
+    if not log_psi_reset < math.inf:
+        raise ContractViolation("log_psi_reset must be below +inf and not NaN")
 
 
 @dataclass(frozen=True)

@@ -31,7 +31,7 @@ def trellis_joint(labels, alpha, lam):
     hz = HazardConfig(lam)
     for z in labels:
         psi = counts.window_predictive(z, st.run_lengths)
-        st = recursion_step(st, np.log(psi), hz)
+        st = recursion_step(st, np.log(psi), hz)[0]
         counts.record(z)
     return np.exp(st.log_weights), st
 

@@ -39,6 +39,7 @@ from streamcpd.detector import (
     _run_length_table,
 )
 from streamcpd.oracles import brute_force_joint, nig_update
+from streamcpd.runlength import logsumexp
 
 from conftest import crp_rule, dirichlet_rule
 
@@ -525,15 +526,16 @@ _READOUT_SERIES = _shuffled_regimes(7, n_regimes=4, seg=40, n_segments=6, spacin
 @pytest.mark.parametrize("mode", ["infinite", "fixed-k", "baseline"])
 def test_posterior_slice_is_the_shown_part_of_the_full_posterior(mode, monkeypatch):
     full = []
-    normalize = detector.normalize_posterior
+    step = detector.recursion_step
 
-    def capture(state):
-        posterior = normalize(state)
-        assert posterior[state.posterior_argmin] == posterior.min()
-        full.append((state.run_lengths, posterior))
-        return posterior
+    def capture(*args):
+        out = step(*args)
+        _, runs, posterior, i_min = out
+        assert posterior[i_min] == posterior.min()
+        full.append((runs, posterior))
+        return out
 
-    monkeypatch.setattr(detector, "normalize_posterior", capture)
+    monkeypatch.setattr(detector, "recursion_step", capture)
     # A shared dense table longer than the series, so it is not rebuilt
     # during the runs.
     table = np.arange(4 * _READOUT_SERIES.size, dtype=np.int64)
@@ -706,7 +708,8 @@ def test_dense_run_lengths_read_by_slices_as_by_gathers(labels, alpha, data):
     sparse = dense[keep]
     rng = np.random.default_rng(t)
     lw = rng.normal(0.0, 1.0, n)
-    full, pruned = RunLengthState(dense, lw), RunLengthState(sparse, lw[keep])
+    full = RunLengthState(dense, lw, t, logsumexp(lw))
+    pruned = RunLengthState(sparse, lw[keep], t, logsumexp(lw[keep]))
     assert full.dense and not pruned.dense
 
     k_max = max(labels) + 1
@@ -737,8 +740,8 @@ def test_dense_run_lengths_read_by_slices_as_by_gathers(labels, alpha, data):
     np.testing.assert_array_equal(b._grown, a._grown[:, np.r_[True, keep]])
 
     hazard = HazardConfig(50.0)
-    grown = recursion_step(full, log_psi, hazard).run_lengths
-    regrown = recursion_step(pruned, log_psi[keep], hazard).run_lengths
+    grown = recursion_step(full, log_psi, hazard)[1]
+    regrown = recursion_step(pruned, log_psi[keep], hazard)[1]
     np.testing.assert_array_equal(grown, np.r_[0, dense + 1])
     np.testing.assert_array_equal(regrown, np.r_[0, sparse + 1])
     assert not grown.flags.writeable and not regrown.flags.writeable

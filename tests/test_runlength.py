@@ -16,8 +16,6 @@ from streamcpd import (
     HazardConfig,
     PrunePolicy,
     RunLengthState,
-    normalize_posterior,
-    prune,
     recursion_step,
 )
 
@@ -150,23 +148,56 @@ def test_hazard_config_caches_its_logs(lam):
 # -- recursion ---------------------------------------------------------
 
 
+def _state(runs, log_weights, t):
+    """A hand-built state, with its evidence as ``recursion_step`` keeps it."""
+    lw = np.asarray(log_weights, dtype=float)
+    return RunLengthState(np.asarray(runs, dtype=np.int64), lw, t, logsumexp(lw))
+
+
+_HZ = HazardConfig(5.0)
+
+
+def _grown_to(log_weights, runs=None):
+    """A state, its log predictives and its log reset predictive whose
+    growth step under ``_HZ`` gives these grown weights, at these grown run
+    lengths (default ``0..n-1``; entry 1 must be run length 1). Entries 1..
+    are exact: ``log_psi + log(1-h)`` is exactly 0. Entry 0 is within
+    rounding of its target."""
+    g = np.asarray(log_weights, dtype=float)
+    runs = np.arange(g.size) if runs is None else np.asarray(runs)
+    state = _state(runs[1:] - 1, g[1:], int(runs[-1]) - 1)
+    log_psi = np.full(g.size - 1, -float(_HZ.log_survival))
+    return state, log_psi, g[0] - _HZ.log_hazard - state.evidence_log
+
+
+def _prune_to(log_weights, policy, runs=None):
+    """The grown run lengths and the state after pruning, of the growth
+    step that gives these grown weights."""
+    state, log_psi, reset = _grown_to(log_weights, runs)
+    out, grown_runs, _, _ = recursion_step(state, log_psi, _HZ, reset, policy)
+    return out, grown_runs
+
+
 def test_recursion_single_step_hand_computed():
     # h=0.5, psi=[0.5], psi_reset=1: reset 0.5*1*1, growth 0.5*0.5*1
-    st_ = recursion_step(RunLengthState.initial(), _log([0.5]), HazardConfig(2.0))
+    st_, runs, posterior, i_min = recursion_step(
+        RunLengthState.initial(), _log([0.5]), HazardConfig(2.0)
+    )
     assert st_.t == 1
-    assert list(st_.run_lengths) == [0, 1]
+    assert list(st_.run_lengths) == [0, 1] and st_.run_lengths is runs
     np.testing.assert_allclose(np.exp(st_.log_weights), [0.5, 0.25], rtol=1e-14)
     assert st_.evidence_log == pytest.approx(math.log(0.75))
+    np.testing.assert_allclose(posterior, [2 / 3, 1 / 3], rtol=1e-14)
+    assert i_min == 1
 
 
 def test_recursion_no_hazard_limit_moves_mass_up():
     j = 3
     lw = np.full(6, -np.inf)
     lw[j] = 0.0
-    state = RunLengthState(np.arange(6, dtype=np.int64), lw, t=5)
-    out = recursion_step(state, _log(np.ones(6)), HazardConfig(1e12))
-    post = normalize_posterior(out)
-    assert out.run_lengths[np.argmax(post)] == j + 1
+    state = _state(np.arange(6), lw, 5)
+    _, runs, post, _ = recursion_step(state, _log(np.ones(6)), HazardConfig(1e12))
+    assert runs[np.argmax(post)] == j + 1
     assert post.max() == pytest.approx(1.0, abs=1e-11)
 
 
@@ -187,10 +218,8 @@ def test_recursion_constant_psi_scales_total_mass():
     # c*(1-h)*total + h*total
     c, lam = 0.7, 5.0
     h = 1.0 / lam
-    state = RunLengthState(
-        np.arange(3, dtype=np.int64), np.log(np.array([0.2, 0.3, 0.5])), t=2
-    )
-    out = recursion_step(state, _log(np.full(3, c)), HazardConfig(lam))
+    state = _state(np.arange(3), np.log(np.array([0.2, 0.3, 0.5])), 2)
+    out = recursion_step(state, _log(np.full(3, c)), HazardConfig(lam))[0]
     total = np.exp(out.log_weights).sum()
     assert total == pytest.approx(c * (1 - h) + h, rel=1e-12)
 
@@ -210,7 +239,7 @@ def test_recursion_rejects_bad_psi():
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
 def test_recursion_rejects_bad_log_psi_on_a_vanished_hypothesis(bad):
     # +inf meets the -inf weight (inf - inf); NaN propagates.
-    state = RunLengthState(np.arange(2, dtype=np.int64), np.array([0.0, -np.inf]), t=1)
+    state = _state(np.arange(2), np.array([0.0, -np.inf]), 1)
     with pytest.raises(ContractViolation):
         recursion_step(state, np.array([0.0, bad]), HazardConfig(2.0))
 
@@ -230,11 +259,13 @@ def test_recursion_rejects_bad_log_psi_reset(bad):
 
 def test_recursion_accepts_zero_predictive():
     # log_psi = -inf (predictive 0): that hypothesis's growth gets no mass.
-    out = recursion_step(RunLengthState.initial(), np.array([-np.inf]), HazardConfig(2.0))
+    out, _, posterior, _ = recursion_step(
+        RunLengthState.initial(), np.array([-np.inf]), HazardConfig(2.0)
+    )
     assert list(out.run_lengths) == [0, 1]
     assert out.log_weights[1] == -np.inf
     assert out.evidence_log == pytest.approx(math.log(0.5), abs=1e-15)
-    np.testing.assert_array_equal(normalize_posterior(out), [1.0, 0.0])
+    np.testing.assert_array_equal(posterior, [1.0, 0.0])
 
 
 def test_recursion_all_zero_mass_degenerates():
@@ -245,7 +276,7 @@ def test_recursion_all_zero_mass_degenerates():
 def test_support_is_full_range_before_pruning():
     state = RunLengthState.initial()
     for t in range(1, 8):
-        state = recursion_step(state, _log(np.full(t, 0.5)), HazardConfig(3.0))
+        state = recursion_step(state, _log(np.full(t, 0.5)), HazardConfig(3.0))[0]
         assert list(state.run_lengths) == list(range(t + 1))
 
 
@@ -253,64 +284,57 @@ def test_support_is_full_range_before_pruning():
 
 
 def test_normalize_simple():
-    state = RunLengthState(np.arange(3, dtype=np.int64), np.log([1.0, 1.0, 2.0]), t=2)
-    np.testing.assert_allclose(normalize_posterior(state), [0.25, 0.25, 0.5], rtol=1e-14)
-    # input untouched
-    np.testing.assert_allclose(state.log_weights, np.log([1.0, 1.0, 2.0]))
-
-
-def test_normalize_is_memoized_and_read_only():
-    state = RunLengthState(np.arange(3, dtype=np.int64), np.log([1.0, 1.0, 2.0]), t=2)
-    post = normalize_posterior(state)
-    assert normalize_posterior(state) is post
-    assert not post.flags.writeable
-    # prune reads the same posterior: memoized or not, the result is identical
-    fresh = RunLengthState(state.run_lengths, state.log_weights, state.t)
-    a, b = prune(state, PrunePolicy.top_m(2)), prune(fresh, PrunePolicy.top_m(2))
-    np.testing.assert_array_equal(a.run_lengths, b.run_lengths)
-    np.testing.assert_array_equal(a.log_weights, b.log_weights)
+    state, log_psi, reset = _grown_to(np.log([1.0, 1.0, 2.0]))
+    out, runs, posterior, _ = recursion_step(state, log_psi, _HZ, reset)
+    np.testing.assert_allclose(posterior, [0.25, 0.25, 0.5], rtol=1e-14)
+    # The posterior and run lengths are read-only; the state's weights are
+    # the grown ones, unnormalized.
+    assert not posterior.flags.writeable and not runs.flags.writeable
+    np.testing.assert_allclose(out.log_weights, np.log([1.0, 1.0, 2.0]), rtol=0, atol=1e-15)
 
 
 def test_normalize_single_hypothesis():
-    state = RunLengthState(np.zeros(1, dtype=np.int64), np.log([5.0]), t=0)
-    np.testing.assert_allclose(normalize_posterior(state), [1.0])
+    state, log_psi, reset = _grown_to([-math.inf, math.log(5.0)])
+    _, _, posterior, i_min = recursion_step(state, log_psi, _HZ, reset)
+    np.testing.assert_array_equal(posterior, [0.0, 1.0])
+    assert i_min == 0
 
 
 def test_normalize_extreme_log_weights():
     # frozen with mpmath: e/(1+e) = 0.73105857863000490...
-    state = RunLengthState(np.arange(2, dtype=np.int64), np.array([-1000.0, -1001.0]), t=1)
-    post = normalize_posterior(state)
+    state, log_psi, reset = _grown_to([-1000.0, -1001.0])
+    post = recursion_step(state, log_psi, _HZ, reset)[2]
     np.testing.assert_allclose(post, [0.7310585786300049, 0.2689414213699951], atol=1e-6)
 
 
 def test_normalize_all_zero_raises():
-    state = RunLengthState(np.arange(2, dtype=np.int64), np.full(2, -np.inf), t=1)
+    # Every predictive 0 on a state with mass: no grown weight is left to
+    # normalize.
+    state = _state(np.arange(2), np.zeros(2), 1)
     with pytest.raises(DegenerateStateError):
-        normalize_posterior(state)
+        recursion_step(state, np.full(2, -np.inf), HazardConfig(2.0), -math.inf)
 
 
-@given(st.lists(st.floats(min_value=-500, max_value=500), min_size=1, max_size=40))
+@given(st.lists(st.floats(min_value=-500, max_value=500), min_size=2, max_size=40))
 def test_normalize_sums_to_one(logs):
-    state = RunLengthState(
-        np.arange(len(logs), dtype=np.int64), np.array(logs), t=len(logs) - 1
-    )
-    assert normalize_posterior(state).sum() == pytest.approx(1.0, abs=1e-9)
+    state, log_psi, reset = _grown_to(logs)
+    _, _, posterior, i_min = recursion_step(state, log_psi, _HZ, reset)
+    assert posterior.sum() == pytest.approx(1.0, abs=1e-9)
+    assert posterior[i_min] == posterior.min()
 
 
 def test_degenerate_hazard_one_forces_reset():
     state = RunLengthState.initial()
     for t in range(1, 6):
-        state = recursion_step(state, _log(np.full(t, 0.5)), HazardConfig(1.0))
-        post = normalize_posterior(state)
-        assert state.run_lengths[post.argmax()] == 0
+        state, runs, post, _ = recursion_step(state, _log(np.full(t, 0.5)), HazardConfig(1.0))
+        assert runs[post.argmax()] == 0
 
 
 def test_huge_lambda_constant_psi_gives_full_run():
     state = RunLengthState.initial()
     for t in range(1, 51):
-        state = recursion_step(state, _log(np.full(t, 0.7)), HazardConfig(1e9))
-    post = normalize_posterior(state)
-    assert state.run_lengths[post.argmax()] == 50
+        state, runs, post, _ = recursion_step(state, _log(np.full(t, 0.7)), HazardConfig(1e9))
+    assert runs[post.argmax()] == 50
 
 
 def test_log_domain_survives_long_runs():
@@ -319,7 +343,7 @@ def test_log_domain_survives_long_runs():
     rng = np.random.default_rng(0)
     for t in range(1, 2001):
         psi = rng.uniform(0.05, 1.0, t)
-        state = recursion_step(state, _log(psi), cfg)
+        state = recursion_step(state, _log(psi), cfg)[0]
     assert np.all(np.isfinite(state.log_weights))
     assert math.isfinite(state.evidence_log)
 
@@ -327,69 +351,86 @@ def test_log_domain_survives_long_runs():
 # -- pruning ------------------------------------------------------------
 
 
-def _spread_state(n=6):
-    rng = np.random.default_rng(3)
-    lw = np.log(rng.dirichlet(np.ones(n)))
-    return RunLengthState(np.arange(n, dtype=np.int64), lw, t=n - 1)
+def _spread_weights(n=6):
+    return np.log(np.random.default_rng(3).dirichlet(np.ones(n)))
 
 
 def test_prune_none_is_identity():
-    state = _spread_state()
-    assert prune(state, PrunePolicy.none()) is state
+    state, log_psi, reset = _grown_to(_spread_weights())
+    out, runs, _, _ = recursion_step(state, log_psi, _HZ, reset, PrunePolicy.none())
+    assert out.run_lengths is runs and out.run_lengths.size == 6
 
 
 def test_prune_threshold_drops_tiny_mass():
     lw = np.log(np.array([0.9999, 1e-6, 9.9e-5]))
-    state = RunLengthState(np.arange(3, dtype=np.int64), lw, t=2)
-    out = prune(state, PrunePolicy.threshold(1e-5))
-    assert list(out.run_lengths) == [0, 2]
+    state, log_psi, reset = _grown_to(lw)
+    out, runs, posterior, _ = recursion_step(
+        state, log_psi, _HZ, reset, PrunePolicy.threshold(1e-5)
+    )
+    assert list(runs) == [0, 1, 2] and list(out.run_lengths) == [0, 2]
     # survivor posterior renormalized, total joint mass preserved
-    assert normalize_posterior(out).sum() == pytest.approx(1.0, abs=1e-12)
-    assert np.exp(out.log_weights).sum() == pytest.approx(np.exp(state.log_weights).sum())
+    assert np.exp(out.log_weights - out.evidence_log).sum() == pytest.approx(1.0, abs=1e-12)
+    assert np.exp(out.log_weights).sum() == pytest.approx(np.exp(lw).sum())
 
 
 def test_prune_never_drops_run_zero():
     lw = np.log(np.array([1e-12, 0.5, 0.5]))
-    state = RunLengthState(np.arange(3, dtype=np.int64), lw, t=2)
-    out = prune(state, PrunePolicy.threshold(1e-3))
-    assert 0 in out.run_lengths
+    out, _ = _prune_to(lw, PrunePolicy.threshold(1e-3))
+    assert list(out.run_lengths) == [0, 1, 2]
 
 
 def test_prune_top_m():
-    state = _spread_state(8)
-    out = prune(state, PrunePolicy.top_m(3))
+    out, _ = _prune_to(_spread_weights(8), PrunePolicy.top_m(3))
     assert len(out.run_lengths) <= 4  # top 3 plus possibly run 0
-    assert 0 in out.run_lengths
+    assert out.run_lengths[0] == 0
 
 
-def _top_m_by_sort(posterior, run_lengths, m):
+def _top_m_by_sort(posterior, m):
     # The top-m keep mask by a stable sort: the m largest entries, ties to
     # the lower index, plus run length 0 at entry 0.
     keep = np.zeros(posterior.size, dtype=bool)
     keep[np.argsort(-posterior, kind="stable")[:m]] = True
-    if run_lengths[0] == 0:
-        keep[0] = True
+    keep[0] = True
     return keep
 
 
-def _prune_by_mask(state, policy):
-    # prune's result built from an explicit keep mask: the entries at or
-    # above the threshold, or the top m by a stable sort, plus run length 0.
-    # None when the survivors carry no mass, which prune refuses.
-    posterior = normalize_posterior(state)
+def _prune_by_mask(grown, posterior, policy):
+    # The pruned state built from an explicit keep mask over the grown
+    # trellis: the entries at or above the threshold, or the top m by a
+    # stable sort, plus run length 0. None when the survivors carry no
+    # mass, which the step refuses.
     if policy.kind == "threshold":
         keep = posterior >= policy.epsilon
+        keep[0] = True
     else:
-        keep = _top_m_by_sort(posterior, state.run_lengths, policy.max_live)
-    keep[0] |= state.run_lengths[0] == 0
-    runs, kept_lw = state.run_lengths[keep], state.log_weights[keep]
+        keep = _top_m_by_sort(posterior, policy.max_live)
+    runs, kept_lw = grown.run_lengths[keep], grown.log_weights[keep]
     mass = float(posterior[keep].sum())
     if mass >= _TINY:
         return runs, kept_lw - math.log(mass)
     kept_log = logsumexp(kept_lw)
     if kept_log == -math.inf:
         return None
-    return runs, kept_lw + (state.evidence_log - kept_log)
+    return runs, kept_lw + (grown.evidence_log - kept_log)
+
+
+def _assert_step_prunes_as_the_mask(state, log_psi, log_psi_reset, policy):
+    # The step under ``policy`` against the mask reference over the grown
+    # trellis of the same step unpruned, whose log weights are the grown
+    # ones as they are.
+    grown, runs, posterior, _ = recursion_step(state, log_psi, _HZ, log_psi_reset)
+    want = _prune_by_mask(grown, posterior, policy)
+    if want is None:
+        with pytest.raises(ContractViolation):
+            recursion_step(state, log_psi, _HZ, log_psi_reset, policy)
+        return
+    out, runs_again, posterior_again, _ = recursion_step(state, log_psi, _HZ, log_psi_reset, policy)
+    assert runs_again.tolist() == runs.tolist()
+    assert posterior_again.tobytes() == posterior.tobytes()
+    assert out.run_lengths.tolist() == want[0].tolist()
+    assert out.log_weights.tobytes() == want[1].tobytes()
+    assert out.evidence_log == grown.evidence_log
+    assert out.t == grown.t == state.t + 1
 
 
 @given(
@@ -400,37 +441,30 @@ def _prune_by_mask(state, policy):
             st.sampled_from([-math.inf, -800.0, -3.0, -1.0, 0.0]),
             st.floats(min_value=-40.0, max_value=0.0),
         ),
-        min_size=1,
+        min_size=2,
         max_size=12,
     ),
     st.sampled_from([0, 0, 0, -1, 1, 3]),
-    st.sampled_from([0, 5]),
 )
-@example([-1.0, 0.0, 0.0], 0, 0)  # the minimum at index 0 is run length 0
-@example([-1.0, 0.0, 0.0], 0, 5)  # the minimum at index 0 is not
-@example([0.0, -2.0, -2.0, 0.0, -2.0], 0, 0)  # tied minima
-@example([0.0, -math.inf, -math.inf, -800.0], 0, 0)  # exact zeros
-@example([0.0, -2.0, -2.0, 0.0, -2.0], 1, 0)  # n = max_live + 2
-# The steady-state minimum is the last entry, which prune drops by slicing:
-# strictly decreasing weights, and tied minima that include the last entry.
-@example([0.0, -1.0, -2.0, -3.0], 0, 0)
-@example([0.0, -1.0, -2.0, -3.0], 0, 5)
-@example([0.0, -2.0, -1.0, -2.0], 0, 0)
-@example([-1.0, 0.0, -1.0, -1.0], 0, 5)
-@example([0.0, -math.inf, 0.0, -math.inf], 0, 0)
-def test_prune_top_m_matches_a_stable_sort(log_weights, extra, first_run):
-    # ``extra`` is n - (max_live + 1): 0 is top-m's steady state, which
-    # prune handles without a sort.
+@example([-1.0, 0.0, 0.0], 0)  # the minimum at index 0 is run length 0
+@example([0.0, -2.0, -2.0, 0.0, -2.0], 0)  # tied minima
+@example([0.0, -math.inf, -math.inf, -800.0], 0)  # exact zeros
+@example([0.0, -2.0, -2.0, 0.0, -2.0], 1)  # n = max_live + 2
+# The steady-state minimum is the last entry, which the step drops by
+# slicing: strictly decreasing weights, and tied minima that include the
+# last entry.
+@example([0.0, -1.0, -2.0, -3.0], 0)
+@example([0.0, -2.0, -1.0, -2.0], 0)
+@example([-1.0, 0.0, -1.0, -1.0], 0)
+@example([0.0, -math.inf, 0.0, -math.inf], 0)
+def test_prune_top_m_matches_a_stable_sort(log_weights, extra):
+    # ``extra`` is n - (max_live + 1): 0 is top-m's steady state, which the
+    # step handles without a sort.
     lw = np.array(log_weights)
-    assume(np.isfinite(lw).any())
+    assume(np.isfinite(lw[1:]).any())
     m = max(1, lw.size - 1 - extra)
-    runs = np.arange(first_run, first_run + lw.size, dtype=np.int64)
-    state = RunLengthState(runs, lw)
-    want_runs, want_lw = _prune_by_mask(state, PrunePolicy.top_m(m))
-    out = prune(state, PrunePolicy.top_m(m))
-    assert out.run_lengths.tolist() == want_runs.tolist()
-    assert out.log_weights.tobytes() == want_lw.tobytes()
-    assert out.evidence_log == state.evidence_log
+    state, log_psi, reset = _grown_to(lw)
+    _assert_step_prunes_as_the_mask(state, log_psi, reset, PrunePolicy.top_m(m))
 
 
 # Few distinct values, so ties are common; -inf and -800 give posterior
@@ -456,127 +490,106 @@ _THRESHOLD = st.tuples(
     pairs=st.lists(st.tuples(_LOG_VALUE, _LOG_VALUE), min_size=1, max_size=10),
     gaps=st.lists(st.sampled_from([1, 1, 2, 5]), min_size=9, max_size=9),
     log_psi_reset=_LOG_VALUE,
-    hand_built=st.booleans(),
     pick=st.one_of(_THRESHOLD, st.tuples(st.just("top-m"), st.integers(1, 13))),
 )
 # Tied exact zeros at the minimum; top-m drops the last of them, by one
 # argmin at n = M + 1 and by the sort at n = M + 2.
-@example([(0.0, -math.inf), (0.0, 0.0), (0.0, -math.inf)], [1] * 9, 0.0, False, ("top-m", 3))
-@example([(0.0, -math.inf), (0.0, 0.0), (0.0, -math.inf)], [1] * 9, 0.0, False, ("top-m", 2))
+@example([(0.0, -math.inf), (0.0, 0.0), (0.0, -math.inf)], [1] * 9, 0.0, ("top-m", 3))
+@example([(0.0, -math.inf), (0.0, 0.0), (0.0, -math.inf)], [1] * 9, 0.0, ("top-m", 2))
 # The last entry is the minimum at n = M + 1, so top-m drops it by slicing:
 # strictly decreasing weights (after run length 0), and tied minima that
 # include the last entry; on dense and on sparse run lengths.
-@example([(0.0, 0.0), (-1.0, 0.0), (-2.0, 0.0)], [1] * 9, 0.0, False, ("top-m", 3))
-@example([(0.0, 0.0), (-1.0, 0.0), (-2.0, 0.0)], [2] * 9, 0.0, True, ("top-m", 3))
-@example([(0.0, 0.0), (-3.0, 0.0), (-3.0, 0.0)], [1] * 9, 0.0, False, ("top-m", 3))
-@example([(0.0, -3.0), (0.0, 0.0), (0.0, -3.0)], [5] * 9, -3.0, True, ("top-m", 3))
+@example([(0.0, 0.0), (-1.0, 0.0), (-2.0, 0.0)], [1] * 9, 0.0, ("top-m", 3))
+@example([(0.0, 0.0), (-1.0, 0.0), (-2.0, 0.0)], [2] * 9, 0.0, ("top-m", 3))
+@example([(0.0, 0.0), (-3.0, 0.0), (-3.0, 0.0)], [1] * 9, 0.0, ("top-m", 3))
+@example([(0.0, -3.0), (0.0, 0.0), (0.0, -3.0)], [5] * 9, -3.0, ("top-m", 3))
 # Run length 0 is the minimum: kept by the threshold at it, and top-m at
 # n = M + 1 then drops nothing.
-@example([(0.0, 0.0), (0.0, 0.0)], [1] * 9, -3.0, False, ("threshold", None))
-@example([(0.0, 0.0), (0.0, 0.0)], [1] * 9, -3.0, False, ("top-m", 2))
-@example([(0.0, 0.0), (0.0, 0.0)], [1] * 9, -math.inf, False, ("top-m", 2))
-# No posterior_argmin: the threshold takes the mask path.
-@example([(0.0, 0.0), (-1.0, 0.0)], [2] * 9, 0.0, True, ("threshold", 1e-300))
+@example([(0.0, 0.0), (0.0, 0.0)], [1] * 9, -3.0, ("threshold", None))
+@example([(0.0, 0.0), (0.0, 0.0)], [1] * 9, -3.0, ("top-m", 2))
+@example([(0.0, 0.0), (0.0, 0.0)], [1] * 9, -math.inf, ("top-m", 2))
+# A threshold at or below every entry on sparse run lengths: nothing drops.
+@example([(0.0, 0.0), (-1.0, 0.0)], [2] * 9, 0.0, ("threshold", 1e-300))
 # Only run length 0 survives, and its weight is 0: refused.
-@example(
-    [(-800.0, -3.0), (-800.0, -1.0), (-800.0, -1.0)], [1] * 9, -math.inf, False, ("threshold", 0.5)
-)
-def test_prune_equals_a_mask_reference(pairs, gaps, log_psi_reset, hand_built, pick):
-    # prune, keep-all path or not, gives bitwise what the explicit mask
-    # gives, on states from recursion_step and on hand-built ones, whose
-    # posterior_argmin is None.
+@example([(-800.0, -3.0), (-800.0, -1.0), (-800.0, -1.0)], [1] * 9, -math.inf, ("threshold", 0.5))
+def test_prune_equals_a_mask_reference(pairs, gaps, log_psi_reset, pick):
+    # The pruned state, keep-all path or not, is bitwise what the explicit
+    # mask gives over the grown trellis.
     lw, log_psi = (np.array(column) for column in zip(*pairs))
     assume(np.isfinite(lw).any())
-    runs = np.concatenate(([0], np.cumsum(gaps[: lw.size - 1]))).astype(np.int64)
+    runs = np.concatenate(([0], np.cumsum(gaps[: lw.size - 1])))
+    state = _state(runs, lw, int(runs[-1]))
     try:
-        state = recursion_step(RunLengthState(runs, lw), log_psi, HazardConfig(5.0), log_psi_reset)
+        _, _, posterior, _ = recursion_step(state, log_psi, _HZ, log_psi_reset)
     except DegenerateStateError:
         assume(False)
-    if hand_built:
-        state = RunLengthState(state.run_lengths, state.log_weights, state.t, state.evidence_log)
-        assert state.posterior_argmin is None
-    n = state.run_lengths.size
     kind, value = pick
     if kind == "threshold":
         if value is None:
-            smallest = float(normalize_posterior(state).min())
+            smallest = float(posterior.min())
             value = smallest if 0.0 < smallest <= 0.5 else 0.5
         policy = PrunePolicy.threshold(value)
     else:
-        policy = PrunePolicy.top_m(min(value, n + 2))
-    want = _prune_by_mask(state, policy)
-    if want is None:
-        with pytest.raises(ContractViolation):
-            prune(state, policy)
-        return
-    out = prune(state, policy)
-    assert out.run_lengths.tolist() == want[0].tolist()
-    assert out.log_weights.tobytes() == want[1].tobytes()
-    assert out.evidence_log == state.evidence_log
-    assert out.t == state.t
+        policy = PrunePolicy.top_m(min(value, posterior.size + 2))
+    _assert_step_prunes_as_the_mask(state, log_psi, log_psi_reset, policy)
 
 
 def test_prune_keeps_evidence_when_survivor_mass_underflows():
     # 200 hypotheses at 1/200 each fall below the threshold, so only run 0
     # survives, and its posterior exp(-1000) underflows to zero.
-    lw = np.concatenate(([-1000.0], np.zeros(200)))
-    state = RunLengthState(np.arange(201, dtype=np.int64), lw, t=200)
-    out = prune(state, PrunePolicy.threshold(0.01))
+    state, log_psi, reset = _grown_to(np.concatenate(([-1000.0], np.zeros(200))))
+    grown = recursion_step(state, log_psi, _HZ, reset)[0]
+    out = recursion_step(state, log_psi, _HZ, reset, PrunePolicy.threshold(0.01))[0]
     assert list(out.run_lengths) == [0]
-    assert out.evidence_log == state.evidence_log
-    assert out.log_weights[0] == pytest.approx(state.evidence_log, abs=1e-12)
-
-
-@pytest.mark.parametrize(
-    "policy", [PrunePolicy.threshold(1e-3), PrunePolicy.top_m(1), PrunePolicy.top_m(2)]
-)
-def test_prune_of_an_empty_state_is_a_contract_violation(policy):
-    state = RunLengthState(np.zeros(0, dtype=np.int64), np.zeros(0), t=0, evidence_log=0.0)
-    with pytest.raises(ContractViolation):
-        prune(state, policy)
+    assert out.evidence_log == grown.evidence_log
+    assert out.log_weights[0] == pytest.approx(grown.evidence_log, abs=1e-12)
 
 
 def test_prune_that_drops_the_last_entry_keeps_a_view_of_the_parent_run_lengths():
     # Top-m at n = M + 1 whose last entry is the smallest keeps the first
-    # n - 1 run lengths as a read-only view of the parent's array: on a
-    # dense state (still a view of the shared table) and on a sparse one.
+    # n - 1 run lengths as a read-only view of the grown array: on dense
+    # run lengths (still a view of the shared table) and on sparse ones.
     # Where the smallest entry is elsewhere, the survivors are gathered.
     # At hazard 2/3 the oldest run length, (1/3)^t, is the smallest.
+    hazard = HazardConfig(1.5)
     dense = RunLengthState.initial()
-    for _ in range(5):
-        dense = recursion_step(dense, np.zeros(dense.run_lengths.size), HazardConfig(1.5))
-    assert normalize_posterior(dense).argmin() == 5
-    sparse = RunLengthState(
-        np.array([0, 2, 3, 7], dtype=np.int64), np.array([0.0, -1.0, -2.0, -3.0])
-    )
-    for state in (dense, sparse):
-        n = state.run_lengths.size
-        out = prune(state, PrunePolicy.top_m(n - 1))
-        assert out.run_lengths.tolist() == state.run_lengths[: n - 1].tolist()
-        assert np.shares_memory(out.run_lengths, state.run_lengths)
-        assert not out.run_lengths.flags.writeable
-    assert np.shares_memory(prune(dense, PrunePolicy.top_m(5)).run_lengths, runlength._DENSE)
-    assert sparse.run_lengths.flags.writeable
+    for _ in range(4):
+        dense = recursion_step(dense, np.zeros(dense.run_lengths.size), hazard)[0]
+    out, runs, posterior, _ = recursion_step(dense, np.zeros(5), hazard, 0.0, PrunePolicy.top_m(5))
+    assert posterior.argmin() == 5
+    assert out.run_lengths.tolist() == [0, 1, 2, 3, 4]
+    assert np.shares_memory(out.run_lengths, runs)
+    assert np.shares_memory(out.run_lengths, runlength._DENSE)
+    assert not out.run_lengths.flags.writeable
 
-    middle = RunLengthState(np.arange(4, dtype=np.int64), np.array([0.0, -3.0, -1.0, -2.0]))
-    out = prune(middle, PrunePolicy.top_m(3))
+    out, runs = _prune_to([0.0, -1.0, -2.0, -3.0], PrunePolicy.top_m(3), runs=[0, 1, 3, 8])
+    assert runs.tolist() == [0, 1, 3, 8] and out.run_lengths.tolist() == [0, 1, 3]
+    assert np.shares_memory(out.run_lengths, runs)
+    assert not out.run_lengths.flags.writeable
+
+    out, runs = _prune_to([0.0, -3.0, -1.0, -2.0], PrunePolicy.top_m(3))
     assert out.run_lengths.tolist() == [0, 2, 3]
-    assert not np.shares_memory(out.run_lengths, middle.run_lengths)
+    assert not np.shares_memory(out.run_lengths, runs)
 
 
 def test_prune_that_drops_nothing_keeps_the_parent_run_lengths(monkeypatch):
-    # A threshold no entry falls below, on a dense state: the pruned state
-    # holds the parent's run-length array, still a view of the shared
+    # A threshold no entry falls below, on dense run lengths: the pruned
+    # state holds the grown run-length array, still a view of the shared
     # table; so does top-m with room for every hypothesis.
+    hazard = HazardConfig(10.0)
     state = RunLengthState.initial()
-    for _ in range(5):
-        state = recursion_step(state, np.zeros(state.run_lengths.size), HazardConfig(10.0))
-    table = runlength._dense_run_lengths(state.run_lengths.size)
-    for policy in (PrunePolicy.threshold(1e-300), PrunePolicy.top_m(6), PrunePolicy.top_m(9)):
-        out = prune(state, policy)
-        assert out.run_lengths is state.run_lengths
+    for _ in range(4):
+        state = recursion_step(state, np.zeros(state.run_lengths.size), hazard)[0]
+    table = runlength._dense_run_lengths(6)
+    for policy in (
+        PrunePolicy.threshold(1e-300),
+        PrunePolicy.top_m(6),
+        PrunePolicy.top_m(9),
+        PrunePolicy.none(),
+    ):
+        out, runs, _, _ = recursion_step(state, np.zeros(5), hazard, 0.0, policy)
+        assert out.run_lengths is runs
         assert np.shares_memory(out.run_lengths, table)
-    assert prune(state, PrunePolicy.none()) is state
 
     # In the detector, such a step leaves the baseline model's run-length
     # columns alone: its keep hook is called only when a prune drops some.
@@ -623,17 +636,6 @@ def test_prune_policy_validation():
 def _assert_evidence_consistent(state):
     want = float(scipy_logsumexp(state.log_weights))
     assert state.evidence_log == pytest.approx(want, rel=0, abs=1e-12)
-    assert normalize_posterior(state).sum() == pytest.approx(1.0, rel=0, abs=1e-12)
-    np.testing.assert_allclose(
-        normalize_posterior(state), np.exp(state.log_weights - want), rtol=0, atol=1e-12
-    )
-
-
-def test_hand_built_state_computes_its_evidence():
-    lw = np.log(np.array([0.1, 0.2, 0.3]))
-    state = RunLengthState(np.arange(3, dtype=np.int64), lw, 2)
-    assert state.evidence_log == pytest.approx(math.log(0.6), abs=1e-15)
-    _assert_evidence_consistent(state)
 
 
 _PSI = st.one_of(st.just(0.0), st.floats(min_value=1e-3, max_value=5.0))
@@ -658,10 +660,14 @@ def test_evidence_log_tracks_weights_through_recursion_and_pruning(lam, policies
         n = state.log_weights.size
         psi = np.array(data.draw(st.lists(_PSI, min_size=n, max_size=n)))
         psi_reset = data.draw(st.floats(min_value=1e-3, max_value=5.0))
-        state = recursion_step(state, _log(psi), cfg, _log(psi_reset))
+        grown, _, posterior, _ = recursion_step(state, _log(psi), cfg, _log(psi_reset))
+        _assert_evidence_consistent(grown)
+        np.testing.assert_allclose(
+            posterior, np.exp(grown.log_weights - grown.evidence_log), rtol=0, atol=1e-12
+        )
+        state = recursion_step(state, _log(psi), cfg, _log(psi_reset), policy)[0]
         _assert_evidence_consistent(state)
-        state = prune(state, policy)
-        _assert_evidence_consistent(state)
+        assert state.evidence_log == grown.evidence_log
 
 
 # -- change-point readout ----------------------------------------------

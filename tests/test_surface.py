@@ -26,8 +26,6 @@ RUNTIME_NAMES = {
     "decay_rates",
     "em_step",
     "gen_piecewise_gaussian",
-    "normalize_posterior",
-    "prune",
     "recursion_step",
     "run",
     "spawn_candidate",
@@ -35,7 +33,7 @@ RUNTIME_NAMES = {
 
 
 def test_public_surface_is_the_runtime():
-    assert len(streamcpd.__all__) == len(RUNTIME_NAMES) == 28
+    assert len(streamcpd.__all__) == len(RUNTIME_NAMES) == 26
     assert set(streamcpd.__all__) == RUNTIME_NAMES
     for name in streamcpd.__all__:
         assert getattr(streamcpd, name) is not None
