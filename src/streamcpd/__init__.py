@@ -1,8 +1,8 @@
 """Streaming Bayesian change-point detection over an unbounded latent-class
 hierarchy, with fixed-K and raw-observation baselines.
 
-The exact references the tests check the runtime against live in
-``streamcpd.oracles`` and are not exported here."""
+The package holds what the detector and the CLI run; the exact references
+the tests check it against live with the tests, in ``tests/reference.py``."""
 
 __version__ = "0.1.0"
 
@@ -25,7 +25,6 @@ from .emission import (
     spawn_candidate,
 )
 from .errors import ConfigError, ContractViolation, DegenerateStateError, InputError
-from .oracles import SegmentSpec, gen_piecewise_gaussian
 from .runlength import (
     ChangePointRule,
     HazardConfig,
@@ -33,6 +32,7 @@ from .runlength import (
     RunLengthState,
     recursion_step,
 )
+from .synth import SegmentSpec, gen_piecewise_gaussian
 
 __all__ = [
     "__version__",

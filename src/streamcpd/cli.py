@@ -23,8 +23,8 @@ import numpy as np
 from . import __version__
 from .detector import Detector, DetectorConfig, StepOutput
 from .errors import ConfigError, ContractViolation, InputError
-from .oracles import SegmentSpec, gen_piecewise_gaussian
 from .schema import _fmt, field_spec
+from .synth import SegmentSpec, gen_piecewise_gaussian
 
 POSTERIOR_FILE_FLOOR = 1e-12
 CLI_DEFAULT_PRUNE_EPSILON = 1e-10
@@ -219,7 +219,7 @@ def _reading(path, what: str = ""):
 
 
 def _read_kv_file(path) -> tuple[dict, dict]:
-    values, info = {}, {}
+    values, info, set_at = {}, {}, {}
     with _reading(path, "config file ") as f:
         for lineno, raw in enumerate(f, 1):
             raw = raw.rstrip("\r\n")
@@ -230,6 +230,9 @@ def _read_kv_file(path) -> tuple[dict, dict]:
                 raise ConfigError(f"{path}:{lineno}: expected key=value, got {raw!r}")
             key, _, val = line.partition("=")
             key, val = key.strip(), val.strip()
+            if key in set_at:
+                raise ConfigError(f"{path}:{lineno}: {key} is also set at line {set_at[key]}")
+            set_at[key] = lineno
             if key in _INFO_KEYS:
                 info[key] = val
             elif key in _KEYS:

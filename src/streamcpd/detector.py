@@ -136,7 +136,7 @@ _ONE.setflags(False)
 @dataclass(frozen=True)
 class NigParams:
     """Normal-Inverse-Gamma parameters: the baseline's prior, and the
-    posterior ``oracles.nig_update`` folds from it. The bounds keep the
+    posterior the conjugate update folds from it. The bounds keep the
     baseline's arithmetic finite on ordinary observations: (x - mu)^2, the
     prior scale 2 b (kappa + 1) / kappa and a^2 stay below about 1e301.
     The Student-t log density is about -a log1p((x - mu)^2 / B) per step:

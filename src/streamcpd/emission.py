@@ -33,7 +33,8 @@ fused step runs. :func:`m_step` is kept only because the benchmark's tracer
 self-test checks that tracing restores it.
 
 The scalar reference the table arithmetic is tested against, and the finite
-differences the gradient helper is checked with, are in ``oracles.py``.
+differences the gradient helper is checked with, are in
+``tests/reference.py``.
 :class:`EmissionParams` is the per-class record the table is read back
 into, off the hot path.
 """
@@ -47,8 +48,6 @@ import numpy as np
 
 from .errors import ContractViolation
 from .schema import check_fields, real
-
-LOG_2PI = math.log(2.0 * math.pi)
 
 DEFAULT_VAR_FLOOR = 1e-6
 
@@ -67,7 +66,7 @@ def _const(value: float) -> np.ndarray:
 _NEG_HALF = _const(-0.5)
 _ONE = _const(1.0)
 _TWO = _const(2.0)
-_LOG_2PI = _const(LOG_2PI)
+_LOG_2PI = _const(math.log(2.0 * math.pi))
 
 
 @dataclass(frozen=True)

@@ -180,10 +180,6 @@ class PrunePolicy:
         return "threshold" if self.epsilon else "top-m" if self.max_live else "none"
 
     @classmethod
-    def none(cls) -> "PrunePolicy":
-        return cls()
-
-    @classmethod
     def threshold(cls, epsilon: float) -> "PrunePolicy":
         policy = cls(epsilon=epsilon)
         if not policy.epsilon:

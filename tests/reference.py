@@ -1,6 +1,5 @@
-"""Test support: synthetic piecewise-stationary generators with ground
-truth, and the exact references the runtime is checked against, none of
-which the detector calls:
+"""The exact references the runtime is checked against, none of which the
+detector calls:
 
 - :func:`brute_force_joint` and :func:`brute_force_joint_by_segments`, two
   enumerations of the trellis's joint over the final run length, computed
@@ -12,55 +11,22 @@ which the detector calls:
   checked against;
 - :func:`finite_difference`, central differences for gradient checks.
 
-The generator is also what ``streamcpd synth`` writes.
+Tests import it as they import ``conftest``; it is not part of the package.
 """
 
 from __future__ import annotations
 
 import math
 from collections import Counter
-from dataclasses import dataclass
+from fractions import Fraction
 from itertools import combinations
 
 import numpy as np
 
-from .detector import DetectorConfig, NigParams
-from .emission import LOG_2PI, EmissionParams
-from .errors import ContractViolation
-from .schema import check_fields, field_spec, integer, real
+from streamcpd import ContractViolation, DetectorConfig, EmissionParams, NigParams
+from streamcpd.schema import field_spec
 
 _MAX_ENUM_T = 12
-
-
-@dataclass(frozen=True)
-class SegmentSpec:
-    """One stationary stretch: Gaussian with the given mean and variance."""
-
-    length: int = integer("[1, inf)")
-    mu: float = real("(-inf, inf)")
-    var: float = real("(0, inf)")
-    class_id: int = integer("[1, inf)", 1)
-
-    __post_init__ = check_fields
-
-
-def gen_piecewise_gaussian(segments, rng):
-    """Concatenated Gaussian segments.
-
-    Returns ``(series, true_cps, true_labels)`` where ``true_cps`` holds the
-    cumulative lengths at which the distribution switches (samples before
-    position c belong to the old segment) and ``true_labels`` the per-sample
-    ground-truth class id. ``rng`` is a seed or a numpy Generator.
-    """
-    segments = list(segments)
-    if not segments:
-        raise ContractViolation("need at least one segment")
-    rng = np.random.default_rng(rng)
-    parts = [rng.normal(s.mu, math.sqrt(s.var), s.length) for s in segments]
-    series = np.concatenate(parts)
-    cps = list(np.cumsum([s.length for s in segments])[:-1])
-    labels = np.concatenate([np.full(s.length, s.class_id, dtype=np.int64) for s in segments])
-    return series, [int(c) for c in cps], labels
 
 
 def _check_enum_inputs(labels, T):
@@ -82,10 +48,6 @@ def brute_force_joint(z_star_labels, alpha, lam) -> np.ndarray:
 
     Returns a dense vector indexed by r_T in 0..T.
     """
-    # Imported here, its only use: fractions also loads decimal, a few ms
-    # of every interpreter that imports the package.
-    from fractions import Fraction
-
     labels = list(z_star_labels)
     T = len(labels)
     _check_enum_inputs(labels, T)
@@ -157,7 +119,7 @@ def brute_force_joint_by_segments(z_star_labels, alpha, lam) -> np.ndarray:
 
 def emission_loglik(x: float, p: EmissionParams) -> float:
     """log N(x; mu, var), with ``math.log`` on Python floats."""
-    return -0.5 * (LOG_2PI + math.log(p.var)) - (x - p.mu) ** 2 / (2.0 * p.var)
+    return -0.5 * (math.log(2 * math.pi) + math.log(p.var)) - (x - p.mu) ** 2 / (2.0 * p.var)
 
 
 def sequence_probability(labels, alpha: float) -> float:

@@ -22,7 +22,6 @@ from streamcpd import (
     run,
 )
 from streamcpd.cli import main as cli_main
-from streamcpd.oracles import brute_force_joint, finite_difference, sequence_probability
 
 from conftest import (
     all_canonical_sequences,
@@ -31,6 +30,7 @@ from conftest import (
     trellis_joint,
     write_series,
 )
+from reference import brute_force_joint, finite_difference, sequence_probability
 
 
 def _gate(num, name, ok, detail=""):

@@ -925,6 +925,24 @@ def test_cli_config_file_may_start_with_a_byte_order_mark(tmp_path):
 
 
 @pytest.mark.parametrize(
+    "first, again",
+    [("alpha=1", " alpha = 2"), ("tool_version=0", "tool_version=1")],
+    ids=["config-key", "info-key"],
+)
+def test_cli_config_file_key_set_twice_names_both_lines(tmp_path, capsys, first, again):
+    # A repeated key ran with its last value: alpha=1 then alpha=2 ran, and
+    # wrote its manifest, with alpha=2.
+    series = tmp_path / "s.csv"
+    write_series([0.0, 1.0], series)
+    f = tmp_path / "cfg"
+    f.write_text(f"{first}\ninput={series}\n# comment\n{again}\n", encoding="utf-8")
+    assert main(["run", "--config", str(f), "--out", str(tmp_path / "o")]) == 2
+    key = first.partition("=")[0]
+    assert f"{f}:4: {key} is also set at line 1" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize(
     "line", ["candidate_var=1e200", "baseline_b0=1e308", "var_floor=1e-150", "baseline_a0=1e200"]
 )
 def test_cli_config_file_value_the_models_cannot_take_names_its_line(tmp_path, capsys, line):

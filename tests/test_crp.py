@@ -7,9 +7,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from streamcpd import ContractViolation, LabelCounts
-from streamcpd.oracles import sequence_probability
 
 from conftest import all_canonical_sequences, crp_rule, dirichlet_rule, random_canonical_labels
+from reference import sequence_probability
 
 
 def _counts_with_labels(labels, alpha=1.0):

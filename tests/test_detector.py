@@ -38,10 +38,10 @@ from streamcpd.detector import (
     _run_length_rows_past_cap,
     _run_length_table,
 )
-from streamcpd.oracles import brute_force_joint, nig_update
 from streamcpd.runlength import logsumexp
 
 from conftest import crp_rule, dirichlet_rule
+from reference import brute_force_joint, nig_update
 
 
 def _two_segment_series(seed=0, sigma=1.0, jump=8.0, n=200):
@@ -542,7 +542,7 @@ def test_posterior_slice_is_the_shown_part_of_the_full_posterior(mode, monkeypat
     table.setflags(False)
     monkeypatch.setattr(runlength, "_DENSE", table)
     branches = set()
-    for policy in (PrunePolicy.none(), PrunePolicy.threshold(1e-10), PrunePolicy.top_m(20)):
+    for policy in (PrunePolicy(), PrunePolicy.threshold(1e-10), PrunePolicy.top_m(20)):
         full.clear()
         res = run(_READOUT_SERIES, DetectorConfig(mode=mode, prune=policy))
         assert len(full) == len(res.steps)
@@ -640,7 +640,7 @@ def test_numpy_integer_counts_are_accepted(k):
     [pytest.param("infinite", a, id=str(a)) for a in (0.5, 1.0, 3.0)]
     + [pytest.param("fixed-k", b, id=f"fixed-k-{b}") for b in (0.5, 1.0, 3.0)],
 )
-@pytest.mark.parametrize("prune", [PrunePolicy.none(), PrunePolicy.top_m(20)])
+@pytest.mark.parametrize("prune", [PrunePolicy(), PrunePolicy.top_m(20)])
 def test_infinite_window_predictive_while_numerator_table_grows(mode, conc, prune, monkeypatch):
     # Each latent model's ledger keeps its numerator and denominator tables
     # shorter than the run at first and doubles them together; every
@@ -1096,7 +1096,7 @@ def _check_baseline_predictives(policy, prior=NigParams()):
 
 
 def test_baseline_hypothesis_predictive_matches_student_t():
-    _check_baseline_predictives(PrunePolicy.none())
+    _check_baseline_predictives(PrunePolicy())
 
 
 @pytest.mark.parametrize(
@@ -1113,7 +1113,7 @@ def test_baseline_hypothesis_predictive_matches_student_t_pruned(policy):
 def test_baseline_hypothesis_predictive_matches_student_t_tiny_kappa0(kappa0):
     # rho_0 is about 2 kappa0 here: a form that loses its digits to
     # cancellation (or rounds it to 0, so that B = 0 at t = 2) fails.
-    _check_baseline_predictives(PrunePolicy.none(), NigParams(kappa=kappa0))
+    _check_baseline_predictives(PrunePolicy(), NigParams(kappa=kappa0))
 
 
 def test_fixed_k_offsets_match_ndtri():

@@ -15,9 +15,9 @@ from streamcpd import (
     spawn_candidate,
 )
 from streamcpd.emission import DEFAULT_VAR_FLOOR, m_step
-from streamcpd.oracles import emission_loglik, finite_difference
 
 from conftest import gaussian_gradients
+from reference import emission_loglik, finite_difference
 
 
 def _p(mu=0.0, var=1.0, eta_mu=1.0, eta_var=0.02):

@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 
 from streamcpd import ConfigError, ContractViolation, SegmentSpec, gen_piecewise_gaussian
-from streamcpd.oracles import brute_force_joint, brute_force_joint_by_segments, finite_difference
 
 from conftest import gaussian_gradients, random_canonical_labels, trellis_joint
+from reference import brute_force_joint, brute_force_joint_by_segments, finite_difference
 
 
 # -- generator ------------------------------------------------------------

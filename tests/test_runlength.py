@@ -20,10 +20,10 @@ from streamcpd import (
 )
 
 from streamcpd import detector, runlength
-from streamcpd.oracles import brute_force_joint
 from streamcpd.runlength import _TINY, logsumexp
 
 from conftest import random_canonical_labels, trellis_joint
+from reference import brute_force_joint
 
 
 def _log(psi):
@@ -357,7 +357,7 @@ def _spread_weights(n=6):
 
 def test_prune_none_is_identity():
     state, log_psi, reset = _grown_to(_spread_weights())
-    out, runs, _, _ = recursion_step(state, log_psi, _HZ, reset, PrunePolicy.none())
+    out, runs, _, _ = recursion_step(state, log_psi, _HZ, reset, PrunePolicy())
     assert out.run_lengths is runs and out.run_lengths.size == 6
 
 
@@ -585,7 +585,7 @@ def test_prune_that_drops_nothing_keeps_the_parent_run_lengths(monkeypatch):
         PrunePolicy.threshold(1e-300),
         PrunePolicy.top_m(6),
         PrunePolicy.top_m(9),
-        PrunePolicy.none(),
+        PrunePolicy(),
     ):
         out, runs, _, _ = recursion_step(state, np.zeros(5), hazard, 0.0, policy)
         assert out.run_lengths is runs
@@ -640,7 +640,7 @@ def _assert_evidence_consistent(state):
 
 _PSI = st.one_of(st.just(0.0), st.floats(min_value=1e-3, max_value=5.0))
 _POLICIES = [
-    PrunePolicy.none(),
+    PrunePolicy(),
     PrunePolicy.threshold(1e-3),
     PrunePolicy.threshold(0.2),
     PrunePolicy.top_m(1),
