@@ -136,9 +136,10 @@ class LabelCounts:
         else:
             runs = np.asarray(runs, dtype=np.int64)
             # A negative r, read as an unsigned integer, lies past t too, so
-            # one reduction checks both ends and, when they hold, gives the
-            # longest window.
-            longest = int(np.maximum.reduce(runs.view(np.uint64))) if runs.size else -1
+            # one maximum (read at its argmax, cheaper than a reduction)
+            # checks both ends and, when they hold, gives the longest window.
+            u = runs.view(np.uint64)
+            longest = int(u[u.argmax()]) if runs.size else -1
         if longest > t:
             raise ContractViolation(f"window lengths must lie in [0, {t}]")
         if self.total(k) == 0:

@@ -11,21 +11,24 @@ One run-length recursion, fed by a predictive model chosen once per mode
 - ``baseline`` (:class:`BaselineModel`): no latent layer. Predictive: the
   Normal-Inverse-Gamma Student-t on the raw observations.
 
-A model has ``predict(x, t, run_lengths, dense) -> (log_psi, log_psi_reset,
-z_star, k_t, resp)``, the log predictive of observation x at step t under
-every live hypothesis and under a reset; ``commit(z_star)``, called once the
-trellis step has succeeded; and ``keep``: None, or ``keep(before, kept)``
-after the trellis step's prune dropped hypotheses, for a model with one
-column per hypothesis (the baseline). On an observation that overflows its
+A model has ``predict(x, t, state) -> (log_psi, log_psi_reset, z_star, k_t,
+resp, columns)``: the log predictive of observation x at step t under every
+hypothesis of the trellis state ``state`` and under a reset, and the grown
+hypotheses' columns (the baseline's hypothesis table, or None); and
+``commit(z_star)``, called once the trellis step has succeeded. The
+hypothesis table rides in the trellis state (``RunLengthState.columns``),
+so the prune that drops a hypothesis drops its column with it and a model
+holds nothing per hypothesis. On an observation that overflows its
 arithmetic, ``predict`` raises ``FloatingPointError`` with the model as it
 was, which :meth:`Detector.step` alone turns into ``InputError``. When the
 run lengths are dense, ``0..n-1`` (``RunLengthState.dense``), ``predict``
 reads its per-run-length tables by prefix slices instead of gathers. So
 :meth:`Detector.step` is one body for every mode: predict; one
-``recursion_step``, which grows, normalizes and prunes the trellis; the
-readout of the grown posterior; commit; keep. Only then does the detector
-take the new trellis state, MAP run length and t, together, so a trellis
-step that fails (its prune included) leaves them as they were.
+``recursion_step``, which grows, normalizes and prunes the trellis and
+carries the columns, t and the MAP run length into the new state; the
+readout of the grown posterior; commit. Only then does the detector take
+the new state, so a trellis step that fails (its prune included) leaves it
+as it was.
 
 The readout hands out the posterior entries at or above 1e-14 with their
 run lengths, in one of three forms: the step's own arrays when nothing is
@@ -50,14 +53,15 @@ infinite mode's candidate, or the fixed-k fan-out at the first step), and in
 the reset predictive.
 
 The baseline's NIG posterior after a window of r observations has kappa_r =
-kappa0 + r and a_r = a0 + r/2, which depend on r alone, so it keeps two
+kappa0 + r and a_r = a0 + r/2, which depend on r alone, so it reads two
 tables:
 
-- the hypothesis table, ``(2, n)`` and aligned with
-  ``RunLengthState.run_lengths``: row ``mu`` and row ``B = 2 b (kappa + 1) /
+- the hypothesis table, ``(2, n)``, the trellis state's ``columns`` and so
+  aligned with its run lengths: row ``mu`` and row ``B = 2 b (kappa + 1) /
   kappa``, the Student-t's degrees of freedom times its squared scale. Column
   0 is always the prior (run length 0, an empty window), so its predictive
-  is also the reset predictive.
+  is also the reset predictive. The initial state holds no columns: its one
+  hypothesis, run length 0, has the prior.
 - the run-length table, ``(4, n)`` and indexed by run length r: ``c_r =
   D_r - log(pi)/2``, ``h_r = a_r + 1/2``, ``1/kappa_{r+1}`` and ``rho_r =
   kappa_r (kappa_r + 2) / (kappa_r + 1)^2``, computed as ``(kappa_r /
@@ -293,8 +297,8 @@ class RunResult:
 class _LatentModel:
     """What the two latent models share: the class table, owned from
     construction, and its emission step, the ledger of MAP labels, which
-    ``commit`` appends to, and one ``predict``. They hold nothing per
-    run-length hypothesis, so pruning needs no hook.
+    ``commit`` appends to, and one ``predict``. They have no columns per
+    run-length hypothesis.
 
     A subclass gives the constants of the ledger's seating rule ``num(w) /
     (n + c)`` (see ``crp.py``): ``num(w) = w + smoothing`` above ``num(0) =
@@ -303,7 +307,6 @@ class _LatentModel:
     pushes the step's new classes onto the table inside ``predict``'s
     rollback, and ``log_reset``, the log reset predictive."""
 
-    keep = None
     log_reset = 0.0
 
     def __init__(
@@ -319,7 +322,7 @@ class _LatentModel:
     def commit(self, z_star: int) -> None:
         self.counts.record(z_star)
 
-    def predict(self, x: float, t: int, run_lengths: np.ndarray, dense: bool):
+    def predict(self, x: float, t: int, state: RunLengthState):
         """One SGD-EM step over the class table under the class prior, then
         the winner's rate decay, and the window predictive of the MAP label.
         The classes ``_spawn`` pushes take the last columns and are kept
@@ -342,8 +345,8 @@ class _LatentModel:
         decay_rates(table, z_star, cfg.decay)
         resp.setflags(False)
 
-        psi = counts.window_predictive(z_star, run_lengths, dense)
-        return np.log(psi), self.log_reset, z_star, table.n, resp
+        psi = counts.window_predictive(z_star, state.run_lengths, state.dense)
+        return np.log(psi), self.log_reset, z_star, table.n, resp, None
 
 
 class InfiniteModel(_LatentModel):
@@ -391,30 +394,33 @@ class FixedKModel(_LatentModel):
 
 class BaselineModel:
     """``baseline``: the Student-t predictive of each live hypothesis's NIG
-    posterior, from the hypothesis table ``live`` (rows mu and B) and the
-    run-length table ``consts`` (layout in the module docstring).
-    ``predict`` builds the next hypothesis table and ``commit`` installs it;
-    ``keep`` drops the columns of pruned hypotheses. An observation whose
+    posterior, from the hypothesis table, which the trellis state carries as
+    its ``columns`` (rows mu and B), and the run-length table ``consts``
+    (layout in the module docstring). ``predict`` returns the grown
+    hypotheses' table, which ``recursion_step`` prunes with their run
+    lengths, so ``commit`` has nothing to install. An observation whose
     squared distance to a column's mean overflows (|x - mu| near 1.3e154)
-    raises ``FloatingPointError`` in ``predict``, before any table changes."""
+    raises ``FloatingPointError`` in ``predict``, with the state as it
+    was."""
 
     table = None
 
     def __init__(self, cfg: DetectorConfig):
         self.prior = p = cfg.baseline
         self.prior_col = np.array([p.mu, 2.0 * p.b * (p.kappa + 1.0) / p.kappa])
-        self.live = self.prior_col[:, None].copy()
         self.consts = _run_length_table(p, 64)
-        self._grown = None
 
-    def predict(self, x: float, t: int, run_lengths: np.ndarray, dense: bool):
+    def predict(self, x: float, t: int, state: RunLengthState):
+        run_lengths = state.run_lengths
         n = run_lengths.size
         if run_lengths[-1] < self.consts.shape[1]:
-            rows = self.consts[:, :n] if dense else self.consts.take(run_lengths, axis=1)
+            rows = self.consts[:, :n] if state.dense else self.consts.take(run_lengths, axis=1)
         else:
             rows = self._rows(run_lengths)
         c, h, inv_k1, rho = rows[0], rows[1], rows[2], rows[3]
-        live = self.live
+        live = state.columns
+        if live is None:
+            live = self.prior_col[:, None]
         mu, big_b = live[0], live[1]
         grown = np.empty((2, n + 1))
         grown[:, 0] = self.prior_col
@@ -434,10 +440,9 @@ class BaselineModel:
             d *= inv_k1
             mu1 += mu
             big_b1 *= rho
-        self._grown = grown
         # Column 0 is the prior, so log_psi[0] is the empty-window (reset)
         # predictive.
-        return log_psi, float(log_psi[0]), 1, 1, _ONE
+        return log_psi, float(log_psi[0]), 1, 1, _ONE, grown
 
     def _rows(self, run_lengths: np.ndarray) -> np.ndarray:
         """The run-length table's columns at ``run_lengths`` (ascending) once
@@ -447,7 +452,7 @@ class BaselineModel:
         if n < _TABLE_CAP:
             n = min(2 * n, _TABLE_CAP)
             self.consts = _run_length_table(self.prior, n)
-        split = run_lengths.searchsorted(n)
+        split = np.count_nonzero(run_lengths < n)
         return np.concatenate(
             (
                 self.consts.take(run_lengths[:split], axis=1),
@@ -457,10 +462,8 @@ class BaselineModel:
         )
 
     def commit(self, z_star: int) -> None:
-        self.live = self._grown
-
-    def keep(self, before: np.ndarray, kept: np.ndarray) -> None:
-        self.live = self.live.take(before.searchsorted(kept), axis=1)
+        """Nothing to record: the hypothesis table rides in the trellis
+        state."""
 
 
 _MODELS = {"infinite": InfiniteModel, "fixed-k": FixedKModel, "baseline": BaselineModel}
@@ -469,7 +472,11 @@ _MODELS = {"infinite": InfiniteModel, "fixed-k": FixedKModel, "baseline": Baseli
 class Detector:
     """Single-writer streaming detector; feed observations via :meth:`step`.
 
-    ``model`` is the mode's predictive model (see the module docstring).
+    ``model`` is the mode's predictive model (see the module docstring) and
+    ``rl`` the trellis state, which also holds t, the last MAP run length
+    and the model's per-hypothesis columns. So a fresh detector given a
+    copy of a detector's ``model`` and its ``rl`` (read-only, so it can be
+    shared) goes on as that detector would.
     ``cfg`` is the config as given: a config stores its values as Python
     numbers (see ``schema.py``), so a numpy value gives the outputs of the
     same Python number. Deterministic given (config, series): no step draws
@@ -481,8 +488,11 @@ class Detector:
         self.cfg = cfg
         self.model = _MODELS[cfg.mode](cfg)
         self.rl = RunLengthState.initial()
-        self.t = 0
-        self._prev_r_star: int | None = None
+
+    @property
+    def t(self) -> int:
+        """The number of steps taken."""
+        return self.rl.t
 
     @property
     def params(self) -> list[EmissionParams] | None:
@@ -498,7 +508,8 @@ class Detector:
         refuses, or NaN, or an infinity), or that overflows the model's
         arithmetic, raises ``InputError`` naming its step and leaves the
         detector as it was."""
-        t = self.t + 1
+        rl = self.rl
+        t = rl.t + 1
         try:
             x = float(x)
         except (TypeError, ValueError, OverflowError) as exc:
@@ -508,17 +519,16 @@ class Detector:
         if not math.isfinite(x):
             raise InputError(f"observation at t={t} is not finite: {x!r}")
         cfg, model = self.cfg, self.model
-        rl = self.rl
         try:
-            log_psi, log_psi_reset, z_star, k_t, resp = model.predict(x, t, rl.run_lengths, rl.dense)
+            log_psi, log_psi_reset, z_star, k_t, resp, columns = model.predict(x, t, rl)
         except FloatingPointError:
             name = "baseline" if cfg.mode == "baseline" else "emission"
             raise InputError(f"observation at t={t} overflows the {name} model: {x!r}") from None
 
-        rl, runs, posterior, i_min = recursion_step(
-            rl, log_psi, cfg.hazard, log_psi_reset, cfg.prune
+        new, runs, posterior, i_min = recursion_step(
+            rl, log_psi, cfg.hazard, log_psi_reset, cfg.prune, columns
         )
-        r_star = int(runs[posterior.argmax()])
+        r_star = new.r_star
         # The readout's three forms are in the module docstring. Both arrays
         # are read-only, so a step that shows every entry hands out its own.
         # Run lengths ascend from 0, so runs[k-1] == k-1 says that the first
@@ -542,12 +552,10 @@ class Detector:
             r_star=r_star,
             responsibilities=resp,
             rl_posterior=shown,
-            cp_flag=cfg.cp_rule.fires(self._prev_r_star, r_star, runs, posterior),
+            cp_flag=cfg.cp_rule.fires(rl.r_star, r_star, runs, posterior),
         )
         model.commit(z_star)
-        if model.keep is not None and rl.run_lengths.size < runs.size:
-            model.keep(runs, rl.run_lengths)
-        self.rl, self._prev_r_star, self.t = rl, r_star, t
+        self.rl = new
         return out
 
 

@@ -108,7 +108,12 @@ class ClassTable:
             born = np.empty(2 * cap, dtype=np.int64)
             born[:cap] = self._born
             self._data, self._born = data, born
-        self._data[:, n] = mu, var, eta_mu, eta_var
+        # Scalar stores: a tuple assigned to the column is built into an array first.
+        data = self._data
+        data[0, n] = mu
+        data[1, n] = var
+        data[2, n] = eta_mu
+        data[3, n] = eta_var
         self._born[n] = born_at
         self.n = n + 1
 

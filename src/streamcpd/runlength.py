@@ -14,7 +14,9 @@ log-sum-exp over them and keeps that pass's exponentials as the posterior:
 sum(e)``. So a step makes one ``exp`` pass over its weights, and the prune,
 the readout and the change-point rule all read that one posterior. The
 state carries its evidence, ``evidence_log``, which pruning keeps; the next
-step's reset term reads it instead of summing the weights again.
+step's reset term reads it instead of summing the weights again. It also
+carries ``t``, the step's MAP run length and the model's per-hypothesis
+``columns``, which the prune selects with the run lengths.
 
 That pass skips the weights more than 708.4 (``-log(tiny)``) below the
 largest: their ``e`` would be subnormal or 0, numpy's ``exp`` computes such
@@ -195,14 +197,19 @@ class PrunePolicy:
 
 
 class RunLengthState:
-    """Live run-length hypotheses and their log joint weights: the trellis
-    between two steps.
+    """Live run-length hypotheses, their log joint weights and their model
+    columns: the trellis between two steps.
 
     ``run_lengths[i]`` is the run-length value of hypothesis i, strictly
     ascending from 0, so run length 0 is entry 0. ``log_weights[i]`` is the
     log of its unnormalized joint weight. ``evidence_log`` is the log total
     mass ``logsumexp(log_weights)``, the log probability of everything
-    observed so far.
+    observed so far. ``t`` counts the steps taken, and ``r_star`` is the
+    MAP run length of the step that built the state (None before any).
+    ``columns`` is None or the predictive model's per-hypothesis columns,
+    column i belonging to hypothesis i (the baseline's rows mu and B), so
+    the statistics of each hypothesis's window travel with it through every
+    prune.
 
     ``recursion_step`` builds every state after the first and keeps that
     invariant; treat the arrays as read-only. Dense run lengths ``0..n-1``
@@ -210,15 +217,23 @@ class RunLengthState:
     module docstring).
     """
 
-    __slots__ = ("run_lengths", "log_weights", "t", "evidence_log")
+    __slots__ = ("run_lengths", "log_weights", "t", "evidence_log", "columns", "r_star")
 
     def __init__(
-        self, run_lengths: np.ndarray, log_weights: np.ndarray, t: int, evidence_log: float
+        self,
+        run_lengths: np.ndarray,
+        log_weights: np.ndarray,
+        t: int,
+        evidence_log: float,
+        columns: np.ndarray | None = None,
+        r_star: int | None = None,
     ):
         self.run_lengths = run_lengths
         self.log_weights = log_weights
         self.t = t
         self.evidence_log = evidence_log
+        self.columns = columns
+        self.r_star = r_star
 
     @property
     def dense(self) -> bool:
@@ -239,6 +254,7 @@ def recursion_step(
     hazard: HazardConfig,
     log_psi_reset: float = 0.0,
     policy: PrunePolicy = PrunePolicy(),
+    columns: np.ndarray | None = None,
 ) -> tuple[RunLengthState, np.ndarray, np.ndarray, int]:
     """One step of the trellis: grow it, normalize it and prune it.
 
@@ -250,12 +266,15 @@ def recursion_step(
     lw[i]``; the newborn run length 0 collects ``log(h) + log_psi_reset +
     evidence``, where ``log_psi_reset`` is the log empty-window predictive
     (0 for the latent-class modes: with no within-run history the new-table
-    event is certain).
+    event is certain). ``columns`` is None or the model's columns of the
+    grown hypotheses, ``(rows, n + 1)`` and aligned with the grown run
+    lengths; the next state keeps those of the survivors.
 
     Returns ``(next_state, run_lengths, posterior, i_min)``: the state after
-    pruning by ``policy``, and the grown trellis before it, its run lengths,
-    posterior and an index of the posterior's smallest entry. Those arrays
-    are read-only, so they can be handed out without a copy. When the run
+    pruning by ``policy``, which also carries the step's MAP run length
+    ``r_star``, and the grown trellis before it, its run lengths, posterior
+    and an index of the posterior's smallest entry. Those arrays are
+    read-only, so they can be handed out without a copy. When the run
     lengths are dense (``0..n-1``), the new ones are a view of the shared
     table. Inputs are checked only when the step's total is not finite
     (see the module docstring).
@@ -274,10 +293,11 @@ def recursion_step(
     entry reaches ``epsilon``; under top-m, when at most ``max_live``
     hypotheses are live), on the grown run-length array; and k = n - 1 when
     top-m's steady state drops the last entry (in over half its steps on a
-    stream of many classes), on a read-only prefix view of it. So a dense
-    state stays a view of the shared table. The prefix holds all but the
-    smallest entry, so its mass is at least about 1 - 1/n and needs no
-    rescale from the log weights. Every other prune takes the mask path. A
+    stream of many classes), on a read-only prefix view of it; the columns
+    likewise whole or as their first k. So a dense state stays a view of
+    the shared table. The prefix holds all but the smallest entry, so its
+    mass is at least about 1 - 1/n and needs no rescale from the log
+    weights. Every other prune takes the mask path. A
     threshold prune whose only survivor, run length 0, has weight 0 is
     refused there: there is no mass to fold the rest into.
     """
@@ -321,10 +341,12 @@ def recursion_step(
         # of the flags.writeable setter.
         runs.setflags(False)
     posterior.setflags(False)
+    t = state.t + 1
+    r_star = int(runs[posterior.argmax()])
 
     epsilon, max_live = policy.epsilon, policy.max_live
     if not (epsilon or max_live):
-        return RunLengthState(runs, new_lw, state.t + 1, total), runs, posterior, i_min
+        return RunLengthState(runs, new_lw, t, total, columns, r_star), runs, posterior, i_min
 
     k = n
     keep = None  # no mask: the survivors are the first k entries
@@ -347,6 +369,8 @@ def recursion_step(
         if k < n:
             kept_runs = runs[:k]
             kept_runs.setflags(False)
+            if columns is not None:
+                columns = columns[:, :k]
         # Rescaled even when nothing is dropped: the posterior's sum is 1
         # only to rounding, so skipping this would move the last ulps of
         # every later output (tests/corpus.json pins them).
@@ -354,6 +378,8 @@ def recursion_step(
     else:
         keep[0] = True
         kept_runs = runs[keep]
+        if columns is not None:
+            columns = columns.compress(keep, axis=1)
         kept_lw = new_lw[keep]
         kept_mass = float(np.add.reduce(posterior[keep]))
         if kept_mass >= _TINY:
@@ -368,7 +394,7 @@ def recursion_step(
                 # = NaN).
                 raise ContractViolation("prune policy kept only hypotheses of zero mass")
             kept_lw += total - kept_log
-    return RunLengthState(kept_runs, kept_lw, state.t + 1, total), runs, posterior, i_min
+    return RunLengthState(kept_runs, kept_lw, t, total, columns, r_star), runs, posterior, i_min
 
 
 def _check_log_psi(log_psi: np.ndarray, log_psi_reset: float) -> None:

@@ -1,3 +1,5 @@
+import copy
+import dataclasses
 import hashlib
 import itertools
 import math
@@ -219,6 +221,45 @@ def test_refused_first_fixed_k_observation_leaves_no_classes():
         det.step(0.0)
     assert det.t == 0
     assert det.params == []
+
+
+def _assert_same_step(a, b):
+    # Every StepOutput field, the arrays' dtypes, shapes and bytes included.
+    for f in dataclasses.fields(a):
+        got, want = getattr(a, f.name), getattr(b, f.name)
+        if f.name == "rl_posterior":
+            pairs = zip(got, want)
+        elif f.name == "responsibilities":
+            pairs = [(got, want)]
+        else:
+            assert type(got) is type(want) and got == want, f.name
+            continue
+        for g, w in pairs:
+            assert (g.dtype, g.shape, g.tobytes()) == (w.dtype, w.shape, w.tobytes()), f.name
+
+
+@pytest.mark.parametrize("mode", ["infinite", "fixed-k", "baseline"])
+@pytest.mark.parametrize(
+    "prune",
+    [PrunePolicy(), PrunePolicy.threshold(1e-10), PrunePolicy.top_m(5)],
+    ids=["none", "threshold", "top-m"],
+)
+def test_detector_resumes_from_a_copy_of_its_model_and_state(mode, prune):
+    # A fresh detector given a copy of a detector's model and its trellis
+    # state goes on step for step as the uninterrupted one: t, the last MAP
+    # run length and the baseline's hypothesis table live in the state.
+    series, _, _ = _two_segment_series(seed=4, n=150)
+    cfg = DetectorConfig(mode=mode, prune=prune)
+    det = Detector(cfg)
+    for x in series[:150]:
+        det.step(x)
+    resumed = Detector(cfg)
+    resumed.model, resumed.rl = copy.deepcopy(det.model), det.rl
+    assert resumed.t == det.t == 150
+    for x in series[150:]:
+        _assert_same_step(resumed.step(x), det.step(x))
+        assert resumed.t == det.t
+    assert sorted(vars(resumed)) == ["cfg", "model", "rl"]
 
 
 def _steps_sha256(steps):
@@ -734,10 +775,11 @@ def test_dense_run_lengths_read_by_slices_as_by_gathers(labels, alpha, data):
     x = data.draw(st.floats(min_value=-10.0, max_value=10.0))
     a = BaselineModel(DetectorConfig(mode="baseline"))
     b = BaselineModel(DetectorConfig(mode="baseline"))
-    a.live, b.live = live, live[:, keep]
-    log_psi = a.predict(x, t, dense, full.dense)[0]
-    np.testing.assert_array_equal(b.predict(x, t, sparse, pruned.dense)[0], log_psi[keep])
-    np.testing.assert_array_equal(b._grown, a._grown[:, np.r_[True, keep]])
+    a_out = a.predict(x, t, RunLengthState(dense, lw, t, full.evidence_log, live))
+    b_out = b.predict(x, t, RunLengthState(sparse, lw[keep], t, pruned.evidence_log, live[:, keep]))
+    log_psi = a_out[0]
+    np.testing.assert_array_equal(b_out[0], log_psi[keep])
+    np.testing.assert_array_equal(b_out[5], a_out[5][:, np.r_[True, keep]])
 
     hazard = HazardConfig(50.0)
     grown = recursion_step(full, log_psi, hazard)[1]
@@ -836,7 +878,7 @@ def test_fixed_k_deterministic():
 def _baseline_log_predictives(det, x):
     # The baseline model's log predictive of x under every live hypothesis,
     # read without committing.
-    return det.model.predict(x, det.t + 1, det.rl.run_lengths, det.rl.dense)[0]
+    return det.model.predict(x, det.t + 1, det.rl)[0]
 
 
 def _nig_pdf(x, p):
@@ -924,10 +966,10 @@ def test_baseline_overflowing_observation_is_degenerate(series):
     det = Detector(DetectorConfig(mode="baseline"))
     for x in series[:-1]:
         det.step(x)
-    rl, live = det.rl, det.model.live
+    rl, live = det.rl, det.rl.columns
     with pytest.raises(InputError, match=f"t={len(series)}"):
         det.step(series[-1])
-    assert det.t == len(series) - 1 and det.rl is rl and det.model.live is live
+    assert det.t == len(series) - 1 and det.rl is rl and det.rl.columns is live
     assert np.all(np.isfinite(live))
 
 
@@ -945,7 +987,7 @@ def test_baseline_far_observation_is_accepted(series):
         assert out.rl_posterior.probs.sum() == pytest.approx(1.0, abs=1e-9)
     assert det.t == len(series) + 20
     assert np.all(np.isfinite(det.rl.log_weights))
-    assert np.all(np.isfinite(det.model.live))
+    assert np.all(np.isfinite(det.rl.columns))
 
 
 def test_baseline_column_near_overflow_refuses_later_observations():
@@ -956,11 +998,11 @@ def test_baseline_column_near_overflow_refuses_later_observations():
     det = Detector(DetectorConfig(mode="baseline"))
     for x in [0.0, 1e154, 1e154, 1e154]:
         det.step(x)
-    rl, live = det.rl, det.model.live
+    rl, live = det.rl, det.rl.columns
     for x in np.random.default_rng(0).normal(0.0, 1.0, 5):
         with pytest.raises(InputError, match="t=5"):
             det.step(x)
-        assert det.t == 4 and det.rl is rl and det.model.live is live
+        assert det.t == 4 and det.rl is rl and det.rl.columns is live
     assert np.all(np.isfinite(live))
 
 
@@ -1104,8 +1146,8 @@ def test_baseline_hypothesis_predictive_matches_student_t():
 )
 def test_baseline_hypothesis_predictive_matches_student_t_pruned(policy):
     # Top-m is the only policy that leaves survivors that are not
-    # contiguous, so a model keep hook that misaligns the hypothesis table
-    # with the trellis fails its case.
+    # contiguous, so a prune that misaligns the state's columns with its
+    # run lengths fails its case.
     _check_baseline_predictives(policy)
 
 

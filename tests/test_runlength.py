@@ -172,9 +172,15 @@ def _grown_to(log_weights, runs=None):
 
 def _prune_to(log_weights, policy, runs=None):
     """The grown run lengths and the state after pruning, of the growth
-    step that gives these grown weights."""
+    step that gives these grown weights. The step's columns are the grown
+    run lengths and their negatives, which the state must keep aligned
+    with its run lengths, and it must carry the step's MAP run length."""
     state, log_psi, reset = _grown_to(log_weights, runs)
-    out, grown_runs, _, _ = recursion_step(state, log_psi, _HZ, reset, policy)
+    grown = np.arange(len(log_weights)) if runs is None else np.asarray(runs)
+    columns = np.vstack([grown, -grown])
+    out, grown_runs, posterior, _ = recursion_step(state, log_psi, _HZ, reset, policy, columns)
+    np.testing.assert_array_equal(out.columns, [out.run_lengths, -out.run_lengths])
+    assert out.r_star == grown_runs[posterior.argmax()]
     return out, grown_runs
 
 
@@ -592,23 +598,30 @@ def test_prune_that_drops_nothing_keeps_the_parent_run_lengths(monkeypatch):
         assert np.shares_memory(out.run_lengths, table)
 
     # In the detector, such a step leaves the baseline model's run-length
-    # columns alone: its keep hook is called only when a prune drops some.
-    calls = []
-    keep = detector.BaselineModel.keep
-    monkeypatch.setattr(
-        detector.BaselineModel, "keep", lambda self, *a: calls.append(a) or keep(self, *a)
-    )
+    # columns alone: the state keeps the grown columns the model returned,
+    # and takes new ones only when a prune drops some.
+    grown = []
+    predict = detector.BaselineModel.predict
+
+    def recording(self, *args):
+        out = predict(self, *args)
+        grown.append(out[5])
+        return out
+
+    monkeypatch.setattr(detector.BaselineModel, "predict", recording)
     series = np.sin(np.arange(20) / 3.0)
     det = Detector(DetectorConfig(mode="baseline", prune=PrunePolicy.threshold(1e-300)))
     for t, x in enumerate(series, 1):
         det.step(x)
         assert det.rl.run_lengths.size == t + 1
         assert np.shares_memory(det.rl.run_lengths, runlength._DENSE)
-    assert calls == []
+        assert det.rl.columns is grown[-1]
     det = Detector(DetectorConfig(mode="baseline", prune=PrunePolicy.threshold(0.2)))
+    selected = []
     for x in series:
         det.step(x)
-    assert calls
+        selected.append(det.rl.columns is not grown[-1])
+    assert any(selected)
 
 
 def test_prune_policy_validation():
