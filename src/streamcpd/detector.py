@@ -11,24 +11,30 @@ One run-length recursion, fed by a predictive model chosen once per mode
 - ``baseline`` (:class:`BaselineModel`): no latent layer. Predictive: the
   Normal-Inverse-Gamma Student-t on the raw observations.
 
-A model has ``predict(x, t, state) -> (log_psi, log_psi_reset, z_star, k_t,
-resp, columns)``: the log predictive of observation x at step t under every
-hypothesis of the trellis state ``state`` and under a reset, and the grown
-hypotheses' columns (the baseline's hypothesis table, or None); and
-``commit(z_star)``, called once the trellis step has succeeded. The
-hypothesis table rides in the trellis state (``RunLengthState.columns``),
-so the prune that drops a hypothesis drops its column with it and a model
-holds nothing per hypothesis. On an observation that overflows its
-arithmetic, ``predict`` raises ``FloatingPointError`` with the model as it
-was, which :meth:`Detector.step` alone turns into ``InputError``. When the
-run lengths are dense, ``0..n-1`` (``RunLengthState.dense``), ``predict``
-reads its per-run-length tables by prefix slices instead of gathers. So
-:meth:`Detector.step` is one body for every mode: predict; one
-``recursion_step``, which grows, normalizes and prunes the trellis and
-carries the columns, t and the MAP run length into the new state; the
-readout of the grown posterior; commit. Only then does the detector take
-the new state, so a trellis step that fails (its prune included) leaves it
-as it was.
+A model has one call per step, ``predict(x, state) -> (log_psi,
+log_psi_reset, z_star, k_t, resp, columns)``: the log predictive of
+observation x at step ``state.t + 1`` under every hypothesis of the trellis
+state ``state`` and under a reset, and the grown hypotheses' columns (the
+baseline's hypothesis table, or None). The hypothesis table rides in the
+trellis state (``RunLengthState.columns``), so the prune that drops a
+hypothesis drops its column with it and a model holds nothing per
+hypothesis. When the run lengths are dense, ``0..n-1``
+(``RunLengthState.dense``), ``predict`` reads its per-run-length tables by
+prefix slices instead of gathers. So :meth:`Detector.step` is one body for
+every mode: predict; one ``recursion_step``, which grows, normalizes and
+prunes the trellis and carries the columns, t and the MAP run length into
+the new state; the readout of the grown posterior. Nothing waits for the
+trellis step to succeed:
+
+- ``predict`` alone can refuse an observation. On one that overflows its
+  arithmetic it raises ``FloatingPointError``, which :meth:`Detector.step`
+  turns into ``InputError``, with the model as it was: the latent models
+  record the step's label after everything that can raise.
+- After a ``predict`` that returned, ``recursion_step`` cannot raise: the
+  latent log predictives are logs of values in (0, 1], the baseline's are
+  finite, so is the reset weight ``log h + log_psi_reset + evidence`` and
+  with it the step's total, and run length 0, never pruned, always has
+  mass for the prune to fold the rest into.
 
 The readout hands out the posterior entries at or above 1e-14 with their
 run lengths, in one of three forms: the step's own arrays when nothing is
@@ -41,16 +47,16 @@ with it the hidden tail, alive.
 The two latent models share one emission step, a single SGD-EM pass over one
 :class:`ClassTable` (E-step, M-step and MAP assignment from shared
 intermediates, committed only on success) plus the winner's rate decay. They
-also share one ledger of the MAP labels, a :class:`LabelCounts`, one
-``commit`` that records the step's label in it, and one ``predict``, which
-makes new classes in one place, a ``_spawn`` hook inside the step's
-rollback. The ledger owns the seating rule ``num(w) / (n + c)`` (see
-``crp.py``) and answers both predictives from it: the class prior over the
-whole history, and the window predictive of the MAP label at every live run
-length, read by slices on dense run lengths. So the two models differ only
-in the rule's constants they give the ledger, in what the hook pushes (the
-infinite mode's candidate, or the fixed-k fan-out at the first step), and in
-the reset predictive.
+also share one ledger of the MAP labels, a :class:`LabelCounts`, and one
+``predict``, which makes new classes in one place, a ``_spawn`` hook inside
+the step's rollback, and records the step's label last. The ledger owns the
+seating rule ``num(w) / (n + c)`` (see ``crp.py``) and answers both
+predictives from it: the class prior over the whole history, and the window
+predictive of the MAP label at every live run length, read by slices on
+dense run lengths. So the two models differ only in the rule's constants
+they give the ledger, in what the hook pushes (the infinite mode's
+candidate, or the fixed-k fan-out at the first step), and in the reset
+predictive.
 
 The baseline's NIG posterior after a window of r observations has kappa_r =
 kappa0 + r and a_r = a0 + r/2, which depend on r alone, so it reads two
@@ -296,9 +302,9 @@ class RunResult:
 
 class _LatentModel:
     """What the two latent models share: the class table, owned from
-    construction, and its emission step, the ledger of MAP labels, which
-    ``commit`` appends to, and one ``predict``. They have no columns per
-    run-length hypothesis.
+    construction, and its emission step, the ledger of MAP labels, and one
+    ``predict``, which appends the step's label to the ledger. They have no
+    columns per run-length hypothesis.
 
     A subclass gives the constants of the ledger's seating rule ``num(w) /
     (n + c)`` (see ``crp.py``): ``num(w) = w + smoothing`` above ``num(0) =
@@ -319,20 +325,18 @@ class _LatentModel:
         # emission.py).
         self._var_floor = np.array(cfg.var_floor, dtype=float)
 
-    def commit(self, z_star: int) -> None:
-        self.counts.record(z_star)
-
-    def predict(self, x: float, t: int, state: RunLengthState):
+    def predict(self, x: float, state: RunLengthState):
         """One SGD-EM step over the class table under the class prior, then
-        the winner's rate decay, and the window predictive of the MAP label.
-        The classes ``_spawn`` pushes take the last columns and are kept
-        only if the MAP assignment picks one of them; the prior covers every
-        column, seen or not. An observation that overflows the arithmetic
-        raises ``FloatingPointError`` and leaves the table as it was."""
+        the winner's rate decay, the window predictive of the MAP label over
+        the earlier labels, and the ledger's record of that label. The
+        classes ``_spawn`` pushes take the last columns and are kept only if
+        the MAP assignment picks one of them; the prior covers every column,
+        seen or not. An observation that overflows the arithmetic raises
+        ``FloatingPointError`` and leaves the model as it was."""
         cfg, table, counts = self.cfg, self.table, self.counts
         k_prev = table.n
         try:
-            self._spawn(x, t)
+            self._spawn(x, state.t + 1)
             prior = counts.class_prior(table.n)
             resp, z_star = em_step(
                 table, x, prior, var_floor=self._var_floor, log_space=cfg.log_var_update
@@ -346,6 +350,7 @@ class _LatentModel:
         resp.setflags(False)
 
         psi = counts.window_predictive(z_star, state.run_lengths, state.dense)
+        counts.record(z_star)
         return np.log(psi), self.log_reset, z_star, table.n, resp, None
 
 
@@ -398,10 +403,9 @@ class BaselineModel:
     its ``columns`` (rows mu and B), and the run-length table ``consts``
     (layout in the module docstring). ``predict`` returns the grown
     hypotheses' table, which ``recursion_step`` prunes with their run
-    lengths, so ``commit`` has nothing to install. An observation whose
-    squared distance to a column's mean overflows (|x - mu| near 1.3e154)
-    raises ``FloatingPointError`` in ``predict``, with the state as it
-    was."""
+    lengths. An observation whose squared distance to a column's mean
+    overflows (|x - mu| near 1.3e154) raises ``FloatingPointError`` in
+    ``predict``, with the state as it was."""
 
     table = None
 
@@ -410,7 +414,7 @@ class BaselineModel:
         self.prior_col = np.array([p.mu, 2.0 * p.b * (p.kappa + 1.0) / p.kappa])
         self.consts = _run_length_table(p, 64)
 
-    def predict(self, x: float, t: int, state: RunLengthState):
+    def predict(self, x: float, state: RunLengthState):
         run_lengths = state.run_lengths
         n = run_lengths.size
         if run_lengths[-1] < self.consts.shape[1]:
@@ -461,10 +465,6 @@ class BaselineModel:
             axis=1,
         )
 
-    def commit(self, z_star: int) -> None:
-        """Nothing to record: the hypothesis table rides in the trellis
-        state."""
-
 
 _MODELS = {"infinite": InfiniteModel, "fixed-k": FixedKModel, "baseline": BaselineModel}
 
@@ -472,11 +472,11 @@ _MODELS = {"infinite": InfiniteModel, "fixed-k": FixedKModel, "baseline": Baseli
 class Detector:
     """Single-writer streaming detector; feed observations via :meth:`step`.
 
-    ``model`` is the mode's predictive model (see the module docstring) and
-    ``rl`` the trellis state, which also holds t, the last MAP run length
-    and the model's per-hypothesis columns. So a fresh detector given a
-    copy of a detector's ``model`` and its ``rl`` (read-only, so it can be
-    shared) goes on as that detector would.
+    ``model`` is the mode's predictive model (see the module docstring),
+    called once a step, and ``rl`` the trellis state, which also holds t,
+    the last MAP run length and the model's per-hypothesis columns. So a
+    fresh detector given a copy of a detector's ``model`` and its ``rl``
+    (read-only, so it can be shared) goes on as that detector would.
     ``cfg`` is the config as given: a config stores its values as Python
     numbers (see ``schema.py``), so a numpy value gives the outputs of the
     same Python number. Deterministic given (config, series): no step draws
@@ -520,7 +520,7 @@ class Detector:
             raise InputError(f"observation at t={t} is not finite: {x!r}")
         cfg, model = self.cfg, self.model
         try:
-            log_psi, log_psi_reset, z_star, k_t, resp, columns = model.predict(x, t, rl)
+            log_psi, log_psi_reset, z_star, k_t, resp, columns = model.predict(x, rl)
         except FloatingPointError:
             name = "baseline" if cfg.mode == "baseline" else "emission"
             raise InputError(f"observation at t={t} overflows the {name} model: {x!r}") from None
@@ -554,7 +554,6 @@ class Detector:
             rl_posterior=shown,
             cp_flag=cfg.cp_rule.fires(rl.r_star, r_star, runs, posterior),
         )
-        model.commit(z_star)
         self.rl = new
         return out
 

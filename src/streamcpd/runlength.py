@@ -209,7 +209,8 @@ class RunLengthState:
     ``columns`` is None or the predictive model's per-hypothesis columns,
     column i belonging to hypothesis i (the baseline's rows mu and B), so
     the statistics of each hypothesis's window travel with it through every
-    prune.
+    prune. ``dense``, set once here, says whether the run lengths are
+    ``0..n-1``: since they strictly ascend from 0, whether the last is n - 1.
 
     ``recursion_step`` builds every state after the first and keeps that
     invariant; treat the arrays as read-only. Dense run lengths ``0..n-1``
@@ -217,7 +218,7 @@ class RunLengthState:
     module docstring).
     """
 
-    __slots__ = ("run_lengths", "log_weights", "t", "evidence_log", "columns", "r_star")
+    __slots__ = ("run_lengths", "log_weights", "t", "evidence_log", "columns", "r_star", "dense")
 
     def __init__(
         self,
@@ -234,13 +235,7 @@ class RunLengthState:
         self.evidence_log = evidence_log
         self.columns = columns
         self.r_star = r_star
-
-    @property
-    def dense(self) -> bool:
-        """Whether the run lengths are exactly ``0..n-1``: since they
-        strictly ascend from 0, whether the last is n - 1 (an O(1) test)."""
-        runs = self.run_lengths
-        return runs[-1] == runs.size - 1
+        self.dense = run_lengths[-1] == run_lengths.size - 1
 
     @classmethod
     def initial(cls) -> "RunLengthState":
@@ -413,7 +408,8 @@ class ChangePointRule:
     ``map-drop`` declares a change at t when the MAP run length falls below
     ``drop_fraction`` times its previous value. ``mass-near-zero`` declares
     one when the posterior mass on run lengths <= ``mass_window`` reaches
-    ``mass_threshold``.
+    ``mass_threshold`` and some run length exceeds the window: until one
+    does, that mass is 1 whatever the data say.
     """
 
     mode: str = choice("map-drop", "mass-near-zero")
@@ -429,10 +425,13 @@ class ChangePointRule:
         ``run_lengths``; ``prev_r_star`` is the previous step's MAP run
         length, None at the first step (where map-drop never fires).
         map-drop reads only the two MAP run lengths, mass-near-zero only the
-        posterior.
+        posterior and its ascending run lengths.
         """
         if self.mode == "map-drop":
             return prev_r_star is not None and r_star < self.drop_fraction * prev_r_star
-        mass = np.asarray(posterior)[np.asarray(run_lengths) <= self.mass_window].sum()
+        run_lengths = np.asarray(run_lengths)
+        if run_lengths[-1] <= self.mass_window:
+            return False
+        mass = np.asarray(posterior)[run_lengths <= self.mass_window].sum()
         return float(mass) >= self.mass_threshold
 

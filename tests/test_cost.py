@@ -23,7 +23,7 @@ SERIES = np.r_[
 ].tolist()
 
 # streamcpd calls over the 300 counted steps.
-CALLS = {"infinite": 7276, "fixed-k": 6707, "baseline": 3085}
+CALLS = {"infinite": 6376, "fixed-k": 5807, "baseline": 2185}
 
 
 def _calls(mode: str) -> int:

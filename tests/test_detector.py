@@ -262,6 +262,39 @@ def test_detector_resumes_from_a_copy_of_its_model_and_state(mode, prune):
     assert sorted(vars(resumed)) == ["cfg", "model", "rl"]
 
 
+_VALUES = st.one_of(
+    st.randoms(use_true_random=False).map(lambda r: r.gauss(0.0, 1.0)),
+    st.builds(
+        lambda sign, u: sign * 10.0**u,
+        st.sampled_from([1.0, -1.0]),
+        st.floats(min_value=-300.0, max_value=300.0),
+    ),
+)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    mode=st.sampled_from(["infinite", "fixed-k", "baseline"]),
+    prune=st.sampled_from([PrunePolicy(), PrunePolicy.threshold(1e-10), PrunePolicy.top_m(5)]),
+    lam=st.sampled_from([1.0, 2.0, 1e6, 1e300]),
+    values=st.lists(_VALUES, max_size=40),
+)
+def test_a_refused_observation_changes_nothing(mode, prune, lam, values):
+    # predict is the one call of a step that may refuse an observation, and
+    # it leaves the model as it was; the trellis step after it cannot fail.
+    # So a detector that was refused some values goes on as one that never
+    # saw them, and nothing but InputError leaves a step.
+    cfg = DetectorConfig(mode=mode, prune=prune, hazard=HazardConfig(lam))
+    a, b = Detector(cfg), Detector(cfg)
+    for x in values:
+        try:
+            got = a.step(x)
+        except InputError:
+            continue
+        _assert_same_step(got, b.step(x))
+    assert a.t == b.t
+
+
 def _steps_sha256(steps):
     h = hashlib.sha256()
     for s in steps:
@@ -345,6 +378,22 @@ def test_mass_near_zero_rule_end_to_end():
     res = run(series, _quiet_config(cp_rule=rule, seed=4))
     assert res.change_points, "expected at least one flagged step"
     assert min(abs(t - cps[0]) for t in res.change_points) <= 10
+
+
+@pytest.mark.parametrize("mode", ["infinite", "fixed-k", "baseline"])
+@pytest.mark.parametrize(
+    "prune",
+    [PrunePolicy(), PrunePolicy.threshold(1e-10), PrunePolicy.top_m(100), PrunePolicy.top_m(1)],
+    ids=["none", "threshold", "top-m-100", "top-m-1"],
+)
+def test_mass_near_zero_rule_is_quiet_on_a_stationary_series(mode, prune):
+    # While every live run length lies inside the window, the mass on them
+    # is 1 whatever the data say, so the rule waits for a longer one: a
+    # stationary series flags nothing, its first steps included.
+    series = np.random.default_rng(0).normal(0.0, 1.0, 300)
+    rule = ChangePointRule(mode="mass-near-zero", mass_window=5)
+    res = run(series, DetectorConfig(mode=mode, prune=prune, cp_rule=rule))
+    assert res.change_points == []
 
 
 def test_pruned_and_unpruned_map_traces_agree():
@@ -775,8 +824,8 @@ def test_dense_run_lengths_read_by_slices_as_by_gathers(labels, alpha, data):
     x = data.draw(st.floats(min_value=-10.0, max_value=10.0))
     a = BaselineModel(DetectorConfig(mode="baseline"))
     b = BaselineModel(DetectorConfig(mode="baseline"))
-    a_out = a.predict(x, t, RunLengthState(dense, lw, t, full.evidence_log, live))
-    b_out = b.predict(x, t, RunLengthState(sparse, lw[keep], t, pruned.evidence_log, live[:, keep]))
+    a_out = a.predict(x, RunLengthState(dense, lw, t, full.evidence_log, live))
+    b_out = b.predict(x, RunLengthState(sparse, lw[keep], t, pruned.evidence_log, live[:, keep]))
     log_psi = a_out[0]
     np.testing.assert_array_equal(b_out[0], log_psi[keep])
     np.testing.assert_array_equal(b_out[5], a_out[5][:, np.r_[True, keep]])
@@ -877,8 +926,8 @@ def test_fixed_k_deterministic():
 
 def _baseline_log_predictives(det, x):
     # The baseline model's log predictive of x under every live hypothesis,
-    # read without committing.
-    return det.model.predict(x, det.t + 1, det.rl)[0]
+    # read without stepping the detector.
+    return det.model.predict(x, det.rl)[0]
 
 
 def _nig_pdf(x, p):
