@@ -10,7 +10,6 @@ from .crp import LabelCounts
 from .detector import (
     Detector,
     DetectorConfig,
-    NigParams,
     RunResult,
     SparsePosterior,
     StepOutput,
@@ -25,6 +24,7 @@ from .emission import (
     spawn_candidate,
 )
 from .errors import ConfigError, ContractViolation, DegenerateStateError, InputError
+from .nig import NigParams
 from .runlength import (
     ChangePointRule,
     HazardConfig,

@@ -9,6 +9,8 @@ detector calls:
   table's arithmetic is checked against;
 - :func:`nig_update`, the scalar NIG update the baseline's column table is
   checked against;
+- :class:`BaselineReference`, a plain baseline detector the whole baseline
+  step is checked against;
 - :func:`finite_difference`, central differences for gradient checks.
 
 Tests import it as they import ``conftest``; it is not part of the package.
@@ -17,6 +19,7 @@ Tests import it as they import ``conftest``; it is not part of the package.
 from __future__ import annotations
 
 import math
+import sys
 from collections import Counter
 from fractions import Fraction
 from itertools import combinations
@@ -148,15 +151,83 @@ def sequence_probability(labels, alpha: float) -> float:
     return prob
 
 
+def _nig_fold(mu, kappa, a, b, x):
+    # nig_update's arithmetic on a tuple, which spares the reference
+    # detector a NigParams and its field checks per hypothesis and step.
+    kappa1 = kappa + 1.0
+    return (kappa * mu + x) / kappa1, kappa1, a + 0.5, b + kappa * (x - mu) ** 2 / (2.0 * kappa1)
+
+
 def nig_update(p: NigParams, x: float) -> NigParams:
     """Conjugate update of a NIG state with one observation."""
-    kappa = p.kappa + 1.0
-    return NigParams(
-        mu=(p.kappa * p.mu + x) / kappa,
-        kappa=kappa,
-        a=p.a + 0.5,
-        b=p.b + p.kappa * (x - p.mu) ** 2 / (2.0 * kappa),
+    return NigParams(*_nig_fold(p.mu, p.kappa, p.a, p.b, x))
+
+
+def student_t_logpdf(x, mu, kappa, a, b) -> float:
+    """Log predictive density of x under the NIG posterior (mu, kappa, a,
+    b): a Student-t with 2a degrees of freedom, location mu and squared
+    scale b (kappa + 1) / (a kappa), by ``math.lgamma``."""
+    nu, s2 = 2.0 * a, b * (kappa + 1.0) / (a * kappa)
+    return (
+        math.lgamma((nu + 1.0) / 2.0) - math.lgamma(nu / 2.0) - 0.5 * math.log(nu * math.pi * s2)
+        - (nu + 1.0) / 2.0 * math.log1p((x - mu) ** 2 / (nu * s2))
     )
+
+
+def _log_sum_exp(ws) -> float:
+    m = max(ws)
+    return m + math.log(math.fsum(math.exp(w - m) for w in ws))
+
+
+class BaselineReference:
+    """A plain baseline detector on Python floats: per hypothesis, its run
+    length, log joint weight and the NIG posterior of its window, folded
+    one observation at a time; a log-sum-exp trellis; the prune by mask,
+    run length 0 kept and the dropped mass folded back into the survivors;
+    and the change-point rule on the full posterior. :meth:`step` returns
+    ``(r_star, cp_flag, posterior, evidence_log)``, the posterior a dict
+    from run length to probability."""
+
+    def __init__(self, cfg: DetectorConfig):
+        p = cfg.baseline
+        self.cfg, self.prior = cfg, (p.mu, p.kappa, p.a, p.b)
+        self.hyps = [(0, 0.0, self.prior)]
+        self.evidence, self.r_star = 0.0, None
+
+    def step(self, x: float):
+        cfg, prior = self.cfg, self.prior
+        h = 1.0 / cfg.hazard.lam
+        hyps = [(0, math.log(h) + student_t_logpdf(x, *prior) + self.evidence, prior)]
+        for r, w, q in self.hyps:
+            w += math.log1p(-h) + student_t_logpdf(x, *q)
+            hyps.append((r + 1, w, _nig_fold(*q, x)))
+        ws = [w for _, w, _ in hyps]
+        top = max(ws)
+        # exp(w - max) below the smallest normal double reads 0, as the
+        # trellis documents.
+        e = [v if v >= sys.float_info.min else 0.0 for v in (math.exp(w - top) for w in ws)]
+        mass = math.fsum(e)
+        total = top + math.log(mass)
+        post = [v / mass for v in e]
+        runs = [r for r, _, _ in hyps]
+        r_star = runs[post.index(max(post))]
+        rule = cfg.cp_rule
+        if rule.mode == "map-drop":
+            cp = self.r_star is not None and r_star < rule.drop_fraction * self.r_star
+        else:
+            near = sum(p for r, p in zip(runs, post) if r <= rule.mass_window)
+            cp = runs[-1] > rule.mass_window and near >= rule.mass_threshold
+        eps, m = cfg.prune.epsilon, cfg.prune.max_live
+        keep = [not eps or p >= eps for p in post]
+        if m:
+            best = set(sorted(range(len(post)), key=lambda i: -post[i])[:m])
+            keep = [i in best for i in range(len(post))]
+        keep[0] = True
+        kept = [hyp for hyp, k in zip(hyps, keep) if k]
+        shift = total - _log_sum_exp([w for _, w, _ in kept])
+        self.hyps = [(r, w + shift, q) for r, w, q in kept]
+        self.evidence, self.r_star = total, r_star
+        return r_star, cp, dict(zip(runs, post)), total
 
 
 def finite_difference(f, point, step: float = 1e-5) -> np.ndarray:

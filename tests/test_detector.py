@@ -8,7 +8,7 @@ from fractions import Fraction
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 from scipy.special import ndtri
@@ -32,18 +32,13 @@ from streamcpd import (
     recursion_step,
     run,
 )
-from streamcpd import detector, runlength
-from streamcpd.detector import (
-    _TABLE_CAP,
-    BaselineModel,
-    _fixed_k_offsets,
-    _run_length_rows_past_cap,
-    _run_length_table,
-)
+from streamcpd import detector, nig, runlength
+from streamcpd.detector import BaselineModel, _fixed_k_offsets
+from streamcpd.nig import _TABLE_CAP, _run_length_rows_past_cap, _run_length_table
 from streamcpd.runlength import logsumexp
 
 from conftest import crp_rule, dirichlet_rule
-from reference import brute_force_joint, nig_update
+from reference import BaselineReference, brute_force_joint, nig_update
 
 
 def _two_segment_series(seed=0, sigma=1.0, jump=8.0, n=200):
@@ -1141,13 +1136,13 @@ def test_baseline_run_length_table_stops_at_cap(monkeypatch):
     # With the cap lowered to 256, an unpruned run of 700 steps keeps a
     # 256-row table, and the hypotheses past it still get log predictives
     # within 1e-12 of a 40-digit fold.
-    monkeypatch.setattr(detector, "_TABLE_CAP", 256)
+    monkeypatch.setattr(nig, "_TABLE_CAP", 256)
     mpmath.mp.dps = 40
     series = np.random.default_rng(256).normal(0.5, 2.0, 700)
     det = Detector(DetectorConfig(mode="baseline", baseline=NigParams(kappa=0.3, a=0.3)))
     for x in series:
         det.step(x)
-    assert det.model.consts.shape == (4, 256)
+    assert det.model.nig.rows.shape == (4, 256)
     got = _baseline_log_predictives(det, 1.3)
     want = _nig_log_predictives_mpmath(series, 0.3, 0.3, 1.3)
     assert max(abs(g - float(w)) for g, w in zip(got, want)) <= 1e-12
@@ -1205,6 +1200,83 @@ def test_baseline_hypothesis_predictive_matches_student_t_tiny_kappa0(kappa0):
     # rho_0 is about 2 kappa0 here: a form that loses its digits to
     # cancellation (or rounds it to 0, so that B = 0 at t = 2) fails.
     _check_baseline_predictives(PrunePolicy(), NigParams(kappa=kappa0))
+
+
+@st.composite
+def _mixed_series(draw):
+    # Up to 150 values in segments at scales 0 (repeated values) to 1e3
+    # around means up to 1e3.
+    segments = draw(
+        st.lists(
+            st.tuples(
+                st.integers(1, 60), st.floats(-1e3, 1e3), st.sampled_from([0.0, 1e-3, 1.0, 1e3])
+            ),
+            min_size=1,
+            max_size=6,
+        )
+    )
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    xs = np.concatenate([mu + scale * rng.normal(size=n) for n, mu, scale in segments])
+    return xs[: draw(st.integers(1, 150))].tolist()
+
+
+def _near(p, q):
+    # Within a relative 1e-12 of each other, and not both 0.
+    return 0.0 < max(p, q) and abs(p - q) <= 1e-12 * max(p, q)
+
+
+@settings(max_examples=80, deadline=None)
+@given(series=_mixed_series(), data=st.data())
+def test_baseline_steps_match_the_reference_detector(series, data):
+    # Every step of a baseline detector against tests/reference.py's plain
+    # one: the MAP run length, the flag and the kept run lengths exactly,
+    # the shown posterior and the evidence to 1e-9. A step where the top
+    # two posterior entries, or an entry and the prune's cut, or the rule's
+    # mass and its threshold, lie within 1e-12 ends the example unjudged:
+    # rounding may break such a tie either way. With the table's cap
+    # lowered to 16, the rows of run lengths from 64 up (past the first
+    # table) are the past-cap rows.
+    prune = data.draw(
+        st.one_of(
+            st.just(PrunePolicy()),
+            st.floats(-300.0, math.log10(0.5)).map(lambda u: PrunePolicy.threshold(10.0**u)),
+            st.integers(1, len(series) + 2).map(PrunePolicy.top_m),
+        )
+    )
+    prior = NigParams(
+        mu=data.draw(st.floats(-10.0, 10.0)),
+        kappa=10.0 ** data.draw(st.floats(-3.0, 3.0)),
+        a=data.draw(st.floats(0.1, 100.0)),
+        b=10.0 ** data.draw(st.floats(-3.0, 3.0)),
+    )
+    rule = data.draw(
+        st.sampled_from([ChangePointRule(), ChangePointRule("mass-near-zero", mass_window=5)])
+    )
+    lam = data.draw(st.sampled_from([3.0, 100.0, 1e6]))
+    cfg = DetectorConfig(
+        mode="baseline", prune=prune, baseline=prior, cp_rule=rule, hazard=HazardConfig(lam)
+    )
+    with pytest.MonkeyPatch.context() as mp:
+        if data.draw(st.booleans()):
+            mp.setattr(nig, "_TABLE_CAP", 16)
+        det, ref = Detector(cfg), BaselineReference(cfg)
+        for x in series:
+            out = det.step(x)
+            r_star, cp_flag, posterior, evidence = ref.step(x)
+            probs = sorted(posterior.values(), reverse=True) + [0.0]
+            mass = sum(p for r, p in posterior.items() if r <= rule.mass_window)
+            m = prune.max_live
+            assume(not _near(probs[0], probs[1]))
+            assume(not any(_near(p, prune.epsilon) for p in probs))
+            assume(not (0 < m < len(posterior) and _near(probs[m - 1], probs[m])))
+            assume(not _near(mass, rule.mass_threshold))
+            assert (out.r_star, out.cp_flag) == (r_star, cp_flag)
+            assert det.rl.run_lengths.tolist() == [r for r, _, _ in ref.hyps]
+            shown = dict(zip(out.rl_posterior.runs.tolist(), out.rl_posterior.probs.tolist()))
+            assert shown.keys() <= posterior.keys()
+            for r, p in posterior.items():
+                assert abs(shown.get(r, 0.0) - p) <= 1e-9, r
+            assert abs(det.rl.evidence_log - evidence) <= 1e-9
 
 
 def test_fixed_k_offsets_match_ndtri():
