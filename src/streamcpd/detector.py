@@ -44,16 +44,17 @@ lengths are ``0..k-1``; otherwise copies by two boolean gathers. A stored
 slice that hides entries thus never keeps the step's full posterior, and
 with it the hidden tail, alive.
 
-The two latent models share one emission step, a single SGD-EM pass over one
-:class:`ClassTable` (E-step, M-step and MAP assignment from shared
-intermediates, committed only on success) plus the winner's rate decay. They
-also share one ledger of the MAP labels, a :class:`LabelCounts`, and one
-``predict``, which makes new classes in one place, a ``_spawn`` hook inside
-the step's rollback, and records the step's label last. The ledger owns the
-seating rule ``num(w) / (n + c)`` (see ``crp.py``) and answers both
-predictives from it: the class prior over the whole history, and the window
-predictive of the MAP label at every live run length, read by slices on
-dense run lengths. So the two models differ only in the rule's constants
+A latent model is its two tables: a :class:`ClassTable`, which owns the
+emission rule (see ``emission.py``), and a :class:`LabelCounts` ledger of
+the MAP labels, which owns the seating rule ``num(w) / (n + c)`` (see
+``crp.py``); it reads no config field once built. Both latent models run
+one ``predict``: a single SGD-EM pass over the table (E-step, M-step and
+MAP assignment from shared intermediates, committed only on success), the
+winner's rate decay, and the ledger's two predictives, the class prior over
+the whole history and the window predictive of the MAP label at every live
+run length, read by slices on dense run lengths. It makes new classes in
+one place, a ``_spawn`` hook inside the step's rollback, and records the
+step's label last. So the two models differ only in the rule's constants
 they give the ledger, in what the hook pushes (the infinite mode's
 candidate, or the fixed-k fan-out at the first step), and in the reset
 predictive.
@@ -190,29 +191,30 @@ class RunResult:
 
 
 class _LatentModel:
-    """What the two latent models share: the class table, owned from
-    construction, and its emission step, the ledger of MAP labels, and one
-    ``predict``, which appends the step's label to the ledger. They have no
-    columns per run-length hypothesis.
+    """What the two latent models share: the class table, which owns the
+    emission rule (see ``emission.py``), the ledger of MAP labels, which
+    owns the seating rule (see ``crp.py``), and one ``predict``, which
+    appends the step's label to the ledger. A latent model is those two
+    tables and its reset predictive; it reads no config field once built
+    and has no columns per run-length hypothesis.
 
     A subclass gives the constants of the ledger's seating rule ``num(w) /
-    (n + c)`` (see ``crp.py``): ``num(w) = w + smoothing`` above ``num(0) =
-    unseen``, and ``c``. The ledger answers the class prior and the window
-    predictive from them. A subclass also sets ``_spawn(x, t)``, which
-    pushes the step's new classes onto the table inside ``predict``'s
-    rollback, and ``log_reset``, the log reset predictive."""
+    (n + c)``: ``num(w) = w + smoothing`` above ``num(0) = unseen``, and
+    ``c``. The ledger answers the class prior and the window predictive
+    from them. A subclass also sets ``_spawn(x, t)``, which pushes the
+    step's new classes onto the table inside ``predict``'s rollback, and
+    ``log_reset``, the log reset predictive."""
 
     log_reset = 0.0
 
     def __init__(
         self, cfg: DetectorConfig, smoothing: float, unseen: float, c: float, n_classes: int = 0
     ):
-        self.cfg = cfg
-        self.table = ClassTable(max(8, n_classes))
+        self.table = ClassTable(
+            max(8, n_classes), var_floor=cfg.var_floor, log_space=cfg.log_var_update,
+            decay=cfg.decay, eta_init=cfg.eta_init, candidate=cfg.candidate,
+        )
         self.counts = LabelCounts(n_classes, smoothing=smoothing, unseen=unseen, c=c)
-        # em_step's clamp takes the floor as a 0-d array operand (see
-        # emission.py).
-        self._var_floor = np.array(cfg.var_floor, dtype=float)
 
     def predict(self, x: float, state: RunLengthState):
         """One SGD-EM step over the class table under the class prior, then
@@ -222,20 +224,17 @@ class _LatentModel:
         the MAP assignment picks one of them; the prior covers every column,
         seen or not. An observation that overflows the arithmetic raises
         ``FloatingPointError`` and leaves the model as it was."""
-        cfg, table, counts = self.cfg, self.table, self.counts
+        table, counts = self.table, self.counts
         k_prev = table.n
         try:
             self._spawn(x, state.t + 1)
-            prior = counts.class_prior(table.n)
-            resp, z_star = em_step(
-                table, x, prior, var_floor=self._var_floor, log_space=cfg.log_var_update
-            )
+            resp, z_star = em_step(table, x, counts.class_prior(table.n))
         except FloatingPointError:
             table.n = k_prev
             raise
         if z_star <= k_prev:
             table.n = k_prev
-        decay_rates(table, z_star, cfg.decay)
+        decay_rates(table, z_star)
         resp.setflags(False)
 
         psi = counts.window_predictive(z_star, state.run_lengths, state.dense)
@@ -254,10 +253,7 @@ class InfiniteModel(_LatentModel):
         super().__init__(cfg, smoothing=0.0, unseen=cfg.alpha, c=cfg.alpha)
 
     def _spawn(self, x: float, t: int) -> None:
-        cfg = self.cfg
-        spawn_candidate(
-            self.table, x, cfg.candidate, cfg.eta_init, born_at=t, var_floor=cfg.var_floor
-        )
+        spawn_candidate(self.table, x, born_at=t)
 
 
 class FixedKModel(_LatentModel):
@@ -272,18 +268,19 @@ class FixedKModel(_LatentModel):
     def __init__(self, cfg: DetectorConfig):
         kf, beta = cfg.k_fixed, cfg.dirichlet_beta
         super().__init__(cfg, smoothing=beta, unseen=beta, c=kf * beta, n_classes=kf)
-        self.log_reset = math.log(1.0 / kf)
+        self.k_fixed, self.log_reset = kf, math.log(1.0 / kf)
 
     def _spawn(self, x: float, t: int) -> None:
-        """At the first step, the K classes: their means fan out around x at
-        normal quantiles, which is deterministic and breaks the symmetry
-        that would otherwise keep all K classes identical forever."""
-        if self.table.n:
+        """At the first step, the K classes at the candidate's start: their
+        means fan out around x at normal quantiles, which is deterministic
+        and breaks the symmetry that would otherwise keep all K classes
+        identical forever."""
+        table = self.table
+        if table.n:
             return
-        cfg = self.cfg
-        var0 = max(cfg.var_floor, cfg.candidate.var_init)
-        for o in _fixed_k_offsets(cfg.k_fixed):
-            self.table.push(float(x + math.sqrt(var0) * o), var0, *cfg.eta_init, born_at=t)
+        var0 = table.var0
+        for o in _fixed_k_offsets(self.k_fixed):
+            table.push(float(x + math.sqrt(var0) * o), var0, *table.eta_init, born_at=t)
 
 
 class BaselineModel:

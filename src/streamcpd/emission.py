@@ -12,6 +12,12 @@ column: ``var >= var_floor > 0`` (the M-step clamps at the floor) and both
 learning rates are positive and never grow (decay multiplies them by ``1 -
 decay``, down to the smallest positive double).
 
+The table owns the emission rule. Its five settings are given once, at
+construction, and every function here reads them from the table: the
+variance floor, the variance's update form, the winner's decay, the initial
+learning rates and the candidate's start (its mean, and its variance
+``max(var_floor, var_init)``, at which fixed-k's classes start too).
+
 One observation is one fused pass over the live columns, :func:`em_step`:
 the log prior, ``d = x - mu``, ``d^2``, ``2 var`` and ``log var`` are
 computed once and shared by the E-step scores and the M-step gradients, the
@@ -23,13 +29,12 @@ per-call dispatch, not the arithmetic, sets its cost. A Python float
 operand adds to that cost: numpy converts it anew at every call. So every
 operand on the step path is an ndarray: the constants are read-only 0-d
 arrays built once here, the observation is converted once per step, and the
-detector passes ``var_floor`` as a 0-d array (a Python float gives the same
-values). The scores and responsibilities are written out in
-:func:`em_step` itself. The gradient and the SGD update stay in their own
-helpers, :func:`_gradients` and :func:`_sgd_update`, because the M-step
-alone, :func:`m_step`, runs them too, and the finite-difference gradient
-check calls :func:`_gradients`; so that check tests the arithmetic the
-fused step runs. :func:`m_step` is kept only because the benchmark's tracer
+table holds ``var_floor`` as one too. The scores and responsibilities are
+written out in :func:`em_step` itself. The gradient and the SGD update stay
+in their own helpers, :func:`_gradients` and :func:`_sgd_update`, because
+the M-step alone, :func:`m_step`, runs them too, and the finite-difference
+gradient check calls :func:`_gradients`; so that check tests the arithmetic
+the fused step runs. :func:`m_step` is kept only because the benchmark's tracer
 self-test checks that tracing restores it.
 
 The scalar reference the table arithmetic is tested against, and the finite
@@ -48,8 +53,6 @@ import numpy as np
 
 from .errors import ContractViolation
 from .schema import check_fields, real
-
-DEFAULT_VAR_FLOOR = 1e-6
 
 # The smallest positive double: where decay leaves a learning rate that
 # would round to 0.
@@ -88,12 +91,24 @@ class EmissionParams:
 
 class ClassTable:
     """Struct-of-arrays parameters of the live classes (see the module
-    docstring for the layout)."""
+    docstring for the layout) and the emission rule over them: the
+    variance floor ``var_floor`` (a read-only 0-d array), ``log_space``
+    (see :func:`_sgd_update`), the winner's ``decay`` in (0, 1), the
+    initial learning rates ``eta_init`` and the candidate's start, ``mu0``
+    (None: at the observation) and ``var0``."""
 
-    def __init__(self, capacity: int = 8):
+    def __init__(
+        self, capacity: int = 8, *, var_floor: float, log_space: bool, decay: float,
+        eta_init: tuple[float, float], candidate: CandidatePolicy,
+    ):
+        if not (0.0 < decay < 1.0):
+            raise ContractViolation(f"decay must lie in (0, 1), got {decay!r}")
         self._data = np.empty((4, max(1, capacity)))
         self._born = np.empty(max(1, capacity), dtype=np.int64)
         self.n = 0
+        self.var_floor, self.log_space = _const(var_floor), log_space
+        self.decay, self.eta_init = decay, eta_init
+        self.mu0, self.var0 = candidate.mu0, max(var_floor, candidate.var_init)
 
     def live(self) -> np.ndarray:
         """View of the live columns: rows mu, var, eta_mu, eta_var."""
@@ -157,37 +172,31 @@ def _gradients(gamma, d, d2, two_var, var):
     return g_mu, g_var
 
 
-def _sgd_update(live, gamma, d, d2, two_var, log_var, var_floor, log_space):
-    """The means and variances after one gradient step weighted by
-    ``gamma``, as new arrays; the table is not written.
+def _sgd_update(table, live, gamma, d, d2, two_var, log_var):
+    """The means and variances of ``table``'s live columns ``live`` after
+    one gradient step weighted by ``gamma``, as new arrays; the table is
+    not written.
 
     The variance moves in its natural parameterization by default, clamped
-    at ``var_floor``; with ``log_space`` it moves in log variance instead
-    (the chain-rule gradient is the natural one times var).
+    at the table's ``var_floor``; with its ``log_space`` it moves in log
+    variance instead (the chain-rule gradient is the natural one times var).
     """
     mu, var, eta_mu, eta_var = live
     g_mu, g_var = _gradients(gamma, d, d2, two_var, var)
-    if log_space:
+    if table.log_space:
         # clamp keeps a wildly mis-scaled step finite instead of overflowing
         new_var = np.exp(np.minimum(log_var + eta_var * g_var * var, 700.0))
     else:
         new_var = var + eta_var * g_var
-    np.maximum(var_floor, new_var, out=new_var)
+    np.maximum(table.var_floor, new_var, out=new_var)
     return mu + eta_mu * g_mu, new_var
 
 
-def em_step(
-    table: ClassTable,
-    x: float,
-    class_prior,
-    var_floor: float = DEFAULT_VAR_FLOOR,
-    log_space: bool = False,
-) -> tuple[np.ndarray, int]:
+def em_step(table: ClassTable, x: float, class_prior) -> tuple[np.ndarray, int]:
     """One stochastic EM step on observation x over every live class: the
     E-step responsibilities, one gradient M-step weighted by them, and the
-    MAP class under the updated parameters. With ``log_space`` the variance
-    moves in log variance (see :func:`_sgd_update`); either way it is
-    clamped at ``var_floor``, which may be a float or a 0-d array.
+    MAP class under the updated parameters. The table's rule says how the
+    variance moves (see :func:`_sgd_update`) and where it is clamped.
 
     ``d = x - mu``, ``d^2``, ``2 var`` and ``log var`` are computed once and
     shared by the E-step scores and the M-step gradients, and the log prior
@@ -222,7 +231,7 @@ def em_step(
         resp -= m
         np.exp(resp, out=resp)
         resp /= np.add.reduce(resp)  # resp.sum() without the method wrapper
-        new_mu, new_var = _sgd_update(live, resp, d, d2, two_var, log_var, var_floor, log_space)
+        new_mu, new_var = _sgd_update(table, live, resp, d, d2, two_var, log_var)
         d = x - new_mu
         score = _NEG_HALF * (_LOG_2PI + np.log(new_var)) - d * d / (_TWO * new_var)
         score += log_prior
@@ -231,17 +240,11 @@ def em_step(
     return resp, z_star
 
 
-def m_step(
-    table: ClassTable,
-    x: float,
-    resp,
-    var_floor: float = DEFAULT_VAR_FLOOR,
-    log_space: bool = False,
-) -> None:
+def m_step(table: ClassTable, x: float, resp) -> None:
     """One stochastic gradient ascent step on this observation's term of the
     expected complete-data log likelihood, for every live class at once
     (class j weighted by ``resp[j]``), in place, through the arithmetic and
-    with the options of :func:`em_step`.
+    under the rule of :func:`em_step`.
     """
     live = table.live()
     gamma = np.asarray(resp, dtype=float)
@@ -249,38 +252,30 @@ def m_step(
         raise ContractViolation(f"{gamma.size} responsibilities for {table.n} classes")
     var = live[1]
     d = x - live[0]
-    log_var = np.log(var) if log_space else None
-    live[0], live[1] = _sgd_update(live, gamma, d, d * d, 2.0 * var, log_var, var_floor, log_space)
+    log_var = np.log(var) if table.log_space else None
+    live[0], live[1] = _sgd_update(table, live, gamma, d, d * d, 2.0 * var, log_var)
     if table.n and not (live[1:].min() > 0.0):
         raise ContractViolation("class variances and learning rates must be positive")
 
 
-def decay_rates(table: ClassTable, k_star: int, decay: float) -> None:
-    """Shrink both learning rates of the winning class by ``decay``, in
-    place, but not below the smallest positive double; every other class
-    keeps its rates."""
-    if not (0.0 < decay < 1.0):
-        raise ContractViolation(f"decay must lie in (0, 1), got {decay!r}")
+def decay_rates(table: ClassTable, k_star: int) -> None:
+    """Shrink both learning rates of the winning class by the table's
+    ``decay``, in place, but not below the smallest positive double; every
+    other class keeps its rates."""
     if not (1 <= k_star <= table.n):
         raise ContractViolation(f"winning class {k_star} out of range 1..{table.n}")
-    data, j = table._data, k_star - 1
-    data[2, j] *= 1.0 - decay
-    data[3, j] *= 1.0 - decay
+    data, j, keep = table._data, k_star - 1, 1.0 - table.decay
+    data[2, j] *= keep
+    data[3, j] *= keep
     if not (data[2, j] > 0.0 and data[3, j] > 0.0):
         # Only a large decay gets here: at 0.9 the rates of a class round
         # to 0 after about 320 wins.
         np.maximum(data[2:, j], _MIN_RATE, out=data[2:, j])
 
 
-def spawn_candidate(
-    table: ClassTable,
-    x: float,
-    policy: CandidatePolicy,
-    eta_init: tuple[float, float],
-    born_at: int = 0,
-    var_floor: float = DEFAULT_VAR_FLOOR,
-) -> None:
-    """Append a fresh candidate class with policy-controlled mean and fresh
-    rates as the table's last live column."""
-    mu = x if policy.mu0 is None else policy.mu0
-    table.push(float(mu), max(var_floor, policy.var_init), eta_init[0], eta_init[1], born_at)
+def spawn_candidate(table: ClassTable, x: float, born_at: int = 0) -> None:
+    """Append a fresh candidate class at the table's start, its mean at x
+    unless ``mu0`` fixes it, as the last live column."""
+    mu = x if table.mu0 is None else table.mu0
+    eta_mu, eta_var = table.eta_init
+    table.push(float(mu), table.var0, eta_mu, eta_var, born_at)

@@ -9,8 +9,8 @@ detector calls:
   table's arithmetic is checked against;
 - :func:`nig_update`, the scalar NIG update the baseline's column table is
   checked against;
-- :class:`BaselineReference`, a plain baseline detector the whole baseline
-  step is checked against;
+- :class:`BaselineReference` and :class:`LatentReference`, plain detectors
+  every step of each mode is checked against;
 - :func:`finite_difference`, central differences for gradient checks.
 
 Tests import it as they import ``conftest``; it is not part of the package.
@@ -26,7 +26,17 @@ from itertools import combinations
 
 import numpy as np
 
-from streamcpd import ContractViolation, DetectorConfig, EmissionParams, NigParams
+from streamcpd import (
+    ClassTable,
+    ContractViolation,
+    DetectorConfig,
+    EmissionParams,
+    NigParams,
+    decay_rates,
+    em_step,
+    spawn_candidate,
+)
+from streamcpd.detector import _fixed_k_offsets
 from streamcpd.schema import field_spec
 
 _MAX_ENUM_T = 12
@@ -179,28 +189,29 @@ def _log_sum_exp(ws) -> float:
     return m + math.log(math.fsum(math.exp(w - m) for w in ws))
 
 
-class BaselineReference:
-    """A plain baseline detector on Python floats: per hypothesis, its run
-    length, log joint weight and the NIG posterior of its window, folded
-    one observation at a time; a log-sum-exp trellis; the prune by mask,
+class _ReferenceTrellis:
+    """The trellis both reference detectors run on Python floats: per
+    hypothesis its run length, log joint weight and the model's own
+    record; a log-sum-exp over the grown hypotheses; the prune by mask,
     run length 0 kept and the dropped mass folded back into the survivors;
-    and the change-point rule on the full posterior. :meth:`step` returns
-    ``(r_star, cp_flag, posterior, evidence_log)``, the posterior a dict
-    from run length to probability."""
+    and the change-point rule on the full posterior."""
 
     def __init__(self, cfg: DetectorConfig):
-        p = cfg.baseline
-        self.cfg, self.prior = cfg, (p.mu, p.kappa, p.a, p.b)
-        self.hyps = [(0, 0.0, self.prior)]
+        self.cfg = cfg
+        self.hyps = [(0, 0.0, None)]
         self.evidence, self.r_star = 0.0, None
 
-    def step(self, x: float):
-        cfg, prior = self.cfg, self.prior
+    def _grow(self, log_reset: float, log_psi, records):
+        """One trellis step from the log predictive of the reset and of each
+        live hypothesis, ``records`` taking the place of the old records
+        (the reset's first). Returns ``(r_star, cp_flag, posterior,
+        evidence_log)``, the posterior a dict from run length to
+        probability."""
+        cfg = self.cfg
         h = 1.0 / cfg.hazard.lam
-        hyps = [(0, math.log(h) + student_t_logpdf(x, *prior) + self.evidence, prior)]
-        for r, w, q in self.hyps:
-            w += math.log1p(-h) + student_t_logpdf(x, *q)
-            hyps.append((r + 1, w, _nig_fold(*q, x)))
+        hyps = [(0, math.log(h) + log_reset + self.evidence, records[0])]
+        for (r, w, _), lp, q in zip(self.hyps, log_psi, records[1:]):
+            hyps.append((r + 1, w + (math.log1p(-h) + lp), q))
         ws = [w for _, w, _ in hyps]
         top = max(ws)
         # exp(w - max) below the smallest normal double reads 0, as the
@@ -228,6 +239,85 @@ class BaselineReference:
         self.hyps = [(r, w + shift, q) for r, w, q in kept]
         self.evidence, self.r_star = total, r_star
         return r_star, cp, dict(zip(runs, post)), total
+
+
+class BaselineReference(_ReferenceTrellis):
+    """A plain baseline detector: per hypothesis, the NIG posterior of its
+    window, folded one observation at a time. :meth:`step` returns
+    ``(r_star, cp_flag, posterior, evidence_log)``, the posterior a dict
+    from run length to probability."""
+
+    def __init__(self, cfg: DetectorConfig):
+        super().__init__(cfg)
+        p = cfg.baseline
+        self.prior = (p.mu, p.kappa, p.a, p.b)
+        self.hyps = [(0, 0.0, self.prior)]
+
+    def step(self, x: float):
+        prior, qs = self.prior, [q for _, _, q in self.hyps]
+        log_psi = [student_t_logpdf(x, *q) for q in qs]
+        records = [prior] + [_nig_fold(*q, x) for q in qs]
+        return self._grow(student_t_logpdf(x, *prior), log_psi, records)
+
+
+class LatentReference(_ReferenceTrellis):
+    """A plain latent detector (``infinite`` or ``fixed-k``). It shares the
+    emission step with the runtime, :class:`ClassTable` and the functions
+    that act on it, and runs the rest itself: the candidate's push, or
+    fixed-k's fan-out at the first step, and their rollback; the class
+    prior ``(m_k + s) / (t + c)`` from a ``Counter`` of the MAP labels, in
+    Python floats, which are the ledger's bit for bit; and each
+    hypothesis's window predictive ``num(w) / (r + c)``, with w counted by
+    scanning the label list. :meth:`step` returns ``(z_star, k_t,
+    responsibilities, r_star, cp_flag, posterior, evidence_log)``."""
+
+    def __init__(self, cfg: DetectorConfig):
+        super().__init__(cfg)
+        if cfg.mode == "infinite":
+            self.rule, self.log_reset, k = (0.0, cfg.alpha, cfg.alpha), 0.0, 0
+        else:
+            k, beta = cfg.k_fixed, cfg.dirichlet_beta
+            self.rule, self.log_reset = (beta, beta, k * beta), math.log(1.0 / k)
+        self.table = ClassTable(
+            max(8, k), var_floor=cfg.var_floor, log_space=cfg.log_var_update, decay=cfg.decay,
+            eta_init=cfg.eta_init, candidate=cfg.candidate,
+        )
+        self.labels, self.counts = [], Counter()
+
+    def _push(self, x: float, t: int) -> None:
+        cfg, table = self.cfg, self.table
+        if cfg.mode == "infinite":
+            spawn_candidate(table, x, born_at=t)
+        elif not table.n:
+            var0 = max(cfg.var_floor, cfg.candidate.var_init)
+            for o in _fixed_k_offsets(cfg.k_fixed):
+                table.push(x + math.sqrt(var0) * o, var0, *cfg.eta_init, born_at=t)
+
+    def step(self, x: float):
+        cfg, table, labels, counts = self.cfg, self.table, self.labels, self.counts
+        s, unseen, c = self.rule
+        t, k_prev = len(labels), table.n
+        try:
+            self._push(x, t + 1)
+            seen = max(counts, default=0)
+            prior = [
+                (counts[j] + s if j <= seen else unseen) / (t + c) for j in range(1, table.n + 1)
+            ]
+            resp, z = em_step(table, x, prior)
+        except FloatingPointError:
+            table.n = k_prev
+            raise
+        if z <= k_prev:
+            table.n = k_prev
+        decay_rates(table, z)
+        log_psi = []
+        for r, _, _ in self.hyps:
+            w = labels[t - r :].count(z)
+            log_psi.append(math.log((w + s if w else unseen) / (r + c)))
+        labels.append(z)
+        counts[z] += 1
+        out = self._grow(self.log_reset, log_psi, [None] * (len(self.hyps) + 1))
+        return (z, table.n, resp.tolist()) + out
 
 
 def finite_difference(f, point, step: float = 1e-5) -> np.ndarray:

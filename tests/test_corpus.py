@@ -2,12 +2,14 @@
 by sha256 in ``tests/corpus.json``.
 
 The grid is mode × config × prune × series. The configs are the stock one,
-alpha 0.5 and 2, beta 0.3 with K = 7, the mass-near-zero rule and the
-log-variance update, each in the modes it changes. The prunes are none,
-threshold 1e-10, top-m 100 and top-m 1. The four series are two regimes,
-shuffled regimes, repeated values and mixed scales, 200 steps each: 176
-cells and 35 200 steps. Every config field is written out below, so a
-changed default moves no cell.
+alpha 0.5 and 2, beta 0.3 with K = 7, the mass-near-zero rule, the
+log-variance update and the emission rule off its defaults (variance floor,
+decay, initial learning rates and candidate variance; in ``infinite`` also
+with a fixed candidate mean), each in the modes it changes. The prunes are
+none, threshold 1e-10, top-m 100 and top-m 1. The four series are two
+regimes, shuffled regimes, repeated values and mixed scales, 200 steps
+each: 224 cells and 44 800 steps. Every config field is written out
+below, so a changed default moves no cell.
 
 A cell's record hashes, per block of 100 steps, each step's ``t``,
 ``z_star``, ``k_t``, ``r_star`` and ``cp_flag``, the bytes of its
@@ -70,6 +72,10 @@ MASS_NEAR_ZERO = ChangePointRule(
     mode="mass-near-zero", drop_fraction=0.5, mass_window=5, mass_threshold=0.5
 )
 
+# The emission rule off its defaults: the variance floor, the winner's
+# decay and the initial learning rates.
+RULE = {"var_floor": 1e-3, "decay": 0.1, "eta_init": (0.5, 0.05)}
+
 # Each mode's configs: only those whose fields the mode reads.
 CONFIGS = {
     "infinite": {
@@ -78,12 +84,16 @@ CONFIGS = {
         "alpha-2": {"alpha": 2.0},
         "mass-near-zero": {"cp_rule": MASS_NEAR_ZERO},
         "log-var": {"log_var_update": True},
+        "rule": {**RULE, "candidate": CandidatePolicy(mu0=None, var_init=2.0)},
+        "rule-fixed-mean": {**RULE, "candidate": CandidatePolicy(mu0=0.0, var_init=4.0)},
     },
     "fixed-k": {
         "stock": {},
         "beta-0.3-k-7": {"dirichlet_beta": 0.3, "k_fixed": 7},
         "mass-near-zero": {"cp_rule": MASS_NEAR_ZERO},
         "log-var": {"log_var_update": True},
+        # var_init below the floor: the fan-out starts at the floor.
+        "rule": {**RULE, "candidate": CandidatePolicy(mu0=None, var_init=1e-4)},
     },
     "baseline": {
         "stock": {},

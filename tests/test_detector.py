@@ -38,7 +38,7 @@ from streamcpd.nig import _TABLE_CAP, _run_length_rows_past_cap, _run_length_tab
 from streamcpd.runlength import logsumexp
 
 from conftest import crp_rule, dirichlet_rule
-from reference import BaselineReference, brute_force_joint, nig_update
+from reference import BaselineReference, LatentReference, brute_force_joint, nig_update
 
 
 def _two_segment_series(seed=0, sigma=1.0, jump=8.0, n=200):
@@ -1203,8 +1203,8 @@ def test_baseline_hypothesis_predictive_matches_student_t_tiny_kappa0(kappa0):
 
 
 @st.composite
-def _mixed_series(draw):
-    # Up to 150 values in segments at scales 0 (repeated values) to 1e3
+def _mixed_series(draw, max_len=150):
+    # Up to max_len values in segments at scales 0 (repeated values) to 1e3
     # around means up to 1e3.
     segments = draw(
         st.lists(
@@ -1217,7 +1217,16 @@ def _mixed_series(draw):
     )
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     xs = np.concatenate([mu + scale * rng.normal(size=n) for n, mu, scale in segments])
-    return xs[: draw(st.integers(1, 150))].tolist()
+    return xs[: draw(st.integers(1, max_len))].tolist()
+
+
+def _prunes(n):
+    # No prune, a threshold in 1e-300..0.5, or top-m for m in 1..n+2.
+    return st.one_of(
+        st.just(PrunePolicy()),
+        st.floats(-300.0, math.log10(0.5)).map(lambda u: PrunePolicy.threshold(10.0**u)),
+        st.integers(1, n + 2).map(PrunePolicy.top_m),
+    )
 
 
 def _near(p, q):
@@ -1236,13 +1245,7 @@ def test_baseline_steps_match_the_reference_detector(series, data):
     # rounding may break such a tie either way. With the table's cap
     # lowered to 16, the rows of run lengths from 64 up (past the first
     # table) are the past-cap rows.
-    prune = data.draw(
-        st.one_of(
-            st.just(PrunePolicy()),
-            st.floats(-300.0, math.log10(0.5)).map(lambda u: PrunePolicy.threshold(10.0**u)),
-            st.integers(1, len(series) + 2).map(PrunePolicy.top_m),
-        )
-    )
+    prune = data.draw(_prunes(len(series)))
     prior = NigParams(
         mu=data.draw(st.floats(-10.0, 10.0)),
         kappa=10.0 ** data.draw(st.floats(-3.0, 3.0)),
@@ -1262,21 +1265,127 @@ def test_baseline_steps_match_the_reference_detector(series, data):
         det, ref = Detector(cfg), BaselineReference(cfg)
         for x in series:
             out = det.step(x)
-            r_star, cp_flag, posterior, evidence = ref.step(x)
-            probs = sorted(posterior.values(), reverse=True) + [0.0]
-            mass = sum(p for r, p in posterior.items() if r <= rule.mass_window)
-            m = prune.max_live
-            assume(not _near(probs[0], probs[1]))
-            assume(not any(_near(p, prune.epsilon) for p in probs))
-            assume(not (0 < m < len(posterior) and _near(probs[m - 1], probs[m])))
-            assume(not _near(mass, rule.mass_threshold))
-            assert (out.r_star, out.cp_flag) == (r_star, cp_flag)
-            assert det.rl.run_lengths.tolist() == [r for r, _, _ in ref.hyps]
-            shown = dict(zip(out.rl_posterior.runs.tolist(), out.rl_posterior.probs.tolist()))
-            assert shown.keys() <= posterior.keys()
-            for r, p in posterior.items():
-                assert abs(shown.get(r, 0.0) - p) <= 1e-9, r
-            assert abs(det.rl.evidence_log - evidence) <= 1e-9
+            _check_trellis_step(det, out, ref, ref.step(x), assume)
+
+
+def _check_trellis_step(det, out, ref, want, judge):
+    """A detector's step ``out`` against the reference's ``want``, ``(r_star,
+    cp_flag, posterior, evidence_log)``: the MAP run length, the flag and
+    the kept run lengths exactly, the shown posterior and the evidence to
+    1e-9. A near-tie (see :func:`_near`) at the MAP, at the prune's cut or
+    at the rule's threshold is passed to ``judge`` as False first, which
+    may end the step unjudged. Returns the reference's posterior."""
+    r_star, cp_flag, posterior, evidence = want
+    prune, rule = det.cfg.prune, det.cfg.cp_rule
+    probs = sorted(posterior.values(), reverse=True) + [0.0]
+    mass = sum(p for r, p in posterior.items() if r <= rule.mass_window)
+    m = prune.max_live
+    judge(
+        not _near(probs[0], probs[1])
+        and not any(_near(p, prune.epsilon) for p in probs)
+        and not (0 < m < len(posterior) and _near(probs[m - 1], probs[m]))
+        and not _near(mass, rule.mass_threshold)
+    )
+    assert (out.r_star, out.cp_flag) == (r_star, cp_flag)
+    assert det.rl.run_lengths.tolist() == [r for r, _, _ in ref.hyps]
+    shown = dict(zip(out.rl_posterior.runs.tolist(), out.rl_posterior.probs.tolist()))
+    assert shown.keys() <= posterior.keys()
+    for r, p in posterior.items():
+        assert abs(shown.get(r, 0.0) - p) <= 1e-9, r
+    assert abs(det.rl.evidence_log - evidence) <= 1e-9
+    return posterior
+
+
+def _check_latent_step(det, ref, x, judge):
+    """One step of a latent detector against the reference: the label, the
+    class count and the responsibilities exactly, then the trellis as
+    :func:`_check_trellis_step` checks it. An observation the reference
+    refuses must be refused by the detector too."""
+    try:
+        z_star, k_t, resp, *want = ref.step(x)
+    except FloatingPointError:
+        with pytest.raises(InputError):
+            det.step(x)
+        return {}
+    out = det.step(x)
+    assert (out.z_star, out.k_t) == (z_star, k_t)
+    assert out.responsibilities.tolist() == resp
+    return _check_trellis_step(det, out, ref, want, judge)
+
+
+@settings(max_examples=100, deadline=None)
+@given(series=_mixed_series(200), data=st.data())
+def test_latent_steps_match_the_reference_detector(series, data):
+    # Every step of a latent detector against tests/reference.py's plain
+    # one, which shares only the class table and the emission functions:
+    # its class prior comes from a Counter, its window counts from scanning
+    # the label list, and its trellis, prune and rule are written out on
+    # Python floats. A near-tie ends the example unjudged, as in the
+    # baseline's property.
+    rules = [ChangePointRule(), ChangePointRule("mass-near-zero", mass_window=5)]
+    cfg = DetectorConfig(
+        mode=data.draw(st.sampled_from(["infinite", "fixed-k"])),
+        alpha=data.draw(st.floats(0.2, 1.0)),
+        k_fixed=data.draw(st.integers(1, 12)),
+        dirichlet_beta=data.draw(st.floats(0.1, 3.0)),
+        hazard=HazardConfig(data.draw(st.sampled_from([3.0, 100.0, 1e6]))),
+        log_var_update=data.draw(st.booleans()),
+        prune=data.draw(_prunes(len(series))),
+        cp_rule=data.draw(st.sampled_from(rules)),
+    )
+    det, ref = Detector(cfg), LatentReference(cfg)
+    for x in series:
+        _check_latent_step(det, ref, x, assume)
+
+
+def _judged(ok):
+    assert ok, "a near-tie in a fixed case: choose another series"
+
+
+@pytest.mark.parametrize("mode", ["infinite", "fixed-k"])
+@pytest.mark.parametrize(
+    "prune", [PrunePolicy(), PrunePolicy.threshold(1e-4)], ids=["none", "threshold"]
+)
+def test_latent_long_run_matches_the_reference_detector(mode, prune, monkeypatch):
+    # 640 steps. Unpruned, the shared dense run lengths, the ledger's label
+    # buffer and its num(w) and r + c tables each double from 64 to 1024
+    # along the way, while every step reads them by slices. Under the
+    # threshold, most steps drop the young hypotheses and keep the oldest.
+    small = np.arange(64, dtype=np.int64)
+    small.setflags(False)
+    monkeypatch.setattr(runlength, "_DENSE", small)
+    segs = [SegmentSpec(160, mu, 1.0, i) for i, mu in [(1, 0.0), (2, 6.0), (1, 0.0), (3, -5.0)]]
+    series, _, _ = gen_piecewise_gaussian(segs, 5)
+    cfg = DetectorConfig(
+        mode=mode, alpha=0.5, candidate=CandidatePolicy(var_init=2.0), prune=prune
+    )
+    det, ref = Detector(cfg), LatentReference(cfg)
+    for x in series.tolist():
+        _check_latent_step(det, ref, x, _judged)
+    if prune.kind == "none":
+        assert det.model.counts._den.size == 1024 and runlength._DENSE.size == 1024
+
+
+@pytest.mark.parametrize("mode", ["infinite", "fixed-k"])
+@pytest.mark.parametrize("m, lam", [(1, 2.0), (4, 1e308)], ids=["top-1", "top-4"])
+def test_latent_top_m_with_tied_posterior_entries_matches_the_reference(mode, m, lam):
+    # Repeated values under top-m, at hazards that make the entries at its
+    # cut tie exactly, so its steady state must drop the last of the tied
+    # minima, as a stable sort does. At h = 1/2, log h == log(1 - h), and
+    # the reset ties with run length 1 while one hypothesis is kept. At
+    # h = 1e-308 every hypothesis but the oldest lies more than 708.4 below
+    # it, so their posterior entries are all exactly 0.
+    series = [2.0] * 40 + [-1.0] * 40
+    cfg = DetectorConfig(
+        mode=mode, k_fixed=4, hazard=HazardConfig(lam), prune=PrunePolicy.top_m(m)
+    )
+    det, ref = Detector(cfg), LatentReference(cfg)
+    ties = 0
+    for x in series:
+        posterior = _check_latent_step(det, ref, x, lambda ok: None)
+        probs = sorted(posterior.values(), reverse=True)
+        ties += len(probs) > m and probs[m - 1] == probs[m]
+    assert ties >= 30
 
 
 def test_fixed_k_offsets_match_ndtri():

@@ -9,12 +9,13 @@ from streamcpd import (
     CandidatePolicy,
     ClassTable,
     ContractViolation,
+    DetectorConfig,
     EmissionParams,
     decay_rates,
     em_step,
     spawn_candidate,
 )
-from streamcpd.emission import DEFAULT_VAR_FLOOR, m_step
+from streamcpd.emission import m_step
 
 from conftest import gaussian_gradients
 from reference import emission_loglik, finite_difference
@@ -24,8 +25,20 @@ def _p(mu=0.0, var=1.0, eta_mu=1.0, eta_var=0.02):
     return EmissionParams(mu=mu, var=var, eta_mu=eta_mu, eta_var=eta_var)
 
 
-def _table(*params):
-    table = ClassTable(len(params))
+_CFG = DetectorConfig()
+# The emission rule a detector's class table gets by default.
+_RULE = dict(
+    var_floor=_CFG.var_floor,
+    log_space=_CFG.log_var_update,
+    decay=_CFG.decay,
+    eta_init=_CFG.eta_init,
+    candidate=_CFG.candidate,
+)
+
+
+def _table(*params, **rule):
+    """A table holding ``params``, under the default rule but for ``rule``."""
+    table = ClassTable(len(params), **{**_RULE, **rule})
     for p in params:
         table.push(p.mu, p.var, p.eta_mu, p.eta_var, p.born_at)
     return table
@@ -36,10 +49,10 @@ def _resp(x, prior, table):
     return em_step(table, x, prior)[0]
 
 
-def _m(p, x, gamma, **kw):
+def _m(p, x, gamma, **rule):
     """M-step of one class through a one-column table."""
-    table = _table(p)
-    m_step(table, x, [gamma], **kw)
+    table = _table(p, **rule)
+    m_step(table, x, [gamma])
     return table.params()[0]
 
 
@@ -177,8 +190,8 @@ def test_m_step_preserves_learning_rates():
 
 
 def test_decay_single_win():
-    table = _table(_p(eta_mu=1.0, eta_var=0.02))
-    decay_rates(table, k_star=1, decay=0.02)
+    table = _table(_p(eta_mu=1.0, eta_var=0.02), decay=0.02)
+    decay_rates(table, k_star=1)
     out = table.params()
     assert out[0].eta_mu == pytest.approx(0.98)
     assert out[0].eta_var == pytest.approx(0.0196)
@@ -186,33 +199,40 @@ def test_decay_single_win():
 
 def test_decay_leaves_losers_alone():
     params = [_p(), _p(eta_mu=0.7)]
-    table = _table(*params)
-    decay_rates(table, k_star=1, decay=0.02)
+    table = _table(*params, decay=0.02)
+    decay_rates(table, k_star=1)
     assert table.params()[1] == params[1]
 
 
 def test_decay_is_geometric():
-    table = _table(_p(eta_mu=1.0))
+    table = _table(_p(eta_mu=1.0), decay=0.02)
     for _ in range(10):
-        decay_rates(table, 1, 0.02)
+        decay_rates(table, 1)
     assert table.params()[0].eta_mu == pytest.approx(0.98**10)
 
 
 def test_decay_rejects_bad_winner():
     with pytest.raises(ContractViolation):
-        decay_rates(_table(_p()), k_star=2, decay=0.02)
+        decay_rates(_table(_p(), decay=0.02), k_star=2)
     with pytest.raises(ContractViolation):
-        decay_rates(_table(_p()), k_star=1, decay=1.0)
+        decay_rates(_table(_p(), decay=1.0), k_star=1)
+
+
+@pytest.mark.parametrize("decay", [0.0, 1.0, -0.5, 1.5, math.nan, math.inf])
+def test_table_refuses_a_decay_outside_the_unit_interval(decay):
+    # The rule is checked once, when the table is built, not at every win.
+    with pytest.raises(ContractViolation, match="decay must lie in"):
+        ClassTable(1, **{**_RULE, "decay": decay})
 
 
 def test_rates_never_increase_under_mixed_updates():
     rng = np.random.default_rng(8)
-    table = _table(_p(), _p(mu=4.0))
+    table = _table(_p(), _p(mu=4.0), decay=0.02)
     prev = [(p.eta_mu, p.eta_var) for p in table.params()]
     for _ in range(200):
         x = float(rng.normal())
         m_step(table, x, [0.5, 0.5])
-        decay_rates(table, int(rng.integers(1, 3)), 0.02)
+        decay_rates(table, int(rng.integers(1, 3)))
         params = table.params()
         for p, (em, ev) in zip(params, prev):
             assert p.eta_mu <= em and p.eta_var <= ev
@@ -222,10 +242,10 @@ def test_rates_never_increase_under_mixed_updates():
 # -- candidate spawning ------------------------------------------------------
 
 
-def _spawn(x, policy, **kw):
+def _spawn(x, policy, born_at=0, **rule):
     """Spawn into a table that already holds one class; return the candidate."""
-    table = _table(_p())
-    spawn_candidate(table, x, policy, **kw)
+    table = _table(_p(), candidate=policy, **rule)
+    spawn_candidate(table, x, born_at)
     assert table.n == 2
     return table.params()[1]
 
@@ -250,7 +270,7 @@ def test_spawn_clamps_variance_to_floor():
 
 def test_table_grows_past_capacity_and_round_trips():
     params = [_p(mu=float(i), var=1.0 + i, eta_mu=0.5, eta_var=0.01) for i in range(11)]
-    table = ClassTable(capacity=2)
+    table = ClassTable(capacity=2, **_RULE)
     for i, p in enumerate(params):
         table.push(p.mu, p.var, p.eta_mu, p.eta_var, born_at=i)
     assert table.n == 11
@@ -260,19 +280,19 @@ def test_table_grows_past_capacity_and_round_trips():
 
 
 def test_dropped_candidate_column_is_overwritten_by_next_spawn():
-    table = _table(_p(mu=1.0))
-    spawn_candidate(table, 5.0, CandidatePolicy(), eta_init=(1.0, 0.02), born_at=2)
+    table = _table(_p(mu=1.0), candidate=CandidatePolicy(), eta_init=(1.0, 0.02))
+    spawn_candidate(table, 5.0, born_at=2)
     table.n = 1
-    spawn_candidate(table, 7.0, CandidatePolicy(), eta_init=(1.0, 0.02), born_at=3)
+    spawn_candidate(table, 7.0, born_at=3)
     assert [(p.mu, p.born_at) for p in table.params()] == [(1.0, 0), (7.0, 3)]
 
 
 def test_m_step_rejects_nan_variance_and_zero_rates():
-    nan_var = ClassTable()
+    nan_var = ClassTable(**_RULE)
     nan_var.push(0.0, float("nan"), 1.0, 0.02, 0)
     with pytest.raises(ContractViolation):
         m_step(nan_var, 0.5, [1.0])
-    zero_rate = ClassTable()
+    zero_rate = ClassTable(**_RULE)
     zero_rate.push(0.0, 1.0, 1.0, 0.0, 0)
     with pytest.raises(ContractViolation):
         m_step(zero_rate, 0.5, [1.0])
@@ -280,12 +300,12 @@ def test_m_step_rejects_nan_variance_and_zero_rates():
 
 def test_decay_floors_rates_that_underflow_to_zero():
     # 5e-324 * 0.5 rounds to 0; the rates stay at the smallest positive double.
-    table = _table(_p(eta_mu=5e-324, eta_var=5e-324))
-    decay_rates(table, 1, 0.5)
+    table = _table(_p(eta_mu=5e-324, eta_var=5e-324), decay=0.5)
+    decay_rates(table, 1)
     assert table.live()[2:, 0].tolist() == [5e-324, 5e-324]
     # Only a rate that would round to 0 is floored.
-    table = _table(_p(eta_mu=1.0, eta_var=5e-324))
-    decay_rates(table, 1, 0.5)
+    table = _table(_p(eta_mu=1.0, eta_var=5e-324), decay=0.5)
+    decay_rates(table, 1)
     assert table.live()[2:, 0].tolist() == [0.5, 5e-324]
 
 
@@ -296,7 +316,7 @@ def test_m_step_length_mismatch():
 
 # -- table operations against the scalar reference formulas -------------------
 
-_FLOOR = DEFAULT_VAR_FLOOR
+_FLOOR = DetectorConfig().var_floor
 _EPS = np.finfo(float).eps
 
 _class = st.builds(
@@ -344,7 +364,7 @@ def test_table_matches_scalar_formulas(params, x, log_space, data):
     k = len(params)
     weights = data.draw(st.lists(st.floats(0.01, 1.0), min_size=k, max_size=k))
     prior = np.array(weights) / sum(weights)
-    table = _table(*params)
+    table = _table(*params, var_floor=_FLOOR, log_space=log_space, decay=0.02)
 
     # E-step: same arithmetic order, but np.log and numpy's square may each
     # differ by one ulp from math.log and Python's `d ** 2` (libm pow; e.g.
@@ -364,7 +384,7 @@ def test_table_matches_scalar_formulas(params, x, log_space, data):
     # M-step from the same responsibilities: the mean and the natural
     # variance update are bit-equal; the log-space variance goes through
     # np.log/np.exp, so it may differ by a few ulps of the log variance.
-    m_step(table, x, resp, var_floor=_FLOOR, log_space=log_space)
+    m_step(table, x, resp)
     for q, p, g in zip(table.params(), params, resp):
         mu, var, logv = _ref_m_step(p, x, float(g), log_space)
         assert q.mu == mu
@@ -379,7 +399,7 @@ def test_table_matches_scalar_formulas(params, x, log_space, data):
     # decay touches only the winner's rates, as (1 - decay) * eta
     k_star = data.draw(st.integers(1, k))
     before = table.params()
-    decay_rates(table, k_star, 0.02)
+    decay_rates(table, k_star)
     for j, (q, p) in enumerate(zip(table.params(), before), start=1):
         assert (q.mu, q.var, q.born_at) == (p.mu, p.var, p.born_at)
         if j == k_star:
@@ -445,20 +465,23 @@ def test_em_step_equals_unfused_sequence(params, x, log_space, candidate, data):
     k = len(params) + candidate
     weights = data.draw(st.lists(st.floats(0.01, 1.0), min_size=k, max_size=k))
     prior = np.array(weights) / sum(weights)
-    ref, fused = _table(*params), _table(*params)
+    rule = dict(var_floor=_FLOOR, log_space=log_space, eta_init=(1.0, 0.02))
     if candidate:
-        policy = CandidatePolicy(var_init=data.draw(st.sampled_from([_FLOOR, 1.5 * _FLOOR, 1.0])))
+        var_init = data.draw(st.sampled_from([_FLOOR, 1.5 * _FLOOR, 1.0]))
+        rule["candidate"] = CandidatePolicy(var_init=var_init)
+    ref, fused = _table(*params, **rule), _table(*params, **rule)
+    if candidate:
         for table in (ref, fused):
-            spawn_candidate(table, x, policy, eta_init=(1.0, 0.02), born_at=9)
+            spawn_candidate(table, x, born_at=9)
     before = fused.live().copy()
     try:
         ref_resp, ref_z = _unfused_step(ref, x, prior, log_space=log_space)
     except FloatingPointError:
         with pytest.raises(FloatingPointError):
-            em_step(fused, x, prior, var_floor=_FLOOR, log_space=log_space)
+            em_step(fused, x, prior)
         assert np.array_equal(fused.live(), before)
         return
-    resp, z_star = em_step(fused, x, prior, var_floor=_FLOOR, log_space=log_space)
+    resp, z_star = em_step(fused, x, prior)
     assert np.array_equal(resp, ref_resp)
     assert np.array_equal(fused.live(), ref.live())
     assert z_star == ref_z
@@ -467,8 +490,12 @@ def test_em_step_equals_unfused_sequence(params, x, log_space, candidate, data):
 def test_em_step_exact_tie_goes_to_existing_class():
     # The candidate is spawned as an exact copy of the one existing class
     # and the prior splits evenly, so the two post-update scores are equal.
-    table = _table(_p(mu=0.25, var=1.0, eta_mu=1.0, eta_var=0.02))
-    spawn_candidate(table, 0.25, CandidatePolicy(), eta_init=(1.0, 0.02))
+    table = _table(
+        _p(mu=0.25, var=1.0, eta_mu=1.0, eta_var=0.02),
+        candidate=CandidatePolicy(),
+        eta_init=(1.0, 0.02),
+    )
+    spawn_candidate(table, 0.25)
     ref = _table(*table.params())
     resp, z_star = em_step(table, 0.25, [0.5, 0.5])
     assert resp.tolist() == [0.5, 0.5]
@@ -554,4 +581,4 @@ def test_em_step_takes_every_form_of_the_observation(params, x, data):
 
 def test_em_step_empty_table():
     with pytest.raises(ContractViolation):
-        em_step(ClassTable(), 0.0, [])
+        em_step(ClassTable(**_RULE), 0.0, [])
