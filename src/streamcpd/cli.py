@@ -16,6 +16,7 @@ import math
 import os
 import sys
 import time
+from array import array
 from pathlib import Path
 
 import numpy as np
@@ -35,41 +36,28 @@ def _part_path(path: Path) -> Path:
 
 
 class _PartFile:
-    """One output file, written as ``NAME.part`` and renamed to NAME by
-    :meth:`commit`. Any ``OSError`` is an ``InputError`` naming NAME, and
-    not the part file."""
+    """One output file, written as ``NAME.part``; its group renames it to
+    NAME."""
 
     def __init__(self, path):
         self.path = Path(path)
         self.part = _part_path(self.path)
-        try:
-            self._fh = open(self.part, "w", encoding="utf-8")
-        except OSError as exc:
-            raise self._error(exc) from exc
+        self._fh = self.call(open, self.part, "w", encoding="utf-8")
 
-    def _error(self, exc: OSError) -> InputError:
-        return InputError(f"cannot write {self.path}: {exc.strerror or exc}")
+    def call(self, fn, *args, **kwargs):
+        """``fn(*args, **kwargs)``, with an ``OSError`` raised as an
+        ``InputError`` naming NAME, and not the part file."""
+        try:
+            return fn(*args, **kwargs)
+        except OSError as exc:
+            raise InputError(f"cannot write {self.path}: {exc.strerror or exc}") from exc
 
     def write(self, text: str) -> None:
-        try:
-            self._fh.write(text)
-        except OSError as exc:
-            raise self._error(exc) from exc
+        self.call(self._fh.write, text)
 
     def close(self) -> None:
         """Flush and close the part file; its name stays ``NAME.part``."""
-        try:
-            self._fh.close()
-        except OSError as exc:
-            raise self._error(exc) from exc
-
-    def commit(self) -> Path:
-        self.close()
-        try:
-            os.replace(self.part, self.path)
-        except OSError as exc:
-            raise self._error(exc) from exc
-        return self.path
+        self.call(self._fh.close)
 
     def discard(self) -> None:
         with contextlib.suppress(OSError):
@@ -134,7 +122,7 @@ class _Outputs:
             f.write(block)
         return f
 
-    def commit(self) -> list[Path]:
+    def commit(self) -> None:
         """Rename every file into place, in the order they were opened.
 
         Every file is closed, and every target checked not to be a
@@ -144,10 +132,10 @@ class _Outputs:
             f.close()
         for f in self._files:
             if f.path.is_dir():
-                raise f._error(IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR)))
-        paths = [f.commit() for f in self._files]
+                raise InputError(f"cannot write {f.path}: {os.strerror(errno.EISDIR)}")
+        for f in self._files:
+            f.call(os.replace, f.part, f.path)
         self._files, self._made, self._taken = [], [], {}
-        return paths
 
 
 def _rows(fmt: str, *columns) -> str:
@@ -307,20 +295,18 @@ def _manifest(input_path, outdir, duration: float, cfg: DetectorConfig) -> str:
 
 
 # ---------------------------------------------------------------------------
-# CSV ingestion / trace emission
+# CSV reading / trace writing
 
 
-def _read_column(path, integer: bool = False) -> list[float]:
-    """The numbers in the first column of a CSV file, in row order; the
-    first non-blank row may be a header. Empty if the file holds no data
-    rows. With ``integer`` a value with a fraction is an ``InputError``."""
+def _read_column(path, integer: bool = False):
+    """Yield the numbers in the first column of a CSV file, in row order,
+    each as its row is read; the first non-blank row may be a header.
+    Yields nothing if the file holds no data rows. With ``integer`` a value
+    with a fraction is an ``InputError``."""
     path = Path(path)
-    values: list[float] = []
-    header = False
-    # Rows are parsed as they are read: a list of them would about double
-    # the memory a large series takes to ingest. A quoted field that runs
-    # over several lines keeps its line breaks and is refused, not read as
-    # the digits of those lines run together.
+    header = seen = False
+    # A quoted field that runs over several lines keeps its line breaks and
+    # is refused, not read as the digits of those lines run together.
     with _reading(path) as f:
         for rownum, row in enumerate(csv.reader(f), 1):
             if not row or all(not c.strip() for c in row):
@@ -329,7 +315,7 @@ def _read_column(path, integer: bool = False) -> list[float]:
             try:
                 v = float(cell)
             except ValueError:
-                if not (values or header):
+                if not (seen or header):
                     header = True
                     continue
                 msg = f"{path}: row {rownum}: non-numeric value {cell!r}"
@@ -343,19 +329,8 @@ def _read_column(path, integer: bool = False) -> list[float]:
                 raise InputError(f"{path}: row {rownum}: non-finite value {cell!r}")
             if integer and not v.is_integer():
                 raise InputError(f"{path}: row {rownum}: non-integer value {cell!r}")
-            values.append(v)
-    return values
-
-
-def ingest_csv(path) -> np.ndarray:
-    """Read a single-column numeric series; first row may be a header.
-
-    Only the first column is used; row order is time order.
-    """
-    values = _read_column(path)
-    if not values:
-        raise InputError(f"{Path(path)}: no numeric data rows")
-    return np.array(values)
+            seen = True
+            yield v
 
 
 def _column_blocks(header: str, fmt: str, values: list):
@@ -377,29 +352,27 @@ class _TraceWriter:
     """Writes ``assignments.csv``, ``runlength_map.csv`` and
     ``posterior.csv`` as steps arrive, a block at a time (:meth:`flush`
     writes the last one). Of each step it keeps only what the later
-    outputs read: its ``z_star`` and ``r_star`` (in arrays of the run's
-    length ``n``), whether it flagged a change point, and the last class
-    count."""
+    outputs read: its x, ``z_star`` and ``r_star`` (appended to 8-byte
+    ``array`` buffers), whether it flagged a change point, and the last
+    class count."""
 
-    def __init__(self, out: _Outputs, n: int):
+    def __init__(self, out: _Outputs):
         self._assignments = out.write("assignments.csv", ["t,x,z_star,k_t\n"])
         self._runlength_map = out.write("runlength_map.csv", ["t,r_star,cp_flag\n"])
         self._posterior = out.write("posterior.csv", ["t,r,mass\n"])
         self._block: list[tuple] = []
         self._block_entries = 0
-        self.z_star = np.zeros(n, dtype=np.int64)
-        self.r_star = np.zeros(n, dtype=np.int64)
+        self.x, self.z_star, self.r_star = array("d"), array("q"), array("q")
         self.change_points: list[int] = []
         self.final_k = 0
-        self.steps = 0
 
     def step(self, s: StepOutput, x: float) -> None:
         runs, probs = s.rl_posterior
         self._block.append((s.t, x, s.z_star, s.k_t, s.r_star, s.cp_flag, runs, probs))
         self._block_entries += len(probs)
-        self.z_star[self.steps] = s.z_star
-        self.r_star[self.steps] = s.r_star
-        self.steps += 1
+        self.x.append(x)
+        self.z_star.append(s.z_star)
+        self.r_star.append(s.r_star)
         if s.cp_flag:
             self.change_points.append(s.t)
         self.final_k = s.k_t
@@ -559,23 +532,24 @@ def _cmd_run(args) -> int:
     if not input_path:
         raise ConfigError("no input: pass --input or a config file with an input= line")
 
-    series = ingest_csv(input_path)
     outdir = Path(args.out)
-    with _Outputs(outdir) as out:
+    with _Outputs(outdir) as out, contextlib.closing(_read_column(input_path)) as series:
         start = time.perf_counter()
-        trace = _TraceWriter(out, len(series))
+        trace = _TraceWriter(out)
         det = Detector(cfg)
-        for x in map(float, series):
+        for x in series:
             trace.step(det.step(x), x)
+        if not trace.x:
+            raise InputError(f"{Path(input_path)}: no numeric data rows")
         trace.flush()
         duration = time.perf_counter() - start
         out.write("changepoints.csv", _column_blocks("t\n", "%d\n", trace.change_points))
         out.write("manifest", [_manifest(input_path, outdir, duration, cfg)])
         if args.svg:
-            render_svg(series, trace.z_star, trace.r_star, trace.change_points, out)
+            render_svg(trace.x, trace.z_star, trace.r_star, trace.change_points, out)
         out.commit()
 
-    print(f"steps={trace.steps}")
+    print(f"steps={len(trace.x)}")
     print(f"changepoints={len(trace.change_points)}")
     print(f"final_k={trace.final_k}")
     print(f"outdir={outdir}")

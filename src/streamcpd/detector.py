@@ -28,8 +28,9 @@ trellis step to succeed:
 
 - ``predict`` alone can refuse an observation. On one that overflows its
   arithmetic it raises ``FloatingPointError``, which :meth:`Detector.step`
-  turns into ``InputError``, with the model as it was: the latent models
-  record the step's label after everything that can raise.
+  turns into ``InputError`` naming the model's ``layer``, with the model
+  as it was: the latent models record the step's label after everything
+  that can raise.
 - After a ``predict`` that returned, ``recursion_step`` cannot raise: the
   latent log predictives are logs of values in (0, 1], the baseline's are
   finite, so is the reset weight ``log h + log_psi_reset + evidence`` and
@@ -205,6 +206,7 @@ class _LatentModel:
     step's new classes onto the table inside ``predict``'s rollback, and
     ``log_reset``, the log reset predictive."""
 
+    layer = "emission"  # the layer an overflow names
     log_reset = 0.0
 
     def __init__(
@@ -289,6 +291,7 @@ class BaselineModel:
     hypothesis table the trellis state carries as its ``columns``; the
     grown table goes back for ``recursion_step`` to prune."""
 
+    layer = "baseline"
     table = None
 
     def __init__(self, cfg: DetectorConfig):
@@ -356,8 +359,8 @@ class Detector:
         try:
             log_psi, log_psi_reset, z_star, k_t, resp, columns = model.predict(x, rl)
         except FloatingPointError:
-            name = "baseline" if cfg.mode == "baseline" else "emission"
-            raise InputError(f"observation at t={t} overflows the {name} model: {x!r}") from None
+            msg = f"observation at t={t} overflows the {model.layer} model: {x!r}"
+            raise InputError(msg) from None
 
         new, runs, posterior, i_min = recursion_step(
             rl, log_psi, cfg.hazard, log_psi_reset, cfg.prune, columns

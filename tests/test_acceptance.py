@@ -214,9 +214,9 @@ def test_c7_well_log_reproduction():
             "4500-sample well-log CSV via STREAMCPD_WELL_LOG or tests/data/well_log.csv"
         )
         pytest.skip("well-log data not supplied")
-    from streamcpd.cli import ingest_csv
+    from streamcpd.cli import _read_column
 
-    series = ingest_csv(path)
+    series = np.array(list(_read_column(path)))
     # the default hyperparameters assume unit-scale data; standardize the raw log
     series = (series - series.mean()) / series.std()
     ks = []

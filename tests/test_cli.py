@@ -19,8 +19,8 @@ from streamcpd import (
 )
 from streamcpd import cli
 from streamcpd.cli import (
+    _read_column,
     config_to_items,
-    ingest_csv,
     main,
     parse_config,
     parse_segments,
@@ -99,19 +99,19 @@ print(sorted(m for m in sys.modules if m.startswith("scipy")))
 def test_ingest_plain_numbers(tmp_path):
     p = tmp_path / "a.csv"
     p.write_text("1.0\n2.0\n")
-    np.testing.assert_array_equal(ingest_csv(p), [1.0, 2.0])
+    np.testing.assert_array_equal(list(_read_column(p)), [1.0, 2.0])
 
 
 def test_ingest_skips_header(tmp_path):
     p = tmp_path / "a.csv"
     p.write_text("value\n1.0\n")
-    np.testing.assert_array_equal(ingest_csv(p), [1.0])
+    np.testing.assert_array_equal(list(_read_column(p)), [1.0])
 
 
 def test_ingest_uses_first_column(tmp_path):
     p = tmp_path / "a.csv"
     p.write_text("t,v\n3.5,9\n4.5,9\n")
-    np.testing.assert_array_equal(ingest_csv(p), [3.5, 4.5])
+    np.testing.assert_array_equal(list(_read_column(p)), [3.5, 4.5])
 
 
 def test_ingest_crlf_and_quoted_cells(tmp_path):
@@ -119,33 +119,36 @@ def test_ingest_crlf_and_quoted_cells(tmp_path):
     # quoted cell on one line read as before.
     p = tmp_path / "a.csv"
     p.write_bytes(b'x,y\r\n1.5,a\r\n\r\n"2.5",b\r\n3\r\n')
-    np.testing.assert_array_equal(ingest_csv(p), [1.5, 2.5, 3.0])
+    np.testing.assert_array_equal(list(_read_column(p)), [1.5, 2.5, 3.0])
 
 
 def test_ingest_reports_row_number(tmp_path):
     p = tmp_path / "a.csv"
     p.write_text("1.0\n2.0\noops\n")
     with pytest.raises(InputError, match="row 3"):
-        ingest_csv(p)
+        list(_read_column(p))
 
 
-def test_ingest_empty_file(tmp_path):
+def test_ingest_empty_file(tmp_path, capsys):
     p = tmp_path / "a.csv"
     p.write_text("value\n")
-    with pytest.raises(InputError):
-        ingest_csv(p)
+    assert list(_read_column(p)) == []
+    out = tmp_path / "o"
+    assert main(["run", "--input", str(p), "--out", str(out)]) == 1
+    assert f"error: {p}: no numeric data rows" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_ingest_allows_one_header_row(tmp_path):
     p = tmp_path / "a.csv"
     p.write_text("t\nvalue\n1.0\n")
     with pytest.raises(InputError, match="row 2"):
-        ingest_csv(p)
+        list(_read_column(p))
 
 
 def test_ingest_missing_file(tmp_path):
     with pytest.raises(InputError):
-        ingest_csv(tmp_path / "nope.csv")
+        list(_read_column(tmp_path / "nope.csv"))
 
 
 def test_series_round_trip_exact(tmp_path):
@@ -156,7 +159,7 @@ def test_series_round_trip_exact(tmp_path):
     with cli._Outputs() as out:
         out.write(p, cli._column_blocks("x\n", "%.17g\n", series.tolist()))
         out.commit()
-    np.testing.assert_array_equal(ingest_csv(p), series)
+    np.testing.assert_array_equal(list(_read_column(p)), series)
 
 
 # -- config --------------------------------------------------------------
@@ -695,7 +698,7 @@ def test_cli_rows_end_only_at_line_ends(tmp_path, capsys, sep):
     series, out = tmp_path / "sep.csv", tmp_path / "o"
     series.write_text(f"x\n1{sep}2\n3\n", encoding="utf-8")
     with pytest.raises(InputError, match="row 2: non-numeric value"):
-        ingest_csv(series)
+        list(_read_column(series))
     assert main(["run", "--input", str(series), "--out", str(out)]) == 1
     assert f"{series}: row 2: non-numeric value {f'1{sep}2'!r}" in capsys.readouterr().err
     assert not out.exists()
@@ -708,7 +711,7 @@ def test_cli_unmatched_quote_on_the_last_line_is_input_error(tmp_path, capsys, t
     series, out = tmp_path / "quote.csv", tmp_path / "o"
     series.write_bytes(text.encode())
     with pytest.raises(InputError, match=r"row 3: line break in value '2(\\r)?(\\n)?'"):
-        ingest_csv(series)
+        list(_read_column(series))
     assert main(["run", "--input", str(series), "--out", str(out)]) == 1
     assert f"{series}: row 3: line break" in capsys.readouterr().err
     assert not out.exists()
@@ -791,7 +794,7 @@ def test_cli_files_equal_emit_traces_of_run(tmp_path, mode, prune):
     assert main(["run", "--config", str(f), "--out", str(out), "--svg"]) == 0
 
     cfg, _ = parse_config(config_file=f)
-    result = run(ingest_csv(path), cfg)
+    result = run(list(_read_column(path)), cfg)
     for name, text in _trace_files(result).items():
         assert (out / name).read_text() == text, name
     svg = _render(result, tmp_path / "lib")
@@ -821,21 +824,29 @@ def _snapshot(d):
     return {p.name: p.read_bytes() for p in d.iterdir()}
 
 
-@pytest.mark.parametrize("refused_at", [4, 100])
+@pytest.mark.parametrize("refused_at", [4, 100, pytest.param("row 102", id="row-102")])
 @pytest.mark.parametrize("mode", ["infinite", "fixed-k", "baseline"])
 def test_cli_mid_stream_failure_leaves_the_outdir_as_it_was(tmp_path, capsys, mode, refused_at):
     # 1e200 is refused at t = 4, before any block of rows was written, or
-    # at t = 100, after the first.
+    # at t = 100, after the first; the non-numeric row 102 follows 100
+    # values, so it too is read after the first block was written.
     bad = tmp_path / "bad.csv"
     if refused_at == 4:
         bad.write_text("x\n0\n1\n2\n1e200\n3\n")
-    else:
+    elif refused_at == 100:
         write_series(list(np.sin(np.arange(99) / 3.0)) + [1e200, 0.0], bad)
+    else:
+        write_series(np.sin(np.arange(100) / 3.0), bad)
+        with bad.open("a") as f:
+            f.write("oops\n")
     fresh = tmp_path / "fresh" / "o"
     argv = ["run", "--input", str(bad), "--mode", mode, "--svg", "--out"]
     assert main(argv + [str(fresh)]) == 1
-    kind = "baseline" if mode == "baseline" else "emission"
-    want = f"error: observation at t={refused_at} overflows the {kind} model"
+    if refused_at == "row 102":
+        want = f"error: {bad}: row 102: non-numeric value 'oops'"
+    else:
+        kind = "baseline" if mode == "baseline" else "emission"
+        want = f"error: observation at t={refused_at} overflows the {kind} model"
     assert want in capsys.readouterr().err
     assert not (tmp_path / "fresh").exists()
 

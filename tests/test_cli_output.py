@@ -173,7 +173,7 @@ def test_trace_writer_rows_equal_the_per_row_expressions(trace_dir, steps):
     # Masses at the file floor (1e-12) and the doubles on either side of it;
     # blocks of 4 steps, so up to 5 blocks.
     with mock.patch.object(cli, "_BLOCK_STEPS", 4), cli._Outputs(trace_dir) as out:
-        trace = cli._TraceWriter(out, len(steps))
+        trace = cli._TraceWriter(out)
         for s, x in steps:
             trace.step(s, x)
         trace.flush()

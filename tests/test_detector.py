@@ -1221,10 +1221,14 @@ def _mixed_series(draw, max_len=150):
 
 
 def _prunes(n):
-    # No prune, a threshold in 1e-300..0.5, or top-m for m in 1..n+2.
+    # No prune, a threshold in 1e-300..0.5, or top-m for m in 1..n+2. Half
+    # the thresholds are drawn from 1e-12..0.5: log-uniform over the whole
+    # range, only about 3% lie above 1e-10, and almost none of those drop
+    # an entry, so a prune that misplaces its cut would seldom show.
+    log10_eps = st.one_of(st.floats(-300.0, math.log10(0.5)), st.floats(-12.0, math.log10(0.5)))
     return st.one_of(
         st.just(PrunePolicy()),
-        st.floats(-300.0, math.log10(0.5)).map(lambda u: PrunePolicy.threshold(10.0**u)),
+        log10_eps.map(lambda u: PrunePolicy.threshold(10.0**u)),
         st.integers(1, n + 2).map(PrunePolicy.top_m),
     )
 
