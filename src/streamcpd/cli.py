@@ -74,11 +74,15 @@ class _Outputs:
     are untouched.
 
     With ``outdir``, file names are taken inside it, and it is made (with
-    its parents) if missing; otherwise names are paths."""
+    its parents) if missing; otherwise names are paths. ``reads`` is the
+    command's input file, taken as ``--input`` before any file is opened, so
+    an output that would write it, as its target or its part file, is
+    refused as two outputs sharing a file are."""
 
-    def __init__(self, outdir=None):
+    def __init__(self, outdir=None, reads=None):
         self._files: list[_PartFile] = []
-        self._taken: dict[Path, str] = {}  # resolved target and part paths: their file's label
+        # Resolved target and part paths, and the input: their file's label.
+        self._taken: dict[Path, str] = {} if reads is None else {Path(reads).resolve(): "--input"}
         self._made: list[Path] = []  # deepest first
         self.dir = None if outdir is None else Path(outdir)
         if self.dir is not None:
@@ -100,24 +104,20 @@ class _Outputs:
             except OSError:
                 break
 
-    def open(self, name, label=None) -> _PartFile:
-        """A part file for ``name``. Sharing a target or part file with
-        another file of the group would tear it, so that is a ``ConfigError``
-        naming both by ``label`` (default: the path), before anything is made."""
+    def write(self, name, blocks, label=None) -> _PartFile:
+        """A part file for ``name`` of the text ``blocks``, written as they
+        arrive. Sharing a target or part file with another file of the group,
+        or with the input, would tear it, so that is a ``ConfigError`` naming
+        both by ``label`` (default: the path), before this file is made."""
         path = Path(name if self.dir is None else self.dir / name)
         label = label or str(path)
-        mine = [p.resolve() for p in (path, _part_path(path))]
-        for p in mine:
-            if p in self._taken:
-                raise ConfigError(f"{self._taken[p]} and {label} name the same file {path}")
+        mine = {p.resolve(): p for p in (path, _part_path(path))}
+        for key, p in mine.items():
+            if key in self._taken:
+                raise ConfigError(f"{self._taken[key]} and {label} name the same file {p}")
         f = _PartFile(path)
         self._files.append(f)
         self._taken.update(dict.fromkeys(mine, label))
-        return f
-
-    def write(self, name, blocks) -> _PartFile:
-        """A file of the text ``blocks``, written as they arrive."""
-        f = self.open(name)
         for block in blocks:
             f.write(block)
         return f
@@ -533,7 +533,8 @@ def _cmd_run(args) -> int:
         raise ConfigError("no input: pass --input or a config file with an input= line")
 
     outdir = Path(args.out)
-    with _Outputs(outdir) as out, contextlib.closing(_read_column(input_path)) as series:
+    series = _read_column(input_path)
+    with _Outputs(outdir, input_path) as out, contextlib.closing(series):
         start = time.perf_counter()
         trace = _TraceWriter(out)
         det = Detector(cfg)
@@ -579,24 +580,15 @@ def _cmd_synth(args) -> int:
     seed = _SPECS["seed"].check("seed", args.seed)
     series, cps, _ = gen_piecewise_gaussian(segments, np.random.default_rng(seed))
     with _Outputs() as out:
-        # Both files are opened before either is written, so a pair that
-        # names one file is refused with nothing written.
-        files = {out.open(args.out, "--out"): _column_blocks("x\n", "%.17g\n", series.tolist())}
+        # A pair that names one file is refused at the second write, and
+        # leaving the group discards the first part file.
+        out.write(args.out, _column_blocks("x\n", "%.17g\n", series.tolist()), "--out")
         if args.truth:
-            files[out.open(args.truth, "--truth")] = _column_blocks("t\n", "%d\n", cps)
-        for f, blocks in files.items():
-            for block in blocks:
-                f.write(block)
+            out.write(args.truth, _column_blocks("t\n", "%d\n", cps), "--truth")
         out.commit()
     print(f"samples={len(series)}")
     print(f"changepoints={','.join(str(c) for c in cps) if cps else ''}")
     return 0
-
-
-def _read_int_column(path) -> list[int]:
-    """A change-point CSV's times; a header-only file (as ``run`` and
-    ``synth`` write when there are none) reads as no change points."""
-    return [int(v) for v in _read_column(path, integer=True)]
 
 
 def score_changepoints(predicted, truth, tolerance: int):
@@ -626,8 +618,11 @@ def score_changepoints(predicted, truth, tolerance: int):
 def _cmd_score(args) -> int:
     if args.tolerance < 0:
         raise ConfigError("tolerance must be non-negative")
-    preds = _read_int_column(args.pred)
-    truth = _read_int_column(args.truth)
+    # A header-only file (as ``run`` and ``synth`` write when there are no
+    # change points) reads as none.
+    preds, truth = (
+        [int(v) for v in _read_column(p, integer=True)] for p in (args.pred, args.truth)
+    )
     pairs, precision, recall, delay = score_changepoints(preds, truth, args.tolerance)
     print(f"true_count={len(truth)}")
     print(f"pred_count={len(preds)}")

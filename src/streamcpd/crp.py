@@ -48,20 +48,17 @@ class LabelCounts:
     defaults are the CRP's at alpha = 1).
 
     ``m[k - 1]`` is m_k, the occurrences of class k so far, as a float.
-    ``m`` always has a zero slot past the highest class id, and room for
-    classes 1..``n_classes`` from the start. ``k`` is the highest class id
-    recorded (0 before the first label)."""
+    ``m`` always has a zero slot past the highest class id. ``k`` is the
+    highest class id recorded (0 before the first label)."""
 
-    def __init__(
-        self, n_classes: int = 0, *, smoothing: float = 0.0, unseen: float = 1.0, c: float = 1.0
-    ):
+    def __init__(self, *, smoothing: float = 0.0, unseen: float = 1.0, c: float = 1.0):
         self._labels = np.empty(64, dtype=np.int64)  # the labels at times 1..t
         self._hot = 0  # the class whose counts are kept (0: none)
         self._base = 0  # the counts' start: _counts[j] is c_hot(base + j) - c_hot(base)
         self._counts = np.zeros(0, dtype=np.int64)  # for j = 0..t - base, then spare room
         self.smoothing, self.unseen, self.c = smoothing, unseen, c
         self._num = self._den = np.zeros(0)  # num(w) over w, and r + c over r
-        self.m = np.zeros(max(16, n_classes + 1))
+        self.m = np.zeros(16)
         self.k = 0
         self.t = 0
 
@@ -83,10 +80,6 @@ class LabelCounts:
             if j == c.size:
                 c = self._counts = np.concatenate([c, np.empty_like(c)])
             c[j] = c[j - 1] + (k == self._hot)
-
-    def total(self, k: int) -> int:
-        """m_k: occurrences of class k over the whole history."""
-        return int(self.m[k - 1]) if k <= self.k else 0
 
     def class_prior(self, n: int) -> np.ndarray:
         """The rule over the whole history for classes 1..n: ``num(m_k) /
@@ -142,7 +135,7 @@ class LabelCounts:
             longest = int(u[u.argmax()]) if runs.size else -1
         if longest > t:
             raise ContractViolation(f"window lengths must lie in [0, {t}]")
-        if self.total(k) == 0:
+        if k > self.k or not self.m[k - 1]:  # m_k = 0: k is not in the window
             return np.zeros(len(runs), dtype=np.int64), runs, longest
         lo = t - max(longest, 0)
         if k != self._hot or lo < self._base:

@@ -11,14 +11,16 @@ One run-length recursion, fed by a predictive model chosen once per mode
 - ``baseline`` (:class:`BaselineModel`): no latent layer. Predictive: the
   Normal-Inverse-Gamma Student-t on the raw observations (``nig.py``).
 
-A model has one call per step, ``predict(x, state) -> (log_psi,
-log_psi_reset, z_star, k_t, resp, columns)``: the log predictive of
-observation x at step ``state.t + 1`` under every hypothesis of the trellis
-state ``state`` and under a reset, and the grown hypotheses' columns (the
-baseline's hypothesis table, or None). The hypothesis table rides in the
-trellis state (``RunLengthState.columns``), so the prune that drops a
-hypothesis drops its column with it and a model holds nothing per
-hypothesis. When the run lengths are dense, ``0..n-1``
+A model has one call per step, ``predict(x, state) -> (log_psi, z_star,
+k_t, resp, columns)``: the log predictive of observation x at step
+``state.t + 1`` under every hypothesis of the trellis state ``state``, and
+the grown hypotheses' columns (the baseline's hypothesis table, or None).
+Run length 0, never pruned, is entry 0 of every state, and its window is
+empty, so ``log_psi[0]`` is also the reset predictive: 1 in ``infinite``,
+beta / (K beta) in ``fixed-k``, the prior's Student-t in ``baseline``. The
+hypothesis table rides in the trellis state (``RunLengthState.columns``),
+so the prune that drops a hypothesis drops its column with it and a model
+holds nothing per hypothesis. When the run lengths are dense, ``0..n-1``
 (``RunLengthState.dense``), ``predict`` reads its per-run-length tables by
 prefix slices instead of gathers. So :meth:`Detector.step` is one body for
 every mode: predict; one ``recursion_step``, which grows, normalizes and
@@ -33,7 +35,7 @@ trellis step to succeed:
   that can raise.
 - After a ``predict`` that returned, ``recursion_step`` cannot raise: the
   latent log predictives are logs of values in (0, 1], the baseline's are
-  finite, so is the reset weight ``log h + log_psi_reset + evidence`` and
+  finite, so is the reset weight ``log h + log_psi[0] + evidence`` and
   with it the step's total, and run length 0, never pruned, always has
   mass for the prune to fold the rest into.
 
@@ -56,9 +58,8 @@ the whole history and the window predictive of the MAP label at every live
 run length, read by slices on dense run lengths. It makes new classes in
 one place, a ``_spawn`` hook inside the step's rollback, and records the
 step's label last. So the two models differ only in the rule's constants
-they give the ledger, in what the hook pushes (the infinite mode's
-candidate, or the fixed-k fan-out at the first step), and in the reset
-predictive.
+they give the ledger and in what the hook pushes (the infinite mode's
+candidate, or the fixed-k fan-out at the first step).
 
 The runtime needs only numpy and the standard library.
 """
@@ -196,27 +197,24 @@ class _LatentModel:
     emission rule (see ``emission.py``), the ledger of MAP labels, which
     owns the seating rule (see ``crp.py``), and one ``predict``, which
     appends the step's label to the ledger. A latent model is those two
-    tables and its reset predictive; it reads no config field once built
-    and has no columns per run-length hypothesis.
+    tables; it reads no config field once built and has no columns per
+    run-length hypothesis.
 
     A subclass gives the constants of the ledger's seating rule ``num(w) /
     (n + c)``: ``num(w) = w + smoothing`` above ``num(0) = unseen``, and
     ``c``. The ledger answers the class prior and the window predictive
-    from them. A subclass also sets ``_spawn(x, t)``, which pushes the
-    step's new classes onto the table inside ``predict``'s rollback, and
-    ``log_reset``, the log reset predictive."""
+    from them; the latter's empty window, ``unseen / c``, is the reset
+    predictive. A subclass also sets ``_spawn(x, t)``, which pushes the
+    step's new classes onto the table inside ``predict``'s rollback."""
 
     layer = "emission"  # the layer an overflow names
-    log_reset = 0.0
 
-    def __init__(
-        self, cfg: DetectorConfig, smoothing: float, unseen: float, c: float, n_classes: int = 0
-    ):
+    def __init__(self, cfg: DetectorConfig, smoothing: float, unseen: float, c: float):
         self.table = ClassTable(
-            max(8, n_classes), var_floor=cfg.var_floor, log_space=cfg.log_var_update,
+            var_floor=cfg.var_floor, log_space=cfg.log_var_update,
             decay=cfg.decay, eta_init=cfg.eta_init, candidate=cfg.candidate,
         )
-        self.counts = LabelCounts(n_classes, smoothing=smoothing, unseen=unseen, c=c)
+        self.counts = LabelCounts(smoothing=smoothing, unseen=unseen, c=c)
 
     def predict(self, x: float, state: RunLengthState):
         """One SGD-EM step over the class table under the class prior, then
@@ -241,7 +239,7 @@ class _LatentModel:
 
         psi = counts.window_predictive(z_star, state.run_lengths, state.dense)
         counts.record(z_star)
-        return np.log(psi), self.log_reset, z_star, table.n, resp, None
+        return np.log(psi), z_star, table.n, resp, None
 
 
 class InfiniteModel(_LatentModel):
@@ -249,7 +247,8 @@ class InfiniteModel(_LatentModel):
     The rule's constants are smoothing 0 and unseen = c = alpha: the class
     prior is ``m_k / (t + alpha)`` with the new-table mass alpha at the
     candidate, and the window predictive of the MAP labels is ``w / (r +
-    alpha)`` with alpha at w = 0. The reset predictive is 1."""
+    alpha)`` with alpha at w = 0, so the empty window's is alpha / alpha =
+    1."""
 
     def __init__(self, cfg: DetectorConfig):
         super().__init__(cfg, smoothing=0.0, unseen=cfg.alpha, c=cfg.alpha)
@@ -262,15 +261,15 @@ class FixedKModel(_LatentModel):
     """``fixed-k``: K classes under a symmetric Dirichlet prior. The rule's
     constants are smoothing = unseen = beta and c = K beta: the class prior
     is ``(m_k + beta) / (t + K beta)``, and the Dirichlet-categorical window
-    predictive of the MAP labels ``(w + beta) / (r + K beta)``. The reset
-    predictive is 1/K. The table starts empty, and the first step fans its
-    K classes out around its observation, so a refused first observation
-    leaves it empty."""
+    predictive of the MAP labels ``(w + beta) / (r + K beta)``, so the empty
+    window's is beta / (K beta). The table starts empty, and the first step
+    fans its K classes out around its observation, so a refused first
+    observation leaves it empty."""
 
     def __init__(self, cfg: DetectorConfig):
         kf, beta = cfg.k_fixed, cfg.dirichlet_beta
-        super().__init__(cfg, smoothing=beta, unseen=beta, c=kf * beta, n_classes=kf)
-        self.k_fixed, self.log_reset = kf, math.log(1.0 / kf)
+        super().__init__(cfg, smoothing=beta, unseen=beta, c=kf * beta)
+        self.k_fixed = kf
 
     def _spawn(self, x: float, t: int) -> None:
         """At the first step, the K classes at the candidate's start: their
@@ -299,8 +298,7 @@ class BaselineModel:
 
     def predict(self, x: float, state: RunLengthState):
         log_psi, grown = self.nig.log_predictive(x, state.run_lengths, state.dense, state.columns)
-        # Column 0 is the prior: log_psi[0] is the reset predictive.
-        return log_psi, float(log_psi[0]), 1, 1, _ONE, grown
+        return log_psi, 1, 1, _ONE, grown
 
 
 _MODELS = {"infinite": InfiniteModel, "fixed-k": FixedKModel, "baseline": BaselineModel}
@@ -357,13 +355,15 @@ class Detector:
             raise InputError(f"observation at t={t} is not finite: {x!r}")
         cfg, model = self.cfg, self.model
         try:
-            log_psi, log_psi_reset, z_star, k_t, resp, columns = model.predict(x, rl)
+            log_psi, z_star, k_t, resp, columns = model.predict(x, rl)
         except FloatingPointError:
             msg = f"observation at t={t} overflows the {model.layer} model: {x!r}"
             raise InputError(msg) from None
 
+        # A change starts a run whose window is empty: run length 0's, which
+        # is entry 0 of every state, so log_psi[0] is the reset predictive.
         new, runs, posterior, i_min = recursion_step(
-            rl, log_psi, cfg.hazard, log_psi_reset, cfg.prune, columns
+            rl, log_psi, cfg.hazard, float(log_psi[0]), cfg.prune, columns
         )
         r_star = new.r_star
         # The readout's three forms are in the module docstring. Both arrays

@@ -127,12 +127,13 @@ def _run_length_rows_past_cap(p: NigParams, r: np.ndarray) -> np.ndarray:
 
 class RunLengthTable:
     """The run-length table ``rows`` of the prior ``p`` at run lengths
-    ``0..n-1``, the prior's column ``prior_col``, and the pass over both."""
+    ``0..n-1`` (64 at first), the prior's column ``prior_col``, and the
+    pass over both."""
 
-    def __init__(self, p: NigParams, n: int = 64):
+    def __init__(self, p: NigParams):
         self.prior = p
         self.prior_col = np.array([p.mu, 2.0 * p.b * (p.kappa + 1.0) / p.kappa])
-        self.rows = _run_length_table(p, n)
+        self.rows = _run_length_table(p, 64)
 
     def log_predictive(self, x: float, run_lengths: np.ndarray, dense: bool, columns):
         """The Student-t log predictive of ``x`` under each column of the
@@ -180,9 +181,3 @@ class RunLengthTable:
         past = _run_length_rows_past_cap(self.prior, run_lengths[split:])
         return np.concatenate((self.rows.take(run_lengths[:split], axis=1), past), axis=1)
 
-
-def log_prior_predictive(p: NigParams, x: float) -> float:
-    """The log prior predictive of ``x`` under ``p``, the integral of N(x;
-    mu, sigma^2) over the NIG prior: the Student-t pass on the prior column
-    alone, so it equals the baseline's reset predictive bit for bit."""
-    return float(RunLengthTable(p, 1).log_predictive(x, np.zeros(1, np.int64), True, None)[0][0])

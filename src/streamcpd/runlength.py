@@ -259,12 +259,12 @@ def recursion_step(
     allowed, NaN and +inf are not. Every hypothesis i grows to run length
     ``run_lengths[i] + 1`` with log weight ``log(1-h) + log_psi[i] +
     lw[i]``; the newborn run length 0 collects ``log(h) + log_psi_reset +
-    evidence``, where ``log_psi_reset`` is the log empty-window predictive:
-    0 in ``infinite`` (with no within-run history the new-table event is
-    certain), log(1/K) in ``fixed-k`` and the prior predictive of the
-    observation in ``baseline``. ``columns`` is None or the model's columns
-    of the grown hypotheses, ``(rows, n + 1)`` and aligned with the grown
-    run lengths; the next state keeps those of the survivors.
+    evidence``, where ``log_psi_reset`` is the log empty-window predictive.
+    The detector passes run length 0's entry, ``log_psi[0]``: run length 0
+    is entry 0 of every state and its window is empty. ``columns`` is None
+    or the model's columns of the grown hypotheses, ``(rows, n + 1)`` and
+    aligned with the grown run lengths; the next state keeps those of the
+    survivors.
 
     Returns ``(next_state, run_lengths, posterior, i_min)``: the state after
     pruning by ``policy``, which also carries the step's MAP run length

@@ -11,7 +11,8 @@ detector calls:
   checked against;
 - :class:`BaselineReference` and :class:`LatentReference`, plain detectors
   every step of each mode is checked against;
-- :func:`finite_difference`, central differences for gradient checks.
+- :func:`finite_difference`, central differences for gradient checks;
+- :func:`nmi`, the normalized mutual information of two labelings.
 
 Tests import it as they import ``conftest``; it is not part of the package.
 """
@@ -333,3 +334,18 @@ def finite_difference(f, point, step: float = 1e-5) -> np.ndarray:
         lo[i] -= step
         grad[i] = (f(hi) - f(lo)) / (2.0 * step)
     return grad
+
+
+def nmi(a, b) -> float:
+    """Normalized mutual information of two labelings of the same samples:
+    I(a; b) over the mean of H(a) and H(b), in [0, 1]; 1 when both hold a
+    single label."""
+    _, ia = np.unique(a, return_inverse=True)
+    _, ib = np.unique(b, return_inverse=True)
+    joint = np.zeros((ia.max() + 1, ib.max() + 1))
+    np.add.at(joint, (ia, ib), 1.0 / ia.size)
+    pa, pb = joint.sum(axis=1), joint.sum(axis=0)
+    nz = joint > 0
+    mi = np.sum(joint[nz] * np.log(joint[nz] / np.outer(pa, pb)[nz]))
+    h = -np.sum(pa * np.log(pa)) - np.sum(pb * np.log(pb))
+    return max(0.0, float(2.0 * mi / h)) if h > 0 else 1.0

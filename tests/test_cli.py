@@ -765,6 +765,23 @@ def test_cli_run_without_input_is_config_error(tmp_path):
     assert main(["run", "--out", str(tmp_path / "o")]) == 2
 
 
+@pytest.mark.parametrize("name", ["assignments.csv.part", "assignments.csv", "manifest"])
+def test_cli_run_refuses_an_input_it_would_write(tmp_path, capsys, name):
+    # An input that is one of the run's part files was truncated by its
+    # opening before a row was read, and an input that is one of its
+    # targets was replaced by the trace. Either is now a config error,
+    # naming --input, that leaves the input as it was and makes nothing.
+    out = tmp_path / "o"
+    out.mkdir()
+    p = out / name
+    p.write_text("x\n1\n2\n3\n")
+    assert main(["run", "--input", str(p), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: --input and ") and err.rstrip().endswith(name)
+    assert p.read_bytes() == b"x\n1\n2\n3\n"
+    assert list(out.iterdir()) == [p]
+
+
 def test_cli_manifest_reproduces_run_byte_identical(tmp_path):
     series = tmp_path / "series.csv"
     write_series(np.sin(np.arange(80) / 5.0), series)

@@ -23,7 +23,7 @@ SERIES = np.r_[
 ].tolist()
 
 # streamcpd calls over the 300 counted steps.
-CALLS = {"infinite": 6376, "fixed-k": 5807, "baseline": 2485}
+CALLS = {"infinite": 6076, "fixed-k": 5507, "baseline": 2485}
 
 
 def _calls(mode: str) -> int:

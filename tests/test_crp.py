@@ -208,7 +208,7 @@ def test_label_counts_window_queries_match_brute_force(labels, queries):
         runs, dense = _query(kind, t, seed)
         want = [labels[t - r : t].count(k) for r in runs]
         np.testing.assert_array_equal(lc.window_counts(k, runs, dense), want)
-        assert lc.total(k) == labels[:t].count(k)
+        assert lc.m[k - 1] == labels[:t].count(k)
     t = len(labels)
     for k in range(1, 7):
         want = [labels[t - r :].count(k) for r in range(t + 1)]
@@ -245,7 +245,7 @@ def test_ledger_rule_equals_the_crp_and_dirichlet_formulas(dirichlet, conc, clas
     # at dense ones.
     k_fixed = 7
     rule = dirichlet_rule(k_fixed, conc) if dirichlet else crp_rule(conc)
-    lc = LabelCounts(k_fixed if dirichlet else 0, **rule)
+    lc = LabelCounts(**rule)
     rng = np.random.default_rng(seed)
     labels = rng.integers(1, classes + 1, length)
     m = np.zeros(k_fixed)
@@ -314,7 +314,7 @@ def test_dense_window_query_longer_than_the_history_is_refused(k):
 
 
 def test_label_counts_window_queries():
-    lc = LabelCounts(3)
+    lc = LabelCounts()
     for z in [1, 2, 2, 3, 2]:
         lc.record(z)
     np.testing.assert_array_equal(lc.window_counts(2, np.array([0, 1, 2, 3, 5])), [0, 1, 1, 2, 3])

@@ -823,7 +823,7 @@ def test_dense_run_lengths_read_by_slices_as_by_gathers(labels, alpha, data):
     b_out = b.predict(x, RunLengthState(sparse, lw[keep], t, pruned.evidence_log, live[:, keep]))
     log_psi = a_out[0]
     np.testing.assert_array_equal(b_out[0], log_psi[keep])
-    np.testing.assert_array_equal(b_out[5], a_out[5][:, np.r_[True, keep]])
+    np.testing.assert_array_equal(b_out[4], a_out[4][:, np.r_[True, keep]])
 
     hazard = HazardConfig(50.0)
     grown = recursion_step(full, log_psi, hazard)[1]
@@ -874,7 +874,7 @@ def test_run_lengths_kept_by_steps_outlive_the_shared_table(monkeypatch):
 def _dirichlet_predictive(w, r, k_fixed, beta):
     """The Dirichlet window predictive of class 1 seen w times among the
     last r labels, the others class 2."""
-    lc = LabelCounts(k_fixed, **dirichlet_rule(k_fixed, beta))
+    lc = LabelCounts(**dirichlet_rule(k_fixed, beta))
     for z in [2] * (r - w) + [1] * w:
         lc.record(z)
     return lc.window_predictive(1, np.array([r]))[0]

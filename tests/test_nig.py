@@ -1,5 +1,6 @@
-"""The NIG module's prior predictive: scipy's Student-t, and the baseline's
-reset predictive bit for bit."""
+"""The NIG module's prior predictive, run length 0's entry of the baseline's
+pass: scipy's Student-t, and the reset predictive at every step bit for
+bit."""
 
 import math
 
@@ -9,7 +10,15 @@ import pytest
 from scipy.stats import t as student_t
 
 import streamcpd
-from streamcpd import Detector, DetectorConfig, NigParams, PrunePolicy, detector, nig
+from streamcpd import (
+    Detector,
+    DetectorConfig,
+    NigParams,
+    PrunePolicy,
+    RunLengthState,
+    detector,
+    nig,
+)
 
 # a0 from 256 up seeds the run-length table from the series of D(a); kappa
 # reaches its 1e-150 bound.
@@ -26,6 +35,13 @@ PRIORS = [
 ]
 
 
+def _run_length_0(p, x):
+    """The log predictive of ``x`` at run length 0, the prior column: entry
+    0 of a fresh baseline's first ``predict``."""
+    model = detector.BaselineModel(DetectorConfig(mode="baseline", baseline=p))
+    return float(model.predict(x, RunLengthState.initial())[0][0])
+
+
 @pytest.mark.parametrize("p", PRIORS, ids=str)
 def test_log_prior_predictive_is_scipy_student_t(p):
     # Within 1e-12, relative once the log density passes 1 in magnitude:
@@ -34,7 +50,7 @@ def test_log_prior_predictive_is_scipy_student_t(p):
     for k in (-300.0, -30.0, -3.0, -0.5, 0.0, 0.7, 4.0, 1e3):
         x = p.mu + k * scale
         want = student_t.logpdf(x, 2.0 * p.a, p.mu, scale)
-        assert abs(nig.log_prior_predictive(p, x) - want) <= 1e-12 * max(1.0, abs(want)), k
+        assert abs(_run_length_0(p, x) - want) <= 1e-12 * max(1.0, abs(want)), k
 
 
 @pytest.mark.parametrize("a0", [0.1, 256.0, 5e3, 1e4, 1e8])
@@ -50,7 +66,7 @@ def test_log_prior_predictive_matches_mpmath(a0):
             mpmath.loggamma(a + 0.5) - mpmath.loggamma(a) - mpmath.log(mpmath.pi * big_b) / 2
             - (a + 0.5) * mpmath.log1p(d2 / big_b)
         )
-        assert abs(nig.log_prior_predictive(p, x) - want) <= 1e-14 * max(1.0, abs(want)), x
+        assert abs(_run_length_0(p, x) - want) <= 1e-14 * max(1.0, abs(want)), x
 
 
 @pytest.mark.parametrize(
@@ -61,14 +77,14 @@ def test_log_prior_predictive_matches_mpmath(a0):
 @pytest.mark.parametrize("p", PRIORS[:2] + PRIORS[4:5] + PRIORS[7:8], ids=str)
 def test_log_prior_predictive_is_the_reset_predictive(prune, p):
     # At every state of a two-regime run, the baseline's reset predictive,
-    # column 0 of its pass over every live hypothesis, is the pass over the
-    # prior column alone, bit for bit.
+    # entry 0 of its pass over every live hypothesis, is that of its first
+    # step, the pass over the prior column alone, bit for bit.
     rng = np.random.default_rng(7)
     series = np.r_[rng.normal(0.0, 1.0, 100), rng.normal(6.0, 3.0, 100)]
     det = Detector(DetectorConfig(mode="baseline", prune=prune, baseline=p))
     for x in series:
         for y in (x, -2.5, 40.0):
-            assert det.model.predict(y, det.rl)[1] == nig.log_prior_predictive(p, y)
+            assert det.model.predict(y, det.rl)[0][0] == _run_length_0(p, y)
         det.step(x)
 
 

@@ -605,7 +605,7 @@ def test_prune_that_drops_nothing_keeps_the_parent_run_lengths(monkeypatch):
 
     def recording(self, *args):
         out = predict(self, *args)
-        grown.append(out[5])
+        grown.append(out[4])
         return out
 
     monkeypatch.setattr(detector.BaselineModel, "predict", recording)
