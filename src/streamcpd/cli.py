@@ -83,6 +83,7 @@ class _Outputs:
         self._files: list[_PartFile] = []
         # Resolved target and part paths, and the input: their file's label.
         self._taken: dict[Path, str] = {} if reads is None else {Path(reads).resolve(): "--input"}
+        self._reserved: set[Path] = set()  # taken by reserve, not yet written
         self._made: list[Path] = []  # deepest first
         self.dir = None if outdir is None else Path(outdir)
         if self.dir is not None:
@@ -104,20 +105,30 @@ class _Outputs:
             except OSError:
                 break
 
-    def write(self, name, blocks, label=None) -> _PartFile:
-        """A part file for ``name`` of the text ``blocks``, written as they
-        arrive. Sharing a target or part file with another file of the group,
-        or with the input, would tear it, so that is a ``ConfigError`` naming
-        both by ``label`` (default: the path), before this file is made."""
+    def reserve(self, name, label=None) -> None:
+        """Take the target and part file of ``name`` for a later
+        :meth:`write`. Sharing either with another file of the group, or
+        with the input, would tear it, so that is a ``ConfigError`` naming
+        both by ``label`` (default: the path)."""
         path = Path(name if self.dir is None else self.dir / name)
         label = label or str(path)
         mine = {p.resolve(): p for p in (path, _part_path(path))}
         for key, p in mine.items():
             if key in self._taken:
                 raise ConfigError(f"{self._taken[key]} and {label} name the same file {p}")
+        self._taken.update(dict.fromkeys(mine, label))
+        self._reserved.add(path)
+
+    def write(self, name, blocks, label=None) -> _PartFile:
+        """A part file for ``name`` of the text ``blocks``, written as they
+        arrive. A name not reserved is reserved first, so a collision is
+        refused before this file is made."""
+        path = Path(name if self.dir is None else self.dir / name)
+        if path not in self._reserved:
+            self.reserve(name, label)
+        self._reserved.remove(path)
         f = _PartFile(path)
         self._files.append(f)
-        self._taken.update(dict.fromkeys(mine, label))
         for block in blocks:
             f.write(block)
         return f
@@ -535,6 +546,11 @@ def _cmd_run(args) -> int:
     outdir = Path(args.out)
     series = _read_column(input_path)
     with _Outputs(outdir, input_path) as out, contextlib.closing(series):
+        # The files written after the trace are taken before the first row
+        # is read, as the trace's own are, so an input that is one of them
+        # is refused before any step.
+        for name in ("changepoints.csv", "manifest", *(("trace.svg",) if args.svg else ())):
+            out.reserve(name)
         start = time.perf_counter()
         trace = _TraceWriter(out)
         det = Detector(cfg)

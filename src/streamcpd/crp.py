@@ -95,21 +95,17 @@ class LabelCounts:
         p /= self.t + self.c
         return p
 
-    def window_counts(self, k: int, runs: np.ndarray, dense: bool = False) -> np.ndarray:
-        """Count of class k among the last r labels, vectorized over r.
+    def window_predictive(self, k: int, runs: np.ndarray, dense: bool = False) -> np.ndarray:
+        """``num(w) / (r + c)`` for class k at each run length r in
+        ``runs``, with w the count of k among the last r labels.
 
         With ``dense`` the caller states that ``runs`` is ``0..n-1``, as
         trellis run lengths ending in n - 1 are (only n - 1 <= t is
         checked): the counts are then read without building the window
-        starts. It is not inferred from ``runs[-1] == n - 1``, which an
+        starts, and the denominators are a prefix of their table, not
+        ``runs + c``: the same floats, since every r below 2^53 is exact as
+        a float. It is not inferred from ``runs[-1] == n - 1``, which an
         unsorted ``[2, 0, 2]`` passes too."""
-        return self._window_counts(k, runs, dense)[0]
-
-    def window_predictive(self, k: int, runs: np.ndarray, dense: bool = False) -> np.ndarray:
-        """``num(w) / (r + c)`` for class k at each run length r in
-        ``runs``, with w its :meth:`window_counts`. On ``dense`` run lengths
-        the denominators are a prefix of their table, not ``runs + c``: the
-        same floats, since every r below 2^53 is exact as a float."""
         w, runs, longest = self._window_counts(k, runs, dense)
         size = self._den.size
         if max(longest, 0) >= size:  # an empty query reads den[0] too
@@ -121,8 +117,9 @@ class LabelCounts:
         return num / (self._den[: w.size] if dense else runs + self._den[0])
 
     def _window_counts(self, k: int, runs, dense: bool):
-        """The window counts, ``runs`` (int64 unless dense), and the longest
-        window (-1 if none)."""
+        """The count of class k among the last r labels for each r in
+        ``runs``, ``runs`` (int64 unless dense), and the longest window (-1
+        if none)."""
         t = self.t
         if dense:
             longest = len(runs) - 1

@@ -34,10 +34,13 @@ trellis step to succeed:
   as it was: the latent models record the step's label after everything
   that can raise.
 - After a ``predict`` that returned, ``recursion_step`` cannot raise: the
-  latent log predictives are logs of values in (0, 1], the baseline's are
-  finite, so is the reset weight ``log h + log_psi[0] + evidence`` and
-  with it the step's total, and run length 0, never pruned, always has
-  mass for the prune to fold the rest into.
+  latent log predictives are logs of values in [0, 1], entry 0's in (0, 1],
+  and the baseline's are finite, so the reset weight ``log h + log_psi[0]
+  + evidence`` is finite and with it the step's total, and run length 0,
+  never pruned, always has mass for the prune to fold the rest into. So
+  the trellis's failure path, which raises ``ContractViolation``, is not
+  an outcome of a step; ``tests/test_detector.py`` checks this in every
+  mode at the ends of the hazard's range and of the model's rule.
 
 The readout hands out the posterior entries at or above 1e-14 with their
 run lengths, in one of three forms: the step's own arrays when nothing is
@@ -188,8 +191,6 @@ class RunResult:
     change_points: list[int]
     final_k: int
     params: list[EmissionParams]
-    config: DetectorConfig
-    series: np.ndarray
 
 
 class _LatentModel:
@@ -325,11 +326,6 @@ class Detector:
         self.rl = RunLengthState.initial()
 
     @property
-    def t(self) -> int:
-        """The number of steps taken."""
-        return self.rl.t
-
-    @property
     def params(self) -> list[EmissionParams] | None:
         """The live classes' parameters (a fresh list of records; empty
         before the first step), or None in baseline mode, which has no
@@ -416,6 +412,4 @@ def run(series, cfg: DetectorConfig) -> RunResult:
         change_points=change_points,
         final_k=steps[-1].k_t,
         params=list(det.params or []),
-        config=cfg,
-        series=arr,
     )

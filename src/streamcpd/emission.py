@@ -5,12 +5,13 @@ per-class adaptive learning-rate decay, and candidate spawning.
 Classes live in one struct-of-arrays :class:`ClassTable`: a ``(4, capacity)``
 float array whose rows are ``mu``, ``var``, ``eta_mu`` and ``eta_var``, plus
 an integer ``born_at`` row. Columns ``0..n-1`` are the live classes, in class
-id order (column ``j`` is class ``j + 1``). Capacity doubles when full, so
-spawning a candidate writes column ``n`` and makes it live, and dropping it
-again is setting ``n`` back; no step reallocates. Invariants of every live
-column: ``var >= var_floor > 0`` (the M-step clamps at the floor) and both
-learning rates are positive and never grow (decay multiplies them by ``1 -
-decay``, down to the smallest positive double).
+id order (column ``j`` is class ``j + 1``). Capacity starts at 8 and
+doubles when full, so spawning a candidate writes column ``n`` and makes it
+live, and dropping it again is setting ``n`` back; no step reallocates.
+Invariants of every live column: ``var >= var_floor > 0`` (the M-step
+clamps at the floor) and both learning rates are positive and never grow
+(decay multiplies them by ``1 - decay``, down to the smallest positive
+double).
 
 The table owns the emission rule. Its five settings are given once, at
 construction, and every function here reads them from the table: the
@@ -98,13 +99,13 @@ class ClassTable:
     (None: at the observation) and ``var0``."""
 
     def __init__(
-        self, capacity: int = 8, *, var_floor: float, log_space: bool, decay: float,
+        self, *, var_floor: float, log_space: bool, decay: float,
         eta_init: tuple[float, float], candidate: CandidatePolicy,
     ):
         if not (0.0 < decay < 1.0):
             raise ContractViolation(f"decay must lie in (0, 1), got {decay!r}")
-        self._data = np.empty((4, max(1, capacity)))
-        self._born = np.empty(max(1, capacity), dtype=np.int64)
+        self._data = np.empty((4, 8))
+        self._born = np.empty(8, dtype=np.int64)
         self.n = 0
         self.var_floor, self.log_space = _const(var_floor), log_space
         self.decay, self.eta_init = decay, eta_init

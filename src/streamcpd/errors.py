@@ -5,10 +5,6 @@ class ContractViolation(ValueError):
     """An operation was called with arguments that break its preconditions."""
 
 
-class DegenerateStateError(ArithmeticError):
-    """The trellis lost all probability mass (numerically impossible observation)."""
-
-
 class InputError(ValueError):
     """Malformed user-supplied data: unreadable file, non-numeric cell, empty series."""
 

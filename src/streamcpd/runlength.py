@@ -46,8 +46,9 @@ A trellis step takes no log of the hazard: ``HazardConfig`` computes
 A step validates its inputs only when it fails. A NaN or +inf log predictive
 always makes the step's total non-finite (NaN propagates, and +inf gives
 +inf, or NaN where it meets a -inf weight), so the checks run on that path
-alone: a bad input raises ``ContractViolation`` and a valid one whose every
-weight vanished raises ``DegenerateStateError``.
+alone, and each failure is a ``ContractViolation`` naming the broken
+precondition: a bad entry, or inputs that leave the step no finite, nonzero
+mass. The detector never reaches that path (see ``detector.py``).
 """
 
 from __future__ import annotations
@@ -58,7 +59,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import ConfigError, ContractViolation, DegenerateStateError
+from .errors import ConfigError, ContractViolation
 from .schema import check_fields, choice, integer, real
 
 # Smallest normal float: a kept posterior mass below it has lost precision.
@@ -160,8 +161,7 @@ class PrunePolicy:
     """Hypothesis pruning: drop below a posterior-mass threshold
     ``epsilon``, or keep the top ``max_live``. 0 turns either off, and
     setting both is refused, so each policy has one form (and one manifest
-    form); ``kind`` names it: ``none``, ``threshold`` or ``top-m``. Run
-    length 0 is never pruned.
+    form). Run length 0 is never pruned.
 
     The policies read the posterior ``recursion_step`` takes from the grown
     weights, in which an entry whose weight ``exp(lw - max)`` is below
@@ -176,10 +176,6 @@ class PrunePolicy:
         check_fields(self)
         if self.epsilon and self.max_live:
             raise ConfigError(f"PrunePolicy.epsilon and .max_live are mutually exclusive: {self}")
-
-    @property
-    def kind(self) -> str:
-        return "threshold" if self.epsilon else "top-m" if self.max_live else "none"
 
     @classmethod
     def threshold(cls, epsilon: float) -> "PrunePolicy":
@@ -323,8 +319,9 @@ def recursion_step(
         total = math.nan
     if not math.isfinite(total):
         _check_log_psi(log_psi, log_psi_reset)
-        raise DegenerateStateError(
-            f"all joint weights vanished at t={state.t + 1}; observation numerically impossible"
+        raise ContractViolation(
+            f"the joint weights at t={state.t + 1} sum to exp({total}): log_psi and"
+            " log_psi_reset must leave the step a finite, nonzero mass"
         )
 
     if state.dense:

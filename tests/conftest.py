@@ -1,8 +1,10 @@
 import numpy as np
 from hypothesis import HealthCheck, settings
 
-from streamcpd import HazardConfig, LabelCounts, RunLengthState, recursion_step
+from streamcpd import HazardConfig
+from streamcpd.crp import LabelCounts
 from streamcpd.emission import _gradients
+from streamcpd.runlength import RunLengthState, recursion_step
 
 settings.register_profile(
     "default",

@@ -27,16 +27,8 @@ from itertools import combinations
 
 import numpy as np
 
-from streamcpd import (
-    ClassTable,
-    ContractViolation,
-    DetectorConfig,
-    EmissionParams,
-    NigParams,
-    decay_rates,
-    em_step,
-    spawn_candidate,
-)
+from streamcpd import ContractViolation, DetectorConfig, EmissionParams, NigParams
+from streamcpd.emission import ClassTable, decay_rates, em_step, spawn_candidate
 from streamcpd.detector import _fixed_k_offsets
 from streamcpd.schema import field_spec
 
@@ -275,12 +267,12 @@ class LatentReference(_ReferenceTrellis):
     def __init__(self, cfg: DetectorConfig):
         super().__init__(cfg)
         if cfg.mode == "infinite":
-            self.rule, self.log_reset, k = (0.0, cfg.alpha, cfg.alpha), 0.0, 0
+            self.rule, self.log_reset = (0.0, cfg.alpha, cfg.alpha), 0.0
         else:
             k, beta = cfg.k_fixed, cfg.dirichlet_beta
             self.rule, self.log_reset = (beta, beta, k * beta), math.log(1.0 / k)
         self.table = ClassTable(
-            max(8, k), var_floor=cfg.var_floor, log_space=cfg.log_var_update, decay=cfg.decay,
+            var_floor=cfg.var_floor, log_space=cfg.log_var_update, decay=cfg.decay,
             eta_init=cfg.eta_init, candidate=cfg.candidate,
         )
         self.labels, self.counts = [], Counter()

@@ -349,9 +349,10 @@ def _cli_run(tmp_path, values, *flags, out="o"):
     return out
 
 
-def _trace_files(result) -> dict:
-    """The trace files of a library run, each row formatted on its own
-    from the step's values (``cli._fmt`` gives 17 significant digits)."""
+def _trace_files(result, series) -> dict:
+    """The trace files of a library run of ``series``, each row formatted on
+    its own from the step's values (``cli._fmt`` gives 17 significant
+    digits)."""
     fmt = cli._fmt
     files = {
         "assignments.csv": ["t,x,z_star,k_t\n"],
@@ -359,7 +360,7 @@ def _trace_files(result) -> dict:
         "posterior.csv": ["t,r,mass\n"],
         "changepoints.csv": ["t\n"] + [f"{t}\n" for t in result.change_points],
     }
-    for s, x in zip(result.steps, result.series):
+    for s, x in zip(result.steps, series):
         files["assignments.csv"].append(f"{s.t},{fmt(x)},{s.z_star},{s.k_t}\n")
         files["runlength_map.csv"].append(f"{s.t},{s.r_star},{int(s.cp_flag)}\n")
         for r, mass in zip(s.rl_posterior.runs, s.rl_posterior.probs):
@@ -407,23 +408,20 @@ def test_emit_rows_match_a_per_value_loop(tmp_path):
     assert ((probs >= 1e-14) & (probs < cli.POSTERIOR_FILE_FLOOR)).any()
 
     out = _cli_run(tmp_path, series, "--mode", "baseline", "--prune", "0")
-    for name, text in _trace_files(result).items():
+    for name, text in _trace_files(result, series).items():
         assert (out / name).read_text() == text, name
 
 
 # -- svg --------------------------------------------------------------------
 
 
-def _svg_inputs(result):
+def _render(result, series, outdir):
+    """``trace.svg`` of a library run of ``series``, rendered into a group in
+    ``outdir``."""
     z_star = [s.z_star for s in result.steps]
     r_star = [s.r_star for s in result.steps]
-    return result.series, z_star, r_star, result.change_points
-
-
-def _render(result, outdir):
-    """``trace.svg`` of a library run, rendered into a group in ``outdir``."""
     with cli._Outputs(outdir) as out:
-        path = render_svg(*_svg_inputs(result), out)
+        path = render_svg(series, z_star, r_star, result.change_points, out)
         out.commit()
     return path
 
@@ -445,14 +443,15 @@ def test_render_svg_distinct_class_hues(tmp_path):
     cfg = DetectorConfig(alpha=0.25, candidate=CandidatePolicy(var_init=2.0), seed=1)
     result = run(series, cfg)
     assert result.final_k == 3
-    root = ET.parse(_render(result, tmp_path)).getroot()
+    root = ET.parse(_render(result, series, tmp_path)).getroot()
     hues = {c.get("fill") for c in root.iter("{http://www.w3.org/2000/svg}circle")}
     assert len(hues) == 3
 
 
 def test_render_svg_is_well_formed_xml(tmp_path):
-    result = run(np.random.default_rng(0).normal(0, 1, 10), DetectorConfig())
-    ET.parse(_render(result, tmp_path))  # raises on malformed markup
+    series = np.random.default_rng(0).normal(0, 1, 10)
+    result = run(series, DetectorConfig())
+    ET.parse(_render(result, series, tmp_path))  # raises on malformed markup
 
 
 # -- scoring ------------------------------------------------------------------
@@ -765,21 +764,37 @@ def test_cli_run_without_input_is_config_error(tmp_path):
     assert main(["run", "--out", str(tmp_path / "o")]) == 2
 
 
-@pytest.mark.parametrize("name", ["assignments.csv.part", "assignments.csv", "manifest"])
-def test_cli_run_refuses_an_input_it_would_write(tmp_path, capsys, name):
+@pytest.mark.parametrize(
+    "name", ["assignments.csv.part", "assignments.csv", "manifest", "changepoints.csv", "trace.svg"]
+)
+def test_cli_run_refuses_an_input_it_would_write(tmp_path, capsys, monkeypatch, name):
     # An input that is one of the run's part files was truncated by its
     # opening before a row was read, and an input that is one of its
     # targets was replaced by the trace. Either is now a config error,
     # naming --input, that leaves the input as it was and makes nothing.
+    # The files written after the trace are refused before any step too:
+    # an input at o/manifest was once stepped through to its end first.
+    from streamcpd.detector import Detector
+
+    steps = []
+    step = Detector.step
+
+    def counted(self, x):
+        steps.append(x)
+        return step(self, x)
+
+    monkeypatch.setattr(Detector, "step", counted)
     out = tmp_path / "o"
     out.mkdir()
     p = out / name
     p.write_text("x\n1\n2\n3\n")
-    assert main(["run", "--input", str(p), "--out", str(out)]) == 2
+    svg = ["--svg"] if name == "trace.svg" else []
+    assert main(["run", "--input", str(p), "--out", str(out), *svg]) == 2
     err = capsys.readouterr().err
     assert err.startswith("config error: --input and ") and err.rstrip().endswith(name)
     assert p.read_bytes() == b"x\n1\n2\n3\n"
     assert list(out.iterdir()) == [p]
+    assert steps == []
 
 
 def test_cli_manifest_reproduces_run_byte_identical(tmp_path):
@@ -811,10 +826,11 @@ def test_cli_files_equal_emit_traces_of_run(tmp_path, mode, prune):
     assert main(["run", "--config", str(f), "--out", str(out), "--svg"]) == 0
 
     cfg, _ = parse_config(config_file=f)
-    result = run(list(_read_column(path)), cfg)
-    for name, text in _trace_files(result).items():
+    series = list(_read_column(path))
+    result = run(series, cfg)
+    for name, text in _trace_files(result, series).items():
         assert (out / name).read_text() == text, name
-    svg = _render(result, tmp_path / "lib")
+    svg = _render(result, series, tmp_path / "lib")
     assert (out / "trace.svg").read_bytes() == svg.read_bytes()
 
 
@@ -988,7 +1004,7 @@ def test_cli_interrupt_leaves_no_part_file(tmp_path, monkeypatch):
     step = Detector.step
 
     def interrupted(self, x):
-        if self.t == 80:  # after the first block of rows was written
+        if self.rl.t == 80:  # after the first block of rows was written
             raise KeyboardInterrupt
         return step(self, x)
 

@@ -220,8 +220,7 @@ def test_manifest_items_read_back_as_the_same_config(config_file, cfg):
 
 
 def test_config_leaves_and_manifest_keys_match_one_to_one():
-    # Every settable value has a manifest key and every key sets one value:
-    # PrunePolicy.kind, derived from its two numbers, had no key.
+    # Every settable value has a manifest key and every key sets one value.
     leaves = []
     for f in dataclasses.fields(DetectorConfig):
         item = field_spec(DetectorConfig, f.name).item

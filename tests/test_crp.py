@@ -6,7 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from streamcpd import ContractViolation, LabelCounts
+from streamcpd import ContractViolation
+from streamcpd.crp import LabelCounts
 
 from conftest import all_canonical_sequences, crp_rule, dirichlet_rule, random_canonical_labels
 from reference import sequence_probability
@@ -97,7 +98,7 @@ def test_run_predictive_gathers_the_new_table_numerator(alpha):
     lc = _counts_with_labels(random_canonical_labels(rng, 40) + [1, 2, 3] * 120, alpha)
     runs = np.unique(np.r_[0, rng.choice(lc.t + 1, 60, replace=False), lc.t])
     for k in range(1, lc.k + 2):
-        w = lc.window_counts(k, runs)
+        w = lc._window_counts(k, runs, dense=False)[0]
         want = np.where(w > 0, w, alpha) / (runs + alpha)
         np.testing.assert_array_equal(lc.window_predictive(k, runs), want)
 
@@ -129,7 +130,8 @@ def test_record_first_assignment():
     lc = LabelCounts()
     lc.record(1)
     assert lc.t == 1
-    np.testing.assert_array_equal(lc.window_counts(1, np.arange(lc.t + 1)), [0, 1])
+    w = lc._window_counts(1, np.arange(lc.t + 1), dense=False)[0]
+    np.testing.assert_array_equal(w, [0, 1])
     assert lc.k == 1
     np.testing.assert_array_equal(lc.m[: lc.k], [1])
 
@@ -158,7 +160,7 @@ def test_record_long_random_stream_invariants(seed):
     # whole history's agrees with the totals
     ends = np.array(labels[::-1])
     for k in range(1, lc.k + 1):
-        w = lc.window_counts(k, np.arange(lc.t + 1))
+        w = lc._window_counts(k, np.arange(lc.t + 1), dense=False)[0]
         np.testing.assert_array_equal(w, np.r_[0, np.cumsum(ends == k)])
         assert w[-1] == labels.count(k) == lc.m[k - 1]
 
@@ -207,12 +209,13 @@ def test_label_counts_window_queries_match_brute_force(labels, queries):
         t = i + 1
         runs, dense = _query(kind, t, seed)
         want = [labels[t - r : t].count(k) for r in runs]
-        np.testing.assert_array_equal(lc.window_counts(k, runs, dense), want)
+        np.testing.assert_array_equal(lc._window_counts(k, runs, dense)[0], want)
         assert lc.m[k - 1] == labels[:t].count(k)
     t = len(labels)
     for k in range(1, 7):
         want = [labels[t - r :].count(k) for r in range(t + 1)]
-        np.testing.assert_array_equal(lc.window_counts(k, np.arange(t + 1)), want)
+        w = lc._window_counts(k, np.arange(t + 1), dense=False)[0]
+        np.testing.assert_array_equal(w, want)
     np.testing.assert_array_equal(lc.m[:6], [labels.count(k) for k in range(1, 7)])
 
 
@@ -279,9 +282,9 @@ def test_ledger_rule_equals_the_crp_and_dirichlet_formulas(dirichlet, conc, clas
 @pytest.mark.parametrize("k", [1, 2])  # class 1's counts are rebuilt, 2's are kept
 def test_label_counts_reject_windows_outside_the_history(runs, k):
     lc = _counts_with_labels([1, 2, 2, 2])
-    lc.window_counts(2, np.arange(5))
+    lc._window_counts(2, np.arange(5), dense=False)
     with pytest.raises(ContractViolation):
-        lc.window_counts(k, np.array(runs))
+        lc._window_counts(k, np.array(runs), dense=False)
 
 
 @pytest.mark.parametrize("k", [1, 2])
@@ -290,10 +293,10 @@ def test_unsorted_window_query_is_not_read_as_dense(k):
     # holding trellis run lengths may say a query is dense.
     labels = [1, 2, 2, 2]
     lc = _counts_with_labels(labels)
-    lc.window_counts(2, np.arange(5))
+    lc._window_counts(2, np.arange(5), dense=False)
     runs = np.array([2, 0, 2])
     want = [labels[4 - r :].count(k) for r in runs]
-    np.testing.assert_array_equal(lc.window_counts(k, runs), want)
+    np.testing.assert_array_equal(lc._window_counts(k, runs, dense=False)[0], want)
     np.testing.assert_array_equal(
         lc.window_predictive(k, runs), np.where(want, want, 1.0) / (runs + 1.0)
     )
@@ -302,13 +305,13 @@ def test_unsorted_window_query_is_not_read_as_dense(k):
 @pytest.mark.parametrize("k", [1, 2])
 def test_dense_window_query_longer_than_the_history_is_refused(k):
     lc = _counts_with_labels([1, 2, 2, 2])
-    lc.window_counts(2, np.arange(5))
-    np.testing.assert_array_equal(lc.window_counts(k, np.arange(5), dense=True),
-                                  lc.window_counts(k, np.arange(5)))
+    lc._window_counts(2, np.arange(5), dense=False)
+    np.testing.assert_array_equal(lc._window_counts(k, np.arange(5), dense=True)[0],
+                                  lc._window_counts(k, np.arange(5), dense=False)[0])
     np.testing.assert_array_equal(lc.window_predictive(k, np.arange(5), dense=True),
                                   lc.window_predictive(k, np.arange(5)))
     with pytest.raises(ContractViolation):
-        lc.window_counts(k, np.arange(6), dense=True)
+        lc._window_counts(k, np.arange(6), dense=True)
     with pytest.raises(ContractViolation):
         lc.window_predictive(k, np.arange(6), dense=True)
 
@@ -317,7 +320,8 @@ def test_label_counts_window_queries():
     lc = LabelCounts()
     for z in [1, 2, 2, 3, 2]:
         lc.record(z)
-    np.testing.assert_array_equal(lc.window_counts(2, np.array([0, 1, 2, 3, 5])), [0, 1, 1, 2, 3])
+    w = lc._window_counts(2, np.array([0, 1, 2, 3, 5]), dense=False)[0]
+    np.testing.assert_array_equal(w, [0, 1, 1, 2, 3])
     np.testing.assert_array_equal(lc.m[:3], [1, 3, 1])
 
 

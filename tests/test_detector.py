@@ -1,4 +1,5 @@
 import copy
+import contextlib
 import dataclasses
 import hashlib
 import itertools
@@ -23,19 +24,17 @@ from streamcpd import (
     DetectorConfig,
     HazardConfig,
     InputError,
-    LabelCounts,
     NigParams,
     PrunePolicy,
-    RunLengthState,
     SegmentSpec,
     gen_piecewise_gaussian,
-    recursion_step,
     run,
 )
 from streamcpd import detector, nig, runlength
+from streamcpd.crp import LabelCounts
 from streamcpd.detector import BaselineModel, _fixed_k_offsets
 from streamcpd.nig import _TABLE_CAP, _run_length_rows_past_cap, _run_length_table
-from streamcpd.runlength import logsumexp
+from streamcpd.runlength import RunLengthState, logsumexp, recursion_step
 
 from conftest import crp_rule, dirichlet_rule
 from reference import BaselineReference, LatentReference, brute_force_joint, nig_update
@@ -214,7 +213,7 @@ def test_refused_first_fixed_k_observation_leaves_no_classes():
     det = Detector(DetectorConfig(mode="fixed-k", eta_init=(1e300, 0.02)))
     with pytest.raises(InputError, match="t=1"):
         det.step(0.0)
-    assert det.t == 0
+    assert det.rl.t == 0
     assert det.params == []
 
 
@@ -250,10 +249,10 @@ def test_detector_resumes_from_a_copy_of_its_model_and_state(mode, prune):
         det.step(x)
     resumed = Detector(cfg)
     resumed.model, resumed.rl = copy.deepcopy(det.model), det.rl
-    assert resumed.t == det.t == 150
+    assert resumed.rl.t == det.rl.t == 150
     for x in series[150:]:
         _assert_same_step(resumed.step(x), det.step(x))
-        assert resumed.t == det.t
+        assert resumed.rl.t == det.rl.t
     assert sorted(vars(resumed)) == ["cfg", "model", "rl"]
 
 
@@ -287,7 +286,7 @@ def test_a_refused_observation_changes_nothing(mode, prune, lam, values):
         except InputError:
             continue
         _assert_same_step(got, b.step(x))
-    assert a.t == b.t
+    assert a.rl.t == b.rl.t
 
 
 def _steps_sha256(steps):
@@ -329,7 +328,7 @@ def test_observation_that_is_not_a_real_number_is_input_error(x):
     det.step(0.5)
     with pytest.raises(InputError, match="observation at t=2 is not a real number"):
         det.step(x)
-    assert det.t == 1
+    assert det.rl.t == 1
     assert det.step(0.5).t == 2
 
 
@@ -744,7 +743,7 @@ def test_infinite_window_predictive_while_numerator_table_grows(mode, conc, prun
 
     def checked(self, k, runs, dense=False):
         got = window_predictive(self, k, runs, dense)
-        w = ledger.window_counts(k, runs)
+        w = ledger._window_counts(k, runs, dense=False)[0]
         if mode == "infinite":
             want = np.where(w > 0, w, conc) / (runs + conc)
         else:
@@ -765,7 +764,7 @@ def test_infinite_window_predictive_while_numerator_table_grows(mode, conc, prun
         ledger.record(z)
     sizes, dense = [c[1] for c in calls], [c[2] for c in calls]
     assert len(sizes) == 300
-    if prune.kind == "none":  # run lengths reach 299
+    if not (prune.epsilon or prune.max_live):  # run lengths reach 299
         assert sizes[0] < 300 <= sizes[-1]
         assert all(dense)
     else:
@@ -807,10 +806,11 @@ def test_dense_run_lengths_read_by_slices_as_by_gathers(labels, alpha, data):
             for z in labels:
                 lc.record(z)
             if hot:
-                lc.window_counts(k, np.arange(t + 1))
-            w = lc.window_counts(k, dense, dense=True)
+                lc._window_counts(k, np.arange(t + 1), dense=False)
+            w = lc._window_counts(k, dense, dense=True)[0]
             np.testing.assert_array_equal(w, want)
-            np.testing.assert_array_equal(lc.window_counts(k, sparse), w[keep])
+            w_sparse = lc._window_counts(k, sparse, dense=False)[0]
+            np.testing.assert_array_equal(w_sparse, w[keep])
             p = lc.window_predictive(k, dense, dense=True)
             np.testing.assert_array_equal(lc.window_predictive(k, dense), p)
             np.testing.assert_array_equal(lc.window_predictive(k, sparse), p[keep])
@@ -1013,7 +1013,7 @@ def test_baseline_overflowing_observation_is_degenerate(series):
     rl, live = det.rl, det.rl.columns
     with pytest.raises(InputError, match=f"t={len(series)}"):
         det.step(series[-1])
-    assert det.t == len(series) - 1 and det.rl is rl and det.rl.columns is live
+    assert det.rl.t == len(series) - 1 and det.rl is rl and det.rl.columns is live
     assert np.all(np.isfinite(live))
 
 
@@ -1029,7 +1029,7 @@ def test_baseline_far_observation_is_accepted(series):
     for x in np.random.default_rng(5).normal(0.0, 1.0, 20):
         out = det.step(x)
         assert out.rl_posterior.probs.sum() == pytest.approx(1.0, abs=1e-9)
-    assert det.t == len(series) + 20
+    assert det.rl.t == len(series) + 20
     assert np.all(np.isfinite(det.rl.log_weights))
     assert np.all(np.isfinite(det.rl.columns))
 
@@ -1046,7 +1046,7 @@ def test_baseline_column_near_overflow_refuses_later_observations():
     for x in np.random.default_rng(0).normal(0.0, 1.0, 5):
         with pytest.raises(InputError, match="t=5"):
             det.step(x)
-        assert det.t == 4 and det.rl is rl and det.rl.columns is live
+        assert det.rl.t == 4 and det.rl is rl and det.rl.columns is live
     assert np.all(np.isfinite(live))
 
 
@@ -1366,7 +1366,7 @@ def test_latent_long_run_matches_the_reference_detector(mode, prune, monkeypatch
     det, ref = Detector(cfg), LatentReference(cfg)
     for x in series.tolist():
         _check_latent_step(det, ref, x, _judged)
-    if prune.kind == "none":
+    if not (prune.epsilon or prune.max_live):
         assert det.model.counts._den.size == 1024 and runlength._DENSE.size == 1024
 
 
@@ -1438,7 +1438,7 @@ def test_largest_a0_steps_a_long_stream(prior):
     det = Detector(DetectorConfig(mode="baseline", baseline=baseline, prune=PrunePolicy.top_m(1)))
     for _ in range(3000):
         det.step(0.0)
-    assert det.t == 3000
+    assert det.rl.t == 3000
 
 
 @pytest.mark.parametrize("mode", ["infinite", "fixed-k", "baseline"])
@@ -1457,7 +1457,38 @@ def test_extreme_configs_in_range_step_ordinary_values(mode):
         det = Detector(DetectorConfig(mode=mode, **kw))
         for x in (0.0, 0.0, 0.0, 1.0, -1.0):
             det.step(x)
-        assert det.t == 5
+        assert det.rl.t == 5
+
+
+_RULE_ENDS = {
+    "infinite": [{"alpha": 5e-324}, {"alpha": 1e308}],
+    "fixed-k": [{"k_fixed": 1, "dirichlet_beta": 5e-324}, {"k_fixed": 300, "dirichlet_beta": 1e150}],
+    "baseline": [
+        {"baseline": NigParams(kappa=1e-150, a=1e150, b=5e-324)},
+        {"baseline": NigParams(mu=1e150, kappa=1e150, a=5e-324, b=1e150)},
+    ],
+}
+
+
+@pytest.mark.parametrize("prune", [PrunePolicy(), PrunePolicy.threshold(0.5), PrunePolicy.top_m(1)])
+@pytest.mark.parametrize("mode", ["infinite", "fixed-k", "baseline"])
+def test_no_step_reaches_the_trellis_failure_path(mode, prune):
+    # recursion_step refuses a step whose weights sum to 0 or overflow (it
+    # raised DegenerateStateError for the former). A detector never asks
+    # it: run length 0's weight, log h + log_psi[0] + evidence, is finite,
+    # since entry 0 of a latent log predictive is the log of a value in
+    # (0, 1], the baseline's is finite, and so is the evidence. Here, at the
+    # ends of the hazard's range and of each model's rule, on ordinary and
+    # extreme observations, every step returns or refuses its observation
+    # as an InputError, and each state keeps that weight and its evidence
+    # finite.
+    for lam, kw in itertools.product((1.0, 1e308), _RULE_ENDS[mode]):
+        det = Detector(DetectorConfig(mode=mode, hazard=HazardConfig(lam), prune=prune, **kw))
+        for x in (0.0, 1.0, -1.0, 1e-300, 5.0, 0.5, 2.0, 1e100, 1e154, -1e154):
+            with contextlib.suppress(InputError):
+                det.step(x)
+            assert math.isfinite(det.rl.log_weights[0]) and math.isfinite(det.rl.evidence_log)
+        assert det.rl.t > 0
 
 
 # -- known defects --------------------------------------------------------------

@@ -5,17 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from streamcpd import (
-    CandidatePolicy,
-    ClassTable,
-    ContractViolation,
-    DetectorConfig,
-    EmissionParams,
-    decay_rates,
-    em_step,
-    spawn_candidate,
-)
-from streamcpd.emission import m_step
+from streamcpd import CandidatePolicy, ContractViolation, DetectorConfig, EmissionParams
+from streamcpd.emission import ClassTable, decay_rates, em_step, m_step, spawn_candidate
 
 from conftest import gaussian_gradients
 from reference import emission_loglik, finite_difference
@@ -38,7 +29,7 @@ _RULE = dict(
 
 def _table(*params, **rule):
     """A table holding ``params``, under the default rule but for ``rule``."""
-    table = ClassTable(len(params), **{**_RULE, **rule})
+    table = ClassTable(**{**_RULE, **rule})
     for p in params:
         table.push(p.mu, p.var, p.eta_mu, p.eta_var, p.born_at)
     return table
@@ -222,7 +213,7 @@ def test_decay_rejects_bad_winner():
 def test_table_refuses_a_decay_outside_the_unit_interval(decay):
     # The rule is checked once, when the table is built, not at every win.
     with pytest.raises(ContractViolation, match="decay must lie in"):
-        ClassTable(1, **{**_RULE, "decay": decay})
+        ClassTable(**{**_RULE, "decay": decay})
 
 
 def test_rates_never_increase_under_mixed_updates():
@@ -269,11 +260,12 @@ def test_spawn_clamps_variance_to_floor():
 
 
 def test_table_grows_past_capacity_and_round_trips():
-    params = [_p(mu=float(i), var=1.0 + i, eta_mu=0.5, eta_var=0.01) for i in range(11)]
-    table = ClassTable(capacity=2, **_RULE)
+    # The table starts at 8 columns; 19 pushes double it twice.
+    params = [_p(mu=float(i), var=1.0 + i, eta_mu=0.5, eta_var=0.01) for i in range(19)]
+    table = ClassTable(**_RULE)
     for i, p in enumerate(params):
         table.push(p.mu, p.var, p.eta_mu, p.eta_var, born_at=i)
-    assert table.n == 11
+    assert table.n == 19
     assert table.params() == [
         EmissionParams(p.mu, p.var, p.eta_mu, p.eta_var, born_at=i) for i, p in enumerate(params)
     ]

@@ -10,15 +10,8 @@ import pytest
 from scipy.stats import t as student_t
 
 import streamcpd
-from streamcpd import (
-    Detector,
-    DetectorConfig,
-    NigParams,
-    PrunePolicy,
-    RunLengthState,
-    detector,
-    nig,
-)
+from streamcpd import Detector, DetectorConfig, NigParams, PrunePolicy, detector, nig
+from streamcpd.runlength import RunLengthState
 
 # a0 from 256 up seeds the run-length table from the series of D(a); kappa
 # reaches its 1e-150 bound.

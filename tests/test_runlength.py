@@ -10,17 +10,13 @@ from streamcpd import (
     ChangePointRule,
     ConfigError,
     ContractViolation,
-    DegenerateStateError,
     Detector,
     DetectorConfig,
     HazardConfig,
     PrunePolicy,
-    RunLengthState,
-    recursion_step,
 )
-
 from streamcpd import detector, runlength
-from streamcpd.runlength import _TINY, logsumexp
+from streamcpd.runlength import _TINY, RunLengthState, logsumexp, recursion_step
 
 from conftest import random_canonical_labels, trellis_joint
 from reference import brute_force_joint
@@ -275,7 +271,7 @@ def test_recursion_accepts_zero_predictive():
 
 
 def test_recursion_all_zero_mass_degenerates():
-    with pytest.raises(DegenerateStateError):
+    with pytest.raises(ContractViolation, match="finite, nonzero mass"):
         recursion_step(RunLengthState.initial(), _log([0.0]), HazardConfig(1.0), _log(0.0))
 
 
@@ -317,7 +313,7 @@ def test_normalize_all_zero_raises():
     # Every predictive 0 on a state with mass: no grown weight is left to
     # normalize.
     state = _state(np.arange(2), np.zeros(2), 1)
-    with pytest.raises(DegenerateStateError):
+    with pytest.raises(ContractViolation, match="finite, nonzero mass"):
         recursion_step(state, np.full(2, -np.inf), HazardConfig(2.0), -math.inf)
 
 
@@ -405,7 +401,7 @@ def _prune_by_mask(grown, posterior, policy):
     # trellis: the entries at or above the threshold, or the top m by a
     # stable sort, plus run length 0. None when the survivors carry no
     # mass, which the step refuses.
-    if policy.kind == "threshold":
+    if policy.epsilon:
         keep = posterior >= policy.epsilon
         keep[0] = True
     else:
@@ -527,7 +523,7 @@ def test_prune_equals_a_mask_reference(pairs, gaps, log_psi_reset, pick):
     state = _state(runs, lw, int(runs[-1]))
     try:
         _, _, posterior, _ = recursion_step(state, log_psi, _HZ, log_psi_reset)
-    except DegenerateStateError:
+    except ContractViolation:  # no mass left: the detector never asks this
         assume(False)
     kind, value = pick
     if kind == "threshold":
