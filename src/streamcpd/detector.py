@@ -3,11 +3,13 @@
 One run-length recursion, fed by a predictive model chosen once per mode
 (the "underlying predictive model" of Adams & MacKay, 2007):
 
-- ``infinite`` (:class:`InfiniteModel`): latent classes under a CRP; a
-  candidate class is spawned every step and kept only if the MAP assignment
-  picks it. Predictive: the CRP window predictive of the MAP labels.
-- ``fixed-k`` (:class:`FixedKModel`): K fixed classes under a symmetric
-  Dirichlet prior. Predictive: the Dirichlet-categorical window predictive.
+- ``infinite`` (:class:`LatentModel`, ``k_fixed`` None): latent classes
+  under a CRP; a candidate class is spawned every step and kept only if the
+  MAP assignment picks it. Predictive: the CRP window predictive of the MAP
+  labels.
+- ``fixed-k`` (:class:`LatentModel`, ``k_fixed`` K): K fixed classes under
+  a symmetric Dirichlet prior. Predictive: the Dirichlet-categorical window
+  predictive.
 - ``baseline`` (:class:`BaselineModel`): no latent layer. Predictive: the
   Normal-Inverse-Gamma Student-t on the raw observations (``nig.py``).
 
@@ -31,7 +33,7 @@ trellis step to succeed:
 - ``predict`` alone can refuse an observation. On one that overflows its
   arithmetic it raises ``FloatingPointError``, which :meth:`Detector.step`
   turns into ``InputError`` naming the model's ``layer``, with the model
-  as it was: the latent models record the step's label after everything
+  as it was: the latent model records the step's label after everything
   that can raise.
 - After a ``predict`` that returned, ``recursion_step`` cannot raise: the
   latent log predictives are logs of values in [0, 1], entry 0's in (0, 1],
@@ -53,16 +55,18 @@ with it the hidden tail, alive.
 A latent model is its two tables: a :class:`ClassTable`, which owns the
 emission rule (see ``emission.py``), and a :class:`LabelCounts` ledger of
 the MAP labels, which owns the seating rule ``num(w) / (n + c)`` (see
-``crp.py``); it reads no config field once built. Both latent models run
-one ``predict``: a single SGD-EM pass over the table (E-step, M-step and
+``crp.py``); it reads no config field once built. One ``predict`` serves
+both latent modes: a single SGD-EM pass over the table (E-step, M-step and
 MAP assignment from shared intermediates, committed only on success), the
 winner's rate decay, and the ledger's two predictives, the class prior over
 the whole history and the window predictive of the MAP label at every live
-run length, read by slices on dense run lengths. It makes new classes in
-one place, a ``_spawn`` hook inside the step's rollback, and records the
-step's label last. So the two models differ only in the rule's constants
-they give the ledger and in what the hook pushes (the infinite mode's
-candidate, or the fixed-k fan-out at the first step).
+run length, read by slices on dense run lengths. It opens new classes
+inside the step's rollback and records the step's label last. The modes'
+differences are data, set once in the constructor: the rule's constants
+the ledger is built with, and ``k_fixed``, which says how classes are
+opened (None: the infinite mode's candidate at every step; K: the fixed-k
+fan-out at the first step). The symmetric Dirichlet tends to the CRP as K
+grows with K beta held at alpha (Neal 2000, JCGS 9(2), section 3).
 
 The runtime needs only numpy and the standard library.
 """
@@ -193,42 +197,59 @@ class RunResult:
     params: list[EmissionParams]
 
 
-class _LatentModel:
-    """What the two latent models share: the class table, which owns the
-    emission rule (see ``emission.py``), the ledger of MAP labels, which
-    owns the seating rule (see ``crp.py``), and one ``predict``, which
-    appends the step's label to the ledger. A latent model is those two
-    tables; it reads no config field once built and has no columns per
-    run-length hypothesis.
+class LatentModel:
+    """The latent modes' model, a class table and a ledger of MAP labels
+    (see the module docstring). Its mode is data, set here: the ledger's
+    seating-rule constants, ``num(w) = w + smoothing`` above ``num(0) =
+    unseen``, and ``c``, whose empty window ``unseen / c`` is the reset
+    predictive; and ``k_fixed``, which says how classes are opened.
 
-    A subclass gives the constants of the ledger's seating rule ``num(w) /
-    (n + c)``: ``num(w) = w + smoothing`` above ``num(0) = unseen``, and
-    ``c``. The ledger answers the class prior and the window predictive
-    from them; the latter's empty window, ``unseen / c``, is the reset
-    predictive. A subclass also sets ``_spawn(x, t)``, which pushes the
-    step's new classes onto the table inside ``predict``'s rollback."""
+    - ``infinite``: smoothing 0 and unseen = c = alpha. The class prior is
+      ``m_k / (t + alpha)`` with the new-table mass alpha at the candidate,
+      and the window predictive ``w / (r + alpha)`` with alpha at w = 0.
+      ``k_fixed`` is None: a candidate is spawned every step.
+    - ``fixed-k``: smoothing = unseen = beta and c = K beta, the symmetric
+      Dirichlet: the class prior is ``(m_k + beta) / (t + K beta)`` and the
+      window predictive ``(w + beta) / (r + K beta)``. The table starts
+      empty, and the first step fans its K classes out around its
+      observation at normal quantiles, which is deterministic and breaks
+      the symmetry that would otherwise keep all K classes identical
+      forever; a refused first observation leaves it empty."""
 
     layer = "emission"  # the layer an overflow names
 
-    def __init__(self, cfg: DetectorConfig, smoothing: float, unseen: float, c: float):
+    def __init__(self, cfg: DetectorConfig):
         self.table = ClassTable(
             var_floor=cfg.var_floor, log_space=cfg.log_var_update,
             decay=cfg.decay, eta_init=cfg.eta_init, candidate=cfg.candidate,
         )
-        self.counts = LabelCounts(smoothing=smoothing, unseen=unseen, c=c)
+        if cfg.mode == "infinite":
+            self.k_fixed = None
+            self.counts = LabelCounts(smoothing=0.0, unseen=cfg.alpha, c=cfg.alpha)
+        else:
+            kf, beta = cfg.k_fixed, cfg.dirichlet_beta
+            self.k_fixed = kf
+            self.counts = LabelCounts(smoothing=beta, unseen=beta, c=kf * beta)
 
     def predict(self, x: float, state: RunLengthState):
         """One SGD-EM step over the class table under the class prior, then
         the winner's rate decay, the window predictive of the MAP label over
         the earlier labels, and the ledger's record of that label. The
-        classes ``_spawn`` pushes take the last columns and are kept only if
-        the MAP assignment picks one of them; the prior covers every column,
-        seen or not. An observation that overflows the arithmetic raises
+        classes opened this step (the candidate, or fixed-k's first-step
+        fan-out) take the last columns and are kept only if the MAP
+        assignment picks one of them; the prior covers every column, seen
+        or not. An observation that overflows the arithmetic raises
         ``FloatingPointError`` and leaves the model as it was."""
         table, counts = self.table, self.counts
         k_prev = table.n
+        t = state.t + 1
         try:
-            self._spawn(x, state.t + 1)
+            if self.k_fixed is None:
+                spawn_candidate(table, x, born_at=t)
+            elif not k_prev:
+                var0 = table.var0
+                for o in _fixed_k_offsets(self.k_fixed):
+                    table.push(float(x + math.sqrt(var0) * o), var0, *table.eta_init, born_at=t)
             resp, z_star = em_step(table, x, counts.class_prior(table.n))
         except FloatingPointError:
             table.n = k_prev
@@ -241,48 +262,6 @@ class _LatentModel:
         psi = counts.window_predictive(z_star, state.run_lengths, state.dense)
         counts.record(z_star)
         return np.log(psi), z_star, table.n, resp, None
-
-
-class InfiniteModel(_LatentModel):
-    """``infinite``: classes under a CRP and a candidate spawned every step.
-    The rule's constants are smoothing 0 and unseen = c = alpha: the class
-    prior is ``m_k / (t + alpha)`` with the new-table mass alpha at the
-    candidate, and the window predictive of the MAP labels is ``w / (r +
-    alpha)`` with alpha at w = 0, so the empty window's is alpha / alpha =
-    1."""
-
-    def __init__(self, cfg: DetectorConfig):
-        super().__init__(cfg, smoothing=0.0, unseen=cfg.alpha, c=cfg.alpha)
-
-    def _spawn(self, x: float, t: int) -> None:
-        spawn_candidate(self.table, x, born_at=t)
-
-
-class FixedKModel(_LatentModel):
-    """``fixed-k``: K classes under a symmetric Dirichlet prior. The rule's
-    constants are smoothing = unseen = beta and c = K beta: the class prior
-    is ``(m_k + beta) / (t + K beta)``, and the Dirichlet-categorical window
-    predictive of the MAP labels ``(w + beta) / (r + K beta)``, so the empty
-    window's is beta / (K beta). The table starts empty, and the first step
-    fans its K classes out around its observation, so a refused first
-    observation leaves it empty."""
-
-    def __init__(self, cfg: DetectorConfig):
-        kf, beta = cfg.k_fixed, cfg.dirichlet_beta
-        super().__init__(cfg, smoothing=beta, unseen=beta, c=kf * beta)
-        self.k_fixed = kf
-
-    def _spawn(self, x: float, t: int) -> None:
-        """At the first step, the K classes at the candidate's start: their
-        means fan out around x at normal quantiles, which is deterministic
-        and breaks the symmetry that would otherwise keep all K classes
-        identical forever."""
-        table = self.table
-        if table.n:
-            return
-        var0 = table.var0
-        for o in _fixed_k_offsets(self.k_fixed):
-            table.push(float(x + math.sqrt(var0) * o), var0, *table.eta_init, born_at=t)
 
 
 class BaselineModel:
@@ -302,9 +281,6 @@ class BaselineModel:
         return log_psi, 1, 1, _ONE, grown
 
 
-_MODELS = {"infinite": InfiniteModel, "fixed-k": FixedKModel, "baseline": BaselineModel}
-
-
 class Detector:
     """Single-writer streaming detector; feed observations via :meth:`step`.
 
@@ -322,7 +298,7 @@ class Detector:
 
     def __init__(self, cfg: DetectorConfig):
         self.cfg = cfg
-        self.model = _MODELS[cfg.mode](cfg)
+        self.model = BaselineModel(cfg) if cfg.mode == "baseline" else LatentModel(cfg)
         self.rl = RunLengthState.initial()
 
     @property

@@ -156,15 +156,6 @@ class CandidatePolicy:
     __post_init__ = check_fields
 
 
-def _log_prior(class_prior, n: int) -> np.ndarray:
-    """Log of the class prior over ``n`` classes; a zero entry gives -inf,
-    so the caller ignores numpy's divide-by-zero flag."""
-    prior = np.asarray(class_prior, dtype=float)
-    if prior.size != n or n == 0:
-        raise ContractViolation(f"{prior.size} prior entries for {n} classes")
-    return np.log(prior)
-
-
 def _gradients(gamma, d, d2, two_var, var):
     """Gradient of gamma * log N(x; mu, var) w.r.t. (mu, var), from d = x -
     mu, d2 = d * d and two_var = 2 var."""
@@ -216,8 +207,12 @@ def em_step(table: ClassTable, x: float, class_prior) -> tuple[np.ndarray, int]:
     live = table.live()
     var = live[1]
     x = np.array(x, dtype=float)
+    prior = np.asarray(class_prior, dtype=float)
+    if prior.size != table.n or table.n == 0:
+        raise ContractViolation(f"{prior.size} prior entries for {table.n} classes")
     with np.errstate(over="raise", invalid="raise", divide="ignore"):
-        log_prior = _log_prior(class_prior, table.n)
+        # A zero prior entry gives a log prior of -inf: divide is ignored.
+        log_prior = np.log(prior)
         d = x - live[0]
         d2 = d * d
         two_var = _TWO * var

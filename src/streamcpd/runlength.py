@@ -188,7 +188,7 @@ class PrunePolicy:
     def top_m(cls, m: int) -> "PrunePolicy":
         policy = cls(max_live=m)
         if not policy.max_live:
-            raise ContractViolation("top-m pruning must keep at least one hypothesis")
+            raise ConfigError("top-m pruning must keep at least one hypothesis")
         return policy
 
 

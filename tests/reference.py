@@ -12,7 +12,9 @@ detector calls:
 - :class:`BaselineReference` and :class:`LatentReference`, plain detectors
   every step of each mode is checked against;
 - :func:`finite_difference`, central differences for gradient checks;
-- :func:`nmi`, the normalized mutual information of two labelings.
+- :func:`nmi`, the normalized mutual information of two labelings;
+- :func:`cusum_oracle`, CUSUM given the true regime means, the delay
+  yardstick of the quality scorecard.
 
 Tests import it as they import ``conftest``; it is not part of the package.
 """
@@ -341,3 +343,24 @@ def nmi(a, b) -> float:
     mi = np.sum(joint[nz] * np.log(joint[nz] / np.outer(pa, pb)[nz]))
     h = -np.sum(pa * np.log(pa)) - np.sum(pb * np.log(pb))
     return max(0.0, float(2.0 * mi / h)) if h > 0 else 1.0
+
+
+def cusum_oracle(series, means, h: float) -> list[int]:
+    """The steps (1-based) at which one-sided CUSUM alarms on a unit-variance
+    series whose mean alternates between the two known regime means
+    ``means = (m0, m1)``, starting in m0 (Page 1954). Each step adds the log
+    likelihood ratio of the other regime's mean against the current one's,
+    ``(m1 - m0) (x - (m0 + m1) / 2)``, to a sum floored at 0; the sum reaching
+    ``h`` is an alarm, after which the sum restarts at 0 and the two means
+    swap. With the true pre- and post-change laws, CUSUM has the least
+    worst-case delay for its false-alarm rate (Lorden 1971)."""
+    if not (h > 0):
+        raise ContractViolation(f"threshold must be positive, got {h!r}")
+    now, other = (float(m) for m in means)
+    s, alarms = 0.0, []
+    for t, x in enumerate(series, 1):
+        s = max(0.0, s + (other - now) * (float(x) - 0.5 * (now + other)))
+        if s >= h:
+            alarms.append(t)
+            s, now, other = 0.0, other, now
+    return alarms

@@ -13,9 +13,21 @@
   apart, in the latent modes, at alpha 1 and 2 and at scales 1e4 and 1e-2:
   labels used over true regimes, NMI against the true regimes, and F1 of
   the change points. ``pytest -s`` prints the table.
+- Delay: on the 1 and 2 sigma gap series, the changes each mode flags
+  before the next change and the median and p90 of their delays, beside
+  the oracle CUSUM that knows both regimes' means, at the detectors' own
+  false-alarm budget ln(lam); and the flags per 10^4 steps of each on the
+  stationary series. ``pytest -s`` prints the table.
+- Mixtures: six segments whose samples come from the same three atoms
+  N(0, 1), N(8, 1) and N(16, 1), in proportions that alternate, so only
+  the class mix changes: the case the latent layer is for. Changes found
+  within 100 steps, their median delay, the flags that match no change,
+  and the final class count. ``pytest -s`` prints the table.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 import pytest
@@ -23,7 +35,7 @@ import pytest
 from streamcpd import DetectorConfig, PrunePolicy, SegmentSpec, gen_piecewise_gaussian, run
 from streamcpd.cli import score_changepoints
 
-from reference import nmi
+from reference import cusum_oracle, nmi
 
 MODES = ("infinite", "fixed-k", "baseline")
 STATIONARY_T = 2000
@@ -82,17 +94,30 @@ MATCHED_FLOOR = {
 
 
 @pytest.fixture(scope="module")
-def gap_scores() -> dict:
-    """Each (mode, gap) cell's ``(pairs, precision, recall, mean delay)``
-    on seed 0."""
-    scores = {}
+def gap_runs() -> dict:
+    """Each gap's ``(series, true change points, {mode: flags})`` on seed 0,
+    at top-m 100."""
+    runs = {}
     for gap in GAPS:
         segments = [SegmentSpec(GAP_LENGTH, gap * (i % 2), 1.0) for i in range(GAP_SEGMENTS)]
         series, truth, _ = gen_piecewise_gaussian(segments, 0)
-        for mode in MODES:
-            res = run(series, DetectorConfig(mode=mode, prune=PRUNES["top-m-100"]))
-            scores[mode, gap] = score_changepoints(res.change_points, truth, TOLERANCE)
-    return scores
+        flags = {
+            mode: run(series, DetectorConfig(mode=mode, prune=PRUNES["top-m-100"])).change_points
+            for mode in MODES
+        }
+        runs[gap] = series, truth, flags
+    return runs
+
+
+@pytest.fixture(scope="module")
+def gap_scores(gap_runs) -> dict:
+    """Each (mode, gap) cell's ``(pairs, precision, recall, mean delay)``
+    on seed 0."""
+    return {
+        (mode, gap): score_changepoints(flags[mode], truth, TOLERANCE)
+        for gap, (_, truth, flags) in gap_runs.items()
+        for mode in MODES
+    }
 
 
 @pytest.mark.parametrize("mode, gap", MATCHED_FLOOR, ids=[f"{m}-{g:g}sigma" for m, g in MATCHED_FLOOR])
@@ -242,6 +267,219 @@ def test_scaled_series_keep_their_regimes(regime_scores, cell):
              "its target is at least 0.9")
 def test_fixed_k_uses_a_label_per_regime_at_8_regimes(regime_scores):
     assert regime_scores["fixed-k-8"][0] >= 0.9
+
+
+DELAY_GAPS = (1.0, 2.0)
+# The oracle's threshold: the detectors' own false-alarm budget, ln(lam).
+ORACLE_H = math.log(DetectorConfig().hazard.lam)
+
+
+def detection_delays(flags, truth, length: int) -> list[int]:
+    """The delay of each true change flagged before the next one (or the
+    series' end): the first such flag's step less the change point."""
+    delays = []
+    for c, end in zip(truth, truth[1:] + [length]):
+        first = next((f for f in flags if c < f <= end), None)
+        if first is not None:
+            delays.append(first - c)
+    return delays
+
+
+def delay_cell(delays) -> tuple[int, float, float]:
+    """``(changes detected, median delay, p90 delay)``; NaN delays when no
+    change was detected."""
+    if not delays:
+        return 0, math.nan, math.nan
+    return len(delays), float(np.median(delays)), float(np.percentile(delays, 90))
+
+
+@pytest.fixture(scope="module")
+def delay_scores(gap_runs, stationary) -> dict:
+    """Each (mode or ``oracle``, gap) cell's ``(detected, median delay, p90
+    delay)`` on seed 0."""
+    scores = {}
+    for gap in DELAY_GAPS:
+        series, truth, flags = gap_runs[gap]
+        alarms = dict(flags, oracle=cusum_oracle(series, (0.0, gap), ORACLE_H))
+        for who, f in alarms.items():
+            scores[who, gap] = delay_cell(detection_delays(f, truth, series.size))
+    print(f"\ndelay cells: {GAP_SEGMENTS} x {GAP_LENGTH} samples, top-m 100, seed 0, "
+          f"oracle CUSUM at h = ln(lam) = {ORACLE_H:.2f}; a change is detected when "
+          f"flagged before the next")
+    print(f"{'gap':>5} {'who':>9} {'detected':>8} {'median':>6} {'p90':>6}")
+    for (who, gap), (detected, median, p90) in scores.items():
+        print(f"{gap:>5g} {who:>9} {detected:>8} {median:>6.1f} {p90:>6.1f}")
+    rates = {
+        mode: run(stationary, DetectorConfig(mode=mode, prune=PRUNES["top-m-100"])).change_points
+        for mode in MODES
+    }
+    for gap in DELAY_GAPS:
+        rates[f"oracle {gap:g}sigma"] = cusum_oracle(stationary, (0.0, gap), ORACLE_H)
+    print(f"flags per 10^4 steps on the stationary series ({STATIONARY_T} steps, top-m 100):")
+    for who, f in rates.items():
+        print(f"{who:>15} {len(f) * 1e4 / STATIONARY_T:>6.1f}")
+    return scores
+
+
+# Each cell's fewest changes detected, and its largest median and p90
+# delays (rounded up), over seeds 0-9 (numpy 2.4, Python 3.11). A cell
+# asserts its seed 0 run detects at least one change fewer, with delays at
+# most 5 (median) and 10 (p90) steps longer. Cells left out: fixed-k at
+# 1 sigma detected no change on any seed, so it is only printed; infinite
+# is held to the strict xfails below.
+DELAY_FLOOR = {
+    ("baseline", 1.0): (9, 40, 69),
+    ("baseline", 2.0): (9, 13, 17),
+    ("fixed-k", 2.0): (3, 203, 260),
+    ("oracle", 1.0): (9, 31, 54),
+    ("oracle", 2.0): (9, 8, 17),
+}
+
+
+@pytest.mark.parametrize("who, gap", DELAY_FLOOR, ids=[f"{w}-{g:g}sigma" for w, g in DELAY_FLOOR])
+def test_delay_cell_holds_its_floor(delay_scores, who, gap):
+    detected, median, p90 = delay_scores[who, gap]
+    want_detected, want_median, want_p90 = DELAY_FLOOR[who, gap]
+    assert detected >= want_detected - 1
+    assert median <= want_median + 5
+    assert p90 <= want_p90 + 10
+
+
+@pytest.mark.parametrize(
+    "gap",
+    [
+        pytest.param(1.0, marks=_xfail("3", "infinite detects none of the 9 changes at a 1-sigma "
+                                            "gap over seeds 0-9; its target is every change, with "
+                                            "a median delay at most 2x the oracle CUSUM's")),
+        pytest.param(2.0, marks=_xfail("3", "infinite detects 8-9 of the 9 changes at a 2-sigma "
+                                            "gap over seeds 0-9, with a median delay 1.9-6.8x the "
+                                            "oracle CUSUM's; its target is every change, at most 2x")),
+    ],
+    ids=["1sigma", "2sigma"],
+)
+def test_infinite_detects_every_gap_change_within_twice_the_oracle_delay(delay_scores, gap):
+    detected, median, _ = delay_scores["infinite", gap]
+    assert detected == GAP_SEGMENTS - 1
+    assert median <= 2 * delay_scores["oracle", gap][1]
+
+
+MIX_ATOMS = (0.0, 8.0, 16.0)
+MIX_SEGMENTS, MIX_LENGTH, MIX_WINDOW = 6, 300, 100
+MIX_CELLS = {
+    "mix": ((0.8, 0.1, 0.1), (0.1, 0.1, 0.8)),
+    "mix-hard": ((0.5, 0.3, 0.2), (0.2, 0.3, 0.5)),
+}
+
+
+def mixture_series(props, atoms, seg_len: int, n_seg: int, seed: int):
+    """``(series, true change points)``: ``n_seg`` segments of ``seg_len``
+    samples. Segment i draws each sample's atom with the proportions
+    ``props[i % len(props)]``, then the sample from N(atom, 1); so adjacent
+    segments share their atoms and differ only in the mix."""
+    rng = np.random.default_rng(seed)
+    atoms = np.asarray(atoms, dtype=float)
+    parts = []
+    for i in range(n_seg):
+        z = rng.choice(atoms.size, size=seg_len, p=props[i % len(props)])
+        parts.append(rng.normal(atoms[z], 1.0))
+    return np.concatenate(parts), [seg_len * i for i in range(1, n_seg)]
+
+
+def mixture_cell(flags, truth, window: int = MIX_WINDOW):
+    """``(delays, unmatched, stray)``: a change is found when a flag falls
+    in the ``window`` steps after it, and the first such flag matches it and
+    gives its delay; an unmatched flag matches no change, and a stray one
+    is an unmatched flag outside the window after every change."""
+    delays, matched = [], set()
+    for c in truth:
+        first = next((f for f in flags if c < f <= c + window), None)
+        if first is not None:
+            delays.append(first - c)
+            matched.add(first)
+    unmatched = [f for f in flags if f not in matched]
+    stray = [f for f in unmatched if not any(c < f <= c + window for c in truth)]
+    return delays, unmatched, stray
+
+
+@pytest.fixture(scope="module")
+def mixture_scores() -> dict:
+    """Each (cell, mode)'s ``(found, median delay, unmatched, stray, final
+    K)`` on seed 0, at top-m 100 and, in fixed-k, K = 5."""
+    scores = {}
+    for cell, props in MIX_CELLS.items():
+        series, truth = mixture_series(props, MIX_ATOMS, MIX_LENGTH, MIX_SEGMENTS, 0)
+        for mode in MODES:
+            cfg = DetectorConfig(mode=mode, k_fixed=5, prune=PRUNES["top-m-100"])
+            res = run(series, cfg)
+            delays, unmatched, stray = mixture_cell(res.change_points, truth)
+            median = float(np.median(delays)) if delays else math.nan
+            scores[cell, mode] = len(delays), median, len(unmatched), len(stray), res.final_k
+    print(f"\nmixture cells: {MIX_SEGMENTS} x {MIX_LENGTH} samples over atoms N(0, 1), "
+          f"N(8, 1), N(16, 1), top-m 100, seed 0, window {MIX_WINDOW}")
+    for cell, props in MIX_CELLS.items():
+        print(f"{cell}: proportions alternate {props[0]} / {props[1]}")
+    print(f"{'cell':>8} {'mode':>9} {'found':>5} {'delay':>5} {'unmatched':>9} "
+          f"{'stray':>5} {'K':>3}")
+    for (cell, mode), (found, median, unmatched, stray, k) in scores.items():
+        k = "-" if mode == "baseline" else k
+        print(f"{cell:>8} {mode:>9} {found:>5} {median:>5.1f} {unmatched:>9} {stray:>5} {k:>3}")
+    return scores
+
+
+# Over seeds 0-9 (numpy 2.4, Python 3.11) on the "mix" cell: the fewest
+# changes found (of 5), the largest median delay and, in the latent modes,
+# the most stray flags. A mode asserts its seed 0 run finds at least one
+# change fewer, with a median delay at most 5 steps longer and at most 2
+# stray flags more. The baseline, a single Gaussian per run, strays 6-19
+# times per seed, so it has no stray ceiling. "mix-hard" is only printed.
+MIX_FLOOR = {
+    "infinite": (5, 9, 2),
+    "fixed-k": (5, 22, 0),
+    "baseline": (5, 8, None),
+}
+
+
+@pytest.mark.parametrize("mode", MIX_FLOOR)
+def test_mixture_cell_holds_its_floor(mixture_scores, mode):
+    found, median, _, stray, _ = mixture_scores["mix", mode]
+    want_found, want_median, want_stray = MIX_FLOOR[mode]
+    assert found >= want_found - 1
+    assert median <= want_median + 5
+    if want_stray is not None:
+        assert stray <= want_stray + 2
+
+
+@pytest.mark.parametrize("mode", ("infinite", "fixed-k"))
+def test_latent_modes_raise_fewer_unmatched_flags_than_the_baseline(mixture_scores, mode):
+    # Over seeds 0-4 the unmatched flags summed to 7 (infinite), 5 (fixed-k)
+    # and 95 (baseline); each latent mode raised fewer on every seed 0-9.
+    assert mixture_scores["mix", mode][2] < mixture_scores["mix", "baseline"][2]
+
+
+def test_cusum_oracle_by_hand():
+    # Toward mean 1 from mean 0, each sample adds x - 0.5: 0 and 0 leave the
+    # sum at 0, then three 1s add 0.5 each, so it reaches h = 1 at t = 4.
+    # The means then swap, a 1 adds -0.5 (floored at 0), and the 0s at t = 6
+    # and 7 add 0.5 each: the second alarm.
+    assert cusum_oracle([0, 0, 1, 1, 1, 0, 0, 0], (0.0, 1.0), 1.0) == [4, 7]
+    # Toward mean 4 from mean 2: each sample adds 2 (x - 3), so x = 5 adds 4
+    # and alarms at once at h = 4, but not at h = 4.5.
+    assert cusum_oracle([5.0], (2.0, 4.0), 4.0) == [1]
+    assert cusum_oracle([5.0], (2.0, 4.0), 4.5) == []
+    # A mean that moves away from the other regime never alarms.
+    assert cusum_oracle([-3.0] * 50, (0.0, 1.0), 1.0) == []
+
+
+def test_delay_and_mixture_scoring_by_hand():
+    # Changes at 100 and 200 in a series of 300 steps.
+    assert detection_delays([5, 50, 120, 130, 250], [100, 200], 300) == [20, 50]
+    assert detection_delays([5, 200], [100, 200], 300) == [100]
+    # 120 matches 100 and 250 matches 200; 130 is unmatched but inside the
+    # window after 100, so only 5 and 50 stray.
+    assert mixture_cell([5, 50, 120, 130, 250], [100, 200]) == ([20, 50], [5, 50, 130], [5, 50])
+    detected, median, p90 = delay_cell([])
+    assert detected == 0 and math.isnan(median) and math.isnan(p90)
+    assert delay_cell([1, 2, 3, 10]) == (4, 2.5, pytest.approx(7.9))
 
 
 def test_nmi_reads_agreement_up_to_relabeling():

@@ -621,7 +621,7 @@ def test_prune_that_drops_nothing_keeps_the_parent_run_lengths(monkeypatch):
 
 
 def test_prune_policy_validation():
-    with pytest.raises(ContractViolation):
+    with pytest.raises(ConfigError, match="at least one hypothesis"):
         PrunePolicy.top_m(0)
     # A count that is not an integer failed only at the first prune, with a
     # raw TypeError.
