@@ -73,19 +73,31 @@ class _Outputs:
     directory the group made that is then empty, so files already in place
     are untouched.
 
-    With ``outdir``, file names are taken inside it, and it is made (with
-    its parents) if missing; otherwise names are paths. ``reads`` is the
-    command's input file, taken as ``--input`` before any file is opened, so
-    an output that would write it, as its target or its part file, is
-    refused as two outputs sharing a file are."""
+    ``names`` is every file the group will write: an iterable of names, or
+    a dict from the label a refusal names a file by to its name (otherwise
+    its path is its label). With ``outdir``, names are taken inside it, and
+    it is made (with its parents) if missing; otherwise names are paths.
+    ``reads`` is the command's input file, labelled ``--input``. Two of
+    these that share a file, as a target or a part file, would tear it, so
+    that is a ``ConfigError`` naming both, raised before any directory or
+    file is made."""
 
-    def __init__(self, outdir=None, reads=None):
-        self._files: list[_PartFile] = []
-        # Resolved target and part paths, and the input: their file's label.
-        self._taken: dict[Path, str] = {} if reads is None else {Path(reads).resolve(): "--input"}
-        self._reserved: set[Path] = set()  # taken by reserve, not yet written
-        self._made: list[Path] = []  # deepest first
+    def __init__(self, names, outdir=None, reads=None):
         self.dir = None if outdir is None else Path(outdir)
+        # Resolved target and part paths, and the input: their file's label.
+        taken = {} if reads is None else {Path(reads).resolve(): "--input"}
+        self._named: set[Path] = set()  # not yet written
+        for label, name in names.items() if isinstance(names, dict) else ((None, n) for n in names):
+            path = self._path(name)
+            label = label or str(path)
+            for p in (path, _part_path(path)):
+                key = p.resolve()
+                if key in taken:
+                    raise ConfigError(f"{taken[key]} and {label} name the same file {p}")
+                taken[key] = label
+            self._named.add(path)
+        self._files: list[_PartFile] = []
+        self._made: list[Path] = []  # deepest first
         if self.dir is not None:
             self._made = [d for d in (self.dir, *self.dir.parents) if not d.exists()]
             try:
@@ -105,28 +117,16 @@ class _Outputs:
             except OSError:
                 break
 
-    def reserve(self, name, label=None) -> None:
-        """Take the target and part file of ``name`` for a later
-        :meth:`write`. Sharing either with another file of the group, or
-        with the input, would tear it, so that is a ``ConfigError`` naming
-        both by ``label`` (default: the path)."""
-        path = Path(name if self.dir is None else self.dir / name)
-        label = label or str(path)
-        mine = {p.resolve(): p for p in (path, _part_path(path))}
-        for key, p in mine.items():
-            if key in self._taken:
-                raise ConfigError(f"{self._taken[key]} and {label} name the same file {p}")
-        self._taken.update(dict.fromkeys(mine, label))
-        self._reserved.add(path)
+    def _path(self, name) -> Path:
+        return Path(name if self.dir is None else self.dir / name)
 
-    def write(self, name, blocks, label=None) -> _PartFile:
-        """A part file for ``name`` of the text ``blocks``, written as they
-        arrive. A name not reserved is reserved first, so a collision is
-        refused before this file is made."""
-        path = Path(name if self.dir is None else self.dir / name)
-        if path not in self._reserved:
-            self.reserve(name, label)
-        self._reserved.remove(path)
+    def write(self, name, blocks) -> _PartFile:
+        """A part file for ``name``, one of the group's names not yet
+        written, of the text ``blocks``, written as they arrive."""
+        path = self._path(name)
+        if path not in self._named:
+            raise ContractViolation(f"{path} is not a file of this group left to write")
+        self._named.remove(path)
         f = _PartFile(path)
         self._files.append(f)
         for block in blocks:
@@ -146,7 +146,7 @@ class _Outputs:
                 raise InputError(f"cannot write {f.path}: {os.strerror(errno.EISDIR)}")
         for f in self._files:
             f.call(os.replace, f.part, f.path)
-        self._files, self._made, self._taken = [], [], {}
+        self._files, self._made = [], []
 
 
 def _rows(fmt: str, *columns) -> str:
@@ -174,7 +174,7 @@ _KEYS = {
     "mode": ("mode", None, "--mode", None),
     "alpha": ("alpha", None, "--alpha", None),
     "lambda": ("hazard", "lam", "--lambda", "expected run length of the hazard prior"),
-    "k_fixed": ("k_fixed", None, "--k", "class count in fixed-k mode"),
+    "k_fixed": ("k_fixed", None, "--k", "the most classes fixed-k opens"),
     "beta": ("dirichlet_beta", None, "--beta", "Dirichlet smoothing in fixed-k mode"),
     "eta_mu": ("eta_init", 0, "--eta-mu", None),
     "eta_sigma": ("eta_init", 1, "--eta-sigma", None),
@@ -367,10 +367,13 @@ class _TraceWriter:
     ``array`` buffers), whether it flagged a change point, and the last
     class count."""
 
+    FILES = ("assignments.csv", "runlength_map.csv", "posterior.csv")
+
     def __init__(self, out: _Outputs):
-        self._assignments = out.write("assignments.csv", ["t,x,z_star,k_t\n"])
-        self._runlength_map = out.write("runlength_map.csv", ["t,r_star,cp_flag\n"])
-        self._posterior = out.write("posterior.csv", ["t,r,mass\n"])
+        headers = ("t,x,z_star,k_t\n", "t,r_star,cp_flag\n", "t,r,mass\n")
+        self._assignments, self._runlength_map, self._posterior = (
+            out.write(name, [header]) for name, header in zip(self.FILES, headers)
+        )
         self._block: list[tuple] = []
         self._block_entries = 0
         self.x, self.z_star, self.r_star = array("d"), array("q"), array("q")
@@ -545,12 +548,12 @@ def _cmd_run(args) -> int:
 
     outdir = Path(args.out)
     series = _read_column(input_path)
-    with _Outputs(outdir, input_path) as out, contextlib.closing(series):
-        # The files written after the trace are taken before the first row
-        # is read, as the trace's own are, so an input that is one of them
-        # is refused before any step.
-        for name in ("changepoints.csv", "manifest", *(("trace.svg",) if args.svg else ())):
-            out.reserve(name)
+    # Every file is named before the first row is read, so an input that is
+    # one of them is refused before any step.
+    names = [*_TraceWriter.FILES, "changepoints.csv", "manifest"]
+    if args.svg:
+        names.append("trace.svg")
+    with _Outputs(names, outdir, input_path) as out, contextlib.closing(series):
         start = time.perf_counter()
         trace = _TraceWriter(out)
         det = Detector(cfg)
@@ -595,12 +598,11 @@ def _cmd_synth(args) -> int:
     segments = parse_segments(args.segments)
     seed = _SPECS["seed"].check("seed", args.seed)
     series, cps, _ = gen_piecewise_gaussian(segments, np.random.default_rng(seed))
-    with _Outputs() as out:
-        # A pair that names one file is refused at the second write, and
-        # leaving the group discards the first part file.
-        out.write(args.out, _column_blocks("x\n", "%.17g\n", series.tolist()), "--out")
+    names = {"--out": args.out, **({"--truth": args.truth} if args.truth else {})}
+    with _Outputs(names) as out:
+        out.write(args.out, _column_blocks("x\n", "%.17g\n", series.tolist()))
         if args.truth:
-            out.write(args.truth, _column_blocks("t\n", "%d\n", cps), "--truth")
+            out.write(args.truth, _column_blocks("t\n", "%d\n", cps))
         out.commit()
     print(f"samples={len(series)}")
     print(f"changepoints={','.join(str(c) for c in cps) if cps else ''}")

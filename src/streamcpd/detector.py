@@ -7,9 +7,9 @@ One run-length recursion, fed by a predictive model chosen once per mode
   under a CRP; a candidate class is spawned every step and kept only if the
   MAP assignment picks it. Predictive: the CRP window predictive of the MAP
   labels.
-- ``fixed-k`` (:class:`LatentModel`, ``k_fixed`` K): K fixed classes under
-  a symmetric Dirichlet prior. Predictive: the Dirichlet-categorical window
-  predictive.
+- ``fixed-k`` (:class:`LatentModel`, ``k_fixed`` K): at most K classes
+  under a symmetric Dirichlet prior, opened as in ``infinite`` while fewer
+  than K exist. Predictive: the Dirichlet-categorical window predictive.
 - ``baseline`` (:class:`BaselineModel`): no latent layer. Predictive: the
   Normal-Inverse-Gamma Student-t on the raw observations (``nig.py``).
 
@@ -61,12 +61,14 @@ MAP assignment from shared intermediates, committed only on success), the
 winner's rate decay, and the ledger's two predictives, the class prior over
 the whole history and the window predictive of the MAP label at every live
 run length, read by slices on dense run lengths. It opens new classes
-inside the step's rollback and records the step's label last. The modes'
+inside the step's rollback and records the step's label last. Both modes
+open classes one way, the CRP's sequential construction: a candidate at the
+observation, kept only if the MAP assignment picks it. The modes'
 differences are data, set once in the constructor: the rule's constants
-the ledger is built with, and ``k_fixed``, which says how classes are
-opened (None: the infinite mode's candidate at every step; K: the fixed-k
-fan-out at the first step). The symmetric Dirichlet tends to the CRP as K
-grows with K beta held at alpha (Neal 2000, JCGS 9(2), section 3).
+the ledger is built with, and ``k_fixed``, the cap on the classes opened
+(None in ``infinite``). The symmetric Dirichlet is that construction capped
+at K, and it tends to the CRP as K grows with K beta held at alpha (Neal
+2000, JCGS 9(2), section 3).
 
 The runtime needs only numpy and the standard library.
 """
@@ -117,26 +119,15 @@ _ONE = np.ones(1)
 _ONE.setflags(False)
 
 
-def _fixed_k_offsets(k_fixed: int) -> list[float]:
-    """Standard normal quantiles at i / (k_fixed + 1), i = 1..k_fixed: where
-    the fixed-k class means start, in prior standard deviations from the
-    first observation."""
-    # Imported here, its only use: statistics also loads fractions and
-    # decimal, several ms of every interpreter that imports the package.
-    from statistics import NormalDist
-
-    std = NormalDist()
-    return [std.inv_cdf(i / (k_fixed + 1.0)) for i in range(1, k_fixed + 1)]
-
-
 @dataclass(frozen=True)
 class DetectorConfig:
     """Every setting of a detector, one field per manifest key. The bounds
     are the ranges the models need, so a config that passes its field
     checks builds a detector: K beta stays finite, and so does 2 var^2 in
-    the emission gradients. Below a ``var_floor`` of about 2.6e-104, a
-    fixed-k class fanned out around the first observation took a mean step
-    of about 1/sqrt(var) that overflowed that gradient at the next step."""
+    the emission gradients. At the ``var_floor`` bound of 1e-100, the
+    variance gradient's ``d^2 / (2 var^2)`` stays finite for an observation
+    up to about 1e54 from a class mean; at a floor of 1e-154, one two
+    units from the mean overflows it."""
 
     mode: str = choice("infinite", "fixed-k", "baseline")
     alpha: float = real("(0, inf)", 1.0)
@@ -202,7 +193,7 @@ class LatentModel:
     (see the module docstring). Its mode is data, set here: the ledger's
     seating-rule constants, ``num(w) = w + smoothing`` above ``num(0) =
     unseen``, and ``c``, whose empty window ``unseen / c`` is the reset
-    predictive; and ``k_fixed``, which says how classes are opened.
+    predictive; and ``k_fixed``, the cap on the classes opened.
 
     - ``infinite``: smoothing 0 and unseen = c = alpha. The class prior is
       ``m_k / (t + alpha)`` with the new-table mass alpha at the candidate,
@@ -210,11 +201,12 @@ class LatentModel:
       ``k_fixed`` is None: a candidate is spawned every step.
     - ``fixed-k``: smoothing = unseen = beta and c = K beta, the symmetric
       Dirichlet: the class prior is ``(m_k + beta) / (t + K beta)`` and the
-      window predictive ``(w + beta) / (r + K beta)``. The table starts
-      empty, and the first step fans its K classes out around its
-      observation at normal quantiles, which is deterministic and breaks
-      the symmetry that would otherwise keep all K classes identical
-      forever; a refused first observation leaves it empty."""
+      window predictive ``(w + beta) / (r + K beta)``. ``k_fixed`` is K: a
+      candidate is spawned while fewer than K classes exist, n of them,
+      and it stands for all K - n unused ones, so its prior slot, ``beta /
+      (t + K beta)`` from the ledger, is scaled to ``(K - n) beta / (t + K
+      beta)``. At the cap no candidate is spawned. So ``k_t`` and the
+      responsibilities count the classes opened, at most K."""
 
     layer = "emission"  # the layer an overflow names
 
@@ -235,22 +227,20 @@ class LatentModel:
         """One SGD-EM step over the class table under the class prior, then
         the winner's rate decay, the window predictive of the MAP label over
         the earlier labels, and the ledger's record of that label. The
-        classes opened this step (the candidate, or fixed-k's first-step
-        fan-out) take the last columns and are kept only if the MAP
-        assignment picks one of them; the prior covers every column, seen
-        or not. An observation that overflows the arithmetic raises
+        candidate, when one is opened, takes the last column and is kept
+        only if the MAP assignment picks it; the prior covers every column,
+        seen or not. An observation that overflows the arithmetic raises
         ``FloatingPointError`` and leaves the model as it was."""
-        table, counts = self.table, self.counts
+        table, counts, kf = self.table, self.counts, self.k_fixed
         k_prev = table.n
         t = state.t + 1
         try:
-            if self.k_fixed is None:
+            if kf is None or k_prev < kf:
                 spawn_candidate(table, x, born_at=t)
-            elif not k_prev:
-                var0 = table.var0
-                for o in _fixed_k_offsets(self.k_fixed):
-                    table.push(float(x + math.sqrt(var0) * o), var0, *table.eta_init, born_at=t)
-            resp, z_star = em_step(table, x, counts.class_prior(table.n))
+            prior = counts.class_prior(table.n)
+            if kf and k_prev < kf:
+                prior[k_prev] *= kf - k_prev  # the K - n unused classes' mass
+            resp, z_star = em_step(table, x, prior)
         except FloatingPointError:
             table.n = k_prev
             raise
@@ -370,7 +360,8 @@ class Detector:
 def run(series, cfg: DetectorConfig) -> RunResult:
     """Fold a detector over a whole series and collect the trace. The
     series is one axis of real numbers: a shape ``(T,)``, ``(T, 1)`` or
-    ``(1, T)``. Values numpy cannot read as floats raise ``InputError``."""
+    ``(1, T)``. Values numpy cannot read as floats, or none at all, raise
+    ``InputError``."""
     try:
         arr = np.asarray(series, dtype=float)
     except (TypeError, ValueError, OverflowError) as exc:
@@ -379,7 +370,7 @@ def run(series, cfg: DetectorConfig) -> RunResult:
         raise ContractViolation(f"series must have one axis longer than 1, got shape {arr.shape}")
     arr = arr.ravel()
     if arr.size == 0:
-        raise ContractViolation("series must be non-empty")
+        raise InputError("series must be non-empty")
     det = Detector(cfg)
     steps = [det.step(v) for v in arr]
     change_points = [s.t for s in steps if s.cp_flag]

@@ -17,7 +17,8 @@ The table owns the emission rule. Its five settings are given once, at
 construction, and every function here reads them from the table: the
 variance floor, the variance's update form, the winner's decay, the initial
 learning rates and the candidate's start (its mean, and its variance
-``max(var_floor, var_init)``, at which fixed-k's classes start too).
+``max(var_floor, var_init)``), at which every class of either latent mode
+starts.
 
 One observation is one fused pass over the live columns, :func:`em_step`:
 the log prior, ``d = x - mu``, ``d^2``, ``2 var`` and ``log var`` are
@@ -144,11 +145,11 @@ class ClassTable:
 
 @dataclass(frozen=True)
 class CandidatePolicy:
-    """How a freshly spawned class is initialized: mean at the triggering
-    observation (``mu0=None``) or at a fixed value, variance ``var_init``
-    (fixed-k's classes start at it too). The bounds keep a new class's
-    first step finite on ordinary observations: 2 var^2, a gradient's
-    divisor, and (x - mu0)^2 stay below about 1e300."""
+    """How a freshly spawned class is initialized, in either latent mode:
+    mean at the triggering observation (``mu0=None``) or at a fixed value,
+    variance ``var_init``. The bounds keep a new class's first step finite
+    on ordinary observations: 2 var^2, a gradient's divisor, and (x -
+    mu0)^2 stay below about 1e300."""
 
     mu0: float | None = real("[-1e150, 1e150]", None, "at-observation")
     var_init: float = real("(0, 1e150]", 1.0)

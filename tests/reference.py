@@ -31,7 +31,6 @@ import numpy as np
 
 from streamcpd import ContractViolation, DetectorConfig, EmissionParams, NigParams
 from streamcpd.emission import ClassTable, decay_rates, em_step, spawn_candidate
-from streamcpd.detector import _fixed_k_offsets
 from streamcpd.schema import field_spec
 
 _MAX_ENUM_T = 12
@@ -258,46 +257,42 @@ class BaselineReference(_ReferenceTrellis):
 class LatentReference(_ReferenceTrellis):
     """A plain latent detector (``infinite`` or ``fixed-k``). It shares the
     emission step with the runtime, :class:`ClassTable` and the functions
-    that act on it, and runs the rest itself: the candidate's push, or
-    fixed-k's fan-out at the first step, and their rollback; the class
-    prior ``(m_k + s) / (t + c)`` from a ``Counter`` of the MAP labels, in
-    Python floats, which are the ledger's bit for bit; and each
-    hypothesis's window predictive ``num(w) / (r + c)``, with w counted by
-    scanning the label list. :meth:`step` returns ``(z_star, k_t,
-    responsibilities, r_star, cp_flag, posterior, evidence_log)``."""
+    that act on it, and runs the rest itself: the candidate's push while
+    fewer than ``cap`` classes exist (K in fixed-k, none in infinite), and
+    its rollback; the class prior ``(m_k + s) / (t + c)`` from a
+    ``Counter`` of the MAP labels, the candidate's slot times the K - n
+    unused classes in fixed-k, in Python floats, which are the ledger's bit
+    for bit; and each hypothesis's window predictive ``num(w) / (r + c)``,
+    with w counted by scanning the label list. :meth:`step` returns
+    ``(z_star, k_t, responsibilities, r_star, cp_flag, posterior,
+    evidence_log)``."""
 
     def __init__(self, cfg: DetectorConfig):
         super().__init__(cfg)
         if cfg.mode == "infinite":
-            self.rule, self.log_reset = (0.0, cfg.alpha, cfg.alpha), 0.0
+            self.rule, self.log_reset, self.cap = (0.0, cfg.alpha, cfg.alpha), 0.0, math.inf
         else:
             k, beta = cfg.k_fixed, cfg.dirichlet_beta
-            self.rule, self.log_reset = (beta, beta, k * beta), math.log(1.0 / k)
+            self.rule, self.log_reset, self.cap = (beta, beta, k * beta), math.log(1.0 / k), k
         self.table = ClassTable(
             var_floor=cfg.var_floor, log_space=cfg.log_var_update, decay=cfg.decay,
             eta_init=cfg.eta_init, candidate=cfg.candidate,
         )
         self.labels, self.counts = [], Counter()
 
-    def _push(self, x: float, t: int) -> None:
-        cfg, table = self.cfg, self.table
-        if cfg.mode == "infinite":
-            spawn_candidate(table, x, born_at=t)
-        elif not table.n:
-            var0 = max(cfg.var_floor, cfg.candidate.var_init)
-            for o in _fixed_k_offsets(cfg.k_fixed):
-                table.push(x + math.sqrt(var0) * o, var0, *cfg.eta_init, born_at=t)
-
     def step(self, x: float):
-        cfg, table, labels, counts = self.cfg, self.table, self.labels, self.counts
+        table, labels, counts = self.table, self.labels, self.counts
         s, unseen, c = self.rule
-        t, k_prev = len(labels), table.n
+        t, k_prev, cap = len(labels), table.n, self.cap
         try:
-            self._push(x, t + 1)
+            if k_prev < cap:
+                spawn_candidate(table, x, born_at=t + 1)
             seen = max(counts, default=0)
             prior = [
                 (counts[j] + s if j <= seen else unseen) / (t + c) for j in range(1, table.n + 1)
             ]
+            if k_prev < cap < math.inf:
+                prior[-1] *= cap - k_prev
             resp, z = em_step(table, x, prior)
         except FloatingPointError:
             table.n = k_prev

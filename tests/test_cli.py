@@ -156,7 +156,7 @@ def test_series_round_trip_exact(tmp_path):
     series = np.concatenate([rng.normal(0, 1e-7, 5), rng.normal(0, 1e9, 5), [np.pi]])
     # Written as synth writes its series.
     p = tmp_path / "s.csv"
-    with cli._Outputs() as out:
+    with cli._Outputs([p]) as out:
         out.write(p, cli._column_blocks("x\n", "%.17g\n", series.tolist()))
         out.commit()
     np.testing.assert_array_equal(list(_read_column(p)), series)
@@ -420,7 +420,7 @@ def _render(result, series, outdir):
     ``outdir``."""
     z_star = [s.z_star for s in result.steps]
     r_star = [s.r_star for s in result.steps]
-    with cli._Outputs(outdir) as out:
+    with cli._Outputs(["trace.svg"], outdir) as out:
         path = render_svg(series, z_star, r_star, result.change_points, out)
         out.commit()
     return path
@@ -429,7 +429,7 @@ def _render(result, series, outdir):
 def test_render_svg_empty_trace_writes_nothing(tmp_path):
     from streamcpd import ContractViolation
 
-    with cli._Outputs(tmp_path / "o") as out:
+    with cli._Outputs(["trace.svg"], tmp_path / "o") as out:
         with pytest.raises(ContractViolation):
             render_svg(np.array([]), [], [], [], out)
     assert not (tmp_path / "o").exists()

@@ -33,11 +33,11 @@ RUN_SHA256 = {
     ("infinite", "top-m"):
         "605758ad08a3c0cc4c4a24f7e780b20563bf33180db24965e67034468a352212",
     ("fixed-k", "none"):
-        "8e43eba438182fd32f2d578a99ecfa29802cd56dd8e4011022562aa03fe7473b",
+        "2f8b95c9cec1f609362ff52574dc93bd20acaf921ee51086ffaf76c294fc6ae4",
     ("fixed-k", "threshold"):
-        "3cad4b2df0ca9c97275adeb5e4ebfbe8266da30279651bbaad6979f2d62e0318",
+        "4053d0ecb6f6925bc343fb84185126c065adf34c2b9f6f9976819be64314c7e5",
     ("fixed-k", "top-m"):
-        "d7068e6b6d2b9a80fec4caed051627d9579223ea933c1722d5f7eae6975d36d1",
+        "04883737e696092440c08c5414a5f62521cdd091c45df2d5fce51bec802600d3",
     ("baseline", "none"):
         "8e697bf27c5495441d66c4007310ee6ff96140962498b168802f062ab00e7b38",
     ("baseline", "threshold"):
@@ -172,7 +172,8 @@ def trace_dir(tmp_path_factory):
 def test_trace_writer_rows_equal_the_per_row_expressions(trace_dir, steps):
     # Masses at the file floor (1e-12) and the doubles on either side of it;
     # blocks of 4 steps, so up to 5 blocks.
-    with mock.patch.object(cli, "_BLOCK_STEPS", 4), cli._Outputs(trace_dir) as out:
+    outputs = cli._Outputs(cli._TraceWriter.FILES, trace_dir)
+    with mock.patch.object(cli, "_BLOCK_STEPS", 4), outputs as out:
         trace = cli._TraceWriter(out)
         for s, x in steps:
             trace.step(s, x)
@@ -197,7 +198,7 @@ def test_render_svg_memory_is_bounded(tmp_path):
     change_points = list(range(500, T, 500))
     tracemalloc.start()
     try:
-        with cli._Outputs(tmp_path) as out:
+        with cli._Outputs(["trace.svg"], tmp_path) as out:
             render_svg(series, z_star, r_star, change_points, out)
             out.commit()
         _, peak = tracemalloc.get_traced_memory()

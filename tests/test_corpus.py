@@ -92,7 +92,7 @@ CONFIGS = {
         "beta-0.3-k-7": {"dirichlet_beta": 0.3, "k_fixed": 7},
         "mass-near-zero": {"cp_rule": MASS_NEAR_ZERO},
         "log-var": {"log_var_update": True},
-        # var_init below the floor: the fan-out starts at the floor.
+        # var_init below the floor: each class opens at the floor.
         "rule": {**RULE, "candidate": CandidatePolicy(mu0=None, var_init=1e-4)},
     },
     "baseline": {

@@ -12,7 +12,6 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
-from scipy.special import ndtri
 from scipy.stats import t as student_t
 
 from streamcpd import (
@@ -32,7 +31,7 @@ from streamcpd import (
 )
 from streamcpd import detector, nig, runlength
 from streamcpd.crp import LabelCounts
-from streamcpd.detector import BaselineModel, _fixed_k_offsets
+from streamcpd.detector import BaselineModel
 from streamcpd.nig import _TABLE_CAP, _run_length_rows_past_cap, _run_length_table
 from streamcpd.runlength import RunLengthState, logsumexp, recursion_step
 
@@ -207,12 +206,12 @@ def test_params_before_the_first_step(mode, want):
 
 
 def test_refused_first_fixed_k_observation_leaves_no_classes():
-    # The fan-out is made inside the step's rollback: learning rates this
-    # large overflow the first M-step, and the refused observation leaves
-    # the table empty, where it used to leave all 10 classes built.
-    det = Detector(DetectorConfig(mode="fixed-k", eta_init=(1e300, 0.02)))
+    # The candidate is opened inside the step's rollback: one fixed at 0
+    # puts 1e200 that far from its mean, whose square overflows the first
+    # E-step, and the refused observation leaves the table empty.
+    det = Detector(DetectorConfig(mode="fixed-k", candidate=CandidatePolicy(mu0=0.0)))
     with pytest.raises(InputError, match="t=1"):
-        det.step(0.0)
+        det.step(1e200)
     assert det.rl.t == 0
     assert det.params == []
 
@@ -304,7 +303,7 @@ def _steps_sha256(steps):
     [
         ("infinite", 10, 325, "e01e4f4483c6093d7581ef9f6a0a719ed71f9af2a9421ca2304316da3eb9ed11"),
         ("fixed-k", 1, 321, "7179a17d9baca9c40b7a4cc583407492cdbe6ecee71d02d9da7ecc3960118b4d"),
-        ("fixed-k", 10, 321, "0564f11e6a22044e3d2909cfbcb001bac7870ea5b6d37266f54a92082b3f23a5"),
+        ("fixed-k", 10, 387, "409334d629d575e26208ae0e5766819c7969e345cc8f136c3e96534ea90a90c6"),
     ],
 )
 def test_large_decay_keeps_stepping(mode, k_fixed, n, digest):
@@ -341,7 +340,7 @@ def test_series_that_is_not_real_numbers_is_input_error(series):
 
 
 def test_empty_series_rejected():
-    with pytest.raises(ContractViolation):
+    with pytest.raises(InputError, match="non-empty"):
         run([], DetectorConfig())
 
 
@@ -524,13 +523,13 @@ def test_golden_trace_fixed_k():
     )
     assert len(res.change_points) > 5
     assert _trace_sha256(res) == (
-        "2e3a3c13268212370a2fa14d234831d61deb638a3a65ea1332ed1448838ee4de"
+        "ac185e2af928cc35dbd9afa311c3cd479c5ff7abfa95cb273e3c6b5c6c1981df"
     )
     assert _posterior_sha256(res) == (
-        "4ba767fc96fd89e8c647fc9dcd3be675f55f02ef93f74faa0db05b869c8e8da0"
+        "c5330305d6ecdc55f241d5e2beab1fc1d1cb5aaaf073c1aee8d4fcd06cc70b50"
     )
     assert _responsibilities_sha256(res) == (
-        "210a8678cfa6a23dfb07f047e2e92ceb2c85ceb8e84a47b340249017c378206b"
+        "5d64b636816d7753c512aa431e14e5297f30061cec63bdc5d9c0d4ef715530db"
     )
 
 
@@ -907,6 +906,39 @@ def test_fixed_k_mode_detects_changepoint_and_keeps_k():
     assert all(1 <= s.z_star <= 10 for s in res.steps)
     assert res.change_points
     assert min(abs(t - cps[0]) for t in res.change_points) <= 10
+
+
+def _three_segment_series(seed):
+    segs = [SegmentSpec(200, mu, 1.0, i) for i, mu in enumerate((0.0, 6.0, 0.0), 1)]
+    return gen_piecewise_gaussian(segs, seed)[0]
+
+
+@pytest.mark.parametrize("alpha", [0.5, 1.0])
+def test_fixed_k_tends_to_infinite_as_k_grows(alpha):
+    # Neal (2000, JCGS 9(2), section 3): the symmetric Dirichlet over K
+    # classes at beta = alpha / K tends to the CRP at alpha. Both modes open
+    # classes one at a time, so at K = 10^6 their labels agree at every step
+    # of seeds 0-9. (At K = 10^4 and alpha 1, seed 3 agreed on 4 of 600:
+    # a near-tie under the finite-K prior.)
+    k = 10**6
+    for seed in range(10):
+        series = _three_segment_series(seed)
+        inf = Detector(DetectorConfig(mode="infinite", alpha=alpha))
+        fk = Detector(DetectorConfig(mode="fixed-k", k_fixed=k, dirichlet_beta=alpha / k))
+        for x in series:
+            a, b = inf.step(x), fk.step(x)
+            assert a.z_star == b.z_star, (seed, a.t)
+            assert b.k_t <= k and len(fk.params) == b.k_t
+
+
+def test_fixed_k_opens_at_most_k_classes():
+    # At the cap no candidate is opened: every step scores the K classes.
+    cfg = DetectorConfig(mode="fixed-k", k_fixed=3, candidate=CandidatePolicy(var_init=0.1))
+    det = Detector(cfg)
+    steps = [det.step(x) for x in _three_segment_series(0)]
+    assert max(s.k_t for s in steps) == 3
+    assert all(s.responsibilities.size == s.k_t and s.z_star <= s.k_t for s in steps)
+    assert len(det.params) == 3
 
 
 def test_fixed_k_deterministic():
@@ -1390,13 +1422,6 @@ def test_latent_top_m_with_tied_posterior_entries_matches_the_reference(mode, m,
         probs = sorted(posterior.values(), reverse=True)
         ties += len(probs) > m and probs[m - 1] == probs[m]
     assert ties >= 30
-
-
-def test_fixed_k_offsets_match_ndtri():
-    for k in range(1, 200):
-        got = np.array(_fixed_k_offsets(k))
-        want = ndtri(np.arange(1, k + 1) / (k + 1.0))
-        np.testing.assert_allclose(got, want, rtol=1e-15, atol=0)
 
 
 def test_nig_validation():
