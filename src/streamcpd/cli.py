@@ -363,33 +363,36 @@ class _TraceWriter:
     """Writes ``assignments.csv``, ``runlength_map.csv`` and
     ``posterior.csv`` as steps arrive, a block at a time (:meth:`flush`
     writes the last one). Of each step it keeps only what the later
-    outputs read: its x, ``z_star`` and ``r_star`` (appended to 8-byte
-    ``array`` buffers), whether it flagged a change point, and the last
-    class count."""
+    outputs read: whether it flagged a change point, the last step's
+    output, and, only for the SVG (``svg``), its x, ``z_star`` and
+    ``r_star``, appended to 8-byte ``array`` buffers (else None)."""
 
     FILES = ("assignments.csv", "runlength_map.csv", "posterior.csv")
 
-    def __init__(self, out: _Outputs):
+    def __init__(self, out: _Outputs, svg: bool = False):
         headers = ("t,x,z_star,k_t\n", "t,r_star,cp_flag\n", "t,r,mass\n")
         self._assignments, self._runlength_map, self._posterior = (
             out.write(name, [header]) for name, header in zip(self.FILES, headers)
         )
         self._block: list[tuple] = []
         self._block_entries = 0
-        self.x, self.z_star, self.r_star = array("d"), array("q"), array("q")
+        self.x = self.z_star = self.r_star = None
+        if svg:
+            self.x, self.z_star, self.r_star = array("d"), array("q"), array("q")
         self.change_points: list[int] = []
-        self.final_k = 0
+        self.last: StepOutput | None = None
 
     def step(self, s: StepOutput, x: float) -> None:
         runs, probs = s.rl_posterior
         self._block.append((s.t, x, s.z_star, s.k_t, s.r_star, s.cp_flag, runs, probs))
         self._block_entries += len(probs)
-        self.x.append(x)
-        self.z_star.append(s.z_star)
-        self.r_star.append(s.r_star)
+        if self.x is not None:
+            self.x.append(x)
+            self.z_star.append(s.z_star)
+            self.r_star.append(s.r_star)
         if s.cp_flag:
             self.change_points.append(s.t)
-        self.final_k = s.k_t
+        self.last = s
         if len(self._block) >= _BLOCK_STEPS or self._block_entries >= _BLOCK_ENTRIES:
             self.flush()
 
@@ -555,11 +558,11 @@ def _cmd_run(args) -> int:
         names.append("trace.svg")
     with _Outputs(names, outdir, input_path) as out, contextlib.closing(series):
         start = time.perf_counter()
-        trace = _TraceWriter(out)
+        trace = _TraceWriter(out, args.svg)
         det = Detector(cfg)
         for x in series:
             trace.step(det.step(x), x)
-        if not trace.x:
+        if trace.last is None:
             raise InputError(f"{Path(input_path)}: no numeric data rows")
         trace.flush()
         duration = time.perf_counter() - start
@@ -569,9 +572,9 @@ def _cmd_run(args) -> int:
             render_svg(trace.x, trace.z_star, trace.r_star, trace.change_points, out)
         out.commit()
 
-    print(f"steps={len(trace.x)}")
+    print(f"steps={trace.last.t}")
     print(f"changepoints={len(trace.change_points)}")
-    print(f"final_k={trace.final_k}")
+    print(f"final_k={trace.last.k_t}")
     print(f"outdir={outdir}")
     return 0
 

@@ -31,7 +31,11 @@ per-call dispatch, not the arithmetic, sets its cost. A Python float
 operand adds to that cost: numpy converts it anew at every call. So every
 operand on the step path is an ndarray: the constants are read-only 0-d
 arrays built once here, the observation is converted once per step, and the
-table holds ``var_floor`` as one too. The scores and responsibilities are
+table holds ``var_floor`` as one too. The float guard, ``np.errstate``,
+decorates :func:`em_step`: 0.6-1.15 µs a call against 1.1-2.1 µs for a
+``with`` block (numpy 2.4.6, 2-vCPU x86-64). numpy 1.x shares a decorating
+``errstate``'s saved state across calls and threads; numpy 2 keeps it per
+call, hence ``numpy>=2.0``. The scores and responsibilities are
 written out in :func:`em_step` itself. The gradient and the SGD update stay
 in their own helpers, :func:`_gradients` and :func:`_sgd_update`, because
 the M-step alone, :func:`m_step`, runs them too, and the finite-difference
@@ -185,6 +189,7 @@ def _sgd_update(table, live, gamma, d, d2, two_var, log_var):
     return mu + eta_mu * g_mu, new_var
 
 
+@np.errstate(over="raise", invalid="raise", divide="ignore")
 def em_step(table: ClassTable, x: float, class_prior) -> tuple[np.ndarray, int]:
     """One stochastic EM step on observation x over every live class: the
     E-step responsibilities, one gradient M-step weighted by them, and the
@@ -211,27 +216,26 @@ def em_step(table: ClassTable, x: float, class_prior) -> tuple[np.ndarray, int]:
     prior = np.asarray(class_prior, dtype=float)
     if prior.size != table.n or table.n == 0:
         raise ContractViolation(f"{prior.size} prior entries for {table.n} classes")
-    with np.errstate(over="raise", invalid="raise", divide="ignore"):
-        # A zero prior entry gives a log prior of -inf: divide is ignored.
-        log_prior = np.log(prior)
-        d = x - live[0]
-        d2 = d * d
-        two_var = _TWO * var
-        log_var = np.log(var)
-        # log N(x; mu, var) + log prior, then exp(score - max), normalized:
-        # the responsibilities, computed in the score's own array.
-        resp = _NEG_HALF * (_LOG_2PI + log_var) - d2 / two_var
-        resp += log_prior
-        m = resp[resp.argmax()]  # resp.max(), read as in runlength.logsumexp
-        if not math.isfinite(m):
-            raise ContractViolation("class prior has no positive entry")
-        resp -= m
-        np.exp(resp, out=resp)
-        resp /= np.add.reduce(resp)  # resp.sum() without the method wrapper
-        new_mu, new_var = _sgd_update(table, live, resp, d, d2, two_var, log_var)
-        d = x - new_mu
-        score = _NEG_HALF * (_LOG_2PI + np.log(new_var)) - d * d / (_TWO * new_var)
-        score += log_prior
+    # A zero prior entry gives a log prior of -inf: divide is ignored.
+    log_prior = np.log(prior)
+    d = x - live[0]
+    d2 = d * d
+    two_var = _TWO * var
+    log_var = np.log(var)
+    # log N(x; mu, var) + log prior, then exp(score - max), normalized:
+    # the responsibilities, computed in the score's own array.
+    resp = _NEG_HALF * (_LOG_2PI + log_var) - d2 / two_var
+    resp += log_prior
+    m = resp[resp.argmax()]  # resp.max(), read as in runlength.logsumexp
+    if not math.isfinite(m):
+        raise ContractViolation("class prior has no positive entry")
+    resp -= m
+    np.exp(resp, out=resp)
+    resp /= np.add.reduce(resp)  # resp.sum() without the method wrapper
+    new_mu, new_var = _sgd_update(table, live, resp, d, d2, two_var, log_var)
+    d = x - new_mu
+    score = _NEG_HALF * (_LOG_2PI + np.log(new_var)) - d * d / (_TWO * new_var)
+    score += log_prior
     z_star = int(score.argmax()) + 1
     live[0], live[1] = new_mu, new_var
     return resp, z_star

@@ -36,7 +36,9 @@ log1p(d^2 / B)`` and for the next table: ``mu' = mu + d / kappa_{r+1}`` and
 kappa B / (2 (kappa + 1))``, ``b' = kappa (B + d^2) / (2 kappa')``, and so
 ``B' = 2 b' (kappa' + 1) / kappa' = (B + d^2) kappa (kappa + 2) / (kappa +
 1)^2``. The baseline feeds the trellis its Student-t log densities as they
-are, with no exp/log round trip.
+are, with no exp/log round trip. Its float guard decorates the pass, at
+0.6-1.15 µs a call against 1.1-2.1 µs for a ``with`` block (see
+``emission.py``).
 """
 
 from __future__ import annotations
@@ -135,6 +137,7 @@ class RunLengthTable:
         self.prior_col = np.array([p.mu, 2.0 * p.b * (p.kappa + 1.0) / p.kappa])
         self.rows = _run_length_table(p, 64)
 
+    @np.errstate(over="raise", invalid="raise")
     def log_predictive(self, x: float, run_lengths: np.ndarray, dense: bool, columns):
         """The Student-t log predictive of ``x`` under each column of the
         hypothesis table ``columns`` (None: the prior column alone) at the
@@ -152,21 +155,20 @@ class RunLengthTable:
         grown = np.empty((2, n + 1))
         grown[:, 0] = self.prior_col
         mu1, big_b1 = grown[0, 1:], grown[1, 1:]
-        with np.errstate(over="raise", invalid="raise"):
-            # mu1 holds d until the last lines turn it into mu'.
-            d = np.subtract(x, mu, out=mu1)
-            d2 = np.square(d)
-            np.add(big_b, d2, out=big_b1)
-            log_psi = np.log(big_b)
-            log_psi *= -0.5
-            log_psi += c
-            d2 /= big_b
-            np.log1p(d2, out=d2)
-            d2 *= h
-            log_psi -= d2
-            d *= inv_k1
-            mu1 += mu
-            big_b1 *= rho
+        # mu1 holds d until the last lines turn it into mu'.
+        d = np.subtract(x, mu, out=mu1)
+        d2 = np.square(d)
+        np.add(big_b, d2, out=big_b1)
+        log_psi = np.log(big_b)
+        log_psi *= -0.5
+        log_psi += c
+        d2 /= big_b
+        np.log1p(d2, out=d2)
+        d2 *= h
+        log_psi -= d2
+        d *= inv_k1
+        mu1 += mu
+        big_b1 *= rho
         return log_psi, grown
 
     def _rows_past(self, run_lengths: np.ndarray) -> np.ndarray:

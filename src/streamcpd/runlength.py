@@ -274,24 +274,21 @@ def recursion_step(
     Pruning keeps the evidence: it folds the dropped mass back into the
     survivors, which keep their run-length values. Top-m keeps the
     ``max_live`` largest entries, ties going to the lower index (a stable
-    sort). In its steady state, one hypothesis over the cap, that drops
-    exactly the last of the smallest entries, which is found with one
-    ``argmin`` instead of a sort; when that entry is run length 0, nothing
-    is dropped.
+    sort); in its steady state, one hypothesis over the cap, that drops the
+    last of the smallest entries, found by one ``argmin``.
 
-    Survivors that are the first k entries are taken by slices, with no
-    mask and no gathers, bitwise as the mask would give them: k = n when
-    nothing is dropped (under a threshold, when the posterior's smallest
-    entry reaches ``epsilon``; under top-m, when at most ``max_live``
-    hypotheses are live), on the grown run-length array; and k = n - 1 when
-    top-m's steady state drops the last entry (in over half its steps on a
-    stream of many classes), on a read-only prefix view of it; the columns
-    likewise whole or as their first k. So a dense state stays a view of
-    the shared table. The prefix holds all but the smallest entry, so its
-    mass is at least about 1 - 1/n and needs no rescale from the log
-    weights. Every other prune takes the mask path. A
-    threshold prune whose only survivor, run length 0, has weight 0 is
-    refused there: there is no mass to fold the rest into.
+    A prune that drops nothing returns the same step's unpruned state bit
+    for bit, its log weights not rescaled (that would move them by about
+    1e-16 and cost about 1.8 µs at n = 131): also under a threshold only
+    run length 0's entry falls below, and in top-m's steady state when the
+    smallest entry is run length 0, which is never dropped. When that state
+    drops the last entry (over half its steps on a stream of many classes),
+    the survivors are taken by slices, bitwise as the mask would give them:
+    a read-only prefix view of the run lengths, so a dense state stays a
+    view of the shared table. Their mass, all but the smallest entry's, is
+    at least about 1 - 1/n and needs no rescale from the log weights. Other
+    prunes take the mask path, which refuses a threshold prune whose only
+    survivor, run length 0, has weight 0: no mass to fold the rest into.
     """
     lw = state.log_weights
     log_psi = np.asarray(log_psi, dtype=float)
@@ -337,56 +334,49 @@ def recursion_step(
     t = state.t + 1
     r_star = int(runs[posterior.argmax()])
 
+    k, keep = n, None  # without a mask, the survivors are the first k entries
     epsilon, max_live = policy.epsilon, policy.max_live
-    if not (epsilon or max_live):
-        return RunLengthState(runs, new_lw, t, total, columns, r_star), runs, posterior, i_min
-
-    k = n
-    keep = None  # no mask: the survivors are the first k entries
     if epsilon:
         if posterior[i_min] < epsilon:
             keep = posterior >= epsilon
     elif n == max_live + 1:
         # The stable sort below would drop exactly the last of the minima.
         k = n - 1 - posterior[::-1].argmin()
-        if k < n - 1:
+        if k == 0:  # that is run length 0, which is never dropped
+            k = n
+        elif k < n - 1:
             keep = np.ones(n, dtype=bool)
             keep[k] = False
-    elif n > max_live:
-        order = np.argsort(-posterior, kind="stable")
+    elif 0 < max_live < n:
         keep = np.zeros(n, dtype=bool)
-        keep[order[:max_live]] = True
+        keep[np.argsort(-posterior, kind="stable")[:max_live]] = True
 
-    if keep is None:
-        kept_runs = runs
-        if k < n:
-            kept_runs = runs[:k]
-            kept_runs.setflags(False)
-            if columns is not None:
-                columns = columns[:, :k]
-        # Rescaled even when nothing is dropped: the posterior's sum is 1
-        # only to rounding, so skipping this would move the last ulps of
-        # every later output (tests/corpus.json pins them).
-        kept_lw = new_lw[:k] - math.log(float(np.add.reduce(posterior[:k])))
-    else:
+    kept_runs, kept_lw = runs, new_lw
+    if keep is not None:
         keep[0] = True
-        kept_runs = runs[keep]
+        survivors = runs[keep]
+        if survivors.size < n:
+            kept_runs = survivors
+            if columns is not None:
+                columns = columns.compress(keep, axis=1)
+            kept_lw = new_lw[keep]
+            kept_mass = float(np.add.reduce(posterior[keep]))
+            if kept_mass >= _TINY:
+                kept_lw -= math.log(kept_mass)
+            else:
+                # Their posterior underflowed: rescale from the log weights.
+                kept_log = logsumexp(kept_lw)
+                if kept_log == -math.inf:
+                    # Only run length 0 survived, with weight 0: no mass
+                    # to fold the rest into (-inf + inf would give NaN).
+                    raise ContractViolation("prune policy kept only hypotheses of zero mass")
+                kept_lw += total - kept_log
+    elif k < n:
+        kept_runs = runs[:k]
+        kept_runs.setflags(False)
         if columns is not None:
-            columns = columns.compress(keep, axis=1)
-        kept_lw = new_lw[keep]
-        kept_mass = float(np.add.reduce(posterior[keep]))
-        if kept_mass >= _TINY:
-            kept_lw -= math.log(kept_mass)
-        else:
-            # The survivors' posterior underflowed: rescale from their log
-            # weights.
-            kept_log = logsumexp(kept_lw)
-            if kept_log == -math.inf:
-                # Only run length 0 survived, and its weight is 0: no mass
-                # to fold the rest into (the rescale would give -inf + inf
-                # = NaN).
-                raise ContractViolation("prune policy kept only hypotheses of zero mass")
-            kept_lw += total - kept_log
+            columns = columns[:, :k]
+        kept_lw = new_lw[:k] - math.log(float(np.add.reduce(posterior[:k])))
     return RunLengthState(kept_runs, kept_lw, t, total, columns, r_star), runs, posterior, i_min
 
 

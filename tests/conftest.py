@@ -1,15 +1,17 @@
 import numpy as np
-from hypothesis import HealthCheck, settings
+from hypothesis import HealthCheck, Phase, settings
 
 from streamcpd import HazardConfig
 from streamcpd.crp import LabelCounts
 from streamcpd.emission import _gradients
 from streamcpd.runlength import RunLengthState, recursion_step
 
+_DEFAULT = {"deadline": None, "suppress_health_check": [HealthCheck.too_slow]}
+settings.register_profile("default", **_DEFAULT)
+# The mutation gate (tests/mutants.py) asks only whether a property fails,
+# so it skips shrinking the failing example, which can take minutes.
 settings.register_profile(
-    "default",
-    deadline=None,
-    suppress_health_check=[HealthCheck.too_slow],
+    "mutants", **_DEFAULT, phases=[phase for phase in Phase if phase is not Phase.shrink]
 )
 settings.load_profile("default")
 

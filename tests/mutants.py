@@ -102,12 +102,20 @@ MUTANTS = (
         "the baseline's hypothesis columns are pruned by the trellis's own mask",
     ),
     Mutant(
-        "keep-all-skips-the-rescale", "runlength.py",
+        "no-drop-prune-rescales", "runlength.py",
+        "kept_runs, kept_lw = runs, new_lw\n",
+        "kept_runs, kept_lw = runs, new_lw - math.log(float(np.add.reduce(posterior)))\n",
+        ("tests/test_runlength.py::test_prune_that_drops_nothing_is_the_unpruned_step",),
+        "Two fixed costs off every step",
+        "a prune that drops nothing leaves the state bit for bit the unpruned step's",
+    ),
+    Mutant(
+        "prefix-drop-skips-the-rescale", "runlength.py",
         "kept_lw = new_lw[:k] - math.log(float(np.add.reduce(posterior[:k])))",
         "kept_lw = new_lw[:k]",
-        ("tests/test_corpus.py::test_cell_is_bit_identical[infinite/stock/threshold/repeated]",),
-        "One trellis call per step",
-        "a prune that drops nothing still folds the posterior's rounding into the weights",
+        ("tests/test_runlength.py::test_prune_equals_a_mask_reference",),
+        "Two fixed costs off every step",
+        "top-m's steady state that drops the last entry folds its mass into the survivors",
     ),
     Mutant(
         "label-recorded-before-its-window", "detector.py",
@@ -126,6 +134,22 @@ MUTANTS = (
         ("tests/test_cli_output.py::test_run_files_are_pinned[infinite-threshold]",),
         "One model call per step",
         "run lengths are read by slices only when they are 0..n-1",
+    ),
+    Mutant(
+        "emission-guard-dropped", "emission.py",
+        '@np.errstate(over="raise", invalid="raise", divide="ignore")\ndef em_step',
+        "def em_step",
+        ("tests/test_detector.py::test_float_guard_restores_the_callers_state_and_still_raises",),
+        "Two fixed costs off every step",
+        "the EM step refuses an overflowing observation whatever the caller's float state",
+    ),
+    Mutant(
+        "baseline-guard-dropped", "nig.py",
+        '    @np.errstate(over="raise", invalid="raise")\n    def log_predictive',
+        "    def log_predictive",
+        ("tests/test_detector.py::test_float_guard_restores_the_callers_state_and_still_raises",),
+        "Two fixed costs off every step",
+        "the Student-t pass refuses an overflowing observation whatever the caller's float state",
     ),
     Mutant(
         "fixed-k-opens-past-its-cap", "detector.py",
@@ -166,7 +190,8 @@ def _pytest(src: Path, args) -> tuple[int, str | None]:
     """pytest's exit code over ``args`` with ``streamcpd`` imported from
     ``src``, and the first test that failed (None if none did)."""
     env = _env(src)
-    cmd = [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider", *args]
+    cmd = [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider",
+           "--hypothesis-profile=mutants", *args]
     proc = subprocess.run(cmd, cwd=ROOT, env=env, capture_output=True, text=True)
     failed = [line.split()[1] for line in proc.stdout.splitlines()
               if line.startswith(("FAILED ", "ERROR "))]

@@ -2,6 +2,7 @@ import os
 import subprocess
 import sys
 import xml.etree.ElementTree as ET
+from array import array
 
 import numpy as np
 import pytest
@@ -851,6 +852,33 @@ def test_cli_memory_does_not_grow_with_the_trace(tmp_path):
     finally:
         tracemalloc.stop()
     assert peak < 4 * 2**20
+
+
+
+@pytest.mark.parametrize("svg", [False, True])
+def test_cli_keeps_per_step_buffers_only_for_the_svg(tmp_path, monkeypatch, svg):
+    # Without --svg the trace writer holds no per-step buffer. With it,
+    # the SVG's series hold every step.
+    writers = []
+
+    class Writer(cli._TraceWriter):
+        def __init__(self, *args):
+            super().__init__(*args)
+            writers.append(self)
+
+    monkeypatch.setattr(cli, "_TraceWriter", Writer)
+    path = tmp_path / "s.csv"
+    write_series(np.sin(np.arange(300) / 7.0), path)
+    argv = ["run", "--input", str(path), "--out", str(tmp_path / "o")]
+    assert main(argv + ["--svg"] * svg) == 0
+    (trace,) = writers
+    assert trace.last.t == 300
+    series = (trace.x, trace.z_star, trace.r_star)
+    if svg:
+        assert [len(a) for a in series] == [300] * 3
+    else:
+        assert series == (None,) * 3
+        assert not [v for v in vars(trace).values() if isinstance(v, array)]
 
 
 def _snapshot(d):

@@ -32,6 +32,7 @@ from streamcpd import (
 from streamcpd import detector, nig, runlength
 from streamcpd.crp import LabelCounts
 from streamcpd.detector import BaselineModel
+from streamcpd.emission import em_step
 from streamcpd.nig import _TABLE_CAP, _run_length_rows_past_cap, _run_length_table
 from streamcpd.runlength import RunLengthState, logsumexp, recursion_step
 
@@ -214,6 +215,32 @@ def test_refused_first_fixed_k_observation_leaves_no_classes():
         det.step(1e200)
     assert det.rl.t == 0
     assert det.params == []
+
+
+
+@pytest.mark.parametrize("mode", ["infinite", "fixed-k", "baseline"])
+def test_float_guard_restores_the_callers_state_and_still_raises(mode):
+    # The models' float guards decorate em_step and log_predictive: a step,
+    # a refused one too, leaves the caller's error state as it found it,
+    # and under a caller's "ignore" the guarded calls still raise on an
+    # overflow.
+    det = Detector(DetectorConfig(mode=mode))
+    with np.errstate(all="ignore"):
+        caller = np.geterr()
+        for x in (0.0, 1.0, 0.5):
+            det.step(x)
+            assert np.geterr() == caller
+        with pytest.raises(InputError, match="t=4 overflows"):
+            det.step(1e200)
+        assert np.geterr() == caller
+        with pytest.raises(FloatingPointError):
+            if mode == "baseline":
+                rl = det.rl
+                det.model.nig.log_predictive(1e200, rl.run_lengths, rl.dense, rl.columns)
+            else:
+                table = det.model.table
+                em_step(table, 1e200, np.full(table.n, 1.0 / table.n))
+        assert np.geterr() == caller
 
 
 def _assert_same_step(a, b):

@@ -399,14 +399,17 @@ def _top_m_by_sort(posterior, m):
 def _prune_by_mask(grown, posterior, policy):
     # The pruned state built from an explicit keep mask over the grown
     # trellis: the entries at or above the threshold, or the top m by a
-    # stable sort, plus run length 0. None when the survivors carry no
-    # mass, which the step refuses.
+    # stable sort, plus run length 0. Rescaled only when the mask drops
+    # some entry. None when the survivors carry no mass, which the step
+    # refuses.
     if policy.epsilon:
         keep = posterior >= policy.epsilon
         keep[0] = True
     else:
         keep = _top_m_by_sort(posterior, policy.max_live)
     runs, kept_lw = grown.run_lengths[keep], grown.log_weights[keep]
+    if keep.all():
+        return runs, kept_lw
     mass = float(posterior[keep].sum())
     if mass >= _TINY:
         return runs, kept_lw - math.log(mass)
@@ -449,6 +452,7 @@ def _assert_step_prunes_as_the_mask(state, log_psi, log_psi_reset, policy):
     st.sampled_from([0, 0, 0, -1, 1, 3]),
 )
 @example([-1.0, 0.0, 0.0], 0)  # the minimum at index 0 is run length 0
+@example([-3.0, 0.0], 0)  # so is the minimum of two
 @example([0.0, -2.0, -2.0, 0.0, -2.0], 0)  # tied minima
 @example([0.0, -math.inf, -math.inf, -800.0], 0)  # exact zeros
 @example([0.0, -2.0, -2.0, 0.0, -2.0], 1)  # n = max_live + 2
@@ -534,6 +538,58 @@ def test_prune_equals_a_mask_reference(pairs, gaps, log_psi_reset, pick):
     else:
         policy = PrunePolicy.top_m(min(value, posterior.size + 2))
     _assert_step_prunes_as_the_mask(state, log_psi, log_psi_reset, policy)
+
+
+@given(
+    pairs=st.lists(st.tuples(_LOG_VALUE, _LOG_VALUE), min_size=1, max_size=10),
+    gaps=st.lists(st.sampled_from([1, 1, 2, 5]), min_size=9, max_size=9),
+    log_psi_reset=_LOG_VALUE,
+    kind=st.sampled_from(["threshold", "top-m"]),
+    room=st.integers(0, 3),
+)
+# Only run length 0 falls below the threshold, on dense and on sparse run
+# lengths: the mask keeps every entry.
+@example([(0.0, 0.0), (0.0, 0.0)], [1] * 9, -40.0, "threshold", 0)
+@example([(0.0, 0.0), (-1.0, 0.0)], [2] * 9, -math.inf, "threshold", 0)
+# Top-m's steady state whose smallest entry is run length 0.
+@example([(0.0, 0.0), (0.0, 0.0)], [1] * 9, -3.0, "top-m", 0)
+@example([(0.0, 0.0), (-1.0, 0.0), (0.0, -2.0)], [5] * 9, -10.0, "top-m", 0)
+def test_prune_that_drops_nothing_is_the_unpruned_step(pairs, gaps, log_psi_reset, kind, room):
+    # A threshold at or below every entry but run length 0's (the smallest
+    # of them, or a fraction of it by ``room``), or top-m with ``room``
+    # hypotheses to spare (0: n = max_live + 1, and run length 0 is the
+    # smallest entry), drops nothing, so the step's state is bit for bit
+    # the unpruned one: the grown log weights with no rescale, and the
+    # grown columns as they are.
+    lw, log_psi = (np.array(column) for column in zip(*pairs))
+    assume(np.isfinite(lw).any())
+    runs = np.concatenate(([0], np.cumsum(gaps[: lw.size - 1])))
+    state = _state(runs, lw, int(runs[-1]))
+    columns = np.arange(2.0 * (lw.size + 1)).reshape(2, -1)
+    try:
+        want, grown, posterior, _ = recursion_step(
+            state, log_psi, _HZ, log_psi_reset, columns=columns
+        )
+    except ContractViolation:  # no mass left: the detector never asks this
+        assume(False)
+    grown_lw = np.r_[_HZ.log_hazard + log_psi_reset + state.evidence_log,
+                     log_psi + _HZ.log_survival + lw]
+    assert want.log_weights.tobytes() == grown_lw.tobytes()
+    n = posterior.size
+    if kind == "threshold":
+        epsilon = float(posterior[1:].min()) * (1.0, 0.5, 1e-3, 1e-300)[room]
+        assume(epsilon > 0.0)
+        policy = PrunePolicy.threshold(min(epsilon, 0.5))
+    else:
+        if room == 0:
+            assume(posterior[0] < posterior[1:].min())
+        policy = PrunePolicy.top_m(n - 1 + room)
+    out, grown_again, _, _ = recursion_step(state, log_psi, _HZ, log_psi_reset, policy, columns)
+    assert out.run_lengths is grown_again and grown_again.tolist() == grown.tolist()
+    assert out.log_weights.tobytes() == want.log_weights.tobytes()
+    assert out.evidence_log == want.evidence_log
+    assert out.r_star == want.r_star
+    assert out.columns is columns
 
 
 def test_prune_keeps_evidence_when_survivor_mass_underflows():
